@@ -80,6 +80,20 @@ comm_matrix_identity_gate() {
 }
 step comm_matrix_identity_gate
 
+# Allocation-ledger gate: the real engines' steady state must stay at
+# most 2 (shared memory) / 3 (multi-process) heap allocations per extra
+# task for every scheme — the hot path recycles payloads, task boxes and
+# scratch instead of allocating (docs/EXECUTOR.md).
+allocation_ledger_gate() {
+    cargo test --release -q -p integration --test alloc_steady_state
+}
+step allocation_ledger_gate
+
+# Harness gate: the stand-alone benchmark package links the public API
+# like an outside user. Build and unit-test it unchanged, so an API break
+# (or a changed count it checks) is caught here, before the driver runs it.
+step cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 # Scheduler portfolio gate: every portfolio scheduler must complete every
 # scheme (base/ca/pa2/dtd) deadlock-free and within the static bound on a
 # small sweep, and the committed baseline must be intact under the

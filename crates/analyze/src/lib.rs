@@ -284,23 +284,22 @@ pub fn doctest_program() -> Program {
         fn num_output_flows(&self, p: runtime::Params) -> usize {
             usize::from(p[0] < 2)
         }
-        fn outputs(&self, p: runtime::Params) -> Vec<runtime::OutputDep> {
+        fn outputs(&self, p: runtime::Params, out: &mut Vec<runtime::OutputDep>) {
             if p[0] < 2 {
-                vec![runtime::OutputDep {
+                out.push(runtime::OutputDep {
                     flow: 0,
                     consumer: runtime::TaskKey::new(0, [p[0] + 1, 0, 0, 0]),
                     slot: 0,
-                }]
-            } else {
-                Vec::new()
+                });
             }
         }
         fn execute(
             &self,
             _p: runtime::Params,
             _inputs: &mut [Option<runtime::FlowData>],
-        ) -> Vec<runtime::FlowData> {
-            vec![runtime::FlowData::sized(8)]
+            out: &mut Vec<runtime::FlowData>,
+        ) {
+            out.push(runtime::FlowData::sized(8));
         }
         fn output_bytes(&self, _p: runtime::Params, _flow: usize) -> usize {
             8

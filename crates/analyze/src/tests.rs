@@ -50,25 +50,16 @@ impl TaskClass for TestDag {
     fn num_output_flows(&self, p: Params) -> usize {
         self.edges.get(&p[0]).map_or(0, Vec::len)
     }
-    fn outputs(&self, p: Params) -> Vec<OutputDep> {
-        self.edges
-            .get(&p[0])
-            .map(|v| {
-                v.iter()
-                    .enumerate()
-                    .map(|(flow, &(c, slot))| OutputDep {
-                        flow,
-                        consumer: TaskKey::new(0, [c, 0, 0, 0]),
-                        slot,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
+    fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
+        let edges = self.edges.get(&p[0]).into_iter().flatten();
+        out.extend(edges.enumerate().map(|(flow, &(c, slot))| OutputDep {
+            flow,
+            consumer: TaskKey::new(0, [c, 0, 0, 0]),
+            slot,
+        }));
     }
-    fn execute(&self, p: Params, _inputs: &mut [Option<FlowData>]) -> Vec<FlowData> {
-        (0..self.num_output_flows(p))
-            .map(|_| FlowData::sized(self.bytes))
-            .collect()
+    fn execute(&self, p: Params, _inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
+        out.resize(self.num_output_flows(p), FlowData::sized(self.bytes));
     }
     fn output_bytes(&self, _p: Params, _flow: usize) -> usize {
         self.bytes

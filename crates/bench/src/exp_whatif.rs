@@ -101,11 +101,11 @@ impl TaskClass for ScaledKind {
     fn num_output_flows(&self, p: Params) -> usize {
         self.class().num_output_flows(p)
     }
-    fn outputs(&self, p: Params) -> Vec<OutputDep> {
-        self.class().outputs(p)
+    fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
+        self.class().outputs(p, out)
     }
-    fn execute(&self, p: Params, inputs: &mut [Option<FlowData>]) -> Vec<FlowData> {
-        self.class().execute(p, inputs)
+    fn execute(&self, p: Params, inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
+        self.class().execute(p, inputs, out)
     }
     fn output_bytes(&self, p: Params, flow: usize) -> usize {
         self.class().output_bytes(p, flow)

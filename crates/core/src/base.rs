@@ -5,8 +5,8 @@
 
 use crate::config::{StencilBuild, StencilConfig};
 use crate::flows::{
-    cross_rects, slot_of_side, OutFlow, KIND_BOUNDARY, KIND_INIT, KIND_INTERIOR, NUM_SLOTS_BASE,
-    SLOT_SELF,
+    cross_rects, slot_of_side, OutFlow, OutFlows, KIND_BOUNDARY, KIND_INIT, KIND_INTERIOR,
+    NUM_SLOTS_BASE, SLOT_SELF,
 };
 use crate::geometry::{Side, StencilGeometry};
 use crate::problem::Operator;
@@ -41,27 +41,27 @@ impl BaseStencil {
     fn key(tx: usize, ty: usize, t: u32) -> TaskKey {
         TaskKey::new(CLASS, [tx as i32, ty as i32, t as i32, 0])
     }
+}
 
+impl OutFlows for BaseStencil {
     /// The output flows of task `p`, in flow-index order, with their
-    /// consumers: the single source of truth used by `outputs`, `execute`
-    /// and `output_bytes`.
-    fn enumerate_out(&self, p: Params) -> Vec<(OutFlow, TaskKey, usize)> {
+    /// consumers: the single source of truth behind `outputs`, `execute`,
+    /// `output_bytes` and `num_output_flows`.
+    fn for_each_out(&self, p: Params, mut visit: impl FnMut(OutFlow, TaskKey, usize)) {
         let (tx, ty, t) = Self::decode(p);
         if t >= self.iterations {
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::with_capacity(5);
-        out.push((OutFlow::SelfFlow, Self::key(tx, ty, t + 1), SLOT_SELF));
+        visit(OutFlow::SelfFlow, Self::key(tx, ty, t + 1), SLOT_SELF);
         for side in Side::ALL {
             if let Some((nx, ny)) = self.geo.neighbor(tx, ty, side) {
-                out.push((
+                visit(
                     OutFlow::Strip { side, depth: 1 },
                     Self::key(nx, ny, t + 1),
                     slot_of_side(side.opposite()),
-                ));
+                );
             }
         }
-        out
     }
 }
 
@@ -89,22 +89,14 @@ impl TaskClass for BaseStencil {
     }
 
     fn num_output_flows(&self, p: Params) -> usize {
-        self.enumerate_out(p).len()
+        self.count_out(p)
     }
 
-    fn outputs(&self, p: Params) -> Vec<OutputDep> {
-        self.enumerate_out(p)
-            .into_iter()
-            .enumerate()
-            .map(|(flow, (_, consumer, slot))| OutputDep {
-                flow,
-                consumer,
-                slot,
-            })
-            .collect()
+    fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
+        self.push_deps(p, out);
     }
 
-    fn execute(&self, p: Params, inputs: &mut [Option<FlowData>]) -> Vec<FlowData> {
+    fn execute(&self, p: Params, inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
         let store = self
             .store
             .as_ref()
@@ -124,18 +116,11 @@ impl TaskClass for BaseStencil {
                 }
             }
         }
-        self.enumerate_out(p)
-            .into_iter()
-            .map(|(of, _, _)| match of {
-                OutFlow::SelfFlow => FlowData::values(Vec::new()),
-                OutFlow::Strip { side, depth } => FlowData::values(buf.extract_strip(side, depth)),
-                OutFlow::Block { .. } => unreachable!("base scheme has no corner flows"),
-            })
-            .collect()
+        self.for_each_out(p, |of, _, _| out.push(of.extract(&buf)));
     }
 
     fn output_bytes(&self, p: Params, flow: usize) -> usize {
-        self.enumerate_out(p)[flow].0.bytes(self.geo.tile)
+        self.out_bytes(p, flow, self.geo.tile)
     }
 
     fn cost(&self, p: Params) -> f64 {
@@ -200,7 +185,7 @@ impl TaskClass for BaseStencil {
 
     fn delivered_region(&self, p: Params, flow: usize) -> Option<ReadRegion> {
         let (tx, ty, _) = Self::decode(p);
-        let (of, consumer, _) = self.enumerate_out(p).into_iter().nth(flow)?;
+        let (of, consumer, _) = self.nth_out(p, flow)?;
         let rect = of.region(self.geo.tile_origin(tx, ty), self.geo.tile)?;
         let (cx, cy) = (consumer.params[0] as usize, consumer.params[1] as usize);
         Some(ReadRegion::single(self.geo.tile_space(cx, cy), rect))

@@ -19,8 +19,8 @@
 
 use crate::config::{StencilBuild, StencilConfig};
 use crate::flows::{
-    cross_rects, slot_of_corner, slot_of_side, OutFlow, KIND_BOUNDARY, KIND_INIT, KIND_INTERIOR,
-    NUM_SLOTS_CA, SLOT_SELF,
+    cross_rects, slot_of_corner, slot_of_side, OutFlow, OutFlows, KIND_BOUNDARY, KIND_INIT,
+    KIND_INTERIOR, NUM_SLOTS_CA, SLOT_SELF,
 };
 use crate::geometry::{Corner, Side, StencilGeometry};
 use crate::problem::Operator;
@@ -122,36 +122,37 @@ impl CaStencil {
             }
         }
     }
+}
 
+impl OutFlows for CaStencil {
     /// The output flows of task `p`, in flow-index order, with their
     /// consumers.
-    fn enumerate_out(&self, p: Params) -> Vec<(OutFlow, TaskKey, usize)> {
+    fn for_each_out(&self, p: Params, mut visit: impl FnMut(OutFlow, TaskKey, usize)) {
         let (tx, ty, t) = Self::decode(p);
         if t >= self.iterations {
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::with_capacity(9);
-        out.push((OutFlow::SelfFlow, Self::key(tx, ty, t + 1), SLOT_SELF));
+        visit(OutFlow::SelfFlow, Self::key(tx, ty, t + 1), SLOT_SELF);
         let deep = self.feeds_exchange(t);
         for side in Side::ALL {
             if let Some((nx, ny)) = self.geo.neighbor(tx, ty, side) {
                 if self.is_boundary(nx, ny) {
                     if deep {
-                        out.push((
+                        visit(
                             OutFlow::Strip {
                                 side,
                                 depth: self.steps,
                             },
                             Self::key(nx, ny, t + 1),
                             slot_of_side(side.opposite()),
-                        ));
+                        );
                     }
                 } else {
-                    out.push((
+                    visit(
                         OutFlow::Strip { side, depth: 1 },
                         Self::key(nx, ny, t + 1),
                         slot_of_side(side.opposite()),
-                    ));
+                    );
                 }
             }
         }
@@ -159,19 +160,18 @@ impl CaStencil {
             for corner in Corner::ALL {
                 if let Some((dx, dy)) = self.geo.diagonal(tx, ty, corner) {
                     if self.is_boundary(dx, dy) {
-                        out.push((
+                        visit(
                             OutFlow::Block {
                                 corner,
                                 depth: self.steps,
                             },
                             Self::key(dx, dy, t + 1),
                             slot_of_corner(corner.opposite()),
-                        ));
+                        );
                     }
                 }
             }
         }
-        out
     }
 }
 
@@ -203,22 +203,14 @@ impl TaskClass for CaStencil {
     }
 
     fn num_output_flows(&self, p: Params) -> usize {
-        self.enumerate_out(p).len()
+        self.count_out(p)
     }
 
-    fn outputs(&self, p: Params) -> Vec<OutputDep> {
-        self.enumerate_out(p)
-            .into_iter()
-            .enumerate()
-            .map(|(flow, (_, consumer, slot))| OutputDep {
-                flow,
-                consumer,
-                slot,
-            })
-            .collect()
+    fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
+        self.push_deps(p, out);
     }
 
-    fn execute(&self, p: Params, inputs: &mut [Option<FlowData>]) -> Vec<FlowData> {
+    fn execute(&self, p: Params, inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
         let store = self
             .store
             .as_ref()
@@ -250,32 +242,18 @@ impl TaskClass for CaStencil {
                 self.apply(&mut buf, tx, ty, ext);
             }
         }
-        self.enumerate_out(p)
-            .into_iter()
-            .map(|(of, _, _)| match of {
-                OutFlow::SelfFlow => FlowData::values(Vec::new()),
-                OutFlow::Strip { side, depth } => FlowData::values(buf.extract_strip(side, depth)),
-                OutFlow::Block { corner, depth } => {
-                    FlowData::values(buf.extract_corner(corner, depth))
-                }
-            })
-            .collect()
+        self.for_each_out(p, |of, _, _| out.push(of.extract(&buf)));
     }
 
     fn output_bytes(&self, p: Params, flow: usize) -> usize {
-        self.enumerate_out(p)[flow].0.bytes(self.geo.tile)
+        self.out_bytes(p, flow, self.geo.tile)
     }
 
     fn cost(&self, p: Params) -> f64 {
         let (tx, ty, t) = Self::decode(p);
         let tile = self.geo.tile;
         if t == 0 {
-            let cells: usize = self
-                .enumerate_out(p)
-                .iter()
-                .map(|(of, _, _)| of.bytes(tile) / 8)
-                .sum();
-            return self.model.ghost_copy_time(cells);
+            return self.model.ghost_copy_time(self.out_cells(p, tile));
         }
         let base = self.model.task_time(tile, tile, self.ratio);
         if !self.is_boundary(tx, ty) {
@@ -377,7 +355,7 @@ impl TaskClass for CaStencil {
 
     fn delivered_region(&self, p: Params, flow: usize) -> Option<ReadRegion> {
         let (tx, ty, _) = Self::decode(p);
-        let (of, consumer, _) = self.enumerate_out(p).into_iter().nth(flow)?;
+        let (of, consumer, _) = self.nth_out(p, flow)?;
         let mut rect = of.region(self.geo.tile_origin(tx, ty), self.geo.tile)?;
         if self.shrunk && self.steps > 1 {
             if let OutFlow::Strip {

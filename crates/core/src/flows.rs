@@ -9,7 +9,8 @@
 //! | 5–8  | corner blocks from the NW/NE/SW/SE diagonal neighbours (CA only) |
 
 use crate::geometry::{Corner, Side};
-use runtime::Rect;
+use crate::tile::TileBuf;
+use runtime::{FlowData, OutputDep, Params, Rect, TaskKey};
 
 /// Input slot of the self-flow.
 pub const SLOT_SELF: usize = 0;
@@ -80,6 +81,21 @@ impl OutFlow {
         }
     }
 
+    /// Copy this flow's cells out of the producer's tile into a recycled
+    /// payload buffer. The self-flow is a pure dependence: it carries no
+    /// payload object at all.
+    pub(crate) fn extract(&self, buf: &TileBuf) -> FlowData {
+        match *self {
+            OutFlow::SelfFlow => FlowData::sized(0),
+            OutFlow::Strip { side, depth } => FlowData::filled(depth * buf.tile(), |out| {
+                buf.extract_strip_into(side, depth, out)
+            }),
+            OutFlow::Block { corner, depth } => FlowData::filled(depth * depth, |out| {
+                buf.extract_corner_into(corner, depth, out)
+            }),
+        }
+    }
+
     /// The global-coordinate rectangle of cells this flow extracts from
     /// the producer tile whose top-left point is `origin` — which is the
     /// same set of cells the payload makes valid in the consumer's ghost
@@ -111,6 +127,63 @@ impl OutFlow {
                 })
             }
         }
+    }
+}
+
+/// The output-flow enumeration of a stencil task class. A class supplies
+/// one allocation-free visitor; everything the runtime asks about a
+/// task's outputs — how many, who consumes them, how big, what the body
+/// emits — derives from it, so the answers cannot disagree.
+pub(crate) trait OutFlows {
+    /// Visit `(flow, consumer, consumer slot)` for every output flow of
+    /// task `p`, in flow-index order.
+    fn for_each_out(&self, p: Params, visit: impl FnMut(OutFlow, TaskKey, usize));
+
+    /// Number of output flows of task `p`.
+    fn count_out(&self, p: Params) -> usize {
+        let mut flows = 0;
+        self.for_each_out(p, |_, _, _| flows += 1);
+        flows
+    }
+
+    /// Output flow `flow` of task `p`, if it has that many.
+    fn nth_out(&self, p: Params, flow: usize) -> Option<(OutFlow, TaskKey, usize)> {
+        let (mut at, mut found) = (0, None);
+        self.for_each_out(p, |of, consumer, slot| {
+            if at == flow {
+                found = Some((of, consumer, slot));
+            }
+            at += 1;
+        });
+        found
+    }
+
+    /// Wire size of output flow `flow` of task `p` for `tile × tile` tiles.
+    fn out_bytes(&self, p: Params, flow: usize, tile: usize) -> usize {
+        let (of, _, _) = self
+            .nth_out(p, flow)
+            .unwrap_or_else(|| panic!("task {p:?} has no output flow {flow}"));
+        of.bytes(tile)
+    }
+
+    /// Push one [`OutputDep`] per output flow of task `p`.
+    fn push_deps(&self, p: Params, out: &mut Vec<OutputDep>) {
+        let mut flow = 0;
+        self.for_each_out(p, |_, consumer, slot| {
+            out.push(OutputDep {
+                flow,
+                consumer,
+                slot,
+            });
+            flow += 1;
+        });
+    }
+
+    /// Cells carried by all output flows of task `p` together.
+    fn out_cells(&self, p: Params, tile: usize) -> usize {
+        let mut cells = 0;
+        self.for_each_out(p, |of, _, _| cells += of.bytes(tile) / 8);
+        cells
     }
 }
 

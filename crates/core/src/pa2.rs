@@ -26,8 +26,8 @@
 
 use crate::config::{StencilBuild, StencilConfig};
 use crate::flows::{
-    cross_rects, slot_of_corner, slot_of_side, OutFlow, KIND_BOUNDARY, KIND_INIT, KIND_INTERIOR,
-    NUM_SLOTS_CA, SLOT_SELF,
+    cross_rects, slot_of_corner, slot_of_side, OutFlow, OutFlows, KIND_BOUNDARY, KIND_INIT,
+    KIND_INTERIOR, NUM_SLOTS_CA, SLOT_SELF,
 };
 use crate::geometry::{Corner, Side, StencilGeometry};
 use machine::StencilCostModel;
@@ -169,34 +169,35 @@ impl Pa2Stencil {
             (rect.cols as i64 + (w + e) * grow) as u32,
         )
     }
+}
 
-    fn enumerate_out(&self, p: Params) -> Vec<(OutFlow, TaskKey, usize)> {
+impl OutFlows for Pa2Stencil {
+    fn for_each_out(&self, p: Params, mut visit: impl FnMut(OutFlow, TaskKey, usize)) {
         let (tx, ty, t) = Self::decode(p);
         if t >= self.iterations {
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::with_capacity(9);
-        out.push((OutFlow::SelfFlow, Self::key(tx, ty, t + 1), SLOT_SELF));
+        visit(OutFlow::SelfFlow, Self::key(tx, ty, t + 1), SLOT_SELF);
         let deep = self.feeds_exchange(t);
         for side in Side::ALL {
             if let Some((nx, ny)) = self.geo.neighbor(tx, ty, side) {
                 if self.is_remote(tx, ty, nx, ny) {
                     if deep {
-                        out.push((
+                        visit(
                             OutFlow::Strip {
                                 side,
                                 depth: self.steps,
                             },
                             Self::key(nx, ny, t + 1),
                             slot_of_side(side.opposite()),
-                        ));
+                        );
                     }
                 } else {
-                    out.push((
+                    visit(
                         OutFlow::Strip { side, depth: 1 },
                         Self::key(nx, ny, t + 1),
                         slot_of_side(side.opposite()),
-                    ));
+                    );
                 }
             }
         }
@@ -208,19 +209,18 @@ impl Pa2Stencil {
                             self.is_boundary(dx, dy),
                             "remote diagonal of a block distribution must be a boundary tile"
                         );
-                        out.push((
+                        visit(
                             OutFlow::Block {
                                 corner,
                                 depth: self.steps,
                             },
                             Self::key(dx, dy, t + 1),
                             slot_of_corner(corner.opposite()),
-                        ));
+                        );
                     }
                 }
             }
         }
-        out
     }
 }
 
@@ -255,44 +255,28 @@ impl TaskClass for Pa2Stencil {
     }
 
     fn num_output_flows(&self, p: Params) -> usize {
-        self.enumerate_out(p).len()
+        self.count_out(p)
     }
 
-    fn outputs(&self, p: Params) -> Vec<OutputDep> {
-        self.enumerate_out(p)
-            .into_iter()
-            .enumerate()
-            .map(|(flow, (_, consumer, slot))| OutputDep {
-                flow,
-                consumer,
-                slot,
-            })
-            .collect()
+    fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
+        self.push_deps(p, out);
     }
 
-    fn execute(&self, p: Params, _inputs: &mut [Option<FlowData>]) -> Vec<FlowData> {
+    fn execute(&self, p: Params, _inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
         // performance skeleton: sized flows only (see module docs)
         let tile = self.geo.tile;
-        self.enumerate_out(p)
-            .into_iter()
-            .map(|(of, _, _)| FlowData::sized(of.bytes(tile)))
-            .collect()
+        self.for_each_out(p, |of, _, _| out.push(FlowData::sized(of.bytes(tile))));
     }
 
     fn output_bytes(&self, p: Params, flow: usize) -> usize {
-        self.enumerate_out(p)[flow].0.bytes(self.geo.tile)
+        self.out_bytes(p, flow, self.geo.tile)
     }
 
     fn cost(&self, p: Params) -> f64 {
         let (tx, ty, t) = Self::decode(p);
         let tile = self.geo.tile;
         if t == 0 {
-            let cells: usize = self
-                .enumerate_out(p)
-                .iter()
-                .map(|(of, _, _)| of.bytes(tile) / 8)
-                .sum();
-            return self.model.ghost_copy_time(cells);
+            return self.model.ghost_copy_time(self.out_cells(p, tile));
         }
         let full = self.model.task_time(tile, tile, self.ratio);
         if !self.is_boundary(tx, ty) {
@@ -379,7 +363,7 @@ impl TaskClass for Pa2Stencil {
 
     fn delivered_region(&self, p: Params, flow: usize) -> Option<ReadRegion> {
         let (tx, ty, _) = Self::decode(p);
-        let (of, consumer, _) = self.enumerate_out(p).into_iter().nth(flow)?;
+        let (of, consumer, _) = self.nth_out(p, flow)?;
         let rect = of.region(self.geo.tile_origin(tx, ty), self.geo.tile)?;
         let (cx, cy) = (consumer.params[0] as usize, consumer.params[1] as usize);
         Some(ReadRegion::single(self.geo.tile_space(cx, cy), rect))

@@ -1,5 +1,5 @@
-//! The distributed tile store: every tile's double-buffered data, keyed by
-//! tile coordinates, with per-tile locking.
+//! The distributed tile store: every tile's double-buffered data in one
+//! dense vector indexed by tile coordinates, with per-tile locking.
 //!
 //! The dataflow guarantees that at most one task touches a given tile at a
 //! time (tasks on the same tile are serialized by the self-flow), so the
@@ -10,12 +10,12 @@ use crate::geometry::StencilGeometry;
 use crate::problem::Problem;
 use crate::tile::TileBuf;
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::HashMap;
 
 /// All tiles of one run.
 pub struct TileStore {
     geo: StencilGeometry,
-    tiles: HashMap<(usize, usize), Mutex<TileBuf>>,
+    /// Tile `(tx, ty)` at index `ty * tiles_x + tx`.
+    tiles: Vec<Mutex<TileBuf>>,
 }
 
 impl TileStore {
@@ -32,14 +32,14 @@ impl TileStore {
         G: FnMut(usize, usize) -> usize,
     {
         assert_eq!(problem.n, geo.n, "problem and geometry sizes differ");
-        let mut tiles = HashMap::with_capacity(geo.num_tiles());
+        let mut tiles = Vec::with_capacity(geo.num_tiles());
         for ty in 0..geo.tiles_y {
             for tx in 0..geo.tiles_x {
                 let g = ghost_of(tx, ty);
                 let mut buf = TileBuf::new(geo.tile, g);
                 let (row0, col0) = geo.tile_origin(tx, ty);
                 buf.fill_both(|r, c| problem.value_at(row0 + r, col0 + c));
-                tiles.insert((tx, ty), Mutex::new(buf));
+                tiles.push(Mutex::new(buf));
             }
         }
         TileStore { geo, tiles }
@@ -52,10 +52,11 @@ impl TileStore {
 
     /// Lock one tile for reading/updating.
     pub fn lock(&self, tx: usize, ty: usize) -> MutexGuard<'_, TileBuf> {
-        self.tiles
-            .get(&(tx, ty))
-            .unwrap_or_else(|| panic!("tile ({tx},{ty}) not in store"))
-            .lock()
+        assert!(
+            tx < self.geo.tiles_x && ty < self.geo.tiles_y,
+            "tile ({tx},{ty}) not in store"
+        );
+        self.tiles[ty * self.geo.tiles_x + tx].lock()
     }
 
     /// Assemble the full `n × n` current iterate, row-major.
@@ -63,9 +64,9 @@ impl TileStore {
         let n = self.geo.n;
         let t = self.geo.tile;
         let mut out = vec![0.0; n * n];
-        for (&(tx, ty), tile) in &self.tiles {
-            let buf = tile.lock();
-            let vals = buf.interior();
+        for (i, tile) in self.tiles.iter().enumerate() {
+            let vals = tile.lock().interior();
+            let (tx, ty) = (i % self.geo.tiles_x, i / self.geo.tiles_x);
             let (row0, col0) = self.geo.tile_origin(tx, ty);
             for r in 0..t {
                 let dst = (row0 as usize + r) * n + col0 as usize;
@@ -75,11 +76,13 @@ impl TileStore {
         out
     }
 
-    /// A simple order-independent checksum of the current iterate (sum of
-    /// interior values) — cheap cross-run comparison for big grids.
+    /// A simple checksum of the current iterate — cheap cross-run
+    /// comparison for big grids: each tile's interior summed row-major,
+    /// the per-tile sums added in tile-index order. The summation order is
+    /// fixed, so two stores holding the same field return the same bits.
     pub fn checksum(&self) -> f64 {
         self.tiles
-            .values()
+            .iter()
             .map(|t| t.lock().interior().iter().sum::<f64>())
             .sum()
     }
@@ -124,6 +127,21 @@ mod tests {
         let store = TileStore::new(&p, geo, |_, _| 1);
         let direct: f64 = store.gather().iter().sum();
         assert!((store.checksum() - direct).abs() < 1e-9);
+    }
+
+    #[test]
+    fn checksum_is_bit_identical_across_stores_of_one_problem() {
+        // Many small tiles with scrambled values: a hash-ordered sum of
+        // the per-tile sums would differ in the last bits between stores.
+        let p = Problem::scrambled(64, 11);
+        let build = || {
+            let geo = StencilGeometry::new(64, 2, ProcessGrid::new(2, 2));
+            TileStore::new(&p, geo, |_, _| 1)
+        };
+        let first = build().checksum();
+        for _ in 0..8 {
+            assert_eq!(build().checksum().to_bits(), first.to_bits());
+        }
     }
 
     #[test]

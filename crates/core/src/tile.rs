@@ -8,6 +8,7 @@
 
 use crate::geometry::{Corner, Side};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// The general 5-point stencil weights. The paper deliberately uses the
 /// general (non-symmetric) form so every implementation performs the same
@@ -242,24 +243,70 @@ impl TileBuf {
         std::mem::swap(&mut self.cur, &mut self.next);
     }
 
-    /// Copy out the `depth` rows/columns of the tile adjacent to `side`
-    /// (row-major), e.g. `extract_strip(North, d)` is rows `0..d`.
-    pub fn extract_strip(&self, side: Side, depth: usize) -> Vec<f64> {
-        assert!(depth <= self.tile, "strip depth exceeds tile");
+    /// The rows and columns of the tile's `depth`-deep strip along `side`.
+    fn strip_span(&self, side: Side, depth: usize) -> (Range<i64>, Range<i64>) {
         let t = self.tile as i64;
         let d = depth as i64;
-        let (rows, cols) = match side {
+        match side {
             Side::North => (0..d, 0..t),
             Side::South => (t - d..t, 0..t),
             Side::West => (0..t, 0..d),
             Side::East => (0..t, t - d..t),
-        };
-        let mut out = Vec::with_capacity((rows.end - rows.start) as usize * depth.max(1));
-        for r in rows {
-            for c in cols.clone() {
-                out.push(self.get(r, c));
-            }
         }
+    }
+
+    /// The rows and columns of the tile's `depth × depth` block at `corner`.
+    fn corner_span(&self, corner: Corner, depth: usize) -> (Range<i64>, Range<i64>) {
+        let t = self.tile as i64;
+        let d = depth as i64;
+        match corner {
+            Corner::Nw => (0..d, 0..d),
+            Corner::Ne => (0..d, t - d..t),
+            Corner::Sw => (t - d..t, 0..d),
+            Corner::Se => (t - d..t, t - d..t),
+        }
+    }
+
+    /// Replace `out`'s contents with the current iterate over
+    /// `rows × cols`, row-major: one slice copy per row.
+    fn read_block(&self, rows: Range<i64>, cols: Range<i64>, out: &mut Vec<f64>) {
+        out.clear();
+        let width = (cols.end - cols.start) as usize;
+        let mut at = self.idx(rows.start, cols.start);
+        for _ in rows {
+            out.extend_from_slice(&self.cur[at..at + width]);
+            at += self.stride;
+        }
+    }
+
+    /// Overwrite the current iterate over `rows × cols` with `vals`
+    /// (row-major, length already checked by the caller).
+    fn write_block(&mut self, rows: Range<i64>, cols: Range<i64>, vals: &[f64]) {
+        let width = (cols.end - cols.start) as usize;
+        if width == 0 {
+            return;
+        }
+        let mut at = self.idx(rows.start, cols.start);
+        for row in vals.chunks_exact(width) {
+            self.cur[at..at + width].copy_from_slice(row);
+            at += self.stride;
+        }
+    }
+
+    /// Copy the `depth` rows/columns of the tile adjacent to `side` into
+    /// `out` (replacing its contents, row-major), e.g.
+    /// `extract_strip_into(North, d, ..)` is rows `0..d`. The
+    /// allocation-free form task bodies use with a recycled buffer.
+    pub fn extract_strip_into(&self, side: Side, depth: usize, out: &mut Vec<f64>) {
+        assert!(depth <= self.tile, "strip depth exceeds tile");
+        let (rows, cols) = self.strip_span(side, depth);
+        self.read_block(rows, cols, out);
+    }
+
+    /// [`TileBuf::extract_strip_into`] into a fresh vector.
+    pub fn extract_strip(&self, side: Side, depth: usize) -> Vec<f64> {
+        let mut out = Vec::with_capacity(depth * self.tile);
+        self.extract_strip_into(side, depth, &mut out);
         out
     }
 
@@ -277,33 +324,22 @@ impl TileBuf {
             Side::West => (0..t, -d..0),
             Side::East => (0..t, t..t + d),
         };
-        let mut it = vals.iter();
-        for r in rows {
-            for c in cols.clone() {
-                self.set(r, c, *it.next().expect("length checked"));
-            }
-        }
+        self.write_block(rows, cols, vals);
     }
 
-    /// Copy out the `depth × depth` block of the tile at `corner`
-    /// (row-major), e.g. `extract_corner(Nw, d)` is rows `0..d` × cols
-    /// `0..d`.
-    pub fn extract_corner(&self, corner: Corner, depth: usize) -> Vec<f64> {
+    /// Copy the `depth × depth` block of the tile at `corner` into `out`
+    /// (replacing its contents, row-major), e.g.
+    /// `extract_corner_into(Nw, d, ..)` is rows `0..d` × cols `0..d`.
+    pub fn extract_corner_into(&self, corner: Corner, depth: usize, out: &mut Vec<f64>) {
         assert!(depth <= self.tile, "corner depth exceeds tile");
-        let t = self.tile as i64;
-        let d = depth as i64;
-        let (rows, cols) = match corner {
-            Corner::Nw => (0..d, 0..d),
-            Corner::Ne => (0..d, t - d..t),
-            Corner::Sw => (t - d..t, 0..d),
-            Corner::Se => (t - d..t, t - d..t),
-        };
+        let (rows, cols) = self.corner_span(corner, depth);
+        self.read_block(rows, cols, out);
+    }
+
+    /// [`TileBuf::extract_corner_into`] into a fresh vector.
+    pub fn extract_corner(&self, corner: Corner, depth: usize) -> Vec<f64> {
         let mut out = Vec::with_capacity(depth * depth);
-        for r in rows {
-            for c in cols.clone() {
-                out.push(self.get(r, c));
-            }
-        }
+        self.extract_corner_into(corner, depth, &mut out);
         out
     }
 
@@ -321,23 +357,14 @@ impl TileBuf {
             Corner::Sw => (t..t + d, -d..0),
             Corner::Se => (t..t + d, t..t + d),
         };
-        let mut it = vals.iter();
-        for r in rows {
-            for c in cols.clone() {
-                self.set(r, c, *it.next().expect("length checked"));
-            }
-        }
+        self.write_block(rows, cols, vals);
     }
 
     /// The tile-proper values of the current iterate, row-major.
     pub fn interior(&self) -> Vec<f64> {
         let t = self.tile as i64;
         let mut out = Vec::with_capacity(self.tile * self.tile);
-        for r in 0..t {
-            for c in 0..t {
-                out.push(self.get(r, c));
-            }
-        }
+        self.read_block(0..t, 0..t, &mut out);
         out
     }
 }

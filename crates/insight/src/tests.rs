@@ -29,22 +29,18 @@ impl TaskClass for Pair {
     fn num_output_flows(&self, p: Params) -> usize {
         usize::from(p[0] == 0)
     }
-    fn outputs(&self, p: Params) -> Vec<OutputDep> {
+    fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
         if p[0] == 0 {
-            vec![OutputDep {
+            out.push(OutputDep {
                 flow: 0,
                 consumer: TaskKey::new(0, [1, 0, 0, 0]),
                 slot: 0,
-            }]
-        } else {
-            Vec::new()
+            });
         }
     }
-    fn execute(&self, p: Params, _inputs: &mut [Option<FlowData>]) -> Vec<FlowData> {
+    fn execute(&self, p: Params, _inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
         if p[0] == 0 {
-            vec![FlowData::sized(8)]
-        } else {
-            Vec::new()
+            out.push(FlowData::sized(8));
         }
     }
     fn output_bytes(&self, _p: Params, _flow: usize) -> usize {

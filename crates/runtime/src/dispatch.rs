@@ -22,23 +22,43 @@
 //!   per lane keeps contention off the hot path, and a thief simply pops
 //!   the victim's best-ranked task.
 //!
-//! Parking uses a `Condvar` gate: a producer pushes, then acquires the
-//! gate to notify, while a consumer checks emptiness *while holding the
-//! gate* before waiting — so a wakeup can never fall into the
-//! check-then-wait window. The wait still carries a timeout so stall
+//! Parking is a sleeper-counted `Condvar` gate ([`Parker`]): a producer
+//! pushes, issues a `SeqCst` fence and touches the gate only when the
+//! sleeper count says somebody is parked; a consumer raises the count,
+//! issues its own `SeqCst` fence and re-checks for work under the gate
+//! before waiting. The two fences make it impossible for both sides to
+//! miss each other, so the common push — nobody parked — costs no mutex
+//! and no `futex_wake`. The wait still carries a timeout so stall
 //! detection and shutdown flags are observed even without a notify.
+//!
+//! The module also holds the one task-completion routine both real
+//! engines run ([`worker`]): execute → span → route outputs → release
+//! successors, out of per-worker scratch that is reused from task to task
+//! (see `docs/EXECUTOR.md` for the allocation ledger).
 //!
 //! Every lane keeps three cumulative counters — `steals`,
 //! `steal_fails`, `overflow_pushes` — surfaced per node in
 //! [`obs::LiveSample`] and as end-of-run metrics.
 
 use crate::deque::{Steal, StealDeque};
-use crate::pending::ReadyTask;
+use crate::pending::{Delivery, DeliveryBatch, ReadyTask, ShardedPending};
 use crate::ready_queue::ReadyQueue;
 use crate::scheduler::{SelectMode, TaskSelector};
+use crate::task::{FlowData, OutputDep, Program};
+#[cfg(loom)]
+use loom::sync::{
+    atomic::{fence, AtomicUsize},
+    Condvar, Mutex as GateMutex,
+};
+use obs::{names, LocalRecorder, Metrics, WallClock};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as GateMutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+#[cfg(not(loom))]
+use std::sync::{
+    atomic::{fence, AtomicUsize},
+    Condvar, Mutex as GateMutex,
+};
 use std::time::Duration;
 
 /// Capacity of each worker's local deque before pushes spill to the
@@ -70,6 +90,18 @@ pub(crate) struct StealTotals {
     pub overflow_pushes: u64,
 }
 
+impl StealTotals {
+    /// Add the totals to the run's `steals` / `steal_fails` /
+    /// `overflow_pushes` counters.
+    pub(crate) fn publish(&self, metrics: &Metrics) {
+        metrics.counter(names::STEALS).add(self.steals);
+        metrics.counter(names::STEAL_FAILS).add(self.steal_fails);
+        metrics
+            .counter(names::OVERFLOW_PUSHES)
+            .add(self.overflow_pushes);
+    }
+}
+
 /// `xorshift64*` per-worker RNG for victim selection: deterministic for
 /// a fixed `(seed, lane)`, decorrelated across lanes by a splitmix64
 /// scramble of the lane index.
@@ -97,9 +129,84 @@ impl WorkerRng {
     }
 }
 
+/// The push/park handshake: a `Condvar` gate that producers touch only
+/// while somebody is actually parked.
+///
+/// Protocol — a Dekker-style flag pair, each side writing its own flag,
+/// fencing, then reading the other's:
+///
+/// * producer: publish the task, `fence(SeqCst)`, read `sleepers`; only
+///   when it is non-zero take the gate and notify;
+/// * consumer: increment `sleepers`, `fence(SeqCst)`, take the gate,
+///   re-check for work, wait (which releases the gate atomically).
+///
+/// Whichever fence comes first in the `SeqCst` order, the other side sees
+/// the write before it: either the consumer's re-check finds the task, or
+/// the producer finds the sleeper — and then blocks on the gate until the
+/// consumer is inside `wait`, so the notify cannot fall into the
+/// check-then-wait window. Under `--cfg loom` the primitives come from
+/// the `loom` facade (model in `crate::loom_model`).
+pub(crate) struct Parker {
+    sleepers: AtomicUsize,
+    gate: GateMutex<()>,
+    cv: Condvar,
+}
+
+impl Parker {
+    pub(crate) fn new() -> Self {
+        Parker {
+            sleepers: AtomicUsize::new(0),
+            gate: GateMutex::new(()),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Producer side, called *after* the new task is published: wake one
+    /// parked consumer if there is any.
+    pub(crate) fn unpark_one(&self) {
+        fence(Ordering::SeqCst);
+        if self.sleepers.load(Ordering::Relaxed) > 0 {
+            let _g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
+            self.cv.notify_one();
+        }
+    }
+
+    /// Wake every parked consumer (shutdown / final-task broadcast).
+    pub(crate) fn unpark_all(&self) {
+        let _g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
+        self.cv.notify_all();
+    }
+
+    /// Consumer side: park until notified or `timeout`, unless
+    /// `work_visible` (evaluated under the gate, after this thread is
+    /// counted as a sleeper) already reports work.
+    pub(crate) fn park(&self, timeout: Duration, work_visible: impl FnOnce() -> bool) {
+        self.sleepers.fetch_add(1, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        let guard = self.gate.lock().unwrap_or_else(|e| e.into_inner());
+        if !work_visible() {
+            drop(
+                self.cv
+                    .wait_timeout(guard, timeout)
+                    .unwrap_or_else(|e| e.into_inner()),
+            );
+        }
+        self.sleepers.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 enum LocalQueue {
     Stealable(StealDeque<ReadyTask>),
     Ranked(Mutex<ReadyQueue>),
+}
+
+impl LocalQueue {
+    fn len(&self) -> usize {
+        match self {
+            LocalQueue::Stealable(d) => d.len(),
+            LocalQueue::Ranked(q) => q.lock().len(),
+        }
+    }
 }
 
 struct Lane {
@@ -112,9 +219,11 @@ struct Lane {
 pub(crate) struct NodeQueues {
     lanes: Vec<Lane>,
     injector: Mutex<ReadyQueue>,
+    /// Tasks in the injector: written under its lock, read without it,
+    /// so the common "injector empty" poll takes no lock.
+    injector_len: AtomicUsize,
     mode: SelectMode,
-    gate: GateMutex<()>,
-    cv: Condvar,
+    parker: Parker,
 }
 
 impl NodeQueues {
@@ -137,60 +246,67 @@ impl NodeQueues {
         NodeQueues {
             lanes,
             injector: Mutex::new(ReadyQueue::new(selector)),
+            injector_len: AtomicUsize::new(0),
             mode,
-            gate: GateMutex::new(()),
-            cv: Condvar::new(),
+            parker: Parker::new(),
         }
-    }
-
-    /// Publish one queued-task wakeup. The gate acquisition orders the
-    /// preceding push before the notify relative to a parking consumer
-    /// (see the module docs).
-    fn notify_one(&self) {
-        let _g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        self.cv.notify_one();
     }
 
     /// Wake every parked worker (shutdown / final-task broadcast).
     pub(crate) fn wake_all(&self) {
-        let _g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        self.cv.notify_all();
+        self.parker.unpark_all();
+    }
+
+    fn push_injector(&self, task: Box<ReadyTask>) {
+        let mut injector = self.injector.lock();
+        injector.push(task);
+        self.injector_len.store(injector.len(), Ordering::Relaxed);
+    }
+
+    fn pop_injector(&self) -> Option<Box<ReadyTask>> {
+        if self.injector_len.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        let mut injector = self.injector.lock();
+        let task = injector.pop();
+        self.injector_len.store(injector.len(), Ordering::Relaxed);
+        task
     }
 
     /// A worker submits a task released by its own completion: lands in
     /// the lane's local queue, spilling to the injector when the deque
     /// is full.
-    pub(crate) fn push_local(&self, lane: usize, task: ReadyTask) {
+    pub(crate) fn push_local(&self, lane: usize, task: Box<ReadyTask>) {
         match &self.lanes[lane].queue {
             LocalQueue::Stealable(d) => {
-                if let Err(task) = d.push(Box::new(task)) {
+                if let Err(task) = d.push(task) {
                     self.lanes[lane]
                         .stats
                         .overflow_pushes
                         .fetch_add(1, Ordering::Relaxed);
-                    self.injector.lock().push(*task);
+                    self.push_injector(task);
                 }
             }
             LocalQueue::Ranked(q) => q.lock().push(task),
         }
-        self.notify_one();
+        self.parker.unpark_one();
     }
 
     /// An external release (root task, comm-thread delivery) lands in
     /// the injector.
-    pub(crate) fn push_external(&self, task: ReadyTask) {
-        self.injector.lock().push(task);
-        self.notify_one();
+    pub(crate) fn push_external(&self, task: Box<ReadyTask>) {
+        self.push_injector(task);
+        self.parker.unpark_one();
     }
 
     /// `lane`'s next task: own queue, then the injector, then a steal
     /// sweep over the other lanes in RNG order. `None` after a full
     /// failed sweep (counted as a steal fail).
-    pub(crate) fn next_task(&self, lane: usize, rng: &mut WorkerRng) -> Option<ReadyTask> {
+    pub(crate) fn next_task(&self, lane: usize, rng: &mut WorkerRng) -> Option<Box<ReadyTask>> {
         if let Some(t) = self.pop_own(lane) {
             return Some(t);
         }
-        if let Some(t) = self.injector.lock().pop() {
+        if let Some(t) = self.pop_injector() {
             return Some(t);
         }
         let n = self.lanes.len();
@@ -214,23 +330,23 @@ impl NodeQueues {
         None
     }
 
-    fn pop_own(&self, lane: usize) -> Option<ReadyTask> {
+    fn pop_own(&self, lane: usize) -> Option<Box<ReadyTask>> {
         match &self.lanes[lane].queue {
             // FIFO pops the steal (oldest) end so dispatch order matches
             // the old central queue; LIFO pops the cache-warm bottom.
             LocalQueue::Stealable(d) => match self.mode {
-                SelectMode::Lifo => d.pop().map(|b| *b),
-                _ => d.pop_top().map(|b| *b),
+                SelectMode::Lifo => d.pop(),
+                _ => d.pop_top(),
             },
             LocalQueue::Ranked(q) => q.lock().pop(),
         }
     }
 
-    fn steal_from(&self, victim: usize) -> Option<ReadyTask> {
+    fn steal_from(&self, victim: usize) -> Option<Box<ReadyTask>> {
         match &self.lanes[victim].queue {
             LocalQueue::Stealable(d) => loop {
                 match d.steal() {
-                    Steal::Success(t) => return Some(*t),
+                    Steal::Success(t) => return Some(t),
                     Steal::Retry => std::hint::spin_loop(),
                     Steal::Empty => return None,
                 }
@@ -241,30 +357,24 @@ impl NodeQueues {
 
     /// Park until notified or `timeout`, re-checking emptiness under the
     /// gate so a concurrent push cannot be missed. Returns immediately
-    /// when work is already visible.
-    pub(crate) fn park(&self, timeout: Duration) {
-        let guard = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        if self.len() > 0 {
-            return;
-        }
-        let _ = self
-            .cv
-            .wait_timeout(guard, timeout)
-            .unwrap_or_else(|e| e.into_inner());
+    /// when work is already visible or `stop` (the caller's shutdown
+    /// flag, set before [`NodeQueues::wake_all`]) already holds.
+    pub(crate) fn park(&self, timeout: Duration, stop: impl FnOnce() -> bool) {
+        self.parker.park(timeout, || self.len() > 0 || stop());
     }
 
     /// Tasks currently queued on this node (all local queues plus the
-    /// injector) — the `ready_depth` gauge.
+    /// injector) — the `ready_depth` live gauge.
     pub(crate) fn len(&self) -> usize {
-        let local: usize = self
-            .lanes
-            .iter()
-            .map(|l| match &l.queue {
-                LocalQueue::Stealable(d) => d.len(),
-                LocalQueue::Ranked(q) => q.lock().len(),
-            })
-            .sum();
-        local + self.injector.lock().len()
+        let local: usize = self.lanes.iter().map(|l| l.queue.len()).sum();
+        local + self.injector_len.load(Ordering::Relaxed)
+    }
+
+    /// What `lane` can see without looking at its peers: its own queue
+    /// plus the injector. This is what the real engines publish as
+    /// `obs::names::QUEUE_DEPTH`.
+    pub(crate) fn depth(&self, lane: usize) -> usize {
+        self.lanes[lane].queue.len() + self.injector_len.load(Ordering::Relaxed)
     }
 
     /// Cumulative steal/overflow counters summed over this node's lanes.
@@ -279,6 +389,221 @@ impl NodeQueues {
     }
 }
 
+/// Run-wide state every worker of either real engine shares.
+pub(crate) struct RunShared<'p> {
+    pub(crate) program: &'p Program,
+    /// Tasks completed so far; reaching `program.total_tasks` ends the run.
+    pub(crate) completed: AtomicU64,
+    /// Set by the worker that completed the last task.
+    pub(crate) done: AtomicBool,
+    pub(crate) metrics: Metrics,
+    pub(crate) clock: WallClock,
+}
+
+impl<'p> RunShared<'p> {
+    pub(crate) fn new(program: &'p Program) -> Self {
+        RunShared {
+            program,
+            completed: AtomicU64::new(0),
+            done: AtomicBool::new(false),
+            metrics: Metrics::new(),
+            clock: WallClock::start(),
+        }
+    }
+}
+
+/// One node's activation table and ready queues.
+pub(crate) struct NodeShared {
+    pub(crate) pending: ShardedPending,
+    pub(crate) queues: NodeQueues,
+}
+
+impl NodeShared {
+    pub(crate) fn new(selector: Arc<dyn TaskSelector>, lanes: usize) -> Self {
+        NodeShared {
+            pending: ShardedPending::new(lanes * 4),
+            queues: NodeQueues::new(selector, lanes),
+        }
+    }
+}
+
+/// What one worker counted, added to the run's [`Metrics`] once, when the
+/// worker exits — the per-task path touches no shared instrument.
+#[derive(Default)]
+struct Tally {
+    tasks: u64,
+    redundant_flops: u64,
+    messages: u64,
+    bytes: u64,
+    depth_max: usize,
+    depth_last: usize,
+}
+
+impl Tally {
+    /// Instruments are created only for what was counted, so a run's
+    /// snapshot has the same keys as when every event bumped its counter
+    /// directly.
+    fn publish(&self, metrics: &Metrics) {
+        metrics.counter(names::TASKS_EXECUTED).add(self.tasks);
+        if self.redundant_flops > 0 {
+            metrics
+                .counter(names::REDUNDANT_FLOPS)
+                .add(self.redundant_flops);
+        }
+        if self.messages > 0 {
+            metrics.counter(names::MESSAGES_SENT).add(self.messages);
+            metrics.counter(names::BYTES_SENT).add(self.bytes);
+        }
+        let depth = metrics.gauge(names::QUEUE_DEPTH);
+        depth.set(self.depth_max as i64);
+        depth.set(self.depth_last as i64);
+    }
+}
+
+/// A worker's reusable buffers: cleared, never freed, between tasks.
+#[derive(Default)]
+struct Scratch {
+    deps: Vec<OutputDep>,
+    flows: Vec<FlowData>,
+    batch: DeliveryBatch,
+}
+
+/// Identity of one worker thread and the handles it records through.
+pub(crate) struct WorkerId<'a> {
+    pub(crate) node: u32,
+    pub(crate) lane: u32,
+    pub(crate) steal_seed: u64,
+    pub(crate) local: &'a LocalRecorder,
+}
+
+/// The worker loop of both real engines: pop (own queue → injector →
+/// steal), complete, park when dry, until the run's last task is done.
+///
+/// `ship` is the one engine-specific branch: it is offered every output
+/// flow together with the producing task's kind, and either returns it
+/// (the consumer lives on this node) or sends it to another node and
+/// returns `None`. `shutdown` runs once, on the worker that completed the
+/// final task, after `run.done` is set.
+///
+/// Panics — failing the run loudly instead of hanging — when ~10 s pass
+/// without any task completing anywhere (an inconsistent graph).
+pub(crate) fn worker(
+    run: &RunShared<'_>,
+    node: &NodeShared,
+    id: WorkerId<'_>,
+    mut ship: impl FnMut(Delivery, u32) -> Option<Delivery>,
+    shutdown: impl Fn(),
+) {
+    let mut rng = WorkerRng::new(id.steal_seed, id.lane as u64);
+    let mut scratch = Scratch::default();
+    let mut tally = Tally::default();
+    let mut idle_rounds = 0u32;
+    let mut last_seen = run.completed.load(Ordering::Acquire);
+    while !run.done.load(Ordering::Acquire) {
+        if let Some(task) = node.queues.next_task(id.lane as usize, &mut rng) {
+            idle_rounds = 0;
+            if complete(run, node, &id, task, &mut scratch, &mut tally, &mut ship) {
+                run.done.store(true, Ordering::Release);
+                shutdown();
+            }
+            continue;
+        }
+        node.queues.park(Duration::from_millis(50), || {
+            run.done.load(Ordering::Acquire)
+        });
+        let now = run.completed.load(Ordering::Acquire);
+        if now == last_seen {
+            idle_rounds += 1;
+        } else {
+            idle_rounds = 0;
+            last_seen = now;
+        }
+        if idle_rounds > 200 {
+            let stuck = node.pending.stuck_tasks();
+            panic!(
+                "node {} worker {} stalled: {now}/{} tasks done, {} pending here (first stuck: {:?})",
+                id.node,
+                id.lane,
+                run.program.total_tasks,
+                stuck.len(),
+                stuck.first()
+            );
+        }
+    }
+    tally.publish(&run.metrics);
+}
+
+/// Execute one ready task, record its span, route its output flows
+/// (node-local ones as one sharded batch whose released successors land in
+/// this lane's own queue). Returns true when this was the run's final
+/// task.
+fn complete(
+    run: &RunShared<'_>,
+    node: &NodeShared,
+    id: &WorkerId<'_>,
+    mut task: Box<ReadyTask>,
+    scratch: &mut Scratch,
+    tally: &mut Tally,
+    ship: &mut impl FnMut(Delivery, u32) -> Option<Delivery>,
+) -> bool {
+    let graph = &run.program.graph;
+    let key = task.key;
+    let class = graph.class(key.class);
+    let kind = graph.kind_of(key);
+    let start_ns = run.clock.now_ns();
+    class.execute(key.params, &mut task.inputs, &mut scratch.flows);
+    id.local.task_instance(
+        id.node,
+        id.lane,
+        kind,
+        key.instance_id(),
+        start_ns,
+        run.clock.now_ns(),
+    );
+    // The body is done with its inputs: retire the box now, so the first
+    // pending entry this completion creates can already reuse it.
+    scratch.batch.recycle(task);
+    class.outputs(key.params, &mut scratch.deps);
+    for dep in scratch.deps.drain(..) {
+        let data = scratch
+            .flows
+            .get(dep.flow)
+            .unwrap_or_else(|| {
+                panic!(
+                    "{key:?}: execute produced {} flows but outputs reference flow {}",
+                    scratch.flows.len(),
+                    dep.flow
+                )
+            })
+            .clone();
+        let bytes = data.bytes as u64;
+        let delivery = Delivery {
+            consumer: dep.consumer,
+            slot: dep.slot,
+            data,
+        };
+        match ship(delivery, kind) {
+            Some(local) => scratch.batch.push(local),
+            None => {
+                tally.messages += 1;
+                tally.bytes += bytes;
+            }
+        }
+    }
+    // Drop the producer's references first, so each payload's last owner
+    // is its consumer and the buffer is recycled where it is consumed.
+    scratch.flows.clear();
+    let lane = id.lane as usize;
+    node.pending.deliver_batch(graph, &mut scratch.batch, |t| {
+        node.queues.push_local(lane, t)
+    });
+    tally.tasks += 1;
+    tally.redundant_flops += class.redundant_flops(key.params);
+    tally.depth_last = node.queues.depth(lane);
+    tally.depth_max = tally.depth_max.max(tally.depth_last);
+    run.completed.fetch_add(1, Ordering::AcqRel) + 1 == run.program.total_tasks
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,11 +611,11 @@ mod tests {
     use crate::task::TaskKey;
     use std::collections::HashMap;
 
-    fn task(i: i32) -> ReadyTask {
-        ReadyTask {
+    fn task(i: i32) -> Box<ReadyTask> {
+        Box::new(ReadyTask {
             key: TaskKey::new(0, [i, 0, 0, 0]),
             inputs: Vec::new(),
-        }
+        })
     }
 
     fn drain(q: &NodeQueues, lane: usize) -> Vec<i32> {
@@ -398,11 +723,59 @@ mod tests {
     }
 
     #[test]
+    fn sleeper_gated_notify_loses_no_wakeup_over_ten_thousand_handoffs() {
+        // Two lanes hand a single task back and forth: each side pushes
+        // into its own lane, then parks (2 s timeout) until the peer's
+        // reply can be stolen. The waiter really sleeps — its own lane is
+        // empty once the peer took the task — so every round races one
+        // push against one park. A single lost wake-up costs a full
+        // timeout, so finishing under 2 s means none was lost.
+        const ROUNDS: i32 = 10_000;
+        const TIMEOUT: Duration = Duration::from_secs(2);
+        let q = NodeQueues::new(Arc::new(FifoSelector), 2);
+        let recv = |q: &NodeQueues, from: usize| loop {
+            if let Some(t) = q.steal_from(from) {
+                return t.key.params[0];
+            }
+            q.park(TIMEOUT, || false);
+        };
+        let start = std::time::Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..ROUNDS {
+                    q.push_local(0, task(i));
+                    assert_eq!(recv(&q, 1), i);
+                }
+            });
+            s.spawn(|| {
+                for i in 0..ROUNDS {
+                    assert_eq!(recv(&q, 0), i);
+                    q.push_local(1, task(i));
+                }
+            });
+        });
+        assert!(start.elapsed() < TIMEOUT, "took {:?}", start.elapsed());
+    }
+
+    #[test]
+    fn injector_length_tracks_pushes_and_pops_without_the_lock() {
+        let q = NodeQueues::new(Arc::new(FifoSelector), 2);
+        assert_eq!(q.depth(0), 0);
+        q.push_external(task(1));
+        q.push_local(0, task(2));
+        // Lane 0 sees its own task and the injector's; lane 1 only the
+        // injector's; the node-wide length counts both once.
+        assert_eq!((q.depth(0), q.depth(1), q.len()), (2, 1, 2));
+        assert_eq!(drain(&q, 1), vec![1, 2]);
+        assert_eq!((q.depth(0), q.len()), (0, 0));
+    }
+
+    #[test]
     fn park_returns_promptly_when_work_is_queued() {
         let q = NodeQueues::new(Arc::new(FifoSelector), 1);
         q.push_external(task(0));
         let start = std::time::Instant::now();
-        q.park(Duration::from_secs(5));
+        q.park(Duration::from_secs(5), || false);
         assert!(start.elapsed() < Duration::from_secs(1));
     }
 }

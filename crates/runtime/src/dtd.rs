@@ -173,23 +173,17 @@ impl TaskClass for DtdClass {
         // one flow per successor (each successor may need distinct data)
         self.task(p).successors.len()
     }
-    fn outputs(&self, p: Params) -> Vec<OutputDep> {
-        self.task(p)
-            .successors
-            .iter()
-            .enumerate()
-            .map(|(flow, &(succ, slot))| OutputDep {
-                flow,
-                consumer: TaskKey::new(0, [succ as i32, 0, 0, 0]),
-                slot,
-            })
-            .collect()
+    fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
+        let successors = self.task(p).successors.iter().enumerate();
+        out.extend(successors.map(|(flow, &(succ, slot))| OutputDep {
+            flow,
+            consumer: TaskKey::new(0, [succ as i32, 0, 0, 0]),
+            slot,
+        }));
     }
-    fn execute(&self, p: Params, _inputs: &mut [Option<FlowData>]) -> Vec<FlowData> {
+    fn execute(&self, p: Params, _inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
         let t = self.task(p);
-        (0..t.successors.len())
-            .map(|_| FlowData::sized(t.output_bytes))
-            .collect()
+        out.resize(t.successors.len(), FlowData::sized(t.output_bytes));
     }
     fn output_bytes(&self, p: Params, _flow: usize) -> usize {
         self.task(p).output_bytes

@@ -11,6 +11,8 @@
 //! * [`pending`] — dynamic DAG unfolding by activation counting
 //!   ([`PendingTable`]; the real engines use the lock-sharded
 //!   [`ShardedPending`] with batched per-shard delivery);
+//! * [`payload`] — the per-thread free list that recycles flow payload
+//!   buffers, so a steady-state halo exchange allocates nothing;
 //! * [`deque`] — the bounded Chase–Lev work-stealing deque
 //!   ([`StealDeque`]) each real-engine worker owns; the dispatch loop
 //!   built on it (local pop → injector → seeded steal sweep) is shared
@@ -62,6 +64,7 @@ pub mod halo;
 #[cfg(all(test, loom))]
 mod loom_model;
 pub mod mp_exec;
+pub mod payload;
 pub mod pending;
 pub mod profiling;
 pub mod ready_queue;
@@ -78,7 +81,7 @@ pub use exec::{
     SharedMemoryExecutor, SimulatedExecutor,
 };
 pub use halo::{build_halo_program, HaloSpec};
-pub use pending::{Delivery, PendingTable, ReadyTask, ShardedPending};
+pub use pending::{Delivery, DeliveryBatch, PendingTable, ReadyTask, ShardedPending, SpareTasks};
 pub use scheduler::{
     DlsScheduler, FifoSelector, HeftScheduler, LifoSelector, LookaheadScheduler, PeftScheduler,
     SchedContext, Scheduler, SchedulerHandle, SchedulerPolicy, SelectMode, StaticRanks,

@@ -15,9 +15,15 @@
 //!   side.
 //! * [`ShardedPending::deliver_batch`] fires each multi-input task
 //!   exactly once when its activations race across concurrent batches.
+//! * [`Parker`]'s sleeper-gated notify loses no wake-up: one push racing
+//!   one park always ends with the consumer holding the task, without
+//!   waiting out its timeout.
 
 use crate::deque::{Steal, StealDeque};
-use crate::pending::{Delivery, PendingTable, ReadyTask, ShardedPending};
+use crate::dispatch::Parker;
+use crate::pending::{
+    Delivery, DeliveryBatch, PendingTable, ReadyTask, ShardedPending, SpareTasks,
+};
 use crate::ready_queue::ReadyQueue;
 use crate::scheduler::{FifoSelector, LifoSelector, StaticRanks, TaskSelector};
 use crate::task::testutil::ExplicitDag;
@@ -51,11 +57,13 @@ fn concurrent_deliveries_fire_task_exactly_once() {
                 let table = Arc::clone(&table);
                 let graph = std::sync::Arc::clone(&graph);
                 thread::spawn(move || {
-                    let ready =
-                        table
-                            .lock()
-                            .unwrap()
-                            .deliver(&graph, consumer, slot, FlowData::sized(8));
+                    let ready = table.lock().unwrap().deliver(
+                        &graph,
+                        consumer,
+                        slot,
+                        FlowData::sized(8),
+                        &mut SpareTasks::new(),
+                    );
                     ready.is_some()
                 })
             })
@@ -93,10 +101,10 @@ fn ready_queue_conserves_tasks_under_concurrent_pushes() {
                     let queue = Arc::clone(&queue);
                     thread::spawn(move || {
                         for i in 0..2i32 {
-                            let task = ReadyTask {
+                            let task = Box::new(ReadyTask {
                                 key: TaskKey::new(0, [producer, i, 0, 0]),
                                 inputs: Vec::new(),
-                            };
+                            });
                             queue.lock().unwrap().push(task);
                         }
                     })
@@ -178,12 +186,15 @@ fn sharded_pending_fires_each_task_exactly_once_across_batches() {
                 let pending = Arc::clone(&pending);
                 let graph = std::sync::Arc::clone(&graph);
                 thread::spawn(move || {
-                    let batch = vec![Delivery {
+                    let mut batch = DeliveryBatch::new();
+                    batch.push(Delivery {
                         consumer,
                         slot,
                         data: FlowData::sized(8),
-                    }];
-                    pending.deliver_batch(&graph, batch).len()
+                    });
+                    let mut fired = 0usize;
+                    pending.deliver_batch(&graph, &mut batch, |_| fired += 1);
+                    fired
                 })
             })
             .collect();
@@ -192,5 +203,39 @@ fn sharded_pending_fires_each_task_exactly_once_across_batches() {
         assert_eq!(fired, 1, "exactly one batch must receive the task");
         assert!(pending.is_empty(), "fired task must leave the table");
         assert_eq!(pending.flows_delivered(), 2);
+    });
+}
+
+#[test]
+fn one_push_racing_one_park_loses_no_wakeup() {
+    // The producer publishes a task and runs its half of the handshake
+    // (fence, read the sleeper count, notify only if somebody is parked);
+    // the consumer parks whenever the deque looks empty. If the notify
+    // could fall between the consumer's emptiness check and its wait, the
+    // consumer would sit out the whole timeout: under real loom that
+    // interleaving blocks the model, under the stub it trips the clock.
+    loom::model(|| {
+        const TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
+        let deque = Arc::new(StealDeque::with_capacity(2));
+        let parker = Arc::new(Parker::new());
+        let start = std::time::Instant::now();
+
+        let consumer = {
+            let deque = Arc::clone(&deque);
+            let parker = Arc::clone(&parker);
+            thread::spawn(move || loop {
+                match deque.steal() {
+                    Steal::Success(v) => return *v,
+                    Steal::Retry => {}
+                    Steal::Empty => parker.park(TIMEOUT, || !deque.is_empty()),
+                }
+            })
+        };
+
+        deque.push(Box::new(7u64)).unwrap();
+        parker.unpark_one();
+
+        assert_eq!(consumer.join().unwrap(), 7);
+        assert!(start.elapsed() < TIMEOUT, "the park slept through a push");
     });
 }

@@ -16,7 +16,10 @@
 //! deques, the node's [`crate::ready_queue::ReadyQueue`] demoted to
 //! injector duty (roots, comm-thread deliveries, deque overflow), a
 //! seeded steal sweep before parking, and a lock-sharded
-//! [`ShardedPending`] activation table with batched per-shard delivery.
+//! [`crate::pending::ShardedPending`] activation table with batched
+//! per-shard delivery. The worker loop and the task-completion routine are
+//! the shared-memory engine's, verbatim (`crate::dispatch::worker`); this
+//! engine only adds the cross-node branch (`Cluster::ship`).
 //! Steal/steal-fail/overflow counts are kept per node and surfaced in
 //! the node's live samples and the run's metric snapshot.
 //!
@@ -25,16 +28,14 @@
 //! comm lane (lane = `threads_per_node`), mirroring the simulator's trace
 //! layout.
 
-use crate::dispatch::{NodeQueues, StealTotals, WorkerRng};
+use crate::dispatch::{worker, NodeShared, RunShared, StealTotals, WorkerId};
 use crate::exec::{assemble_report, ExecMode, ModeExt, RunConfig, RunReport};
-use crate::pending::{Delivery, PendingTable, ReadyTask, ShardedPending};
+use crate::pending::{Delivery, PendingTable, SpareTasks};
 use crate::scheduler::{SchedContext, TaskSelector};
 use crate::task::{FlowData, Program, TaskKey};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use obs::{
-    lane_busy_in_window, names, Live, LiveSample, LocalRecorder, Metrics, Recorder, WallClock,
-};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use obs::{lane_busy_in_window, names, Live, LiveSample, LocalRecorder, Recorder};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -56,23 +57,16 @@ enum CommItem {
 }
 
 struct Node {
-    pending: ShardedPending,
-    queues: NodeQueues,
+    shared: NodeShared,
     comm_tx: Sender<CommItem>,
     comm_rx: Receiver<CommItem>,
 }
 
 struct Cluster<'p> {
-    program: &'p Program,
+    run: RunShared<'p>,
     selector: Arc<dyn TaskSelector>,
     nodes: Vec<Node>,
-    completed: AtomicU64,
-    done: AtomicBool,
-    cross_flows: AtomicU64,
     workers_per_node: usize,
-    steal_seed: u64,
-    metrics: Metrics,
-    clock: WallClock,
 }
 
 impl<'p> Cluster<'p> {
@@ -81,7 +75,9 @@ impl<'p> Cluster<'p> {
             .selector
             .place(key)
             .map(|n| n as usize)
-            .unwrap_or_else(|| self.program.graph.class(key.class).node_of(key.params) as usize);
+            .unwrap_or_else(|| {
+                self.run.program.graph.class(key.class).node_of(key.params) as usize
+            });
         assert!(
             n < self.nodes.len(),
             "{key:?} placed on node {n} of {}",
@@ -90,135 +86,34 @@ impl<'p> Cluster<'p> {
         n
     }
 
-    /// Deliver a flow arriving from outside the node's worker pool (comm
-    /// thread, roots): lands in the node's injector if it fires.
-    fn deliver_external(&self, node: usize, consumer: TaskKey, slot: usize, data: FlowData) {
-        let ready = self.nodes[node]
-            .pending
-            .deliver(&self.program.graph, consumer, slot, data);
-        if let Some(t) = ready {
-            self.nodes[node].queues.push_external(t);
+    /// The engine-specific branch of the shared worker: keep a flow whose
+    /// consumer lives on `node`, route any other through the destination's
+    /// comm thread.
+    fn ship(&self, node: usize, flow: Delivery, kind: u32) -> Option<Delivery> {
+        let dst = self.node_of(flow.consumer);
+        if dst == node {
+            return Some(flow);
         }
+        self.nodes[dst]
+            .comm_tx
+            .send(CommItem::Flow {
+                consumer: flow.consumer,
+                slot: flow.slot,
+                data: flow.data,
+                src: node as u32,
+                kind,
+                enqueue_ns: self.run.clock.now_ns(),
+            })
+            .expect("comm channel closed");
+        None
     }
 
-    /// Execute one task on `node`; returns true when it was the last.
-    /// Node-local output flows are delivered as one sharded batch and
-    /// the released tasks land in this worker's own deque; cross-node
-    /// flows are routed through the destination's comm thread.
-    fn run_task(
-        &self,
-        node: usize,
-        mut ready: ReadyTask,
-        lane: u32,
-        local: &LocalRecorder,
-    ) -> bool {
-        let class = self.program.graph.class(ready.key.class);
-        let kind = self.program.graph.kind_of(ready.key);
-        let start_ns = self.clock.now_ns();
-        let outputs = class.execute(ready.key.params, &mut ready.inputs);
-        local.task_instance(
-            node as u32,
-            lane,
-            kind,
-            ready.key.instance_id(),
-            start_ns,
-            self.clock.now_ns(),
-        );
-        let mut batch = Vec::new();
-        for dep in class.outputs(ready.key.params) {
-            let data = outputs
-                .get(dep.flow)
-                .unwrap_or_else(|| panic!("{:?}: missing output flow {}", ready.key, dep.flow))
-                .clone();
-            let dst = self.node_of(dep.consumer);
-            if dst == node {
-                batch.push(Delivery {
-                    consumer: dep.consumer,
-                    slot: dep.slot,
-                    data,
-                });
-            } else {
-                // cross-node: route through the destination's comm thread
-                self.cross_flows.fetch_add(1, Ordering::Relaxed);
-                self.metrics.counter(names::MESSAGES_SENT).inc();
-                self.metrics
-                    .counter(names::BYTES_SENT)
-                    .add(data.bytes as u64);
-                self.nodes[dst]
-                    .comm_tx
-                    .send(CommItem::Flow {
-                        consumer: dep.consumer,
-                        slot: dep.slot,
-                        data,
-                        src: node as u32,
-                        kind,
-                        enqueue_ns: self.clock.now_ns(),
-                    })
-                    .expect("comm channel closed");
-            }
-        }
-        for t in self.nodes[node]
-            .pending
-            .deliver_batch(&self.program.graph, batch)
-        {
-            self.nodes[node].queues.push_local(lane as usize, t);
-        }
-        self.metrics.counter(names::TASKS_EXECUTED).inc();
-        let redundant = class.redundant_flops(ready.key.params);
-        if redundant > 0 {
-            self.metrics.counter(names::REDUNDANT_FLOPS).add(redundant);
-        }
-        self.metrics
-            .gauge(names::QUEUE_DEPTH)
-            .set(self.nodes[node].queues.len() as i64);
-        self.completed.fetch_add(1, Ordering::AcqRel) + 1 == self.program.total_tasks
-    }
-
-    /// Flip the done flag and wake every worker and comm thread.
+    /// Wake every worker and comm thread once the last task is done.
     fn shutdown_all(&self) {
-        self.done.store(true, Ordering::Release);
         for n in &self.nodes {
-            n.queues.wake_all();
+            n.shared.queues.wake_all();
             let _ = n.comm_tx.send(CommItem::Shutdown);
         }
-    }
-}
-
-fn worker(cluster: &Cluster<'_>, node: usize, lane: u32, local: &LocalRecorder) {
-    // Decorrelate lanes across nodes: each (node, lane) pair gets its
-    // own deterministic victim sequence.
-    let mut rng = WorkerRng::new(
-        cluster.steal_seed ^ (node as u64).wrapping_mul(0xA076_1D64_78BD_642F),
-        lane as u64,
-    );
-    let queues = &cluster.nodes[node].queues;
-    let mut idle = 0u32;
-    let mut last_seen = cluster.completed.load(Ordering::Acquire);
-    loop {
-        if cluster.done.load(Ordering::Acquire) {
-            return;
-        }
-        if let Some(t) = queues.next_task(lane as usize, &mut rng) {
-            idle = 0;
-            if cluster.run_task(node, t, lane, local) {
-                cluster.shutdown_all();
-            }
-            continue;
-        }
-        queues.park(Duration::from_millis(50));
-        let now = cluster.completed.load(Ordering::Acquire);
-        if now == last_seen {
-            idle += 1;
-        } else {
-            idle = 0;
-            last_seen = now;
-        }
-        assert!(
-            idle <= 200,
-            "node {node} worker stalled at {}/{} tasks",
-            cluster.completed.load(Ordering::Acquire),
-            cluster.program.total_tasks
-        );
     }
 }
 
@@ -230,6 +125,10 @@ fn comm_thread(
 ) {
     let rx = cluster.nodes[node].comm_rx.clone();
     let comm_lane = cluster.workers_per_node as u32;
+    let run = &cluster.run;
+    let NodeShared { pending, queues } = &cluster.nodes[node].shared;
+    // This thread only delivers, so it never has a retired task to reuse.
+    let mut spares = SpareTasks::new();
     loop {
         match rx.recv_timeout(Duration::from_millis(50)) {
             Ok(CommItem::Flow {
@@ -244,10 +143,13 @@ fn comm_thread(
                 // once the flow has landed in the destination's pending
                 // table. All three stamps share the cluster's wall clock,
                 // so enqueue ≤ inject ≤ deliver holds by monotonicity.
-                let start_ns = cluster.clock.now_ns();
+                let start_ns = run.clock.now_ns();
                 let bytes = data.bytes as u64;
-                cluster.deliver_external(node, consumer, slot, data);
-                let end_ns = cluster.clock.now_ns();
+                let graph = &run.program.graph;
+                if let Some(t) = pending.deliver(graph, consumer, slot, data, &mut spares) {
+                    queues.push_external(t);
+                }
+                let end_ns = run.clock.now_ns();
                 local.comm(node as u32, comm_lane, start_ns, end_ns);
                 msg_local.record(obs::MsgSpan {
                     src,
@@ -261,7 +163,7 @@ fn comm_thread(
             }
             Ok(CommItem::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
             Err(RecvTimeoutError::Timeout) => {
-                if cluster.completed.load(Ordering::Acquire) == cluster.program.total_tasks {
+                if run.completed.load(Ordering::Acquire) == run.program.total_tasks {
                     return;
                 }
             }
@@ -279,15 +181,16 @@ fn sampler(cluster: &Cluster<'_>, recorder: &Recorder, live: &Live, period_ns: u
     let period = Duration::from_nanos(period_ns.max(1));
     let slice = period.min(Duration::from_millis(5));
     let lanes = cluster.workers_per_node as u32;
-    let total = cluster.program.total_tasks;
-    let mut w0 = cluster.clock.now_ns();
+    let run = &cluster.run;
+    let total = run.program.total_tasks;
+    let mut w0 = run.clock.now_ns();
     let mut elapsed = Duration::ZERO;
     let mut last_seen = 0u64;
     let mut last_progress = Instant::now();
-    while cluster.completed.load(Ordering::Acquire) < total {
+    while run.completed.load(Ordering::Acquire) < total {
         std::thread::sleep(slice);
         elapsed += slice;
-        let done = cluster.completed.load(Ordering::Acquire);
+        let done = run.completed.load(Ordering::Acquire);
         if done != last_seen {
             last_seen = done;
             last_progress = Instant::now();
@@ -300,11 +203,11 @@ fn sampler(cluster: &Cluster<'_>, recorder: &Recorder, live: &Live, period_ns: u
             continue;
         }
         elapsed = Duration::ZERO;
-        let w1 = cluster.clock.now_ns();
+        let w1 = run.clock.now_ns();
         publish_samples(cluster, recorder, live, lanes, w0, w1);
         w0 = w1;
     }
-    publish_samples(cluster, recorder, live, lanes, w0, cluster.clock.now_ns());
+    publish_samples(cluster, recorder, live, lanes, w0, run.clock.now_ns());
 }
 
 fn publish_samples(
@@ -325,14 +228,14 @@ fn publish_samples(
                 steals,
                 steal_fails,
                 overflow_pushes,
-            } = node.queues.totals();
+            } = node.shared.queues.totals();
             live.publish(LiveSample {
                 t_ns: w1,
                 window_ns: w1 - w0,
                 node: n as u32,
                 lane_busy: lane_busy_in_window(spans, n as u32, lanes, w0, w1),
-                ready_depth: node.queues.len(),
-                pending_tasks: node.pending.len(),
+                ready_depth: node.shared.queues.len(),
+                pending_tasks: node.shared.pending.len(),
                 inflight_msgs: node.comm_rx.len() as u64,
                 inflight_bytes: 0,
                 dropped_events,
@@ -365,29 +268,23 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
         .map(|_| {
             let (comm_tx, comm_rx) = unbounded();
             Node {
-                pending: ShardedPending::new(threads_per_node * 4),
-                queues: NodeQueues::new(Arc::clone(&selector), threads_per_node),
+                shared: NodeShared::new(Arc::clone(&selector), threads_per_node),
                 comm_tx,
                 comm_rx,
             }
         })
         .collect();
     let cluster = Cluster {
-        program,
+        run: RunShared::new(program),
         selector,
         nodes: node_states,
-        completed: AtomicU64::new(0),
-        done: AtomicBool::new(false),
-        cross_flows: AtomicU64::new(0),
         workers_per_node: threads_per_node,
-        steal_seed: cfg.steal_seed,
-        metrics: Metrics::new(),
-        clock: WallClock::start(),
     };
 
     for &root in &program.roots {
         let node = cluster.node_of(root);
         cluster.nodes[node]
+            .shared
             .queues
             .push_external(PendingTable::root(&program.graph, root));
     }
@@ -399,7 +296,24 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
             for lane in 0..threads_per_node {
                 let cluster = &cluster;
                 let local = recorder.local();
-                s.spawn(move |_| worker(cluster, node, lane as u32, &local));
+                // Decorrelate lanes across nodes: each (node, lane) pair
+                // gets its own deterministic victim sequence.
+                let steal_seed = cfg.steal_seed ^ (node as u64).wrapping_mul(0xA076_1D64_78BD_642F);
+                s.spawn(move |_| {
+                    let id = WorkerId {
+                        node: node as u32,
+                        lane: lane as u32,
+                        steal_seed,
+                        local: &local,
+                    };
+                    worker(
+                        &cluster.run,
+                        &cluster.nodes[node].shared,
+                        id,
+                        |flow, kind| cluster.ship(node, flow, kind),
+                        || cluster.shutdown_all(),
+                    );
+                });
             }
             let cluster = &cluster;
             let local = recorder.local();
@@ -414,9 +328,10 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
     })
     .expect("node thread panicked");
     let wall_time = start.elapsed().as_secs_f64();
-    let horizon_ns = cluster.clock.now_ns();
+    let run = &cluster.run;
+    let horizon_ns = run.clock.now_ns();
 
-    let completed = cluster.completed.load(Ordering::Acquire);
+    let completed = run.completed.load(Ordering::Acquire);
     assert_eq!(
         completed, program.total_tasks,
         "run finished early: {completed}/{}",
@@ -425,28 +340,14 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
     let activations: u64 = cluster
         .nodes
         .iter()
-        .map(|n| n.pending.flows_delivered())
+        .map(|n| n.shared.pending.flows_delivered())
         .sum();
-    cluster.metrics.counter(names::ACTIVATIONS).add(activations);
-    let totals =
-        cluster
-            .nodes
-            .iter()
-            .map(|n| n.queues.totals())
-            .fold(StealTotals::default(), |a, b| StealTotals {
-                steals: a.steals + b.steals,
-                steal_fails: a.steal_fails + b.steal_fails,
-                overflow_pushes: a.overflow_pushes + b.overflow_pushes,
-            });
-    cluster.metrics.counter(names::STEALS).add(totals.steals);
-    cluster
-        .metrics
-        .counter(names::STEAL_FAILS)
-        .add(totals.steal_fails);
-    cluster
-        .metrics
-        .counter(names::OVERFLOW_PUSHES)
-        .add(totals.overflow_pushes);
+    run.metrics.counter(names::ACTIVATIONS).add(activations);
+    for n in &cluster.nodes {
+        n.shared.queues.totals().publish(&run.metrics);
+    }
+    // Every cross-node flow was counted as one sent message.
+    let cross_node_flows = run.metrics.snapshot().counter(names::MESSAGES_SENT);
 
     assemble_report(
         cfg,
@@ -456,11 +357,9 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
         threads_per_node as u32,
         completed,
         &recorder,
-        &cluster.metrics,
+        &run.metrics,
         live.map(|l| l.history()).unwrap_or_default(),
-        ModeExt::MultiProcess {
-            cross_node_flows: cluster.cross_flows.load(Ordering::Relaxed),
-        },
+        ModeExt::MultiProcess { cross_node_flows },
     )
 }
 

@@ -15,6 +15,12 @@
 //!   hash, and [`ShardedPending::deliver_batch`] delivers *all* of a
 //!   completing task's output flows with one lock acquisition per
 //!   touched shard instead of one per flow.
+//!
+//! A [`ReadyTask`] is born boxed and stays in its box: the table fills the
+//! box's input slots in place, the ready queues and deques pass the box
+//! along, and once the task has run the executor hands the box (and its
+//! slot vector) back through [`SpareTasks`] for the next pending entry —
+//! so steady-state activation counting allocates nothing.
 
 use crate::task::{FlowData, TaskGraph, TaskKey};
 use parking_lot::Mutex;
@@ -39,9 +45,51 @@ impl std::fmt::Debug for ReadyTask {
     }
 }
 
+/// Boxes of tasks that have already run, kept by their executor for the
+/// next pending entries: [`PendingTable::deliver`] takes one (box and
+/// slot vector) whenever a task's first flow arrives, instead of
+/// allocating. Bounded — a worker that retires more tasks than it
+/// discovers frees the excess.
+#[derive(Default)]
+// The boxes are the point: it is the heap allocation that gets reused.
+#[allow(clippy::vec_box)]
+pub struct SpareTasks(Vec<Box<ReadyTask>>);
+
+impl SpareTasks {
+    /// Most boxes kept; beyond this, retired tasks are simply freed.
+    const MAX: usize = 64;
+
+    /// No spares yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Retire a task that has run: whatever inputs its body left behind
+    /// are dropped here, the box is kept for reuse.
+    pub fn recycle(&mut self, mut task: Box<ReadyTask>) {
+        task.inputs.clear();
+        if self.0.len() < Self::MAX {
+            self.0.push(task);
+        }
+    }
+
+    /// A task for `key` with `slots` empty input slots.
+    fn fresh(&mut self, key: TaskKey, slots: usize) -> Box<ReadyTask> {
+        let mut task = self.0.pop().unwrap_or_else(|| {
+            Box::new(ReadyTask {
+                key,
+                inputs: Vec::new(),
+            })
+        });
+        task.key = key;
+        task.inputs.resize_with(slots, || None);
+        task
+    }
+}
+
 struct Pending {
     remaining: usize,
-    inputs: Vec<Option<FlowData>>,
+    task: Box<ReadyTask>,
 }
 
 /// The activation table.
@@ -51,7 +99,7 @@ struct Pending {
 /// A two-input task becomes ready exactly when its second flow lands:
 ///
 /// ```
-/// use runtime::{DtdBuilder, FlowData, PendingTable, TaskKey};
+/// use runtime::{DtdBuilder, FlowData, PendingTable, SpareTasks, TaskKey};
 ///
 /// let mut b = DtdBuilder::new();
 /// let a = b.insert(0, 0.0, &[]);
@@ -60,12 +108,13 @@ struct Pending {
 /// let program = b.build();
 ///
 /// let mut table = PendingTable::new();
+/// let mut spares = SpareTasks::new();
 /// let join = TaskKey::new(0, [2, 0, 0, 0]);
 /// assert!(table
-///     .deliver(&program.graph, join, 0, FlowData::sized(8))
+///     .deliver(&program.graph, join, 0, FlowData::sized(8), &mut spares)
 ///     .is_none());
 /// let ready = table
-///     .deliver(&program.graph, join, 1, FlowData::sized(8))
+///     .deliver(&program.graph, join, 1, FlowData::sized(8), &mut spares)
 ///     .expect("second flow completes the activation count");
 /// assert_eq!(ready.key, join);
 /// assert!(table.is_empty());
@@ -83,7 +132,8 @@ impl PendingTable {
     }
 
     /// Deliver one flow into `consumer`'s input `slot`. Returns the ready
-    /// task when this was the last missing input.
+    /// task when this was the last missing input. A consumer seen for the
+    /// first time takes its box from `spares`.
     ///
     /// Panics if the slot is out of range or already filled — both indicate
     /// an inconsistent task graph (see [`crate::unfold`]).
@@ -93,7 +143,8 @@ impl PendingTable {
         consumer: TaskKey,
         slot: usize,
         data: FlowData,
-    ) -> Option<ReadyTask> {
+        spares: &mut SpareTasks,
+    ) -> Option<Box<ReadyTask>> {
         self.delivered += 1;
         let entry = self.map.entry(consumer).or_insert_with(|| {
             let class = graph.class(consumer.class);
@@ -105,43 +156,38 @@ impl PendingTable {
             );
             Pending {
                 remaining,
-                inputs: vec![None; class.num_input_slots(consumer.params)],
+                task: spares.fresh(consumer, class.num_input_slots(consumer.params)),
             }
         });
+        let inputs = &mut entry.task.inputs;
         assert!(
-            slot < entry.inputs.len(),
+            slot < inputs.len(),
             "{consumer:?}: slot {slot} out of range ({} slots)",
-            entry.inputs.len()
+            inputs.len()
         );
         assert!(
-            entry.inputs[slot].is_none(),
+            inputs[slot].is_none(),
             "{consumer:?}: slot {slot} delivered twice"
         );
-        entry.inputs[slot] = Some(data);
+        inputs[slot] = Some(data);
         entry.remaining -= 1;
         if entry.remaining == 0 {
             let p = self.map.remove(&consumer).expect("entry just touched");
-            Some(ReadyTask {
-                key: consumer,
-                inputs: p.inputs,
-            })
+            Some(p.task)
         } else {
             None
         }
     }
 
     /// Make a root task (zero activation count) ready directly.
-    pub fn root(graph: &TaskGraph, key: TaskKey) -> ReadyTask {
+    pub fn root(graph: &TaskGraph, key: TaskKey) -> Box<ReadyTask> {
         let class = graph.class(key.class);
         assert_eq!(
             class.activation_count(key.params),
             0,
             "{key:?} is not a root (activation count nonzero)"
         );
-        ReadyTask {
-            key,
-            inputs: vec![None; class.num_input_slots(key.params)],
-        }
+        SpareTasks::new().fresh(key, class.num_input_slots(key.params))
     }
 
     /// Number of tasks currently waiting for more inputs.
@@ -176,6 +222,44 @@ pub struct Delivery {
     pub data: FlowData,
 }
 
+/// One worker's reusable delivery state: the batch being assembled for
+/// [`ShardedPending::deliver_batch`], the working vectors that call needs,
+/// and the worker's [`SpareTasks`]. Everything keeps its capacity from one
+/// task to the next.
+#[derive(Default)]
+pub struct DeliveryBatch {
+    batch: Vec<Delivery>,
+    /// Shard of each delivery; [`Self::DONE`] once delivered.
+    shards: Vec<usize>,
+    /// The task each delivery made ready, in batch position.
+    ready: Vec<Option<Box<ReadyTask>>>,
+    spares: SpareTasks,
+}
+
+impl DeliveryBatch {
+    const DONE: usize = usize::MAX;
+
+    /// Empty batch, no spares.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append one delivery to the batch.
+    pub fn push(&mut self, delivery: Delivery) {
+        self.batch.push(delivery);
+    }
+
+    /// True when the batch holds no delivery.
+    pub fn is_empty(&self) -> bool {
+        self.batch.is_empty()
+    }
+
+    /// Hand a task that has run back for reuse (see [`SpareTasks`]).
+    pub fn recycle(&mut self, task: Box<ReadyTask>) {
+        self.spares.recycle(task);
+    }
+}
+
 /// The concurrent activation table of the real executors: a
 /// [`PendingTable`] per lock shard, shard chosen by task-key hash.
 ///
@@ -186,7 +270,7 @@ pub struct Delivery {
 ///   pure function of the key — so the exactly-once "last flow fires the
 ///   task" property is a single-shard property;
 /// * [`ShardedPending::deliver_batch`] locks each touched shard exactly
-///   once per batch, and returns the newly ready tasks **in batch
+///   once per batch, and releases the newly ready tasks **in batch
 ///   order** (not shard order), so a completing task releases its
 ///   successors in the same order the class declared its outputs — the
 ///   order the FIFO dispatch contract keys on;
@@ -229,33 +313,50 @@ impl ShardedPending {
         consumer: TaskKey,
         slot: usize,
         data: FlowData,
-    ) -> Option<ReadyTask> {
+        spares: &mut SpareTasks,
+    ) -> Option<Box<ReadyTask>> {
         self.shards[self.shard_of(consumer)]
             .lock()
-            .deliver(graph, consumer, slot, data)
+            .deliver(graph, consumer, slot, data, spares)
     }
 
-    /// Deliver a completing task's whole output batch: one lock
-    /// acquisition per touched shard, ready tasks returned in batch
-    /// order (see the type-level invariants).
-    pub fn deliver_batch(&self, graph: &TaskGraph, batch: Vec<Delivery>) -> Vec<ReadyTask> {
-        let shards: Vec<usize> = batch.iter().map(|d| self.shard_of(d.consumer)).collect();
-        let mut slots: Vec<Option<Delivery>> = batch.into_iter().map(Some).collect();
-        let mut ready: Vec<Option<ReadyTask>> =
-            std::iter::repeat_with(|| None).take(slots.len()).collect();
-        let mut touched: Vec<usize> = shards.clone();
-        touched.sort_unstable();
-        touched.dedup();
-        for s in touched {
-            let mut guard = self.shards[s].lock();
-            for i in 0..slots.len() {
-                if shards[i] == s {
-                    let d = slots[i].take().expect("each delivery is consumed once");
-                    ready[i] = guard.deliver(graph, d.consumer, d.slot, d.data);
+    /// Deliver a completing task's whole output batch, draining `batch`:
+    /// one lock acquisition per touched shard, then `on_ready` once per
+    /// newly ready task, in batch order and outside every lock (see the
+    /// type-level invariants).
+    pub fn deliver_batch(
+        &self,
+        graph: &TaskGraph,
+        batch: &mut DeliveryBatch,
+        mut on_ready: impl FnMut(Box<ReadyTask>),
+    ) {
+        let DeliveryBatch {
+            batch,
+            shards,
+            ready,
+            spares,
+        } = batch;
+        shards.clear();
+        shards.extend(batch.iter().map(|d| self.shard_of(d.consumer)));
+        ready.clear();
+        ready.resize_with(batch.len(), || None);
+        for first in 0..batch.len() {
+            let shard = shards[first];
+            if shard == DeliveryBatch::DONE {
+                continue;
+            }
+            let mut table = self.shards[shard].lock();
+            for i in first..batch.len() {
+                if shards[i] == shard {
+                    shards[i] = DeliveryBatch::DONE;
+                    let d = &mut batch[i];
+                    let data = std::mem::take(&mut d.data);
+                    ready[i] = table.deliver(graph, d.consumer, d.slot, data, spares);
                 }
             }
         }
-        ready.into_iter().flatten().collect()
+        batch.clear();
+        ready.drain(..).flatten().for_each(&mut on_ready);
     }
 
     /// Tasks currently waiting for more inputs, summed over the shards.
@@ -307,6 +408,27 @@ mod sharded_tests {
         TaskKey::new(0, [i, 0, 0, 0])
     }
 
+    /// Deliver `flows` (consumer index, slot) as one batch; the keys that
+    /// became ready, in release order.
+    fn deliver_all(
+        t: &ShardedPending,
+        g: &TaskGraph,
+        batch: &mut DeliveryBatch,
+        flows: &[(i32, usize)],
+    ) -> Vec<i32> {
+        for &(consumer, slot) in flows {
+            batch.push(Delivery {
+                consumer: key(consumer),
+                slot,
+                data: FlowData::sized(8),
+            });
+        }
+        let mut order = Vec::new();
+        t.deliver_batch(g, batch, |r| order.push(r.key.params[0]));
+        assert!(batch.is_empty(), "delivery drains the batch");
+        order
+    }
+
     #[test]
     fn shard_of_is_stable_and_in_range() {
         let t = ShardedPending::new(8);
@@ -324,48 +446,52 @@ mod sharded_tests {
         // the batch listed them, regardless of shard assignment.
         let g = graph_with_indeg(&[(1, 1), (2, 1), (3, 1)]);
         let t = ShardedPending::new(4);
-        let ready = t.deliver_batch(
-            &g,
-            vec![
-                Delivery {
-                    consumer: key(2),
-                    slot: 0,
-                    data: FlowData::sized(8),
-                },
-                Delivery {
-                    consumer: key(1),
-                    slot: 0,
-                    data: FlowData::sized(8),
-                },
-                Delivery {
-                    consumer: key(3),
-                    slot: 0,
-                    data: FlowData::sized(8),
-                },
-            ],
-        );
-        let order: Vec<i32> = ready.iter().map(|r| r.key.params[0]).collect();
+        let mut batch = DeliveryBatch::new();
+        let order = deliver_all(&t, &g, &mut batch, &[(2, 0), (1, 0), (3, 0)]);
         assert_eq!(order, vec![2, 1, 3]);
         assert!(t.is_empty());
         assert_eq!(t.flows_delivered(), 3);
     }
 
     #[test]
+    fn retired_tasks_are_reused_for_the_next_pending_entry() {
+        let g = graph_with_indeg(&[(1, 1), (2, 1)]);
+        let t = ShardedPending::new(1);
+        let mut batch = DeliveryBatch::new();
+        let mut fired = Vec::new();
+        batch.push(Delivery {
+            consumer: key(1),
+            slot: 0,
+            data: FlowData::sized(8),
+        });
+        t.deliver_batch(&g, &mut batch, |r| fired.push(r));
+        let first = fired.pop().expect("single-input task fires");
+        let addr: *const ReadyTask = &*first;
+        batch.recycle(first);
+        batch.push(Delivery {
+            consumer: key(2),
+            slot: 0,
+            data: FlowData::sized(8),
+        });
+        t.deliver_batch(&g, &mut batch, |r| fired.push(r));
+        let second = fired.pop().expect("single-input task fires");
+        assert_eq!(second.key, key(2));
+        assert!(std::ptr::eq(&*second, addr), "same box, new task");
+        assert_eq!(second.inputs.len(), 1);
+        assert!(second.inputs[0].is_some());
+    }
+
+    #[test]
     fn partial_batches_leave_tasks_pending() {
         let g = graph_with_indeg(&[(1, 2)]);
         let t = ShardedPending::new(2);
-        let ready = t.deliver_batch(
-            &g,
-            vec![Delivery {
-                consumer: key(1),
-                slot: 0,
-                data: FlowData::sized(8),
-            }],
-        );
-        assert!(ready.is_empty());
+        let mut batch = DeliveryBatch::new();
+        assert!(deliver_all(&t, &g, &mut batch, &[(1, 0)]).is_empty());
         assert_eq!(t.len(), 1);
         assert_eq!(t.stuck_tasks(), vec![key(1)]);
-        let ready = t.deliver(&g, key(1), 1, FlowData::sized(8)).unwrap();
+        let ready = t
+            .deliver(&g, key(1), 1, FlowData::sized(8), &mut SpareTasks::new())
+            .unwrap();
         assert_eq!(ready.key, key(1));
         assert!(t.is_empty());
     }
@@ -382,13 +508,9 @@ mod sharded_tests {
         let fire = |slot: usize, t: Arc<ShardedPending>, g: Arc<TaskGraph>| {
             std::thread::spawn(move || {
                 let mut fired = 0u32;
+                let mut batch = DeliveryBatch::new();
                 for i in 0..64 {
-                    let batch = vec![Delivery {
-                        consumer: key(i),
-                        slot,
-                        data: FlowData::sized(8),
-                    }];
-                    fired += t.deliver_batch(&g, batch).len() as u32;
+                    fired += deliver_all(&t, &g, &mut batch, &[(i, slot)]).len() as u32;
                 }
                 fired
             })
@@ -427,14 +549,19 @@ mod tests {
         TaskKey::new(0, [i, 0, 0, 0])
     }
 
+    /// `PendingTable::deliver` of a sized flow, with no spares to reuse.
+    fn deliver(t: &mut PendingTable, g: &TaskGraph, i: i32, slot: usize) -> Option<Box<ReadyTask>> {
+        t.deliver(g, key(i), slot, FlowData::sized(8), &mut SpareTasks::new())
+    }
+
     #[test]
     fn task_fires_when_all_inputs_arrive() {
         let g = graph_with_indeg(&[(1, 3)]);
         let mut t = PendingTable::new();
-        assert!(t.deliver(&g, key(1), 0, FlowData::sized(8)).is_none());
-        assert!(t.deliver(&g, key(1), 2, FlowData::sized(8)).is_none());
+        assert!(deliver(&mut t, &g, 1, 0).is_none());
+        assert!(deliver(&mut t, &g, 1, 2).is_none());
         assert_eq!(t.len(), 1);
-        let ready = t.deliver(&g, key(1), 1, FlowData::sized(8)).unwrap();
+        let ready = deliver(&mut t, &g, 1, 1).unwrap();
         assert_eq!(ready.key, key(1));
         assert_eq!(ready.inputs.len(), 3);
         assert!(ready.inputs.iter().all(Option::is_some));
@@ -446,7 +573,7 @@ mod tests {
     fn single_input_task_fires_immediately() {
         let g = graph_with_indeg(&[(7, 1)]);
         let mut t = PendingTable::new();
-        assert!(t.deliver(&g, key(7), 0, FlowData::sized(1)).is_some());
+        assert!(deliver(&mut t, &g, 7, 0).is_some());
     }
 
     #[test]
@@ -454,8 +581,8 @@ mod tests {
     fn double_delivery_panics() {
         let g = graph_with_indeg(&[(1, 2)]);
         let mut t = PendingTable::new();
-        let _ = t.deliver(&g, key(1), 0, FlowData::sized(8));
-        let _ = t.deliver(&g, key(1), 0, FlowData::sized(8));
+        let _ = deliver(&mut t, &g, 1, 0);
+        let _ = deliver(&mut t, &g, 1, 0);
     }
 
     #[test]
@@ -463,7 +590,7 @@ mod tests {
     fn out_of_range_slot_panics() {
         let g = graph_with_indeg(&[(1, 2)]);
         let mut t = PendingTable::new();
-        let _ = t.deliver(&g, key(1), 5, FlowData::sized(8));
+        let _ = deliver(&mut t, &g, 1, 5);
     }
 
     #[test]
@@ -471,7 +598,7 @@ mod tests {
     fn delivering_to_root_panics() {
         let g = graph_with_indeg(&[(1, 0)]);
         let mut t = PendingTable::new();
-        let _ = t.deliver(&g, key(1), 0, FlowData::sized(8));
+        let _ = deliver(&mut t, &g, 1, 0);
     }
 
     #[test]
@@ -493,8 +620,8 @@ mod tests {
     fn stuck_tasks_reported() {
         let g = graph_with_indeg(&[(1, 2), (2, 2)]);
         let mut t = PendingTable::new();
-        let _ = t.deliver(&g, key(1), 0, FlowData::sized(8));
-        let _ = t.deliver(&g, key(2), 0, FlowData::sized(8));
+        let _ = deliver(&mut t, &g, 1, 0);
+        let _ = deliver(&mut t, &g, 2, 0);
         let mut stuck = t.stuck_tasks();
         stuck.sort_by_key(|k| k.params[0]);
         assert_eq!(stuck, vec![key(1), key(2)]);

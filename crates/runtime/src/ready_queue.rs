@@ -33,7 +33,7 @@ use std::sync::Arc;
 struct Entry {
     rank: i64,
     seq: u64,
-    task: ReadyTask,
+    task: Box<ReadyTask>,
 }
 
 impl PartialEq for Entry {
@@ -56,7 +56,9 @@ impl Ord for Entry {
     }
 }
 
-/// A selector-aware ready queue. Ranks are computed once, at push time —
+/// A selector-aware ready queue of boxed tasks (a [`ReadyTask`] keeps its
+/// box from discovery to reuse, see [`crate::pending`]). Ranks are
+/// computed once, at push time —
 /// the selector contract (pure, static) makes the value at pop time
 /// identical, and it keeps `pop` O(log n) regardless of the selector.
 ///
@@ -68,7 +70,8 @@ impl Ord for Entry {
 ///
 /// let mut q = ReadyQueue::new(Arc::new(FifoSelector));
 /// for i in 0..3 {
-///     q.push(ReadyTask { key: TaskKey::new(0, [i, 0, 0, 0]), inputs: Vec::new() });
+///     let key = TaskKey::new(0, [i, 0, 0, 0]);
+///     q.push(Box::new(ReadyTask { key, inputs: Vec::new() }));
 /// }
 /// // FIFO discipline: pops in push order.
 /// assert_eq!(q.pop().unwrap().key.params[0], 0);
@@ -77,7 +80,7 @@ impl Ord for Entry {
 pub struct ReadyQueue {
     mode: SelectMode,
     selector: Arc<dyn TaskSelector>,
-    deque: VecDeque<ReadyTask>,
+    deque: VecDeque<Box<ReadyTask>>,
     heap: BinaryHeap<Entry>,
     seq: u64,
 }
@@ -100,7 +103,7 @@ impl ReadyQueue {
     /// stamped with a monotone sequence number that breaks rank ties
     /// FIFO. This pair is what makes rank-mode dispatch deterministic
     /// for a fixed arrival order.
-    pub fn push(&mut self, task: ReadyTask) {
+    pub fn push(&mut self, task: Box<ReadyTask>) {
         match self.mode {
             SelectMode::Fifo | SelectMode::Lifo => self.deque.push_back(task),
             SelectMode::Rank => {
@@ -115,7 +118,7 @@ impl ReadyQueue {
     /// Take the next task per the selector's discipline: front for
     /// FIFO, back for LIFO, highest rank (lowest seq within a rank
     /// level) for rank mode.
-    pub fn pop(&mut self) -> Option<ReadyTask> {
+    pub fn pop(&mut self) -> Option<Box<ReadyTask>> {
         match self.mode {
             SelectMode::Fifo => self.deque.pop_front(),
             SelectMode::Lifo => self.deque.pop_back(),
@@ -141,11 +144,11 @@ mod tests {
     use crate::task::TaskKey;
     use std::collections::HashMap;
 
-    fn task(i: i32) -> ReadyTask {
-        ReadyTask {
+    fn task(i: i32) -> Box<ReadyTask> {
+        Box::new(ReadyTask {
             key: TaskKey::new(0, [i, 0, 0, 0]),
             inputs: Vec::new(),
-        }
+        })
     }
 
     fn ranked(ranks: &[(i32, i64)]) -> Arc<dyn TaskSelector> {

@@ -13,9 +13,9 @@
 //! survives only as the injector (root tasks, deque overflow), and a
 //! worker that runs dry steals from its peers in a seeded-deterministic
 //! victim order before parking. Activation counting goes through the
-//! lock-sharded [`ShardedPending`] table: one completing task delivers
-//! *all* its output flows with a single lock acquisition per touched
-//! shard. Under the default FIFO policy with one worker the dispatch
+//! lock-sharded [`crate::pending::ShardedPending`] table: one completing
+//! task delivers *all* its output flows with a single lock acquisition
+//! per touched shard. Under the default FIFO policy with one worker the dispatch
 //! order is exactly the old central-queue order; with several workers it
 //! is seed-stable (same victim sequence under a fixed
 //! [`RunConfig::steal_seed`]) but interleaving-dependent — see
@@ -27,119 +27,20 @@
 //! live samples, so a shared-memory run yields the same observability
 //! data a simulated run does.
 
-use crate::dispatch::{NodeQueues, StealTotals, WorkerRng};
+use crate::dispatch::{worker, NodeShared, RunShared, StealTotals, WorkerId};
 use crate::exec::{assemble_report, ExecMode, ModeExt, RunConfig, RunReport};
-use crate::pending::{Delivery, PendingTable, ReadyTask, ShardedPending};
+use crate::pending::PendingTable;
 use crate::scheduler::SchedContext;
 use crate::task::Program;
-use obs::{
-    lane_busy_in_window, names, Live, LiveSample, LocalRecorder, Metrics, Recorder, WallClock,
-};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use obs::{lane_busy_in_window, names, Live, LiveSample, Recorder};
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
+/// The whole run is one node: the run-wide state plus its single table
+/// and queue set.
 struct Shared<'p> {
-    program: &'p Program,
-    pending: ShardedPending,
-    queues: NodeQueues,
-    completed: AtomicU64,
-    done: AtomicBool,
-    metrics: Metrics,
-    clock: WallClock,
-}
-
-impl<'p> Shared<'p> {
-    /// Execute one ready task on `lane` and deliver its outputs in one
-    /// sharded batch; newly ready successors land in the lane's own
-    /// deque. Returns true when this was the final task.
-    fn run_task(&self, mut ready: ReadyTask, lane: u32, local: &LocalRecorder) -> bool {
-        let class = self.program.graph.class(ready.key.class);
-        let kind = self.program.graph.kind_of(ready.key);
-        let start_ns = self.clock.now_ns();
-        let outputs = class.execute(ready.key.params, &mut ready.inputs);
-        local.task_instance(
-            0,
-            lane,
-            kind,
-            ready.key.instance_id(),
-            start_ns,
-            self.clock.now_ns(),
-        );
-        let batch: Vec<Delivery> = class
-            .outputs(ready.key.params)
-            .into_iter()
-            .map(|dep| {
-                let data = outputs
-                    .get(dep.flow)
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "{:?}: execute produced {} flows but outputs reference flow {}",
-                            ready.key,
-                            outputs.len(),
-                            dep.flow
-                        )
-                    })
-                    .clone();
-                Delivery {
-                    consumer: dep.consumer,
-                    slot: dep.slot,
-                    data,
-                }
-            })
-            .collect();
-        for t in self.pending.deliver_batch(&self.program.graph, batch) {
-            self.queues.push_local(lane as usize, t);
-        }
-        self.metrics.counter(names::TASKS_EXECUTED).inc();
-        let redundant = class.redundant_flops(ready.key.params);
-        if redundant > 0 {
-            self.metrics.counter(names::REDUNDANT_FLOPS).add(redundant);
-        }
-        self.metrics
-            .gauge(names::QUEUE_DEPTH)
-            .set(self.queues.len() as i64);
-        let done = self.completed.fetch_add(1, Ordering::AcqRel) + 1;
-        done == self.program.total_tasks
-    }
-}
-
-fn worker(shared: &Shared<'_>, lane: u32, steal_seed: u64, local: &LocalRecorder) {
-    let mut rng = WorkerRng::new(steal_seed, lane as u64);
-    // If the graph deadlocks (inconsistent declarations), fail loudly
-    // instead of hanging: ~10 s without any global progress trips a panic.
-    let mut idle_rounds = 0u32;
-    let mut last_seen = shared.completed.load(Ordering::Acquire);
-    loop {
-        if shared.done.load(Ordering::Acquire) {
-            return;
-        }
-        if let Some(t) = shared.queues.next_task(lane as usize, &mut rng) {
-            idle_rounds = 0;
-            if shared.run_task(t, lane, local) {
-                shared.done.store(true, Ordering::Release);
-                shared.queues.wake_all();
-            }
-            continue;
-        }
-        shared.queues.park(Duration::from_millis(50));
-        let now = shared.completed.load(Ordering::Acquire);
-        if now == last_seen {
-            idle_rounds += 1;
-        } else {
-            idle_rounds = 0;
-            last_seen = now;
-        }
-        if idle_rounds > 200 {
-            let stuck = shared.pending.stuck_tasks();
-            panic!(
-                "shared-memory run stalled: {}/{} tasks done, {} pending (first stuck: {:?})",
-                now,
-                shared.program.total_tasks,
-                stuck.len(),
-                stuck.first()
-            );
-        }
-    }
+    run: RunShared<'p>,
+    node: NodeShared,
 }
 
 /// Periodic live sampler: runs beside the workers inside the same scope,
@@ -150,18 +51,18 @@ fn worker(shared: &Shared<'_>, lane: u32, steal_seed: u64, local: &LocalRecorder
 fn sampler(shared: &Shared<'_>, recorder: &Recorder, live: &Live, period_ns: u64, lanes: u32) {
     let period = Duration::from_nanos(period_ns.max(1));
     let slice = period.min(Duration::from_millis(5));
-    let mut w0 = shared.clock.now_ns();
+    let mut w0 = shared.run.clock.now_ns();
     let mut elapsed = Duration::ZERO;
     // Safety valve: if a worker panicked, `completed` never reaches the
     // total; stop sampling after ~15 s without progress so this thread
     // does not keep the scope from propagating the panic.
-    let total = shared.program.total_tasks;
+    let total = shared.run.program.total_tasks;
     let mut last_seen = 0u64;
     let mut last_progress = Instant::now();
-    while shared.completed.load(Ordering::Acquire) < total {
+    while shared.run.completed.load(Ordering::Acquire) < total {
         std::thread::sleep(slice);
         elapsed += slice;
-        let done = shared.completed.load(Ordering::Acquire);
+        let done = shared.run.completed.load(Ordering::Acquire);
         if done != last_seen {
             last_seen = done;
             last_progress = Instant::now();
@@ -172,12 +73,12 @@ fn sampler(shared: &Shared<'_>, recorder: &Recorder, live: &Live, period_ns: u64
             continue;
         }
         elapsed = Duration::ZERO;
-        let w1 = shared.clock.now_ns();
+        let w1 = shared.run.clock.now_ns();
         publish_sample(shared, recorder, live, lanes, w0, w1);
         w0 = w1;
     }
     // Tail window up to completion.
-    publish_sample(shared, recorder, live, lanes, w0, shared.clock.now_ns());
+    publish_sample(shared, recorder, live, lanes, w0, shared.run.clock.now_ns());
 }
 
 fn publish_sample(
@@ -196,14 +97,14 @@ fn publish_sample(
         steals,
         steal_fails,
         overflow_pushes,
-    } = shared.queues.totals();
+    } = shared.node.queues.totals();
     live.publish(LiveSample {
         t_ns: w1,
         window_ns: w1 - w0,
         node: 0,
         lane_busy,
-        ready_depth: shared.queues.len(),
-        pending_tasks: shared.pending.len(),
+        ready_depth: shared.node.queues.len(),
+        pending_tasks: shared.node.pending.len(),
         inflight_msgs: 0,
         inflight_bytes: 0,
         dropped_events: recorder.dropped(),
@@ -231,19 +132,12 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
         lanes: threads as u32,
     });
     let shared = Shared {
-        program,
-        pending: ShardedPending::new(threads * 4),
-        queues: NodeQueues::new(selector, threads),
-        completed: AtomicU64::new(0),
-        done: AtomicBool::new(false),
-        metrics: Metrics::new(),
-        clock: WallClock::start(),
+        run: RunShared::new(program),
+        node: NodeShared::new(selector, threads),
     };
-
+    let queues = &shared.node.queues;
     for &root in &program.roots {
-        shared
-            .queues
-            .push_external(PendingTable::root(&program.graph, root));
+        queues.push_external(PendingTable::root(&program.graph, root));
     }
 
     let live = cfg.live_board();
@@ -252,8 +146,23 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
         for lane in 0..threads {
             let shared = &shared;
             let local = recorder.local();
-            let seed = cfg.steal_seed;
-            s.spawn(move |_| worker(shared, lane as u32, seed, &local));
+            let steal_seed = cfg.steal_seed;
+            s.spawn(move |_| {
+                let id = WorkerId {
+                    node: 0,
+                    lane: lane as u32,
+                    steal_seed,
+                    local: &local,
+                };
+                // One address space: every flow stays on this node.
+                worker(
+                    &shared.run,
+                    &shared.node,
+                    id,
+                    |flow, _| Some(flow),
+                    || queues.wake_all(),
+                );
+            });
         }
         if let (Some(live), Some(period)) = (live.clone(), cfg.sample_period()) {
             let shared = &shared;
@@ -263,35 +172,23 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
     })
     .expect("worker panicked");
     let wall_time = start.elapsed().as_secs_f64();
-    let horizon_ns = shared.clock.now_ns();
+    let Shared { run, node } = &shared;
+    let horizon_ns = run.clock.now_ns();
 
-    let completed = shared.completed.load(Ordering::Acquire);
+    let completed = run.completed.load(Ordering::Acquire);
     assert_eq!(
         completed, program.total_tasks,
         "run finished early: {completed}/{} tasks",
         program.total_tasks
     );
     assert!(
-        shared.pending.is_empty(),
+        node.pending.is_empty(),
         "run finished with {} tasks still pending",
-        shared.pending.len()
+        node.pending.len()
     );
-    let flows_delivered = shared.pending.flows_delivered();
-    shared
-        .metrics
-        .counter(names::ACTIVATIONS)
-        .add(flows_delivered);
-    let StealTotals {
-        steals,
-        steal_fails,
-        overflow_pushes,
-    } = shared.queues.totals();
-    shared.metrics.counter(names::STEALS).add(steals);
-    shared.metrics.counter(names::STEAL_FAILS).add(steal_fails);
-    shared
-        .metrics
-        .counter(names::OVERFLOW_PUSHES)
-        .add(overflow_pushes);
+    let flows_delivered = node.pending.flows_delivered();
+    run.metrics.counter(names::ACTIVATIONS).add(flows_delivered);
+    node.queues.totals().publish(&run.metrics);
 
     assemble_report(
         cfg,
@@ -301,7 +198,7 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
         threads as u32,
         completed,
         &recorder,
-        &shared.metrics,
+        &run.metrics,
         live.map(|l| l.history()).unwrap_or_default(),
         ModeExt::SharedMemory { flows_delivered },
     )
@@ -467,20 +364,18 @@ mod failure_tests {
         fn num_output_flows(&self, p: Params) -> usize {
             usize::from(p[0] < 3)
         }
-        fn outputs(&self, p: Params) -> Vec<OutputDep> {
+        fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
             if p[0] < 3 {
-                vec![OutputDep {
+                out.push(OutputDep {
                     flow: 0,
                     consumer: TaskKey::new(0, [p[0] + 1, 0, 0, 0]),
                     slot: 0,
-                }]
-            } else {
-                vec![]
+                });
             }
         }
-        fn execute(&self, p: Params, _i: &mut [Option<FlowData>]) -> Vec<FlowData> {
+        fn execute(&self, p: Params, _i: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
             assert!(p[0] != self.bomb, "task body failure injected");
-            vec![FlowData::sized(8); self.num_output_flows(p)]
+            out.resize(self.num_output_flows(p), FlowData::sized(8));
         }
         fn output_bytes(&self, _p: Params, _f: usize) -> usize {
             8
@@ -527,19 +422,17 @@ mod failure_tests {
         fn num_output_flows(&self, _p: Params) -> usize {
             1
         }
-        fn outputs(&self, p: Params) -> Vec<OutputDep> {
+        fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
             if p[0] == 0 {
-                vec![OutputDep {
+                out.push(OutputDep {
                     flow: 0,
                     consumer: TaskKey::new(0, [1, 0, 0, 0]),
                     slot: 0,
-                }]
-            } else {
-                vec![]
+                });
             }
         }
-        fn execute(&self, _p: Params, _i: &mut [Option<FlowData>]) -> Vec<FlowData> {
-            Vec::new() // bug under test: declared one flow, produced none
+        fn execute(&self, _p: Params, _i: &mut [Option<FlowData>], _out: &mut Vec<FlowData>) {
+            // bug under test: declared one flow, produced none
         }
         fn output_bytes(&self, _p: Params, _f: usize) -> usize {
             8

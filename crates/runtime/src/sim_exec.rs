@@ -22,14 +22,16 @@
 //! so the observability pipeline is identical under wall and virtual time.
 
 use crate::exec::{assemble_report, ExecMode, ModeExt, RunConfig, RunReport};
-use crate::pending::{PendingTable, ReadyTask};
+use crate::pending::{PendingTable, ReadyTask, SpareTasks};
 use crate::ready_queue::ReadyQueue;
 use crate::scheduler::{SchedContext, SchedulerHandle, TaskSelector};
-use crate::task::{FlowData, Program, TaskKey};
+use crate::task::{FlowData, OutputDep, Program, TaskKey};
 use desim::{Engine, Model, Scheduler, TimeWeighted, VirtualDuration, VirtualTime};
 use machine::MachineProfile;
 use netsim::{InFlight, NetworkModel};
-use obs::{lane_busy_in_window, names, Live, LiveSample, LocalRecorder, Metrics, Recorder};
+use obs::{
+    lane_busy_in_window, names, Counter, Gauge, Live, LiveSample, LocalRecorder, Metrics, Recorder,
+};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -135,7 +137,52 @@ enum CommJob {
 struct Running {
     lane: u32,
     start: VirtualTime,
-    inputs: Vec<Option<FlowData>>,
+    task: Box<ReadyTask>,
+}
+
+/// The run's instruments, looked up once and held (a by-name lookup takes
+/// the registry mutex and allocates the key). Counters that a run may
+/// never bump are created on first use, so a snapshot holds exactly the
+/// keys it would with per-event lookups.
+struct SimMetrics {
+    registry: Metrics,
+    tasks_executed: Counter,
+    queue_depth: Gauge,
+    redundant_flops: Option<Counter>,
+    /// `MESSAGES_SENT` and `BYTES_SENT`.
+    sent: Option<(Counter, Counter)>,
+}
+
+impl SimMetrics {
+    fn new(registry: &Metrics) -> Self {
+        SimMetrics {
+            registry: registry.clone(),
+            tasks_executed: registry.counter(names::TASKS_EXECUTED),
+            queue_depth: registry.gauge(names::QUEUE_DEPTH),
+            redundant_flops: None,
+            sent: None,
+        }
+    }
+
+    fn task_done(&mut self, redundant_flops: u64) {
+        self.tasks_executed.inc();
+        if redundant_flops > 0 {
+            self.redundant_flops
+                .get_or_insert_with(|| self.registry.counter(names::REDUNDANT_FLOPS))
+                .add(redundant_flops);
+        }
+    }
+
+    fn message_sent(&mut self, bytes: u64) {
+        let (messages, total_bytes) = self.sent.get_or_insert_with(|| {
+            (
+                self.registry.counter(names::MESSAGES_SENT),
+                self.registry.counter(names::BYTES_SENT),
+            )
+        });
+        messages.inc();
+        total_bytes.add(bytes);
+    }
 }
 
 struct NodeState {
@@ -151,7 +198,7 @@ struct NodeState {
 }
 
 enum Ev {
-    Ready(ReadyTask),
+    Ready(Box<ReadyTask>),
     /// Drain `node`'s ready queue into its free lanes. Ready arrivals at
     /// one timestamp coalesce into a single Dispatch, so a rank selector
     /// orders the whole simultaneously-ready batch rather than seeing
@@ -195,6 +242,11 @@ struct Sim {
     net: NetworkModel,
     lanes_per_node: u32,
     pending: PendingTable,
+    /// Boxes of finished tasks, reused for the next pending entries.
+    spares: SpareTasks,
+    /// Scratch for the finishing task's output declarations and flows.
+    deps: Vec<OutputDep>,
+    flows: Vec<FlowData>,
     nodes: Vec<NodeState>,
     completed: u64,
     last_task_done: VirtualTime,
@@ -203,7 +255,7 @@ struct Sim {
     local_flows: u64,
     local: LocalRecorder,
     msg_local: obs::MsgRecorder,
-    metrics: Metrics,
+    metrics: SimMetrics,
     recorder: Recorder,
     inflight: InFlight,
     live: Option<Live>,
@@ -272,7 +324,7 @@ impl Sim {
                 Running {
                     lane,
                     start: now,
-                    inputs: ready.inputs,
+                    task: ready,
                 },
             );
             sched.schedule_in(VirtualDuration::from_secs_f64(cost), Ev::TaskDone { key });
@@ -286,9 +338,10 @@ impl Sim {
         data: FlowData,
         sched: &mut Scheduler<Ev>,
     ) {
+        let graph = &self.program.graph;
         if let Some(ready) = self
             .pending
-            .deliver(&self.program.graph, consumer, slot, data)
+            .deliver(graph, consumer, slot, data, &mut self.spares)
         {
             sched.schedule_now(Ev::Ready(ready));
         }
@@ -321,10 +374,7 @@ impl Sim {
                     self.remote_messages += 1;
                     self.remote_bytes += data.bytes as u64;
                     self.inflight.send(data.bytes as u64);
-                    self.metrics.counter(names::MESSAGES_SENT).inc();
-                    self.metrics
-                        .counter(names::BYTES_SENT)
-                        .add(data.bytes as u64);
+                    self.metrics.message_sent(data.bytes as u64);
                     // The message span rides along with the payload; the
                     // receive-side CommDone stamps the delivery time.
                     let msg = obs::MsgSpan {
@@ -396,37 +446,31 @@ impl Sim {
             now.as_nanos(),
         );
         self.note_recorded();
-        self.metrics.counter(names::TASKS_EXECUTED).inc();
-        let redundant = self
-            .program
-            .graph
-            .class(key.class)
-            .redundant_flops(key.params);
-        if redundant > 0 {
-            self.metrics.counter(names::REDUNDANT_FLOPS).add(redundant);
-        }
+        self.metrics.task_done(class.redundant_flops(key.params));
         // Produce outputs: real bodies or size-only placeholders.
-        let deps = class.outputs(key.params);
-        let bodies: Option<Vec<FlowData>> = if self.cfg.execute_bodies {
-            let mut inputs = run.inputs;
-            Some(class.execute(key.params, &mut inputs))
-        } else {
-            None
-        };
+        let mut task = run.task;
+        let mut flows = std::mem::take(&mut self.flows);
+        if self.cfg.execute_bodies {
+            class.execute(key.params, &mut task.inputs, &mut flows);
+        }
+        self.spares.recycle(task);
+        let mut deps = std::mem::take(&mut self.deps);
+        class.outputs(key.params, &mut deps);
 
-        for dep in &deps {
-            let data = match &bodies {
-                Some(out) => out
+        for dep in deps.drain(..) {
+            let data = if self.cfg.execute_bodies {
+                flows
                     .get(dep.flow)
                     .unwrap_or_else(|| {
                         panic!(
                             "{key:?}: execute produced {} flows, outputs reference flow {}",
-                            out.len(),
+                            flows.len(),
                             dep.flow
                         )
                     })
-                    .clone(),
-                None => FlowData::sized(class.output_bytes(key.params, dep.flow)),
+                    .clone()
+            } else {
+                FlowData::sized(class.output_bytes(key.params, dep.flow))
             };
             let dst = self.node_of(dep.consumer);
             if dst == node {
@@ -445,6 +489,9 @@ impl Sim {
                 self.pump_comm(node, now, sched);
             }
         }
+        flows.clear();
+        self.flows = flows;
+        self.deps = deps;
 
         // Free the lane so the dispatcher can reuse it.
         let st = &mut self.nodes[node as usize];
@@ -517,7 +564,7 @@ impl Model for Sim {
                 let node = self.node_of(ready.key);
                 self.nodes[node as usize].ready.push(ready);
                 self.metrics
-                    .gauge(names::QUEUE_DEPTH)
+                    .queue_depth
                     .set(self.nodes[node as usize].ready.len() as i64);
                 self.request_dispatch(node, sched);
             }
@@ -655,6 +702,9 @@ fn simulate(
         net,
         lanes_per_node: lanes,
         pending: PendingTable::new(),
+        spares: SpareTasks::new(),
+        deps: Vec::new(),
+        flows: Vec::new(),
         nodes,
         completed: 0,
         last_task_done: VirtualTime::ZERO,
@@ -663,7 +713,7 @@ fn simulate(
         local_flows: 0,
         local: recorder.local(),
         msg_local: recorder.msg_local(),
-        metrics: metrics.clone(),
+        metrics: SimMetrics::new(metrics),
         recorder: recorder.clone(),
         inflight: InFlight::new(),
         live,

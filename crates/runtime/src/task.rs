@@ -79,6 +79,12 @@ impl fmt::Debug for TaskKey {
 /// Data travelling along one flow edge: a logical byte count (always
 /// present, used by the communication cost model) and optionally the actual
 /// values (present when the run executes task bodies).
+///
+/// Payload buffers are recycled: when a `FlowData` is dropped while it is
+/// the *only* owner of its payload, the whole `Arc<Vec<f64>>` goes back to
+/// the dropping thread's free list and the next [`FlowData::filled`] on
+/// that thread reuses it (see [`crate::payload`] for the contract). A
+/// payload some clone can still read is never recycled.
 #[derive(Clone, Default)]
 pub struct FlowData {
     /// Bytes this flow occupies on the wire.
@@ -88,7 +94,8 @@ pub struct FlowData {
 }
 
 impl FlowData {
-    /// A size-only flow (performance simulation).
+    /// A size-only flow (performance simulation, or a pure dependence such
+    /// as the stencil's self-flow).
     pub fn sized(bytes: usize) -> Self {
         FlowData { bytes, data: None }
     }
@@ -101,12 +108,41 @@ impl FlowData {
         }
     }
 
+    /// A flow carrying the values `fill` writes into a recycled buffer
+    /// (handed over empty, with room for `len` values): the
+    /// allocation-free form of [`FlowData::values`] for bodies that
+    /// produce a payload per task. The wire size is `8 ×` the length
+    /// `fill` leaves behind.
+    pub fn filled(len: usize, fill: impl FnOnce(&mut Vec<f64>)) -> Self {
+        let mut payload = crate::payload::take(len);
+        let buf = Arc::get_mut(&mut payload).expect("a pooled payload has exactly one owner");
+        buf.clear();
+        fill(buf);
+        FlowData {
+            bytes: buf.len() * std::mem::size_of::<f64>(),
+            data: Some(payload),
+        }
+    }
+
     /// Borrow the payload values; panics if this is a size-only flow.
     pub fn expect_values(&self) -> &[f64] {
         self.data
             .as_deref()
             .map(Vec::as_slice)
             .expect("flow carries no payload (performance-only run?)")
+    }
+}
+
+impl Drop for FlowData {
+    fn drop(&mut self) {
+        if let Some(mut payload) = self.data.take() {
+            // Unique ownership is the whole safety argument: `get_mut`
+            // succeeds only when no other `Arc` (hence no other
+            // `FlowData` clone) can reach the buffer, now or later.
+            if Arc::get_mut(&mut payload).is_some() {
+                crate::payload::give_back(payload);
+            }
+        }
     }
 }
 
@@ -251,13 +287,16 @@ pub trait TaskClass: Send + Sync {
     /// Number of output flows task `p` produces.
     fn num_output_flows(&self, p: Params) -> usize;
 
-    /// Consumers of task `p`'s outputs.
-    fn outputs(&self, p: Params) -> Vec<OutputDep>;
+    /// Consumers of task `p`'s outputs, pushed onto `out`. `out` is the
+    /// caller's scratch — the executors reuse one vector per worker — and
+    /// is empty on entry; implementations only push.
+    fn outputs(&self, p: Params, out: &mut Vec<OutputDep>);
 
-    /// The task body: consume inputs, produce one `FlowData` per output
-    /// flow (indexed by flow id). Called only when the run executes bodies;
+    /// The task body: consume inputs, push one `FlowData` per output flow
+    /// onto `out` (position = flow id; `out` is the caller's scratch,
+    /// empty on entry). Called only when the run executes bodies;
     /// performance-only runs use [`TaskClass::output_bytes`] instead.
-    fn execute(&self, p: Params, inputs: &mut [Option<FlowData>]) -> Vec<FlowData>;
+    fn execute(&self, p: Params, inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>);
 
     /// Wire size of output flow `flow` of task `p`, for performance-only
     /// runs where `execute` is skipped.
@@ -439,25 +478,18 @@ pub(crate) mod testutil {
         fn num_output_flows(&self, p: Params) -> usize {
             self.edges.get(&p[0]).map_or(0, Vec::len)
         }
-        fn outputs(&self, p: Params) -> Vec<OutputDep> {
-            self.edges
-                .get(&p[0])
-                .map(|v| {
-                    v.iter()
-                        .enumerate()
-                        .map(|(flow, &(c, slot))| OutputDep {
-                            flow,
-                            consumer: TaskKey::new(0, [c, 0, 0, 0]),
-                            slot,
-                        })
-                        .collect()
-                })
-                .unwrap_or_default()
+        fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
+            let edges = self.edges.get(&p[0]).into_iter().flatten();
+            out.extend(edges.enumerate().map(|(flow, &(c, slot))| OutputDep {
+                flow,
+                consumer: TaskKey::new(0, [c, 0, 0, 0]),
+                slot,
+            }));
         }
-        fn execute(&self, p: Params, _inputs: &mut [Option<FlowData>]) -> Vec<FlowData> {
-            (0..self.num_output_flows(p))
-                .map(|_| FlowData::values(vec![p[0] as f64]))
-                .collect()
+        fn execute(&self, p: Params, _inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
+            out.extend(
+                (0..self.num_output_flows(p)).map(|_| FlowData::filled(1, |v| v.push(p[0] as f64))),
+            );
         }
         fn output_bytes(&self, _p: Params, _flow: usize) -> usize {
             self.bytes

@@ -197,11 +197,13 @@ impl UnfoldedDag {
             }
         }
 
+        let mut deps = Vec::new();
         while let Some(pi) = queue.pop_front() {
             let key = tasks[pi];
             let class = graph.class(key.class);
             let flows = class.num_output_flows(key.params);
-            for dep in class.outputs(key.params) {
+            class.outputs(key.params, &mut deps);
+            for dep in deps.drain(..) {
                 if dep.flow >= flows {
                     faults.push(StructuralFault::FlowOutOfRange {
                         task: key,

@@ -108,24 +108,22 @@ impl TaskClass for Fork {
             _ => 0,
         }
     }
-    fn outputs(&self, p: Params) -> Vec<OutputDep> {
+    fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
         let dep = |flow, to, slot| OutputDep {
             flow,
             consumer: TaskKey::new(0, [to, 0, 0, 0]),
             slot,
         };
         match p[0] {
-            R => vec![dep(0, A, 0), dep(1, B, 0)],
-            A => vec![dep(0, C, 0)],
-            B => vec![dep(0, C, 1), dep(1, E, 0)],
-            _ => Vec::new(),
+            R => out.extend([dep(0, A, 0), dep(1, B, 0)]),
+            A => out.push(dep(0, C, 0)),
+            B => out.extend([dep(0, C, 1), dep(1, E, 0)]),
+            _ => {}
         }
     }
-    fn execute(&self, p: Params, _inputs: &mut [Option<FlowData>]) -> Vec<FlowData> {
+    fn execute(&self, p: Params, _inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
         std::thread::sleep(Duration::from_millis(millis(p[0])));
-        (0..self.num_output_flows(p))
-            .map(|_| FlowData::sized(8))
-            .collect()
+        out.resize(self.num_output_flows(p), FlowData::sized(8));
     }
     fn output_bytes(&self, _p: Params, _flow: usize) -> usize {
         8

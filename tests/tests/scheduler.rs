@@ -71,10 +71,10 @@ fn equal_ranks_resolve_fifo_by_seq_for_every_policy() {
         let lifo = selector.mode() == SelectMode::Lifo;
         let mut q = ReadyQueue::new(selector);
         for &key in &keys {
-            q.push(ReadyTask {
+            q.push(Box::new(ReadyTask {
                 key,
                 inputs: Vec::new(),
-            });
+            }));
         }
         let popped: Vec<TaskKey> = std::iter::from_fn(|| q.pop()).map(|t| t.key).collect();
         let expected: Vec<TaskKey> = if lifo {
