@@ -40,36 +40,16 @@ else
 fi
 
 # Bench regression gate: diagnose the reference stencil configuration and
-# diff against the committed baseline within tolerance bands. Warn-skip
-# when no baseline has been committed yet (bootstrap with
-# `stencil-doctor --baseline`).
-if [ -f BENCH_stencil.json ]; then
-    step ./target/release/stencil-doctor --check
-else
-    echo "WARNING: BENCH_stencil.json not found; skipping stencil-doctor --check"
-fi
-
-# Dispatch-cost regression gate: the work-stealing executor's per-task
-# overhead on the chain/fan/steal-storm scenarios must stay within the
-# committed baseline's noise band. Warn-skip when no baseline has been
-# committed yet (bootstrap with `runtime-overhead --baseline`).
-if [ -f BENCH_runtime_overhead.json ]; then
-    step ./target/release/runtime-overhead --check
-else
-    echo "WARNING: BENCH_runtime_overhead.json not found; skipping runtime-overhead --check"
-fi
+# diff against the committed baseline (BENCH_stencil.json) within
+# tolerance bands.
+step ./target/release/stencil-doctor --check
 
 # Causal-profiler gate: the what-if replay's predictions for the
 # validated scenarios (scaled kernel cost, scaled network, slowed
 # injection) must agree with actual simulator re-runs within the
-# committed agreement band, and the deterministic scalars must match the
-# baseline. Warn-skip when no baseline has been committed yet (bootstrap
-# with `stencil-whatif --baseline`).
-if [ -f BENCH_whatif.json ]; then
-    step ./target/release/stencil-whatif --check
-else
-    echo "WARNING: BENCH_whatif.json not found; skipping stencil-whatif --check"
-fi
+# committed agreement band (BENCH_whatif.json), and the deterministic
+# scalars must match the baseline.
+step ./target/release/stencil-whatif --check
 
 # Communication-observatory gate: the per-peer comm matrix built from
 # traced message spans must carry exactly the per-edge message and byte
@@ -80,9 +60,9 @@ comm_matrix_identity_gate() {
 }
 step comm_matrix_identity_gate
 
-# Allocation-ledger gate: the real engines' steady state must stay at
-# most 2 (shared memory) / 3 (multi-process) heap allocations per extra
-# task for every scheme — the hot path recycles payloads, task boxes and
+# Allocation-ledger gate: the threaded engine's steady state must stay at
+# most 2 (one node) / 3 (two nodes) heap allocations per extra task for
+# every scheme — the hot path recycles payloads, task boxes and
 # scratch instead of allocating (docs/EXECUTOR.md).
 allocation_ledger_gate() {
     cargo test --release -q -p integration --test alloc_steady_state
@@ -97,12 +77,8 @@ step cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # Scheduler portfolio gate: every portfolio scheduler must complete every
 # scheme (base/ca/pa2/dtd) deadlock-free and within the static bound on a
 # small sweep, and the committed baseline must be intact under the
-# default policy. Warn-skip mirrors the doctor gate above.
-if [ -f ./target/release/stencil-tournament ]; then
-    step ./target/release/stencil-tournament --check
-else
-    echo "WARNING: stencil-tournament not built; skipping stencil-tournament --check"
-fi
+# default policy.
+step ./target/release/stencil-tournament --check
 
 # Region-dataflow gate: the halo-coverage proof and dead-transfer
 # accounting must pass for all four schemes (base/ca/pa2/dtd) in

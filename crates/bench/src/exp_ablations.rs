@@ -70,7 +70,7 @@ pub fn scheduler_ablation(iters: u32) -> Vec<PairResult> {
     ]
     .into_iter()
     .map(|policy| {
-        let sim = RunConfig::simulated(profile.clone(), 16).with_policy(policy);
+        let sim = RunConfig::simulated(profile.clone(), 16).with_scheduler(policy);
         pair(&cfg, &sim, format!("{policy:?}"))
     })
     .collect()

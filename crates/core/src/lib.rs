@@ -29,7 +29,7 @@
 //! [`StencilConfig::new`] fixes the required dimensions, chainable
 //! `with_*` methods (`with_steps`, `with_ratio`, `with_profile`) set
 //! everything optional — the same shape as `runtime::RunConfig`
-//! (`with_policy`, `with_bodies`, `with_trace`) in the example below.
+//! (`with_scheduler`, `with_bodies`, `with_trace`) in the example below.
 //!
 //! ```
 //! use ca_stencil::{build_base, Problem, StencilConfig};

@@ -10,8 +10,7 @@
 //!   with stable FIFO ordering of simultaneous events;
 //! * [`resource`] — k-server FIFO queues ([`Resource`], [`Gate`]) modelling
 //!   worker cores and NIC engines, with utilization accounting;
-//! * [`stats`] — time-weighted means, sample summaries, histograms;
-//! * [`trace`] — span recording and occupancy analysis (paper Figure 10).
+//! * [`stats`] — time-weighted means, sample summaries, histograms.
 //!
 //! The engine is callback-free and coroutine-free: a model is a state
 //! machine over its own event enum. This keeps the hot loop allocation-light
@@ -45,10 +44,8 @@ pub mod engine;
 pub mod resource;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use engine::{Engine, Model, Scheduler};
 pub use resource::{Gate, Resource};
 pub use stats::{percentile_sorted, Pow2Histogram, Summary, TimeWeighted};
 pub use time::{VirtualDuration, VirtualTime};
-pub use trace::{Span, TraceBuffer};

@@ -1,4 +1,4 @@
-//! The work-stealing dispatch substrate shared by the real executors.
+//! The work-stealing dispatch substrate of the threaded executor.
 //!
 //! One [`NodeQueues`] per node replaces the old central
 //! `Mutex<ReadyQueue>` + token channel: each worker lane owns a local
@@ -31,10 +31,10 @@
 //! and no `futex_wake`. The wait still carries a timeout so stall
 //! detection and shutdown flags are observed even without a notify.
 //!
-//! The module also holds the one task-completion routine both real
-//! engines run ([`worker`]): execute → span → route outputs → release
-//! successors, out of per-worker scratch that is reused from task to task
-//! (see `docs/EXECUTOR.md` for the allocation ledger).
+//! The module also holds the worker loop and its task-completion routine
+//! ([`worker`]): execute → span → route outputs → release successors, out
+//! of per-worker scratch that is reused from task to task (see
+//! `docs/EXECUTOR.md` for the allocation ledger).
 //!
 //! Every lane keeps three cumulative counters — `steals`,
 //! `steal_fails`, `overflow_pushes` — surfaced per node in
@@ -389,12 +389,13 @@ impl NodeQueues {
     }
 }
 
-/// Run-wide state every worker of either real engine shares.
+/// Run-wide state every thread of a threaded run shares.
 pub(crate) struct RunShared<'p> {
     pub(crate) program: &'p Program,
     /// Tasks completed so far; reaching `program.total_tasks` ends the run.
     pub(crate) completed: AtomicU64,
-    /// Set by the worker that completed the last task.
+    /// Set by the worker that completed the last task, or by a thread
+    /// unwinding from a panic.
     pub(crate) done: AtomicBool,
     pub(crate) metrics: Metrics,
     pub(crate) clock: WallClock,
@@ -476,17 +477,31 @@ pub(crate) struct WorkerId<'a> {
     pub(crate) local: &'a LocalRecorder,
 }
 
-/// The worker loop of both real engines: pop (own queue → injector →
-/// steal), complete, park when dry, until the run's last task is done.
+/// Runs its closure when dropped during a panic, and never otherwise.
+pub(crate) struct OnUnwind<F: FnMut()>(pub(crate) F);
+
+impl<F: FnMut()> Drop for OnUnwind<F> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            (self.0)();
+        }
+    }
+}
+
+/// The worker loop of the threaded engine: pop (own queue → injector →
+/// steal), complete, park when dry, until the run is over.
 ///
-/// `ship` is the one engine-specific branch: it is offered every output
+/// `ship` is the one placement-specific branch: it is offered every output
 /// flow together with the producing task's kind, and either returns it
 /// (the consumer lives on this node) or sends it to another node and
-/// returns `None`. `shutdown` runs once, on the worker that completed the
-/// final task, after `run.done` is set.
+/// returns `None`. `shutdown` wakes every thread of the run after
+/// `run.done` is set: on the worker that completed the final task, or on
+/// a worker that is unwinding.
 ///
-/// Panics — failing the run loudly instead of hanging — when ~10 s pass
-/// without any task completing anywhere (an inconsistent graph).
+/// Panics — failing the run loudly instead of hanging — when a task body
+/// panics, or when ~10 s pass without any task completing anywhere (an
+/// inconsistent graph). Either way the unwinding worker ends the run for
+/// every other thread, so the panic surfaces at once.
 pub(crate) fn worker(
     run: &RunShared<'_>,
     node: &NodeShared,
@@ -494,6 +509,10 @@ pub(crate) fn worker(
     mut ship: impl FnMut(Delivery, u32) -> Option<Delivery>,
     shutdown: impl Fn(),
 ) {
+    let _abort = OnUnwind(|| {
+        run.done.store(true, Ordering::Release);
+        shutdown();
+    });
     let mut rng = WorkerRng::new(id.steal_seed, id.lane as u64);
     let mut scratch = Scratch::default();
     let mut tally = Tally::default();

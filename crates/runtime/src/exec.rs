@@ -1,4 +1,4 @@
-//! The single entry point into every executor: build a [`RunConfig`],
+//! The single entry point into both engines: build a [`RunConfig`],
 //! call [`run`], get back one [`RunReport`] — whichever engine actually
 //! carried the tasks.
 //!
@@ -13,12 +13,12 @@
 //! let report = runtime::run(
 //!     &program,
 //!     &RunConfig::simulated(MachineProfile::nacl(), 4)
-//!         .with_policy(SchedulerPolicy::Priority)
+//!         .with_scheduler(SchedulerPolicy::Priority)
 //!         .with_trace(),
 //! );
 //! ```
 //!
-//! All three engines feed the same observability layer (the `obs` crate):
+//! Both engines feed the same observability layer (the `obs` crate):
 //! every run records task/communication spans into a low-overhead
 //! per-thread ring recorder and counts runtime events in a metric
 //! registry, so a [`RunReport`] always carries per-node occupancy and a
@@ -26,7 +26,7 @@
 //! full span [`Trace`] ready for Chrome/Perfetto export via
 //! `obs::chrome::to_chrome_json`.
 
-use crate::scheduler::{SchedulerHandle, SchedulerPolicy};
+use crate::scheduler::SchedulerHandle;
 use crate::task::Program;
 use machine::MachineProfile;
 use obs::{Live, LiveSample, Metrics, MetricsSnapshot, Recorder, Trace, TracerOverhead};
@@ -34,11 +34,9 @@ use obs::{Live, LiveSample, Metrics, MetricsSnapshot, Recorder, Trace, TracerOve
 /// Which engine executes the program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Real threads in one address space, wall-clock time
-    /// (the paper's single-node runs).
-    SharedMemory,
-    /// One thread pool per node plus a comm thread per node, real
-    /// channel-borne messages, wall-clock time.
+    /// Real threads and wall-clock time: one thread pool per node, plus a
+    /// comm thread per node carrying real channel-borne messages when
+    /// there is more than one node (see [`crate::mp_exec`]).
     MultiProcess,
     /// Virtual-time simulation of the whole cluster over a machine
     /// profile and network model.
@@ -93,27 +91,16 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// Shared-memory run on `threads` workers (one node, no network).
+    /// Shared-memory run on `threads` workers: exactly
+    /// `multi_process(1, threads)`. One node is one address space, so
+    /// every flow stays local and no comm thread exists (the paper's
+    /// single-node runs).
     pub fn shared_memory(threads: usize) -> Self {
-        RunConfig {
-            mode: ExecMode::SharedMemory,
-            threads,
-            nodes: 1,
-            profile: None,
-            execute_bodies: true,
-            capture_trace: false,
-            scheduler: SchedulerHandle::default(),
-            comm_engines: 1,
-            kind_names: Vec::new(),
-            sample_period_ns: None,
-            live: None,
-            steal_seed: Self::DEFAULT_STEAL_SEED,
-            ring_capacity: None,
-        }
+        Self::multi_process(1, threads)
     }
 
     /// Multi-process-semantics run: `nodes` pools of `threads_per_node`
-    /// workers, plus one comm thread per node.
+    /// workers, plus one comm thread per node when `nodes > 1`.
     pub fn multi_process(nodes: u32, threads_per_node: usize) -> Self {
         RunConfig {
             mode: ExecMode::MultiProcess,
@@ -169,17 +156,11 @@ impl RunConfig {
         self
     }
 
-    /// Select one of the classic queue disciplines (compatibility shim
-    /// over [`RunConfig::with_scheduler`]).
-    pub fn with_policy(self, policy: SchedulerPolicy) -> Self {
-        self.with_scheduler(policy)
-    }
-
     /// Select the scheduling policy: any [`crate::Scheduler`]
     /// implementation, an existing [`SchedulerHandle`], or a plain
-    /// [`SchedulerPolicy`] variant. Every engine consults the resulting
-    /// selector for task selection (and placement, when it overrides
-    /// owner-computes).
+    /// [`crate::SchedulerPolicy`] variant. Every engine consults the
+    /// resulting selector for task selection (and placement, when it
+    /// overrides owner-computes).
     pub fn with_scheduler(mut self, scheduler: impl Into<SchedulerHandle>) -> Self {
         self.scheduler = scheduler.into();
         self
@@ -279,15 +260,12 @@ impl RunConfig {
 /// Mode-specific extension of a [`RunReport`].
 #[derive(Debug, Clone)]
 pub enum ModeExt {
-    /// Shared-memory extras.
-    SharedMemory {
-        /// Total flows delivered between tasks.
-        flows_delivered: u64,
-    },
-    /// Multi-process extras.
+    /// Threaded-run extras.
     MultiProcess {
         /// Flows that crossed between nodes (through the comm threads).
         cross_node_flows: u64,
+        /// Total flows delivered between tasks.
+        flows_delivered: u64,
     },
     /// Simulator extras.
     Simulated {
@@ -341,21 +319,23 @@ impl RunReport {
     }
 
     /// Flows delivered between tasks, when the mode tracks them
-    /// (shared memory only).
+    /// (threaded runs only).
     pub fn flows_delivered(&self) -> Option<u64> {
         match self.ext {
-            ModeExt::SharedMemory { flows_delivered } => Some(flows_delivered),
+            ModeExt::MultiProcess {
+                flows_delivered, ..
+            } => Some(flows_delivered),
             _ => None,
         }
     }
 
     /// Messages that crossed between nodes: network messages for the
-    /// simulator, comm-thread flows for multi-process, 0 for shared
-    /// memory.
+    /// simulator, comm-thread flows for a threaded run (0 on one node).
     pub fn remote_messages(&self) -> u64 {
         match self.ext {
-            ModeExt::SharedMemory { .. } => 0,
-            ModeExt::MultiProcess { cross_node_flows } => cross_node_flows,
+            ModeExt::MultiProcess {
+                cross_node_flows, ..
+            } => cross_node_flows,
             ModeExt::Simulated {
                 remote_messages, ..
             } => remote_messages,
@@ -394,8 +374,8 @@ impl RunReport {
 /// Assemble the uniform part of a [`RunReport`] from a finished run's
 /// recorder and metrics. `horizon_ns` is the makespan on the engine's
 /// clock; occupancy counts `lanes` worker lanes per node over it.
-/// One parameter per report ingredient — the three engines each hold
-/// these as locals, so a params struct would only move the arity around.
+/// One parameter per report ingredient — both engines hold these as
+/// locals, so a params struct would only move the arity around.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble_report(
     cfg: &RunConfig,
@@ -431,64 +411,12 @@ pub(crate) fn assemble_report(
     }
 }
 
-/// An engine that can execute a [`Program`] under a [`RunConfig`].
-///
-/// The three engines are exposed as unit structs so code can be generic
-/// over "something that runs programs"; most callers just use [`run`].
-pub trait Executor {
-    /// The mode this engine implements.
-    fn mode(&self) -> ExecMode;
-
-    /// Run `program` to completion and report.
-    fn execute(&self, program: &Program, cfg: &RunConfig) -> RunReport;
-}
-
-/// The shared-memory engine (see [`crate::real_exec`]).
-pub struct SharedMemoryExecutor;
-
-impl Executor for SharedMemoryExecutor {
-    fn mode(&self) -> ExecMode {
-        ExecMode::SharedMemory
-    }
-
-    fn execute(&self, program: &Program, cfg: &RunConfig) -> RunReport {
-        crate::real_exec::execute(program, cfg)
-    }
-}
-
-/// The multi-process-semantics engine (see [`crate::mp_exec`]).
-pub struct MultiProcessExecutor;
-
-impl Executor for MultiProcessExecutor {
-    fn mode(&self) -> ExecMode {
-        ExecMode::MultiProcess
-    }
-
-    fn execute(&self, program: &Program, cfg: &RunConfig) -> RunReport {
-        crate::mp_exec::execute(program, cfg)
-    }
-}
-
-/// The virtual-time engine (see [`crate::sim_exec`]).
-pub struct SimulatedExecutor;
-
-impl Executor for SimulatedExecutor {
-    fn mode(&self) -> ExecMode {
-        ExecMode::Simulated
-    }
-
-    fn execute(&self, program: &Program, cfg: &RunConfig) -> RunReport {
-        crate::sim_exec::execute(program, cfg)
-    }
-}
-
 /// Run `program` on the engine selected by `cfg.mode`. The single entry
 /// point every caller should use.
 pub fn run(program: &Program, cfg: &RunConfig) -> RunReport {
     match cfg.mode {
-        ExecMode::SharedMemory => SharedMemoryExecutor.execute(program, cfg),
-        ExecMode::MultiProcess => MultiProcessExecutor.execute(program, cfg),
-        ExecMode::Simulated => SimulatedExecutor.execute(program, cfg),
+        ExecMode::MultiProcess => crate::mp_exec::execute(program, cfg),
+        ExecMode::Simulated => crate::sim_exec::execute(program, cfg),
     }
 }
 
@@ -511,7 +439,7 @@ mod tests {
         let p = diamond(1);
         for cfg in [
             RunConfig::shared_memory(2),
-            RunConfig::multi_process(1, 2),
+            RunConfig::multi_process(2, 2),
             RunConfig::simulated(MachineProfile::nacl(), 1),
         ] {
             let r = run(&p, &cfg.with_trace());
@@ -539,9 +467,9 @@ mod tests {
         assert!(sent >= 6, "cross flows: {sent}");
         assert!(r.counter(names::BYTES_SENT) >= sent);
         match r.ext {
-            ModeExt::MultiProcess { cross_node_flows } => {
-                assert_eq!(cross_node_flows, sent)
-            }
+            ModeExt::MultiProcess {
+                cross_node_flows, ..
+            } => assert_eq!(cross_node_flows, sent),
             ref other => panic!("wrong ext {other:?}"),
         }
     }
@@ -567,7 +495,7 @@ mod tests {
         let p = diamond(1);
         for cfg in [
             RunConfig::shared_memory(2),
-            RunConfig::multi_process(1, 2),
+            RunConfig::multi_process(2, 2),
             RunConfig::simulated(MachineProfile::nacl(), 1),
         ] {
             let mode = cfg.mode;

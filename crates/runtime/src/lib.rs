@@ -14,23 +14,22 @@
 //! * [`payload`] — the per-thread free list that recycles flow payload
 //!   buffers, so a steady-state halo exchange allocates nothing;
 //! * [`deque`] — the bounded Chase–Lev work-stealing deque
-//!   ([`StealDeque`]) each real-engine worker owns; the dispatch loop
-//!   built on it (local pop → injector → seeded steal sweep) is shared
-//!   by both real engines and documented in `docs/EXECUTOR.md`;
+//!   ([`StealDeque`]) each threaded-engine worker owns; the dispatch loop
+//!   built on it (local pop → injector → seeded steal sweep) is
+//!   documented in `docs/EXECUTOR.md`;
 //! * [`unfold`] — static enumeration of the whole DAG as data
 //!   ([`UnfoldedDag`]), the substrate of the `analyze` crate's passes and
 //!   the graph the `insight` crate joins dynamic spans against;
 //! * [`exec`] — **the single entry point**: [`run`] dispatches a
-//!   [`Program`] to any engine selected by a builder-style [`RunConfig`]
-//!   ([`ExecMode::SharedMemory`], [`ExecMode::MultiProcess`],
-//!   [`ExecMode::Simulated`]) and returns one uniform [`RunReport`]
-//!   carrying occupancy, an `obs` metric snapshot, and optionally the
-//!   full span trace;
-//! * [`real_exec`] — the shared-memory engine: real threads and real
-//!   task bodies (the paper's single-node runs, Figure 6);
-//! * [`mp_exec`] — the multi-process-semantics engine: a thread pool per
-//!   node plus a per-node communication thread, real channel-borne
-//!   messages (stress-tests the distributed logic under true races);
+//!   [`Program`] to the engine selected by a builder-style [`RunConfig`]
+//!   ([`ExecMode::MultiProcess`], [`ExecMode::Simulated`]) and returns
+//!   one uniform [`RunReport`] carrying occupancy, an `obs` metric
+//!   snapshot, and optionally the full span trace;
+//! * [`mp_exec`] — the threaded engine: real threads and real task
+//!   bodies, a thread pool per node plus, when there are several nodes, a
+//!   per-node communication thread with real channel-borne messages
+//!   (stress-tests the distributed logic under true races); one node is
+//!   one address space, the paper's single-node runs (Figure 6);
 //! * [`sim_exec`] — the virtual-time engine over [`desim`]/[`netsim`]: a
 //!   whole cluster per run, one comm thread per node, optional real body
 //!   execution, trace capture (Figures 7–10);
@@ -38,7 +37,7 @@
 //!   consumer of `obs::fig10`);
 //! * [`scheduler`] — the pluggable scheduling surface: the [`Scheduler`]
 //!   /[`TaskSelector`] traits every engine consults for task selection
-//!   and placement, the [`SchedulerPolicy`] compatibility shim, and a
+//!   and placement, the classic [`SchedulerPolicy`] disciplines, and a
 //!   portfolio of static list schedulers (HEFT, PEFT, DLS, lookahead)
 //!   ranking over the statically unfolded DAG;
 //! * [`dtd`] — the Dynamic Task Discovery insertion API (PaRSEC's second
@@ -68,7 +67,6 @@ pub mod payload;
 pub mod pending;
 pub mod profiling;
 pub mod ready_queue;
-pub mod real_exec;
 pub mod scheduler;
 pub mod sim_exec;
 pub mod task;
@@ -76,10 +74,7 @@ pub mod unfold;
 
 pub use deque::{Steal, StealDeque};
 pub use dtd::{DtdBuilder, DtdRegions, DtdTaskId};
-pub use exec::{
-    run, ExecMode, Executor, ModeExt, MultiProcessExecutor, RunConfig, RunReport,
-    SharedMemoryExecutor, SimulatedExecutor,
-};
+pub use exec::{run, ExecMode, ModeExt, RunConfig, RunReport};
 pub use halo::{build_halo_program, HaloSpec};
 pub use pending::{Delivery, DeliveryBatch, PendingTable, ReadyTask, ShardedPending, SpareTasks};
 pub use scheduler::{
@@ -87,7 +82,6 @@ pub use scheduler::{
     SchedContext, Scheduler, SchedulerHandle, SchedulerPolicy, SelectMode, StaticRanks,
     TaskSelector,
 };
-pub use sim_exec::{SimConfig, KIND_COMM};
 pub use task::{
     ClassId, FlowData, OutputDep, Params, Program, ReadRegion, Rect, TaskClass, TaskGraph, TaskKey,
     WriteRegion,

@@ -1,34 +1,39 @@
-//! The multi-process-semantics executor: one real thread pool **per
-//! simulated node**, with inter-node flows carried by real channels
-//! through a dedicated communication thread per node — the paper's
-//! process layout (workers + one comm thread), realized with actual
-//! concurrency instead of virtual time.
+//! The threaded executor: one real thread pool **per node**, with
+//! inter-node flows carried by real channels through a dedicated
+//! communication thread per node — the paper's process layout (workers +
+//! one comm thread), realized with actual concurrency instead of virtual
+//! time. Every run on real threads goes through this module's `execute`,
+//! whatever its node count.
 //!
-//! This executor exists to stress the distributed logic: message arrival
-//! order is genuinely nondeterministic here, so a run that matches the
-//! sequential reference bit for bit demonstrates that the dataflow
-//! (activation counts, slots, CA exchange cadence) is correct under
-//! races, not just under the simulator's deterministic schedule. It
-//! measures wall-clock time but applies no performance model.
+//! A one-node run ([`RunConfig::shared_memory`], which is exactly
+//! `multi_process(1, threads)`) is one address space, as in the paper's
+//! single-node runs (Figure 6 runs PaRSEC "on a single node (no network
+//! communication)"): every flow stays local without a placement lookup,
+//! and no comm thread or channel is created. A program built for a larger
+//! process grid therefore still runs on one node. With several nodes,
+//! message arrival order is genuinely nondeterministic, so a run that
+//! matches the sequential reference bit for bit demonstrates that the
+//! dataflow (activation counts, slots, CA exchange cadence) is correct
+//! under races, not just under the simulator's deterministic schedule. The
+//! engine measures wall-clock time but applies no performance model.
 //!
-//! Within a node, dispatch uses the same work-stealing substrate as the
-//! shared-memory engine (`crate::dispatch`): per-worker Chase–Lev
-//! deques, the node's [`crate::ready_queue::ReadyQueue`] demoted to
-//! injector duty (roots, comm-thread deliveries, deque overflow), a
-//! seeded steal sweep before parking, and a lock-sharded
-//! [`crate::pending::ShardedPending`] activation table with batched
-//! per-shard delivery. The worker loop and the task-completion routine are
-//! the shared-memory engine's, verbatim (`crate::dispatch::worker`); this
-//! engine only adds the cross-node branch (`Cluster::ship`).
-//! Steal/steal-fail/overflow counts are kept per node and surfaced in
-//! the node's live samples and the run's metric snapshot.
+//! Within a node, dispatch is the work-stealing substrate of
+//! `crate::dispatch`: per-worker Chase–Lev deques, the node's
+//! [`crate::ready_queue::ReadyQueue`] demoted to injector duty (roots,
+//! comm-thread deliveries, deque overflow), a seeded steal sweep before
+//! parking, and a lock-sharded [`crate::pending::ShardedPending`]
+//! activation table with batched per-shard delivery. The worker loop and
+//! the task-completion routine live there (`crate::dispatch::worker`);
+//! this module only adds the cross-node branch (`Cluster::ship`).
+//! Steal/steal-fail/overflow counts are kept per node and surfaced in the
+//! node's live samples and the run's metric snapshot.
 //!
 //! Task executions are recorded as spans (worker index = lane within the
 //! node); the comm thread records its delivery processing on the node's
 //! comm lane (lane = `threads_per_node`), mirroring the simulator's trace
 //! layout.
 
-use crate::dispatch::{worker, NodeShared, RunShared, StealTotals, WorkerId};
+use crate::dispatch::{worker, NodeShared, OnUnwind, RunShared, StealTotals, WorkerId};
 use crate::exec::{assemble_report, ExecMode, ModeExt, RunConfig, RunReport};
 use crate::pending::{Delivery, PendingTable, SpareTasks};
 use crate::scheduler::{SchedContext, TaskSelector};
@@ -56,21 +61,27 @@ enum CommItem {
     Shutdown,
 }
 
-struct Node {
-    shared: NodeShared,
-    comm_tx: Sender<CommItem>,
-    comm_rx: Receiver<CommItem>,
+/// One node's comm-thread channel.
+struct Inbox {
+    tx: Sender<CommItem>,
+    rx: Receiver<CommItem>,
 }
 
 struct Cluster<'p> {
     run: RunShared<'p>,
     selector: Arc<dyn TaskSelector>,
-    nodes: Vec<Node>,
+    nodes: Vec<NodeShared>,
+    /// One inbox per node; empty on a one-node run, which has no
+    /// cross-node flow to carry.
+    inboxes: Vec<Inbox>,
     workers_per_node: usize,
 }
 
 impl<'p> Cluster<'p> {
     fn node_of(&self, key: TaskKey) -> usize {
+        if self.nodes.len() == 1 {
+            return 0;
+        }
         let n = self
             .selector
             .place(key)
@@ -86,7 +97,7 @@ impl<'p> Cluster<'p> {
         n
     }
 
-    /// The engine-specific branch of the shared worker: keep a flow whose
+    /// The placement-specific branch of the worker loop: keep a flow whose
     /// consumer lives on `node`, route any other through the destination's
     /// comm thread.
     fn ship(&self, node: usize, flow: Delivery, kind: u32) -> Option<Delivery> {
@@ -94,8 +105,8 @@ impl<'p> Cluster<'p> {
         if dst == node {
             return Some(flow);
         }
-        self.nodes[dst]
-            .comm_tx
+        self.inboxes[dst]
+            .tx
             .send(CommItem::Flow {
                 consumer: flow.consumer,
                 slot: flow.slot,
@@ -108,11 +119,14 @@ impl<'p> Cluster<'p> {
         None
     }
 
-    /// Wake every worker and comm thread once the last task is done.
+    /// Wake every worker and comm thread once the run is over (its last
+    /// task done, or a thread unwinding).
     fn shutdown_all(&self) {
         for n in &self.nodes {
-            n.shared.queues.wake_all();
-            let _ = n.comm_tx.send(CommItem::Shutdown);
+            n.queues.wake_all();
+        }
+        for inbox in &self.inboxes {
+            let _ = inbox.tx.send(CommItem::Shutdown);
         }
     }
 }
@@ -123,10 +137,14 @@ fn comm_thread(
     local: &LocalRecorder,
     msg_local: &obs::MsgRecorder,
 ) {
-    let rx = cluster.nodes[node].comm_rx.clone();
-    let comm_lane = cluster.workers_per_node as u32;
     let run = &cluster.run;
-    let NodeShared { pending, queues } = &cluster.nodes[node].shared;
+    let _abort = OnUnwind(|| {
+        run.done.store(true, Ordering::Release);
+        cluster.shutdown_all();
+    });
+    let rx = &cluster.inboxes[node].rx;
+    let comm_lane = cluster.workers_per_node as u32;
+    let NodeShared { pending, queues } = &cluster.nodes[node];
     // This thread only delivers, so it never has a retired task to reuse.
     let mut spares = SpareTasks::new();
     loop {
@@ -163,7 +181,7 @@ fn comm_thread(
             }
             Ok(CommItem::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
             Err(RecvTimeoutError::Timeout) => {
-                if run.completed.load(Ordering::Acquire) == run.program.total_tasks {
+                if run.done.load(Ordering::Acquire) {
                     return;
                 }
             }
@@ -172,33 +190,21 @@ fn comm_thread(
 }
 
 /// Periodic live sampler for the cluster: one [`LiveSample`] per node per
-/// tick. Per-node occupancy comes from the collected span store; queue
-/// depths are probed from the node's queues (its comm queue length
-/// doubles as "messages in flight" — a flow queued at the destination's
-/// comm thread is the wire here), and the node's cumulative
-/// steal/overflow counters ride along.
+/// tick, until the run is over. Per-node occupancy comes from the
+/// collected span store; queue depths are probed from the node's queues
+/// (its comm queue length doubles as "messages in flight" — a flow queued
+/// at the destination's comm thread is the wire here), and the node's
+/// cumulative steal/overflow counters ride along.
 fn sampler(cluster: &Cluster<'_>, recorder: &Recorder, live: &Live, period_ns: u64) {
     let period = Duration::from_nanos(period_ns.max(1));
     let slice = period.min(Duration::from_millis(5));
     let lanes = cluster.workers_per_node as u32;
     let run = &cluster.run;
-    let total = run.program.total_tasks;
     let mut w0 = run.clock.now_ns();
     let mut elapsed = Duration::ZERO;
-    let mut last_seen = 0u64;
-    let mut last_progress = Instant::now();
-    while run.completed.load(Ordering::Acquire) < total {
+    while !run.done.load(Ordering::Acquire) {
         std::thread::sleep(slice);
         elapsed += slice;
-        let done = run.completed.load(Ordering::Acquire);
-        if done != last_seen {
-            last_seen = done;
-            last_progress = Instant::now();
-        } else if last_progress.elapsed() > Duration::from_secs(15) {
-            // A stalled or panicked run: stop sampling so the scope can
-            // propagate the real failure.
-            return;
-        }
         if elapsed < period {
             continue;
         }
@@ -207,6 +213,7 @@ fn sampler(cluster: &Cluster<'_>, recorder: &Recorder, live: &Live, period_ns: u
         publish_samples(cluster, recorder, live, lanes, w0, w1);
         w0 = w1;
     }
+    // Tail window up to completion.
     publish_samples(cluster, recorder, live, lanes, w0, run.clock.now_ns());
 }
 
@@ -228,15 +235,15 @@ fn publish_samples(
                 steals,
                 steal_fails,
                 overflow_pushes,
-            } = node.shared.queues.totals();
+            } = node.queues.totals();
             live.publish(LiveSample {
                 t_ns: w1,
                 window_ns: w1 - w0,
                 node: n as u32,
                 lane_busy: lane_busy_in_window(spans, n as u32, lanes, w0, w1),
-                ready_depth: node.shared.queues.len(),
-                pending_tasks: node.shared.pending.len(),
-                inflight_msgs: node.comm_rx.len() as u64,
+                ready_depth: node.queues.len(),
+                pending_tasks: node.pending.len(),
+                inflight_msgs: cluster.inboxes.get(n).map_or(0, |i| i.rx.len() as u64),
                 inflight_bytes: 0,
                 dropped_events,
                 steals,
@@ -247,15 +254,19 @@ fn publish_samples(
     });
 }
 
-/// Run `program` under `cfg` on the multi-process engine (entered through
-/// [`crate::run`]): `cfg.nodes` node-local thread pools of `cfg.threads`
-/// workers each, plus one comm thread per node.
+/// Run `program` under `cfg` on real threads (entered through
+/// [`crate::run`]): `cfg.nodes` node-local pools of `cfg.threads` workers
+/// each, plus one comm thread per node when there is more than one.
+///
+/// Panics if the program is empty or has no roots, if a task body panics
+/// ("worker panicked"), or if the run stalls.
 pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
     let nodes = cfg.nodes;
     let threads_per_node = cfg.threads;
     assert!(nodes >= 1, "need at least one node");
     assert!(threads_per_node >= 1, "need at least one worker per node");
     assert!(program.total_tasks > 0, "empty program");
+    assert!(!program.roots.is_empty(), "program has no root tasks");
 
     let recorder = cfg.recorder();
     let selector = cfg.scheduler.instance(&SchedContext {
@@ -264,27 +275,27 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
         nodes,
         lanes: threads_per_node as u32,
     });
-    let node_states: Vec<Node> = (0..nodes)
-        .map(|_| {
-            let (comm_tx, comm_rx) = unbounded();
-            Node {
-                shared: NodeShared::new(Arc::clone(&selector), threads_per_node),
-                comm_tx,
-                comm_rx,
-            }
-        })
-        .collect();
     let cluster = Cluster {
         run: RunShared::new(program),
+        nodes: (0..nodes)
+            .map(|_| NodeShared::new(Arc::clone(&selector), threads_per_node))
+            .collect(),
+        inboxes: match nodes {
+            1 => Vec::new(),
+            _ => (0..nodes)
+                .map(|_| {
+                    let (tx, rx) = unbounded();
+                    Inbox { tx, rx }
+                })
+                .collect(),
+        },
         selector,
-        nodes: node_states,
         workers_per_node: threads_per_node,
     };
 
     for &root in &program.roots {
         let node = cluster.node_of(root);
         cluster.nodes[node]
-            .shared
             .queues
             .push_external(PendingTable::root(&program.graph, root));
     }
@@ -297,7 +308,8 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
                 let cluster = &cluster;
                 let local = recorder.local();
                 // Decorrelate lanes across nodes: each (node, lane) pair
-                // gets its own deterministic victim sequence.
+                // gets its own deterministic victim sequence (node 0 uses
+                // the configured seed as is).
                 let steal_seed = cfg.steal_seed ^ (node as u64).wrapping_mul(0xA076_1D64_78BD_642F);
                 s.spawn(move |_| {
                     let id = WorkerId {
@@ -308,13 +320,15 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
                     };
                     worker(
                         &cluster.run,
-                        &cluster.nodes[node].shared,
+                        &cluster.nodes[node],
                         id,
                         |flow, kind| cluster.ship(node, flow, kind),
                         || cluster.shutdown_all(),
                     );
                 });
             }
+        }
+        for node in 0..cluster.inboxes.len() {
             let cluster = &cluster;
             let local = recorder.local();
             let msg_local = recorder.msg_local();
@@ -326,7 +340,7 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
             s.spawn(move |_| sampler(cluster, &recorder, &live, period));
         }
     })
-    .expect("node thread panicked");
+    .expect("worker panicked");
     let wall_time = start.elapsed().as_secs_f64();
     let run = &cluster.run;
     let horizon_ns = run.clock.now_ns();
@@ -334,17 +348,24 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
     let completed = run.completed.load(Ordering::Acquire);
     assert_eq!(
         completed, program.total_tasks,
-        "run finished early: {completed}/{}",
+        "run finished early: {completed}/{} tasks",
         program.total_tasks
     );
-    let activations: u64 = cluster
+    for (n, node) in cluster.nodes.iter().enumerate() {
+        assert!(
+            node.pending.is_empty(),
+            "run finished with {} tasks still pending on node {n}",
+            node.pending.len()
+        );
+    }
+    let flows_delivered: u64 = cluster
         .nodes
         .iter()
-        .map(|n| n.shared.pending.flows_delivered())
+        .map(|n| n.pending.flows_delivered())
         .sum();
-    run.metrics.counter(names::ACTIVATIONS).add(activations);
+    run.metrics.counter(names::ACTIVATIONS).add(flows_delivered);
     for n in &cluster.nodes {
-        n.shared.queues.totals().publish(&run.metrics);
+        n.queues.totals().publish(&run.metrics);
     }
     // Every cross-node flow was counted as one sent message.
     let cross_node_flows = run.metrics.snapshot().counter(names::MESSAGES_SENT);
@@ -359,7 +380,10 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
         &recorder,
         &run.metrics,
         live.map(|l| l.history()).unwrap_or_default(),
-        ModeExt::MultiProcess { cross_node_flows },
+        ModeExt::MultiProcess {
+            cross_node_flows,
+            flows_delivered,
+        },
     )
 }
 
@@ -368,12 +392,144 @@ mod tests {
     use super::*;
     use crate::dtd::DtdBuilder;
     use crate::exec::{run, RunConfig};
+    use crate::task::testutil::ExplicitDag;
+    use crate::task::TaskGraph;
+    use std::collections::HashMap as Map;
 
     fn cross_flows(r: &RunReport) -> u64 {
         match r.ext {
-            ModeExt::MultiProcess { cross_node_flows } => cross_node_flows,
+            ModeExt::MultiProcess {
+                cross_node_flows, ..
+            } => cross_node_flows,
             _ => panic!("wrong ext"),
         }
+    }
+
+    fn chain_program(n: i32) -> Program {
+        // 0 -> 1 -> 2 -> ... -> n-1
+        let mut edges: Map<i32, Vec<(i32, usize)>> = Map::new();
+        let mut indeg: Map<i32, usize> = Map::new();
+        for i in 0..n - 1 {
+            edges.insert(i, vec![(i + 1, 0)]);
+            indeg.insert(i + 1, 1);
+        }
+        let mut g = TaskGraph::new();
+        g.add_class(Arc::new(ExplicitDag {
+            name: "chain".into(),
+            edges,
+            indeg,
+            node: Map::new(),
+            cost: 0.0,
+            bytes: 8,
+        }));
+        Program {
+            graph: Arc::new(g),
+            roots: vec![TaskKey::new(0, [0, 0, 0, 0])],
+            total_tasks: n as u64,
+        }
+    }
+
+    fn fan_program(width: i32) -> Program {
+        // 0 fans out to 1..=width, all fan into width+1
+        let sink = width + 1;
+        let mut edges: Map<i32, Vec<(i32, usize)>> = Map::new();
+        let mut indeg: Map<i32, usize> = Map::new();
+        edges.insert(0, (1..=width).map(|i| (i, 0)).collect());
+        for i in 1..=width {
+            edges.insert(i, vec![(sink, (i - 1) as usize)]);
+            indeg.insert(i, 1);
+        }
+        indeg.insert(sink, width as usize);
+        let mut g = TaskGraph::new();
+        g.add_class(Arc::new(ExplicitDag {
+            name: "fan".into(),
+            edges,
+            indeg,
+            node: Map::new(),
+            cost: 0.0,
+            bytes: 8,
+        }));
+        Program {
+            graph: Arc::new(g),
+            roots: vec![TaskKey::new(0, [0, 0, 0, 0])],
+            total_tasks: (width + 2) as u64,
+        }
+    }
+
+    #[test]
+    fn chain_completes_single_thread() {
+        let p = chain_program(50);
+        let r = run(&p, &RunConfig::shared_memory(1));
+        assert_eq!(r.tasks_executed, 50);
+        assert_eq!(r.flows_delivered(), Some(49));
+        assert_eq!(r.counter(obs::names::ACTIVATIONS), 49);
+    }
+
+    #[test]
+    fn chain_completes_many_threads() {
+        let p = chain_program(100);
+        let r = run(&p, &RunConfig::shared_memory(8));
+        assert_eq!(r.tasks_executed, 100);
+    }
+
+    #[test]
+    fn fan_out_fan_in_completes() {
+        let p = fan_program(64);
+        let r = run(&p, &RunConfig::shared_memory(4));
+        assert_eq!(r.tasks_executed, 66);
+        assert_eq!(r.flows_delivered(), Some(128));
+    }
+
+    #[test]
+    fn repeated_runs_agree() {
+        for _ in 0..5 {
+            let p = fan_program(16);
+            let r = run(&p, &RunConfig::shared_memory(3));
+            assert_eq!(r.tasks_executed, 18);
+        }
+    }
+
+    #[test]
+    fn trace_spans_cover_every_task() {
+        let p = fan_program(16);
+        let r = run(&p, &RunConfig::shared_memory(3).with_trace());
+        let trace = r.trace.unwrap();
+        assert_eq!(trace.task_spans().count(), 18);
+        assert!(trace
+            .spans
+            .windows(2)
+            .all(|w| w[0].start_ns <= w[1].start_ns));
+    }
+
+    #[test]
+    fn steal_counters_reach_metrics_and_deque_spill_is_counted() {
+        // A single worker with a fan wider than the local deque: the
+        // overflow pushes must be visible in the metric snapshot, and
+        // the run still executes every task exactly once.
+        let width = (crate::dispatch::LOCAL_QUEUE_CAP + 50) as i32;
+        let p = fan_program(width);
+        let r = run(&p, &RunConfig::shared_memory(1));
+        assert_eq!(r.tasks_executed, (width + 2) as u64);
+        assert!(
+            r.counter(obs::names::OVERFLOW_PUSHES) >= 50,
+            "overflow pushes: {}",
+            r.counter(obs::names::OVERFLOW_PUSHES)
+        );
+        // One worker has nobody to steal from.
+        assert_eq!(r.counter(obs::names::STEALS), 0);
+    }
+
+    #[test]
+    fn steal_seed_is_accepted_and_run_completes() {
+        let p = fan_program(32);
+        let r = run(&p, &RunConfig::shared_memory(4).with_steal_seed(0xDEC0DE));
+        assert_eq!(r.tasks_executed, 34);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one worker")]
+    fn zero_threads_rejected() {
+        run(&chain_program(2), &RunConfig::shared_memory(0));
     }
 
     #[test]
@@ -389,6 +545,7 @@ mod tests {
         // node changes 3 out of every 4 hops
         assert!(cross_flows(&r) >= 29, "{}", cross_flows(&r));
         assert_eq!(r.counter(obs::names::MESSAGES_SENT), cross_flows(&r));
+        assert_eq!(r.flows_delivered(), Some(39));
     }
 
     #[test]
@@ -403,6 +560,26 @@ mod tests {
         assert_eq!(r.tasks_executed, 11);
         assert_eq!(cross_flows(&r), 0);
         assert_eq!(r.counter(obs::names::BYTES_SENT), 0);
+    }
+
+    #[test]
+    fn one_node_keeps_flows_placed_elsewhere_local() {
+        // Placed for four nodes, run on one: one address space, so every
+        // flow stays local and no comm lane or message appears.
+        let mut b = DtdBuilder::new();
+        let mut prev = b.insert(0, 0.0, &[]);
+        for i in 1..12 {
+            prev = b.insert(i % 4, 0.0, &[prev]);
+        }
+        let p = b.build();
+        let r = run(&p, &RunConfig::multi_process(1, 2).with_trace());
+        assert_eq!(r.tasks_executed, 12);
+        assert_eq!(r.flows_delivered(), Some(11));
+        assert_eq!(cross_flows(&r), 0);
+        let trace = r.trace.unwrap();
+        assert_eq!(trace.nodes(), vec![0]);
+        assert!(trace.msgs.is_empty());
+        assert!(trace.spans.iter().all(|s| s.kind != obs::KIND_COMM));
     }
 
     #[test]
@@ -480,5 +657,160 @@ mod tests {
         assert!(r.metrics.counters.contains_key(obs::names::STEALS));
         assert!(r.metrics.counters.contains_key(obs::names::STEAL_FAILS));
         assert!(r.metrics.counters.contains_key(obs::names::OVERFLOW_PUSHES));
+    }
+}
+
+#[cfg(test)]
+mod failure_tests {
+    use crate::exec::{run, RunConfig};
+    use crate::task::{FlowData, OutputDep, Params, Program, TaskClass, TaskGraph, TaskKey};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// A four-task chain, task `i` on node `i % nodes`, whose body panics
+    /// on task `bomb`.
+    struct Exploding {
+        bomb: i32,
+        nodes: u32,
+    }
+
+    impl TaskClass for Exploding {
+        fn name(&self) -> &str {
+            "exploding"
+        }
+        fn node_of(&self, p: Params) -> u32 {
+            p[0] as u32 % self.nodes
+        }
+        fn activation_count(&self, p: Params) -> usize {
+            usize::from(p[0] > 0)
+        }
+        fn num_output_flows(&self, p: Params) -> usize {
+            usize::from(p[0] < 3)
+        }
+        fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
+            if p[0] < 3 {
+                out.push(OutputDep {
+                    flow: 0,
+                    consumer: TaskKey::new(0, [p[0] + 1, 0, 0, 0]),
+                    slot: 0,
+                });
+            }
+        }
+        fn execute(&self, p: Params, _i: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
+            assert!(p[0] != self.bomb, "task body failure injected");
+            out.resize(self.num_output_flows(p), FlowData::sized(8));
+        }
+        fn output_bytes(&self, _p: Params, _f: usize) -> usize {
+            8
+        }
+        fn cost(&self, _p: Params) -> f64 {
+            1e-6
+        }
+    }
+
+    fn chain(bomb: i32, nodes: u32) -> Program {
+        let mut g = TaskGraph::new();
+        g.add_class(Arc::new(Exploding { bomb, nodes }));
+        Program {
+            graph: Arc::new(g),
+            roots: vec![TaskKey::new(0, [0, 0, 0, 0])],
+            total_tasks: 4,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "worker panicked")]
+    fn body_panic_fails_the_run_loudly() {
+        let _ = run(&chain(2, 1), &RunConfig::shared_memory(2));
+    }
+
+    /// Run the exploding chain from a helper thread on `nodes` nodes of
+    /// `workers` workers; returns the run's panic text and duration. A run
+    /// still going after 5 s fails the test instead of hanging it.
+    fn panic_of(nodes: u32, workers: usize) -> (String, Duration) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let start = Instant::now();
+            let outcome = std::panic::catch_unwind(|| {
+                run(&chain(2, nodes), &RunConfig::multi_process(nodes, workers))
+            });
+            let text = match outcome {
+                Ok(_) => "run completed".to_string(),
+                Err(p) => p
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default(),
+            };
+            let _ = tx.send((text, start.elapsed()));
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("{nodes} node(s): run still going after 5 s"))
+    }
+
+    #[test]
+    fn body_panic_ends_the_run_promptly_on_one_and_two_nodes() {
+        for (nodes, workers) in [(1, 2), (2, 1)] {
+            let (text, took) = panic_of(nodes, workers);
+            assert!(text.contains("worker panicked"), "{nodes} node(s): {text}");
+            assert!(
+                took < Duration::from_secs(2),
+                "{nodes} node(s): took {took:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn clean_bodies_complete() {
+        let r = run(&chain(-1, 1), &RunConfig::shared_memory(2));
+        assert_eq!(r.tasks_executed, 4);
+    }
+
+    /// A class that produces fewer flows than its outputs reference.
+    struct ShortOutputs;
+    impl TaskClass for ShortOutputs {
+        fn name(&self) -> &str {
+            "short"
+        }
+        fn node_of(&self, _p: Params) -> u32 {
+            0
+        }
+        fn activation_count(&self, p: Params) -> usize {
+            usize::from(p[0] > 0)
+        }
+        fn num_output_flows(&self, _p: Params) -> usize {
+            1
+        }
+        fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
+            if p[0] == 0 {
+                out.push(OutputDep {
+                    flow: 0,
+                    consumer: TaskKey::new(0, [1, 0, 0, 0]),
+                    slot: 0,
+                });
+            }
+        }
+        fn execute(&self, _p: Params, _i: &mut [Option<FlowData>], _out: &mut Vec<FlowData>) {
+            // bug under test: declared one flow, produced none
+        }
+        fn output_bytes(&self, _p: Params, _f: usize) -> usize {
+            8
+        }
+        fn cost(&self, _p: Params) -> f64 {
+            1e-6
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "worker panicked")]
+    fn missing_output_flow_detected() {
+        let mut g = TaskGraph::new();
+        g.add_class(Arc::new(ShortOutputs));
+        let p = Program {
+            graph: Arc::new(g),
+            roots: vec![TaskKey::new(0, [0, 0, 0, 0])],
+            total_tasks: 2,
+        };
+        let _ = run(&p, &RunConfig::shared_memory(1));
     }
 }

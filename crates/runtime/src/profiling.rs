@@ -4,10 +4,8 @@
 //! The numeric digests are computed by `obs::fig10`; this module is a
 //! thin consumer that keeps the legacy millisecond/second units and adds
 //! the terminal-facing Gantt renderers. Everything operates on the
-//! canonical [`obs::Trace`]; [`to_obs_trace`] converts the simulator's
-//! legacy [`TraceBuffer`] when needed.
+//! canonical [`obs::Trace`].
 
-use desim::TraceBuffer;
 use serde::Serialize;
 
 /// Per-kind statistics of one node's trace.
@@ -34,22 +32,6 @@ pub struct NodeProfile {
     pub occupancy: f64,
     /// Per-kind statistics, ordered by kind tag.
     pub kinds: Vec<KindReport>,
-}
-
-/// Convert a virtual-time [`TraceBuffer`] into an `obs` trace (same span
-/// layout; virtual nanoseconds become the span timestamps).
-pub fn to_obs_trace(trace: &TraceBuffer) -> obs::Trace {
-    let mut out = obs::Trace::default();
-    out.spans
-        .extend(trace.spans().iter().map(|s| obs::SpanRecord {
-            node: s.node,
-            lane: s.lane,
-            kind: s.kind,
-            start_ns: s.start.as_nanos(),
-            end_ns: s.end.as_nanos(),
-            task: obs::SpanRecord::NO_TASK,
-        }));
-    out
 }
 
 /// Analyze one node of a trace over `lanes` worker lanes up to
@@ -137,33 +119,25 @@ pub fn ascii_gantt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desim::{Span, VirtualTime};
+
+    fn span(node: u32, lane: u32, kind: u32, end_ns: u64) -> obs::SpanRecord {
+        obs::SpanRecord {
+            node,
+            lane,
+            kind,
+            start_ns: 0,
+            end_ns,
+            task: obs::SpanRecord::NO_TASK,
+        }
+    }
 
     fn trace() -> obs::Trace {
-        let mut t = TraceBuffer::new();
+        let mut t = obs::Trace::default();
         // node 0: lane 0 busy [0, 10ms) kind 0, lane 1 busy [0, 5ms) kind 1
-        t.push(Span {
-            node: 0,
-            lane: 0,
-            kind: 0,
-            start: VirtualTime(0),
-            end: VirtualTime(10_000_000),
-        });
-        t.push(Span {
-            node: 0,
-            lane: 1,
-            kind: 1,
-            start: VirtualTime(0),
-            end: VirtualTime(5_000_000),
-        });
-        t.push(Span {
-            node: 1,
-            lane: 0,
-            kind: 0,
-            start: VirtualTime(0),
-            end: VirtualTime(1_000_000),
-        });
-        to_obs_trace(&t)
+        t.spans.push(span(0, 0, 0, 10_000_000));
+        t.spans.push(span(0, 1, 1, 5_000_000));
+        t.spans.push(span(1, 0, 0, 1_000_000));
+        t
     }
 
     #[test]

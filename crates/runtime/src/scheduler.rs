@@ -20,9 +20,9 @@
 //!   clocks, no randomness — which is what keeps simulated runs
 //!   bit-identical under a fixed configuration.
 //!
-//! The old [`SchedulerPolicy`] enum survives as a thin compatibility shim:
-//! it implements [`Scheduler`] itself, so `with_policy(SchedulerPolicy::
-//! Priority)` still works and existing call sites compile unchanged.
+//! The classic queue disciplines are the [`SchedulerPolicy`] enum, which
+//! implements [`Scheduler`] itself, so
+//! `with_scheduler(SchedulerPolicy::Priority)` selects one directly.
 //!
 //! # The list-scheduler portfolio
 //!
@@ -222,11 +222,9 @@ impl<S: Scheduler + 'static> From<S> for SchedulerHandle {
     }
 }
 
-/// Ready-queue discipline of the node-local scheduler — the original
-/// closed policy set, kept as a compatibility shim over the [`Scheduler`]
-/// trait (it implements the trait itself, so
-/// [`crate::RunConfig::with_policy`] and
-/// [`crate::RunConfig::with_scheduler`] accept it interchangeably).
+/// Ready-queue discipline of the node-local scheduler: the three classic
+/// policies, each a [`Scheduler`] itself (pass one to
+/// [`crate::RunConfig::with_scheduler`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum SchedulerPolicy {
     /// Oldest ready task first (default; matches the real executor).

@@ -24,7 +24,7 @@
 use crate::exec::{assemble_report, ExecMode, ModeExt, RunConfig, RunReport};
 use crate::pending::{PendingTable, ReadyTask, SpareTasks};
 use crate::ready_queue::ReadyQueue;
-use crate::scheduler::{SchedContext, SchedulerHandle, TaskSelector};
+use crate::scheduler::{SchedContext, TaskSelector};
 use crate::task::{FlowData, OutputDep, Program, TaskKey};
 use desim::{Engine, Model, Scheduler, TimeWeighted, VirtualDuration, VirtualTime};
 use machine::MachineProfile;
@@ -34,77 +34,6 @@ use obs::{
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-
-// The policy enum historically lived here; it now sits with the rest of
-// the scheduling surface.
-pub use crate::scheduler::SchedulerPolicy;
-
-/// Trace kind used for communication-engine spans (task kinds are
-/// application-defined and small). Equals [`obs::KIND_COMM`].
-pub const KIND_COMM: u32 = obs::KIND_COMM;
-
-/// Configuration of one simulated run, builder-style like
-/// [`crate::exec::RunConfig`]: a constructor fixes the cluster, `with_*`
-/// methods refine the run and chain.
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// The machine whose nodes and network are simulated.
-    pub profile: MachineProfile,
-    /// Number of nodes; every task's `node_of` must map below this.
-    pub nodes: u32,
-    /// Execute task bodies (verifies numerics) or skip them (performance
-    /// only).
-    pub execute_bodies: bool,
-    /// The scheduling policy (see [`crate::scheduler`]).
-    pub scheduler: SchedulerHandle,
-    /// Parallel send engines per node (1 = the paper's single dedicated
-    /// communication thread).
-    pub comm_engines: usize,
-}
-
-impl SimConfig {
-    /// The paper's configuration on `nodes` nodes of `profile`.
-    pub fn new(profile: MachineProfile, nodes: u32) -> Self {
-        SimConfig {
-            profile,
-            nodes,
-            execute_bodies: false,
-            scheduler: SchedulerHandle::default(),
-            comm_engines: 1,
-        }
-    }
-
-    /// Replace the machine profile.
-    pub fn with_profile(mut self, profile: MachineProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Enable body execution.
-    pub fn with_bodies(mut self) -> Self {
-        self.execute_bodies = true;
-        self
-    }
-
-    /// Select one of the classic queue disciplines (compatibility shim
-    /// over [`SimConfig::with_scheduler`]).
-    pub fn with_policy(self, policy: SchedulerPolicy) -> Self {
-        self.with_scheduler(policy)
-    }
-
-    /// Select the scheduling policy: any [`crate::Scheduler`], an existing
-    /// [`SchedulerHandle`], or a plain [`SchedulerPolicy`] variant.
-    pub fn with_scheduler(mut self, scheduler: impl Into<SchedulerHandle>) -> Self {
-        self.scheduler = scheduler.into();
-        self
-    }
-
-    /// Use `n` parallel send engines per node.
-    pub fn with_comm_engines(mut self, n: usize) -> Self {
-        self.comm_engines = n;
-        self
-    }
-}
 
 /// Work item for a node's communication engine. Both directions cost
 /// `runtime_msg_cost` of comm-thread time: PaRSEC's dedicated communication
@@ -237,9 +166,14 @@ enum Ev {
 
 struct Sim {
     program: Arc<Program>,
-    cfg: SimConfig,
     selector: Arc<dyn TaskSelector>,
     net: NetworkModel,
+    /// Comm-thread processing per message, each direction (the profile's
+    /// `runtime_msg_cost`).
+    msg_cost: f64,
+    /// Parallel send engines per node.
+    comm_engines: usize,
+    execute_bodies: bool,
     lanes_per_node: u32,
     pending: PendingTable,
     /// Boxes of finished tasks, reused for the next pending entries.
@@ -288,9 +222,9 @@ impl Sim {
             .place(key)
             .unwrap_or_else(|| self.program.graph.class(key.class).node_of(key.params));
         assert!(
-            n < self.cfg.nodes,
+            (n as usize) < self.nodes.len(),
             "{key:?} placed on node {n} but the run has {} nodes",
-            self.cfg.nodes
+            self.nodes.len()
         );
         n
     }
@@ -349,10 +283,10 @@ impl Sim {
 
     /// Start queued comm jobs while engines are free.
     fn pump_comm(&mut self, node: u32, now: VirtualTime, sched: &mut Scheduler<Ev>) {
-        let msg_cost = self.cfg.profile.runtime_msg_cost;
+        let msg_cost = self.msg_cost;
         loop {
             let st = &mut self.nodes[node as usize];
-            if st.comm_active >= self.cfg.comm_engines || st.comm_queue.is_empty() {
+            if st.comm_active >= self.comm_engines || st.comm_queue.is_empty() {
                 return;
             }
             let job = st.comm_queue.pop_front().expect("nonempty");
@@ -450,7 +384,7 @@ impl Sim {
         // Produce outputs: real bodies or size-only placeholders.
         let mut task = run.task;
         let mut flows = std::mem::take(&mut self.flows);
-        if self.cfg.execute_bodies {
+        if self.execute_bodies {
             class.execute(key.params, &mut task.inputs, &mut flows);
         }
         self.spares.recycle(task);
@@ -458,7 +392,7 @@ impl Sim {
         class.outputs(key.params, &mut deps);
 
         for dep in deps.drain(..) {
-            let data = if self.cfg.execute_bodies {
+            let data = if self.execute_bodies {
                 flows
                     .get(dep.flow)
                     .unwrap_or_else(|| {
@@ -582,7 +516,7 @@ impl Model for Sim {
                 let st = &mut self.nodes[node as usize];
                 st.comm_active -= 1;
                 st.comm_busy
-                    .record(now, (st.comm_active + 1).min(self.cfg.comm_engines) as f64);
+                    .record(now, (st.comm_active + 1).min(self.comm_engines) as f64);
                 self.local.comm(
                     node,
                     self.lanes_per_node,
@@ -657,23 +591,24 @@ struct SimOutcome {
 /// debug the graph.
 fn simulate(
     program: &Program,
-    cfg: &SimConfig,
+    cfg: &RunConfig,
+    profile: &MachineProfile,
     recorder: &Recorder,
     metrics: &Metrics,
     live: Option<Live>,
-    sample_period_ns: Option<u64>,
 ) -> SimOutcome {
     assert!(cfg.nodes >= 1, "need at least one node");
     assert!(cfg.comm_engines >= 1, "need at least one comm engine");
     assert!(program.total_tasks > 0, "empty program");
 
-    let lanes = cfg.profile.compute_threads();
-    let net = NetworkModel::from_profile(&cfg.profile);
+    let lanes = profile.compute_threads();
+    let net = NetworkModel::from_profile(profile);
+    let sample_period_ns = cfg.sample_period();
     // Instantiate the per-run selector before any event fires: this is
     // where a list scheduler unfolds the DAG and computes static ranks.
     let selector = cfg.scheduler.instance(&SchedContext {
         program,
-        profile: Some(&cfg.profile),
+        profile: Some(profile),
         nodes: cfg.nodes,
         lanes,
     });
@@ -697,9 +632,11 @@ fn simulate(
 
     let sim = Sim {
         program: Arc::clone(&program),
-        cfg: cfg.clone(),
         selector,
         net,
+        msg_cost: profile.runtime_msg_cost,
+        comm_engines: cfg.comm_engines,
+        execute_bodies: cfg.execute_bodies,
         lanes_per_node: lanes,
         pending: PendingTable::new(),
         spares: SpareTasks::new(),
@@ -774,27 +711,13 @@ fn simulate(
 pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
     let profile = cfg
         .profile
-        .clone()
+        .as_ref()
         .expect("simulated mode requires a machine profile");
     let lanes = profile.compute_threads();
-    let sim_cfg = SimConfig {
-        profile,
-        nodes: cfg.nodes,
-        execute_bodies: cfg.execute_bodies,
-        scheduler: cfg.scheduler.clone(),
-        comm_engines: cfg.comm_engines,
-    };
     let recorder = cfg.recorder();
     let metrics = Metrics::new();
     let live = cfg.live_board();
-    let outcome = simulate(
-        program,
-        &sim_cfg,
-        &recorder,
-        &metrics,
-        live.clone(),
-        cfg.sample_period(),
-    );
+    let outcome = simulate(program, cfg, profile, &recorder, &metrics, live.clone());
     metrics.counter(names::ACTIVATIONS).add(outcome.activations);
     let samples = live.map(|l| l.history()).unwrap_or_default();
 
@@ -820,7 +743,8 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{run, RunConfig};
+    use crate::exec::run;
+    use crate::scheduler::SchedulerPolicy;
     use crate::task::testutil::ExplicitDag;
     use crate::task::{TaskGraph, TaskKey};
     use std::collections::HashMap as Map;
@@ -1016,7 +940,7 @@ mod tests {
         let roots: Vec<i32> = (0..40).collect();
         let p = program(&[], &[], &[], &roots, 40, 1e-4, 8);
         for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::Lifo] {
-            let r = run(&p, &cfg(1).with_policy(policy));
+            let r = run(&p, &cfg(1).with_scheduler(policy));
             assert_eq!(r.tasks_executed, 40);
         }
     }

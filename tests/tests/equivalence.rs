@@ -2,11 +2,11 @@
 //! reference, SpMV baseline, base dataflow, CA dataflow, on both executors
 //! — computes the same field.
 
-use ca_stencil::{build_base, build_ca, jacobi_reference, max_abs_diff};
+use ca_stencil::{build_base, build_base_dtd, build_ca, build_pa2, jacobi_reference, max_abs_diff};
 use integration::scrambled_config;
 use machine::MachineProfile;
 use netsim::ProcessGrid;
-use runtime::{run, RunConfig};
+use runtime::{run, Program, RunConfig, UnfoldedDag};
 use spmv::run_distributed;
 
 #[test]
@@ -60,7 +60,7 @@ fn scheduler_policies_do_not_change_numerics() {
             &c.program,
             &RunConfig::simulated(MachineProfile::nacl(), 4)
                 .with_bodies()
-                .with_policy(policy),
+                .with_scheduler(policy),
         );
         assert_eq!(
             max_abs_diff(&c.store.unwrap().gather(), &reference),
@@ -88,6 +88,49 @@ fn node_count_does_not_change_numerics() {
             max_abs_diff(&c.store.unwrap().gather(), &reference),
             0.0,
             "{nodes} nodes"
+        );
+    }
+}
+
+/// A one-node threaded run is the shared-memory engine: programs built for
+/// a 2 × 2 process grid run on `multi_process(1, 2)` with every flow kept
+/// in the one address space. Base and CA carry tile data and must match
+/// the reference bit for bit; PA2 and DTD are performance skeletons
+/// without data, so for them (and for base and CA) the task and
+/// activation counts must equal both `shared_memory(2)`'s and the
+/// unfolded DAG's.
+#[test]
+fn one_node_runs_are_the_shared_memory_engine() {
+    let cfg = scrambled_config(32, 8, 6, ProcessGrid::new(2, 2), 3, 17);
+    let reference = jacobi_reference(&cfg.problem, 6);
+    let counts = |program: &Program, rc: &RunConfig| {
+        let r = run(program, rc);
+        (
+            r.counter(obs::names::TASKS_EXECUTED),
+            r.counter(obs::names::ACTIVATIONS),
+        )
+    };
+    let (base, ca) = (build_base(&cfg, true), build_ca(&cfg, true));
+    for (name, program, store) in [
+        ("base", base.program, base.store),
+        ("ca", ca.program, ca.store),
+        ("pa2", build_pa2(&cfg, false).program, None),
+        ("dtd", build_base_dtd(&cfg), None),
+    ] {
+        let one_node = counts(&program, &RunConfig::multi_process(1, 2));
+        if let Some(store) = store {
+            assert_eq!(max_abs_diff(&store.gather(), &reference), 0.0, "{name}");
+        }
+        let dag = UnfoldedDag::enumerate(&program);
+        assert_eq!(
+            one_node,
+            (dag.len() as u64, dag.edges.len() as u64),
+            "{name}"
+        );
+        assert_eq!(
+            one_node,
+            counts(&program, &RunConfig::shared_memory(2)),
+            "{name}"
         );
     }
 }
