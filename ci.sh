@@ -86,6 +86,10 @@ step ./target/release/stencil-tournament --check
 # the proof FAIL — a mutation test that the coverage check has teeth.
 step ./target/release/stencil-lint --n 128 --tile 32 --iters 9 --steps 4 --grid 2 \
     --dataflow --steady-state --check
+# The same race and dataflow proofs at the tooling_lint_doctor benchmark
+# size: 12 096-task DAGs for every scheme.
+step ./target/release/stencil-lint --n 6912 --tile 288 --iters 20 --steps 5 --grid 4 \
+    --dataflow --steady-state --check
 lint_mutation_gate() {
     if ./target/release/stencil-lint --n 128 --tile 32 --iters 9 --steps 4 --grid 2 \
         --mutate-ca --check >/dev/null 2>&1; then

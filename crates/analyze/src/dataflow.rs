@@ -17,9 +17,12 @@
 //! only the immediate predecessor's write) is what lets PA2's exchange
 //! steps legitimately read band cells last refreshed several phases
 //! earlier. The sweep is sound when tasks sharing a space are totally
-//! ordered by the DAG — exactly what the write-race pass certifies for
-//! the stencil's tile-private chains — because then layer order is
-//! consistent with every same-space dependence chain.
+//! ordered by the DAG, because then layer order is consistent with every
+//! same-space dependence chain. The write-race pass certifies that
+//! overlapping same-space writers are DAG-ordered; for the four stencil
+//! schemes every space's writer chain is moreover fully linked (each
+//! consecutive pair joined by the tile's self-flow), which is the total
+//! order the sweep relies on.
 //!
 //! **Dead transfers.** An edge's delivered region is dead where no read
 //! footprint of the destination space ever touches it ("no downstream

@@ -14,7 +14,11 @@
 //! * **Write-race freedom** — two DAG-unordered tasks writing
 //!   intersecting rectangles of one address space
 //!   ([`runtime::WriteRegion`]) make the final state schedule-dependent;
-//!   [`Diagnostic::WriteRace`] names the pair.
+//!   [`Diagnostic::WriteRace`] names the pair. Each space's writers are
+//!   certified link by link along their topological chain — O(N + E)
+//!   overall when every link is a direct edge, as each stencil tile's
+//!   self-flow is — and only a pair across a broken link costs a
+//!   rank-bounded search.
 //! * **Communication volume** — every cross-node edge is exactly one
 //!   runtime message, so [`CommStats`] predicts the dynamic
 //!   `obs::names::MESSAGES_SENT`/`BYTES_SENT` counters exactly
@@ -92,8 +96,8 @@ impl AnalyzeConfig {
         self
     }
 
-    /// Disable the write-race pass (the analyzer's only super-linear
-    /// pass) for bench-scale programs.
+    /// Disable the write-race pass, so a benchmark can time the other
+    /// passes apart from it.
     pub fn without_races(mut self) -> Self {
         self.races = false;
         self

@@ -3,14 +3,31 @@
 //! Two tasks race when they write intersecting rectangles of the same
 //! address space ([`runtime::WriteRegion`]) and the DAG contains a path
 //! between them in neither direction. Tasks are grouped by space —
-//! distinct spaces never alias — and within a group ordered by a fixed
-//! topological order, so for any candidate pair the earlier task is the
-//! only possible ancestor: one forward reachability query decides the
-//! pair.
+//! distinct spaces never alias — and within a group sorted by a fixed
+//! topological rank, so for any candidate pair the earlier task is the
+//! only possible ancestor, and every path between them stays inside the
+//! rank window `rank(first) ..= rank(second)`.
+//!
+//! * **Link certificate.** Each consecutive pair of a group's writers
+//!   `(m[k−1], m[k])` is checked by one search from `m[k−1]` that never
+//!   enters a task ranked above `m[k]` and stops as soon as it reaches
+//!   `m[k]`. Consecutive windows are disjoint, so certifying every link
+//!   of a group visits each task and edge at most once: O(N + E) per
+//!   space at worst, and one adjacency scan per link when the link is a
+//!   direct edge — the tile self-flow from iteration `t − 1` to `t` in
+//!   every stencil scheme.
+//! * **O(1) pairs.** Reachability is transitive, so two writers with no
+//!   broken link between them (equal prefix counts of broken links) are
+//!   ordered and cannot race. A group whose links all hold skips its
+//!   pair loop entirely.
+//! * **Fallback.** A writer with an overlapping later writer across a
+//!   broken link is searched once more, bounded by the largest rank among
+//!   those candidates — never more work than one full forward search per
+//!   writer, on any DAG.
 
 use crate::{diag::Diagnostic, task_name};
 use runtime::{Rect, UnfoldedDag};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::BTreeMap;
 
 /// Find all write races. `topo` must be a topological order of `dag`.
 pub(crate) fn find_races(dag: &UnfoldedDag, topo: &[usize]) -> Vec<Diagnostic> {
@@ -27,20 +44,34 @@ pub(crate) fn find_races(dag: &UnfoldedDag, topo: &[usize]) -> Vec<Diagnostic> {
         }
     }
 
-    let adj = dag.out_adjacency();
+    let mut search = WindowSearch::new(dag, rank);
     let mut diags = Vec::new();
     for (space, mut members) in groups {
-        members.sort_by_key(|&(i, _)| rank[i]);
+        members.sort_by_key(|&(i, _)| search.rank[i]);
+        // broken[k]: broken links among (m[0], m[1]) .. (m[k−1], m[k]).
+        let mut broken = Vec::with_capacity(members.len());
+        let mut count = 0u32;
+        broken.push(count);
+        for link in members.windows(2) {
+            let (from, to) = (link[0].0, link[1].0);
+            if !search.run(from, search.rank[to], Some(to)) {
+                count += 1;
+            }
+            broken.push(count);
+        }
+        if count == 0 {
+            continue;
+        }
+        // Only overlapping pairs across a broken link need a search: one
+        // per writer, bounded by its farthest such candidate.
         for (ai, &(a, ra)) in members.iter().enumerate() {
-            // Reachability from `a` is computed lazily, once, only when
-            // some later member overlaps it.
-            let mut reach: Option<HashSet<usize>> = None;
-            for &(b, rb) in &members[ai + 1..] {
-                if !ra.intersects(&rb) {
-                    continue;
-                }
-                let reach = reach.get_or_insert_with(|| forward_reachable(dag, &adj, a));
-                if !reach.contains(&b) {
+            let unresolved = |bi: usize| broken[bi] != broken[ai] && ra.intersects(&members[bi].1);
+            let Some(last) = (ai + 1..members.len()).rev().find(|&bi| unresolved(bi)) else {
+                continue;
+            };
+            search.run(a, search.rank[members[last].0], None);
+            for (bi, &(b, _)) in members[..=last].iter().enumerate().skip(ai + 1) {
+                if unresolved(bi) && !search.reached(b) {
                     diags.push(Diagnostic::WriteRace {
                         first: task_name(dag, a),
                         second: task_name(dag, b),
@@ -53,17 +84,55 @@ pub(crate) fn find_races(dag: &UnfoldedDag, topo: &[usize]) -> Vec<Diagnostic> {
     diags
 }
 
-/// Every task reachable from `start` along dependence edges.
-fn forward_reachable(dag: &UnfoldedDag, adj: &[Vec<u32>], start: usize) -> HashSet<usize> {
-    let mut seen = HashSet::from([start]);
-    let mut queue = VecDeque::from([start]);
-    while let Some(i) = queue.pop_front() {
-        for &ei in &adj[i] {
-            let c = dag.edges[ei as usize].consumer;
-            if seen.insert(c) {
-                queue.push_back(c);
-            }
+/// Forward depth-first search confined to a rank window, with a
+/// generation-stamped visited set and a stack reused across searches.
+struct WindowSearch<'a> {
+    dag: &'a UnfoldedDag,
+    adj: Vec<Vec<u32>>,
+    rank: Vec<usize>,
+    stamp: Vec<u32>,
+    generation: u32,
+    stack: Vec<usize>,
+}
+
+impl<'a> WindowSearch<'a> {
+    fn new(dag: &'a UnfoldedDag, rank: Vec<usize>) -> Self {
+        WindowSearch {
+            dag,
+            adj: dag.out_adjacency(),
+            stamp: vec![0; rank.len()],
+            rank,
+            generation: 0,
+            stack: Vec::new(),
         }
     }
-    seen
+
+    /// Mark every task reachable from `from` through tasks ranked at most
+    /// `max_rank`, stopping early (and returning true) once `target` is
+    /// reached.
+    fn run(&mut self, from: usize, max_rank: usize, target: Option<usize>) -> bool {
+        self.generation += 1;
+        self.stamp[from] = self.generation;
+        self.stack.clear();
+        self.stack.push(from);
+        while let Some(i) = self.stack.pop() {
+            for &ei in &self.adj[i] {
+                let c = self.dag.edges[ei as usize].consumer;
+                if self.rank[c] > max_rank || self.stamp[c] == self.generation {
+                    continue;
+                }
+                if Some(c) == target {
+                    return true;
+                }
+                self.stamp[c] = self.generation;
+                self.stack.push(c);
+            }
+        }
+        false
+    }
+
+    /// Whether the last [`WindowSearch::run`] reached task `i`.
+    fn reached(&self, i: usize) -> bool {
+        self.stamp[i] == self.generation
+    }
 }

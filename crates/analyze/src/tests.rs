@@ -3,7 +3,9 @@
 //! fixtures locking in the accounting and critical-path numbers.
 
 use super::*;
-use runtime::{FlowData, OutputDep, Params, Rect, TaskClass, TaskGraph, TaskKey, WriteRegion};
+use runtime::{
+    FlowData, OutputDep, Params, Rect, TaskClass, TaskGraph, TaskKey, UnfoldedDag, WriteRegion,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -216,6 +218,176 @@ fn distinct_spaces_do_not_race() {
         );
     }
     assert_clean(&program_of(dag, &[0], 3));
+}
+
+/// All-pairs oracle for the race pass: full forward reachability from
+/// every writer, with every overlapping later writer of its space checked,
+/// in the pass's report order (space, then topological rank).
+fn oracle_races(dag: &UnfoldedDag, topo: &[usize]) -> Vec<Diagnostic> {
+    let mut rank = vec![0; dag.len()];
+    for (r, &i) in topo.iter().enumerate() {
+        rank[i] = r;
+    }
+    let mut groups: std::collections::BTreeMap<u64, Vec<(usize, Rect)>> = Default::default();
+    for (i, &key) in dag.tasks.iter().enumerate() {
+        if let Some(w) = dag.graph.class(key.class).write_region(key.params) {
+            groups.entry(w.space).or_default().push((i, w.rect));
+        }
+    }
+    let adj = dag.out_adjacency();
+    let mut races = Vec::new();
+    for (space, mut members) in groups {
+        members.sort_by_key(|&(i, _)| rank[i]);
+        for (ai, &(a, ra)) in members.iter().enumerate() {
+            let mut reach = std::collections::HashSet::from([a]);
+            let mut stack = vec![a];
+            while let Some(i) = stack.pop() {
+                for &ei in &adj[i] {
+                    let c = dag.edges[ei as usize].consumer;
+                    if reach.insert(c) {
+                        stack.push(c);
+                    }
+                }
+            }
+            for &(b, rb) in &members[ai + 1..] {
+                if ra.intersects(&rb) && !reach.contains(&b) {
+                    races.push(Diagnostic::WriteRace {
+                        first: task_name(dag, a),
+                        second: task_name(dag, b),
+                        space,
+                    });
+                }
+            }
+        }
+    }
+    races
+}
+
+/// Run the race pass and the oracle over `p`'s DAG, assert they agree
+/// exactly, and return the pass's diagnostics.
+fn races_match_oracle(p: &Program) -> Vec<Diagnostic> {
+    let dag = unfold(p, &AnalyzeConfig::new());
+    assert!(dag.is_consistent(), "{:?}", dag.faults);
+    let topo = dag.topo_order().expect("acyclic");
+    let races = race::find_races(&dag, &topo);
+    assert_eq!(races, oracle_races(&dag, &topo));
+    races
+}
+
+/// Declare `(task, space, rect)` writes on `dag`.
+fn with_writes(mut dag: TestDag, writes: &[(i32, u64, Rect)]) -> TestDag {
+    for &(task, space, rect) in writes {
+        dag.writes.insert(task, WriteRegion { space, rect });
+    }
+    dag
+}
+
+#[test]
+fn race_pass_matches_all_pairs_oracle_on_random_dags() {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move |bound: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % bound
+    };
+    let mut total = 0;
+    for _ in 0..2_000 {
+        let n = 2 + next(30) as i32;
+        let density = 1 + next(4);
+        let mut edges = Vec::new();
+        let mut indeg = vec![0usize; n as usize];
+        for to in 1..n {
+            for from in 0..to {
+                if next(10) < density {
+                    edges.push((from, to, indeg[to as usize]));
+                    indeg[to as usize] += 1;
+                }
+            }
+        }
+        let spaces = 1 + next(3);
+        let mut dag = TestDag::new(&edges);
+        for task in 0..n {
+            if next(10) < 7 {
+                let rect = Rect::new(
+                    next(6) as i64,
+                    next(6) as i64,
+                    1 + next(3) as u32,
+                    1 + next(3) as u32,
+                );
+                dag.writes.insert(
+                    task,
+                    WriteRegion {
+                        space: next(spaces),
+                        rect,
+                    },
+                );
+            }
+        }
+        let roots: Vec<i32> = (0..n).filter(|&t| indeg[t as usize] == 0).collect();
+        total += races_match_oracle(&program_of(dag, &roots, n as u64)).len();
+    }
+    assert!(total > 100, "corpus too tame: {total} races");
+}
+
+#[test]
+fn ordered_pair_across_a_broken_link_does_not_race() {
+    // writers 1, 2, 3 in rank order; 1 -> 2 and 2 -> 3 are both broken
+    // links, but the overlapping pair (1, 3) is ordered by 1 -> 3, a path
+    // that skips the unordered middle writer (whose rect is disjoint)
+    let dag = with_writes(
+        TestDag::new(&[(0, 1, 0), (0, 2, 0), (1, 3, 0)]),
+        &[
+            (1, 5, Rect::new(0, 0, 4, 4)),
+            (2, 5, Rect::new(8, 8, 2, 2)),
+            (3, 5, Rect::new(2, 2, 4, 4)),
+        ],
+    );
+    let p = program_of(dag, &[0], 4);
+    assert!(races_match_oracle(&p).is_empty());
+    assert_clean(&p);
+}
+
+#[test]
+fn unordered_pair_across_a_broken_link_races() {
+    // 1 -> 2 is broken, 2 -> 3 holds; the overlapping pair (1, 3) has no
+    // path either way
+    let dag = with_writes(
+        TestDag::new(&[(0, 1, 0), (0, 2, 0), (2, 3, 0)]),
+        &[
+            (1, 5, Rect::new(0, 0, 4, 4)),
+            (2, 5, Rect::new(8, 8, 2, 2)),
+            (3, 5, Rect::new(2, 2, 4, 4)),
+        ],
+    );
+    let p = program_of(dag, &[0], 4);
+    let expected = vec![Diagnostic::WriteRace {
+        first: "t(1,0,0,0)".into(),
+        second: "t(3,0,0,0)".into(),
+        space: 5,
+    }];
+    assert_eq!(races_match_oracle(&p), expected);
+    assert_eq!(
+        analyze_program(&p, &AnalyzeConfig::new()).diagnostics,
+        expected
+    );
+}
+
+#[test]
+fn links_through_non_writers_certify_the_chain() {
+    // writers 0, 2, 3 all overlap; task 1 writes nothing but carries the
+    // only path from 0 to 2, and 4 is an off-chain branch
+    let dag = with_writes(
+        TestDag::new(&[(0, 1, 0), (0, 4, 0), (1, 2, 0), (2, 3, 0)]),
+        &[
+            (0, 5, Rect::new(0, 0, 4, 4)),
+            (2, 5, Rect::new(1, 1, 4, 4)),
+            (3, 5, Rect::new(2, 2, 4, 4)),
+        ],
+    );
+    let p = program_of(dag, &[0], 5);
+    assert!(races_match_oracle(&p).is_empty());
+    assert_clean(&p);
 }
 
 #[test]

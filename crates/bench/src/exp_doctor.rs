@@ -161,8 +161,7 @@ pub fn run(dc: &DoctorConfig) -> DoctorRun {
         ("base", build_base(&cfg, false).program),
         ("ca", build_ca(&cfg, false).program),
     ] {
-        let acfg = AnalyzeConfig::new().with_lanes(lanes).without_races();
-        let dag = analyze::unfold(&program, &acfg);
+        let dag = analyze::unfold(&program, &AnalyzeConfig::new());
         let cols = statics::predict_dag(&dag, lanes);
 
         // Streaming telemetry on the reference config: sampling reads

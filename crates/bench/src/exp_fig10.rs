@@ -108,10 +108,7 @@ pub fn run(node: u32) -> Fig10Run {
         ("CA", build_ca(&cfg, false).program),
     ] {
         // One unfolding serves both the static bound and the span join.
-        let dag = analyze::unfold(
-            &program,
-            &AnalyzeConfig::new().with_lanes(lanes).without_races(),
-        );
+        let dag = analyze::unfold(&program, &AnalyzeConfig::new());
         let cols = statics::predict_dag(&dag, lanes);
         // Sampling only reads simulator state, so the virtual-time
         // numbers are identical to a sampling-off run while the figure

@@ -70,7 +70,7 @@ fn run_pair(profile: &MachineProfile, nodes: u32, ratio: f64) -> Fig8Point {
     let lanes = profile.compute_threads();
     // Unfold once per program; the same enumeration backs both static
     // columns and (in the doctor harness) the trace join.
-    let acfg = AnalyzeConfig::new().with_lanes(lanes).without_races();
+    let acfg = AnalyzeConfig::new();
     let base_static = predict_dag(&analyze::unfold(&base_program, &acfg), lanes);
     let ca_static = predict_dag(&analyze::unfold(&ca_program, &acfg), lanes);
     let base = run(&base_program, &sim);

@@ -158,10 +158,7 @@ pub fn run(tc: &TournamentConfig) -> Tournament {
     for (name, program) in &programs {
         // One unfolding per scheme serves the static bound, the span
         // join, and every list scheduler's rank table.
-        let dag = analyze::unfold(
-            program,
-            &AnalyzeConfig::new().with_lanes(lanes).without_races(),
-        );
+        let dag = analyze::unfold(program, &AnalyzeConfig::new());
         let cols = statics::predict_dag(&dag, lanes);
         let mut cells = Vec::new();
         for sched in &portfolio {

@@ -242,7 +242,6 @@ pub const AGREEMENT_BAND: f64 = 0.10;
 /// injection, and kernel scenarios against actual re-runs.
 pub fn run(wc: &WhatIfConfig) -> WhatIfRun {
     let profile = MachineProfile::nacl();
-    let lanes = profile.compute_threads();
     let nodes = wc.grid * wc.grid;
     let cfg = StencilConfig::new(
         Problem::laplace(wc.n),
@@ -253,8 +252,7 @@ pub fn run(wc: &WhatIfConfig) -> WhatIfRun {
     .with_ratio(wc.ratio)
     .with_profile(profile.clone());
     let program = build_base(&cfg, false).program;
-    let acfg = AnalyzeConfig::new().with_lanes(lanes).without_races();
-    let dag = analyze::unfold(&program, &acfg);
+    let dag = analyze::unfold(&program, &AnalyzeConfig::new());
 
     let sim = |program: &Program, profile: MachineProfile| {
         runtime::run(

@@ -4,9 +4,9 @@
 //! harness prints what the [`analyze`] crate predicts *without running
 //! anything*: the cross-node message count, the redundant flops the CA
 //! scheme pays for its ghost recomputation, and the critical-path
-//! makespan lower bound. The race pass is skipped at bench scale (it is
-//! the analyzer's only super-linear pass); the integration suite covers
-//! it at test scale.
+//! makespan lower bound. The default analysis runs, write-race pass
+//! included: it certifies each tile's writer chain link by link, so it
+//! is linear in the DAG at every figure's scale.
 
 use analyze::{analyze_dag, AnalyzeConfig};
 use runtime::{Program, UnfoldedDag};
@@ -29,14 +29,13 @@ pub struct StaticCols {
 /// Analyze `program` with `lanes` worker lanes per node (match the
 /// machine profile's compute threads) and extract the figure columns.
 pub fn predict(program: &Program, lanes: u32) -> StaticCols {
-    let cfg = AnalyzeConfig::new().with_lanes(lanes).without_races();
-    predict_dag(&analyze::unfold(program, &cfg), lanes)
+    predict_dag(&analyze::unfold(program, &AnalyzeConfig::new()), lanes)
 }
 
 /// [`predict`] over an already-unfolded DAG, so harnesses that also feed
 /// the DAG to [`insight::diagnose`] enumerate the graph once.
 pub fn predict_dag(dag: &UnfoldedDag, lanes: u32) -> StaticCols {
-    let a = analyze_dag(dag, &AnalyzeConfig::new().with_lanes(lanes).without_races());
+    let a = analyze_dag(dag, &AnalyzeConfig::new().with_lanes(lanes));
     let (critical_path, makespan_bound) = a
         .path
         .as_ref()

@@ -13,7 +13,12 @@ use machine::MachineProfile;
 use netsim::ProcessGrid;
 use obs::names;
 use proptest::prelude::*;
-use runtime::{run, Program, Rect, RunConfig};
+use runtime::{
+    run, ClassId, FlowData, OutputDep, Params, Program, Rect, RunConfig, TaskClass, TaskGraph,
+    UnfoldedDag, WriteRegion,
+};
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 fn cfg(n: usize, tile: usize, steps: usize, side: u32, iters: u32) -> StencilConfig {
     StencilConfig::new(
@@ -271,6 +276,166 @@ fn ca_dead_transfers_match_geometry_and_dynamic_counters() {
         a.flops.redundant,
         predict_ca_redundant_flops(&geo, c.iterations, c.steps, c.ratio)
     );
+}
+
+// ---------------------------------------------------------------------
+// Write races at scheme scale
+// ---------------------------------------------------------------------
+
+/// Delegates to one class of a real program but reports every write in
+/// one shared space: the aliasing CA's private ghost rings rule out, so
+/// neighbouring tiles' overlapping halo recomputes become races.
+struct SharedSpace {
+    inner: Arc<TaskGraph>,
+    id: ClassId,
+}
+
+impl SharedSpace {
+    fn class(&self) -> &dyn TaskClass {
+        self.inner.class(self.id)
+    }
+}
+
+impl TaskClass for SharedSpace {
+    fn name(&self) -> &str {
+        self.class().name()
+    }
+    fn node_of(&self, p: Params) -> u32 {
+        self.class().node_of(p)
+    }
+    fn activation_count(&self, p: Params) -> usize {
+        self.class().activation_count(p)
+    }
+    fn num_input_slots(&self, p: Params) -> usize {
+        self.class().num_input_slots(p)
+    }
+    fn num_output_flows(&self, p: Params) -> usize {
+        self.class().num_output_flows(p)
+    }
+    fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
+        self.class().outputs(p, out)
+    }
+    fn execute(&self, p: Params, inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
+        self.class().execute(p, inputs, out)
+    }
+    fn output_bytes(&self, p: Params, flow: usize) -> usize {
+        self.class().output_bytes(p, flow)
+    }
+    fn cost(&self, p: Params) -> f64 {
+        self.class().cost(p)
+    }
+    fn write_region(&self, p: Params) -> Option<WriteRegion> {
+        self.class()
+            .write_region(p)
+            .map(|w| WriteRegion { space: 0, ..w })
+    }
+}
+
+fn shared_space(program: &Program) -> Program {
+    let mut graph = TaskGraph::new();
+    for id in 0..program.graph.num_classes() {
+        graph.add_class(Arc::new(SharedSpace {
+            inner: Arc::clone(&program.graph),
+            id: id as ClassId,
+        }));
+    }
+    Program {
+        graph: Arc::new(graph),
+        roots: program.roots.clone(),
+        total_tasks: program.total_tasks,
+    }
+}
+
+/// Each space's writers with their rects, in topological-rank order.
+fn writer_chains(dag: &UnfoldedDag) -> BTreeMap<u64, Vec<(usize, Rect)>> {
+    let topo = dag.topo_order().expect("acyclic");
+    let mut rank = vec![0; dag.len()];
+    for (r, &i) in topo.iter().enumerate() {
+        rank[i] = r;
+    }
+    let mut groups: BTreeMap<u64, Vec<(usize, Rect)>> = BTreeMap::new();
+    for (i, &key) in dag.tasks.iter().enumerate() {
+        if let Some(w) = dag.graph.class(key.class).write_region(key.params) {
+            groups.entry(w.space).or_default().push((i, w.rect));
+        }
+    }
+    for members in groups.values_mut() {
+        members.sort_by_key(|&(i, _)| rank[i]);
+    }
+    groups
+}
+
+/// All-pairs oracle: full forward reachability from every writer, every
+/// overlapping later writer of its space checked, in the analyzer's
+/// report order (space, then topological rank).
+fn oracle_races(dag: &UnfoldedDag) -> Vec<Diagnostic> {
+    let name = |i: usize| {
+        let key = dag.tasks[i];
+        let p = key.params;
+        let class = dag.graph.class(key.class).name();
+        format!("{class}({},{},{},{})", p[0], p[1], p[2], p[3])
+    };
+    let adj = dag.out_adjacency();
+    let mut races = Vec::new();
+    for (space, members) in writer_chains(dag) {
+        for (ai, &(a, ra)) in members.iter().enumerate() {
+            let mut reach = HashSet::from([a]);
+            let mut stack = vec![a];
+            while let Some(i) = stack.pop() {
+                for &ei in &adj[i] {
+                    let c = dag.edges[ei as usize].consumer;
+                    if reach.insert(c) {
+                        stack.push(c);
+                    }
+                }
+            }
+            for &(b, rb) in &members[ai + 1..] {
+                if ra.intersects(&rb) && !reach.contains(&b) {
+                    races.push(Diagnostic::WriteRace {
+                        first: name(a),
+                        second: name(b),
+                        space,
+                    });
+                }
+            }
+        }
+    }
+    races
+}
+
+/// At the CI lint size every scheme is race-clean with the race pass on,
+/// and every space's writer chain is fully linked by direct edges (the
+/// tile self-flow), so each link costs the pass one adjacency scan. CA
+/// with all tile spaces aliased into one races exactly where the
+/// all-pairs oracle says — its broken links go through the fallback
+/// search.
+#[test]
+fn aliased_ca_spaces_race_exactly_as_the_oracle_says() {
+    let c = cfg(128, 32, 4, 2, 9);
+    for (name, program) in all_schemes(&c) {
+        let dag = analyze::unfold(&program, &AnalyzeConfig::new());
+        let a = analyze::analyze_dag(&dag, &AnalyzeConfig::new());
+        assert!(a.is_clean(), "{name}: {}", a.report());
+        assert!(oracle_races(&dag).is_empty(), "{name}");
+        let edges: HashSet<(usize, usize)> =
+            dag.edges.iter().map(|e| (e.producer, e.consumer)).collect();
+        for (space, members) in writer_chains(&dag) {
+            for link in members.windows(2) {
+                assert!(
+                    edges.contains(&(link[0].0, link[1].0)),
+                    "{name}: space {space} link is not a direct edge"
+                );
+            }
+        }
+    }
+    let mutant = shared_space(&build_ca(&c, false).program);
+    let dag = analyze::unfold(&mutant, &AnalyzeConfig::new());
+    let races = analyze::analyze_dag(&dag, &AnalyzeConfig::new()).diagnostics;
+    assert!(!races.is_empty(), "aliased CA must race");
+    assert!(races
+        .iter()
+        .all(|d| matches!(d, Diagnostic::WriteRace { space: 0, .. })));
+    assert_eq!(races, oracle_races(&dag));
 }
 
 // ---------------------------------------------------------------------

@@ -114,19 +114,13 @@ fn all_executors_agree_on_base_stencil_spans() {
 fn comm_matrix_matches_static_edge_accounting_for_every_scheme() {
     use ca_stencil::{build_base_dtd, build_ca, build_pa2};
     let scfg = cfg().with_steps(2);
-    let lanes = MachineProfile::nacl().compute_threads();
     for (name, program) in [
         ("base", build_base(&scfg, false).program),
         ("ca", build_ca(&scfg, false).program),
         ("pa2", build_pa2(&scfg, false).program),
         ("dtd", build_base_dtd(&scfg)),
     ] {
-        let dag = analyze::unfold(
-            &program,
-            &analyze::AnalyzeConfig::new()
-                .with_lanes(lanes)
-                .without_races(),
-        );
+        let dag = analyze::unfold(&program, &analyze::AnalyzeConfig::new());
         let expected = analyze::peer_matrix(&dag);
         let report = run(&program, &sim_config());
         let trace = report.trace.as_ref().expect("trace requested");
@@ -185,12 +179,7 @@ fn tiny_ring_drops_are_counted_and_reconcile_exactly() {
     }
 
     // And the exact-identity gate refuses a lower-bound matrix.
-    let dag = analyze::unfold(
-        &program,
-        &analyze::AnalyzeConfig::new()
-            .with_lanes(lanes)
-            .without_races(),
-    );
+    let dag = analyze::unfold(&program, &analyze::AnalyzeConfig::new());
     let expected = analyze::peer_matrix(&dag);
     let err = analyze::verify_comm_matrix(&expected, &thin.comm_matrix())
         .expect_err("a lossy matrix must not pass the exact-byte identity");
