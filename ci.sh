@@ -46,9 +46,9 @@ step ./target/release/stencil-doctor --check
 
 # Causal-profiler gate: the what-if replay's predictions for the
 # validated scenarios (scaled kernel cost, scaled network, slowed
-# injection) must agree with actual simulator re-runs within the
-# committed agreement band (BENCH_whatif.json), and the deterministic
-# scalars must match the baseline.
+# injection) must agree with this run's simulator re-runs within the
+# agreement band (exp_whatif::AGREEMENT_BAND), and the deterministic
+# scalars must match BENCH_whatif.json within 2 %.
 step ./target/release/stencil-whatif --check
 
 # Communication-observatory gate: the per-peer comm matrix built from
@@ -73,11 +73,19 @@ step allocation_ledger_gate
 # like an outside user. Build and unit-test it unchanged, so an API break
 # (or a changed count it checks) is caught here, before the driver runs it.
 step cargo test --release --offline --manifest-path benchmark/Cargo.toml
+# Changing a path crate's dependency set silently rewrites the harness's
+# committed lockfile; fail instead of letting that slip into a commit.
+lockfile_unchanged() {
+    if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+        git diff --quiet -- benchmark/Cargo.lock
+    fi
+}
+step lockfile_unchanged
 
 # Scheduler portfolio gate: every portfolio scheduler must complete every
 # scheme (base/ca/pa2/dtd) deadlock-free and within the static bound on a
-# small sweep, and the committed baseline must be intact under the
-# default policy.
+# small sweep. (The default policy reproducing BENCH_stencil.json is the
+# stencil-doctor --check gate above.)
 step ./target/release/stencil-tournament --check
 
 # Region-dataflow gate: the halo-coverage proof and dead-transfer

@@ -20,24 +20,18 @@
 //! comparing apples to oranges.
 
 use bench::exp_doctor::{self, DoctorConfig};
-use insight::{Baseline, Tolerance};
-
-enum Mode {
-    Diagnose,
-    WriteBaseline,
-    Check,
-}
+use bench::report::{self, BaselineMode};
 
 struct Args {
     dc: DoctorConfig,
-    mode: Mode,
+    mode: BaselineMode,
     file: String,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         dc: DoctorConfig::default(),
-        mode: Mode::Diagnose,
+        mode: BaselineMode::Off,
         file: "BENCH_stencil.json".to_string(),
     };
     let mut it = std::env::args().skip(1);
@@ -54,8 +48,8 @@ fn parse_args() -> Args {
             "--grid" => args.dc.grid = value().parse().expect("--grid takes an integer"),
             "--ratio" => args.dc.ratio = value().parse().expect("--ratio takes a float"),
             "--file" => args.file = value(),
-            "--baseline" => args.mode = Mode::WriteBaseline,
-            "--check" => args.mode = Mode::Check,
+            "--baseline" => args.mode = BaselineMode::Write,
+            "--check" => args.mode = BaselineMode::Check,
             other => {
                 eprintln!(
                     "unknown flag {other}; flags: --n --tile --iters --steps --grid --ratio \
@@ -72,71 +66,44 @@ fn main() {
     let args = parse_args();
     let run = exp_doctor::run(&args.dc);
     exp_doctor::print(&run);
-    let current = run.baseline();
+    let Some(committed) = report::baseline_gate(
+        args.mode,
+        &args.file,
+        &run.baseline(),
+        exp_doctor::band,
+        Vec::new(),
+    ) else {
+        return;
+    };
 
-    match args.mode {
-        Mode::Diagnose => {}
-        Mode::WriteBaseline => {
-            std::fs::write(&args.file, current.to_json()).expect("write baseline file");
-            println!(
-                "\nwrote baseline for {} schemes to {}",
-                current.schemes.len(),
-                args.file
-            );
-        }
-        Mode::Check => {
-            let text = std::fs::read_to_string(&args.file).unwrap_or_else(|e| {
-                eprintln!(
-                    "cannot read baseline {}: {e} (run with --baseline first)",
-                    args.file
-                );
-                std::process::exit(2);
-            });
-            let committed = Baseline::from_json(&text).unwrap_or_else(|e| {
-                eprintln!("cannot parse baseline {}: {e}", args.file);
-                std::process::exit(2);
-            });
-            let violations = committed.compare(&current, &Tolerance::default());
-            if violations.is_empty() {
-                println!("\nbaseline check OK against {}", args.file);
-            } else {
-                eprintln!("\nbaseline check FAILED against {}:", args.file);
-                for v in &violations {
-                    eprintln!("  {v}");
-                }
-                std::process::exit(1);
-            }
-
-            // The work-stealing occupancy gate: a real shared-memory run
-            // (kernel bodies on) must keep its lanes busier than every
-            // committed *simulated* occupancy — the executor's dispatch
-            // loop is not allowed to idle lanes the simulator fills.
-            // Best of a few probes: wall-clock occupancy is load-noisy.
-            let worst = committed
-                .schemes
-                .values()
-                .map(|s| s.occupancy)
-                .fold(0.0f64, f64::max);
-            let real =
-                exp_doctor::probe_occupancy_above(worst, exp_doctor::OCCUPANCY_PROBE_ATTEMPTS);
-            println!(
-                "real shared-memory probe ({} workers): occupancy {:.4} · \
-                 {} steals · {} failed sweeps · {} overflow spills",
-                real.threads, real.occupancy, real.steals, real.steal_fails, real.overflow_pushes
-            );
-            println!("{}", real.starvation.render());
-            if real.occupancy > worst {
-                println!(
-                    "occupancy gate OK: real {:.4} > committed simulated max {:.4}",
-                    real.occupancy, worst
-                );
-            } else {
-                eprintln!(
-                    "occupancy gate FAILED: real {:.4} <= committed simulated max {:.4}",
-                    real.occupancy, worst
-                );
-                std::process::exit(1);
-            }
-        }
+    // The work-stealing occupancy gate: a real shared-memory run (kernel
+    // bodies on) must keep its lanes busier than every committed
+    // *simulated* occupancy — the executor's dispatch loop is not allowed
+    // to idle lanes the simulator fills. Best of a few probes: wall-clock
+    // occupancy is load-noisy.
+    let worst = committed
+        .scalars
+        .iter()
+        .filter(|(key, _)| key.ends_with(".occupancy"))
+        .map(|(_, &v)| v)
+        .fold(0.0f64, f64::max);
+    let real = exp_doctor::probe_occupancy_above(worst, exp_doctor::OCCUPANCY_PROBE_ATTEMPTS);
+    println!(
+        "real shared-memory probe ({} workers): occupancy {:.4} · \
+         {} steals · {} failed sweeps · {} overflow spills",
+        real.threads, real.occupancy, real.steals, real.steal_fails, real.overflow_pushes
+    );
+    println!("{}", real.starvation.render());
+    if real.occupancy > worst {
+        println!(
+            "occupancy gate OK: real {:.4} > committed simulated max {:.4}",
+            real.occupancy, worst
+        );
+    } else {
+        eprintln!(
+            "occupancy gate FAILED: real {:.4} <= committed simulated max {:.4}",
+            real.occupancy, worst
+        );
+        std::process::exit(1);
     }
 }

@@ -13,29 +13,23 @@
 //! cargo run --release -p bench --bin stencil-tournament -- --check # CI gate (small sweep)
 //! ```
 //!
-//! `--check` runs a small configuration, fails if any (scheme,
-//! scheduler) cell deadlocks or undercuts the static bound, and — when
-//! `BENCH_stencil.json` exists — re-runs the doctor's reference
-//! configuration under the default policy to assert the committed
-//! baseline is bit-for-bit intact (the scheduler rework must not perturb
-//! default dispatch order). No files are written in check mode.
+//! `--check` runs a small configuration and fails if any (scheme,
+//! scheduler) cell deadlocks or undercuts the static bound. No files are
+//! written in check mode. That the default policy still reproduces the
+//! committed `BENCH_stencil.json` is `stencil-doctor --check`'s gate.
 
-use bench::exp_doctor::{self, DoctorConfig};
 use bench::exp_tournament::{self, TournamentConfig};
 use bench::report;
-use insight::{Baseline, Tolerance};
 
 struct Args {
     tc: TournamentConfig,
     check: bool,
-    file: String,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         tc: TournamentConfig::default(),
         check: false,
-        file: "BENCH_stencil.json".to_string(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -50,12 +44,10 @@ fn parse_args() -> Args {
             "--steps" => args.tc.steps = value().parse().expect("--steps takes an integer"),
             "--grid" => args.tc.grid = value().parse().expect("--grid takes an integer"),
             "--ratio" => args.tc.ratio = value().parse().expect("--ratio takes a float"),
-            "--file" => args.file = value(),
             "--check" => args.check = true,
             other => {
                 eprintln!(
-                    "unknown flag {other}; flags: --n --tile --iters --steps --grid --ratio \
-                     --check --file <path>"
+                    "unknown flag {other}; flags: --n --tile --iters --steps --grid --ratio --check"
                 );
                 std::process::exit(2);
             }
@@ -67,7 +59,7 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
     if args.check {
-        check(&args.file);
+        check();
         return;
     }
     let t = exp_tournament::run(&args.tc);
@@ -77,9 +69,8 @@ fn main() {
 }
 
 /// The CI gate: every cell of a small sweep completes deadlock-free and
-/// within physics, and the committed doctor baseline still matches a
-/// default-policy rerun exactly.
-fn check(baseline_file: &str) {
+/// within physics.
+fn check() {
     let t = exp_tournament::run(&TournamentConfig::check());
     exp_tournament::print(&t);
     let mut failed = false;
@@ -111,31 +102,4 @@ fn check(baseline_file: &str) {
         "\nall {} schemes completed under every scheduler",
         t.schemes.len()
     );
-    // Metrics accumulated during the sweep are deliberately dropped: the
-    // check writes nothing.
-    let _ = report::drain_metrics();
-
-    match std::fs::read_to_string(baseline_file) {
-        Ok(text) => {
-            let committed = Baseline::from_json(&text).unwrap_or_else(|e| {
-                eprintln!("cannot parse baseline {baseline_file}: {e}");
-                std::process::exit(2);
-            });
-            let run = exp_doctor::run(&DoctorConfig::default());
-            let _ = report::drain_metrics();
-            let violations = committed.compare(&run.baseline(), &Tolerance::default());
-            if violations.is_empty() {
-                println!("default-policy baseline intact against {baseline_file}");
-            } else {
-                eprintln!("default-policy baseline DRIFTED against {baseline_file}:");
-                for v in &violations {
-                    eprintln!("  {v}");
-                }
-                std::process::exit(1);
-            }
-        }
-        Err(_) => {
-            println!("(no {baseline_file} here — skipping the default-policy baseline check)");
-        }
-    }
 }

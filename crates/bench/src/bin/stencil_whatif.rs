@@ -17,29 +17,24 @@
 //!
 //! `--check` fails when any scalar drifts more than 2 % from the
 //! committed file (the runs are deterministic) or when any validated
-//! prediction misses its re-run by more than the committed agreement
-//! band. `--file <path>` overrides the baseline location; the run
-//! parameters (`--n --tile --iters --grid --ratio`) are recorded in the
-//! file and compared verbatim.
+//! prediction of the current run misses its re-run by more than
+//! `exp_whatif::AGREEMENT_BAND`. `--file <path>` overrides the baseline
+//! location; the run parameters (`--n --tile --iters --grid --ratio`) are
+//! recorded in the file and compared verbatim.
 
-use bench::exp_whatif::{self, WhatIfBaseline, WhatIfConfig};
-
-enum Mode {
-    Rank,
-    WriteBaseline,
-    Check,
-}
+use bench::exp_whatif::{self, WhatIfConfig};
+use bench::report::{self, BaselineMode};
 
 struct Args {
     wc: WhatIfConfig,
-    mode: Mode,
+    mode: BaselineMode,
     file: String,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         wc: WhatIfConfig::default(),
-        mode: Mode::Rank,
+        mode: BaselineMode::Off,
         file: "BENCH_whatif.json".to_string(),
     };
     let mut it = std::env::args().skip(1);
@@ -55,8 +50,8 @@ fn parse_args() -> Args {
             "--grid" => args.wc.grid = value().parse().expect("--grid takes an integer"),
             "--ratio" => args.wc.ratio = value().parse().expect("--ratio takes a float"),
             "--file" => args.file = value(),
-            "--baseline" => args.mode = Mode::WriteBaseline,
-            "--check" => args.mode = Mode::Check,
+            "--baseline" => args.mode = BaselineMode::Write,
+            "--check" => args.mode = BaselineMode::Check,
             other => {
                 eprintln!(
                     "unknown flag {other}; flags: --n --tile --iters --grid --ratio \
@@ -69,52 +64,15 @@ fn parse_args() -> Args {
     args
 }
 
-/// Relative drift band for the deterministic scalars in the file.
-const REL_BAND: f64 = 0.02;
-
 fn main() {
     let args = parse_args();
     let run = exp_whatif::run(&args.wc);
     exp_whatif::print(&run);
-    let current = run.baseline();
-
-    match args.mode {
-        Mode::Rank => {}
-        Mode::WriteBaseline => {
-            std::fs::write(&args.file, current.to_json()).expect("write baseline file");
-            println!(
-                "\nwrote {} scenarios ({} validated) to {}",
-                current.scenarios.len(),
-                current
-                    .scenarios
-                    .values()
-                    .filter(|s| s.actual_s.is_some())
-                    .count(),
-                args.file
-            );
-        }
-        Mode::Check => {
-            let text = std::fs::read_to_string(&args.file).unwrap_or_else(|e| {
-                eprintln!(
-                    "cannot read baseline {}: {e} (run with --baseline first)",
-                    args.file
-                );
-                std::process::exit(2);
-            });
-            let committed = WhatIfBaseline::from_json(&text).unwrap_or_else(|e| {
-                eprintln!("cannot parse baseline {}: {e}", args.file);
-                std::process::exit(2);
-            });
-            let violations = committed.compare(&current, REL_BAND);
-            if violations.is_empty() {
-                println!("\nwhat-if check OK against {}", args.file);
-            } else {
-                eprintln!("\nwhat-if check FAILED against {}:", args.file);
-                for v in &violations {
-                    eprintln!("  {v}");
-                }
-                std::process::exit(1);
-            }
-        }
-    }
+    report::baseline_gate(
+        args.mode,
+        &args.file,
+        &run.baseline(),
+        |_| exp_whatif::BAND,
+        run.agreement_violations(),
+    );
 }

@@ -8,12 +8,13 @@
 //! dependency-wait vs starvation), the realized critical path against the
 //! static makespan lower bound, per-kind duration digests, and a step-size
 //! recommendation. The same scalars feed [`insight::Baseline`] for the
-//! `--baseline` / `--check` regression workflow wired into `ci.sh`.
+//! `--baseline` / `--check` regression workflow wired into `ci.sh`, held
+//! to the per-key bands of [`band`].
 
 use crate::statics::{self, StaticCols};
 use analyze::AnalyzeConfig;
 use ca_stencil::{build_base, build_ca, kind_names, Problem, StencilConfig, KIND_BOUNDARY};
-use insight::{advise_step, Baseline, RunDiagnosis, SchemeBaseline, StarvationSplit, StepAdvice};
+use insight::{advise_step, Band, Baseline, RunDiagnosis, StarvationSplit, StepAdvice};
 use machine::MachineProfile;
 use netsim::ProcessGrid;
 use obs::{names, LiveSample, TracerOverhead};
@@ -101,18 +102,21 @@ impl DoctorScheme {
         self.makespan_s / self.cols.makespan_bound
     }
 
-    /// The scalars the regression baseline records.
-    pub fn to_baseline(&self) -> SchemeBaseline {
-        SchemeBaseline {
-            makespan_s: self.makespan_s,
-            gflops: self.gflops,
-            occupancy: self.diagnosis.occupancy(),
-            comm_wait_fraction: self.diagnosis.totals.comm_wait_fraction(),
-            median_kernel_ms: self.median_kernel_ms,
-            messages: self.cols.messages,
-            bytes: self.bytes,
-            redundant_flops: self.cols.redundant_flops,
-        }
+    /// The scalars the regression baseline records, by field name.
+    fn scalars(&self) -> [(&'static str, f64); 8] {
+        [
+            ("makespan_s", self.makespan_s),
+            ("gflops", self.gflops),
+            ("occupancy", self.diagnosis.occupancy()),
+            (
+                "comm_wait_fraction",
+                self.diagnosis.totals.comm_wait_fraction(),
+            ),
+            ("median_kernel_ms", self.median_kernel_ms),
+            ("messages", self.cols.messages as f64),
+            ("bytes", self.bytes as f64),
+            ("redundant_flops", self.cols.redundant_flops as f64),
+        ]
     }
 }
 
@@ -128,16 +132,26 @@ pub struct DoctorRun {
 }
 
 impl DoctorRun {
-    /// Assemble the regression baseline from this run.
+    /// Assemble the regression baseline from this run: one
+    /// `<scheme>.<field>` scalar per recorded field.
     pub fn baseline(&self) -> Baseline {
-        Baseline {
-            config: self.config.describe(),
-            schemes: self
-                .schemes
-                .iter()
-                .map(|s| (s.name.clone(), s.to_baseline()))
-                .collect(),
+        let mut b = Baseline::new(self.config.describe());
+        for s in &self.schemes {
+            for (field, v) in s.scalars() {
+                b.scalars.insert(format!("{}.{field}", s.name), v);
+            }
         }
+        b
+    }
+}
+
+/// The band each doctor scalar is checked to: ±0.02 absolute for the
+/// fractions, exact for the counters, ±2 % for the time-like rest.
+pub fn band(key: &str) -> Band {
+    match key.rsplit('.').next() {
+        Some("occupancy" | "comm_wait_fraction") => Band::Abs(0.02),
+        Some("messages" | "bytes" | "redundant_flops") => Band::Exact,
+        _ => Band::Rel(0.02),
     }
 }
 
@@ -347,7 +361,6 @@ pub fn print(run: &DoctorRun) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use insight::Tolerance;
 
     /// The acceptance story of Figure 10, reproduced on the baseline
     /// configuration: CA wins on occupancy while its median kernel is
@@ -436,16 +449,22 @@ mod tests {
     }
 
     /// The baseline written by one run checks clean against a rerun
-    /// (determinism), and a perturbed scalar fails the check.
+    /// (determinism), and a scalar of each band class pushed 10 % past
+    /// its committed value fails the check.
     #[test]
     fn baseline_round_trip_and_perturbation() {
         let r = run(&DoctorConfig::default());
         let b = r.baseline();
+        assert_eq!(b.scalars.len(), 16, "8 scalars for each of 2 schemes");
         let parsed = Baseline::from_json(&b.to_json()).unwrap();
-        assert!(parsed.compare(&b, &Tolerance::default()).is_empty());
+        assert!(parsed.compare(&b, band).is_empty());
 
-        let mut bad = b.clone();
-        bad.schemes.get_mut("ca").unwrap().makespan_s *= 1.10;
-        assert!(!parsed.compare(&bad, &Tolerance::default()).is_empty());
+        for key in ["ca.makespan_s", "ca.occupancy", "base.messages"] {
+            let mut bad = b.clone();
+            *bad.scalars.get_mut(key).unwrap() *= 1.10;
+            let violations = parsed.compare(&bad, band);
+            assert_eq!(violations.len(), 1, "{key}: {violations:?}");
+            assert!(violations[0].starts_with(key), "{violations:?}");
+        }
     }
 }

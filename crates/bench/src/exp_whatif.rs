@@ -10,19 +10,18 @@
 //! equivalent cost change applied for real (a cost-scaled task class, a
 //! scaled machine-profile network, a doubled per-message runtime cost)
 //! and reports the prediction error. The committed `BENCH_whatif.json`
-//! records both numbers per scenario and the agreement band the errors
-//! must stay inside.
+//! records both numbers per scenario; every validated error of the
+//! current run must stay inside [`AGREEMENT_BAND`].
 
 use analyze::AnalyzeConfig;
 use ca_stencil::{build_base, kind_names, Problem, StencilConfig, KIND_BOUNDARY, KIND_INTERIOR};
-use insight::{Perturbation, Prediction, WhatIf};
+use insight::{Band, Baseline, Perturbation, Prediction, WhatIf};
 use machine::MachineProfile;
 use netsim::ProcessGrid;
 use runtime::{
     ClassId, FlowData, OutputDep, Params, Program, ReadRegion, RunConfig, TaskClass, TaskGraph,
     WriteRegion,
 };
-use serde::{Number, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -209,33 +208,55 @@ impl WhatIfRun {
         (self.replay.makespan_s - self.actual_makespan_s).abs() / self.actual_makespan_s
     }
 
-    /// Assemble the committed baseline from this run.
-    pub fn baseline(&self) -> WhatIfBaseline {
-        WhatIfBaseline {
-            config: self.config.describe(),
-            agreement_band: AGREEMENT_BAND,
-            actual_makespan_s: self.actual_makespan_s,
-            replay_s: self.replay.makespan_s,
-            scenarios: self
-                .scenarios
-                .iter()
-                .map(|s| {
-                    (
-                        s.label.clone(),
-                        ScenarioBaseline {
-                            predicted_s: s.prediction.makespan_s,
-                            actual_s: s.actual_s,
-                        },
+    /// Assemble the committed baseline from this run: the traced and
+    /// replayed makespans plus `<label>.predicted_s` for every scenario
+    /// and `<label>.actual_s` for the validated ones.
+    pub fn baseline(&self) -> Baseline {
+        let mut b = Baseline::new(self.config.describe());
+        b.scalars
+            .insert("actual_makespan_s".into(), self.actual_makespan_s);
+        b.scalars.insert("replay_s".into(), self.replay.makespan_s);
+        for s in &self.scenarios {
+            b.scalars
+                .insert(format!("{}.predicted_s", s.label), s.prediction.makespan_s);
+            if let Some(a) = s.actual_s {
+                b.scalars.insert(format!("{}.actual_s", s.label), a);
+            }
+        }
+        b
+    }
+
+    /// One line per validated scenario whose prediction misses its re-run
+    /// by more than [`AGREEMENT_BAND`]; empty when the replay is honest.
+    pub fn agreement_violations(&self) -> Vec<String> {
+        self.scenarios
+            .iter()
+            .filter_map(|s| {
+                let (actual, err) = s.actual_s.zip(s.rel_err())?;
+                (err > AGREEMENT_BAND).then(|| {
+                    format!(
+                        "{}: prediction {:.6} vs re-run {:.6} — {:.2}% error exceeds the \
+                         {:.0}% agreement band",
+                        s.label,
+                        s.prediction.makespan_s,
+                        actual,
+                        100.0 * err,
+                        100.0 * AGREEMENT_BAND
                     )
                 })
-                .collect(),
-        }
+            })
+            .collect()
     }
 }
 
 /// Maximum relative error a validated prediction may show against its
-/// re-run — the committed agreement band of `BENCH_whatif.json`.
+/// re-run, checked on the current run by `stencil-whatif --check`.
 pub const AGREEMENT_BAND: f64 = 0.10;
+
+/// The band every committed what-if scalar is checked to: the runs are
+/// deterministic, so ±2 % only absorbs cost-model evolution small enough
+/// to re-baseline consciously.
+pub const BAND: Band = Band::Rel(0.02);
 
 /// Run the experiment: trace the base scheme on the simulator, build the
 /// replay context, rank the scenario portfolio, and validate the network,
@@ -366,172 +387,6 @@ pub fn print(run: &WhatIfRun) {
     }
 }
 
-/// One scenario's committed numbers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioBaseline {
-    /// Replay-predicted makespan, seconds.
-    pub predicted_s: f64,
-    /// Validating re-run makespan, seconds (absent for prediction-only
-    /// scenarios).
-    pub actual_s: Option<f64>,
-}
-
-/// The committed `BENCH_whatif.json` contents.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WhatIfBaseline {
-    /// Config-identity string; compared verbatim.
-    pub config: String,
-    /// Maximum allowed relative error between a validated prediction and
-    /// its re-run.
-    pub agreement_band: f64,
-    /// Traced-run makespan, seconds.
-    pub actual_makespan_s: f64,
-    /// Unperturbed-replay makespan, seconds.
-    pub replay_s: f64,
-    /// Scenario label → committed numbers.
-    pub scenarios: BTreeMap<String, ScenarioBaseline>,
-}
-
-fn num(v: f64) -> Value {
-    Value::Num(Number::F(v))
-}
-
-impl WhatIfBaseline {
-    /// Serialize to the committed pretty-printed JSON format.
-    pub fn to_json(&self) -> String {
-        let scenarios = self
-            .scenarios
-            .iter()
-            .map(|(label, s)| {
-                let mut fields = vec![("predicted_s".to_string(), num(s.predicted_s))];
-                if let Some(a) = s.actual_s {
-                    fields.push(("actual_s".into(), num(a)));
-                }
-                (label.clone(), Value::Object(fields))
-            })
-            .collect();
-        let v = Value::Object(vec![
-            ("config".into(), Value::Str(self.config.clone())),
-            ("agreement_band".into(), num(self.agreement_band)),
-            ("actual_makespan_s".into(), num(self.actual_makespan_s)),
-            ("replay_s".into(), num(self.replay_s)),
-            ("scenarios".into(), Value::Object(scenarios)),
-        ]);
-        let mut text = serde_json::to_string_pretty(&v).expect("baseline serialization");
-        text.push('\n');
-        text
-    }
-
-    /// Parse the committed JSON format back.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let v: Value = serde_json::from_str(text).map_err(|e| format!("whatif baseline: {e}"))?;
-        let f = |name: &str| {
-            v.field(name)
-                .as_f64()
-                .ok_or_else(|| format!("baseline field {name} missing or not a number"))
-        };
-        let config = v
-            .field("config")
-            .as_str()
-            .ok_or("baseline missing config string")?
-            .to_string();
-        let Value::Object(pairs) = v.field("scenarios") else {
-            return Err("baseline missing scenarios object".into());
-        };
-        let mut scenarios = BTreeMap::new();
-        for (label, sv) in pairs {
-            let predicted_s = sv
-                .field("predicted_s")
-                .as_f64()
-                .ok_or_else(|| format!("scenario {label}: predicted_s missing"))?;
-            scenarios.insert(
-                label.clone(),
-                ScenarioBaseline {
-                    predicted_s,
-                    actual_s: sv.field("actual_s").as_f64(),
-                },
-            );
-        }
-        Ok(WhatIfBaseline {
-            config,
-            agreement_band: f("agreement_band")?,
-            actual_makespan_s: f("actual_makespan_s")?,
-            replay_s: f("replay_s")?,
-            scenarios,
-        })
-    }
-
-    /// Diff `current` against this committed baseline. Returns one line
-    /// per violation: scalar drift beyond `rel_band` (the runs are
-    /// deterministic, so the band only absorbs cost-model evolution small
-    /// enough to re-baseline consciously), scenario-set changes, and —
-    /// the point of the file — any validated prediction whose error
-    /// against its re-run exceeds the committed agreement band.
-    pub fn compare(&self, current: &WhatIfBaseline, rel_band: f64) -> Vec<String> {
-        let mut bad = Vec::new();
-        if self.config != current.config {
-            bad.push(format!(
-                "config mismatch: baseline \"{}\" vs current \"{}\"",
-                self.config, current.config
-            ));
-            return bad;
-        }
-        let rel = |bad: &mut Vec<String>, name: &str, b: f64, c: f64| {
-            if (c - b).abs() > rel_band * b.abs().max(f64::MIN_POSITIVE) {
-                bad.push(format!(
-                    "{name}: {c:.6} deviates from baseline {b:.6} by more than {:.1}%",
-                    rel_band * 100.0
-                ));
-            }
-        };
-        rel(
-            &mut bad,
-            "actual_makespan_s",
-            self.actual_makespan_s,
-            current.actual_makespan_s,
-        );
-        rel(&mut bad, "replay_s", self.replay_s, current.replay_s);
-        for (label, b) in &self.scenarios {
-            let Some(c) = current.scenarios.get(label) else {
-                bad.push(format!("scenario \"{label}\" missing from current run"));
-                continue;
-            };
-            rel(
-                &mut bad,
-                &format!("{label}.predicted_s"),
-                b.predicted_s,
-                c.predicted_s,
-            );
-            match (b.actual_s, c.actual_s) {
-                (Some(ba), Some(ca)) => {
-                    rel(&mut bad, &format!("{label}.actual_s"), ba, ca);
-                    let err = (c.predicted_s - ca).abs() / ca;
-                    if err > self.agreement_band {
-                        bad.push(format!(
-                            "{label}: prediction {:.6} vs re-run {:.6} — {:.2}% error exceeds \
-                             the {:.0}% agreement band",
-                            c.predicted_s,
-                            ca,
-                            100.0 * err,
-                            100.0 * self.agreement_band
-                        ));
-                    }
-                }
-                (Some(_), None) => {
-                    bad.push(format!("scenario \"{label}\" lost its validation re-run"));
-                }
-                (None, _) => {}
-            }
-        }
-        for label in current.scenarios.keys() {
-            if !self.scenarios.contains_key(label) {
-                bad.push(format!("scenario \"{label}\" absent from baseline"));
-            }
-        }
-        bad
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,23 +413,10 @@ mod tests {
             r.replay.makespan_s,
             r.actual_makespan_s
         );
-        let validated: Vec<_> = r
-            .scenarios
-            .iter()
-            .filter(|s| s.actual_s.is_some())
-            .collect();
-        assert!(validated.len() >= 3, "only {} validated", validated.len());
-        for s in validated {
-            let err = s.rel_err().expect("validated");
-            assert!(
-                err < AGREEMENT_BAND,
-                "{}: predicted {:.6} vs re-run {:.6} ({:.2} % error)",
-                s.label,
-                s.prediction.makespan_s,
-                s.actual_s.unwrap(),
-                100.0 * err
-            );
-        }
+        let validated = r.scenarios.iter().filter(|s| s.actual_s.is_some());
+        assert!(validated.count() >= 3, "too few validated scenarios");
+        let violations = r.agreement_violations();
+        assert!(violations.is_empty(), "{violations:?}");
     }
 
     /// Cost-scaling wrapper sanity: the rebuilt program re-runs to a
@@ -602,43 +444,54 @@ mod tests {
 
     #[test]
     fn baseline_round_trips_and_flags_band_violations() {
-        let mut scenarios = BTreeMap::new();
-        scenarios.insert(
-            "faster".to_string(),
-            ScenarioBaseline {
-                predicted_s: 0.9,
-                actual_s: Some(0.92),
+        let outcome = |label: &str, predicted_s: f64, actual_s: Option<f64>| ScenarioOutcome {
+            label: label.into(),
+            prediction: Prediction {
+                makespan_s: predicted_s,
+                occupancy: 0.5,
             },
-        );
-        scenarios.insert(
-            "unvalidated".to_string(),
-            ScenarioBaseline {
-                predicted_s: 0.95,
-                actual_s: None,
-            },
-        );
-        let b = WhatIfBaseline {
-            config: "test".into(),
-            agreement_band: 0.10,
-            actual_makespan_s: 1.0,
-            replay_s: 1.01,
-            scenarios,
+            speedup: 1.0,
+            actual_s,
         };
-        let parsed = WhatIfBaseline::from_json(&b.to_json()).unwrap();
+        let mut r = WhatIfRun {
+            config: fast_config(),
+            actual_makespan_s: 1.0,
+            replay: Prediction {
+                makespan_s: 1.01,
+                occupancy: 0.5,
+            },
+            scenarios: vec![
+                outcome("faster", 0.9, Some(0.92)),
+                outcome("unvalidated", 0.95, None),
+            ],
+        };
+        let b = r.baseline();
+        assert_eq!(b.scalars.len(), 5, "{b:?}");
+        let parsed = Baseline::from_json(&b.to_json()).unwrap();
         assert_eq!(parsed, b);
-        assert!(parsed.compare(&b, 0.02).is_empty());
+        assert!(parsed.compare(&b, |_| BAND).is_empty());
+        assert!(r.agreement_violations().is_empty());
 
-        // Prediction drifts outside the agreement band of its re-run.
-        let mut bad = b.clone();
-        bad.scenarios.get_mut("faster").unwrap().predicted_s = 0.92 * 1.2;
-        let violations = parsed.compare(&bad, 0.5);
+        // A scalar pushed 10 % fails the ±2 % band.
+        let mut drifted = b.clone();
+        *drifted.scalars.get_mut("replay_s").unwrap() *= 1.10;
+        let violations = parsed.compare(&drifted, |_| BAND);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].starts_with("replay_s"), "{violations:?}");
+
+        // A validated scenario cannot silently lose its re-run.
+        r.scenarios[0].actual_s = None;
+        let violations = parsed.compare(&r.baseline(), |_| BAND);
+        assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
-            violations.iter().any(|v| v.contains("agreement band")),
+            violations[0].starts_with("faster.actual_s"),
             "{violations:?}"
         );
-        // A validated scenario cannot silently lose its re-run.
-        let mut lost = b.clone();
-        lost.scenarios.get_mut("faster").unwrap().actual_s = None;
-        assert!(!parsed.compare(&lost, 0.5).is_empty());
+
+        // A prediction outside the agreement band of its re-run.
+        r.scenarios[0].actual_s = Some(0.9 / 1.2);
+        let violations = r.agreement_violations();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("agreement band"), "{violations:?}");
     }
 }

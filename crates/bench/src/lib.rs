@@ -28,8 +28,7 @@
 //! `stencil-tournament` runs every scheme × every `runtime::Scheduler`
 //! portfolio policy on the reference configuration, judged by makespan
 //! vs the static bound, critical-path daylight, and occupancy (its
-//! `--check` mode is CI's deadlock-freedom and default-policy-identity
-//! gate).
+//! `--check` mode is CI's deadlock-freedom gate).
 //!
 //! Set `REPRO_FAST=1` to shrink iteration counts for smoke runs; the
 //! defaults match the paper's parameters.

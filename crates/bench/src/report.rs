@@ -7,6 +7,9 @@
 //! the figure binary flushes everything with [`write_metrics`] at the
 //! end. The log is thread-local — each binary is single-threaded at the
 //! harness level, so one log per process is exactly one log per figure.
+//!
+//! The binaries that keep a committed regression baseline write and check
+//! it through one routine, [`baseline_gate`].
 
 use serde::Serialize;
 use std::cell::RefCell;
@@ -88,6 +91,65 @@ pub fn write_metrics(name: &str) -> String {
     std::fs::write(&path, text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     println!("wrote metrics to {path}");
     path
+}
+
+/// What a baseline-managing binary does with its run's scalars.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BaselineMode {
+    /// Report only.
+    Off,
+    /// `--baseline`: write the scalars to the baseline file.
+    Write,
+    /// `--check`: diff them against the committed file; exit 1 on drift.
+    Check,
+}
+
+/// The `--baseline` / `--check` step shared by `stencil-doctor` and
+/// `stencil-whatif`. `Write` stores `current` in `file`. `Check` reads
+/// the committed baseline from `file` (exit 2 when unreadable), compares
+/// it with `current` under `band`, adds `run_violations` (failures the
+/// current run shows on its own), and exits 1 if any line results.
+/// Returns the committed baseline after a passing check.
+pub fn baseline_gate(
+    mode: BaselineMode,
+    file: &str,
+    current: &insight::Baseline,
+    band: impl Fn(&str) -> insight::Band,
+    run_violations: Vec<String>,
+) -> Option<insight::Baseline> {
+    match mode {
+        BaselineMode::Off => None,
+        BaselineMode::Write => {
+            std::fs::write(file, current.to_json()).expect("write baseline file");
+            println!("\nwrote {} scalars to {file}", current.scalars.len());
+            None
+        }
+        BaselineMode::Check => {
+            let committed = std::fs::read_to_string(file)
+                .map_err(|e| {
+                    format!("cannot read baseline {file}: {e} (run with --baseline first)")
+                })
+                .and_then(|text| {
+                    insight::Baseline::from_json(&text)
+                        .map_err(|e| format!("cannot parse baseline {file}: {e}"))
+                })
+                .unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                });
+            let mut violations = committed.compare(current, band);
+            violations.extend(run_violations);
+            if !violations.is_empty() {
+                eprintln!("\nbaseline check FAILED against {file}:");
+                for v in &violations {
+                    eprintln!("  {v}");
+                }
+                std::process::exit(1);
+            }
+            println!("\nbaseline check OK against {file}");
+            Some(committed)
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,6 @@
-//! Statistics helpers used across the simulator: time-weighted means,
-//! sample summaries, and power-of-two histograms.
+//! Time-weighted statistics for the simulator's utilization figures.
 
 use crate::time::VirtualTime;
-use serde::Serialize;
 
 /// Accumulates the time integral of a piecewise-constant signal.
 ///
@@ -46,115 +44,6 @@ impl TimeWeighted {
     }
 }
 
-/// Summary statistics of a sample of `f64` values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median (50th percentile, linear interpolation).
-    pub median: f64,
-    /// Population standard deviation.
-    pub stddev: f64,
-}
-
-impl Summary {
-    /// Summarize `samples`. Returns `None` for an empty slice.
-    pub fn of(samples: &[f64]) -> Option<Summary> {
-        if samples.is_empty() {
-            return None;
-        }
-        let count = samples.len();
-        let mut sorted: Vec<f64> = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample in Summary::of"));
-        let sum: f64 = sorted.iter().sum();
-        let mean = sum / count as f64;
-        let var: f64 = sorted.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / count as f64;
-        Some(Summary {
-            count,
-            min: sorted[0],
-            max: sorted[count - 1],
-            mean,
-            median: percentile_sorted(&sorted, 50.0),
-            stddev: var.sqrt(),
-        })
-    }
-}
-
-/// Percentile (0..=100) of an ascending-sorted slice, with linear
-/// interpolation between adjacent ranks. Panics on an empty slice.
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of empty slice");
-    assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
-
-/// Histogram over power-of-two buckets of `u64` values (bucket `i` holds
-/// values in `[2^i, 2^(i+1))`, bucket 0 also holds 0).
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct Pow2Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u128,
-}
-
-impl Pow2Histogram {
-    /// Empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one value.
-    pub fn record(&mut self, value: u64) {
-        let idx = if value == 0 {
-            0
-        } else {
-            63 - value.leading_zeros() as usize
-        };
-        if self.buckets.len() <= idx {
-            self.buckets.resize(idx + 1, 0);
-        }
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += value as u128;
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of recorded values; zero when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// (bucket lower bound, count) pairs for non-empty buckets.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 0 } else { 1u64 << i }, c))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,51 +63,5 @@ mod tests {
     fn time_weighted_zero_span() {
         let tw = TimeWeighted::new();
         assert_eq!(tw.mean_until(VirtualTime::ZERO, 7.0), 0.0);
-    }
-
-    #[test]
-    fn summary_basic() {
-        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(s.count, 4);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert!((s.mean - 2.5).abs() < 1e-12);
-        assert!((s.median - 2.5).abs() < 1e-12);
-        assert!((s.stddev - 1.118033988749895).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_empty_is_none() {
-        assert!(Summary::of(&[]).is_none());
-    }
-
-    #[test]
-    fn summary_single() {
-        let s = Summary::of(&[42.0]).unwrap();
-        assert_eq!(s.median, 42.0);
-        assert_eq!(s.stddev, 0.0);
-    }
-
-    #[test]
-    fn percentiles_interpolate() {
-        let v = [10.0, 20.0, 30.0, 40.0, 50.0];
-        assert_eq!(percentile_sorted(&v, 0.0), 10.0);
-        assert_eq!(percentile_sorted(&v, 100.0), 50.0);
-        assert_eq!(percentile_sorted(&v, 50.0), 30.0);
-        assert!((percentile_sorted(&v, 25.0) - 20.0).abs() < 1e-12);
-        assert!((percentile_sorted(&v, 90.0) - 46.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pow2_histogram_buckets() {
-        let mut h = Pow2Histogram::new();
-        for v in [0u64, 1, 2, 3, 4, 7, 8, 1024] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 8);
-        let buckets: Vec<(u64, u64)> = h.buckets().collect();
-        // 0 and 1 land in bucket 0; 2,3 in bucket 2; 4..7 in bucket 4; 8 in 8; 1024 in 1024
-        assert_eq!(buckets, vec![(0, 2), (2, 2), (4, 2), (8, 1), (1024, 1)]);
-        assert!((h.mean() - (1 + 2 + 3 + 4 + 7 + 8 + 1024) as f64 / 8.0).abs() < 1e-12);
     }
 }

@@ -1,126 +1,89 @@
-//! Bench regression baselines: the scalars a stencil run must reproduce,
-//! with tolerance-band comparison.
+//! Bench regression baselines: the one `--baseline` / `--check` file
+//! format, a config identity plus flat named scalars.
 //!
-//! `stencil-doctor --baseline` writes a [`Baseline`] (one
-//! [`SchemeBaseline`] per scheduling scheme) to a committed JSON file;
-//! `stencil-doctor --check` re-runs the same deterministic simulated
-//! configuration and diffs against it. Deviations outside the
-//! [`Tolerance`] bands — in *either* direction, so silent improvements
-//! get re-baselined instead of rotting — fail the check. Counters
-//! (messages, bytes, redundant flops) are exact: the simulated executor
-//! is deterministic and `analyze` predicts them statically, so any drift
-//! is a real behavior change.
+//! `stencil-doctor --baseline` and `stencil-whatif --baseline` write a
+//! [`Baseline`] to a committed JSON file; `--check` re-runs the same
+//! deterministic simulated configuration and diffs against it. The caller
+//! names a [`Band`] per key. Deviations outside it — in *either*
+//! direction, so silent improvements get re-baselined instead of
+//! rotting — fail the check, as does any key present on one side only.
+//! Counters (messages, bytes, redundant flops) are [`Band::Exact`]: the
+//! simulated executor is deterministic and `analyze` predicts them
+//! statically, so any drift is a real behavior change.
 
 use serde::{Number, Value};
 use std::collections::BTreeMap;
 
-/// The recorded scalars for one scheme (e.g. `base`, `ca_s4`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchemeBaseline {
-    /// Simulated makespan, seconds.
-    pub makespan_s: f64,
-    /// Achieved useful GFLOP/s across the machine.
-    pub gflops: f64,
-    /// Mean worker-lane occupancy in `[0, 1]`.
-    pub occupancy: f64,
-    /// Worker lane-time fraction classified comm-wait, in `[0, 1]`.
-    pub comm_wait_fraction: f64,
-    /// Median task-kernel duration, milliseconds.
-    pub median_kernel_ms: f64,
-    /// Cross-node messages sent (exact).
-    pub messages: u64,
-    /// Cross-node bytes sent (exact).
-    pub bytes: u64,
-    /// Redundant ghost-region flops (exact).
-    pub redundant_flops: u64,
-}
-
-/// A committed set of per-scheme baselines for one bench configuration.
+/// A committed set of named scalars for one bench configuration.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Baseline {
     /// Human-readable description of the run configuration, compared
     /// verbatim so a baseline is never diffed against a different setup.
     pub config: String,
-    /// Scheme name → recorded scalars.
-    pub schemes: BTreeMap<String, SchemeBaseline>,
+    /// Scalar name (e.g. `base.makespan_s`) → recorded value. Counts are
+    /// stored as `f64`, exact below 2⁵³, and written as JSON integers.
+    pub scalars: BTreeMap<String, f64>,
 }
 
-/// Allowed deviation bands for [`Baseline::compare`].
-#[derive(Debug, Clone, Copy)]
-pub struct Tolerance {
-    /// Relative band for time-like scalars (makespan, GFLOP/s, median
-    /// kernel).
-    pub rel_time: f64,
-    /// Absolute band for fraction-valued scalars (occupancy, comm-wait).
-    pub abs_fraction: f64,
+/// How far one scalar may move from its committed value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Band {
+    /// Within this fraction of the committed value (time-like scalars).
+    Rel(f64),
+    /// Within this absolute distance (fraction-valued scalars).
+    Abs(f64),
+    /// Equal to the committed value (counters of a deterministic run).
+    Exact,
 }
 
-impl Default for Tolerance {
-    fn default() -> Self {
-        Tolerance {
-            rel_time: 0.02,
-            abs_fraction: 0.02,
+impl Band {
+    /// The violation line for `key` moving from `b` to `c`, if outside
+    /// the band.
+    fn violation(self, key: &str, b: f64, c: f64) -> Option<String> {
+        match self {
+            Band::Rel(r) if (c - b).abs() > r * b.abs().max(f64::MIN_POSITIVE) => Some(format!(
+                "{key}: {c:.6} deviates from baseline {b:.6} by more than {:.1}%",
+                r * 100.0
+            )),
+            Band::Abs(a) if (c - b).abs() > a => Some(format!(
+                "{key}: {c:.4} deviates from baseline {b:.4} by more than {a:.2}"
+            )),
+            Band::Exact if c != b => Some(format!(
+                "{key}: {c} != baseline {b} (exact counter; deterministic run)"
+            )),
+            _ => None,
         }
     }
 }
 
 fn num(v: f64) -> Value {
-    Value::Num(Number::F(v))
-}
-
-fn unum(v: u64) -> Value {
-    Value::Num(Number::U(v))
-}
-
-impl SchemeBaseline {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("makespan_s".into(), num(self.makespan_s)),
-            ("gflops".into(), num(self.gflops)),
-            ("occupancy".into(), num(self.occupancy)),
-            ("comm_wait_fraction".into(), num(self.comm_wait_fraction)),
-            ("median_kernel_ms".into(), num(self.median_kernel_ms)),
-            ("messages".into(), unum(self.messages)),
-            ("bytes".into(), unum(self.bytes)),
-            ("redundant_flops".into(), unum(self.redundant_flops)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let f = |name: &str| {
-            v.field(name)
-                .as_f64()
-                .ok_or_else(|| format!("scheme field {name} missing or not a number"))
-        };
-        let u = |name: &str| {
-            v.field(name)
-                .as_u64()
-                .ok_or_else(|| format!("scheme field {name} missing or not an integer"))
-        };
-        Ok(SchemeBaseline {
-            makespan_s: f("makespan_s")?,
-            gflops: f("gflops")?,
-            occupancy: f("occupancy")?,
-            comm_wait_fraction: f("comm_wait_fraction")?,
-            median_kernel_ms: f("median_kernel_ms")?,
-            messages: u("messages")?,
-            bytes: u("bytes")?,
-            redundant_flops: u("redundant_flops")?,
-        })
+    // Whole non-negative values (the counters) are written as integers.
+    if v >= 0.0 && v.fract() == 0.0 && v < (1u64 << 53) as f64 {
+        Value::Num(Number::U(v as u64))
+    } else {
+        Value::Num(Number::F(v))
     }
 }
 
 impl Baseline {
+    /// An empty baseline for the configuration `config`.
+    pub fn new(config: impl Into<String>) -> Self {
+        Baseline {
+            config: config.into(),
+            scalars: BTreeMap::new(),
+        }
+    }
+
     /// Serialize to the committed pretty-printed JSON format.
     pub fn to_json(&self) -> String {
-        let schemes = self
-            .schemes
+        let scalars = self
+            .scalars
             .iter()
-            .map(|(name, s)| (name.clone(), s.to_value()))
+            .map(|(k, &v)| (k.clone(), num(v)))
             .collect();
         let v = Value::Object(vec![
             ("config".into(), Value::Str(self.config.clone())),
-            ("schemes".into(), Value::Object(schemes)),
+            ("scalars".into(), Value::Object(scalars)),
         ]);
         let mut text = serde_json::to_string_pretty(&v).expect("baseline serialization");
         text.push('\n');
@@ -133,88 +96,43 @@ impl Baseline {
         let config = v
             .field("config")
             .as_str()
-            .ok_or("baseline missing config string")?
-            .to_string();
-        let Value::Object(pairs) = v.field("schemes") else {
-            return Err("baseline missing schemes object".into());
+            .ok_or("baseline missing config string")?;
+        let Value::Object(pairs) = v.field("scalars") else {
+            return Err("baseline missing scalars object".into());
         };
-        let mut schemes = BTreeMap::new();
-        for (name, sv) in pairs {
-            let s = SchemeBaseline::from_value(sv).map_err(|e| format!("scheme {name}: {e}"))?;
-            schemes.insert(name.clone(), s);
+        let mut b = Baseline::new(config);
+        for (key, sv) in pairs {
+            let x = sv
+                .as_f64()
+                .ok_or_else(|| format!("scalar {key} is not a number"))?;
+            b.scalars.insert(key.clone(), x);
         }
-        Ok(Baseline { config, schemes })
+        Ok(b)
     }
 
-    /// Diff `current` against this committed baseline. Returns one line
-    /// per violation; empty means the check passes.
-    pub fn compare(&self, current: &Baseline, tol: &Tolerance) -> Vec<String> {
-        let mut bad = Vec::new();
+    /// Diff `current` against this committed baseline, holding each key to
+    /// `band(key)`. Returns one line per violation; empty means the check
+    /// passes.
+    pub fn compare(&self, current: &Baseline, band: impl Fn(&str) -> Band) -> Vec<String> {
         if self.config != current.config {
-            bad.push(format!(
+            return vec![format!(
                 "config mismatch: baseline \"{}\" vs current \"{}\" (re-baseline after config changes)",
                 self.config, current.config
-            ));
-            return bad;
+            )];
         }
-        for name in self.schemes.keys() {
-            if !current.schemes.contains_key(name) {
-                bad.push(format!(
-                    "scheme {name} present in baseline but not in current run"
-                ));
+        let mut bad = Vec::new();
+        for (key, &b) in &self.scalars {
+            match current.scalars.get(key) {
+                Some(&c) => bad.extend(band(key).violation(key, b, c)),
+                None => bad.push(format!("{key} present in baseline but not in current run")),
             }
         }
-        for name in current.schemes.keys() {
-            if !self.schemes.contains_key(name) {
+        for key in current.scalars.keys() {
+            if !self.scalars.contains_key(key) {
                 bad.push(format!(
-                    "scheme {name} produced by current run but absent from baseline"
+                    "{key} produced by current run but absent from baseline"
                 ));
             }
-        }
-        for (name, base) in &self.schemes {
-            let Some(cur) = current.schemes.get(name) else {
-                continue;
-            };
-            let mut rel = |field: &str, b: f64, c: f64| {
-                let band = tol.rel_time * b.abs().max(f64::MIN_POSITIVE);
-                if (c - b).abs() > band {
-                    bad.push(format!(
-                        "{name}.{field}: {c:.6} deviates from baseline {b:.6} by more than {:.1}%",
-                        tol.rel_time * 100.0
-                    ));
-                }
-            };
-            rel("makespan_s", base.makespan_s, cur.makespan_s);
-            rel("gflops", base.gflops, cur.gflops);
-            rel(
-                "median_kernel_ms",
-                base.median_kernel_ms,
-                cur.median_kernel_ms,
-            );
-            let mut abs = |field: &str, b: f64, c: f64| {
-                if (c - b).abs() > tol.abs_fraction {
-                    bad.push(format!(
-                        "{name}.{field}: {c:.4} deviates from baseline {b:.4} by more than {:.2}",
-                        tol.abs_fraction
-                    ));
-                }
-            };
-            abs("occupancy", base.occupancy, cur.occupancy);
-            abs(
-                "comm_wait_fraction",
-                base.comm_wait_fraction,
-                cur.comm_wait_fraction,
-            );
-            let mut exact = |field: &str, b: u64, c: u64| {
-                if b != c {
-                    bad.push(format!(
-                        "{name}.{field}: {c} != baseline {b} (exact counter; deterministic run)"
-                    ));
-                }
-            };
-            exact("messages", base.messages, cur.messages);
-            exact("bytes", base.bytes, cur.bytes);
-            exact("redundant_flops", base.redundant_flops, cur.redundant_flops);
         }
         bad
     }
@@ -225,43 +143,45 @@ mod tests {
     use super::*;
 
     fn sample() -> Baseline {
-        let mut schemes = BTreeMap::new();
-        schemes.insert(
-            "base".to_string(),
-            SchemeBaseline {
-                makespan_s: 1.25,
-                gflops: 310.5,
-                occupancy: 0.62,
-                comm_wait_fraction: 0.21,
-                median_kernel_ms: 136.0,
-                messages: 1920,
-                bytes: 7_864_320,
-                redundant_flops: 0,
-            },
-        );
-        schemes.insert(
-            "ca_s4".to_string(),
-            SchemeBaseline {
-                makespan_s: 0.98,
-                gflops: 396.1,
-                occupancy: 0.81,
-                comm_wait_fraction: 0.06,
-                median_kernel_ms: 153.0,
-                messages: 480,
-                bytes: 9_830_400,
-                redundant_flops: 123_456,
-            },
-        );
-        Baseline {
-            config: "n=4608 tile=288 grid=4x4 iters=10 steps=5 ratio=0.4".to_string(),
-            schemes,
+        let mut b = Baseline::new("n=4608 tile=288 grid=4x4 iters=10 steps=5 ratio=0.4");
+        for (key, v) in [
+            ("base.makespan_s", 1.25),
+            ("base.occupancy", 0.62),
+            ("base.messages", 1920.0),
+            ("ca.makespan_s", 0.98),
+            ("ca.occupancy", 0.81),
+            ("ca.messages", 480.0),
+            ("ca.redundant_flops", 123_456.0),
+        ] {
+            b.scalars.insert(key.into(), v);
         }
+        b
+    }
+
+    /// The doctor's band classes: fractions absolute, counters exact,
+    /// everything else relative.
+    fn band(key: &str) -> Band {
+        if key.ends_with(".occupancy") {
+            Band::Abs(0.02)
+        } else if key.ends_with(".messages") || key.ends_with(".redundant_flops") {
+            Band::Exact
+        } else {
+            Band::Rel(0.02)
+        }
+    }
+
+    fn bump(b: &mut Baseline, key: &str, f: impl Fn(f64) -> f64) {
+        let v = b.scalars.get_mut(key).expect("key in sample");
+        *v = f(*v);
     }
 
     #[test]
     fn json_round_trips_exactly() {
-        let b = sample();
+        let mut b = sample();
+        b.scalars.insert("odd".into(), 0.005381863000000001);
         let text = b.to_json();
+        // Counters are written as integers, floats in shortest form.
+        assert!(text.contains("\"ca.messages\": 480,"), "{text}");
         let parsed = Baseline::from_json(&text).unwrap();
         assert_eq!(parsed, b);
         // And the rendered form is stable (committed-file hygiene).
@@ -270,53 +190,66 @@ mod tests {
 
     #[test]
     fn identical_runs_pass() {
-        let b = sample();
-        assert!(b.compare(&sample(), &Tolerance::default()).is_empty());
+        assert!(sample().compare(&sample(), band).is_empty());
     }
 
     #[test]
     fn small_drift_within_band_passes() {
-        let b = sample();
         let mut cur = sample();
-        let s = cur.schemes.get_mut("base").unwrap();
-        s.makespan_s *= 1.015; // within 2% band
-        s.occupancy += 0.01; // within 0.02 band
-        assert!(b.compare(&cur, &Tolerance::default()).is_empty());
+        bump(&mut cur, "base.makespan_s", |v| v * 1.015); // within 2 %
+        bump(&mut cur, "base.occupancy", |v| v + 0.01); // within 0.02
+        assert!(sample().compare(&cur, band).is_empty());
     }
 
     #[test]
     fn perturbation_beyond_tolerance_fails_both_directions() {
         let b = sample();
         let mut slow = sample();
-        slow.schemes.get_mut("base").unwrap().makespan_s *= 1.10;
-        let bad = b.compare(&slow, &Tolerance::default());
+        bump(&mut slow, "base.makespan_s", |v| v * 1.10);
+        let bad = b.compare(&slow, band);
         assert_eq!(bad.len(), 1, "{bad:?}");
         assert!(bad[0].contains("base.makespan_s"));
 
         let mut fast = sample();
-        fast.schemes.get_mut("ca_s4").unwrap().makespan_s *= 0.90;
-        assert!(!b.compare(&fast, &Tolerance::default()).is_empty());
+        bump(&mut fast, "ca.makespan_s", |v| v * 0.90);
+        assert_eq!(b.compare(&fast, band).len(), 1);
+
+        // The absolute band: 0.62 → 0.682 is 0.062 out, past 0.02.
+        let mut busy = sample();
+        bump(&mut busy, "base.occupancy", |v| v * 1.10);
+        let bad = b.compare(&busy, band);
+        assert_eq!(bad.len(), 1, "{bad:?}");
+        assert!(bad[0].contains("base.occupancy"));
     }
 
     #[test]
     fn counter_drift_is_exact_fail() {
-        let b = sample();
         let mut cur = sample();
-        cur.schemes.get_mut("ca_s4").unwrap().messages += 1;
-        let bad = b.compare(&cur, &Tolerance::default());
+        bump(&mut cur, "ca.messages", |v| v + 1.0);
+        let bad = sample().compare(&cur, band);
         assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("ca_s4.messages"));
+        assert!(bad[0].contains("ca.messages"));
     }
 
     #[test]
     fn scheme_set_and_config_mismatches_fail() {
         let b = sample();
-        let mut cur = sample();
-        cur.schemes.remove("ca_s4");
-        assert!(!b.compare(&cur, &Tolerance::default()).is_empty());
+        let mut lost = sample();
+        lost.scalars.remove("ca.redundant_flops");
+        let bad = b.compare(&lost, band);
+        assert_eq!(bad.len(), 1, "{bad:?}");
+        assert!(bad[0].contains("not in current run"), "{bad:?}");
+
+        let mut extra = sample();
+        extra.scalars.insert("pa2.makespan_s".into(), 1.0);
+        let bad = b.compare(&extra, band);
+        assert_eq!(bad.len(), 1, "{bad:?}");
+        assert!(bad[0].contains("absent from baseline"), "{bad:?}");
 
         let mut other = sample();
         other.config = "different".into();
-        assert!(!b.compare(&other, &Tolerance::default()).is_empty());
+        let bad = b.compare(&other, band);
+        assert_eq!(bad.len(), 1, "{bad:?}");
+        assert!(bad[0].contains("config mismatch"), "{bad:?}");
     }
 }

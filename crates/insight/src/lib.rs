@@ -20,9 +20,9 @@
 //!   occupancy story as a first-class report;
 //! * **Step-size advice** ([`advisor`]) — a recommended `s` from the
 //!   measured comm-wait fraction and redundant-flop counters;
-//! * **Regression baselines** ([`baseline`]) — key scalars per scheme,
-//!   written and checked with tolerance bands by the `stencil-doctor`
-//!   bench binary;
+//! * **Regression baselines** ([`baseline`]) — a config identity plus
+//!   flat named scalars, written and checked with a per-key band by the
+//!   `stencil-doctor` and `stencil-whatif` bench binaries;
 //! * **Scheduler attribution** ([`attribution`]) — a per-policy score
 //!   (makespan vs static bound, realized-critical-path "daylight",
 //!   occupancy) judging the `stencil-tournament` scheme × scheduler
@@ -56,7 +56,7 @@ mod tests;
 
 pub use advisor::{advise_step, StepAdvice};
 pub use attribution::SchedulerScore;
-pub use baseline::{Baseline, SchemeBaseline, Tolerance};
+pub use baseline::{Band, Baseline};
 pub use commwait::{CommWaitMap, PeerStall};
 pub use critpath::RealizedPath;
 pub use gaps::{ClassifiedGap, GapCause, GapTotals};

@@ -450,6 +450,17 @@ mod whatif_replay {
     }
 
     #[test]
+    #[should_panic(expected = "injection node 2 out of range")]
+    fn injection_on_a_missing_node_panics() {
+        let dag = pair_dag(1);
+        let w = WhatIf::new(&Trace::default(), &dag, &MachineProfile::nacl(), 2);
+        w.replay(&[Perturbation::Injection {
+            node: 2,
+            factor: 0.5,
+        }]);
+    }
+
+    #[test]
     fn rank_orders_scenarios_by_predicted_speedup() {
         let (dag, trace) = local_pair();
         let w = WhatIf::new(&trace, &dag, &MachineProfile::nacl(), 1);

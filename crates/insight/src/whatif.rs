@@ -98,7 +98,6 @@ pub struct WhatIf {
     indeg: Vec<usize>,
     nodes: u32,
     lanes: u32,
-    comm_engines: usize,
     msg_cost: f64,
     net: NetworkModel,
 }
@@ -161,17 +160,9 @@ impl WhatIf {
             indeg,
             nodes,
             lanes: profile.compute_threads(),
-            comm_engines: 1,
             msg_cost: profile.runtime_msg_cost,
             net: NetworkModel::from_profile(profile),
         }
-    }
-
-    /// Match the run's parallel send engines per node (default 1, the
-    /// simulator's default).
-    pub fn with_comm_engines(mut self, n: usize) -> Self {
-        self.comm_engines = n.max(1);
-        self
     }
 
     /// The unperturbed replay — the model's own account of the run, the
@@ -212,10 +203,12 @@ impl WhatIf {
                 }
                 Perturbation::Injection { node, factor } => {
                     assert!(factor > 0.0, "injection factor must be positive");
-                    let n = node as usize;
-                    if n < msg_cost.len() {
-                        msg_cost[n] /= factor;
-                    }
+                    assert!(
+                        node < self.nodes,
+                        "injection node {node} out of range ({} nodes)",
+                        self.nodes
+                    );
+                    msg_cost[node as usize] /= factor;
                 }
             }
         }
@@ -228,13 +221,14 @@ impl WhatIf {
         let occupancy_of = |bytes: u64| net.sender_occupancy(bytes.max(1) as usize);
 
         // Discrete-event replay mirroring the simulator's comm pipeline:
-        // FIFO ready queues, `lanes` compute lanes per node, per-node
-        // send/receive engines charging msg_cost on both ends.
+        // FIFO ready queues, `lanes` compute lanes per node, one send/receive
+        // engine per node (the simulator's default) charging msg_cost on
+        // both ends.
         let n_nodes = self.nodes as usize;
         let mut indeg = self.indeg.clone();
         let mut free_lanes: Vec<u32> = vec![self.lanes; n_nodes];
         let mut ready: Vec<VecDeque<usize>> = vec![VecDeque::new(); n_nodes];
-        let mut comm_free: Vec<usize> = vec![self.comm_engines; n_nodes];
+        let mut comm_free: Vec<usize> = vec![1; n_nodes];
         let mut comm_queue: Vec<VecDeque<CommJob>> = vec![VecDeque::new(); n_nodes];
         let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut events: Vec<Option<Ev>> = Vec::new();

@@ -8,8 +8,6 @@
 //!   eager/rendezvous protocol switch, parameterized per machine profile;
 //! * [`topology`] — [`ProcessGrid`]: the square logical node grid the
 //!   paper arranges its runs on, over a full-crossbar fabric;
-//! * [`message`] — [`Message`]: size-carrying (and optionally
-//!   payload-carrying) point-to-point messages;
 //! * [`netpipe`] — the NetPIPE ping-pong benchmark, reproducing the
 //!   bandwidth-vs-message-size curves of the paper's Figure 5;
 //! * [`collective`] — tree and Rabenseifner collective cost models for the
@@ -19,14 +17,12 @@
 
 pub mod collective;
 pub mod inflight;
-pub mod message;
 pub mod model;
 pub mod netpipe;
 pub mod topology;
 
 pub use collective::CollectiveModel;
 pub use inflight::InFlight;
-pub use message::{Message, Tag};
 pub use model::NetworkModel;
 pub use netpipe::{netpipe_sweep, ping_pong, NetPipePoint};
 pub use topology::{NodeId, ProcessGrid};

@@ -3,10 +3,7 @@
 //! [`render`] produces the standard `name{labels} value` text format from
 //! a [`MetricsSnapshot`], the latest [`LiveSample`]s, and the tracer's
 //! [`TracerOverhead`]. The bench harness dumps it next to each figure as
-//! `<fig>.prom`; with the `expo-serve` feature a trivial TCP responder
-//! (`serve`, behind the `expo-serve` feature) serves the same text over HTTP for a real Prometheus
-//! scraper — both sinks are views over the same render, so what a
-//! dashboard would see is exactly what lands on disk.
+//! `<fig>.prom`, in the format a Prometheus scraper reads.
 
 use crate::{CommMatrix, LiveSample, MetricsSnapshot, TracerOverhead};
 use std::fmt::Write as _;
@@ -285,94 +282,6 @@ pub fn render_full(
     out
 }
 
-/// Trivial HTTP responder serving the exposition text, behind the
-/// `expo-serve` feature (uses only `std::net`). One thread, one request
-/// at a time — enough for a scraper or a `curl` while a bench runs.
-#[cfg(feature = "expo-serve")]
-pub mod serve {
-    use std::io::{Read, Write};
-    use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::thread::JoinHandle;
-    use std::time::Duration;
-
-    /// Handle to a running exposition server; dropping it stops the
-    /// thread.
-    pub struct ExpoServer {
-        addr: SocketAddr,
-        stop: Arc<AtomicBool>,
-        handle: Option<JoinHandle<()>>,
-    }
-
-    impl ExpoServer {
-        /// The bound address (useful with port 0).
-        pub fn addr(&self) -> SocketAddr {
-            self.addr
-        }
-
-        /// Stop the server thread and wait for it.
-        pub fn shutdown(mut self) {
-            self.stop_and_join();
-        }
-
-        fn stop_and_join(&mut self) {
-            self.stop.store(true, Ordering::Release);
-            if let Some(h) = self.handle.take() {
-                let _ = h.join();
-            }
-        }
-    }
-
-    impl Drop for ExpoServer {
-        fn drop(&mut self) {
-            self.stop_and_join();
-        }
-    }
-
-    /// Bind `addr` and serve `render()`'s output to every connection as
-    /// an HTTP 200 `text/plain` response. The render closure runs per
-    /// request, so scrapes always see current gauges.
-    pub fn spawn<F>(addr: impl ToSocketAddrs, render: F) -> std::io::Result<ExpoServer>
-    where
-        F: Fn() -> String + Send + 'static,
-    {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_thread = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            while !stop_thread.load(Ordering::Acquire) {
-                match listener.accept() {
-                    Ok((mut conn, _)) => {
-                        let _ = conn.set_read_timeout(Some(Duration::from_millis(200)));
-                        // Drain (and ignore) the request line + headers.
-                        let mut buf = [0u8; 1024];
-                        let _ = conn.read(&mut buf);
-                        let body = render();
-                        let _ = write!(
-                            conn,
-                            "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\n\r\n{}",
-                            body.len(),
-                            body
-                        );
-                    }
-                    Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        Ok(ExpoServer {
-            addr,
-            stop,
-            handle: Some(handle),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,21 +410,5 @@ mod tests {
         assert!(text.contains("stencil_a_b_c_total{run=\"x\"} 1"), "{text}");
         assert!(!text.contains("lane_busy"));
         assert!(!text.contains("tracer_"));
-    }
-
-    #[cfg(feature = "expo-serve")]
-    #[test]
-    fn serve_responds_with_exposition_text() {
-        use std::io::{Read, Write};
-        let server =
-            serve::spawn("127.0.0.1:0", || "stencil_up{run=\"t\"} 1\n".to_string()).expect("bind");
-        let addr = server.addr();
-        let mut conn = std::net::TcpStream::connect(addr).expect("connect");
-        conn.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
-        let mut resp = String::new();
-        conn.read_to_string(&mut resp).unwrap();
-        assert!(resp.starts_with("HTTP/1.0 200 OK"), "{resp}");
-        assert!(resp.contains("stencil_up{run=\"t\"} 1"), "{resp}");
-        server.shutdown();
     }
 }

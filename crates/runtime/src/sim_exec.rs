@@ -290,7 +290,7 @@ impl Sim {
                 return;
             }
             let job = st.comm_queue.pop_front().expect("nonempty");
-            st.comm_busy.record(now, st.comm_active.min(1) as f64);
+            st.comm_busy.record(now, st.comm_active as f64);
             st.comm_active += 1;
             match job {
                 CommJob::Send {
@@ -514,9 +514,8 @@ impl Model for Sim {
                 msg,
             } => {
                 let st = &mut self.nodes[node as usize];
+                st.comm_busy.record(now, st.comm_active as f64);
                 st.comm_active -= 1;
-                st.comm_busy
-                    .record(now, (st.comm_active + 1).min(self.comm_engines) as f64);
                 self.local.comm(
                     node,
                     self.lanes_per_node,
@@ -688,11 +687,7 @@ fn simulate(
     let comm_utilization = sim
         .nodes
         .iter()
-        .map(|n| {
-            n.comm_busy
-                .mean_until(makespan_t, n.comm_active.min(1) as f64)
-                / cfg.comm_engines as f64
-        })
+        .map(|n| n.comm_busy.mean_until(makespan_t, n.comm_active as f64) / cfg.comm_engines as f64)
         .collect();
 
     SimOutcome {
@@ -892,6 +887,35 @@ mod tests {
             (r.makespan - expected).abs() < 1e-7,
             "makespan {} vs expected {expected}",
             r.makespan
+        );
+    }
+
+    #[test]
+    fn comm_utilization_counts_every_busy_engine() {
+        // Chain 0 -> 1 -> 2 on node 0, each task also sending 8 MiB to its
+        // own consumer (3, 4, 5) on node 1. A send outlasts a task, so the
+        // third send starts while two engines are still busy.
+        let mib8 = 8 << 20;
+        let p = program(
+            &[(0, 1, 0), (1, 2, 0), (0, 3, 0), (1, 4, 0), (2, 5, 0)],
+            &[(1, 1), (2, 1), (3, 1), (4, 1), (5, 1)],
+            &[(3, 1), (4, 1), (5, 1)],
+            &[0],
+            6,
+            1e-3,
+            mib8,
+        );
+        let r = run(&p, &cfg(2).with_comm_engines(3));
+        let net = NetworkModel::from_profile(&MachineProfile::nacl());
+        let c = MachineProfile::nacl().runtime_msg_cost;
+        let busy = 3.0 * (c + net.sender_occupancy(mib8));
+        assert!(net.sender_occupancy(mib8) > 2e-3, "sends overlap");
+        let expected = busy / (3.0 * r.makespan);
+        let got = r.comm_utilization()[0];
+        // Virtual time rounds every duration to the nanosecond.
+        assert!(
+            (got - expected).abs() < 1e-6,
+            "node 0 comm utilization {got} vs expected {expected}"
         );
     }
 
