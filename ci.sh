@@ -113,6 +113,23 @@ step lint_mutation_gate
 # budget, drops spans, or publishes no live samples.
 step ./target/release/stencil-top --once
 
+# Figure-10 determinism gate: the figure comes from virtual-time runs, so
+# two runs of fig10_trace must write byte-identical artifacts — the
+# metrics JSONL and, per version, the Gantt rows, the Chrome trace and
+# the diagnosis.
+fig10_determinism_gate() {
+    local bin="$PWD/target/release/fig10_trace" a b f status=0
+    a=$(mktemp -d) && b=$(mktemp -d) || return 1
+    (cd "$a" && REPRO_FAST=1 "$bin" >/dev/null) &&
+        (cd "$b" && REPRO_FAST=1 "$bin" >/dev/null) || status=1
+    for f in fig10.metrics.jsonl fig10_{base,ca}.{gantt,trace.json,doctor.txt}; do
+        cmp "$a/$f" "$b/$f" || status=1
+    done
+    rm -rf "$a" "$b"
+    return "$status"
+}
+step fig10_determinism_gate
+
 # Docs gate: every public item is documented (the workspace denies
 # missing_docs) and rustdoc itself must be warning-clean — broken
 # intra-doc links are errors, not noise. First-party crates only; the

@@ -1,11 +1,11 @@
 //! Regenerate Figure 10: one node's execution trace for base and CA.
-//! Writes, per version, full Gantt rows to `fig10_<version>.gantt` and
-//! the whole-cluster span trace as Chrome `trace_event` JSON to
+//! Writes, per version, full Gantt rows to `fig10_<version>.gantt`, the
+//! whole-cluster span trace as Chrome `trace_event` JSON to
 //! `fig10_<version>.trace.json` (load it in Perfetto or
-//! `chrome://tracing`); prints the occupancy/median digest and drops the
-//! run's `obs` metrics as JSON lines plus a Prometheus-style text
-//! exposition (`fig10_<version>.prom`) with the final live gauges and
-//! tracer overhead.
+//! `chrome://tracing`) and the diagnosis to `fig10_<version>.doctor.txt`;
+//! prints the occupancy/median digest and drops the run's `obs` metrics
+//! as JSON lines to `fig10.metrics.jsonl`. The runs are simulated, so
+//! every artifact is byte-identical from run to run.
 
 use std::io::Write;
 
@@ -28,8 +28,6 @@ fn main() {
         let doctor = format!("fig10_{version}.doctor.txt");
         std::fs::write(&doctor, &r.reports[i]).expect("write doctor report");
         println!("wrote diagnosis to {doctor}");
-
-        bench::report::write_prom(&format!("fig10_{version}"), &r.proms[i]);
     }
     bench::report::write_metrics("fig10");
 }

@@ -10,7 +10,8 @@ use ca_stencil::{
 };
 use machine::MachineProfile;
 use netsim::ProcessGrid;
-use runtime::{profiling, RunConfig};
+use obs::fig10;
+use runtime::RunConfig;
 use serde::Serialize;
 
 /// Digest of one version's trace.
@@ -67,10 +68,6 @@ pub struct Fig10Run {
     pub traces: Vec<obs::Trace>,
     /// Rendered `insight` diagnosis reports, parallel to `fig.sides`.
     pub reports: Vec<String>,
-    /// Prometheus-style text expositions (`obs::expo`), parallel to
-    /// `fig.sides`: final metric snapshot, last live sample per node,
-    /// and the tracer's measured self-overhead.
-    pub proms: Vec<String>,
 }
 
 impl Fig10Run {
@@ -102,7 +99,6 @@ pub fn run(node: u32) -> Fig10Run {
     let mut sides = Vec::new();
     let mut traces = Vec::new();
     let mut reports = Vec::new();
-    let mut proms = Vec::new();
     for (version, program) in [
         ("base", build_base(&cfg, false).program),
         ("CA", build_ca(&cfg, false).program),
@@ -110,41 +106,23 @@ pub fn run(node: u32) -> Fig10Run {
         // One unfolding serves both the static bound and the span join.
         let dag = analyze::unfold(&program, &AnalyzeConfig::new());
         let cols = statics::predict_dag(&dag, lanes);
-        // Sampling only reads simulator state, so the virtual-time
-        // numbers are identical to a sampling-off run while the figure
-        // gains a live-gauge exposition and overhead accounting.
         let report = runtime::run(
             &program,
             &RunConfig::simulated(profile.clone(), nodes)
                 .with_trace()
-                .with_sampling(RunConfig::DEFAULT_SAMPLE_PERIOD_NS)
                 .with_kind_names(kind_names()),
         );
         crate::report::record(&format!("fig10/{version}"), &report);
         scheduler = report.scheduler.clone();
-        // Exposition wants the freshest sample per node.
-        let mut latest = std::collections::BTreeMap::new();
-        for s in &report.samples {
-            latest.insert(s.node, s.clone());
-        }
         let trace = report.trace.expect("trace requested");
-        // The exposition carries the per-peer communication matrix from
-        // the traced message spans next to the counters and live gauges.
-        proms.push(obs::expo::render_full(
-            &format!("fig10/{version}"),
-            &report.metrics,
-            &latest.into_values().collect::<Vec<_>>(),
-            Some(report.overhead),
-            Some(&trace.comm_matrix()),
-        ));
         let diag = insight::diagnose(&trace, &dag, lanes);
         let horizon = trace.horizon_ns();
-        let prof = profiling::profile_node(&trace, node, lanes, horizon);
+        let prof = fig10::analyze_node(&trace, node, lanes, horizon);
         let median_of = |kind: u32| {
             prof.kinds
                 .iter()
                 .find(|k| k.kind == kind)
-                .map(|k| k.median_ms)
+                .map(|k| k.median_ns / 1e6)
         };
         sides.push(Fig10Side {
             version: version.to_string(),
@@ -155,8 +133,8 @@ pub fn run(node: u32) -> Fig10Run {
             comm_wait_fraction: diag.totals.comm_wait_fraction(),
             bound_ratio: report.makespan / cols.makespan_bound,
             dropped: trace.dropped,
-            gantt: profiling::gantt_rows(&trace, node),
-            ascii: profiling::ascii_gantt(&trace, node, lanes, horizon, 100),
+            gantt: fig10::gantt_rows(&trace, node),
+            ascii: fig10::ascii_gantt(&trace, node, lanes, horizon, 100),
         });
         reports.push(diag.render());
         traces.push(trace);
@@ -170,7 +148,6 @@ pub fn run(node: u32) -> Fig10Run {
         },
         traces,
         reports,
-        proms,
     }
 }
 
@@ -242,16 +219,11 @@ mod tests {
     fn ca_has_higher_occupancy_and_is_faster() {
         std::env::set_var("REPRO_FAST", "1");
         let r = run(5);
-        // Each side ships a Prometheus exposition with live gauges, and
-        // neither trace lost spans to ring overflow.
-        assert_eq!(r.proms.len(), 2);
-        for (side, prom) in r.fig.sides.iter().zip(&r.proms) {
+        // Neither trace lost spans or messages to ring overflow.
+        for (side, trace) in r.fig.sides.iter().zip(&r.traces) {
             assert_eq!(side.dropped, 0, "{}", side.version);
-            assert!(prom.contains("stencil_occupancy_window"), "{prom}");
-            assert!(prom.contains("stencil_tracer_overhead_fraction"), "{prom}");
-            // The traced message spans surface as per-peer comm families.
-            assert!(prom.contains("stencil_comm_bytes_total"), "{prom}");
-            assert!(prom.contains("stencil_comm_dropped_msgs_total"), "{prom}");
+            assert_eq!(trace.dropped_msgs, 0, "{}", side.version);
+            assert!(trace.comm_matrix().total_bytes() > 0, "{}", side.version);
         }
         let fig = r.fig;
         assert_eq!(fig.scheduler, "fifo", "default policy is FIFO");

@@ -34,19 +34,6 @@ pub fn jsonl_path(name: &str) -> String {
     format!("{name}.metrics.jsonl")
 }
 
-/// Standard location for a figure's Prometheus-style text exposition.
-pub fn prom_path(name: &str) -> String {
-    format!("{name}.prom")
-}
-
-/// Write an `obs::expo` exposition to `<name>.prom` and return the path.
-pub fn write_prom(name: &str, text: &str) -> String {
-    let path = prom_path(name);
-    std::fs::write(&path, text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("wrote exposition to {path}");
-    path
-}
-
 thread_local! {
     static METRICS_LOG: RefCell<String> = const { RefCell::new(String::new()) };
 }
@@ -169,7 +156,6 @@ mod tests {
     fn json_path_format() {
         assert_eq!(json_path("fig7"), "fig7.json");
         assert_eq!(jsonl_path("fig7"), "fig7.metrics.jsonl");
-        assert_eq!(prom_path("fig7"), "fig7.prom");
     }
 
     #[test]

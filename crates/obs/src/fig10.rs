@@ -1,8 +1,9 @@
 //! Figure-10 occupancy analysis: per-node busy fractions and per-kind
 //! kernel-time statistics computed from a drained [`Trace`] — the digest
-//! behind the paper's Gantt/occupancy figure, shared by all executors.
+//! behind the paper's Gantt/occupancy figure, shared by all executors —
+//! plus the Gantt rows and terminal chart of one node.
 
-use crate::Trace;
+use crate::{Trace, KIND_COMM};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -44,17 +45,12 @@ pub struct NodeOccupancy {
 /// Analyze one node over `lanes` worker lanes up to `horizon_ns`.
 /// Spans on lanes `>= lanes` (the comm lane) count toward per-kind
 /// statistics but not toward occupancy, matching the paper's definition
-/// of CPU occupancy. Busy time is clamped at the horizon so spans that
-/// cross it cannot push occupancy above 1.
+/// of CPU occupancy. Occupancy is [`Trace::occupancy`], so busy time is
+/// clamped at the horizon.
 pub fn analyze_node(trace: &Trace, node: u32, lanes: u32, horizon_ns: u64) -> NodeOccupancy {
     let mut by_kind: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-    let mut busy_ns = 0u64;
     for s in trace.node_spans(node) {
         by_kind.entry(s.kind).or_default().push(s.duration_ns());
-        if s.lane < lanes {
-            let end = s.end_ns.min(horizon_ns);
-            busy_ns += end - s.start_ns.min(end);
-        }
     }
     let kinds = by_kind
         .into_iter()
@@ -81,35 +77,81 @@ pub fn analyze_node(trace: &Trace, node: u32, lanes: u32, horizon_ns: u64) -> No
             }
         })
         .collect();
-    let denom = horizon_ns as f64 * lanes as f64;
     NodeOccupancy {
         node,
         lanes,
-        busy_ns,
+        busy_ns: trace.busy_ns(node, lanes, horizon_ns),
         horizon_ns,
-        occupancy: if denom == 0.0 {
-            0.0
-        } else {
-            busy_ns as f64 / denom
-        },
+        occupancy: trace.occupancy(node, lanes, horizon_ns),
         kinds,
     }
 }
 
-/// Analyze every node appearing in the trace over its own horizon.
-pub fn analyze(trace: &Trace, lanes: u32) -> Vec<NodeOccupancy> {
-    let horizon = trace.horizon_ns();
-    trace
-        .nodes()
-        .into_iter()
-        .map(|node| analyze_node(trace, node, lanes, horizon))
+/// Render one node's spans as rows suitable for a Gantt plot: one line per
+/// span, `lane start_ms end_ms kind`. Sorted by lane then start.
+pub fn gantt_rows(trace: &Trace, node: u32) -> Vec<String> {
+    let mut spans: Vec<_> = trace.node_spans(node).collect();
+    spans.sort_by_key(|s| (s.lane, s.start_ns));
+    spans
+        .iter()
+        .map(|s| {
+            format!(
+                "{} {:.3} {:.3} {}",
+                s.lane,
+                s.start_ns as f64 / 1e6,
+                s.end_ns as f64 / 1e6,
+                s.kind
+            )
+        })
+        .collect()
+}
+
+/// Render one node's trace as an ASCII Gantt chart, `width` characters
+/// wide: one row per lane, `.` for idle and a kind-specific glyph for busy
+/// (`#` kind 0, `B` kind 1, `I` kind 2, `C` for [`KIND_COMM`], `?`
+/// otherwise) — a terminal rendition of the paper's Figure 10.
+pub fn ascii_gantt(
+    trace: &Trace,
+    node: u32,
+    lanes: u32,
+    horizon_ns: u64,
+    width: usize,
+) -> Vec<String> {
+    assert!(width > 0, "gantt width must be positive");
+    let glyph = |kind: u32| match kind {
+        0 => '#',
+        1 => 'B',
+        2 => 'I',
+        KIND_COMM => 'C',
+        _ => '?',
+    };
+    let span_ns = horizon_ns.max(1);
+    let mut rows = vec![vec!['.'; width]; lanes as usize + 1];
+    for s in trace.node_spans(node) {
+        let lane = (s.lane as usize).min(lanes as usize);
+        let from = (s.start_ns as u128 * width as u128 / span_ns as u128) as usize;
+        let to = (s.end_ns as u128 * width as u128 / span_ns as u128) as usize;
+        for cell in rows[lane][from.min(width - 1)..=to.min(width - 1)].iter_mut() {
+            *cell = glyph(s.kind);
+        }
+    }
+    rows.into_iter()
+        .enumerate()
+        .map(|(lane, cells)| {
+            let label = if lane == lanes as usize {
+                "comm".to_string()
+            } else {
+                format!("{lane:>4}")
+            };
+            format!("{label} |{}|", cells.into_iter().collect::<String>())
+        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Recorder, KIND_COMM};
+    use crate::Recorder;
 
     fn sample() -> Trace {
         let rec = Recorder::new();
@@ -147,13 +189,25 @@ mod tests {
     }
 
     #[test]
-    fn analyze_covers_all_nodes_over_shared_horizon() {
-        let all = analyze(&sample(), 2);
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].node, 0);
-        assert_eq!(all[1].node, 1);
-        assert_eq!(all[1].horizon_ns, 10_000_000);
-        assert!(all[1].occupancy < all[0].occupancy);
+    fn gantt_rows_sorted_by_lane() {
+        let rows = gantt_rows(&sample(), 0);
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows[0], "0 0.000 10.000 0");
+        assert!(rows[1].starts_with("1 "));
+        assert_eq!(rows[2], "2 2.000 8.000 1000");
+    }
+
+    #[test]
+    fn ascii_gantt_renders_lanes_and_comm() {
+        // lane 2 is the comm lane for lanes = 2
+        let rows = ascii_gantt(&sample(), 0, 2, 10_000_000, 20);
+        assert_eq!(rows.len(), 3);
+        assert!(rows[0].starts_with("   0 |####"));
+        assert!(rows[1].contains('B'));
+        assert!(rows[2].starts_with("comm"));
+        assert!(rows[2].contains('C'));
+        // lane 1 idle in the second half
+        assert!(rows[1].ends_with(".|"));
     }
 
     #[test]
@@ -181,6 +235,18 @@ mod tests {
         assert!(p.occupancy <= 1.0, "occ = {}", p.occupancy);
         // Per-kind totals keep full durations (kernel time is kernel time).
         assert_eq!(p.kinds[0].total_ns, 50 + 70 + 100);
+    }
+
+    #[test]
+    fn trace_occupancy_is_the_digest_occupancy() {
+        let rec = Recorder::new();
+        let l = rec.local();
+        l.task(0, 0, 0, 0, 50);
+        l.task(0, 0, 0, 80, 150); // crosses the 100 ns horizon
+        let t = rec.drain();
+        let occ = t.occupancy(0, 1, 100);
+        assert!((occ - 0.7).abs() < 1e-12, "occ = {occ}");
+        assert_eq!(occ, analyze_node(&t, 0, 1, 100).occupancy);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Shared observability layer for every executor in the workspace.
 //!
-//! The three executors (shared-memory threads, simulated multi-process,
-//! and the discrete-event simulator) previously each had their own ad-hoc
-//! notion of what happened during a run. This crate gives them one:
+//! Both engines (the threaded engine and the discrete-event simulator)
+//! describe what happened during a run in the same terms:
 //!
 //! * [`Recorder`] — a streaming span recorder: each thread writes into a
 //!   private lock-free SPSC ring ([`ring`]) that a collector empties into
@@ -15,15 +14,15 @@
 //! * [`Live`] — a board of periodic [`LiveSample`] gauges (per-worker
 //!   occupancy over a sliding window, queue depths, network in-flight)
 //!   the executors publish at a configurable cadence, observable mid-run
-//!   by `stencil-top` or the [`expo`] exposition.
+//!   by `stencil-top`.
 //! * [`Metrics`] — a registry of named atomic counters and gauges
 //!   (messages sent, bytes moved, redundant communication-avoiding flops,
 //!   queue depths, …) snapshotted at the end of a run.
 //! * Exporters — [`chrome`] renders a drained [`Trace`] as Chrome
 //!   `trace_event` JSON (loadable in Perfetto / `chrome://tracing`) and
 //!   parses it back; [`jsonl`] renders metric snapshots as JSON-lines for
-//!   the bench harness; [`fig10`] computes the paper's Figure 10
-//!   occupancy digest from the same spans.
+//!   the bench harness. [`fig10`] computes the paper's Figure 10
+//!   occupancy digest and Gantt views from the same spans.
 //!
 //! The crate is dependency-free apart from the (vendored) serde stack and
 //! knows nothing about task graphs or executors; the `runtime` crate owns
@@ -36,7 +35,6 @@ mod recorder;
 
 pub mod chrome;
 pub mod comm;
-pub mod expo;
 pub mod fig10;
 pub mod hist;
 pub mod jsonl;

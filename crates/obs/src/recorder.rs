@@ -30,8 +30,7 @@ use crate::ring::{self, RingConsumer, RingProducer};
 use crate::MsgSpan;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// One recorded activity: a half-open interval `[start_ns, end_ns)` of
@@ -163,24 +162,80 @@ pub fn per_event_cost_ns() -> f64 {
     })
 }
 
+/// The lanes of one record type: the consumer half of every registered
+/// ring, plus the store that collection moves their records into.
+struct Lanes<T> {
+    /// Consumer halves, in registration order.
+    rings: Mutex<Vec<RingConsumer<T>>>,
+    /// Records already moved out of the rings. Grows monotonically;
+    /// `drain` is a sorted view over it, so draining twice yields the
+    /// same records.
+    store: Mutex<Vec<T>>,
+}
+
+impl<T: Copy> Lanes<T> {
+    fn new() -> Self {
+        Lanes {
+            rings: Mutex::new(Vec::new()),
+            store: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn rings(&self) -> MutexGuard<'_, Vec<RingConsumer<T>>> {
+        self.rings.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn store(&self) -> MutexGuard<'_, Vec<T>> {
+        self.store.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Register one more lane and return its producer half.
+    fn register(&self, capacity: usize) -> RingProducer<T> {
+        let (producer, consumer) = ring::spsc(capacity);
+        self.rings().push(consumer);
+        producer
+    }
+
+    /// Move everything visible in the rings into the store.
+    fn collect(&self) {
+        let mut rings = self.rings();
+        let mut store = self.store();
+        for ring in rings.iter_mut() {
+            ring.drain_into(&mut store);
+        }
+    }
+
+    /// Drop count of each lane, in registration order.
+    fn dropped_per_lane(&self) -> Vec<u64> {
+        self.rings().iter().map(|r| r.dropped()).collect()
+    }
+
+    /// Push attempts over all lanes, dropped ones included.
+    fn attempts(&self) -> u64 {
+        self.rings().iter().map(|r| r.attempts()).sum()
+    }
+
+    /// The store sorted by `key`. Debug builds first assert that no
+    /// producer is mid-record (the quiesce contract of [`Recorder::drain`]).
+    fn sorted<K: Ord>(&self, what: &str, key: impl FnMut(&T) -> K) -> Vec<T> {
+        for (i, ring) in self.rings().iter().enumerate() {
+            debug_assert!(
+                !ring.producer_recording(),
+                "Recorder::drain while {what} lane {i}'s producer is mid-record: \
+                 the quiesce contract requires all workers joined before drain"
+            );
+        }
+        let mut records = self.store().clone();
+        records.sort_by_key(key);
+        records
+    }
+}
+
 struct Shared {
-    /// Consumer halves of every registered lane, taken by collection.
-    lanes: Mutex<Vec<RingConsumer<SpanRecord>>>,
-    /// Spans already moved out of the rings. Grows monotonically; `drain`
-    /// is a sorted view over it, so draining twice yields the same spans.
-    store: Mutex<Vec<SpanRecord>>,
-    /// Consumer halves of the per-thread message-span lanes.
-    msg_lanes: Mutex<Vec<RingConsumer<MsgSpan>>>,
-    /// Message spans already moved out of the rings (monotonic, like
-    /// `store`).
-    msg_store: Mutex<Vec<MsgSpan>>,
+    spans: Lanes<SpanRecord>,
+    msgs: Lanes<MsgSpan>,
     kinds: Mutex<BTreeMap<u32, String>>,
-    /// Drops by producers whose lane has already been deregistered (none
-    /// today, kept for forward-compat) plus a scratch counter for the
-    /// disabled recorder.
-    dropped_extra: AtomicU64,
     capacity: usize,
-    enabled: bool,
 }
 
 /// Span recorder shared by all threads of a run. Clone it freely; all
@@ -214,53 +269,18 @@ impl Recorder {
     pub fn with_capacity(capacity: usize) -> Self {
         Recorder {
             shared: Arc::new(Shared {
-                lanes: Mutex::new(Vec::new()),
-                store: Mutex::new(Vec::new()),
-                msg_lanes: Mutex::new(Vec::new()),
-                msg_store: Mutex::new(Vec::new()),
+                spans: Lanes::new(),
+                msgs: Lanes::new(),
                 kinds: Mutex::new(BTreeMap::new()),
-                dropped_extra: AtomicU64::new(0),
                 capacity: capacity.max(1),
-                enabled: true,
             }),
         }
-    }
-
-    /// Recorder that discards everything — for runs with tracing off, so
-    /// call sites need no conditionals.
-    pub fn disabled() -> Self {
-        Recorder {
-            shared: Arc::new(Shared {
-                lanes: Mutex::new(Vec::new()),
-                store: Mutex::new(Vec::new()),
-                msg_lanes: Mutex::new(Vec::new()),
-                msg_store: Mutex::new(Vec::new()),
-                kinds: Mutex::new(BTreeMap::new()),
-                dropped_extra: AtomicU64::new(0),
-                capacity: 1,
-                enabled: false,
-            }),
-        }
-    }
-
-    /// Whether spans are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.shared.enabled
     }
 
     /// Obtain a per-thread recording handle (one producer lane).
     pub fn local(&self) -> LocalRecorder {
-        if !self.shared.enabled {
-            return LocalRecorder { producer: None };
-        }
-        let (producer, consumer) = ring::spsc(self.shared.capacity);
-        self.shared
-            .lanes
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(consumer);
         LocalRecorder {
-            producer: Some(producer),
+            producer: self.shared.spans.register(self.shared.capacity),
         }
     }
 
@@ -268,17 +288,8 @@ impl Recorder {
     /// its own SPSC ring, same capacity and drop-newest policy as the
     /// span lanes).
     pub fn msg_local(&self) -> MsgRecorder {
-        if !self.shared.enabled {
-            return MsgRecorder { producer: None };
-        }
-        let (producer, consumer) = ring::spsc(self.shared.capacity);
-        self.shared
-            .msg_lanes
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(consumer);
         MsgRecorder {
-            producer: Some(producer),
+            producer: self.shared.msgs.register(self.shared.capacity),
         }
     }
 
@@ -297,25 +308,8 @@ impl Recorder {
     /// does, at its cadence); spans still being written simply show up at
     /// the next collection.
     pub fn collect(&self) {
-        let mut lanes = self.shared.lanes.lock().unwrap_or_else(|e| e.into_inner());
-        let mut store = self.shared.store.lock().unwrap_or_else(|e| e.into_inner());
-        for lane in lanes.iter_mut() {
-            lane.drain_into(&mut store);
-        }
-        drop((lanes, store));
-        let mut msg_lanes = self
-            .shared
-            .msg_lanes
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let mut msg_store = self
-            .shared
-            .msg_store
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        for lane in msg_lanes.iter_mut() {
-            lane.drain_into(&mut msg_store);
-        }
+        self.shared.spans.collect();
+        self.shared.msgs.collect();
     }
 
     /// Collect, then run `f` over the store — the live view the samplers
@@ -323,40 +317,25 @@ impl Recorder {
     /// mid-record appear at a later collection).
     pub fn with_collected<R>(&self, f: impl FnOnce(&[SpanRecord]) -> R) -> R {
         self.collect();
-        let store = self.shared.store.lock().unwrap_or_else(|e| e.into_inner());
-        f(&store)
+        f(&self.shared.spans.store())
     }
 
     /// Spans dropped so far because a lane ring was full.
     pub fn dropped(&self) -> u64 {
-        let lanes = self.shared.lanes.lock().unwrap_or_else(|e| e.into_inner());
-        lanes.iter().map(|l| l.dropped()).sum::<u64>()
-            + self.shared.dropped_extra.load(Ordering::Relaxed)
+        self.shared.spans.dropped_per_lane().iter().sum()
     }
 
     /// Message spans dropped so far because a msg-lane ring was full.
     pub fn dropped_msgs(&self) -> u64 {
-        let lanes = self
-            .shared
-            .msg_lanes
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        lanes.iter().map(|l| l.dropped()).sum()
+        self.shared.msgs.dropped_per_lane().iter().sum()
     }
 
     /// Per-lane drop counts — span lanes first, then msg lanes, in
     /// registration order. The overflow-accounting tests reconcile the
     /// trace against these.
     pub fn dropped_per_lane(&self) -> Vec<u64> {
-        let lanes = self.shared.lanes.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out: Vec<u64> = lanes.iter().map(|l| l.dropped()).collect();
-        drop(lanes);
-        let msg_lanes = self
-            .shared
-            .msg_lanes
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        out.extend(msg_lanes.iter().map(|l| l.dropped()));
+        let mut out = self.shared.spans.dropped_per_lane();
+        out.extend(self.shared.msgs.dropped_per_lane());
         out
     }
 
@@ -364,15 +343,7 @@ impl Recorder {
     /// message spans included — their push cost is paid like any other
     /// event, so the overhead model must count them).
     pub fn events_recorded(&self) -> u64 {
-        let lanes = self.shared.lanes.lock().unwrap_or_else(|e| e.into_inner());
-        let spans: u64 = lanes.iter().map(|l| l.attempts()).sum();
-        drop(lanes);
-        let msg_lanes = self
-            .shared
-            .msg_lanes
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        spans + msg_lanes.iter().map(|l| l.attempts()).sum::<u64>()
+        self.shared.spans.attempts() + self.shared.msgs.attempts()
     }
 
     /// The tracer's measured self-overhead against `lane_time_ns` of
@@ -399,48 +370,15 @@ impl Recorder {
     /// a live mid-run view use [`Recorder::with_collected`] instead.
     pub fn drain(&self) -> Trace {
         self.collect();
-        #[cfg(debug_assertions)]
-        {
-            let lanes = self.shared.lanes.lock().unwrap_or_else(|e| e.into_inner());
-            for (i, lane) in lanes.iter().enumerate() {
-                debug_assert!(
-                    !lane.producer_recording(),
-                    "Recorder::drain while lane {i}'s producer is mid-record: \
-                     the quiesce contract requires all workers joined before drain"
-                );
-            }
-            drop(lanes);
-            let msg_lanes = self
-                .shared
-                .msg_lanes
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            for (i, lane) in msg_lanes.iter().enumerate() {
-                debug_assert!(
-                    !lane.producer_recording(),
-                    "Recorder::drain while msg lane {i}'s producer is mid-record"
-                );
-            }
-        }
-        let mut spans = self
-            .shared
-            .store
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        spans.sort_by_key(|s| (s.start_ns, s.node, s.lane, s.end_ns));
-        let mut msgs = self
-            .shared
-            .msg_store
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        msgs.sort_by_key(|m| (m.enqueue_ns, m.src, m.dst, m.inject_ns, m.deliver_ns));
+        let shared = &self.shared;
         Trace {
-            spans,
-            msgs,
-            kinds: self
-                .shared
+            spans: shared
+                .spans
+                .sorted("span", |s| (s.start_ns, s.node, s.lane, s.end_ns)),
+            msgs: shared.msgs.sorted("msg", |m| {
+                (m.enqueue_ns, m.src, m.dst, m.inject_ns, m.deliver_ns)
+            }),
+            kinds: shared
                 .kinds
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
@@ -459,18 +397,15 @@ impl Default for Recorder {
 
 /// Per-thread handle writing spans into a private lock-free ring.
 pub struct LocalRecorder {
-    producer: Option<RingProducer<SpanRecord>>,
+    producer: RingProducer<SpanRecord>,
 }
 
 impl LocalRecorder {
-    /// Record one span. No-op on a disabled recorder; on a full ring the
-    /// span is dropped and counted (never blocks). `end_ns` must not
-    /// precede `start_ns`.
+    /// Record one span. On a full ring the span is dropped and counted
+    /// (never blocks). `end_ns` must not precede `start_ns`.
     pub fn record(&self, span: SpanRecord) {
         debug_assert!(span.end_ns >= span.start_ns, "span ends before it starts");
-        if let Some(producer) = &self.producer {
-            producer.push(span);
-        }
+        self.producer.push(span);
     }
 
     /// Record a task-execution span with no task identity.
@@ -515,12 +450,12 @@ impl LocalRecorder {
 /// Per-thread handle writing message spans into a private lock-free
 /// ring, symmetric to [`LocalRecorder`] for spans.
 pub struct MsgRecorder {
-    producer: Option<RingProducer<MsgSpan>>,
+    producer: RingProducer<MsgSpan>,
 }
 
 impl MsgRecorder {
-    /// Record one cross-node message. No-op on a disabled recorder; on a
-    /// full ring the span is dropped and counted (never blocks).
+    /// Record one cross-node message. On a full ring the span is dropped
+    /// and counted (never blocks).
     pub fn record(&self, msg: MsgSpan) {
         debug_assert!(
             msg.deliver_ns >= msg.inject_ns && msg.inject_ns >= msg.enqueue_ns,
@@ -529,9 +464,7 @@ impl MsgRecorder {
             msg.inject_ns,
             msg.deliver_ns
         );
-        if let Some(producer) = &self.producer {
-            producer.push(msg);
-        }
+        self.producer.push(msg);
     }
 }
 
@@ -595,20 +528,29 @@ impl Trace {
         self.spans.iter().filter(|s| s.kind != crate::KIND_COMM)
     }
 
+    /// Busy nanoseconds of `lanes` worker lanes on `node` within
+    /// `[0, horizon_ns]`: span time clamped at the horizon, so a span that
+    /// crosses it counts only up to it. Lanes at or above `lanes` (e.g.
+    /// the comm lane) are excluded.
+    pub fn busy_ns(&self, node: u32, lanes: u32, horizon_ns: u64) -> u64 {
+        self.node_spans(node)
+            .filter(|s| s.lane < lanes)
+            .map(|s| {
+                let end = s.end_ns.min(horizon_ns);
+                end - s.start_ns.min(end)
+            })
+            .sum()
+    }
+
     /// Busy fraction of `lanes` worker lanes on `node` over
-    /// `[0, horizon_ns]` — the paper's "CPU occupancy". Lanes at or above
-    /// `lanes` (e.g. the comm lane) are excluded.
+    /// `[0, horizon_ns]` — the paper's "CPU occupancy", from
+    /// [`Trace::busy_ns`], so never above 1.
     pub fn occupancy(&self, node: u32, lanes: u32, horizon_ns: u64) -> f64 {
         let denom = horizon_ns as f64 * lanes as f64;
         if denom == 0.0 {
             return 0.0;
         }
-        let busy: u64 = self
-            .node_spans(node)
-            .filter(|s| s.lane < lanes)
-            .map(|s| s.duration_ns())
-            .sum();
-        busy as f64 / denom
+        self.busy_ns(node, lanes, horizon_ns) as f64 / denom
     }
 
     /// Idle gaps between consecutive spans on one `(node, lane)` pair over
@@ -634,21 +576,6 @@ impl Trace {
     /// The per-peer communication matrix of this trace's message spans.
     pub fn comm_matrix(&self) -> crate::CommMatrix {
         crate::CommMatrix::from_trace(self)
-    }
-
-    /// Merge another trace's spans and kind names into this one.
-    pub fn absorb(&mut self, other: Trace) {
-        self.spans.extend(other.spans);
-        self.spans
-            .sort_by_key(|s| (s.start_ns, s.node, s.lane, s.end_ns));
-        self.msgs.extend(other.msgs);
-        self.msgs
-            .sort_by_key(|m| (m.enqueue_ns, m.src, m.dst, m.inject_ns, m.deliver_ns));
-        for (k, v) in other.kinds {
-            self.kinds.entry(k).or_insert(v);
-        }
-        self.dropped += other.dropped;
-        self.dropped_msgs += other.dropped_msgs;
     }
 }
 
@@ -707,17 +634,6 @@ mod tests {
         // spans recorded after a drain show up in the next one
         l.task(0, 0, 1, 20, 30);
         assert_eq!(rec.drain().len(), 3);
-    }
-
-    #[test]
-    fn disabled_recorder_keeps_nothing() {
-        let rec = Recorder::disabled();
-        let l = rec.local();
-        l.task(0, 0, 0, 0, 1);
-        l.comm(0, 4, 0, 1);
-        assert!(rec.drain().is_empty());
-        assert!(!rec.is_enabled());
-        assert_eq!(rec.events_recorded(), 0);
     }
 
     #[test]
@@ -909,23 +825,6 @@ mod tests {
         // was kept, flagged as a lower bound by the drop counter.
         let matrix = t.comm_matrix();
         assert_eq!(matrix.total_messages() + matrix.dropped, 10);
-    }
-
-    #[test]
-    fn disabled_recorder_discards_msgs() {
-        let rec = Recorder::disabled();
-        let m = rec.msg_local();
-        m.record(MsgSpan {
-            src: 0,
-            dst: 1,
-            kind: 0,
-            bytes: 8,
-            enqueue_ns: 0,
-            inject_ns: 0,
-            deliver_ns: 1,
-        });
-        assert!(rec.drain().msgs.is_empty());
-        assert_eq!(rec.events_recorded(), 0);
     }
 
     #[test]

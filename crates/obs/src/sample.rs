@@ -5,8 +5,7 @@
 //! [`LiveSample`] per node — per-worker busy fractions over the sliding
 //! window since the previous tick, plus instantaneous queue depths and
 //! network in-flight gauges — and publishes it to a [`Live`] board the
-//! caller can observe concurrently (the `stencil-top` view, the
-//! Prometheus exposition in [`crate::expo`], or a test).
+//! caller can observe concurrently (the `stencil-top` view or a test).
 //!
 //! Samples are append-only and cheap (a short `Vec<f64>` per tick), so
 //! the board doubles as the run's sample history: window-averaging the
@@ -121,12 +120,6 @@ impl Live {
     /// True when nothing has been published yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The most recent sample for `node`, if any.
-    pub fn latest(&self, node: u32) -> Option<LiveSample> {
-        let samples = self.inner.samples.lock().unwrap_or_else(|e| e.into_inner());
-        samples.iter().rev().find(|s| s.node == node).cloned()
     }
 
     /// The most recent sample per node, sorted by node rank.
@@ -251,15 +244,15 @@ mod tests {
     fn board_latest_and_history() {
         let live = Live::new();
         assert!(live.is_empty());
-        assert!(live.latest(0).is_none());
+        assert!(live.latest_all().is_empty());
         live.publish(sample(0, 100, 100, vec![0.5]));
         live.publish(sample(1, 100, 100, vec![0.25]));
         live.publish(sample(0, 200, 100, vec![1.0]));
         assert_eq!(live.len(), 3);
-        assert_eq!(live.latest(0).unwrap().t_ns, 200);
         let all = live.latest_all();
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].node, 0);
+        assert_eq!(all[0].t_ns, 200);
         assert_eq!(all[1].node, 1);
         assert_eq!(live.history().len(), 3);
         // Clones share the board.

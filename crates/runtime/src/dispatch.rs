@@ -397,6 +397,8 @@ pub(crate) struct RunShared<'p> {
     /// Set by the worker that completed the last task, or by a thread
     /// unwinding from a panic.
     pub(crate) done: AtomicBool,
+    /// `clock` reading when the last task completed: the run's horizon.
+    pub(crate) finished_ns: AtomicU64,
     pub(crate) metrics: Metrics,
     pub(crate) clock: WallClock,
 }
@@ -407,6 +409,7 @@ impl<'p> RunShared<'p> {
             program,
             completed: AtomicU64::new(0),
             done: AtomicBool::new(false),
+            finished_ns: AtomicU64::new(0),
             metrics: Metrics::new(),
             clock: WallClock::start(),
         }
@@ -522,6 +525,7 @@ pub(crate) fn worker(
         if let Some(task) = node.queues.next_task(id.lane as usize, &mut rng) {
             idle_rounds = 0;
             if complete(run, node, &id, task, &mut scratch, &mut tally, &mut ship) {
+                run.finished_ns.store(run.clock.now_ns(), Ordering::Release);
                 run.done.store(true, Ordering::Release);
                 shutdown();
             }

@@ -74,7 +74,7 @@ pub struct RunConfig {
     /// [`RunConfig::DEFAULT_SAMPLE_PERIOD_NS`].
     pub sample_period_ns: Option<u64>,
     /// External live board to publish samples to, so a concurrent
-    /// observer (`stencil-top`, the `obs::expo` responder) can watch the
+    /// observer (`stencil-top`, a test) can watch the
     /// run. When sampling is on without a board, the engine creates a
     /// private one and the samples still land in the report.
     pub live: Option<Live>,
@@ -291,8 +291,10 @@ pub struct RunReport {
     pub scheduler: String,
     /// Tasks executed (equals the program's `total_tasks` on success).
     pub tasks_executed: u64,
-    /// End-to-end time in seconds: wall-clock for the real engines,
-    /// virtual time of the last task completion for the simulator.
+    /// Seconds from the start of the run to its last task completion on
+    /// the engine's clock: wall-clock for the threaded engine, virtual
+    /// for the simulator. Occupancy and the tracer's lane time are
+    /// measured over this same horizon.
     pub makespan: f64,
     /// Per-node worker-lane occupancy in `[0, 1]` over the makespan,
     /// computed from the recorded spans (the paper's "CPU occupancy").
@@ -380,7 +382,6 @@ impl RunReport {
 pub(crate) fn assemble_report(
     cfg: &RunConfig,
     mode: ExecMode,
-    makespan: f64,
     horizon_ns: u64,
     lanes: u32,
     tasks_executed: u64,
@@ -401,7 +402,7 @@ pub(crate) fn assemble_report(
         mode,
         scheduler: cfg.scheduler.name().to_string(),
         tasks_executed,
-        makespan,
+        makespan: horizon_ns as f64 * 1e-9,
         node_occupancy,
         metrics: metrics.snapshot(),
         trace: cfg.capture_trace.then_some(trace),

@@ -33,18 +33,15 @@
 //! * [`sim_exec`] — the virtual-time engine over [`desim`]/[`netsim`]: a
 //!   whole cluster per run, one comm thread per node, optional real body
 //!   execution, trace capture (Figures 7–10);
-//! * [`profiling`] — Figure 10-style occupancy/Gantt analysis (a thin
-//!   consumer of `obs::fig10`);
 //! * [`scheduler`] — the pluggable scheduling surface: the [`Scheduler`]
 //!   /[`TaskSelector`] traits every engine consults for task selection
 //!   and placement, the classic [`SchedulerPolicy`] disciplines, and a
 //!   portfolio of static list schedulers (HEFT, PEFT, DLS, lookahead)
 //!   ranking over the statically unfolded DAG;
 //! * [`dtd`] — the Dynamic Task Discovery insertion API (PaRSEC's second
-//!   DSL) as an alternative front-end;
-//! * [`halo`] — the paper's future-work feature: a generic
-//!   communication-avoiding halo-exchange framework where the runtime
-//!   generates and schedules the redundant tasks transparently.
+//!   DSL) as an alternative front-end.
+//!
+//! Figure 10's occupancy and Gantt digests live in `obs::fig10`.
 //!
 //! Configuration follows the workspace-wide builder convention (shared
 //! with `ca_stencil::StencilConfig`): a constructor fixes the required
@@ -59,13 +56,11 @@ pub mod deque;
 mod dispatch;
 pub mod dtd;
 pub mod exec;
-pub mod halo;
 #[cfg(all(test, loom))]
 mod loom_model;
 pub mod mp_exec;
 pub mod payload;
 pub mod pending;
-pub mod profiling;
 pub mod ready_queue;
 pub mod scheduler;
 pub mod sim_exec;
@@ -75,7 +70,6 @@ pub mod unfold;
 pub use deque::{Steal, StealDeque};
 pub use dtd::{DtdBuilder, DtdRegions, DtdTaskId};
 pub use exec::{run, ExecMode, ModeExt, RunConfig, RunReport};
-pub use halo::{build_halo_program, HaloSpec};
 pub use pending::{Delivery, DeliveryBatch, PendingTable, ReadyTask, ShardedPending, SpareTasks};
 pub use scheduler::{
     DlsScheduler, FifoSelector, HeftScheduler, LifoSelector, LookaheadScheduler, PeftScheduler,

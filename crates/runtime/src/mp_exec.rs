@@ -42,7 +42,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use obs::{lane_busy_in_window, names, Live, LiveSample, LocalRecorder, Recorder};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 enum CommItem {
     Flow {
@@ -301,7 +301,6 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
     }
 
     let live = cfg.live_board();
-    let start = Instant::now();
     crossbeam::thread::scope(|s| {
         for node in 0..nodes as usize {
             for lane in 0..threads_per_node {
@@ -341,9 +340,11 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
         }
     })
     .expect("worker panicked");
-    let wall_time = start.elapsed().as_secs_f64();
     let run = &cluster.run;
-    let horizon_ns = run.clock.now_ns();
+    // The run ends at its last task completion, as in the simulator; the
+    // threads' shutdown after it (the sampler sleeps in 5 ms slices) is
+    // not lane time.
+    let horizon_ns = run.finished_ns.load(Ordering::Acquire);
 
     let completed = run.completed.load(Ordering::Acquire);
     assert_eq!(
@@ -373,7 +374,6 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
     assemble_report(
         cfg,
         ExecMode::MultiProcess,
-        wall_time,
         horizon_ns,
         threads_per_node as u32,
         completed,
@@ -639,6 +639,23 @@ mod tests {
         let matrix = trace.comm_matrix();
         assert_eq!(matrix.total_messages(), cross);
         assert_eq!(matrix.total_bytes(), bytes_sent);
+    }
+
+    #[test]
+    fn makespan_is_the_occupancy_horizon_on_one_and_two_nodes() {
+        for nodes in [1u32, 2] {
+            let mut b = DtdBuilder::new();
+            let root = b.insert(0, 0.0, &[]);
+            let mids: Vec<_> = (0..16).map(|i| b.insert(i % nodes, 0.0, &[root])).collect();
+            let _sink = b.insert(0, 0.0, &mids);
+            let r = run(&b.build(), &RunConfig::multi_process(nodes, 2));
+            let horizon_ns = (r.makespan * 1e9).round() as u64;
+            assert_eq!(
+                r.overhead.lane_time_ns,
+                horizon_ns * 2 * nodes as u64,
+                "{nodes} node(s): lane time is not makespan × lanes × nodes"
+            );
+        }
     }
 
     #[test]

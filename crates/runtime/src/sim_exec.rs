@@ -719,7 +719,6 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
     assemble_report(
         cfg,
         ExecMode::Simulated,
-        outcome.makespan.as_secs_f64(),
         outcome.makespan.as_nanos(),
         lanes,
         outcome.tasks_executed,

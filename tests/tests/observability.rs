@@ -1,13 +1,14 @@
 //! The observability layer end to end: the Chrome `trace_event` export
-//! round-trips losslessly, its numbers agree with `runtime::profiling`,
+//! round-trips losslessly, its numbers agree with `obs::fig10`,
 //! and the three executors produce the same `obs` counters and task
 //! spans for an identical base-stencil run.
 
 use ca_stencil::{build_base, kind_names, Problem, StencilConfig};
 use machine::MachineProfile;
 use netsim::ProcessGrid;
+use obs::fig10;
 use obs::KIND_COMM;
-use runtime::{profiling, run, RunConfig, RunReport};
+use runtime::{run, RunConfig, RunReport};
 
 fn cfg() -> StencilConfig {
     // 4×4 tiles on a 2×2 grid, 3 iterations: 16 × (3 + init) = 64 tasks
@@ -43,12 +44,12 @@ fn chrome_trace_round_trips_through_export() {
         assert!(s.end_ns >= s.start_ns, "span ends after it starts");
     }
 
-    // the parsed trace reproduces profiling's occupancy numbers
+    // the parsed trace reproduces the Figure-10 occupancy numbers
     let lanes = MachineProfile::nacl().compute_threads();
     let horizon = trace.horizon_ns();
     for node in trace.nodes() {
-        let want = profiling::profile_node(&trace, node, lanes, horizon);
-        let got = profiling::profile_node(&back, node, lanes, horizon);
+        let want = fig10::analyze_node(&trace, node, lanes, horizon);
+        let got = fig10::analyze_node(&back, node, lanes, horizon);
         assert!((want.occupancy - got.occupancy).abs() < 1e-12);
         assert_eq!(want.kinds.len(), got.kinds.len());
     }

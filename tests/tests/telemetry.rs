@@ -8,8 +8,8 @@
 use ca_stencil::{build_base, kind_names, Problem, StencilConfig};
 use machine::MachineProfile;
 use netsim::ProcessGrid;
-use obs::{Live, TracerOverhead};
-use runtime::{profiling, run, RunConfig};
+use obs::{fig10, Live, TracerOverhead};
+use runtime::{run, RunConfig};
 
 fn program() -> runtime::Program {
     // 4×4 tiles on a 2×2 grid, 6 iterations — enough windows that the
@@ -41,7 +41,7 @@ fn live_occupancy_agrees_with_posthoc_fig10_profile() {
     let lanes = MachineProfile::nacl().compute_threads();
     let horizon = trace.horizon_ns();
     for node in 0..4u32 {
-        let posthoc = profiling::profile_node(trace, node, lanes, horizon).occupancy;
+        let posthoc = fig10::analyze_node(trace, node, lanes, horizon).occupancy;
         let live_avg = live.mean_occupancy(node);
         assert!(
             (live_avg - posthoc).abs() < 1e-9,
