@@ -21,10 +21,13 @@ step cargo build --workspace --release
 step cargo test --workspace -q
 
 # Sanitizers. The loom model tests exercise the runtime's concurrent
-# structures (ready queue, pending table) and the telemetry SPSC span
-# ring under the loom scheduler when the real crate is vendored; under
-# the stub they still run as plain threaded tests. Miri is optional
-# tooling: warn-skip when absent.
+# structures (ready queue, work-stealing deque, parking handshake, and
+# the dense activation table's racing deliveries into one entry) and the
+# telemetry SPSC span ring under the loom scheduler when the real crate
+# is vendored; under the stub they still run as plain threaded tests,
+# which is why the table also has a std-thread stress test
+# (pending::tests::racing_deliveries_fire_every_consumer_exactly_once).
+# Miri is optional tooling: warn-skip when absent.
 loom_test() {
     RUSTFLAGS="--cfg loom" cargo test -q -p runtime -p obs --lib loom_model
 }

@@ -277,6 +277,9 @@ pub fn doctest_program() -> Program {
         fn name(&self) -> &str {
             "chain"
         }
+        fn param_box(&self) -> [u32; 4] {
+            [3, 1, 1, 1]
+        }
         // `runtime`'s NodeId is an alias for u32, so no netsim dependency
         // is needed to implement the trait here.
         fn node_of(&self, _p: runtime::Params) -> u32 {

@@ -13,6 +13,9 @@ use std::sync::Arc;
 /// placement, write regions, and redundant-flop declarations.
 #[derive(Default)]
 struct TestDag {
+    /// Task indices lie in `0..tasks`; [`program_of`] sets it to the
+    /// program's declared total.
+    tasks: u32,
     edges: HashMap<i32, Vec<(i32, usize)>>,
     indeg: HashMap<i32, usize>,
     node: HashMap<i32, u32>,
@@ -42,6 +45,9 @@ impl TestDag {
 impl TaskClass for TestDag {
     fn name(&self) -> &str {
         "t"
+    }
+    fn param_box(&self) -> [u32; 4] {
+        [self.tasks, 1, 1, 1]
     }
     fn node_of(&self, p: Params) -> u32 {
         *self.node.get(&p[0]).unwrap_or(&0)
@@ -79,7 +85,10 @@ impl TaskClass for TestDag {
 
 fn program_of(dag: TestDag, roots: &[i32], total: u64) -> Program {
     let mut g = TaskGraph::new();
-    g.add_class(Arc::new(dag));
+    g.add_class(Arc::new(TestDag {
+        tasks: total as u32,
+        ..dag
+    }));
     Program {
         graph: Arc::new(g),
         roots: roots

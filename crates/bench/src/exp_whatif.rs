@@ -88,6 +88,9 @@ impl TaskClass for ScaledKind {
     fn name(&self) -> &str {
         self.class().name()
     }
+    fn param_box(&self) -> [u32; 4] {
+        self.class().param_box()
+    }
     fn node_of(&self, p: Params) -> netsim::NodeId {
         self.class().node_of(p)
     }

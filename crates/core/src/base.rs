@@ -5,8 +5,8 @@
 
 use crate::config::{StencilBuild, StencilConfig};
 use crate::flows::{
-    cross_rects, slot_of_side, OutFlow, OutFlows, KIND_BOUNDARY, KIND_INIT, KIND_INTERIOR,
-    NUM_SLOTS_BASE, SLOT_SELF,
+    cross_rects, slot_of_side, stencil_box, OutFlow, OutFlows, KIND_BOUNDARY, KIND_INIT,
+    KIND_INTERIOR, NUM_SLOTS_BASE, SLOT_SELF,
 };
 use crate::geometry::{Side, StencilGeometry};
 use crate::problem::Operator;
@@ -68,6 +68,10 @@ impl OutFlows for BaseStencil {
 impl TaskClass for BaseStencil {
     fn name(&self) -> &str {
         "base-stencil"
+    }
+
+    fn param_box(&self) -> [u32; 4] {
+        stencil_box(&self.geo, self.iterations)
     }
 
     fn node_of(&self, p: Params) -> NodeId {

@@ -19,8 +19,8 @@
 
 use crate::config::{StencilBuild, StencilConfig};
 use crate::flows::{
-    cross_rects, slot_of_corner, slot_of_side, OutFlow, OutFlows, KIND_BOUNDARY, KIND_INIT,
-    KIND_INTERIOR, NUM_SLOTS_CA, SLOT_SELF,
+    cross_rects, slot_of_corner, slot_of_side, stencil_box, OutFlow, OutFlows, KIND_BOUNDARY,
+    KIND_INIT, KIND_INTERIOR, NUM_SLOTS_CA, SLOT_SELF,
 };
 use crate::geometry::{Corner, Side, StencilGeometry};
 use crate::problem::Operator;
@@ -178,6 +178,10 @@ impl OutFlows for CaStencil {
 impl TaskClass for CaStencil {
     fn name(&self) -> &str {
         "ca-stencil"
+    }
+
+    fn param_box(&self) -> [u32; 4] {
+        stencil_box(&self.geo, self.iterations)
     }
 
     fn node_of(&self, p: Params) -> NodeId {

@@ -8,7 +8,7 @@
 //! | 1–4  | edge strips from the North/South/West/East neighbours |
 //! | 5–8  | corner blocks from the NW/NE/SW/SE diagonal neighbours (CA only) |
 
-use crate::geometry::{Corner, Side};
+use crate::geometry::{Corner, Side, StencilGeometry};
 use crate::tile::TileBuf;
 use runtime::{FlowData, OutputDep, Params, Rect, TaskKey};
 
@@ -43,6 +43,13 @@ pub fn slot_of_side(side: Side) -> usize {
 /// Input slot receiving the block that fills the ghost corner at `corner`.
 pub fn slot_of_corner(corner: Corner) -> usize {
     5 + corner as usize
+}
+
+/// The parameter box of every stencil scheme's task class: one task per
+/// tile per iterate `t = 0 ..= iterations`, so the box's volume is the
+/// program's task count and the runtime's slot space has no holes.
+pub(crate) fn stencil_box(geo: &StencilGeometry, iterations: u32) -> [u32; 4] {
+    [geo.tiles_x as u32, geo.tiles_y as u32, iterations + 1, 1]
 }
 
 /// Input slots of a base-scheme task (self + 4 strips).

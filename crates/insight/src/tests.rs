@@ -16,6 +16,9 @@ impl TaskClass for Pair {
     fn name(&self) -> &str {
         "pair"
     }
+    fn param_box(&self) -> [u32; 4] {
+        [2, 1, 1, 1]
+    }
     fn node_of(&self, p: Params) -> u32 {
         if p[0] == 0 {
             0

@@ -41,7 +41,7 @@
 //! [`obs::LiveSample`] and as end-of-run metrics.
 
 use crate::deque::{Steal, StealDeque};
-use crate::pending::{Delivery, DeliveryBatch, ReadyTask, ShardedPending};
+use crate::pending::{Delivery, DeliveryBatch, PendingTable, ReadyTask};
 use crate::ready_queue::ReadyQueue;
 use crate::scheduler::{SelectMode, TaskSelector};
 use crate::task::{FlowData, OutputDep, Program};
@@ -392,6 +392,9 @@ impl NodeQueues {
 /// Run-wide state every thread of a threaded run shares.
 pub(crate) struct RunShared<'p> {
     pub(crate) program: &'p Program,
+    /// The run's one activation table, shared by every node's workers and
+    /// comm thread.
+    pub(crate) pending: PendingTable,
     /// Tasks completed so far; reaching `program.total_tasks` ends the run.
     pub(crate) completed: AtomicU64,
     /// Set by the worker that completed the last task, or by a thread
@@ -407,6 +410,7 @@ impl<'p> RunShared<'p> {
     pub(crate) fn new(program: &'p Program) -> Self {
         RunShared {
             program,
+            pending: PendingTable::new(&program.graph),
             completed: AtomicU64::new(0),
             done: AtomicBool::new(false),
             finished_ns: AtomicU64::new(0),
@@ -416,26 +420,13 @@ impl<'p> RunShared<'p> {
     }
 }
 
-/// One node's activation table and ready queues.
-pub(crate) struct NodeShared {
-    pub(crate) pending: ShardedPending,
-    pub(crate) queues: NodeQueues,
-}
-
-impl NodeShared {
-    pub(crate) fn new(selector: Arc<dyn TaskSelector>, lanes: usize) -> Self {
-        NodeShared {
-            pending: ShardedPending::new(lanes * 4),
-            queues: NodeQueues::new(selector, lanes),
-        }
-    }
-}
-
 /// What one worker counted, added to the run's [`Metrics`] once, when the
 /// worker exits — the per-task path touches no shared instrument.
 #[derive(Default)]
 struct Tally {
     tasks: u64,
+    /// Flows this worker delivered into the activation table.
+    activations: u64,
     redundant_flops: u64,
     messages: u64,
     bytes: u64,
@@ -449,6 +440,7 @@ impl Tally {
     /// directly.
     fn publish(&self, metrics: &Metrics) {
         metrics.counter(names::TASKS_EXECUTED).add(self.tasks);
+        metrics.counter(names::ACTIVATIONS).add(self.activations);
         if self.redundant_flops > 0 {
             metrics
                 .counter(names::REDUNDANT_FLOPS)
@@ -507,7 +499,7 @@ impl<F: FnMut()> Drop for OnUnwind<F> {
 /// every other thread, so the panic surfaces at once.
 pub(crate) fn worker(
     run: &RunShared<'_>,
-    node: &NodeShared,
+    node: &NodeQueues,
     id: WorkerId<'_>,
     mut ship: impl FnMut(Delivery, u32) -> Option<Delivery>,
     shutdown: impl Fn(),
@@ -522,7 +514,7 @@ pub(crate) fn worker(
     let mut idle_rounds = 0u32;
     let mut last_seen = run.completed.load(Ordering::Acquire);
     while !run.done.load(Ordering::Acquire) {
-        if let Some(task) = node.queues.next_task(id.lane as usize, &mut rng) {
+        if let Some(task) = node.next_task(id.lane as usize, &mut rng) {
             idle_rounds = 0;
             if complete(run, node, &id, task, &mut scratch, &mut tally, &mut ship) {
                 run.finished_ns.store(run.clock.now_ns(), Ordering::Release);
@@ -531,7 +523,7 @@ pub(crate) fn worker(
             }
             continue;
         }
-        node.queues.park(Duration::from_millis(50), || {
+        node.park(Duration::from_millis(50), || {
             run.done.load(Ordering::Acquire)
         });
         let now = run.completed.load(Ordering::Acquire);
@@ -542,14 +534,13 @@ pub(crate) fn worker(
             last_seen = now;
         }
         if idle_rounds > 200 {
-            let stuck = node.pending.stuck_tasks();
             panic!(
-                "node {} worker {} stalled: {now}/{} tasks done, {} pending here (first stuck: {:?})",
+                "node {} worker {} stalled: {now}/{} tasks done, {} pending (first stuck: {:?})",
                 id.node,
                 id.lane,
                 run.program.total_tasks,
-                stuck.len(),
-                stuck.first()
+                run.pending.len(),
+                run.pending.waiting(&run.program.graph).next()
             );
         }
     }
@@ -557,12 +548,11 @@ pub(crate) fn worker(
 }
 
 /// Execute one ready task, record its span, route its output flows
-/// (node-local ones as one sharded batch whose released successors land in
-/// this lane's own queue). Returns true when this was the run's final
-/// task.
+/// (node-local ones as one batch whose released successors land in this
+/// lane's own queue). Returns true when this was the run's final task.
 fn complete(
     run: &RunShared<'_>,
-    node: &NodeShared,
+    node: &NodeQueues,
     id: &WorkerId<'_>,
     mut task: Box<ReadyTask>,
     scratch: &mut Scratch,
@@ -606,7 +596,10 @@ fn complete(
             data,
         };
         match ship(delivery, kind) {
-            Some(local) => scratch.batch.push(local),
+            Some(local) => {
+                scratch.batch.push(local);
+                tally.activations += 1;
+            }
             None => {
                 tally.messages += 1;
                 tally.bytes += bytes;
@@ -617,12 +610,11 @@ fn complete(
     // is its consumer and the buffer is recycled where it is consumed.
     scratch.flows.clear();
     let lane = id.lane as usize;
-    node.pending.deliver_batch(graph, &mut scratch.batch, |t| {
-        node.queues.push_local(lane, t)
-    });
+    run.pending
+        .deliver_batch(graph, &mut scratch.batch, |t| node.push_local(lane, t));
     tally.tasks += 1;
     tally.redundant_flops += class.redundant_flops(key.params);
-    tally.depth_last = node.queues.depth(lane);
+    tally.depth_last = node.depth(lane);
     tally.depth_max = tally.depth_max.max(tally.depth_last);
     run.completed.fetch_add(1, Ordering::AcqRel) + 1 == run.program.total_tasks
 }

@@ -163,6 +163,10 @@ impl TaskClass for DtdClass {
     fn name(&self) -> &str {
         "dtd"
     }
+    fn param_box(&self) -> [u32; 4] {
+        // Insertion ids are dense already.
+        [self.tasks.len() as u32, 1, 1, 1]
+    }
     fn node_of(&self, p: Params) -> NodeId {
         self.task(p).node
     }

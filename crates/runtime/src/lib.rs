@@ -8,9 +8,10 @@
 //!   by integer parameters, declaring placement, dataflow inputs and
 //!   consumers as pure functions ([`TaskClass`], [`TaskGraph`],
 //!   [`Program`]);
-//! * [`pending`] — dynamic DAG unfolding by activation counting
-//!   ([`PendingTable`]; the real engines use the lock-sharded
-//!   [`ShardedPending`] with batched per-shard delivery);
+//! * [`pending`] — dynamic DAG unfolding by activation counting: one
+//!   dense [`PendingTable`] per run, an entry per task slot
+//!   ([`TaskGraph::slot`]), shared by every thread of the threaded engine
+//!   and used single-threaded by the simulator;
 //! * [`payload`] — the per-thread free list that recycles flow payload
 //!   buffers, so a steady-state halo exchange allocates nothing;
 //! * [`deque`] — the bounded Chase–Lev work-stealing deque
@@ -70,7 +71,7 @@ pub mod unfold;
 pub use deque::{Steal, StealDeque};
 pub use dtd::{DtdBuilder, DtdRegions, DtdTaskId};
 pub use exec::{run, ExecMode, ModeExt, RunConfig, RunReport};
-pub use pending::{Delivery, DeliveryBatch, PendingTable, ReadyTask, ShardedPending, SpareTasks};
+pub use pending::{Delivery, DeliveryBatch, PendingTable, ReadyTask, SpareTasks};
 pub use scheduler::{
     DlsScheduler, FifoSelector, HeftScheduler, LifoSelector, LookaheadScheduler, PeftScheduler,
     SchedContext, Scheduler, SchedulerHandle, SchedulerPolicy, SelectMode, StaticRanks,

@@ -6,24 +6,21 @@
 //! concurrency smoke test. Either way they pin down the invariants the
 //! executors rely on:
 //!
-//! * [`PendingTable::deliver`] hands a task to **exactly one** caller, no
-//!   matter how concurrent deliveries of its input flows interleave.
+//! * [`PendingTable::deliver`] hands a task to **exactly one** caller
+//!   when the deliveries of its input flows race for its entry, with
+//!   every slot filled and every box accounted for.
 //! * [`ReadyQueue`] conserves tasks: everything pushed is popped exactly
 //!   once, across selection disciplines.
 //! * [`StealDeque`] conserves tasks between the owner's bottom end and a
 //!   concurrent thief: every push is claimed exactly once, by exactly one
 //!   side.
-//! * [`ShardedPending::deliver_batch`] fires each multi-input task
-//!   exactly once when its activations race across concurrent batches.
 //! * [`Parker`]'s sleeper-gated notify loses no wake-up: one push racing
 //!   one park always ends with the consumer holding the task, without
 //!   waiting out its timeout.
 
 use crate::deque::{Steal, StealDeque};
 use crate::dispatch::Parker;
-use crate::pending::{
-    Delivery, DeliveryBatch, PendingTable, ReadyTask, ShardedPending, SpareTasks,
-};
+use crate::pending::{PendingTable, ReadyTask, SpareTasks};
 use crate::ready_queue::ReadyQueue;
 use crate::scheduler::{FifoSelector, LifoSelector, StaticRanks, TaskSelector};
 use crate::task::testutil::ExplicitDag;
@@ -36,6 +33,7 @@ fn two_input_graph() -> TaskGraph {
     let mut g = TaskGraph::new();
     g.add_class(std::sync::Arc::new(ExplicitDag {
         name: "t".into(),
+        bound: [2, 1, 1, 1],
         edges: HashMap::new(),
         indeg: [(1, 2)].into_iter().collect(),
         node: HashMap::new(),
@@ -46,38 +44,47 @@ fn two_input_graph() -> TaskGraph {
 }
 
 #[test]
-fn concurrent_deliveries_fire_task_exactly_once() {
+fn racing_deliveries_fire_their_consumer_exactly_once() {
     loom::model(|| {
         let graph = std::sync::Arc::new(two_input_graph());
-        let table = Arc::new(Mutex::new(PendingTable::new()));
+        let table = Arc::new(PendingTable::new(&graph));
         let consumer = TaskKey::new(0, [1, 0, 0, 0]);
 
+        // Two threads, each with one spare box, deliver the consumer's two
+        // flows: both race the claim CAS on its still-empty entry, and
+        // whichever arrives first installs its box.
         let handles: Vec<_> = (0..2usize)
             .map(|slot| {
                 let table = Arc::clone(&table);
                 let graph = std::sync::Arc::clone(&graph);
                 thread::spawn(move || {
-                    let ready = table.lock().unwrap().deliver(
-                        &graph,
-                        consumer,
-                        slot,
-                        FlowData::sized(8),
-                        &mut SpareTasks::new(),
-                    );
-                    ready.is_some()
+                    let mut spares = SpareTasks::new();
+                    spares.recycle(Box::new(ReadyTask {
+                        key: consumer,
+                        inputs: Vec::new(),
+                    }));
+                    let ready =
+                        table.deliver(&graph, consumer, slot, FlowData::sized(8), &mut spares);
+                    (ready, spares.len())
                 })
             })
             .collect();
 
-        let fired: usize = handles
-            .into_iter()
-            .map(|h| h.join().unwrap() as usize)
-            .sum();
-        assert_eq!(fired, 1, "exactly one deliverer must receive the task");
-
-        let table = table.lock().unwrap();
+        let outcomes: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let fired: Vec<&ReadyTask> = outcomes.iter().filter_map(|(r, _)| r.as_deref()).collect();
+        assert_eq!(
+            fired.len(),
+            1,
+            "exactly one deliverer must receive the task"
+        );
+        assert_eq!(fired[0].key, consumer);
+        assert!(
+            fired[0].inputs.iter().all(Option::is_some),
+            "both slots filled"
+        );
+        let spare: usize = outcomes.iter().map(|&(_, n)| n).sum();
+        assert_eq!(spare, 1, "one box became the task, the other stayed spare");
         assert!(table.is_empty(), "fired task must leave the table");
-        assert_eq!(table.flows_delivered(), 2);
     });
 }
 
@@ -169,40 +176,6 @@ fn deque_conserves_elements_between_owner_and_thief() {
         }
         all.sort_unstable();
         assert_eq!(all, vec![0, 1], "each element claimed exactly once");
-    });
-}
-
-#[test]
-fn sharded_pending_fires_each_task_exactly_once_across_batches() {
-    loom::model(|| {
-        let graph = std::sync::Arc::new(two_input_graph());
-        let pending = Arc::new(ShardedPending::new(2));
-        let consumer = TaskKey::new(0, [1, 0, 0, 0]);
-
-        // Two batches race: each carries one of the consumer's two input
-        // activations, so exactly one batch must return it ready.
-        let handles: Vec<_> = (0..2usize)
-            .map(|slot| {
-                let pending = Arc::clone(&pending);
-                let graph = std::sync::Arc::clone(&graph);
-                thread::spawn(move || {
-                    let mut batch = DeliveryBatch::new();
-                    batch.push(Delivery {
-                        consumer,
-                        slot,
-                        data: FlowData::sized(8),
-                    });
-                    let mut fired = 0usize;
-                    pending.deliver_batch(&graph, &mut batch, |_| fired += 1);
-                    fired
-                })
-            })
-            .collect();
-
-        let fired: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(fired, 1, "exactly one batch must receive the task");
-        assert!(pending.is_empty(), "fired task must leave the table");
-        assert_eq!(pending.flows_delivered(), 2);
     });
 }
 

@@ -20,20 +20,22 @@
 //! Within a node, dispatch is the work-stealing substrate of
 //! `crate::dispatch`: per-worker Chase–Lev deques, the node's
 //! [`crate::ready_queue::ReadyQueue`] demoted to injector duty (roots,
-//! comm-thread deliveries, deque overflow), a seeded steal sweep before
-//! parking, and a lock-sharded [`crate::pending::ShardedPending`]
-//! activation table with batched per-shard delivery. The worker loop and
-//! the task-completion routine live there (`crate::dispatch::worker`);
-//! this module only adds the cross-node branch (`Cluster::ship`).
-//! Steal/steal-fail/overflow counts are kept per node and surfaced in the
-//! node's live samples and the run's metric snapshot.
+//! comm-thread deliveries, deque overflow) and a seeded steal sweep before
+//! parking. Activation counting goes through the run's one dense
+//! [`crate::pending::PendingTable`], which every node's workers and comm
+//! thread share: a task's entry is found by its slot, so a delivery costs
+//! a claim on one entry, no hash and no lock shared with other tasks. The
+//! worker loop and the task-completion routine live in
+//! `crate::dispatch::worker`; this module only adds the cross-node branch
+//! (`Cluster::ship`). Steal/steal-fail/overflow counts are kept per node
+//! and surfaced in the node's live samples and the run's metric snapshot.
 //!
 //! Task executions are recorded as spans (worker index = lane within the
 //! node); the comm thread records its delivery processing on the node's
 //! comm lane (lane = `threads_per_node`), mirroring the simulator's trace
 //! layout.
 
-use crate::dispatch::{worker, NodeShared, OnUnwind, RunShared, StealTotals, WorkerId};
+use crate::dispatch::{worker, NodeQueues, OnUnwind, RunShared, StealTotals, WorkerId};
 use crate::exec::{assemble_report, ExecMode, ModeExt, RunConfig, RunReport};
 use crate::pending::{Delivery, PendingTable, SpareTasks};
 use crate::scheduler::{SchedContext, TaskSelector};
@@ -70,7 +72,7 @@ struct Inbox {
 struct Cluster<'p> {
     run: RunShared<'p>,
     selector: Arc<dyn TaskSelector>,
-    nodes: Vec<NodeShared>,
+    nodes: Vec<NodeQueues>,
     /// One inbox per node; empty on a one-node run, which has no
     /// cross-node flow to carry.
     inboxes: Vec<Inbox>,
@@ -123,7 +125,7 @@ impl<'p> Cluster<'p> {
     /// task done, or a thread unwinding).
     fn shutdown_all(&self) {
         for n in &self.nodes {
-            n.queues.wake_all();
+            n.wake_all();
         }
         for inbox in &self.inboxes {
             let _ = inbox.tx.send(CommItem::Shutdown);
@@ -144,9 +146,10 @@ fn comm_thread(
     });
     let rx = &cluster.inboxes[node].rx;
     let comm_lane = cluster.workers_per_node as u32;
-    let NodeShared { pending, queues } = &cluster.nodes[node];
+    let queues = &cluster.nodes[node];
     // This thread only delivers, so it never has a retired task to reuse.
     let mut spares = SpareTasks::new();
+    let mut activations = 0u64;
     loop {
         match rx.recv_timeout(Duration::from_millis(50)) {
             Ok(CommItem::Flow {
@@ -164,9 +167,13 @@ fn comm_thread(
                 let start_ns = run.clock.now_ns();
                 let bytes = data.bytes as u64;
                 let graph = &run.program.graph;
-                if let Some(t) = pending.deliver(graph, consumer, slot, data, &mut spares) {
+                if let Some(t) = run
+                    .pending
+                    .deliver(graph, consumer, slot, data, &mut spares)
+                {
                     queues.push_external(t);
                 }
+                activations += 1;
                 let end_ns = run.clock.now_ns();
                 local.comm(node as u32, comm_lane, start_ns, end_ns);
                 msg_local.record(obs::MsgSpan {
@@ -179,14 +186,15 @@ fn comm_thread(
                     deliver_ns: end_ns.max(enqueue_ns),
                 });
             }
-            Ok(CommItem::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
+            Ok(CommItem::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
             Err(RecvTimeoutError::Timeout) => {
                 if run.done.load(Ordering::Acquire) {
-                    return;
+                    break;
                 }
             }
         }
     }
+    run.metrics.counter(names::ACTIVATIONS).add(activations);
 }
 
 /// Periodic live sampler for the cluster: one [`LiveSample`] per node per
@@ -229,20 +237,24 @@ fn publish_samples(
         return;
     }
     let dropped_events = recorder.dropped();
+    let mut pending = vec![0; cluster.nodes.len()];
+    for key in cluster.run.pending.waiting(&cluster.run.program.graph) {
+        pending[cluster.node_of(key)] += 1;
+    }
     recorder.with_collected(|spans| {
         for (n, node) in cluster.nodes.iter().enumerate() {
             let StealTotals {
                 steals,
                 steal_fails,
                 overflow_pushes,
-            } = node.queues.totals();
+            } = node.totals();
             live.publish(LiveSample {
                 t_ns: w1,
                 window_ns: w1 - w0,
                 node: n as u32,
                 lane_busy: lane_busy_in_window(spans, n as u32, lanes, w0, w1),
-                ready_depth: node.queues.len(),
-                pending_tasks: node.pending.len(),
+                ready_depth: node.len(),
+                pending_tasks: pending[n],
                 inflight_msgs: cluster.inboxes.get(n).map_or(0, |i| i.rx.len() as u64),
                 inflight_bytes: 0,
                 dropped_events,
@@ -278,7 +290,7 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
     let cluster = Cluster {
         run: RunShared::new(program),
         nodes: (0..nodes)
-            .map(|_| NodeShared::new(Arc::clone(&selector), threads_per_node))
+            .map(|_| NodeQueues::new(Arc::clone(&selector), threads_per_node))
             .collect(),
         inboxes: match nodes {
             1 => Vec::new(),
@@ -295,9 +307,7 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
 
     for &root in &program.roots {
         let node = cluster.node_of(root);
-        cluster.nodes[node]
-            .queues
-            .push_external(PendingTable::root(&program.graph, root));
+        cluster.nodes[node].push_external(PendingTable::root(&program.graph, root));
     }
 
     let live = cfg.live_board();
@@ -352,24 +362,19 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
         "run finished early: {completed}/{} tasks",
         program.total_tasks
     );
-    for (n, node) in cluster.nodes.iter().enumerate() {
-        assert!(
-            node.pending.is_empty(),
-            "run finished with {} tasks still pending on node {n}",
-            node.pending.len()
-        );
-    }
-    let flows_delivered: u64 = cluster
-        .nodes
-        .iter()
-        .map(|n| n.pending.flows_delivered())
-        .sum();
-    run.metrics.counter(names::ACTIVATIONS).add(flows_delivered);
+    assert!(
+        run.pending.is_empty(),
+        "run finished with {} tasks still pending",
+        run.pending.len()
+    );
     for n in &cluster.nodes {
-        n.queues.totals().publish(&run.metrics);
+        n.totals().publish(&run.metrics);
     }
-    // Every cross-node flow was counted as one sent message.
-    let cross_node_flows = run.metrics.snapshot().counter(names::MESSAGES_SENT);
+    // Every thread added its own deliveries; every cross-node flow was
+    // counted as one sent message.
+    let snapshot = run.metrics.snapshot();
+    let flows_delivered = snapshot.counter(names::ACTIVATIONS);
+    let cross_node_flows = snapshot.counter(names::MESSAGES_SENT);
 
     assemble_report(
         cfg,
@@ -416,6 +421,7 @@ mod tests {
         let mut g = TaskGraph::new();
         g.add_class(Arc::new(ExplicitDag {
             name: "chain".into(),
+            bound: [n as u32, 1, 1, 1],
             edges,
             indeg,
             node: Map::new(),
@@ -443,6 +449,7 @@ mod tests {
         let mut g = TaskGraph::new();
         g.add_class(Arc::new(ExplicitDag {
             name: "fan".into(),
+            bound: [sink as u32 + 1, 1, 1, 1],
             edges,
             indeg,
             node: Map::new(),
@@ -695,6 +702,9 @@ mod failure_tests {
         fn name(&self) -> &str {
             "exploding"
         }
+        fn param_box(&self) -> [u32; 4] {
+            [4, 1, 1, 1]
+        }
         fn node_of(&self, p: Params) -> u32 {
             p[0] as u32 % self.nodes
         }
@@ -788,6 +798,9 @@ mod failure_tests {
     impl TaskClass for ShortOutputs {
         fn name(&self) -> &str {
             "short"
+        }
+        fn param_box(&self) -> [u32; 4] {
+            [2, 1, 1, 1]
         }
         fn node_of(&self, _p: Params) -> u32 {
             0

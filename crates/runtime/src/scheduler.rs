@@ -532,6 +532,7 @@ mod tests {
         let mut g = TaskGraph::new();
         g.add_class(Arc::new(ExplicitDag {
             name: "t".into(),
+            bound: [4, 1, 1, 1],
             edges,
             indeg: [(1, 1), (2, 1), (3, 2)].into_iter().collect(),
             node: Map::new(),
@@ -604,6 +605,7 @@ mod tests {
         let mut g = TaskGraph::new();
         g.add_class(Arc::new(ExplicitDag {
             name: "t".into(),
+            bound: [2, 1, 1, 1],
             edges,
             indeg: [(1, 1)].into_iter().collect(),
             node: [(1, 1)].into_iter().collect(),

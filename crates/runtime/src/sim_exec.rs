@@ -178,6 +178,8 @@ struct Sim {
     pending: PendingTable,
     /// Boxes of finished tasks, reused for the next pending entries.
     spares: SpareTasks,
+    /// Flows delivered into `pending`.
+    activations: u64,
     /// Scratch for the finishing task's output declarations and flows.
     deps: Vec<OutputDep>,
     flows: Vec<FlowData>,
@@ -273,6 +275,7 @@ impl Sim {
         sched: &mut Scheduler<Ev>,
     ) {
         let graph = &self.program.graph;
+        self.activations += 1;
         if let Some(ready) = self
             .pending
             .deliver(graph, consumer, slot, data, &mut self.spares)
@@ -637,8 +640,9 @@ fn simulate(
         comm_engines: cfg.comm_engines,
         execute_bodies: cfg.execute_bodies,
         lanes_per_node: lanes,
-        pending: PendingTable::new(),
+        pending: PendingTable::new(&program.graph),
         spares: SpareTasks::new(),
+        activations: 0,
         deps: Vec::new(),
         flows: Vec::new(),
         nodes,
@@ -670,13 +674,12 @@ fn simulate(
 
     let mut sim = engine.into_model();
     if sim.completed != program.total_tasks {
-        let stuck = sim.pending.stuck_tasks();
         panic!(
             "simulated run deadlocked: {}/{} tasks done, {} pending (first stuck: {:?})",
             sim.completed,
             program.total_tasks,
-            stuck.len(),
-            stuck.first()
+            sim.pending.len(),
+            sim.pending.waiting(&program.graph).next()
         );
     }
 
@@ -696,7 +699,7 @@ fn simulate(
         remote_messages: sim.remote_messages,
         remote_bytes: sim.remote_bytes,
         local_flows: sim.local_flows,
-        activations: sim.pending.flows_delivered(),
+        activations: sim.activations,
         comm_utilization,
     }
 }
@@ -761,6 +764,7 @@ mod tests {
         let mut g = TaskGraph::new();
         g.add_class(Arc::new(ExplicitDag {
             name: "t".into(),
+            bound: [total as u32, 1, 1, 1],
             edges: edge_map,
             indeg: indeg.iter().copied().collect(),
             node: node.iter().copied().collect(),

@@ -10,9 +10,13 @@
 //! * which successor tasks consume each of its outputs,
 //! * what the task body does, and what it costs.
 //!
-//! The runtime never materializes the whole DAG: tasks are *discovered*
-//! when their first input arrives and *fire* when the activation count
-//! reaches zero — exactly PaRSEC's dynamic unfolding of a JDF.
+//! Each class also declares the box its parameters range over, and the
+//! [`TaskGraph`] numbers every task densely from it ([`TaskGraph::slot`]),
+//! as Task Bench's `stencil_1d.jdf` derives a task's key from its
+//! parameters. The runtime never materializes the whole DAG: tasks are
+//! *discovered* when their first input arrives and *fire* when the
+//! activation count is reached — exactly PaRSEC's dynamic unfolding of a
+//! JDF — with their counters found by slot, not by hashing.
 
 use netsim::NodeId;
 use std::fmt;
@@ -270,6 +274,14 @@ pub trait TaskClass: Send + Sync {
     /// Human-readable class name (used in traces and errors).
     fn name(&self) -> &str;
 
+    /// The class's parameter box: an exclusive upper bound on each of the
+    /// four parameters, every parameter starting at 0. Every task of the
+    /// class must lie inside it; [`TaskGraph::slot`] numbers the box's
+    /// points densely, and the executors' activation table holds one
+    /// entry per point, so a box with few unused points keeps the table
+    /// small (the stencil schemes' boxes have none).
+    fn param_box(&self) -> [u32; 4];
+
     /// The node that executes task `p` (owner-computes placement).
     fn node_of(&self, p: Params) -> NodeId;
 
@@ -380,9 +392,16 @@ pub trait TaskClass: Send + Sync {
     }
 }
 
-/// A registry of task classes forming one dataflow program.
+/// A registry of task classes forming one dataflow program, and the dense
+/// numbering of their tasks: the classes' parameter boxes laid end to
+/// end, in registration order.
 pub struct TaskGraph {
     classes: Vec<Arc<dyn TaskClass>>,
+    /// Each class's [`TaskClass::param_box`], as registered.
+    boxes: Vec<[u32; 4]>,
+    /// First slot of each class.
+    offsets: Vec<u32>,
+    num_slots: u32,
 }
 
 impl TaskGraph {
@@ -390,15 +409,33 @@ impl TaskGraph {
     pub fn new() -> Self {
         TaskGraph {
             classes: Vec::new(),
+            boxes: Vec::new(),
+            offsets: Vec::new(),
+            num_slots: 0,
         }
     }
 
     /// Register a class, returning its id (referenced by [`TaskKey`]s).
+    /// Its parameter box takes the next slots; panics when the slots of
+    /// all classes would not fit in a `u32`.
     pub fn add_class(&mut self, class: Arc<dyn TaskClass>) -> ClassId {
         assert!(
             self.classes.len() < ClassId::MAX as usize,
             "too many task classes"
         );
+        let bound = class.param_box();
+        let volume: u64 = bound.iter().map(|&b| u64::from(b)).product();
+        self.num_slots = u64::from(self.num_slots)
+            .checked_add(volume)
+            .and_then(|end| u32::try_from(end).ok())
+            .unwrap_or_else(|| {
+                panic!(
+                    "class {:?}'s parameter box {bound:?} overflows the u32 slot space",
+                    class.name()
+                )
+            });
+        self.offsets.push(self.num_slots - volume as u32);
+        self.boxes.push(bound);
         self.classes.push(class);
         (self.classes.len() - 1) as ClassId
     }
@@ -414,6 +451,58 @@ impl TaskGraph {
     /// Number of registered classes.
     pub fn num_classes(&self) -> usize {
         self.classes.len()
+    }
+
+    /// Total slots: the summed volume of every class's parameter box.
+    pub fn num_slots(&self) -> u32 {
+        self.num_slots
+    }
+
+    /// The dense slot of `key`: its class's first slot plus the
+    /// mixed-radix index of its parameters in the class's box, `params[0]`
+    /// varying fastest. Panics, naming the key and the box, when the key
+    /// lies outside its class's box.
+    pub fn slot(&self, key: TaskKey) -> u32 {
+        self.try_slot(key).unwrap_or_else(|| {
+            panic!(
+                "{key:?} lies outside the parameter box {:?} of class {:?}",
+                self.boxes[key.class as usize],
+                self.class(key.class).name()
+            )
+        })
+    }
+
+    /// [`TaskGraph::slot`], or `None` when `key` lies outside its class's
+    /// box.
+    pub(crate) fn try_slot(&self, key: TaskKey) -> Option<u32> {
+        let c = key.class as usize;
+        let bound = self.boxes[c];
+        let mut local = 0u32;
+        for i in (0..4).rev() {
+            let p = u32::try_from(key.params[i])
+                .ok()
+                .filter(|&p| p < bound[i])?;
+            // Cannot overflow: the result is below the box's volume,
+            // which `add_class` checked fits in a u32.
+            local = local * bound[i] + p;
+        }
+        Some(self.offsets[c] + local)
+    }
+
+    /// The task numbered `slot` (`< num_slots()`): the inverse of
+    /// [`TaskGraph::slot`].
+    pub(crate) fn key_at(&self, slot: u32) -> TaskKey {
+        assert!(slot < self.num_slots, "slot {slot} out of range");
+        // The last class starting at or before `slot`; classes with an
+        // empty box share their successor's offset and never come last.
+        let c = self.offsets.partition_point(|&o| o <= slot) - 1;
+        let mut local = slot - self.offsets[c];
+        let mut params = [0; 4];
+        for (p, &b) in params.iter_mut().zip(&self.boxes[c]) {
+            *p = (local % b) as i32;
+            local /= b;
+        }
+        TaskKey::new(c as ClassId, params)
     }
 
     /// Trace kind of a task: the class's own kind, or the class id.
@@ -453,6 +542,8 @@ pub(crate) mod testutil {
     /// over params[0] as the task index.
     pub struct ExplicitDag {
         pub name: String,
+        /// The class's parameter box; task indices lie in `0..bound[0]`.
+        pub bound: [u32; 4],
         /// edges[i] = list of (consumer index, consumer slot)
         pub edges: HashMap<i32, Vec<(i32, usize)>>,
         /// indegree of each task
@@ -468,6 +559,9 @@ pub(crate) mod testutil {
     impl TaskClass for ExplicitDag {
         fn name(&self) -> &str {
             &self.name
+        }
+        fn param_box(&self) -> [u32; 4] {
+            self.bound
         }
         fn node_of(&self, p: Params) -> NodeId {
             *self.node.get(&p[0]).unwrap_or(&0)
@@ -531,17 +625,22 @@ mod tests {
         assert_eq!(two.area_upper_bound(), 40);
     }
 
-    #[test]
-    fn region_methods_default_to_none() {
-        use testutil::ExplicitDag;
-        let c = ExplicitDag {
-            name: "a".into(),
+    /// An edgeless [`testutil::ExplicitDag`] named `name` over `bound`.
+    fn boxed(name: &str, bound: [u32; 4]) -> testutil::ExplicitDag {
+        testutil::ExplicitDag {
+            name: name.into(),
+            bound,
             edges: Default::default(),
             indeg: Default::default(),
             node: Default::default(),
             cost: 0.0,
             bytes: 0,
-        };
+        }
+    }
+
+    #[test]
+    fn region_methods_default_to_none() {
+        let c = boxed("a", [1, 1, 1, 1]);
         assert!(c.read_region([0; 4]).is_none());
         assert!(c.delivered_region([0; 4], 0).is_none());
         assert!(c.pinned_region([0; 4]).is_none());
@@ -555,24 +654,9 @@ mod tests {
 
     #[test]
     fn graph_registers_classes_in_order() {
-        use testutil::ExplicitDag;
         let mut g = TaskGraph::new();
-        let c0 = g.add_class(Arc::new(ExplicitDag {
-            name: "a".into(),
-            edges: Default::default(),
-            indeg: Default::default(),
-            node: Default::default(),
-            cost: 0.0,
-            bytes: 0,
-        }));
-        let c1 = g.add_class(Arc::new(ExplicitDag {
-            name: "b".into(),
-            edges: Default::default(),
-            indeg: Default::default(),
-            node: Default::default(),
-            cost: 0.0,
-            bytes: 0,
-        }));
+        let c0 = g.add_class(Arc::new(boxed("a", [1, 1, 1, 1])));
+        let c1 = g.add_class(Arc::new(boxed("b", [1, 1, 1, 1])));
         assert_eq!((c0, c1), (0, 1));
         assert_eq!(g.class(0).name(), "a");
         assert_eq!(g.class(1).name(), "b");
@@ -580,17 +664,48 @@ mod tests {
     }
 
     #[test]
-    fn default_kind_is_class_id() {
-        use testutil::ExplicitDag;
+    fn slots_number_every_box_point_once_in_mixed_radix_order() {
         let mut g = TaskGraph::new();
-        g.add_class(Arc::new(ExplicitDag {
-            name: "a".into(),
-            edges: Default::default(),
-            indeg: Default::default(),
-            node: Default::default(),
-            cost: 0.0,
-            bytes: 0,
-        }));
+        g.add_class(Arc::new(boxed("a", [3, 2, 1, 2])));
+        g.add_class(Arc::new(boxed("empty", [4, 0, 1, 1])));
+        g.add_class(Arc::new(boxed("c", [2, 1, 3, 1])));
+        assert_eq!(g.num_slots(), 12 + 6);
+        // params[0] varies fastest; the next class starts where the
+        // previous box ends, and an empty box takes no slot.
+        assert_eq!(g.slot(TaskKey::new(0, [2, 1, 0, 1])), 2 + 3 * (1 + 2));
+        assert_eq!(g.slot(TaskKey::new(2, [0, 0, 0, 0])), 12);
+        for slot in 0..g.num_slots() {
+            assert_eq!(g.slot(g.key_at(slot)), slot);
+        }
+    }
+
+    #[test]
+    fn keys_outside_the_box_have_no_slot() {
+        let mut g = TaskGraph::new();
+        g.add_class(Arc::new(boxed("a", [3, 2, 1, 1])));
+        assert_eq!(g.try_slot(TaskKey::new(0, [3, 0, 0, 0])), None);
+        assert_eq!(g.try_slot(TaskKey::new(0, [-1, 0, 0, 0])), None);
+        assert_eq!(g.try_slot(TaskKey::new(0, [0, 0, 1, 0])), None);
+        let outside = std::panic::AssertUnwindSafe(|| g.slot(TaskKey::new(0, [0, 2, 0, 0])));
+        let err = std::panic::catch_unwind(outside).expect_err("outside the box");
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(
+            msg.contains("T0(0,2,0,0)") && msg.contains("[3, 2, 1, 1]"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the u32 slot space")]
+    fn boxes_beyond_the_u32_slot_space_are_rejected() {
+        let mut g = TaskGraph::new();
+        g.add_class(Arc::new(boxed("a", [1 << 16, 1 << 16, 1, 1])));
+    }
+
+    #[test]
+    fn default_kind_is_class_id() {
+        let mut g = TaskGraph::new();
+        g.add_class(Arc::new(boxed("a", [6, 1, 1, 1])));
         assert_eq!(g.kind_of(TaskKey::new(0, [5, 0, 0, 0])), 0);
     }
 

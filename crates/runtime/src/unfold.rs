@@ -98,6 +98,15 @@ pub enum StructuralFault {
         /// The limit that was hit.
         limit: usize,
     },
+    /// A reachable task lies outside its class's
+    /// [`crate::TaskClass::param_box`], so it has no slot in the
+    /// executors' activation table: a run panics on its first flow.
+    OutsideBox {
+        /// The task.
+        key: TaskKey,
+        /// Its class's parameter box.
+        bound: [u32; 4],
+    },
 }
 
 impl std::fmt::Display for StructuralFault {
@@ -129,6 +138,9 @@ impl std::fmt::Display for StructuralFault {
             ),
             StructuralFault::Truncated { limit } => {
                 write!(f, "enumeration truncated at {limit} tasks")
+            }
+            StructuralFault::OutsideBox { key, bound } => {
+                write!(f, "{key:?}: outside its class's parameter box {bound:?}")
             }
         }
     }
@@ -254,6 +266,15 @@ impl UnfoldedDag {
             }
         }
 
+        faults.extend(
+            tasks
+                .iter()
+                .filter(|&&key| graph.try_slot(key).is_none())
+                .map(|&key| StructuralFault::OutsideBox {
+                    key,
+                    bound: graph.class(key.class).param_box(),
+                }),
+        );
         if truncated {
             faults.push(StructuralFault::Truncated { limit });
         } else {
@@ -414,6 +435,7 @@ mod tests {
         let mut g = TaskGraph::new();
         g.add_class(Arc::new(ExplicitDag {
             name: "t".into(),
+            bound: [total as u32, 1, 1, 1],
             edges: edge_map,
             indeg: indeg.iter().copied().collect(),
             node: Map::new(),
@@ -485,6 +507,17 @@ mod tests {
                 reachable: 2
             }
         )));
+    }
+
+    #[test]
+    fn task_outside_the_box_is_a_fault() {
+        // The helper sizes the box by the declared total: 2 of 3 tasks.
+        let p = program(&[(0, 1, 0), (1, 2, 0)], &[(1, 1), (2, 1)], &[0], 2);
+        let dag = UnfoldedDag::enumerate(&p);
+        assert!(dag.faults.contains(&StructuralFault::OutsideBox {
+            key: TaskKey::new(0, [2, 0, 0, 0]),
+            bound: [2, 1, 1, 1],
+        }));
     }
 
     #[test]

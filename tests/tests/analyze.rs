@@ -14,11 +14,12 @@ use netsim::ProcessGrid;
 use obs::names;
 use proptest::prelude::*;
 use runtime::{
-    run, ClassId, FlowData, OutputDep, Params, Program, Rect, RunConfig, TaskClass, TaskGraph,
-    UnfoldedDag, WriteRegion,
+    run, ClassId, FlowData, OutputDep, Params, Program, Rect, RunConfig, StructuralFault,
+    TaskClass, TaskGraph, UnfoldedDag, WriteRegion,
 };
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn cfg(n: usize, tile: usize, steps: usize, side: u32, iters: u32) -> StencilConfig {
     StencilConfig::new(
@@ -52,7 +53,137 @@ fn all_schemes_are_analysis_clean() {
         for (name, program) in schemes {
             let a = analyze_program(&program, &AnalyzeConfig::new());
             assert!(a.is_clean(), "{name} at {label}: {}", a.report());
+            // One activation-table entry per task: no holes in the slots.
+            assert_eq!(
+                u64::from(program.graph.num_slots()),
+                program.total_tasks,
+                "{name} at {label}"
+            );
         }
+    }
+}
+
+/// Delegates to one class of a real program but declares a parameter box
+/// one iterate short, so the last sweep's tasks fall outside it.
+struct ShortBox {
+    inner: Arc<TaskGraph>,
+    id: ClassId,
+}
+
+impl ShortBox {
+    fn class(&self) -> &dyn TaskClass {
+        self.inner.class(self.id)
+    }
+}
+
+impl TaskClass for ShortBox {
+    fn name(&self) -> &str {
+        self.class().name()
+    }
+    fn param_box(&self) -> [u32; 4] {
+        let [x, y, t, z] = self.class().param_box();
+        [x, y, t - 1, z]
+    }
+    fn node_of(&self, p: Params) -> u32 {
+        self.class().node_of(p)
+    }
+    fn activation_count(&self, p: Params) -> usize {
+        self.class().activation_count(p)
+    }
+    fn num_input_slots(&self, p: Params) -> usize {
+        self.class().num_input_slots(p)
+    }
+    fn num_output_flows(&self, p: Params) -> usize {
+        self.class().num_output_flows(p)
+    }
+    fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
+        self.class().outputs(p, out)
+    }
+    fn execute(&self, p: Params, inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
+        self.class().execute(p, inputs, out)
+    }
+    fn output_bytes(&self, p: Params, flow: usize) -> usize {
+        self.class().output_bytes(p, flow)
+    }
+    fn cost(&self, p: Params) -> f64 {
+        self.class().cost(p)
+    }
+}
+
+/// The panic text of `f`, or "completed"; `f` runs on a helper thread and
+/// a run still going after 5 s fails the test instead of hanging it.
+fn panic_text(f: impl FnOnce() + Send + 'static) -> (String, Duration) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let start = Instant::now();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        let text = match outcome {
+            Ok(()) => "completed".to_string(),
+            Err(p) => p
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default(),
+        };
+        let _ = tx.send((text, start.elapsed()));
+    });
+    rx.recv_timeout(Duration::from_secs(5))
+        .expect("run still going after 5 s")
+}
+
+/// A wrong parameter box is caught before any run, and a run that ignores
+/// the verdict fails loudly and at once instead of hanging.
+#[test]
+fn a_box_one_iterate_short_is_rejected_statically_and_fails_runs_loudly() {
+    let c = cfg(16, 4, 1, 2, 3);
+    let short = |program: Program| {
+        let mut graph = TaskGraph::new();
+        graph.add_class(Arc::new(ShortBox {
+            inner: program.graph,
+            id: 0,
+        }));
+        Program {
+            graph: Arc::new(graph),
+            ..program
+        }
+    };
+    let program = short(build_base(&c, true).program);
+    let a = analyze_program(&program, &AnalyzeConfig::new());
+    let outside: Vec<_> = a
+        .diagnostics
+        .iter()
+        .filter_map(|d| match d {
+            Diagnostic::Structural(StructuralFault::OutsideBox { key, bound }) => {
+                Some((key, bound))
+            }
+            _ => None,
+        })
+        .collect();
+    // Every tile's last-sweep task, against the 4 × 4 × 3 box.
+    assert_eq!(outside.len(), 16, "{}", a.report());
+    assert!(outside
+        .iter()
+        .all(|(key, &bound)| key.params[2] == 3 && bound == [4, 4, 3, 1]));
+
+    let program = Arc::new(program);
+    let sim = {
+        let program = Arc::clone(&program);
+        move || {
+            run(&program, &RunConfig::simulated(MachineProfile::nacl(), 4));
+        }
+    };
+    let (text, _) = panic_text(sim);
+    assert!(
+        text.contains(",3,0) lies outside the parameter box [4, 4, 3, 1]"),
+        "{text}"
+    );
+    for cfg in [RunConfig::shared_memory(2), RunConfig::multi_process(4, 1)] {
+        let program = Arc::clone(&program);
+        let (text, took) = panic_text(move || {
+            run(&program, &cfg);
+        });
+        assert!(text.contains("worker panicked"), "{text}");
+        assert!(took < Duration::from_secs(2), "took {took:?}");
     }
 }
 
@@ -299,6 +430,9 @@ impl SharedSpace {
 impl TaskClass for SharedSpace {
     fn name(&self) -> &str {
         self.class().name()
+    }
+    fn param_box(&self) -> [u32; 4] {
+        self.class().param_box()
     }
     fn node_of(&self, p: Params) -> u32 {
         self.class().node_of(p)

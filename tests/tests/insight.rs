@@ -91,6 +91,9 @@ impl TaskClass for Fork {
     fn name(&self) -> &str {
         "fork"
     }
+    fn param_box(&self) -> [u32; 4] {
+        [E as u32 + 1, 1, 1, 1]
+    }
     fn node_of(&self, _p: Params) -> u32 {
         0
     }

@@ -8,9 +8,10 @@ use machine::MachineProfile;
 use netsim::ProcessGrid;
 use runtime::ready_queue::ReadyQueue;
 use runtime::{
-    run, DtdBuilder, Program, ReadyTask, RunConfig, SchedContext, SchedulerHandle, SelectMode,
-    TaskKey,
+    run, DtdBuilder, FlowData, OutputDep, Params, Program, ReadyTask, RunConfig, SchedContext,
+    SchedulerHandle, SelectMode, TaskClass, TaskGraph, TaskKey,
 };
+use std::sync::Arc;
 
 /// Same policy + same config ⇒ bit-identical simulated reports: makespan,
 /// counters, and the full span trace, for every portfolio scheduler.
@@ -178,9 +179,54 @@ fn stealing_dispatch_preserves_layer_sets_across_executors() {
     }
 }
 
+/// Delegates to the one class of a program, except that task 0's body
+/// first naps: by the time it releases its successors, the run's other
+/// workers have found nothing to do and parked.
+struct NappingRoot(Arc<TaskGraph>);
+
+impl NappingRoot {
+    fn class(&self) -> &dyn TaskClass {
+        self.0.class(0)
+    }
+}
+
+impl TaskClass for NappingRoot {
+    fn name(&self) -> &str {
+        self.class().name()
+    }
+    fn param_box(&self) -> [u32; 4] {
+        self.class().param_box()
+    }
+    fn node_of(&self, p: Params) -> u32 {
+        self.class().node_of(p)
+    }
+    fn activation_count(&self, p: Params) -> usize {
+        self.class().activation_count(p)
+    }
+    fn num_output_flows(&self, p: Params) -> usize {
+        self.class().num_output_flows(p)
+    }
+    fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
+        self.class().outputs(p, out)
+    }
+    fn execute(&self, p: Params, inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
+        if p[0] == 0 {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        self.class().execute(p, inputs, out)
+    }
+    fn output_bytes(&self, p: Params, flow: usize) -> usize {
+        self.class().output_bytes(p, flow)
+    }
+    fn cost(&self, p: Params) -> f64 {
+        self.class().cost(p)
+    }
+}
+
 /// A fan wider than the local-deque capacity on the real executor: the
-/// root's batch release overflows into the shared injector, idle workers
-/// drain it and then steal the owner's remainder. Every task still runs
+/// root's release wakes the parked workers while it fills its own deque
+/// and then overflows into the shared injector, so the woken workers
+/// steal from the owner and drain the injector. Every task still runs
 /// exactly once, and steals are actually observed (retried a few times —
 /// steal timing depends on the OS scheduler).
 #[test]
@@ -192,7 +238,13 @@ fn steal_heavy_fan_runs_every_task_exactly_once() {
         for _ in 0..WIDTH {
             b.insert(0, 0.0, &[root]);
         }
-        b.build()
+        let fan = b.build();
+        let mut graph = TaskGraph::new();
+        graph.add_class(Arc::new(NappingRoot(fan.graph)));
+        Program {
+            graph: Arc::new(graph),
+            ..fan
+        }
     };
     for attempt in 0..25 {
         let program: Program = build();
