@@ -297,6 +297,7 @@ pub fn doctest_program() -> Program {
                     flow: 0,
                     consumer: runtime::TaskKey::new(0, [p[0] + 1, 0, 0, 0]),
                     slot: 0,
+                    bytes: 8,
                 });
             }
         }
@@ -307,9 +308,6 @@ pub fn doctest_program() -> Program {
             out: &mut Vec<runtime::FlowData>,
         ) {
             out.push(runtime::FlowData::sized(8));
-        }
-        fn output_bytes(&self, _p: runtime::Params, _flow: usize) -> usize {
-            8
         }
         fn cost(&self, _p: runtime::Params) -> f64 {
             1e-6

@@ -64,13 +64,11 @@ impl TaskClass for TestDag {
             flow,
             consumer: TaskKey::new(0, [c, 0, 0, 0]),
             slot,
+            bytes: self.bytes,
         }));
     }
     fn execute(&self, p: Params, _inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
         out.resize(self.num_output_flows(p), FlowData::sized(self.bytes));
-    }
-    fn output_bytes(&self, _p: Params, _flow: usize) -> usize {
-        self.bytes
     }
     fn cost(&self, _p: Params) -> f64 {
         self.cost

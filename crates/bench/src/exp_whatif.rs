@@ -109,9 +109,6 @@ impl TaskClass for ScaledKind {
     fn execute(&self, p: Params, inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
         self.class().execute(p, inputs, out)
     }
-    fn output_bytes(&self, p: Params, flow: usize) -> usize {
-        self.class().output_bytes(p, flow)
-    }
     fn cost(&self, p: Params) -> f64 {
         let c = self.class();
         // Resolve the effective trace kind the way TaskGraph::kind_of

@@ -45,8 +45,8 @@ impl BaseStencil {
 
 impl OutFlows for BaseStencil {
     /// The output flows of task `p`, in flow-index order, with their
-    /// consumers: the single source of truth behind `outputs`, `execute`,
-    /// `output_bytes` and `num_output_flows`.
+    /// consumers: the single source of truth behind `outputs` (with each
+    /// flow's size), `execute` and `num_output_flows`.
     fn for_each_out(&self, p: Params, mut visit: impl FnMut(OutFlow, TaskKey, usize)) {
         let (tx, ty, t) = Self::decode(p);
         if t >= self.iterations {
@@ -97,7 +97,7 @@ impl TaskClass for BaseStencil {
     }
 
     fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
-        self.push_deps(p, out);
+        self.push_deps(p, self.geo.tile, out);
     }
 
     fn execute(&self, p: Params, inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
@@ -121,10 +121,6 @@ impl TaskClass for BaseStencil {
             }
         }
         self.for_each_out(p, |of, _, _| out.push(of.extract(&buf)));
-    }
-
-    fn output_bytes(&self, p: Params, flow: usize) -> usize {
-        self.out_bytes(p, flow, self.geo.tile)
     }
 
     fn cost(&self, p: Params) -> f64 {

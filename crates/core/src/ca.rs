@@ -211,7 +211,7 @@ impl TaskClass for CaStencil {
     }
 
     fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
-        self.push_deps(p, out);
+        self.push_deps(p, self.geo.tile, out);
     }
 
     fn execute(&self, p: Params, inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
@@ -247,10 +247,6 @@ impl TaskClass for CaStencil {
             }
         }
         self.for_each_out(p, |of, _, _| out.push(of.extract(&buf)));
-    }
-
-    fn output_bytes(&self, p: Params, flow: usize) -> usize {
-        self.out_bytes(p, flow, self.geo.tile)
     }
 
     fn cost(&self, p: Params) -> f64 {

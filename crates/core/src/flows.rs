@@ -139,8 +139,9 @@ impl OutFlow {
 
 /// The output-flow enumeration of a stencil task class. A class supplies
 /// one allocation-free visitor; everything the runtime asks about a
-/// task's outputs — how many, who consumes them, how big, what the body
-/// emits — derives from it, so the answers cannot disagree.
+/// task's outputs — how many, who consumes them and how big
+/// ([`OutputDep::bytes`]), what the body emits — derives from it, so the
+/// answers cannot disagree.
 pub(crate) trait OutFlows {
     /// Visit `(flow, consumer, consumer slot)` for every output flow of
     /// task `p`, in flow-index order.
@@ -165,22 +166,16 @@ pub(crate) trait OutFlows {
         found
     }
 
-    /// Wire size of output flow `flow` of task `p` for `tile × tile` tiles.
-    fn out_bytes(&self, p: Params, flow: usize, tile: usize) -> usize {
-        let (of, _, _) = self
-            .nth_out(p, flow)
-            .unwrap_or_else(|| panic!("task {p:?} has no output flow {flow}"));
-        of.bytes(tile)
-    }
-
-    /// Push one [`OutputDep`] per output flow of task `p`.
-    fn push_deps(&self, p: Params, out: &mut Vec<OutputDep>) {
+    /// Push one [`OutputDep`] per output flow of task `p`, sized for
+    /// `tile × tile` tiles.
+    fn push_deps(&self, p: Params, tile: usize, out: &mut Vec<OutputDep>) {
         let mut flow = 0;
-        self.for_each_out(p, |_, consumer, slot| {
+        self.for_each_out(p, |of, consumer, slot| {
             out.push(OutputDep {
                 flow,
                 consumer,
                 slot,
+                bytes: of.bytes(tile),
             });
             flow += 1;
         });

@@ -263,17 +263,13 @@ impl TaskClass for Pa2Stencil {
     }
 
     fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
-        self.push_deps(p, out);
+        self.push_deps(p, self.geo.tile, out);
     }
 
     fn execute(&self, p: Params, _inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
         // performance skeleton: sized flows only (see module docs)
         let tile = self.geo.tile;
         self.for_each_out(p, |of, _, _| out.push(FlowData::sized(of.bytes(tile))));
-    }
-
-    fn output_bytes(&self, p: Params, flow: usize) -> usize {
-        self.out_bytes(p, flow, self.geo.tile)
     }
 
     fn cost(&self, p: Params) -> f64 {

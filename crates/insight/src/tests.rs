@@ -38,6 +38,7 @@ impl TaskClass for Pair {
                 flow: 0,
                 consumer: TaskKey::new(0, [1, 0, 0, 0]),
                 slot: 0,
+                bytes: 8,
             });
         }
     }
@@ -45,9 +46,6 @@ impl TaskClass for Pair {
         if p[0] == 0 {
             out.push(FlowData::sized(8));
         }
-    }
-    fn output_bytes(&self, _p: Params, _flow: usize) -> usize {
-        8
     }
     fn cost(&self, _p: Params) -> f64 {
         1e-6

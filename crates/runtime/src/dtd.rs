@@ -178,19 +178,18 @@ impl TaskClass for DtdClass {
         self.task(p).successors.len()
     }
     fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
-        let successors = self.task(p).successors.iter().enumerate();
+        let t = self.task(p);
+        let successors = t.successors.iter().enumerate();
         out.extend(successors.map(|(flow, &(succ, slot))| OutputDep {
             flow,
             consumer: TaskKey::new(0, [succ as i32, 0, 0, 0]),
             slot,
+            bytes: t.output_bytes,
         }));
     }
     fn execute(&self, p: Params, _inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
         let t = self.task(p);
         out.resize(t.successors.len(), FlowData::sized(t.output_bytes));
-    }
-    fn output_bytes(&self, p: Params, _flow: usize) -> usize {
-        self.task(p).output_bytes
     }
     fn cost(&self, p: Params) -> f64 {
         self.task(p).cost

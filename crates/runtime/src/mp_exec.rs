@@ -720,15 +720,13 @@ mod failure_tests {
                     flow: 0,
                     consumer: TaskKey::new(0, [p[0] + 1, 0, 0, 0]),
                     slot: 0,
+                    bytes: 8,
                 });
             }
         }
         fn execute(&self, p: Params, _i: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
             assert!(p[0] != self.bomb, "task body failure injected");
             out.resize(self.num_output_flows(p), FlowData::sized(8));
-        }
-        fn output_bytes(&self, _p: Params, _f: usize) -> usize {
-            8
         }
         fn cost(&self, _p: Params) -> f64 {
             1e-6
@@ -817,14 +815,12 @@ mod failure_tests {
                     flow: 0,
                     consumer: TaskKey::new(0, [1, 0, 0, 0]),
                     slot: 0,
+                    bytes: 8,
                 });
             }
         }
         fn execute(&self, _p: Params, _i: &mut [Option<FlowData>], _out: &mut Vec<FlowData>) {
             // bug under test: declared one flow, produced none
-        }
-        fn output_bytes(&self, _p: Params, _f: usize) -> usize {
-            8
         }
         fn cost(&self, _p: Params) -> f64 {
             1e-6

@@ -32,7 +32,7 @@ use netsim::{InFlight, NetworkModel};
 use obs::{
     lane_busy_in_window, names, Counter, Gauge, Live, LiveSample, LocalRecorder, Metrics, Recorder,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Work item for a node's communication engine. Both directions cost
@@ -63,8 +63,9 @@ enum CommJob {
     },
 }
 
+/// A task occupying one worker lane (the lane is its index in
+/// [`NodeState::running`]).
 struct Running {
-    lane: u32,
     start: VirtualTime,
     task: Box<ReadyTask>,
 }
@@ -120,7 +121,8 @@ struct NodeState {
     /// A coalesced [`Ev::Dispatch`] is already scheduled for this node at
     /// the current timestamp, so further ready arrivals need not add one.
     dispatch_scheduled: bool,
-    running: HashMap<TaskKey, Running>,
+    /// The task on each worker lane, by lane.
+    running: Vec<Option<Running>>,
     comm_queue: VecDeque<CommJob>,
     comm_active: usize,
     comm_busy: TimeWeighted,
@@ -135,8 +137,10 @@ enum Ev {
     Dispatch {
         node: u32,
     },
+    /// The task on `lane` of `node` finished.
     TaskDone {
-        key: TaskKey,
+        node: u32,
+        lane: u32,
     },
     /// A comm-engine job finished on `node`; for `Recv` jobs this also
     /// delivers the flow and completes the message span.
@@ -254,16 +258,12 @@ impl Sim {
                 .graph
                 .class(ready.key.class)
                 .cost(ready.key.params);
-            let key = ready.key;
-            st.running.insert(
-                key,
-                Running {
-                    lane,
-                    start: now,
-                    task: ready,
-                },
-            );
-            sched.schedule_in(VirtualDuration::from_secs_f64(cost), Ev::TaskDone { key });
+            st.running[lane as usize] = Some(Running {
+                start: now,
+                task: ready,
+            });
+            let done = Ev::TaskDone { node, lane };
+            sched.schedule_in(VirtualDuration::from_secs_f64(cost), done);
         }
     }
 
@@ -362,21 +362,20 @@ impl Sim {
         }
     }
 
-    fn finish_task(&mut self, key: TaskKey, now: VirtualTime, sched: &mut Scheduler<Ev>) {
-        let node = self.node_of(key);
+    fn finish_task(&mut self, node: u32, lane: u32, now: VirtualTime, sched: &mut Scheduler<Ev>) {
+        let run = self.nodes[node as usize].running[lane as usize]
+            .take()
+            .unwrap_or_else(|| panic!("lane {lane} of node {node} finished but ran no task"));
+        let key = run.task.key;
         // Keep the program alive independently of `self` so the class
         // reference does not pin the whole struct borrow.
         let program = Arc::clone(&self.program);
         let class = program.graph.class(key.class);
-        let run = self.nodes[node as usize]
-            .running
-            .remove(&key)
-            .unwrap_or_else(|| panic!("{key:?} completed but was not running"));
 
         let kind = self.program.graph.kind_of(key);
         self.local.task_instance(
             node,
-            run.lane,
+            lane,
             kind,
             key.instance_id(),
             run.start.as_nanos(),
@@ -407,7 +406,7 @@ impl Sim {
                     })
                     .clone()
             } else {
-                FlowData::sized(class.output_bytes(key.params, dep.flow))
+                FlowData::sized(dep.bytes)
             };
             let dst = self.node_of(dep.consumer);
             if dst == node {
@@ -431,8 +430,7 @@ impl Sim {
         self.deps = deps;
 
         // Free the lane so the dispatcher can reuse it.
-        let st = &mut self.nodes[node as usize];
-        st.free_lanes.push(run.lane);
+        self.nodes[node as usize].free_lanes.push(lane);
 
         self.completed += 1;
         self.last_task_done = now;
@@ -464,10 +462,11 @@ impl Sim {
                 // Running tasks have no span yet; count their elapsed
                 // overlap with the window (disjoint from any finished
                 // span on the same lane, so busy stays <= 1).
-                for r in st.running.values() {
+                for (lane, r) in st.running.iter().enumerate() {
+                    let Some(r) = r else { continue };
                     let lo = r.start.as_nanos().max(w0);
                     if w1 > lo {
-                        busy[r.lane as usize] += (w1 - lo) as f64 / window;
+                        busy[lane] += (w1 - lo) as f64 / window;
                     }
                 }
                 live.publish(LiveSample {
@@ -509,7 +508,7 @@ impl Model for Sim {
                 self.nodes[node as usize].dispatch_scheduled = false;
                 self.dispatch(node, now, sched);
             }
-            Ev::TaskDone { key } => self.finish_task(key, now, sched),
+            Ev::TaskDone { node, lane } => self.finish_task(node, lane, now, sched),
             Ev::CommDone {
                 node,
                 started,
@@ -619,7 +618,7 @@ fn simulate(
             free_lanes: (0..lanes).rev().collect(),
             ready: ReadyQueue::new(Arc::clone(&selector)),
             dispatch_scheduled: false,
-            running: HashMap::new(),
+            running: (0..lanes).map(|_| None).collect(),
             comm_queue: VecDeque::new(),
             comm_active: 0,
             comm_busy: TimeWeighted::new(),
@@ -1122,6 +1121,14 @@ mod tests {
     fn inconsistent_graph_detected() {
         // task 1 declares 2 inputs but only one edge targets it
         let p = program(&[(0, 1, 0)], &[(1, 2)], &[], &[0], 2, 1e-3, 8);
+        run(&p, &cfg(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown task class 1")]
+    fn root_of_an_unknown_class_panics() {
+        let mut p = program(&[], &[], &[], &[0], 2, 1e-3, 8);
+        p.roots.push(TaskKey::new(1, [0; 4]));
         run(&p, &cfg(1));
     }
 

@@ -258,7 +258,7 @@ impl ReadRegion {
     }
 }
 
-/// One consumer of one of a task's outputs.
+/// One consumer of one of a task's outputs, and the flow's wire size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutputDep {
     /// Which of the producer's output flows feeds this consumer.
@@ -267,6 +267,9 @@ pub struct OutputDep {
     pub consumer: TaskKey,
     /// Which input slot of the consumer receives the flow.
     pub slot: usize,
+    /// Bytes the flow occupies on the wire: what a performance-only run
+    /// sends, and what the body's [`FlowData`] for `flow` should carry.
+    pub bytes: usize,
 }
 
 /// A family of tasks sharing structure; the application implements this.
@@ -299,20 +302,17 @@ pub trait TaskClass: Send + Sync {
     /// Number of output flows task `p` produces.
     fn num_output_flows(&self, p: Params) -> usize;
 
-    /// Consumers of task `p`'s outputs, pushed onto `out`. `out` is the
-    /// caller's scratch — the executors reuse one vector per worker — and
-    /// is empty on entry; implementations only push.
+    /// Consumers of task `p`'s outputs, each with its flow's wire size,
+    /// pushed onto `out`. `out` is the caller's scratch — the executors
+    /// reuse one vector per worker — and is empty on entry;
+    /// implementations only push.
     fn outputs(&self, p: Params, out: &mut Vec<OutputDep>);
 
     /// The task body: consume inputs, push one `FlowData` per output flow
     /// onto `out` (position = flow id; `out` is the caller's scratch,
     /// empty on entry). Called only when the run executes bodies;
-    /// performance-only runs use [`TaskClass::output_bytes`] instead.
+    /// performance-only runs send [`OutputDep::bytes`] instead.
     fn execute(&self, p: Params, inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>);
-
-    /// Wire size of output flow `flow` of task `p`, for performance-only
-    /// runs where `execute` is skipped.
-    fn output_bytes(&self, p: Params, flow: usize) -> usize;
 
     /// Service time of task `p` on one worker core, in seconds (used by the
     /// simulated executor; the real executor measures instead).
@@ -357,9 +357,9 @@ pub trait TaskClass: Send + Sync {
     /// output flow `flow` of task `p` makes valid on arrival (e.g. the
     /// ghost strip a halo message fills). `None` (the default) exempts the
     /// edge from both the coverage contribution and the dead-transfer
-    /// check. The declared area should match
-    /// [`TaskClass::output_bytes`] — the analyzer pro-rates wasted bytes
-    /// over the declared cells.
+    /// check. The declared area should match the flow's
+    /// [`OutputDep::bytes`] — the analyzer pro-rates wasted bytes over the
+    /// declared cells.
     fn delivered_region(&self, p: Params, flow: usize) -> Option<ReadRegion> {
         let _ = (p, flow);
         None
@@ -440,7 +440,7 @@ impl TaskGraph {
         (self.classes.len() - 1) as ClassId
     }
 
-    /// Look up a class.
+    /// Look up a class; panics on an unregistered id.
     pub fn class(&self, id: ClassId) -> &dyn TaskClass {
         self.classes
             .get(id as usize)
@@ -461,7 +461,8 @@ impl TaskGraph {
     /// The dense slot of `key`: its class's first slot plus the
     /// mixed-radix index of its parameters in the class's box, `params[0]`
     /// varying fastest. Panics, naming the key and the box, when the key
-    /// lies outside its class's box.
+    /// lies outside its class's box, and like [`TaskGraph::class`] when
+    /// its class is not registered.
     pub fn slot(&self, key: TaskKey) -> u32 {
         self.try_slot(key).unwrap_or_else(|| {
             panic!(
@@ -476,7 +477,9 @@ impl TaskGraph {
     /// box.
     pub(crate) fn try_slot(&self, key: TaskKey) -> Option<u32> {
         let c = key.class as usize;
-        let bound = self.boxes[c];
+        let Some(&bound) = self.boxes.get(c) else {
+            panic!("unknown task class {c}")
+        };
         let mut local = 0u32;
         for i in (0..4).rev() {
             let p = u32::try_from(key.params[i])
@@ -578,15 +581,13 @@ pub(crate) mod testutil {
                 flow,
                 consumer: TaskKey::new(0, [c, 0, 0, 0]),
                 slot,
+                bytes: self.bytes,
             }));
         }
         fn execute(&self, p: Params, _inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
             out.extend(
                 (0..self.num_output_flows(p)).map(|_| FlowData::filled(1, |v| v.push(p[0] as f64))),
             );
-        }
-        fn output_bytes(&self, _p: Params, _flow: usize) -> usize {
-            self.bytes
         }
         fn cost(&self, _p: Params) -> f64 {
             self.cost
@@ -713,5 +714,19 @@ mod tests {
     #[should_panic(expected = "unknown task class")]
     fn unknown_class_panics() {
         TaskGraph::new().class(3);
+    }
+
+    #[test]
+    fn slot_of_an_unknown_class_panics_like_class() {
+        let mut g = TaskGraph::new();
+        g.add_class(Arc::new(boxed("a", [2, 1, 1, 1])));
+        let key = TaskKey::new(1, [0; 4]);
+        let lookups: [&dyn Fn(); 2] = [&|| _ = g.slot(key), &|| _ = g.try_slot(key)];
+        for lookup in lookups {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(lookup))
+                .expect_err("class 1 is not registered");
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert_eq!(msg, "unknown task class 1");
+        }
     }
 }

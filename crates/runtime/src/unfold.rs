@@ -8,6 +8,18 @@
 //! structural inconsistencies the old `validate` pass checked for
 //! ([`StructuralFault`]) along the way.
 //!
+//! Tasks are found as the executors find them, by their dense
+//! [`TaskGraph::slot`]: a transient `u32` per slot holds each discovered
+//! task's index, and only keys outside their class's parameter box (which
+//! only faulty programs produce) go to a side map. Edge sizes come with
+//! the declarations ([`crate::OutputDep::bytes`]) and repeated input slots
+//! are found by a counting sort of the in-edges by consumer, so no hash
+//! table is touched per task or per edge. The peak heap, counting both
+//! blocks of every reallocation, is about 350 B per task at the
+//! `tooling_lint_doctor` size (`tests/tests/alloc_unfold.rs` holds it
+//! under 400), 490 at `sim_nacl16`'s and 410 at the 100-sweep Figure 8
+//! size, mostly the edge list grown by doubling.
+//!
 //! This module is the substrate of the `analyze` crate's passes (cycle
 //! detection, write races, communication volume, critical path) and the
 //! graph that the `insight` crate joins dynamic trace spans against via
@@ -36,7 +48,8 @@ pub struct EdgeRef {
     pub flow: usize,
     /// The consumer's input slot receiving it.
     pub slot: usize,
-    /// Wire size of the flow ([`crate::task::TaskClass::output_bytes`]).
+    /// Wire size of the flow ([`crate::task::OutputDep::bytes`]; 0 when
+    /// the flow is out of range).
     pub bytes: usize,
 }
 
@@ -159,7 +172,40 @@ pub struct UnfoldedDag {
     pub edges: Vec<EdgeRef>,
     /// Structural inconsistencies found (empty = consistent).
     pub faults: Vec<StructuralFault>,
-    index: HashMap<TaskKey, usize>,
+}
+
+/// The tasks discovered so far and the transient index that finds them:
+/// one `u32` per slot of the task graph (the task's index plus one, 0 while
+/// undiscovered), and a side map for keys outside their class's parameter
+/// box, which have no slot. Only faulty programs reach such keys.
+struct Discovered<'g> {
+    graph: &'g TaskGraph,
+    limit: usize,
+    tasks: Vec<TaskKey>,
+    by_slot: Vec<u32>,
+    outside: HashMap<TaskKey, usize>,
+}
+
+impl Discovered<'_> {
+    /// Index of `key`, discovering it if new; `None` when it is new but
+    /// the limit is reached.
+    fn discover(&mut self, key: TaskKey) -> Option<usize> {
+        let slot = self.graph.try_slot(key).map(|slot| slot as usize);
+        let known = match slot {
+            Some(slot) => (self.by_slot[slot] as usize).checked_sub(1),
+            None => self.outside.get(&key).copied(),
+        };
+        if known.is_some() || self.tasks.len() >= self.limit {
+            return known;
+        }
+        let i = self.tasks.len();
+        self.tasks.push(key);
+        match slot {
+            Some(slot) => self.by_slot[slot] = u32::try_from(i + 1).expect("over u32::MAX tasks"),
+            None => _ = self.outside.insert(key, i),
+        }
+        Some(i)
+    }
 }
 
 impl UnfoldedDag {
@@ -172,46 +218,30 @@ impl UnfoldedDag {
     /// [`StructuralFault::Truncated`]) after discovering `limit` tasks.
     pub fn enumerate_with_limit(program: &Program, limit: usize) -> Self {
         let graph = Arc::clone(&program.graph);
-        let mut tasks: Vec<TaskKey> = Vec::new();
-        let mut index: HashMap<TaskKey, usize> = HashMap::new();
+        let mut found = Discovered {
+            graph: &graph,
+            limit,
+            tasks: Vec::new(),
+            by_slot: vec![0; graph.num_slots() as usize],
+            outside: HashMap::new(),
+        };
         let mut edges: Vec<EdgeRef> = Vec::new();
         let mut faults: Vec<StructuralFault> = Vec::new();
-        // Pending edges whose consumer index is not known yet are staged
-        // with the consumer key; resolve after discovery completes.
-        let mut staged: Vec<(usize, TaskKey, usize, usize, usize)> = Vec::new();
-        let mut queue: VecDeque<usize> = VecDeque::new();
         let mut truncated = false;
-
-        let discover = |key: TaskKey,
-                        tasks: &mut Vec<TaskKey>,
-                        index: &mut HashMap<TaskKey, usize>,
-                        queue: &mut VecDeque<usize>|
-         -> Option<usize> {
-            if let Some(&i) = index.get(&key) {
-                return Some(i);
-            }
-            if tasks.len() >= limit {
-                return None;
-            }
-            let i = tasks.len();
-            tasks.push(key);
-            index.insert(key, i);
-            queue.push_back(i);
-            Some(i)
-        };
 
         let mut roots = Vec::with_capacity(program.roots.len());
         for &root in &program.roots {
-            if let Some(i) = discover(root, &mut tasks, &mut index, &mut queue) {
-                roots.push(i);
-            } else {
-                truncated = true;
+            match found.discover(root) {
+                Some(i) => roots.push(i),
+                None => truncated = true,
             }
         }
 
+        // Tasks are appended in discovery order, so visiting them by index
+        // is the breadth-first walk.
         let mut deps = Vec::new();
-        while let Some(pi) = queue.pop_front() {
-            let key = tasks[pi];
+        let mut pi = 0;
+        while let Some(&key) = found.tasks.get(pi) {
             let class = graph.class(key.class);
             let flows = class.num_output_flows(key.params);
             class.outputs(key.params, &mut deps);
@@ -232,97 +262,91 @@ impl UnfoldedDag {
                         slots,
                     });
                 }
-                let bytes = if dep.flow < flows {
-                    class.output_bytes(key.params, dep.flow)
-                } else {
-                    0
-                };
-                match discover(dep.consumer, &mut tasks, &mut index, &mut queue) {
-                    Some(ci) => edges.push(EdgeRef {
+                // A consumer the limit turns away stays undiscovered (the
+                // task list only grows), so its edge is dropped for good.
+                match found.discover(dep.consumer) {
+                    Some(consumer) => edges.push(EdgeRef {
                         producer: pi,
-                        consumer: ci,
+                        consumer,
                         flow: dep.flow,
                         slot: dep.slot,
-                        bytes,
+                        bytes: if dep.flow < flows { dep.bytes } else { 0 },
                     }),
-                    None => {
-                        truncated = true;
-                        staged.push((pi, dep.consumer, dep.flow, dep.slot, bytes));
-                    }
+                    None => truncated = true,
                 }
             }
-        }
-        // Edges to tasks that were later discovered anyway (reached below
-        // the limit through another path) still count.
-        for (pi, consumer, flow, slot, bytes) in staged {
-            if let Some(&ci) = index.get(&consumer) {
-                edges.push(EdgeRef {
-                    producer: pi,
-                    consumer: ci,
-                    flow,
-                    slot,
-                    bytes,
-                });
-            }
+            pi += 1;
         }
 
-        faults.extend(
-            tasks
-                .iter()
-                .filter(|&&key| graph.try_slot(key).is_none())
-                .map(|&key| StructuralFault::OutsideBox {
-                    key,
-                    bound: graph.class(key.class).param_box(),
-                }),
-        );
-        if truncated {
-            faults.push(StructuralFault::Truncated { limit });
-        } else {
-            // Cross-check declared in-degrees and slot usage. Skipped on
-            // truncation: partial in-edge counts would all look mismatched.
-            let mut indeg = vec![0usize; tasks.len()];
-            let mut slot_seen: HashMap<(usize, usize), usize> = HashMap::new();
-            for e in &edges {
-                indeg[e.consumer] += 1;
-                *slot_seen.entry((e.consumer, e.slot)).or_default() += 1;
-            }
-            for (i, &key) in tasks.iter().enumerate() {
-                let declared = graph.class(key.class).activation_count(key.params);
-                if declared != indeg[i] {
-                    faults.push(StructuralFault::IndegreeMismatch {
-                        task: key,
-                        declared,
-                        actual: indeg[i],
-                    });
-                }
-            }
-            let mut collisions: Vec<(usize, usize)> = slot_seen
-                .into_iter()
-                .filter(|&(_, count)| count > 1)
-                .map(|((task, slot), _)| (task, slot))
-                .collect();
-            collisions.sort_unstable();
-            for (ti, slot) in collisions {
-                faults.push(StructuralFault::SlotCollision {
-                    task: tasks[ti],
-                    slot,
-                });
-            }
-            if tasks.len() as u64 != program.total_tasks {
-                faults.push(StructuralFault::TotalMismatch {
-                    declared: program.total_tasks,
-                    reachable: tasks.len() as u64,
-                });
-            }
-        }
-
-        UnfoldedDag {
+        let Discovered { tasks, outside, .. } = found;
+        let mut outside: Vec<usize> = outside.into_values().collect();
+        outside.sort_unstable();
+        faults.extend(outside.into_iter().map(|i| StructuralFault::OutsideBox {
+            key: tasks[i],
+            bound: graph.class(tasks[i].class).param_box(),
+        }));
+        let mut dag = UnfoldedDag {
             graph,
             tasks,
             roots,
             edges,
             faults,
-            index,
+        };
+        if truncated {
+            dag.faults.push(StructuralFault::Truncated { limit });
+        } else {
+            // Skipped on truncation: partial in-edge counts would all look
+            // mismatched.
+            dag.check_inputs();
+            if dag.len() as u64 != program.total_tasks {
+                dag.faults.push(StructuralFault::TotalMismatch {
+                    declared: program.total_tasks,
+                    reachable: dag.len() as u64,
+                });
+            }
+        }
+        dag
+    }
+
+    /// Cross-check every task's declared activation count against its
+    /// in-edges, then report input slots fed more than once. A counting
+    /// sort over the in-degrees groups the in-edges' slots by consumer, so
+    /// each consumer's handful of slots is checked on its own.
+    fn check_inputs(&mut self) {
+        // `start[c + 1]` counts consumer c's in-edges, then becomes a
+        // prefix sum: c's group begins at `start[c]`.
+        let mut start = vec![0usize; self.len() + 1];
+        for e in &self.edges {
+            start[e.consumer + 1] += 1;
+        }
+        for (i, &task) in self.tasks.iter().enumerate() {
+            let declared = self.graph.class(task.class).activation_count(task.params);
+            let actual = start[i + 1];
+            if declared != actual {
+                let fault = StructuralFault::IndegreeMismatch {
+                    task,
+                    declared,
+                    actual,
+                };
+                self.faults.push(fault);
+            }
+            start[i + 1] += start[i];
+        }
+        // Placing a slot advances its consumer's cursor: afterwards
+        // `start[c]` is where c's group ends and c + 1's begins.
+        let mut slots = vec![0usize; self.edges.len()];
+        for e in &self.edges {
+            slots[start[e.consumer]] = e.slot;
+            start[e.consumer] += 1;
+        }
+        let mut begin = 0;
+        for (&task, &end) in self.tasks.iter().zip(&start) {
+            let group = &mut slots[begin..end];
+            begin = end;
+            group.sort_unstable();
+            let repeats = group.chunk_by(|a, b| a == b).filter(|run| run.len() > 1);
+            let faults = repeats.map(|run| StructuralFault::SlotCollision { task, slot: run[0] });
+            self.faults.extend(faults);
         }
     }
 
@@ -339,11 +363,6 @@ impl UnfoldedDag {
     /// True when enumeration found no structural fault.
     pub fn is_consistent(&self) -> bool {
         self.faults.is_empty()
-    }
-
-    /// Index of `key` in [`UnfoldedDag::tasks`], if reachable.
-    pub fn index_of(&self, key: TaskKey) -> Option<usize> {
-        self.index.get(&key).copied()
     }
 
     /// Owning node of task `i`.
@@ -465,7 +484,7 @@ mod tests {
         assert_eq!(dag.len(), 4);
         assert_eq!(dag.edges.len(), 4);
         assert_eq!(dag.roots, vec![0]);
-        assert_eq!(dag.index_of(TaskKey::new(0, [3, 0, 0, 0])), Some(3));
+        assert_eq!(dag.tasks[3], TaskKey::new(0, [3, 0, 0, 0]));
         let topo = dag.topo_order().expect("acyclic");
         assert_eq!(topo.len(), 4);
         assert_eq!(topo[0], 0);
@@ -565,5 +584,260 @@ mod tests {
     fn assert_consistent_panics_on_fault() {
         let p = program(&[(0, 1, 0)], &[(1, 3)], &[0], 2);
         assert_consistent(&p);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown task class 1")]
+    fn root_of_an_unknown_class_panics() {
+        let mut p = program(&[], &[], &[0], 1);
+        p.roots.push(TaskKey::new(1, [0; 4]));
+        UnfoldedDag::enumerate(&p);
+    }
+
+    /// The hash-indexed enumeration this module used before tasks were
+    /// found by slot, kept as the reference the dense index must match.
+    fn oracle(program: &Program, limit: usize) -> UnfoldedDag {
+        let graph = Arc::clone(&program.graph);
+        let mut tasks: Vec<TaskKey> = Vec::new();
+        let mut index: Map<TaskKey, usize> = Map::new();
+        let mut edges: Vec<EdgeRef> = Vec::new();
+        let mut faults: Vec<StructuralFault> = Vec::new();
+        let mut staged: Vec<(usize, TaskKey, usize, usize, usize)> = Vec::new();
+        let mut queue: VecDeque<usize> = VecDeque::new();
+        let mut truncated = false;
+        let discover = |key: TaskKey,
+                        tasks: &mut Vec<TaskKey>,
+                        index: &mut Map<TaskKey, usize>,
+                        queue: &mut VecDeque<usize>|
+         -> Option<usize> {
+            if let Some(&i) = index.get(&key) {
+                return Some(i);
+            }
+            if tasks.len() >= limit {
+                return None;
+            }
+            let i = tasks.len();
+            tasks.push(key);
+            index.insert(key, i);
+            queue.push_back(i);
+            Some(i)
+        };
+        let mut roots = Vec::new();
+        for &root in &program.roots {
+            match discover(root, &mut tasks, &mut index, &mut queue) {
+                Some(i) => roots.push(i),
+                None => truncated = true,
+            }
+        }
+        let mut deps = Vec::new();
+        while let Some(pi) = queue.pop_front() {
+            let key = tasks[pi];
+            let class = graph.class(key.class);
+            let flows = class.num_output_flows(key.params);
+            class.outputs(key.params, &mut deps);
+            for dep in deps.drain(..) {
+                if dep.flow >= flows {
+                    faults.push(StructuralFault::FlowOutOfRange {
+                        task: key,
+                        flow: dep.flow,
+                        flows,
+                    });
+                }
+                let slots = graph
+                    .class(dep.consumer.class)
+                    .num_input_slots(dep.consumer.params);
+                if dep.slot >= slots {
+                    faults.push(StructuralFault::SlotOutOfRange {
+                        task: dep.consumer,
+                        slot: dep.slot,
+                        slots,
+                    });
+                }
+                let bytes = if dep.flow < flows { dep.bytes } else { 0 };
+                match discover(dep.consumer, &mut tasks, &mut index, &mut queue) {
+                    Some(ci) => edges.push(EdgeRef {
+                        producer: pi,
+                        consumer: ci,
+                        flow: dep.flow,
+                        slot: dep.slot,
+                        bytes,
+                    }),
+                    None => {
+                        truncated = true;
+                        staged.push((pi, dep.consumer, dep.flow, dep.slot, bytes));
+                    }
+                }
+            }
+        }
+        for (pi, consumer, flow, slot, bytes) in staged {
+            if let Some(&ci) = index.get(&consumer) {
+                edges.push(EdgeRef {
+                    producer: pi,
+                    consumer: ci,
+                    flow,
+                    slot,
+                    bytes,
+                });
+            }
+        }
+        faults.extend(
+            tasks
+                .iter()
+                .filter(|&&key| graph.try_slot(key).is_none())
+                .map(|&key| StructuralFault::OutsideBox {
+                    key,
+                    bound: graph.class(key.class).param_box(),
+                }),
+        );
+        if truncated {
+            faults.push(StructuralFault::Truncated { limit });
+        } else {
+            let mut indeg = vec![0usize; tasks.len()];
+            let mut slot_seen: Map<(usize, usize), usize> = Map::new();
+            for e in &edges {
+                indeg[e.consumer] += 1;
+                *slot_seen.entry((e.consumer, e.slot)).or_default() += 1;
+            }
+            for (i, &key) in tasks.iter().enumerate() {
+                let declared = graph.class(key.class).activation_count(key.params);
+                if declared != indeg[i] {
+                    faults.push(StructuralFault::IndegreeMismatch {
+                        task: key,
+                        declared,
+                        actual: indeg[i],
+                    });
+                }
+            }
+            let mut collisions: Vec<(usize, usize)> = slot_seen
+                .into_iter()
+                .filter(|&(_, count)| count > 1)
+                .map(|(at, _)| at)
+                .collect();
+            collisions.sort_unstable();
+            for (ti, slot) in collisions {
+                faults.push(StructuralFault::SlotCollision {
+                    task: tasks[ti],
+                    slot,
+                });
+            }
+            if tasks.len() as u64 != program.total_tasks {
+                faults.push(StructuralFault::TotalMismatch {
+                    declared: program.total_tasks,
+                    reachable: tasks.len() as u64,
+                });
+            }
+        }
+        UnfoldedDag {
+            graph,
+            tasks,
+            roots,
+            edges,
+            faults,
+        }
+    }
+
+    #[test]
+    fn dense_index_matches_the_hash_oracle_on_random_programs() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        // How often each injected fault showed up across the corpus.
+        let mut seen: Map<&str, usize> = Map::new();
+        for _ in 0..2_000 {
+            let n = 2 + next(30) as i32;
+            let density = 1 + next(4);
+            let mut edges = Vec::new();
+            let mut indeg = vec![0usize; n as usize];
+            for to in 1..n {
+                for from in 0..to {
+                    if next(10) < density {
+                        edges.push((from, to, indeg[to as usize]));
+                        indeg[to as usize] += 1;
+                    }
+                }
+            }
+            let roots: Vec<i32> = (0..n).filter(|&t| indeg[t as usize] == 0).collect();
+            let mut declared: Vec<(i32, usize)> = (0..n).zip(indeg.iter().copied()).collect();
+            let (mut total, mut limit) = (n as u64, DEFAULT_TASK_LIMIT);
+            let mut p = match next(6) {
+                // a repeated slot (or one past the consumer's slots)
+                1 => {
+                    for e in &mut edges {
+                        if next(4) == 0 {
+                            e.2 = next(indeg[e.1 as usize] as u64 + 1) as usize;
+                        }
+                    }
+                    program(&edges, &declared, &roots, total)
+                }
+                // a wrong activation count
+                2 => {
+                    let (_, count) = &mut declared[next(n as u64) as usize];
+                    *count = if next(2) == 0 {
+                        *count + 1
+                    } else {
+                        count.saturating_sub(1)
+                    };
+                    program(&edges, &declared, &roots, total)
+                }
+                // a box one task short
+                3 => {
+                    let mut p = program(&edges, &declared, &roots, total - 1);
+                    p.total_tasks = total;
+                    p
+                }
+                // a limit below the task count
+                4 => {
+                    limit = 1 + next(n as u64 - 1) as usize;
+                    program(&edges, &declared, &roots, total)
+                }
+                // a wrong total
+                5 => {
+                    let mut p = program(&edges, &declared, &roots, total);
+                    total = if next(2) == 0 { total + 1 } else { total - 1 };
+                    p.total_tasks = total;
+                    p
+                }
+                _ => program(&edges, &declared, &roots, total),
+            };
+            if next(8) == 0 {
+                // a root listed twice
+                p.roots.push(p.roots[0]);
+            }
+            let got = UnfoldedDag::enumerate_with_limit(&p, limit);
+            let want = oracle(&p, limit);
+            assert_eq!(got.tasks, want.tasks);
+            assert_eq!(got.roots, want.roots);
+            assert_eq!(got.edges, want.edges);
+            assert_eq!(got.faults, want.faults);
+            for f in &got.faults {
+                let kind = match f {
+                    StructuralFault::SlotOutOfRange { .. } => "slot out of range",
+                    StructuralFault::SlotCollision { .. } => "slot collision",
+                    StructuralFault::IndegreeMismatch { .. } => "indegree",
+                    StructuralFault::OutsideBox { .. } => "outside box",
+                    StructuralFault::Truncated { .. } => "truncated",
+                    StructuralFault::TotalMismatch { .. } => "total",
+                    StructuralFault::FlowOutOfRange { .. } => "flow out of range",
+                };
+                *seen.entry(kind).or_default() += 1;
+            }
+        }
+        for kind in [
+            "slot out of range",
+            "slot collision",
+            "indegree",
+            "outside box",
+            "truncated",
+            "total",
+        ] {
+            assert!(
+                seen.get(kind).copied().unwrap_or(0) >= 20,
+                "{kind}: {seen:?}"
+            );
+        }
     }
 }

@@ -102,9 +102,6 @@ impl TaskClass for ShortBox {
     fn execute(&self, p: Params, inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
         self.class().execute(p, inputs, out)
     }
-    fn output_bytes(&self, p: Params, flow: usize) -> usize {
-        self.class().output_bytes(p, flow)
-    }
     fn cost(&self, p: Params) -> f64 {
         self.class().cost(p)
     }
@@ -451,9 +448,6 @@ impl TaskClass for SharedSpace {
     }
     fn execute(&self, p: Params, inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
         self.class().execute(p, inputs, out)
-    }
-    fn output_bytes(&self, p: Params, flow: usize) -> usize {
-        self.class().output_bytes(p, flow)
     }
     fn cost(&self, p: Params) -> f64 {
         self.class().cost(p)

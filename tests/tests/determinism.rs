@@ -58,6 +58,6 @@ fn body_execution_does_not_change_timing() {
     );
     assert_eq!(perf.makespan, data.makespan);
     assert_eq!(perf.remote_messages(), data.remote_messages());
-    // message bytes match too: FlowData::values sizes equal output_bytes
+    // message bytes match too: the payloads bodies emit are as big as OutputDep::bytes declares
     assert_eq!(perf.remote_bytes(), data.remote_bytes());
 }

@@ -116,6 +116,7 @@ impl TaskClass for Fork {
             flow,
             consumer: TaskKey::new(0, [to, 0, 0, 0]),
             slot,
+            bytes: 8,
         };
         match p[0] {
             R => out.extend([dep(0, A, 0), dep(1, B, 0)]),
@@ -127,9 +128,6 @@ impl TaskClass for Fork {
     fn execute(&self, p: Params, _inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
         std::thread::sleep(Duration::from_millis(millis(p[0])));
         out.resize(self.num_output_flows(p), FlowData::sized(8));
-    }
-    fn output_bytes(&self, _p: Params, _flow: usize) -> usize {
-        8
     }
     fn cost(&self, p: Params) -> f64 {
         millis(p[0]) as f64 * 1e-3

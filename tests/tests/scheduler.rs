@@ -215,9 +215,6 @@ impl TaskClass for NappingRoot {
         }
         self.class().execute(p, inputs, out)
     }
-    fn output_bytes(&self, p: Params, flow: usize) -> usize {
-        self.class().output_bytes(p, flow)
-    }
     fn cost(&self, p: Params) -> f64 {
         self.class().cost(p)
     }
