@@ -47,11 +47,10 @@ fi
 # tolerance bands.
 step ./target/release/stencil-doctor --check
 
-# Causal-profiler gate: the what-if replay's predictions for the
-# validated scenarios (scaled kernel cost, scaled network, slowed
-# injection) must agree with this run's simulator re-runs within the
-# agreement band (exp_whatif::AGREEMENT_BAND), and the deterministic
-# scalars must match BENCH_whatif.json within 2 %.
+# Causal-profiler gate: the what-if replay of the traced run must equal
+# that run, and every scenario's prediction (scaled kernel costs, scaled
+# network, slowed injection) must equal its simulator re-run, in integer
+# nanoseconds; the makespans must match BENCH_whatif.json within 2 %.
 step ./target/release/stencil-whatif --check
 
 # Communication-observatory gate: the per-peer comm matrix built from

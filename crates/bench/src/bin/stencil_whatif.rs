@@ -1,13 +1,12 @@
 //! `stencil-whatif`: rank "what to optimize next" by causal replay, and
-//! manage the committed prediction-vs-re-run agreement baseline.
+//! hold the replay to the simulator to the nanosecond.
 //!
 //! Traces the base scheme on the deterministic simulated executor, builds
 //! an [`insight::WhatIf`] replay of the realized DAG, and predicts the
 //! end-to-end makespan under a portfolio of perturbations (faster
-//! kernels, 2× bandwidth, half latency, half injection rate). Scenarios
-//! with a real-world equivalent are validated by actually re-running the
-//! simulator with the change applied; the table prints each prediction's
-//! error against its re-run.
+//! kernels, 2× bandwidth, half latency, half injection rate). Every
+//! scenario is also re-run on the simulator with the change applied for
+//! real; the table prints each prediction beside its re-run.
 //!
 //! ```text
 //! cargo run --release -p bench --bin stencil-whatif               # rank only
@@ -15,10 +14,10 @@
 //! cargo run --release -p bench --bin stencil-whatif -- --check    # diff against it; exit 1 on drift
 //! ```
 //!
-//! `--check` fails when any scalar drifts more than 2 % from the
-//! committed file (the runs are deterministic) or when any validated
-//! prediction of the current run misses its re-run by more than
-//! `exp_whatif::AGREEMENT_BAND`. `--file <path>` overrides the baseline
+//! `--check` fails when any makespan drifts more than 2 % from the
+//! committed file (the runs are deterministic), or when the baseline
+//! replay differs from the traced run, or any prediction from its re-run,
+//! by a single nanosecond. `--file <path>` overrides the baseline
 //! location; the run parameters (`--n --tile --iters --grid --ratio`) are
 //! recorded in the file and compared verbatim.
 
@@ -73,6 +72,6 @@ fn main() {
         &args.file,
         &run.baseline(),
         |_| exp_whatif::BAND,
-        run.agreement_violations(),
+        run.disagreements(),
     );
 }

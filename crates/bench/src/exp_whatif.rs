@@ -1,17 +1,20 @@
-//! `stencil-whatif`: causal what-if profiling of a stencil run, validated
-//! against actual simulator re-runs.
+//! `stencil-whatif`: causal what-if profiling of a stencil run, held to
+//! the simulator to the nanosecond.
 //!
 //! [`insight::WhatIf`] replays the realized DAG of a traced run under
 //! perturbed costs — faster kernels, a fatter or lower-latency fabric, a
 //! slower message-injection rate — and predicts the end-to-end makespan
-//! effect (the Coz "virtual speedup" idea). Predictions are only worth
-//! ranking if the replay is honest, so this experiment closes the loop:
-//! for a subset of scenarios it *actually re-runs the simulator* with the
-//! equivalent cost change applied for real (a cost-scaled task class, a
-//! scaled machine-profile network, a doubled per-message runtime cost)
-//! and reports the prediction error. The committed `BENCH_whatif.json`
-//! records both numbers per scenario; every validated error of the
-//! current run must stay inside [`AGREEMENT_BAND`].
+//! effect (the Coz "virtual speedup" idea). The replay charges the
+//! simulator's own [`netsim::NetworkModel`] terms on the simulator's own
+//! event order, so it is not an approximation of the simulator: it *is*
+//! the simulator, minus the telemetry and payload machinery. This
+//! experiment holds it to that. It re-runs the simulator once per
+//! scenario with the change made real ([`realize`]: a cost-scaled task
+//! class, a scaled machine-profile network, a scaled per-message runtime
+//! cost), and [`WhatIfRun::disagreements`] lists every prediction whose
+//! integer-nanosecond makespan differs from its re-run's, and the
+//! baseline replay if it differs from the traced run. The committed
+//! `BENCH_whatif.json` records one makespan per run.
 
 use analyze::AnalyzeConfig;
 use ca_stencil::{build_base, kind_names, Problem, StencilConfig, KIND_BOUNDARY, KIND_INTERIOR};
@@ -22,7 +25,6 @@ use runtime::{
     ClassId, FlowData, OutputDep, Params, Program, ReadRegion, RunConfig, TaskClass, TaskGraph,
     WriteRegion,
 };
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The what-if experiment's run parameters.
@@ -165,8 +167,8 @@ pub fn scale_kind_cost(program: &Program, kind: u32, factor: f64) -> Program {
     }
 }
 
-/// One scenario's prediction, joined (when validated) with the makespan an
-/// actual simulator re-run produced under the equivalent real change.
+/// One scenario's prediction joined with the makespan of the simulator
+/// re-run that makes the change real.
 #[derive(Debug, Clone)]
 pub struct ScenarioOutcome {
     /// Human-readable scenario label.
@@ -175,92 +177,115 @@ pub struct ScenarioOutcome {
     pub prediction: Prediction,
     /// Predicted speedup vs the baseline replay.
     pub speedup: f64,
-    /// Makespan of the validating re-run, seconds (`None` for
-    /// prediction-only scenarios).
-    pub actual_s: Option<f64>,
-}
-
-impl ScenarioOutcome {
-    /// Relative prediction error against the validating re-run.
-    pub fn rel_err(&self) -> Option<f64> {
-        self.actual_s
-            .map(|a| (self.prediction.makespan_s - a).abs() / a)
-    }
+    /// Makespan of the re-run, seconds.
+    pub rerun_s: f64,
 }
 
 /// The full what-if experiment: traced run, baseline replay, ranked
-/// scenarios with validation re-runs.
+/// scenarios with their re-runs.
 #[derive(Debug)]
 pub struct WhatIfRun {
     /// The run parameters.
     pub config: WhatIfConfig,
     /// Makespan of the traced run the replay is anchored to, seconds.
-    pub actual_makespan_s: f64,
-    /// The unperturbed replay (model fidelity anchor).
+    pub makespan_s: f64,
+    /// The unperturbed replay of the traced run.
     pub replay: Prediction,
     /// Scenarios ranked by predicted speedup, largest first.
     pub scenarios: Vec<ScenarioOutcome>,
 }
 
-impl WhatIfRun {
-    /// Relative error of the unperturbed replay against the traced run.
-    pub fn replay_rel_err(&self) -> f64 {
-        (self.replay.makespan_s - self.actual_makespan_s).abs() / self.actual_makespan_s
-    }
+/// A makespan in whole nanoseconds, the simulator's clock unit.
+fn ns(s: f64) -> u64 {
+    (s * 1e9).round() as u64
+}
 
-    /// Assemble the committed baseline from this run: the traced and
-    /// replayed makespans plus `<label>.predicted_s` for every scenario
-    /// and `<label>.actual_s` for the validated ones.
+impl WhatIfRun {
+    /// Assemble the committed baseline from this run: the traced
+    /// makespan plus `<label>.makespan_s` for every scenario's re-run.
     pub fn baseline(&self) -> Baseline {
         let mut b = Baseline::new(self.config.describe());
-        b.scalars
-            .insert("actual_makespan_s".into(), self.actual_makespan_s);
-        b.scalars.insert("replay_s".into(), self.replay.makespan_s);
+        b.scalars.insert("makespan_s".into(), self.makespan_s);
         for s in &self.scenarios {
             b.scalars
-                .insert(format!("{}.predicted_s", s.label), s.prediction.makespan_s);
-            if let Some(a) = s.actual_s {
-                b.scalars.insert(format!("{}.actual_s", s.label), a);
-            }
+                .insert(format!("{}.makespan_s", s.label), s.rerun_s);
         }
         b
     }
 
-    /// One line per validated scenario whose prediction misses its re-run
-    /// by more than [`AGREEMENT_BAND`]; empty when the replay is honest.
-    pub fn agreement_violations(&self) -> Vec<String> {
-        self.scenarios
+    /// One line per replay whose makespan differs from its simulator run
+    /// in integer nanoseconds: the baseline replay against the traced
+    /// run, each prediction against its re-run. Empty when the replay and
+    /// the simulator agree exactly.
+    pub fn disagreements(&self) -> Vec<String> {
+        let baseline = ("baseline replay", self.replay.makespan_s, self.makespan_s);
+        let scenarios = self
+            .scenarios
             .iter()
-            .filter_map(|s| {
-                let (actual, err) = s.actual_s.zip(s.rel_err())?;
-                (err > AGREEMENT_BAND).then(|| {
-                    format!(
-                        "{}: prediction {:.6} vs re-run {:.6} — {:.2}% error exceeds the \
-                         {:.0}% agreement band",
-                        s.label,
-                        s.prediction.makespan_s,
-                        actual,
-                        100.0 * err,
-                        100.0 * AGREEMENT_BAND
-                    )
-                })
+            .map(|s| (s.label.as_str(), s.prediction.makespan_s, s.rerun_s));
+        std::iter::once(baseline)
+            .chain(scenarios)
+            .filter(|&(_, predicted, simulated)| ns(predicted) != ns(simulated))
+            .map(|(label, predicted, simulated)| {
+                format!(
+                    "{label}: replay {} ns differs from the simulator's {} ns",
+                    ns(predicted),
+                    ns(simulated)
+                )
             })
             .collect()
     }
 }
-
-/// Maximum relative error a validated prediction may show against its
-/// re-run, checked on the current run by `stencil-whatif --check`.
-pub const AGREEMENT_BAND: f64 = 0.10;
 
 /// The band every committed what-if scalar is checked to: the runs are
 /// deterministic, so ±2 % only absorbs cost-model evolution small enough
 /// to re-baseline consciously.
 pub const BAND: Band = Band::Rel(0.02);
 
+/// Make `perturbations` real: the program and profile whose simulator run
+/// tests the replay's prediction. Task kinds are scaled in the classes
+/// (their costs are baked in at build time); link and injection changes
+/// go into the profile. Panics on an injection change that does not
+/// scale every one of `nodes` alike: the profile has one
+/// `runtime_msg_cost`.
+pub fn realize(
+    program: &Program,
+    profile: &MachineProfile,
+    nodes: u32,
+    perturbations: &[Perturbation],
+) -> (Program, MachineProfile) {
+    let mut program = Program {
+        graph: Arc::clone(&program.graph),
+        roots: program.roots.clone(),
+        total_tasks: program.total_tasks,
+    };
+    let mut profile = profile.clone();
+    let mut injection = vec![1.0f64; nodes as usize];
+    for p in perturbations {
+        match *p {
+            Perturbation::TaskKind { kind, factor } => {
+                program = scale_kind_cost(&program, kind, factor);
+            }
+            Perturbation::Link { bandwidth, latency } => {
+                profile.net_eff_bw_bits *= bandwidth;
+                profile.net_peak_bw_bits *= bandwidth;
+                profile.net_latency *= latency;
+            }
+            Perturbation::Injection { node, factor } => injection[node as usize] *= factor,
+        }
+    }
+    let rate = injection[0];
+    assert!(
+        injection.iter().all(|&f| f == rate),
+        "a re-run can only scale every node's injection rate alike"
+    );
+    profile.runtime_msg_cost /= rate;
+    (program, profile)
+}
+
 /// Run the experiment: trace the base scheme on the simulator, build the
-/// replay context, rank the scenario portfolio, and validate the network,
-/// injection, and kernel scenarios against actual re-runs.
+/// replay context, rank the scenario portfolio, and re-run the simulator
+/// once per scenario with the change made real.
 pub fn run(wc: &WhatIfConfig) -> WhatIfRun {
     let profile = MachineProfile::nacl();
     let nodes = wc.grid * wc.grid;
@@ -275,114 +300,68 @@ pub fn run(wc: &WhatIfConfig) -> WhatIfRun {
     let program = build_base(&cfg, false).program;
     let dag = analyze::unfold(&program, &AnalyzeConfig::new());
 
-    let sim = |program: &Program, profile: MachineProfile| {
-        runtime::run(
-            program,
-            &RunConfig::simulated(profile, nodes)
-                .with_trace()
-                .with_kind_names(kind_names()),
-        )
-    };
-    let report = sim(&program, profile.clone());
+    let report = runtime::run(
+        &program,
+        &RunConfig::simulated(profile.clone(), nodes)
+            .with_trace()
+            .with_kind_names(kind_names()),
+    );
     let trace = report.trace.as_ref().expect("trace requested");
     let w = WhatIf::new(trace, &dag, &profile, nodes);
     let replay = w.baseline();
 
+    let kernel = |kind| vec![Perturbation::TaskKind { kind, factor: 0.7 }];
+    let link = |bandwidth, latency| vec![Perturbation::Link { bandwidth, latency }];
     let every_node_half_rate: Vec<Perturbation> = (0..nodes)
         .map(|node| Perturbation::Injection { node, factor: 0.5 })
         .collect();
     let portfolio: Vec<(String, Vec<Perturbation>)> = vec![
-        (
-            "boundary kernel 30% faster".into(),
-            vec![Perturbation::TaskKind {
-                kind: KIND_BOUNDARY,
-                factor: 0.7,
-            }],
-        ),
-        (
-            "interior kernel 30% faster".into(),
-            vec![Perturbation::TaskKind {
-                kind: KIND_INTERIOR,
-                factor: 0.7,
-            }],
-        ),
-        (
-            "network bandwidth 2x".into(),
-            vec![Perturbation::Link {
-                bandwidth: 2.0,
-                latency: 1.0,
-            }],
-        ),
-        (
-            "network latency halved".into(),
-            vec![Perturbation::Link {
-                bandwidth: 1.0,
-                latency: 0.5,
-            }],
-        ),
+        ("boundary kernel 30% faster".into(), kernel(KIND_BOUNDARY)),
+        ("interior kernel 30% faster".into(), kernel(KIND_INTERIOR)),
+        ("network bandwidth 2x".into(), link(2.0, 1.0)),
+        ("network latency halved".into(), link(1.0, 0.5)),
         ("comm injection half rate".into(), every_node_half_rate),
     ];
-    let ranked = w.rank(&portfolio);
-
-    // Validation re-runs: make each hypothetical change *real* and let
-    // the simulator disagree if it can. Task costs are baked into the
-    // classes at build time, so editing the profile's network fields
-    // perturbs exactly what the replay's Link/Injection scenarios do.
-    let mut actual: BTreeMap<String, f64> = BTreeMap::new();
-    let scaled = scale_kind_cost(&program, KIND_BOUNDARY, 0.7);
-    actual.insert(
-        "boundary kernel 30% faster".into(),
-        sim(&scaled, profile.clone()).makespan,
-    );
-    let mut fat = profile.clone();
-    fat.net_eff_bw_bits *= 2.0;
-    fat.net_peak_bw_bits *= 2.0;
-    actual.insert("network bandwidth 2x".into(), sim(&program, fat).makespan);
-    let mut low = profile.clone();
-    low.net_latency *= 0.5;
-    actual.insert("network latency halved".into(), sim(&program, low).makespan);
-    let mut slow = profile.clone();
-    slow.runtime_msg_cost *= 2.0;
-    actual.insert(
-        "comm injection half rate".into(),
-        sim(&program, slow).makespan,
-    );
 
     WhatIfRun {
         config: wc.clone(),
-        actual_makespan_s: report.makespan,
+        makespan_s: report.makespan,
         replay,
-        scenarios: ranked
+        scenarios: w
+            .rank(&portfolio)
             .into_iter()
-            .map(|r| ScenarioOutcome {
-                actual_s: actual.get(&r.label).copied(),
-                label: r.label,
-                prediction: r.prediction,
-                speedup: r.speedup,
+            .map(|r| {
+                let (program, profile) = realize(&program, &profile, nodes, &r.perturbations);
+                let rerun = runtime::run(&program, &RunConfig::simulated(profile, nodes));
+                ScenarioOutcome {
+                    label: r.label,
+                    prediction: r.prediction,
+                    speedup: r.speedup,
+                    rerun_s: rerun.makespan,
+                }
             })
             .collect(),
     }
 }
 
-/// Print the ranked "what to optimize next" table with validation notes.
+/// Print the ranked "what to optimize next" table beside each re-run.
 pub fn print(run: &WhatIfRun) {
     println!("stencil-whatif: {}", run.config.describe());
     println!(
-        "traced makespan {:.6} s · baseline replay {:.6} s ({:+.2} % model error)",
-        run.actual_makespan_s,
-        run.replay.makespan_s,
-        100.0 * (run.replay.makespan_s - run.actual_makespan_s) / run.actual_makespan_s
+        "traced makespan {} ns · baseline replay {} ns",
+        ns(run.makespan_s),
+        ns(run.replay.makespan_s)
     );
     println!("\nwhat to optimize next (ranked by predicted end-to-end speedup):");
-    println!("  scenario                        predicted s   speedup   occupancy   validated");
+    println!("  scenario                       predicted ns   re-run ns   speedup   occupancy");
     for s in &run.scenarios {
-        let validated = match (s.actual_s, s.rel_err()) {
-            (Some(a), Some(e)) => format!("re-run {:.6} s ({:+.2} % err)", a, 100.0 * e),
-            _ => "—".to_string(),
-        };
         println!(
-            "  {:<30} {:>12.6} {:>9.3} {:>11.3}   {}",
-            s.label, s.prediction.makespan_s, s.speedup, s.prediction.occupancy, validated
+            "  {:<30} {:>12} {:>11} {:>9.3} {:>11.3}",
+            s.label,
+            ns(s.prediction.makespan_s),
+            ns(s.rerun_s),
+            s.speedup,
+            s.prediction.occupancy
         );
     }
 }
@@ -401,31 +380,8 @@ mod tests {
         }
     }
 
-    /// The acceptance gate, on a shrunken grid: every validated scenario's
-    /// prediction lands within the agreement band of its actual re-run,
-    /// and the unperturbed replay tracks the traced run.
-    #[test]
-    fn predictions_match_actual_reruns_within_band() {
-        let r = run(&fast_config());
-        assert!(
-            r.replay_rel_err() < AGREEMENT_BAND,
-            "baseline replay {:.6} vs traced {:.6}",
-            r.replay.makespan_s,
-            r.actual_makespan_s
-        );
-        let validated = r.scenarios.iter().filter(|s| s.actual_s.is_some());
-        assert!(validated.count() >= 3, "too few validated scenarios");
-        let violations = r.agreement_violations();
-        assert!(violations.is_empty(), "{violations:?}");
-    }
-
-    /// Cost-scaling wrapper sanity: the rebuilt program re-runs to a
-    /// strictly shorter makespan, and only the targeted kind changed
-    /// (message and byte counters are identical).
-    #[test]
-    fn scaled_kind_rerun_shrinks_makespan_only() {
+    fn fast_program() -> Program {
         let wc = fast_config();
-        let profile = MachineProfile::nacl();
         let cfg = StencilConfig::new(
             Problem::laplace(wc.n),
             wc.tile,
@@ -433,9 +389,31 @@ mod tests {
             ProcessGrid::new(wc.grid, wc.grid),
         )
         .with_ratio(wc.ratio)
-        .with_profile(profile.clone());
-        let program = build_base(&cfg, false).program;
-        let rc = RunConfig::simulated(profile, wc.grid * wc.grid);
+        .with_profile(MachineProfile::nacl());
+        build_base(&cfg, false).program
+    }
+
+    /// The acceptance gate, on a shrunken grid: the baseline replay
+    /// equals the traced run, and every scenario's prediction equals its
+    /// re-run, in integer nanoseconds.
+    #[test]
+    fn predictions_equal_reruns_to_the_nanosecond() {
+        let r = run(&fast_config());
+        assert_eq!(r.scenarios.len(), 5);
+        assert_eq!(ns(r.replay.makespan_s), ns(r.makespan_s));
+        for s in &r.scenarios {
+            assert_eq!(ns(s.prediction.makespan_s), ns(s.rerun_s), "{}", s.label);
+        }
+        assert!(r.disagreements().is_empty(), "{:?}", r.disagreements());
+    }
+
+    /// Cost-scaling wrapper sanity: the rebuilt program re-runs to a
+    /// strictly shorter makespan, and only the targeted kind changed
+    /// (message and byte counters are identical).
+    #[test]
+    fn scaled_kind_rerun_shrinks_makespan_only() {
+        let program = fast_program();
+        let rc = RunConfig::simulated(MachineProfile::nacl(), 4);
         let before = runtime::run(&program, &rc);
         let after = runtime::run(&scale_kind_cost(&program, KIND_BOUNDARY, 0.7), &rc);
         assert!(after.makespan < before.makespan);
@@ -444,54 +422,86 @@ mod tests {
 
     #[test]
     fn baseline_round_trips_and_flags_band_violations() {
-        let outcome = |label: &str, predicted_s: f64, actual_s: Option<f64>| ScenarioOutcome {
+        let outcome = |label: &str, predicted_s: f64, rerun_s: f64| ScenarioOutcome {
             label: label.into(),
             prediction: Prediction {
                 makespan_s: predicted_s,
                 occupancy: 0.5,
             },
             speedup: 1.0,
-            actual_s,
+            rerun_s,
         };
         let mut r = WhatIfRun {
             config: fast_config(),
-            actual_makespan_s: 1.0,
+            makespan_s: 1.0,
             replay: Prediction {
-                makespan_s: 1.01,
+                makespan_s: 1.0,
                 occupancy: 0.5,
             },
-            scenarios: vec![
-                outcome("faster", 0.9, Some(0.92)),
-                outcome("unvalidated", 0.95, None),
-            ],
+            scenarios: vec![outcome("faster", 0.9, 0.9), outcome("same", 1.0, 1.0)],
         };
         let b = r.baseline();
-        assert_eq!(b.scalars.len(), 5, "{b:?}");
+        assert_eq!(b.scalars.len(), 3, "{b:?}");
         let parsed = Baseline::from_json(&b.to_json()).unwrap();
         assert_eq!(parsed, b);
         assert!(parsed.compare(&b, |_| BAND).is_empty());
-        assert!(r.agreement_violations().is_empty());
+        assert!(r.disagreements().is_empty());
 
         // A scalar pushed 10 % fails the ±2 % band.
         let mut drifted = b.clone();
-        *drifted.scalars.get_mut("replay_s").unwrap() *= 1.10;
+        *drifted.scalars.get_mut("faster.makespan_s").unwrap() *= 1.10;
         let violations = parsed.compare(&drifted, |_| BAND);
         assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].starts_with("replay_s"), "{violations:?}");
-
-        // A validated scenario cannot silently lose its re-run.
-        r.scenarios[0].actual_s = None;
-        let violations = parsed.compare(&r.baseline(), |_| BAND);
-        assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
-            violations[0].starts_with("faster.actual_s"),
+            violations[0].starts_with("faster.makespan_s"),
             "{violations:?}"
         );
 
-        // A prediction outside the agreement band of its re-run.
-        r.scenarios[0].actual_s = Some(0.9 / 1.2);
-        let violations = r.agreement_violations();
+        // A scenario cannot silently drop out of the file.
+        r.scenarios.pop();
+        let violations = parsed.compare(&r.baseline(), |_| BAND);
         assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("agreement band"), "{violations:?}");
+        assert!(
+            violations[0].starts_with("same.makespan_s"),
+            "{violations:?}"
+        );
+
+        // One nanosecond between a prediction and its re-run, or between
+        // the baseline replay and the traced run, is a disagreement.
+        r.scenarios[0].rerun_s = 0.9 + 1e-9;
+        r.replay.makespan_s = 1.0 - 1e-9;
+        let lines = r.disagreements();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(lines[0].starts_with("baseline replay"), "{lines:?}");
+        assert!(lines[1].starts_with("faster"), "{lines:?}");
+    }
+
+    /// A re-run makes link and injection changes real in the profile.
+    #[test]
+    fn realize_scales_the_profile() {
+        let profile = MachineProfile::nacl();
+        let changes: Vec<Perturbation> = (0..4)
+            .map(|node| Perturbation::Injection { node, factor: 0.5 })
+            .chain([Perturbation::Link {
+                bandwidth: 2.0,
+                latency: 0.5,
+            }])
+            .collect();
+        let (_, p) = realize(&fast_program(), &profile, 4, &changes);
+        assert_eq!(p.runtime_msg_cost, 2.0 * profile.runtime_msg_cost);
+        assert_eq!(p.net_eff_bw_bits, 2.0 * profile.net_eff_bw_bits);
+        assert_eq!(p.net_latency, 0.5 * profile.net_latency);
+    }
+
+    /// The profile has one per-message cost, so a re-run cannot slow one
+    /// node's comm thread alone.
+    #[test]
+    #[should_panic(expected = "every node's injection rate alike")]
+    fn realize_rejects_a_one_node_injection_change() {
+        let one_node = [Perturbation::Injection {
+            node: 1,
+            factor: 0.5,
+        }];
+        realize(&fast_program(), &MachineProfile::nacl(), 4, &one_node);
     }
 }

@@ -1,14 +1,14 @@
 //! The event loop: a typed, deterministic discrete-event engine.
 //!
 //! A simulation is a [`Model`] (your state) plus an [`Engine`] that owns the
-//! pending-event heap and the virtual clock. The model handles one event at
+//! pending-event queue and the virtual clock. The model handles one event at
 //! a time and schedules future events through the [`Scheduler`] handle it is
 //! given. Events at equal timestamps are delivered in the order they were
 //! scheduled (a monotone sequence number breaks ties), so a given model and
 //! input always replays identically.
 
 use crate::time::{VirtualDuration, VirtualTime};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Simulation state machine: holds the model-specific state and reacts to
@@ -22,32 +22,10 @@ pub trait Model {
     fn handle(&mut self, now: VirtualTime, event: Self::Event, sched: &mut Scheduler<Self::Event>);
 }
 
-struct Entry<E> {
-    at: VirtualTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    // Reverse ordering: BinaryHeap is a max-heap, we want earliest first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
+/// Low bits of a queue key that name the event's slot. The sequence
+/// number sits in the 40 bits above them and the timestamp in the upper
+/// 64, so keys order by `(time, sequence)` and the slot never decides.
+const SLOT_BITS: u32 = 24;
 
 /// Handle through which a [`Model`] schedules future events.
 ///
@@ -55,7 +33,13 @@ impl<E> Ord for Entry<E> {
 /// mutably while still enqueueing events.
 pub struct Scheduler<E> {
     now: VirtualTime,
-    heap: BinaryHeap<Entry<E>>,
+    /// Pending events as packed `(time, sequence, slot)` keys, earliest
+    /// first. The payloads live in `events`, so the heap sifts 16-byte
+    /// keys whatever the size of `E`.
+    heap: BinaryHeap<Reverse<u128>>,
+    /// Event payloads by slot; `free` lists the empty slots for reuse.
+    events: Vec<Option<E>>,
+    free: Vec<u32>,
     seq: u64,
     events_processed: u64,
 }
@@ -65,6 +49,8 @@ impl<E> Scheduler<E> {
         Scheduler {
             now: VirtualTime::ZERO,
             heap: BinaryHeap::new(),
+            events: Vec::new(),
+            free: Vec::new(),
             seq: 0,
             events_processed: 0,
         }
@@ -90,9 +76,26 @@ impl<E> Scheduler<E> {
             at = at,
             now = self.now
         );
-        let seq = self.seq;
+        assert!(
+            self.seq < 1 << (64 - SLOT_BITS),
+            "event sequence numbers exhausted"
+        );
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.events[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = self.events.len() as u32;
+                assert!(slot < 1 << SLOT_BITS, "more than 2^24 pending events");
+                self.events.push(Some(event));
+                slot
+            }
+        };
+        let tie = self.seq << SLOT_BITS | u64::from(slot);
         self.seq += 1;
-        self.heap.push(Entry { at, seq, event });
+        self.heap
+            .push(Reverse(u128::from(at.as_nanos()) << 64 | u128::from(tie)));
     }
 
     /// Schedule `event` to fire immediately (at the current time, after any
@@ -101,27 +104,21 @@ impl<E> Scheduler<E> {
         self.schedule_at(self.now, event);
     }
 
-    /// Number of events waiting in the queue.
-    pub fn pending(&self) -> usize {
-        self.heap.len()
-    }
-
     /// Total number of events delivered so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
 
-    fn pop(&mut self) -> Option<Entry<E>> {
-        let e = self.heap.pop()?;
-        debug_assert!(e.at >= self.now, "event heap yielded a past event");
-        self.now = e.at;
+    fn pop(&mut self) -> Option<(VirtualTime, E)> {
+        let Reverse(key) = self.heap.pop()?;
+        let at = VirtualTime((key >> 64) as u64);
+        let slot = (key as u32) & ((1 << SLOT_BITS) - 1);
+        debug_assert!(at >= self.now, "event heap yielded a past event");
+        self.now = at;
         self.events_processed += 1;
-        Some(e)
-    }
-
-    /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<VirtualTime> {
-        self.heap.peek().map(|e| e.at)
+        self.free.push(slot);
+        let event = self.events[slot as usize].take();
+        Some((at, event.expect("a queued key names a filled slot")))
     }
 }
 
@@ -129,8 +126,6 @@ impl<E> Scheduler<E> {
 pub struct Engine<M: Model> {
     model: M,
     sched: Scheduler<M::Event>,
-    /// Safety valve against runaway models. `None` disables the check.
-    max_events: Option<u64>,
 }
 
 impl<M: Model> Engine<M> {
@@ -139,16 +134,7 @@ impl<M: Model> Engine<M> {
         Engine {
             model,
             sched: Scheduler::new(),
-            max_events: None,
         }
-    }
-
-    /// Cap the total number of events the engine will deliver; exceeding it
-    /// panics with a diagnostic. Useful in tests of potentially divergent
-    /// models.
-    pub fn with_max_events(mut self, cap: u64) -> Self {
-        self.max_events = Some(cap);
-        self
     }
 
     /// Seed the queue with an initial event at time zero.
@@ -166,11 +152,6 @@ impl<M: Model> Engine<M> {
         &self.model
     }
 
-    /// Mutable access to the model (for pre/post-run setup and inspection).
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> VirtualTime {
         self.sched.now()
@@ -178,15 +159,9 @@ impl<M: Model> Engine<M> {
 
     /// Deliver the next event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        if let Some(cap) = self.max_events {
-            assert!(
-                self.sched.events_processed() < cap,
-                "simulation exceeded event cap of {cap}"
-            );
-        }
         match self.sched.pop() {
-            Some(e) => {
-                self.model.handle(e.at, e.event, &mut self.sched);
+            Some((at, event)) => {
+                self.model.handle(at, event, &mut self.sched);
                 true
             }
             None => false,
@@ -196,18 +171,6 @@ impl<M: Model> Engine<M> {
     /// Run until the event queue drains. Returns the final virtual time.
     pub fn run(&mut self) -> VirtualTime {
         while self.step() {}
-        self.now()
-    }
-
-    /// Run until the queue drains or the next event would be after
-    /// `deadline`. Events exactly at `deadline` are delivered.
-    pub fn run_until(&mut self, deadline: VirtualTime) -> VirtualTime {
-        while let Some(t) = self.sched.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-        }
         self.now()
     }
 
@@ -302,30 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_at_deadline() {
-        let mut e = engine();
-        e.prime(Ev::Chain {
-            tag: 0,
-            next_in: 10,
-            count: 10,
-        });
-        e.run_until(VirtualTime(35));
-        // events at t = 0, 10, 20, 30 delivered; t = 40 onwards pending
-        assert_eq!(e.model().log.len(), 4);
-        assert_eq!(e.now().as_nanos(), 30);
-        e.run();
-        assert_eq!(e.model().log.len(), 11);
-    }
-
-    #[test]
-    fn run_until_delivers_events_exactly_at_deadline() {
-        let mut e = engine();
-        e.prime_at(VirtualTime(50), Ev::Tag(9));
-        e.run_until(VirtualTime(50));
-        assert_eq!(e.model().log, vec![(50, 9)]);
-    }
-
-    #[test]
     #[should_panic(expected = "cannot schedule event in the past")]
     fn scheduling_in_the_past_panics() {
         struct Bad;
@@ -340,21 +279,6 @@ mod tests {
         }
         let mut e = Engine::new(Bad);
         e.prime_at(VirtualTime(10), BadEv::Go);
-        e.run();
-    }
-
-    #[test]
-    #[should_panic(expected = "event cap")]
-    fn event_cap_trips_on_runaway() {
-        struct Loopy;
-        impl Model for Loopy {
-            type Event = ();
-            fn handle(&mut self, _: VirtualTime, _: (), sched: &mut Scheduler<()>) {
-                sched.schedule_in(VirtualDuration::from_nanos(1), ());
-            }
-        }
-        let mut e = Engine::new(Loopy).with_max_events(1000);
-        e.prime(());
         e.run();
     }
 
@@ -387,6 +311,35 @@ mod tests {
         e.run();
         // Injected was scheduled at the same instant but after Second.
         assert_eq!(e.model().order, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn reused_slots_keep_fifo_ties() {
+        // `Early` frees slot 0 and its follow-up reuses it, tying at t=10
+        // with `Late`, which was scheduled first and holds slot 1.
+        struct M {
+            order: Vec<u32>,
+        }
+        enum E3 {
+            Early,
+            Late,
+            FollowUp,
+        }
+        impl Model for M {
+            type Event = E3;
+            fn handle(&mut self, _: VirtualTime, ev: E3, sched: &mut Scheduler<E3>) {
+                match ev {
+                    E3::Early => sched.schedule_at(VirtualTime(10), E3::FollowUp),
+                    E3::Late => self.order.push(1),
+                    E3::FollowUp => self.order.push(2),
+                }
+            }
+        }
+        let mut e = Engine::new(M { order: vec![] });
+        e.prime_at(VirtualTime(5), E3::Early);
+        e.prime_at(VirtualTime(10), E3::Late);
+        e.run();
+        assert_eq!(e.model().order, vec![1, 2]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Property tests for the discrete-event engine: ordering, determinism
-//! and deadlines under arbitrary workloads.
+//! Property tests for the discrete-event engine: ordering and
+//! determinism under arbitrary workloads.
 
 use desim::{Engine, Model, Scheduler, VirtualTime};
 use proptest::prelude::*;
@@ -50,27 +50,4 @@ proptest! {
         prop_assert_eq!(run(&times), run(&times));
     }
 
-    /// run_until never delivers an event past the deadline, and the
-    /// remainder still delivers afterwards.
-    #[test]
-    fn run_until_respects_deadline(
-        times in proptest::collection::vec(0u64..1_000, 1..100),
-        deadline in 0u64..1_000,
-    ) {
-        let mut e = Engine::new(Recorder { log: Vec::new() });
-        for (id, &t) in times.iter().enumerate() {
-            e.prime_at(VirtualTime(t), id);
-        }
-        e.run_until(VirtualTime(deadline));
-        for &(t, _) in &e.model().log {
-            prop_assert!(t <= deadline);
-        }
-        let delivered_early = e.model().log.len();
-        e.run();
-        prop_assert_eq!(e.model().log.len(), times.len());
-        let late = &e.model().log[delivered_early..];
-        for &(t, _) in late {
-            prop_assert!(t > deadline);
-        }
-    }
 }

@@ -37,8 +37,10 @@
 //! * **Causal what-if** ([`whatif`]) — a discrete-event replay of the
 //!   realized DAG under perturbed costs (Coz-style virtual speedup),
 //!   predicting the makespan effect of faster kernels, a faster fabric,
-//!   or a slower injection rate; validated against actual simulator
-//!   re-runs by the `stencil-whatif` bench binary.
+//!   or a slower injection rate. It charges the simulator's own
+//!   `netsim::NetworkModel` on the simulator's own event order, and the
+//!   `stencil-whatif` bench binary holds every prediction equal to a
+//!   simulator re-run, to the nanosecond.
 
 #![deny(missing_docs)]
 

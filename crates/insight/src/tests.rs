@@ -496,30 +496,80 @@ mod whatif_replay {
 
     #[test]
     fn baseline_replay_tracks_a_real_simulated_run() {
-        // A 4-node ring of dependent stages, actually run on the
-        // simulator; the replay of its drained trace must land within a
-        // few percent of the reported makespan.
+        // Six stages over a 4-node ring: each task waits on its own node's
+        // previous stage and both ring neighbours', so every node sends two
+        // messages per stage through one comm engine, some past the
+        // rendezvous switch. Actually run on the simulator, the replay of
+        // its drained trace must equal the reported makespan, and every
+        // perturbation kind's prediction must equal a re-run with the
+        // change made real, in integer nanoseconds.
         use runtime::dtd::DtdBuilder;
-        let mut b = DtdBuilder::new();
-        let mut prev = b.insert(0, 5e-5, &[]);
-        for i in 1..24 {
-            prev = b.insert(i % 4, 5e-5, &[prev]);
-        }
-        let program = b.build();
+        use runtime::{Program, RunConfig};
+        let ring = |kind1_factor: f64| -> Program {
+            let mut b = DtdBuilder::new();
+            let mut prev: Vec<usize> = Vec::new();
+            for stage in 0..6u32 {
+                prev = (0..4u32)
+                    .map(|n| {
+                        let kind = n % 2;
+                        let cost = 3.3e-5 * f64::from(1 + n + stage % 3);
+                        let cost = if kind == 1 { cost * kind1_factor } else { cost };
+                        let bytes = if kind == 1 { 100_000 } else { 256 };
+                        let deps: Vec<usize> = if prev.is_empty() {
+                            Vec::new()
+                        } else {
+                            [n, (n + 1) % 4, (n + 3) % 4]
+                                .map(|m| prev[m as usize])
+                                .to_vec()
+                        };
+                        b.insert_full(n, cost, kind, bytes, &deps)
+                    })
+                    .collect();
+            }
+            b.build()
+        };
+        let ns = |s: f64| (s * 1e9).round() as u64;
         let profile = MachineProfile::nacl();
-        let cfg = runtime::RunConfig::simulated(profile.clone(), 4).with_trace();
-        let r = runtime::run(&program, &cfg);
+        let sim = |program: &Program, profile: &MachineProfile| {
+            runtime::run(program, &RunConfig::simulated(profile.clone(), 4)).makespan
+        };
+
+        let program = ring(1.0);
+        let r = runtime::run(
+            &program,
+            &RunConfig::simulated(profile.clone(), 4).with_trace(),
+        );
         let trace = r.trace.expect("traced run");
         let dag = UnfoldedDag::enumerate(&program);
         let w = WhatIf::new(&trace, &dag, &profile, 4);
         let base = w.baseline();
-        let rel = (base.makespan_s - r.makespan).abs() / r.makespan;
-        assert!(
-            rel < 0.02,
-            "replay {} vs simulated {} ({:.1} % off)",
-            base.makespan_s,
-            r.makespan,
-            rel * 100.0
-        );
+        assert_eq!(ns(base.makespan_s), ns(r.makespan));
+
+        let fast = w.replay(&[Perturbation::TaskKind {
+            kind: 1,
+            factor: 0.6,
+        }]);
+        assert_eq!(ns(fast.makespan_s), ns(sim(&ring(0.6), &profile)));
+
+        let link = w.replay(&[Perturbation::Link {
+            bandwidth: 2.0,
+            latency: 0.5,
+        }]);
+        let mut fabric = profile.clone();
+        fabric.net_eff_bw_bits *= 2.0;
+        fabric.net_latency *= 0.5;
+        assert_eq!(ns(link.makespan_s), ns(sim(&program, &fabric)));
+
+        let half_rate: Vec<Perturbation> = (0..4)
+            .map(|node| Perturbation::Injection { node, factor: 0.5 })
+            .collect();
+        let slow = w.replay(&half_rate);
+        let mut comm = profile.clone();
+        comm.runtime_msg_cost /= 0.5;
+        assert_eq!(ns(slow.makespan_s), ns(sim(&program, &comm)));
+        // Each change moves the makespan, so the equalities have teeth.
+        assert!(fast.makespan_s < base.makespan_s);
+        assert!(link.makespan_s < base.makespan_s);
+        assert!(slow.makespan_s > base.makespan_s);
     }
 }

@@ -7,10 +7,10 @@
 //! the critical path moves. [`WhatIf`] answers the causal question
 //! directly: it rebuilds the run as a discrete-event replay over the
 //! unfolded DAG — realized task durations taken from the drained trace,
-//! communication costs from the same LogGP formulas the simulator charges
-//! (`runtime_msg_cost` processing on both ends, sender occupancy
-//! serializing back-to-back sends, eager/rendezvous transfer time) — and
-//! re-runs it under a [`Perturbation`]:
+//! every message charge from the simulator's own [`NetworkModel`]
+//! (`send_busy` and `arrival` on the sender, `msg_cost` on the receiver),
+//! events ordered by the simulator's own [`Engine`] — and re-runs
+//! it under a [`Perturbation`]:
 //!
 //! * [`Perturbation::TaskKind`] — scale every task of one kind by `f`
 //!   ("what if the kernel were 30 % faster?");
@@ -19,18 +19,24 @@
 //! * [`Perturbation::Injection`] — scale one node's per-message
 //!   processing rate ("what if rank 3's comm thread kept up?").
 //!
-//! The unperturbed replay ([`WhatIf::baseline`]) anchors fidelity: its
-//! makespan should land within a few percent of the traced run, and every
-//! prediction is a *delta against that replay*, so model error largely
-//! cancels. The `stencil-whatif` bench binary validates predictions
-//! against actual simulator re-runs and commits the agreement band.
+//! The replay mirrors the simulator's resources under its default FIFO
+//! scheduler: `compute_threads` worker lanes and one comm engine per
+//! node. Replaying a simulated run's trace ([`WhatIf::baseline`])
+//! reproduces its makespan to the nanosecond, and a prediction equals
+//! the simulator re-run with the same change made real; the
+//! `stencil-whatif` bench binary and this crate's tests gate both.
+//!
+//! The replay is a second [`Model`] rather than a wrapper around
+//! `runtime::sim_exec`: it walks a flat, already-unfolded DAG with no
+//! pending table, payloads or telemetry, which makes it about five times
+//! cheaper per scenario than a simulator run.
 
 use machine::MachineProfile;
+use netsim::desim::{Engine, Model, Scheduler, VirtualDuration, VirtualTime};
 use netsim::NetworkModel;
 use obs::Trace;
 use runtime::UnfoldedDag;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// One hypothetical cost change to replay the run under.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,40 +96,16 @@ pub struct RankedScenario {
 
 /// Replay context built once per (trace, DAG, machine) triple.
 pub struct WhatIf {
-    durations_ns: Vec<u64>,
+    /// Realized service time per task, seconds.
+    durations_s: Vec<f64>,
     kinds: Vec<u32>,
     node_of: Vec<u32>,
     /// Out-edges per task: `(consumer, bytes)`.
-    succs: Vec<Vec<(usize, u64)>>,
+    succs: Vec<Vec<(usize, usize)>>,
     indeg: Vec<usize>,
     nodes: u32,
     lanes: u32,
-    msg_cost: f64,
     net: NetworkModel,
-}
-
-/// Replay events, ordered by (time, sequence).
-enum Ev {
-    Ready(usize),
-    TaskDone(usize),
-    /// Sender engine freed on `node`.
-    SendDone(u32),
-    /// Message for edge → `task` reached `node`'s NIC; queue for receive.
-    Arrive {
-        node: u32,
-        task: usize,
-    },
-    /// Receive processing done on `node`: deliver to `task`.
-    RecvDone {
-        node: u32,
-        task: usize,
-    },
-}
-
-#[derive(Clone, Copy)]
-enum CommJob {
-    Send { dst: u32, task: usize, bytes: u64 },
-    Recv { task: usize },
 }
 
 impl WhatIf {
@@ -133,7 +115,7 @@ impl WhatIf {
     /// DAG's node mapping. `nodes` is the run's node count.
     pub fn new(trace: &Trace, dag: &UnfoldedDag, profile: &MachineProfile, nodes: u32) -> Self {
         let join = crate::join(trace, dag);
-        let mut durations_ns = Vec::with_capacity(dag.len());
+        let mut durations_s = Vec::with_capacity(dag.len());
         let mut kinds = Vec::with_capacity(dag.len());
         let mut node_of = Vec::with_capacity(dag.len());
         for (ti, &key) in dag.tasks.iter().enumerate() {
@@ -142,25 +124,24 @@ impl WhatIf {
                 Some(si) => trace.spans[si].duration_ns(),
                 None => (class.cost(key.params) * 1e9).round() as u64,
             };
-            durations_ns.push(dur);
+            durations_s.push(dur as f64 / 1e9);
             kinds.push(dag.graph.kind_of(key));
             node_of.push(dag.node_of(ti));
         }
         let mut succs = vec![Vec::new(); dag.len()];
         let mut indeg = vec![0usize; dag.len()];
         for e in &dag.edges {
-            succs[e.producer].push((e.consumer, e.bytes as u64));
+            succs[e.producer].push((e.consumer, e.bytes));
             indeg[e.consumer] += 1;
         }
         WhatIf {
-            durations_ns,
+            durations_s,
             kinds,
             node_of,
             succs,
             indeg,
             nodes,
             lanes: profile.compute_threads(),
-            msg_cost: profile.runtime_msg_cost,
             net: NetworkModel::from_profile(profile),
         }
     }
@@ -174,15 +155,12 @@ impl WhatIf {
     /// Replay the realized DAG under `perturbations` (applied together)
     /// and predict makespan and occupancy.
     pub fn replay(&self, perturbations: &[Perturbation]) -> Prediction {
-        // Fold the perturbations into concrete cost tables.
+        // Fold the perturbations into concrete cost tables: durations,
+        // and one message-cost model per node.
         let mut bw_factor = 1.0f64;
         let mut lat_factor = 1.0f64;
-        let mut msg_cost: Vec<f64> = vec![self.msg_cost; self.nodes as usize];
-        let mut dur: Vec<f64> = self
-            .durations_ns
-            .iter()
-            .map(|&ns| ns as f64 / 1e9)
-            .collect();
+        let mut nets = vec![self.net.clone(); self.nodes as usize];
+        let mut dur = self.durations_s.clone();
         for p in perturbations {
             match *p {
                 Perturbation::TaskKind { kind, factor } => {
@@ -208,160 +186,47 @@ impl WhatIf {
                         "injection node {node} out of range ({} nodes)",
                         self.nodes
                     );
-                    msg_cost[node as usize] /= factor;
+                    nets[node as usize].msg_cost /= factor;
                 }
             }
         }
-        // The perturbed interconnect: the same model type the simulator
-        // charges, so the formulas cannot drift apart.
-        let mut net = self.net.clone();
-        net.bandwidth *= bw_factor;
-        net.latency *= lat_factor;
-        let transfer = |bytes: u64| net.transfer_time(bytes.max(1) as usize);
-        let occupancy_of = |bytes: u64| net.sender_occupancy(bytes.max(1) as usize);
+        for net in &mut nets {
+            net.bandwidth *= bw_factor;
+            net.latency *= lat_factor;
+        }
 
-        // Discrete-event replay mirroring the simulator's comm pipeline:
-        // FIFO ready queues, `lanes` compute lanes per node, one send/receive
-        // engine per node (the simulator's default) charging msg_cost on
-        // both ends.
         let n_nodes = self.nodes as usize;
-        let mut indeg = self.indeg.clone();
-        let mut free_lanes: Vec<u32> = vec![self.lanes; n_nodes];
-        let mut ready: Vec<VecDeque<usize>> = vec![VecDeque::new(); n_nodes];
-        let mut comm_free: Vec<usize> = vec![1; n_nodes];
-        let mut comm_queue: Vec<VecDeque<CommJob>> = vec![VecDeque::new(); n_nodes];
-        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-        let mut events: Vec<Option<Ev>> = Vec::new();
-        let push = |heap: &mut BinaryHeap<Reverse<(u64, u64)>>,
-                    events: &mut Vec<Option<Ev>>,
-                    t: u64,
-                    ev: Ev| {
-            let seq = events.len() as u64;
-            events.push(Some(ev));
-            heap.push(Reverse((t, seq)));
-        };
-        let ns = |s: f64| (s * 1e9).round() as u64;
-
-        for (ti, d) in indeg.iter().enumerate() {
-            if *d == 0 {
-                push(&mut heap, &mut events, 0, Ev::Ready(ti));
+        let mut engine = Engine::new(Replay {
+            ctx: self,
+            dur: dur
+                .into_iter()
+                .map(VirtualDuration::from_secs_f64)
+                .collect(),
+            nets,
+            indeg: self.indeg.clone(),
+            free_lanes: vec![self.lanes; n_nodes],
+            ready: vec![VecDeque::new(); n_nodes],
+            comm_idle: vec![true; n_nodes],
+            comm_queue: vec![VecDeque::new(); n_nodes],
+            makespan: VirtualTime::ZERO,
+            busy: 0,
+        });
+        for (ti, &d) in self.indeg.iter().enumerate() {
+            if d == 0 {
+                engine.prime(Ev::Ready(ti));
             }
         }
+        engine.run();
+        let replay = engine.into_model();
 
-        let mut makespan = 0u64;
-        let mut busy_ns = 0u64;
-        while let Some(Reverse((now, seq))) = heap.pop() {
-            let ev = events[seq as usize].take().expect("event fired once");
-            match ev {
-                Ev::Ready(ti) => {
-                    let n = self.node_of[ti] as usize;
-                    ready[n].push_back(ti);
-                    while free_lanes[n] > 0 && !ready[n].is_empty() {
-                        let t = ready[n].pop_front().expect("nonempty");
-                        free_lanes[n] -= 1;
-                        let d = ns(dur[t]);
-                        busy_ns += d;
-                        push(&mut heap, &mut events, now + d, Ev::TaskDone(t));
-                    }
-                }
-                Ev::TaskDone(ti) => {
-                    makespan = makespan.max(now);
-                    let n = self.node_of[ti] as usize;
-                    free_lanes[n] += 1;
-                    for &(c, bytes) in &self.succs[ti] {
-                        let dst = self.node_of[c];
-                        if dst as usize == n {
-                            indeg[c] -= 1;
-                            if indeg[c] == 0 {
-                                push(&mut heap, &mut events, now, Ev::Ready(c));
-                            }
-                        } else {
-                            comm_queue[n].push_back(CommJob::Send {
-                                dst,
-                                task: c,
-                                bytes,
-                            });
-                        }
-                    }
-                    // Dispatch the freed lane and pump queued sends.
-                    if let Some(t) = ready[n].pop_front() {
-                        free_lanes[n] -= 1;
-                        let d = ns(dur[t]);
-                        busy_ns += d;
-                        push(&mut heap, &mut events, now + d, Ev::TaskDone(t));
-                    }
-                    self.pump(
-                        n,
-                        now,
-                        &msg_cost,
-                        &transfer,
-                        &occupancy_of,
-                        &mut comm_free,
-                        &mut comm_queue,
-                        &mut heap,
-                        &mut events,
-                    );
-                }
-                Ev::SendDone(node) => {
-                    let n = node as usize;
-                    comm_free[n] += 1;
-                    self.pump(
-                        n,
-                        now,
-                        &msg_cost,
-                        &transfer,
-                        &occupancy_of,
-                        &mut comm_free,
-                        &mut comm_queue,
-                        &mut heap,
-                        &mut events,
-                    );
-                }
-                Ev::Arrive { node, task } => {
-                    let n = node as usize;
-                    comm_queue[n].push_back(CommJob::Recv { task });
-                    self.pump(
-                        n,
-                        now,
-                        &msg_cost,
-                        &transfer,
-                        &occupancy_of,
-                        &mut comm_free,
-                        &mut comm_queue,
-                        &mut heap,
-                        &mut events,
-                    );
-                }
-                Ev::RecvDone { node, task } => {
-                    let n = node as usize;
-                    comm_free[n] += 1;
-                    indeg[task] -= 1;
-                    if indeg[task] == 0 {
-                        push(&mut heap, &mut events, now, Ev::Ready(task));
-                    }
-                    self.pump(
-                        n,
-                        now,
-                        &msg_cost,
-                        &transfer,
-                        &occupancy_of,
-                        &mut comm_free,
-                        &mut comm_queue,
-                        &mut heap,
-                        &mut events,
-                    );
-                }
-            }
-        }
-
-        let makespan_s = makespan as f64 / 1e9;
+        let makespan = replay.makespan.as_nanos();
         let lane_ns = makespan * self.lanes as u64 * self.nodes as u64;
         Prediction {
-            makespan_s,
+            makespan_s: makespan as f64 / 1e9,
             occupancy: if lane_ns == 0 {
                 0.0
             } else {
-                (busy_ns as f64 / lane_ns as f64).min(1.0)
+                (replay.busy as f64 / lane_ns as f64).min(1.0)
             },
         }
     }
@@ -392,49 +257,149 @@ impl WhatIf {
     }
 }
 
-impl WhatIf {
-    /// Start queued comm jobs on `node` while engines are free —
-    /// the replay twin of the simulator's `pump_comm`.
-    #[allow(clippy::too_many_arguments)]
-    fn pump(
-        &self,
-        n: usize,
-        now: u64,
-        msg_cost: &[f64],
-        transfer: &dyn Fn(u64) -> f64,
-        occupancy_of: &dyn Fn(u64) -> f64,
-        comm_free: &mut [usize],
-        comm_queue: &mut [VecDeque<CommJob>],
-        heap: &mut BinaryHeap<Reverse<(u64, u64)>>,
-        events: &mut Vec<Option<Ev>>,
-    ) {
-        let ns = |s: f64| (s * 1e9).round() as u64;
-        while comm_free[n] > 0 {
-            let Some(job) = comm_queue[n].pop_front() else {
+/// Replay events, delivered in the simulator's `(time, sequence)` order.
+enum Ev {
+    Ready(usize),
+    TaskDone(usize),
+    /// `node`'s comm engine finished a job; a receive also delivers the
+    /// flow to `deliver`.
+    CommDone {
+        node: usize,
+        deliver: Option<usize>,
+    },
+    /// A message for `task` reached `node`'s NIC; queue it for receive.
+    Arrive {
+        node: usize,
+        task: usize,
+    },
+}
+
+#[derive(Clone, Copy)]
+enum CommJob {
+    Send {
+        dst: usize,
+        task: usize,
+        bytes: usize,
+    },
+    Recv {
+        task: usize,
+    },
+}
+
+/// One scenario's replay state: the perturbed costs and, per node,
+/// `lanes` worker lanes behind a FIFO ready queue and one comm engine
+/// behind a FIFO job queue — the simulator's resources.
+struct Replay<'a> {
+    ctx: &'a WhatIf,
+    /// Perturbed service time per task.
+    dur: Vec<VirtualDuration>,
+    /// Each node's perturbed message-cost model.
+    nets: Vec<NetworkModel>,
+    indeg: Vec<usize>,
+    free_lanes: Vec<u32>,
+    ready: Vec<VecDeque<usize>>,
+    comm_idle: Vec<bool>,
+    comm_queue: Vec<VecDeque<CommJob>>,
+    makespan: VirtualTime,
+    /// Summed task service time, ns.
+    busy: u64,
+}
+
+impl Replay<'_> {
+    /// Start ready tasks on `n`'s free lanes.
+    fn dispatch(&mut self, n: usize, sched: &mut Scheduler<Ev>) {
+        while self.free_lanes[n] > 0 {
+            let Some(t) = self.ready[n].pop_front() else {
                 return;
             };
-            comm_free[n] -= 1;
-            let mut push = |t: u64, ev: Ev| {
-                let seq = events.len() as u64;
-                events.push(Some(ev));
-                heap.push(Reverse((t, seq)));
-            };
-            match job {
-                CommJob::Send { dst, task, bytes } => {
-                    let occupancy = msg_cost[n] + occupancy_of(bytes);
-                    let arrival = msg_cost[n] + transfer(bytes);
-                    push(now + ns(arrival), Ev::Arrive { node: dst, task });
-                    push(now + ns(occupancy), Ev::SendDone(n as u32));
+            self.free_lanes[n] -= 1;
+            self.busy += self.dur[t].as_nanos();
+            sched.schedule_in(self.dur[t], Ev::TaskDone(t));
+        }
+    }
+
+    /// One input of `task` arrived; it becomes ready with its last.
+    fn satisfy(&mut self, task: usize, sched: &mut Scheduler<Ev>) {
+        self.indeg[task] -= 1;
+        if self.indeg[task] == 0 {
+            sched.schedule_now(Ev::Ready(task));
+        }
+    }
+
+    /// Start `n`'s next queued comm job if its engine is idle — the
+    /// replay twin of the simulator's `pump_comm`, charging the same
+    /// [`NetworkModel`] terms.
+    fn pump(&mut self, n: usize, sched: &mut Scheduler<Ev>) {
+        if !self.comm_idle[n] {
+            return;
+        }
+        let Some(job) = self.comm_queue[n].pop_front() else {
+            return;
+        };
+        self.comm_idle[n] = false;
+        let net = &self.nets[n];
+        let secs = VirtualDuration::from_secs_f64;
+        match job {
+            CommJob::Send { dst, task, bytes } => {
+                let arrive = Ev::Arrive { node: dst, task };
+                sched.schedule_in(secs(net.arrival(bytes)), arrive);
+                let done = Ev::CommDone {
+                    node: n,
+                    deliver: None,
+                };
+                sched.schedule_in(secs(net.send_busy(bytes)), done);
+            }
+            CommJob::Recv { task } => {
+                let done = Ev::CommDone {
+                    node: n,
+                    deliver: Some(task),
+                };
+                sched.schedule_in(secs(net.msg_cost), done);
+            }
+        }
+    }
+}
+
+impl Model for Replay<'_> {
+    type Event = Ev;
+
+    fn handle(&mut self, now: VirtualTime, ev: Ev, sched: &mut Scheduler<Ev>) {
+        let ctx = self.ctx;
+        match ev {
+            Ev::Ready(t) => {
+                let n = ctx.node_of[t] as usize;
+                self.ready[n].push_back(t);
+                self.dispatch(n, sched);
+            }
+            Ev::TaskDone(t) => {
+                self.makespan = now;
+                let n = ctx.node_of[t] as usize;
+                self.free_lanes[n] += 1;
+                for &(c, bytes) in &ctx.succs[t] {
+                    let dst = ctx.node_of[c] as usize;
+                    if dst == n {
+                        self.satisfy(c, sched);
+                    } else {
+                        self.comm_queue[n].push_back(CommJob::Send {
+                            dst,
+                            task: c,
+                            bytes,
+                        });
+                    }
                 }
-                CommJob::Recv { task } => {
-                    push(
-                        now + ns(msg_cost[n]),
-                        Ev::RecvDone {
-                            node: n as u32,
-                            task,
-                        },
-                    );
+                self.dispatch(n, sched);
+                self.pump(n, sched);
+            }
+            Ev::CommDone { node, deliver } => {
+                self.comm_idle[node] = true;
+                if let Some(task) = deliver {
+                    self.satisfy(task, sched);
                 }
+                self.pump(node, sched);
+            }
+            Ev::Arrive { node, task } => {
+                self.comm_queue[node].push_back(CommJob::Recv { task });
+                self.pump(node, sched);
             }
         }
     }

@@ -21,6 +21,10 @@ pub mod model;
 pub mod netpipe;
 pub mod topology;
 
+/// The event engine the interconnect models run inside, re-exported so a
+/// crate that replays this model's charges runs them on the same queue.
+pub use desim;
+
 pub use collective::CollectiveModel;
 pub use inflight::InFlight;
 pub use model::NetworkModel;

@@ -1,4 +1,5 @@
-//! Point-to-point message cost model.
+//! Point-to-point message cost model — the one home of every message
+//! charge the simulator, the what-if replay and the list schedulers make.
 //!
 //! A LogGP-flavoured model with an eager/rendezvous protocol switch, the
 //! same structure MPI implementations expose and the shape NetPIPE measures
@@ -14,11 +15,17 @@
 //! bandwidth therefore rises from a few percent of peak at 256 B toward
 //! `B_eff / B_peak` (84–86 %) for megabyte messages — exactly the Figure 5
 //! curves, including the small dip at the protocol switch.
+//!
+//! On top of the wire sits the runtime's dedicated communication thread:
+//! every message costs it [`NetworkModel::msg_cost`] of processing on each
+//! end. [`NetworkModel::send_busy`], [`NetworkModel::arrival`] and
+//! [`NetworkModel::edge_delay`] compose the two; the receive charge is
+//! `msg_cost` itself.
 
 use machine::MachineProfile;
 use serde::Serialize;
 
-/// Cost model for one interconnect.
+/// Cost model for one interconnect and the comm thread that drives it.
 #[derive(Debug, Clone, Serialize)]
 pub struct NetworkModel {
     /// One-way latency, seconds.
@@ -31,6 +38,12 @@ pub struct NetworkModel {
     pub peak_bandwidth: f64,
     /// Eager→rendezvous protocol switch point, bytes.
     pub rendezvous_threshold: usize,
+    /// Per-message processing on the runtime's communication thread,
+    /// seconds, charged once on each end (the profile's
+    /// `runtime_msg_cost`). This per-message work, amortized by the CA
+    /// scheme's fewer and larger messages, is the resource the paper's
+    /// Figures 8–10 are about.
+    pub msg_cost: f64,
 }
 
 impl NetworkModel {
@@ -42,6 +55,7 @@ impl NetworkModel {
             bandwidth: p.net_eff_bw_bytes(),
             peak_bandwidth: p.net_peak_bw_bytes(),
             rendezvous_threshold: p.rendezvous_threshold,
+            msg_cost: p.runtime_msg_cost,
         }
     }
 
@@ -69,21 +83,24 @@ impl NetworkModel {
         self.overhead + bytes as f64 / self.bandwidth
     }
 
-    /// Effective bandwidth (bytes/s) observed for a message of `bytes`.
-    pub fn effective_bandwidth(&self, bytes: usize) -> f64 {
-        bytes as f64 / self.transfer_time(bytes)
+    /// How long the sending comm thread is busy with one message of
+    /// `bytes` (at least one byte): its processing, then the injection.
+    pub fn send_busy(&self, bytes: usize) -> f64 {
+        self.msg_cost + self.sender_occupancy(bytes.max(1))
     }
 
-    /// Fraction of theoretical peak achieved for a message of `bytes`.
-    pub fn percent_of_peak(&self, bytes: usize) -> f64 {
-        100.0 * self.effective_bandwidth(bytes) / self.peak_bandwidth
+    /// Time from the start of a send of `bytes` (at least one byte) until
+    /// the message reaches the destination NIC, where it queues for the
+    /// receiving comm thread's `msg_cost`.
+    pub fn arrival(&self, bytes: usize) -> f64 {
+        self.msg_cost + self.transfer_time(bytes.max(1))
     }
 
-    /// The message size at which half the effective bandwidth is reached
-    /// (the classic `n_1/2` figure of merit).
-    pub fn half_bandwidth_point(&self) -> f64 {
-        // n / (o + L + n/B) = B/2  =>  n = B (o + L)
-        self.bandwidth * (self.overhead + self.latency)
+    /// End-to-end delay of one cross-node flow of `bytes` (at least one
+    /// byte) with no queueing: send processing, wire, receive processing.
+    /// The list schedulers charge it to every remote dependence edge.
+    pub fn edge_delay(&self, bytes: usize) -> f64 {
+        2.0 * self.msg_cost + self.transfer_time(bytes.max(1))
     }
 }
 
@@ -106,7 +123,8 @@ mod tests {
     #[test]
     fn large_messages_approach_effective_bandwidth() {
         let m = nacl();
-        let bw = m.effective_bandwidth(16 * 1024 * 1024);
+        let bytes = 16 * 1024 * 1024;
+        let bw = bytes as f64 / m.transfer_time(bytes);
         assert!(bw > 0.98 * m.bandwidth, "bw = {bw}");
     }
 
@@ -114,10 +132,11 @@ mod tests {
     fn percent_of_peak_matches_paper_asymptote() {
         // NaCL: 27 of 32 Gb/s ≈ 84 % at large sizes.
         let m = nacl();
-        let pct = m.percent_of_peak(4 * 1024 * 1024);
-        assert!((pct - 84.0).abs() < 2.0, "pct = {pct}");
+        let pct = |bytes: usize| 100.0 * bytes as f64 / m.transfer_time(bytes) / m.peak_bandwidth;
+        let big = pct(4 * 1024 * 1024);
+        assert!((big - 84.0).abs() < 2.0, "pct = {big}");
         // Small messages achieve only a few percent.
-        assert!(m.percent_of_peak(256) < 5.0);
+        assert!(pct(256) < 5.0);
     }
 
     #[test]
@@ -142,21 +161,28 @@ mod tests {
     }
 
     #[test]
-    fn half_bandwidth_point_is_consistent() {
-        let m = nacl();
-        let n = m.half_bandwidth_point();
-        // At n_1/2 bytes the achieved bandwidth is half the effective
-        // bandwidth (within the eager regime).
-        assert!(n < m.rendezvous_threshold as f64);
-        let bw = m.effective_bandwidth(n as usize);
-        assert!((bw / (m.bandwidth / 2.0) - 1.0).abs() < 0.01, "bw = {bw}");
-    }
-
-    #[test]
     fn sender_occupancy_below_transfer_time() {
         let m = nacl();
         for bytes in [64usize, 4096, 1 << 20] {
             assert!(m.sender_occupancy(bytes) < m.transfer_time(bytes));
         }
+    }
+
+    #[test]
+    fn comm_thread_charges_compose_the_wire_model() {
+        let m = nacl();
+        for bytes in [1usize, 256, 64 * 1024, 1 << 20] {
+            assert_eq!(m.send_busy(bytes), m.msg_cost + m.sender_occupancy(bytes));
+            assert_eq!(m.arrival(bytes), m.msg_cost + m.transfer_time(bytes));
+            assert_eq!(
+                m.edge_delay(bytes),
+                2.0 * m.msg_cost + m.transfer_time(bytes)
+            );
+        }
+        // An empty payload still pays for one byte.
+        assert_eq!(m.send_busy(0), m.send_busy(1));
+        assert_eq!(m.arrival(0), m.arrival(1));
+        assert_eq!(m.edge_delay(0), m.edge_delay(1));
+        assert_eq!(m.msg_cost, MachineProfile::nacl().runtime_msg_cost);
     }
 }

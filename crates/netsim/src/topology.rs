@@ -47,18 +47,6 @@ impl ProcessGrid {
         assert!(row < self.p && col < self.q, "grid position out of range");
         row * self.q + col
     }
-
-    /// Grid position of `rank`.
-    pub fn coords_of(&self, rank: NodeId) -> (u32, u32) {
-        assert!(rank < self.nodes(), "rank {rank} out of range");
-        (rank / self.q, rank % self.q)
-    }
-
-    /// True when two ranks are the same node (communication is a local
-    /// memory copy, not a network message).
-    pub fn is_local(&self, a: NodeId, b: NodeId) -> bool {
-        a == b
-    }
 }
 
 #[cfg(test)]
@@ -70,8 +58,7 @@ mod tests {
         let g = ProcessGrid::new(3, 4);
         for row in 0..3 {
             for col in 0..4 {
-                let r = g.rank_of(row, col);
-                assert_eq!(g.coords_of(r), (row, col));
+                assert_eq!(g.rank_of(row, col), row * 4 + col);
             }
         }
         assert_eq!(g.nodes(), 12);
@@ -94,12 +81,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_coords_rejected() {
         ProcessGrid::new(2, 2).rank_of(2, 0);
-    }
-
-    #[test]
-    fn locality() {
-        let g = ProcessGrid::new(2, 2);
-        assert!(g.is_local(1, 1));
-        assert!(!g.is_local(0, 1));
     }
 }

@@ -332,30 +332,21 @@ impl TaskSelector for StaticRanks {
 }
 
 /// The per-edge delay model rank computations charge a dependence edge:
-/// free when producer and consumer share a node, otherwise send
-/// processing + wire time + receive processing — the same latency the
-/// simulated executor pays for a remote flow. Without a machine profile
-/// (the real engines) every edge is free and ranks degrade to
-/// communication-free levels.
-struct EdgeDelay {
-    net: Option<(NetworkModel, f64)>,
+/// free when producer and consumer share a node, otherwise
+/// [`NetworkModel::edge_delay`] — send processing + wire time + receive
+/// processing, the latency the simulated executor pays for a remote flow.
+/// Without a machine profile (the real engines) every edge is free and
+/// ranks degrade to communication-free levels.
+type EdgeDelay = Option<NetworkModel>;
+
+fn edge_delay(ctx: &SchedContext<'_>) -> EdgeDelay {
+    ctx.profile.map(NetworkModel::from_profile)
 }
 
-impl EdgeDelay {
-    fn new(profile: Option<&MachineProfile>) -> Self {
-        EdgeDelay {
-            net: profile.map(|p| (NetworkModel::from_profile(p), p.runtime_msg_cost)),
-        }
-    }
-
-    fn cost(&self, same_node: bool, bytes: usize) -> f64 {
-        if same_node {
-            return 0.0;
-        }
-        match &self.net {
-            Some((net, msg_cost)) => 2.0 * msg_cost + net.transfer_time(bytes.max(1)),
-            None => 0.0,
-        }
+fn edge_cost(delay: &EdgeDelay, same_node: bool, bytes: usize) -> f64 {
+    match delay {
+        Some(net) if !same_node => net.edge_delay(bytes),
+        _ => 0.0,
     }
 }
 
@@ -390,7 +381,7 @@ fn upward_ranks(dag: &UnfoldedDag, topo: &[usize], delay: &EdgeDelay) -> Vec<f64
         for &ei in &adj[i] {
             let e = &dag.edges[ei as usize];
             let same = dag.node_of(e.producer) == dag.node_of(e.consumer);
-            tail = tail.max(delay.cost(same, e.bytes) + rank[e.consumer]);
+            tail = tail.max(edge_cost(delay, same, e.bytes) + rank[e.consumer]);
         }
         rank[i] = dag.cost_of(i) + tail;
     }
@@ -411,7 +402,7 @@ impl Scheduler for HeftScheduler {
         let Some((dag, topo)) = unfolded(ctx) else {
             return Arc::new(FifoSelector);
         };
-        let ranks = upward_ranks(&dag, &topo, &EdgeDelay::new(ctx.profile));
+        let ranks = upward_ranks(&dag, &topo, &edge_delay(ctx));
         rank_selector(&dag, &ranks)
     }
 }
@@ -433,7 +424,7 @@ impl Scheduler for PeftScheduler {
         let Some((dag, topo)) = unfolded(ctx) else {
             return Arc::new(FifoSelector);
         };
-        let up = upward_ranks(&dag, &topo, &EdgeDelay::new(ctx.profile));
+        let up = upward_ranks(&dag, &topo, &edge_delay(ctx));
         // OCT(i) = upward(i) - w(i): the recurrence above, collapsed.
         let oct: Vec<f64> = up
             .iter()
@@ -459,8 +450,7 @@ impl Scheduler for DlsScheduler {
         let Some((dag, topo)) = unfolded(ctx) else {
             return Arc::new(FifoSelector);
         };
-        let free = EdgeDelay::new(None);
-        let ranks = upward_ranks(&dag, &topo, &free);
+        let ranks = upward_ranks(&dag, &topo, &None);
         rank_selector(&dag, &ranks)
     }
 }
@@ -494,7 +484,7 @@ impl Scheduler for LookaheadScheduler {
         let Some((dag, _topo)) = unfolded(ctx) else {
             return Arc::new(FifoSelector);
         };
-        let delay = EdgeDelay::new(ctx.profile);
+        let delay = edge_delay(ctx);
         let adj = dag.out_adjacency();
         let costs: Vec<f64> = (0..dag.len()).map(|i| dag.cost_of(i)).collect();
         // r_d depends only on r_{d-1}, so each horizon level is one full
@@ -507,7 +497,7 @@ impl Scheduler for LookaheadScheduler {
                 for &ei in adj_i {
                     let e = &dag.edges[ei as usize];
                     let same = dag.node_of(e.producer) == dag.node_of(e.consumer);
-                    tail = tail.max(delay.cost(same, e.bytes) + prev[e.consumer]);
+                    tail = tail.max(edge_cost(&delay, same, e.bytes) + prev[e.consumer]);
                 }
                 next[i] += tail;
             }

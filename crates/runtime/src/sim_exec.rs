@@ -36,11 +36,12 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Work item for a node's communication engine. Both directions cost
-/// `runtime_msg_cost` of comm-thread time: PaRSEC's dedicated communication
-/// thread resolves dependences, activates successors, and packs/unpacks on
-/// every message, and that per-message processing — amortized by the CA
-/// scheme's fewer, larger messages — is the resource the paper's Figures
-/// 8–10 are about.
+/// [`NetworkModel::msg_cost`] of comm-thread time: PaRSEC's dedicated
+/// communication thread resolves dependences, activates successors, and
+/// packs/unpacks on every message. A send keeps the engine busy for
+/// [`NetworkModel::send_busy`] and lands [`NetworkModel::arrival`] later;
+/// a receive holds it for `msg_cost`. `insight::WhatIf` replays the same
+/// charges from the same model.
 enum CommJob {
     Send {
         consumer: TaskKey,
@@ -172,9 +173,6 @@ struct Sim {
     program: Arc<Program>,
     selector: Arc<dyn TaskSelector>,
     net: NetworkModel,
-    /// Comm-thread processing per message, each direction (the profile's
-    /// `runtime_msg_cost`).
-    msg_cost: f64,
     /// Parallel send engines per node.
     comm_engines: usize,
     execute_bodies: bool,
@@ -286,7 +284,6 @@ impl Sim {
 
     /// Start queued comm jobs while engines are free.
     fn pump_comm(&mut self, node: u32, now: VirtualTime, sched: &mut Scheduler<Ev>) {
-        let msg_cost = self.msg_cost;
         loop {
             let st = &mut self.nodes[node as usize];
             if st.comm_active >= self.comm_engines || st.comm_queue.is_empty() {
@@ -303,11 +300,10 @@ impl Sim {
                     kind,
                     enqueue,
                 } => {
-                    let bytes = data.bytes.max(1);
                     // processing precedes injection: the wire transfer
                     // starts once the comm thread has prepared the message
-                    let occupancy = msg_cost + self.net.sender_occupancy(bytes);
-                    let arrival = msg_cost + self.net.transfer_time(bytes);
+                    let busy = self.net.send_busy(data.bytes);
+                    let arrival = self.net.arrival(data.bytes);
                     self.remote_messages += 1;
                     self.remote_bytes += data.bytes as u64;
                     self.inflight.send(data.bytes as u64);
@@ -333,7 +329,7 @@ impl Sim {
                         },
                     );
                     sched.schedule_in(
-                        VirtualDuration::from_secs_f64(occupancy),
+                        VirtualDuration::from_secs_f64(busy),
                         Ev::CommDone {
                             node,
                             started: now,
@@ -349,7 +345,7 @@ impl Sim {
                     msg,
                 } => {
                     sched.schedule_in(
-                        VirtualDuration::from_secs_f64(msg_cost),
+                        VirtualDuration::from_secs_f64(self.net.msg_cost),
                         Ev::CommDone {
                             node,
                             started: now,
@@ -635,7 +631,6 @@ fn simulate(
         program: Arc::clone(&program),
         selector,
         net,
-        msg_cost: profile.runtime_msg_cost,
         comm_engines: cfg.comm_engines,
         execute_bodies: cfg.execute_bodies,
         lanes_per_node: lanes,
