@@ -87,12 +87,6 @@ lockfile_unchanged() {
 }
 step lockfile_unchanged
 
-# Scheduler portfolio gate: every portfolio scheduler must complete every
-# scheme (base/ca/pa2/dtd) deadlock-free and within the static bound on a
-# small sweep. (The default policy reproducing BENCH_stencil.json is the
-# stencil-doctor --check gate above.)
-step ./target/release/stencil-tournament --check
-
 # Region-dataflow gate: the halo-coverage proof and dead-transfer
 # accounting must pass for all four schemes (base/ca/pa2/dtd) in
 # steady-state mode, and the deliberately halo-shrunk CA build must make

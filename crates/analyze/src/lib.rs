@@ -28,10 +28,6 @@
 //!   busiest-node work bound give a makespan no schedule can beat
 //!   ([`PathStats`]); the simulated executor's reported makespan must
 //!   never be below it.
-//! * **Rank export** — per-task upward/downward ranks and critical-path
-//!   membership ([`task_ranks`]), the static quantities
-//!   `runtime::scheduler`'s list schedulers order dispatch by, exported
-//!   as analysis data so scheduler tables can be cross-checked.
 //!
 //! ```
 //! # use analyze::{analyze_program, AnalyzeConfig};
@@ -48,14 +44,12 @@ mod deadlock;
 mod diag;
 mod path;
 mod race;
-mod ranks;
 pub mod rectset;
 
 pub use comm::{peer_matrix, verify_comm_matrix, CommStats, FlopStats, PeerComm};
 pub use dataflow::{DataflowMode, DataflowReport};
 pub use diag::Diagnostic;
 pub use path::PathStats;
-pub use ranks::{task_ranks, TaskRanks};
 pub use rectset::RectSet;
 
 use obs::ExpectedCounters;

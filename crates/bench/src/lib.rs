@@ -24,11 +24,7 @@
 //!
 //! Beyond the paper's own artifacts, `ablations` sweeps the design knobs
 //! (scheduler policy, comm engines, rendezvous threshold, per-message
-//! cost) and runs the paper's concluding exascale projection, and
-//! `stencil-tournament` runs every scheme × every `runtime::Scheduler`
-//! portfolio policy on the reference configuration, judged by makespan
-//! vs the static bound, critical-path daylight, and occupancy (its
-//! `--check` mode is CI's deadlock-freedom gate).
+//! cost) and runs the paper's concluding exascale projection.
 //!
 //! Set `REPRO_FAST=1` to shrink iteration counts for smoke runs; the
 //! defaults match the paper's parameters.
@@ -48,7 +44,6 @@ pub mod exp_pa_variants;
 pub mod exp_roofline;
 pub mod exp_table1;
 pub mod exp_top;
-pub mod exp_tournament;
 pub mod exp_whatif;
 pub mod lint;
 pub mod report;

@@ -34,13 +34,15 @@
 //! ```
 //! use ca_stencil::{build_base, Problem, StencilConfig};
 //! use netsim::ProcessGrid;
-//! use runtime::{run, RunConfig};
+//! use runtime::{run, RunConfig, SchedulerPolicy};
 //!
 //! let cfg = StencilConfig::new(Problem::laplace(16), 4, 3, ProcessGrid::new(2, 2));
 //! let build = build_base(&cfg, true);
 //! let report = run(
 //!     &build.program,
-//!     &RunConfig::simulated(machine::MachineProfile::nacl(), 4).with_bodies(),
+//!     &RunConfig::simulated(machine::MachineProfile::nacl(), 4)
+//!         .with_scheduler(SchedulerPolicy::Lifo)
+//!         .with_bodies(),
 //! );
 //! assert_eq!(report.tasks_executed, 16 * 4); // 16 tiles × (3 iters + init)
 //! ```

@@ -59,12 +59,6 @@ pub struct ClassifiedGap {
     pub end_ns: u64,
     /// Attributed cause.
     pub cause: GapCause,
-    /// For [`GapCause::CommWait`]: the node the lane was waiting on —
-    /// the source end of the stalling link (the latest-ending remote
-    /// predecessor's node, or any remote input's node when no producer
-    /// span was recorded). `None` for non-comm causes and for comm waits
-    /// whose remote producer could not be identified.
-    pub waiting_on: Option<u32>,
 }
 
 impl ClassifiedGap {
@@ -165,17 +159,17 @@ pub(crate) fn classify(
                 if end_ns <= start_ns {
                     continue;
                 }
-                let (cause, waiting_on) = match span_at.get(&(node, lane, end_ns)) {
+                let cause = match span_at.get(&(node, lane, end_ns)) {
                     // trailing gap: the lane drained
-                    None => (GapCause::Starvation, None),
+                    None => GapCause::Starvation,
                     Some(&si) => match task_of_span.get(&si) {
                         // The span never joined to a DAG instance; fall
                         // back to comm-lane overlap as the only signal.
                         None => {
                             if comm_overlaps(node, start_ns, end_ns) {
-                                (GapCause::CommWait, None)
+                                GapCause::CommWait
                             } else {
-                                (GapCause::Starvation, None)
+                                GapCause::Starvation
                             }
                         }
                         Some(&ti) => {
@@ -189,7 +183,6 @@ pub(crate) fn classify(
                     start_ns,
                     end_ns,
                     cause,
-                    waiting_on,
                 });
             }
         }
@@ -198,8 +191,7 @@ pub(crate) fn classify(
 }
 
 /// Attribute the gap `(start_ns, end_ns)` on `node` that ended when DAG
-/// task `ti` started, using its predecessors' recorded spans. Returns the
-/// cause plus, for comm waits, the remote node the lane was waiting on.
+/// task `ti` started, using its predecessors' recorded spans.
 #[allow(clippy::too_many_arguments)]
 fn attribute(
     trace: &Trace,
@@ -210,48 +202,38 @@ fn attribute(
     start_ns: u64,
     end_ns: u64,
     comm_overlaps: &dyn Fn(u32, u64, u64) -> bool,
-) -> (GapCause, Option<u32>) {
+) -> GapCause {
     let mut latest: Option<&SpanRecord> = None;
-    let mut latest_remote: Option<&SpanRecord> = None;
-    let mut any_remote: Option<u32> = None;
+    let mut any_remote = false;
     for &p in &join.preds[ti] {
-        let p_node = dag.node_of(p);
-        if p_node != node && any_remote.is_none() {
-            any_remote = Some(p_node);
-        }
+        any_remote |= dag.node_of(p) != node;
         if let Some(si) = join.span_of_task[p] {
             let s = &trace.spans[si];
             if latest.is_none_or(|l| s.end_ns > l.end_ns) {
                 latest = Some(s);
             }
-            if s.node != node && latest_remote.is_none_or(|l| s.end_ns > l.end_ns) {
-                latest_remote = Some(s);
-            }
         }
     }
-    // The link at fault: the latest-ending remote producer's node when
-    // one was recorded, otherwise any statically remote input's node.
-    let remote_src = latest_remote.map(|s| s.node).or(any_remote);
     let Some(latest) = latest else {
         // Root task, or no predecessor span recorded: nothing to wait on.
-        return (GapCause::Starvation, None);
+        return GapCause::Starvation;
     };
     if latest.node != node {
-        return (GapCause::CommWait, Some(latest.node));
+        return GapCause::CommWait;
     }
     // All recorded predecessors are local. If remote inputs exist and the
     // comm engine was active after the last local producer finished, the
     // remaining wait was for a message.
-    if any_remote.is_some() && comm_overlaps(node, latest.end_ns.max(start_ns), end_ns) {
-        return (GapCause::CommWait, remote_src);
+    if any_remote && comm_overlaps(node, latest.end_ns.max(start_ns), end_ns) {
+        return GapCause::CommWait;
     }
     if latest.end_ns > start_ns {
-        (GapCause::DependencyWait, None)
-    } else if any_remote.is_some() {
+        GapCause::DependencyWait
+    } else if any_remote {
         // Remote inputs with no comm-span evidence left: still network.
-        (GapCause::CommWait, remote_src)
+        GapCause::CommWait
     } else {
-        (GapCause::Starvation, None)
+        GapCause::Starvation
     }
 }
 

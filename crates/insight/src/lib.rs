@@ -15,25 +15,18 @@
 //! * **Realized critical path** ([`critpath`]) — the longest chain of
 //!   spans actually walked by the run, with a per-kind time breakdown,
 //!   to compare against `analyze`'s static makespan lower bound;
-//! * **Duration histograms** — log-bucketed p50/p90/p99 per kind per
-//!   node ([`obs::LogHistogram`]), reproducing the median-kernel-vs-
-//!   occupancy story as a first-class report;
+//! * **Duration histograms** — log-bucketed p50/p90/p99 per kind
+//!   ([`obs::LogHistogram`]), reproducing the median-kernel-vs-occupancy
+//!   story as a first-class report;
 //! * **Step-size advice** ([`advisor`]) — a recommended `s` from the
 //!   measured comm-wait fraction and redundant-flop counters;
 //! * **Regression baselines** ([`baseline`]) — a config identity plus
 //!   flat named scalars, written and checked with a per-key band by the
 //!   `stencil-doctor` and `stencil-whatif` bench binaries;
-//! * **Scheduler attribution** ([`attribution`]) — a per-policy score
-//!   (makespan vs static bound, realized-critical-path "daylight",
-//!   occupancy) judging the `stencil-tournament` scheme × scheduler
-//!   sweep;
 //! * **Starvation split** ([`starvation`]) — live-sample counters from
 //!   the work-stealing executors divide starved lane-time into
 //!   no-work-anywhere (steal sweeps failed) vs dispatch lag (ready work
 //!   sat undelivered);
-//! * **Comm-wait link attribution** ([`commwait`]) — comm-wait gaps
-//!   aggregated per directed `(src, dst)` link and rendered against the
-//!   traffic the traced [`obs::CommMatrix`] saw cross it;
 //! * **Causal what-if** ([`whatif`]) — a discrete-event replay of the
 //!   realized DAG under perturbed costs (Coz-style virtual speedup),
 //!   predicting the makespan effect of faster kernels, a faster fabric,
@@ -45,9 +38,7 @@
 #![deny(missing_docs)]
 
 pub mod advisor;
-pub mod attribution;
 pub mod baseline;
-pub mod commwait;
 pub mod critpath;
 pub mod gaps;
 pub mod starvation;
@@ -57,9 +48,7 @@ pub mod whatif;
 mod tests;
 
 pub use advisor::{advise_step, StepAdvice};
-pub use attribution::SchedulerScore;
 pub use baseline::{Band, Baseline};
-pub use commwait::{CommWaitMap, PeerStall};
 pub use critpath::RealizedPath;
 pub use gaps::{ClassifiedGap, GapCause, GapTotals};
 pub use starvation::{split_starvation, StarvationSplit};
@@ -113,19 +102,6 @@ pub(crate) fn join(trace: &Trace, dag: &UnfoldedDag) -> Join {
     }
 }
 
-/// Per-kind duration statistics on one node.
-#[derive(Debug, Clone)]
-pub struct NodeKindSummary {
-    /// Node rank.
-    pub node: u32,
-    /// Trace kind tag.
-    pub kind: u32,
-    /// Registered kind name (or `comm`/`kindN` fallback).
-    pub name: String,
-    /// p50/p90/p99 digest of the span durations.
-    pub summary: DurationSummary,
-}
-
 /// Per-kind duration statistics across all nodes.
 #[derive(Debug, Clone)]
 pub struct KindSummary {
@@ -154,8 +130,6 @@ pub struct RunDiagnosis {
     pub totals: GapTotals,
     /// The realized critical path; `None` when no span joined to the DAG.
     pub critical_path: Option<RealizedPath>,
-    /// Duration digests per `(node, kind)`, ordered by node then kind.
-    pub per_node_kinds: Vec<NodeKindSummary>,
     /// Duration digests per kind across nodes, ordered by kind.
     pub per_kind: Vec<KindSummary>,
     /// Spans the tracer dropped on ring overflow instead of recording.
@@ -244,7 +218,7 @@ impl RunDiagnosis {
 
 /// Diagnose a run: join `trace`'s task spans onto `dag`, classify every
 /// worker-lane idle gap, extract the realized critical path, and digest
-/// span durations per kind per node. `lanes` is the worker-lane count per
+/// span durations per kind. `lanes` is the worker-lane count per
 /// node (the machine profile's compute threads); spans on lanes at or
 /// above it (the comm lane) inform classification but are not themselves
 /// attributed. Degenerate inputs (empty trace, spans with no ids) degrade
@@ -257,30 +231,15 @@ pub fn diagnose(trace: &Trace, dag: &UnfoldedDag, lanes: u32) -> RunDiagnosis {
     let totals = gaps::totals(trace, &gaps, lanes, horizon_ns);
     let critical_path = critpath::extract(trace, &joined, horizon_ns);
 
-    let mut per_node: BTreeMap<(u32, u32), LogHistogram> = BTreeMap::new();
     let mut per_kind: BTreeMap<u32, LogHistogram> = BTreeMap::new();
     for s in &trace.spans {
-        per_node
-            .entry((s.node, s.kind))
-            .or_default()
-            .record(s.duration_ns());
         per_kind.entry(s.kind).or_default().record(s.duration_ns());
     }
-    let name_of = |kind: u32| obs::chrome::kind_name(trace, kind);
-    let per_node_kinds = per_node
-        .into_iter()
-        .map(|((node, kind), h)| NodeKindSummary {
-            node,
-            kind,
-            name: name_of(kind),
-            summary: h.summary(),
-        })
-        .collect();
     let per_kind = per_kind
         .into_iter()
         .map(|(kind, h)| KindSummary {
             kind,
-            name: name_of(kind),
+            name: obs::chrome::kind_name(trace, kind),
             summary: h.summary(),
         })
         .collect();
@@ -293,7 +252,6 @@ pub fn diagnose(trace: &Trace, dag: &UnfoldedDag, lanes: u32) -> RunDiagnosis {
         gaps,
         totals,
         critical_path,
-        per_node_kinds,
         per_kind,
         dropped_events: trace.dropped,
     }

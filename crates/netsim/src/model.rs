@@ -1,5 +1,5 @@
 //! Point-to-point message cost model — the one home of every message
-//! charge the simulator, the what-if replay and the list schedulers make.
+//! charge the simulator and the what-if replay make.
 //!
 //! A LogGP-flavoured model with an eager/rendezvous protocol switch, the
 //! same structure MPI implementations expose and the shape NetPIPE measures
@@ -98,7 +98,7 @@ impl NetworkModel {
 
     /// End-to-end delay of one cross-node flow of `bytes` (at least one
     /// byte) with no queueing: send processing, wire, receive processing.
-    /// The list schedulers charge it to every remote dependence edge.
+    /// The least a remote dependence edge can add to a critical path.
     pub fn edge_delay(&self, bytes: usize) -> f64 {
         2.0 * self.msg_cost + self.transfer_time(bytes.max(1))
     }

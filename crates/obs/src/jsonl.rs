@@ -301,9 +301,9 @@ mod tests {
     fn scheduler_header_survives_round_trip() {
         let m = Metrics::new();
         m.counter("x").add(7);
-        let text = render_with_scheduler("r", Some("heft"), &m.snapshot(), None);
+        let text = render_with_scheduler("r", Some("lifo"), &m.snapshot(), None);
         let header = text.lines().next().unwrap();
-        assert!(header.contains("\"scheduler\":\"heft\""), "{header}");
+        assert!(header.contains("\"scheduler\":\"lifo\""), "{header}");
         // Old readers ignore the extra header field.
         let parsed = parse(&text).unwrap();
         assert_eq!(parsed[0].1.counter("x"), 7);

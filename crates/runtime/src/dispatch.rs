@@ -9,18 +9,18 @@
 //! per-worker RNG so a fixed [`crate::RunConfig::steal_seed`] reproduces
 //! the same victim sequence run over run.
 //!
-//! The local queue comes in two flavors, chosen by the selector's
-//! [`SelectMode`]:
+//! The local queue comes in two flavors, chosen by the run's
+//! [`SchedulerPolicy`]:
 //!
 //! * **Fifo / Lifo** — a lock-free bounded Chase–Lev [`StealDeque`];
 //!   the owner pops the top (FIFO) or bottom (LIFO) end, thieves always
 //!   steal the top (oldest) end. A full deque spills to the injector
 //!   (counted as an overflow push).
-//! * **Rank** — a per-lane `Mutex<ReadyQueue>` heap: rank order with
-//!   FIFO-by-seq ties is preserved *per queue* (the PR 7 scheduler
-//!   contract), which a lock-free ring cannot express; sharding the lock
-//!   per lane keeps contention off the hot path, and a thief simply pops
-//!   the victim's best-ranked task.
+//! * **Priority** — a per-lane `Mutex<ReadyQueue>` heap: priority order
+//!   with FIFO-by-seq ties is preserved *per queue*, which a lock-free
+//!   ring cannot express; sharding the lock per lane keeps contention
+//!   off the hot path, and a thief simply pops the victim's
+//!   highest-priority task.
 //!
 //! Parking is a sleeper-counted `Condvar` gate ([`Parker`]): a producer
 //! pushes, issues a `SeqCst` fence and touches the gate only when the
@@ -43,8 +43,8 @@
 use crate::deque::{Steal, StealDeque};
 use crate::pending::{Delivery, DeliveryBatch, PendingTable, ReadyTask};
 use crate::ready_queue::ReadyQueue;
-use crate::scheduler::{SelectMode, TaskSelector};
-use crate::task::{FlowData, OutputDep, Program};
+use crate::scheduler::SchedulerPolicy;
+use crate::task::{FlowData, OutputDep, Program, TaskGraph};
 #[cfg(loom)]
 use loom::sync::{
     atomic::{fence, AtomicUsize},
@@ -222,22 +222,22 @@ pub(crate) struct NodeQueues {
     /// Tasks in the injector: written under its lock, read without it,
     /// so the common "injector empty" poll takes no lock.
     injector_len: AtomicUsize,
-    mode: SelectMode,
+    policy: SchedulerPolicy,
     parker: Parker,
 }
 
 impl NodeQueues {
-    /// Queues for `lanes` workers consulting `selector`.
-    pub(crate) fn new(selector: Arc<dyn TaskSelector>, lanes: usize) -> Self {
-        let mode = selector.mode();
+    /// Queues for `lanes` workers ordered by `policy` over `graph`'s
+    /// classes.
+    pub(crate) fn new(policy: SchedulerPolicy, graph: &Arc<TaskGraph>, lanes: usize) -> Self {
         let lanes = (0..lanes)
             .map(|_| Lane {
-                queue: match mode {
-                    SelectMode::Fifo | SelectMode::Lifo => {
+                queue: match policy {
+                    SchedulerPolicy::Fifo | SchedulerPolicy::Lifo => {
                         LocalQueue::Stealable(StealDeque::with_capacity(LOCAL_QUEUE_CAP))
                     }
-                    SelectMode::Rank => {
-                        LocalQueue::Ranked(Mutex::new(ReadyQueue::new(Arc::clone(&selector))))
+                    SchedulerPolicy::Priority => {
+                        LocalQueue::Ranked(Mutex::new(ReadyQueue::new(policy, Arc::clone(graph))))
                     }
                 },
                 stats: LaneStats::default(),
@@ -245,9 +245,9 @@ impl NodeQueues {
             .collect();
         NodeQueues {
             lanes,
-            injector: Mutex::new(ReadyQueue::new(selector)),
+            injector: Mutex::new(ReadyQueue::new(policy, Arc::clone(graph))),
             injector_len: AtomicUsize::new(0),
-            mode,
+            policy,
             parker: Parker::new(),
         }
     }
@@ -334,8 +334,8 @@ impl NodeQueues {
         match &self.lanes[lane].queue {
             // FIFO pops the steal (oldest) end so dispatch order matches
             // the old central queue; LIFO pops the cache-warm bottom.
-            LocalQueue::Stealable(d) => match self.mode {
-                SelectMode::Lifo => d.pop(),
+            LocalQueue::Stealable(d) => match self.policy {
+                SchedulerPolicy::Lifo => d.pop(),
                 _ => d.pop_top(),
             },
             LocalQueue::Ranked(q) => q.lock().pop(),
@@ -622,9 +622,8 @@ fn complete(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{FifoSelector, LifoSelector, StaticRanks};
+    use crate::task::testutil::prioritized;
     use crate::task::TaskKey;
-    use std::collections::HashMap;
 
     fn task(i: i32) -> Box<ReadyTask> {
         Box::new(ReadyTask {
@@ -642,7 +641,7 @@ mod tests {
 
     #[test]
     fn local_fifo_preserves_push_order() {
-        let q = NodeQueues::new(Arc::new(FifoSelector), 1);
+        let q = NodeQueues::new(SchedulerPolicy::Fifo, &prioritized(&[]), 1);
         for i in 0..5 {
             q.push_local(0, task(i));
         }
@@ -652,7 +651,7 @@ mod tests {
 
     #[test]
     fn local_lifo_reverses_push_order() {
-        let q = NodeQueues::new(Arc::new(LifoSelector), 1);
+        let q = NodeQueues::new(SchedulerPolicy::Lifo, &prioritized(&[]), 1);
         for i in 0..5 {
             q.push_local(0, task(i));
         }
@@ -661,11 +660,8 @@ mod tests {
 
     #[test]
     fn ranked_lane_pops_by_rank_with_fifo_ties() {
-        let table: HashMap<TaskKey, i64> = [(0, 0i64), (1, 5), (2, 0), (3, 5)]
-            .into_iter()
-            .map(|(i, r)| (TaskKey::new(0, [i, 0, 0, 0]), r))
-            .collect();
-        let q = NodeQueues::new(Arc::new(StaticRanks::new(table)), 1);
+        let graph = prioritized(&[(0, 0), (1, 5), (2, 0), (3, 5)]);
+        let q = NodeQueues::new(SchedulerPolicy::Priority, &graph, 1);
         for i in 0..4 {
             q.push_local(0, task(i));
         }
@@ -674,7 +670,7 @@ mod tests {
 
     #[test]
     fn empty_lane_steals_from_the_loaded_one() {
-        let q = NodeQueues::new(Arc::new(FifoSelector), 4);
+        let q = NodeQueues::new(SchedulerPolicy::Fifo, &prioritized(&[]), 4);
         for i in 0..8 {
             q.push_local(0, task(i));
         }
@@ -688,7 +684,7 @@ mod tests {
 
     #[test]
     fn failed_sweep_counts_a_steal_fail() {
-        let q = NodeQueues::new(Arc::new(FifoSelector), 3);
+        let q = NodeQueues::new(SchedulerPolicy::Fifo, &prioritized(&[]), 3);
         let mut rng = WorkerRng::new(1, 0);
         assert!(q.next_task(0, &mut rng).is_none());
         assert_eq!(q.totals().steal_fails, 1);
@@ -696,7 +692,7 @@ mod tests {
 
     #[test]
     fn injector_feeds_any_lane() {
-        let q = NodeQueues::new(Arc::new(FifoSelector), 2);
+        let q = NodeQueues::new(SchedulerPolicy::Fifo, &prioritized(&[]), 2);
         q.push_external(task(9));
         let mut rng = WorkerRng::new(1, 1);
         assert_eq!(q.next_task(1, &mut rng).unwrap().key.params[0], 9);
@@ -704,7 +700,7 @@ mod tests {
 
     #[test]
     fn overflow_spills_to_injector_and_nothing_is_lost() {
-        let q = NodeQueues::new(Arc::new(FifoSelector), 1);
+        let q = NodeQueues::new(SchedulerPolicy::Fifo, &prioritized(&[]), 1);
         let n = (LOCAL_QUEUE_CAP + 10) as i32;
         for i in 0..n {
             q.push_local(0, task(i));
@@ -722,7 +718,7 @@ mod tests {
     #[test]
     fn victim_order_is_seed_stable() {
         let order = |seed: u64| {
-            let q = NodeQueues::new(Arc::new(FifoSelector), 8);
+            let q = NodeQueues::new(SchedulerPolicy::Fifo, &prioritized(&[]), 8);
             // One task on every other lane; record which victim lane 0's
             // successive sweeps hit first.
             for lane in 1..8 {
@@ -748,7 +744,7 @@ mod tests {
         // rounds' total also grows with whatever else shares the cores.)
         const ROUNDS: i32 = 10_000;
         const TIMEOUT: Duration = Duration::from_secs(2);
-        let q = NodeQueues::new(Arc::new(FifoSelector), 2);
+        let q = NodeQueues::new(SchedulerPolicy::Fifo, &prioritized(&[]), 2);
         let recv = |q: &NodeQueues, from: usize| loop {
             if let Some(t) = q.steal_from(from) {
                 return t.key.params[0];
@@ -776,7 +772,7 @@ mod tests {
 
     #[test]
     fn injector_length_tracks_pushes_and_pops_without_the_lock() {
-        let q = NodeQueues::new(Arc::new(FifoSelector), 2);
+        let q = NodeQueues::new(SchedulerPolicy::Fifo, &prioritized(&[]), 2);
         assert_eq!(q.depth(0), 0);
         q.push_external(task(1));
         q.push_local(0, task(2));
@@ -789,7 +785,7 @@ mod tests {
 
     #[test]
     fn park_returns_promptly_when_work_is_queued() {
-        let q = NodeQueues::new(Arc::new(FifoSelector), 1);
+        let q = NodeQueues::new(SchedulerPolicy::Fifo, &prioritized(&[]), 1);
         q.push_external(task(0));
         let start = std::time::Instant::now();
         q.park(Duration::from_secs(5), || false);

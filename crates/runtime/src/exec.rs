@@ -26,7 +26,7 @@
 //! full span [`Trace`] ready for Chrome/Perfetto export via
 //! `obs::chrome::to_chrome_json`.
 
-use crate::scheduler::SchedulerHandle;
+use crate::scheduler::SchedulerPolicy;
 use crate::task::Program;
 use machine::MachineProfile;
 use obs::{Live, LiveSample, Metrics, MetricsSnapshot, Recorder, Trace, TracerOverhead};
@@ -60,9 +60,9 @@ pub struct RunConfig {
     pub execute_bodies: bool,
     /// Attach the full span [`Trace`] to the report.
     pub capture_trace: bool,
-    /// The scheduling policy every engine consults for task selection
-    /// and placement (see [`crate::scheduler`]).
-    pub scheduler: SchedulerHandle,
+    /// The ready-queue discipline of every node (see
+    /// [`crate::scheduler`]).
+    pub scheduler: SchedulerPolicy,
     /// Parallel send engines per node (simulator only).
     pub comm_engines: usize,
     /// Human-readable names for application span kinds, for exporters.
@@ -109,7 +109,7 @@ impl RunConfig {
             profile: None,
             execute_bodies: true,
             capture_trace: false,
-            scheduler: SchedulerHandle::default(),
+            scheduler: SchedulerPolicy::Fifo,
             comm_engines: 1,
             kind_names: Vec::new(),
             sample_period_ns: None,
@@ -129,7 +129,7 @@ impl RunConfig {
             profile: Some(profile),
             execute_bodies: false,
             capture_trace: false,
-            scheduler: SchedulerHandle::default(),
+            scheduler: SchedulerPolicy::Fifo,
             comm_engines: 1,
             kind_names: Vec::new(),
             sample_period_ns: None,
@@ -156,13 +156,9 @@ impl RunConfig {
         self
     }
 
-    /// Select the scheduling policy: any [`crate::Scheduler`]
-    /// implementation, an existing [`SchedulerHandle`], or a plain
-    /// [`crate::SchedulerPolicy`] variant. Every engine consults the
-    /// resulting selector for task selection (and placement, when it
-    /// overrides owner-computes).
-    pub fn with_scheduler(mut self, scheduler: impl Into<SchedulerHandle>) -> Self {
-        self.scheduler = scheduler.into();
+    /// Select the scheduling policy every engine's ready queues follow.
+    pub fn with_scheduler(mut self, scheduler: SchedulerPolicy) -> Self {
+        self.scheduler = scheduler;
         self
     }
 
@@ -285,9 +281,9 @@ pub enum ModeExt {
 pub struct RunReport {
     /// The engine that produced this report.
     pub mode: ExecMode,
-    /// Stable name of the scheduler that drove the run (see
-    /// [`crate::Scheduler::name`]), so traces from different policies stay
-    /// distinguishable downstream.
+    /// Name of the policy that drove the run
+    /// ([`crate::SchedulerPolicy::name`]), so traces from different
+    /// policies stay distinguishable downstream.
     pub scheduler: String,
     /// Tasks executed (equals the program's `total_tasks` on success).
     pub tasks_executed: u64,

@@ -34,11 +34,9 @@
 //! * [`sim_exec`] — the virtual-time engine over [`desim`]/[`netsim`]: a
 //!   whole cluster per run, one comm thread per node, optional real body
 //!   execution, trace capture (Figures 7–10);
-//! * [`scheduler`] — the pluggable scheduling surface: the [`Scheduler`]
-//!   /[`TaskSelector`] traits every engine consults for task selection
-//!   and placement, the classic [`SchedulerPolicy`] disciplines, and a
-//!   portfolio of static list schedulers (HEFT, PEFT, DLS, lookahead)
-//!   ranking over the statically unfolded DAG;
+//! * [`scheduler`] — the [`SchedulerPolicy`] (FIFO, LIFO or class
+//!   priority) every engine's ready queues follow; placement is always
+//!   owner-computes ([`TaskClass::node_of`]);
 //! * [`dtd`] — the Dynamic Task Discovery insertion API (PaRSEC's second
 //!   DSL) as an alternative front-end.
 //!
@@ -72,11 +70,7 @@ pub use deque::{Steal, StealDeque};
 pub use dtd::{DtdBuilder, DtdRegions, DtdTaskId};
 pub use exec::{run, ExecMode, ModeExt, RunConfig, RunReport};
 pub use pending::{Delivery, DeliveryBatch, PendingTable, ReadyTask, SpareTasks};
-pub use scheduler::{
-    DlsScheduler, FifoSelector, HeftScheduler, LifoSelector, LookaheadScheduler, PeftScheduler,
-    SchedContext, Scheduler, SchedulerHandle, SchedulerPolicy, SelectMode, StaticRanks,
-    TaskSelector,
-};
+pub use scheduler::SchedulerPolicy;
 pub use task::{
     ClassId, FlowData, OutputDep, Params, Program, ReadRegion, Rect, TaskClass, TaskGraph, TaskKey,
     WriteRegion,

@@ -10,7 +10,7 @@
 //!   when the deliveries of its input flows race for its entry, with
 //!   every slot filled and every box accounted for.
 //! * [`ReadyQueue`] conserves tasks: everything pushed is popped exactly
-//!   once, across selection disciplines.
+//!   once, under every [`SchedulerPolicy`].
 //! * [`StealDeque`] conserves tasks between the owner's bottom end and a
 //!   concurrent thief: every push is claimed exactly once, by exactly one
 //!   side.
@@ -22,8 +22,8 @@ use crate::deque::{Steal, StealDeque};
 use crate::dispatch::Parker;
 use crate::pending::{PendingTable, ReadyTask, SpareTasks};
 use crate::ready_queue::ReadyQueue;
-use crate::scheduler::{FifoSelector, LifoSelector, StaticRanks, TaskSelector};
-use crate::task::testutil::ExplicitDag;
+use crate::scheduler::SchedulerPolicy;
+use crate::task::testutil::{prioritized, ExplicitDag};
 use crate::task::{FlowData, TaskGraph, TaskKey};
 use loom::sync::{Arc, Mutex};
 use loom::thread;
@@ -91,18 +91,18 @@ fn racing_deliveries_fire_their_consumer_exactly_once() {
 #[test]
 fn ready_queue_conserves_tasks_under_concurrent_pushes() {
     loom::model(|| {
-        // Rank the keys the producers will push, so the rank discipline
-        // exercises its heap path.
-        let ranks: HashMap<TaskKey, i64> = (0..2)
-            .flat_map(|p| (0..2).map(move |i| (TaskKey::new(0, [p, i, 0, 0]), i as i64)))
-            .collect();
-        let selectors: [std::sync::Arc<dyn TaskSelector>; 3] = [
-            std::sync::Arc::new(FifoSelector),
-            std::sync::Arc::new(LifoSelector),
-            std::sync::Arc::new(StaticRanks::new(ranks)),
-        ];
-        for selector in selectors {
-            let queue = Arc::new(Mutex::new(ReadyQueue::new(selector)));
+        // Give the producers' keys distinct priorities, so the priority
+        // policy exercises its heap path.
+        let graph = prioritized(&[(0, 0), (1, 1)]);
+        for policy in [
+            SchedulerPolicy::Fifo,
+            SchedulerPolicy::Lifo,
+            SchedulerPolicy::Priority,
+        ] {
+            let queue = Arc::new(Mutex::new(ReadyQueue::new(
+                policy,
+                std::sync::Arc::clone(&graph),
+            )));
             let handles: Vec<_> = (0..2i32)
                 .map(|producer| {
                     let queue = Arc::clone(&queue);

@@ -38,12 +38,10 @@
 use crate::dispatch::{worker, NodeQueues, OnUnwind, RunShared, StealTotals, WorkerId};
 use crate::exec::{assemble_report, ExecMode, ModeExt, RunConfig, RunReport};
 use crate::pending::{Delivery, PendingTable, SpareTasks};
-use crate::scheduler::{SchedContext, TaskSelector};
 use crate::task::{FlowData, Program, TaskKey};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use obs::{lane_busy_in_window, names, Live, LiveSample, LocalRecorder, Recorder};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Duration;
 
 enum CommItem {
@@ -71,7 +69,6 @@ struct Inbox {
 
 struct Cluster<'p> {
     run: RunShared<'p>,
-    selector: Arc<dyn TaskSelector>,
     nodes: Vec<NodeQueues>,
     /// One inbox per node; empty on a one-node run, which has no
     /// cross-node flow to carry.
@@ -84,13 +81,7 @@ impl<'p> Cluster<'p> {
         if self.nodes.len() == 1 {
             return 0;
         }
-        let n = self
-            .selector
-            .place(key)
-            .map(|n| n as usize)
-            .unwrap_or_else(|| {
-                self.run.program.graph.class(key.class).node_of(key.params) as usize
-            });
+        let n = self.run.program.graph.class(key.class).node_of(key.params) as usize;
         assert!(
             n < self.nodes.len(),
             "{key:?} placed on node {n} of {}",
@@ -281,16 +272,10 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
     assert!(!program.roots.is_empty(), "program has no root tasks");
 
     let recorder = cfg.recorder();
-    let selector = cfg.scheduler.instance(&SchedContext {
-        program,
-        profile: cfg.profile.as_ref(),
-        nodes,
-        lanes: threads_per_node as u32,
-    });
     let cluster = Cluster {
         run: RunShared::new(program),
         nodes: (0..nodes)
-            .map(|_| NodeQueues::new(Arc::clone(&selector), threads_per_node))
+            .map(|_| NodeQueues::new(cfg.scheduler, &program.graph, threads_per_node))
             .collect(),
         inboxes: match nodes {
             1 => Vec::new(),
@@ -301,7 +286,6 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
                 })
                 .collect(),
         },
-        selector,
         workers_per_node: threads_per_node,
     };
 
@@ -400,6 +384,7 @@ mod tests {
     use crate::task::testutil::ExplicitDag;
     use crate::task::TaskGraph;
     use std::collections::HashMap as Map;
+    use std::sync::Arc;
 
     fn cross_flows(r: &RunReport) -> u64 {
         match r.ext {

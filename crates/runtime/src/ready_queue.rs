@@ -1,11 +1,8 @@
-//! The node-local ready queue, parameterized by a scheduling oracle.
+//! The node-local ready queue of one [`SchedulerPolicy`].
 //!
-//! PaRSEC's schedulers differ in which ready task a worker picks; the
-//! queue itself only knows three disciplines — FIFO (breadth-first,
-//! fair), LIFO (depth-first, cache-friendly), and rank order (highest
-//! [`TaskSelector::rank`] first, FIFO within a level). Everything
-//! policy-specific — class priorities, HEFT/PEFT upward ranks, lookahead
-//! — lives behind the [`TaskSelector`] the queue is built with; see
+//! The queue knows three disciplines — FIFO (breadth-first, fair), LIFO
+//! (depth-first, cache-friendly), and priority order (highest
+//! [`crate::TaskClass::priority`] first, FIFO within a level); see
 //! [`crate::scheduler`].
 //!
 //! Since the work-stealing overhaul (see `docs/EXECUTOR.md`), the real
@@ -15,23 +12,24 @@
 //! * the shared **injector** — externally-released tasks (program
 //!   roots, arrivals from the comm thread) and local-deque overflow
 //!   spill land here, drained by any worker between deque polls;
-//! * the **per-lane rank queue** — rank-order selection needs a global
-//!   best-first view a lock-free deque cannot give, so `Rank`-mode
-//!   lanes each hold a small mutex-guarded `ReadyQueue` that thieves
-//!   lock to steal the victim's best-ranked task.
+//! * the **per-lane priority queue** — priority selection needs a
+//!   global best-first view a lock-free deque cannot give, so
+//!   `Priority` lanes each hold a small mutex-guarded `ReadyQueue` that
+//!   thieves lock to steal the victim's highest-priority task.
 //!
 //! The simulator still uses one central `ReadyQueue` per node, which is
 //! what keeps its dispatch order — and `BENCH_stencil.json` —
 //! bit-identical across the overhaul.
 
 use crate::pending::ReadyTask;
-use crate::scheduler::{SelectMode, TaskSelector};
+use crate::scheduler::SchedulerPolicy;
+use crate::task::TaskGraph;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 struct Entry {
-    rank: i64,
+    rank: i32,
     seq: u64,
     task: Box<ReadyTask>,
 }
@@ -49,26 +47,25 @@ impl PartialOrd for Entry {
 }
 impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // max-heap: higher rank first, FIFO (lower seq) within a level
+        // max-heap: higher priority first, FIFO (lower seq) within a level
         self.rank
             .cmp(&other.rank)
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
-/// A selector-aware ready queue of boxed tasks (a [`ReadyTask`] keeps its
-/// box from discovery to reuse, see [`crate::pending`]). Ranks are
-/// computed once, at push time —
-/// the selector contract (pure, static) makes the value at pop time
-/// identical, and it keeps `pop` O(log n) regardless of the selector.
+/// A policy-ordered ready queue of boxed tasks (a [`ReadyTask`] keeps its
+/// box from discovery to reuse, see [`crate::pending`]). Priorities are
+/// read once, at push time — a class's priority is a pure function of
+/// the task's parameters, so the value at pop time is identical, and
+/// `pop` stays O(log n).
 ///
 /// ```
 /// use runtime::ready_queue::ReadyQueue;
-/// use runtime::scheduler::FifoSelector;
-/// use runtime::{ReadyTask, TaskKey};
+/// use runtime::{ReadyTask, SchedulerPolicy, TaskGraph, TaskKey};
 /// use std::sync::Arc;
 ///
-/// let mut q = ReadyQueue::new(Arc::new(FifoSelector));
+/// let mut q = ReadyQueue::new(SchedulerPolicy::Fifo, Arc::new(TaskGraph::new()));
 /// for i in 0..3 {
 ///     let key = TaskKey::new(0, [i, 0, 0, 0]);
 ///     q.push(Box::new(ReadyTask { key, inputs: Vec::new() }));
@@ -78,36 +75,35 @@ impl Ord for Entry {
 /// assert_eq!(q.len(), 2);
 /// ```
 pub struct ReadyQueue {
-    mode: SelectMode,
-    selector: Arc<dyn TaskSelector>,
+    policy: SchedulerPolicy,
+    graph: Arc<TaskGraph>,
     deque: VecDeque<Box<ReadyTask>>,
     heap: BinaryHeap<Entry>,
     seq: u64,
 }
 
 impl ReadyQueue {
-    /// Empty queue consulting the given selector.
-    pub fn new(selector: Arc<dyn TaskSelector>) -> Self {
+    /// Empty queue ordered by `policy`; `Priority` reads each task's
+    /// priority from its class in `graph`.
+    pub fn new(policy: SchedulerPolicy, graph: Arc<TaskGraph>) -> Self {
         ReadyQueue {
-            mode: selector.mode(),
-            selector,
+            policy,
+            graph,
             deque: VecDeque::new(),
             heap: BinaryHeap::new(),
             seq: 0,
         }
     }
 
-    /// Enqueue a ready task. In `Rank` mode the selector's rank is
-    /// computed here, once — the selector is pure and static, so the
-    /// rank cannot change between push and pop — and the push is
-    /// stamped with a monotone sequence number that breaks rank ties
-    /// FIFO. This pair is what makes rank-mode dispatch deterministic
-    /// for a fixed arrival order.
+    /// Enqueue a ready task. Under `Priority` the task's class priority
+    /// is read here, once, and the push is stamped with a monotone
+    /// sequence number that breaks priority ties FIFO. This pair is what
+    /// makes priority dispatch deterministic for a fixed arrival order.
     pub fn push(&mut self, task: Box<ReadyTask>) {
-        match self.mode {
-            SelectMode::Fifo | SelectMode::Lifo => self.deque.push_back(task),
-            SelectMode::Rank => {
-                let rank = self.selector.rank(task.key);
+        match self.policy {
+            SchedulerPolicy::Fifo | SchedulerPolicy::Lifo => self.deque.push_back(task),
+            SchedulerPolicy::Priority => {
+                let rank = self.graph.class(task.key.class).priority(task.key.params);
                 let seq = self.seq;
                 self.seq += 1;
                 self.heap.push(Entry { rank, seq, task });
@@ -115,14 +111,13 @@ impl ReadyQueue {
         }
     }
 
-    /// Take the next task per the selector's discipline: front for
-    /// FIFO, back for LIFO, highest rank (lowest seq within a rank
-    /// level) for rank mode.
+    /// Take the next task per the policy: front for FIFO, back for LIFO,
+    /// highest priority (lowest seq within a level) for `Priority`.
     pub fn pop(&mut self) -> Option<Box<ReadyTask>> {
-        match self.mode {
-            SelectMode::Fifo => self.deque.pop_front(),
-            SelectMode::Lifo => self.deque.pop_back(),
-            SelectMode::Rank => self.heap.pop().map(|e| e.task),
+        match self.policy {
+            SchedulerPolicy::Fifo => self.deque.pop_front(),
+            SchedulerPolicy::Lifo => self.deque.pop_back(),
+            SchedulerPolicy::Priority => self.heap.pop().map(|e| e.task),
         }
     }
 
@@ -140,9 +135,8 @@ impl ReadyQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{FifoSelector, LifoSelector, StaticRanks};
+    use crate::task::testutil::prioritized;
     use crate::task::TaskKey;
-    use std::collections::HashMap;
 
     fn task(i: i32) -> Box<ReadyTask> {
         Box::new(ReadyTask {
@@ -151,12 +145,8 @@ mod tests {
         })
     }
 
-    fn ranked(ranks: &[(i32, i64)]) -> Arc<dyn TaskSelector> {
-        let table: HashMap<TaskKey, i64> = ranks
-            .iter()
-            .map(|&(i, r)| (TaskKey::new(0, [i, 0, 0, 0]), r))
-            .collect();
-        Arc::new(StaticRanks::new(table))
+    fn ranked(table: &[(i32, i32)]) -> ReadyQueue {
+        ReadyQueue::new(SchedulerPolicy::Priority, prioritized(table))
     }
 
     fn drain_ids(q: &mut ReadyQueue) -> Vec<i32> {
@@ -169,7 +159,7 @@ mod tests {
 
     #[test]
     fn fifo_order() {
-        let mut q = ReadyQueue::new(Arc::new(FifoSelector));
+        let mut q = ReadyQueue::new(SchedulerPolicy::Fifo, prioritized(&[]));
         for i in 0..4 {
             q.push(task(i));
         }
@@ -180,7 +170,7 @@ mod tests {
 
     #[test]
     fn lifo_order() {
-        let mut q = ReadyQueue::new(Arc::new(LifoSelector));
+        let mut q = ReadyQueue::new(SchedulerPolicy::Lifo, prioritized(&[]));
         for i in 0..4 {
             q.push(task(i));
         }
@@ -189,7 +179,7 @@ mod tests {
 
     #[test]
     fn rank_order_with_fifo_ties() {
-        let mut q = ReadyQueue::new(ranked(&[(0, 0), (1, 5), (2, 0), (3, 5), (4, -1)]));
+        let mut q = ranked(&[(0, 0), (1, 5), (2, 0), (3, 5), (4, -1)]);
         for i in 0..5 {
             q.push(task(i));
         }
@@ -198,15 +188,15 @@ mod tests {
 
     #[test]
     fn unranked_tasks_default_to_zero() {
-        let mut q = ReadyQueue::new(ranked(&[(1, 1)]));
-        q.push(task(0)); // not in the table -> rank 0
+        let mut q = ranked(&[(1, 1)]);
+        q.push(task(0)); // not in the table -> priority 0
         q.push(task(1));
         assert_eq!(drain_ids(&mut q), vec![1, 0]);
     }
 
     #[test]
     fn empty_pop_is_none() {
-        let mut q = ReadyQueue::new(ranked(&[]));
+        let mut q = ranked(&[]);
         assert!(q.pop().is_none());
     }
 }

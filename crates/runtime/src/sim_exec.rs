@@ -24,7 +24,6 @@
 use crate::exec::{assemble_report, ExecMode, ModeExt, RunConfig, RunReport};
 use crate::pending::{PendingTable, ReadyTask, SpareTasks};
 use crate::ready_queue::ReadyQueue;
-use crate::scheduler::{SchedContext, TaskSelector};
 use crate::task::{FlowData, OutputDep, Program, TaskKey};
 use desim::{Engine, Model, Scheduler, TimeWeighted, VirtualDuration, VirtualTime};
 use machine::MachineProfile;
@@ -132,7 +131,7 @@ struct NodeState {
 enum Ev {
     Ready(Box<ReadyTask>),
     /// Drain `node`'s ready queue into its free lanes. Ready arrivals at
-    /// one timestamp coalesce into a single Dispatch, so a rank selector
+    /// one timestamp coalesce into a single Dispatch, so the priority policy
     /// orders the whole simultaneously-ready batch rather than seeing
     /// tasks one by one.
     Dispatch {
@@ -171,7 +170,6 @@ enum Ev {
 
 struct Sim {
     program: Arc<Program>,
-    selector: Arc<dyn TaskSelector>,
     net: NetworkModel,
     /// Parallel send engines per node.
     comm_engines: usize,
@@ -221,10 +219,7 @@ impl Sim {
     }
 
     fn node_of(&self, key: TaskKey) -> u32 {
-        let n = self
-            .selector
-            .place(key)
-            .unwrap_or_else(|| self.program.graph.class(key.class).node_of(key.params));
+        let n = self.program.graph.class(key.class).node_of(key.params);
         assert!(
             (n as usize) < self.nodes.len(),
             "{key:?} placed on node {n} but the run has {} nodes",
@@ -601,18 +596,10 @@ fn simulate(
     let lanes = profile.compute_threads();
     let net = NetworkModel::from_profile(profile);
     let sample_period_ns = cfg.sample_period();
-    // Instantiate the per-run selector before any event fires: this is
-    // where a list scheduler unfolds the DAG and computes static ranks.
-    let selector = cfg.scheduler.instance(&SchedContext {
-        program,
-        profile: Some(profile),
-        nodes: cfg.nodes,
-        lanes,
-    });
     let nodes = (0..cfg.nodes)
         .map(|_| NodeState {
             free_lanes: (0..lanes).rev().collect(),
-            ready: ReadyQueue::new(Arc::clone(&selector)),
+            ready: ReadyQueue::new(cfg.scheduler, Arc::clone(&program.graph)),
             dispatch_scheduled: false,
             running: (0..lanes).map(|_| None).collect(),
             comm_queue: VecDeque::new(),
@@ -629,7 +616,6 @@ fn simulate(
 
     let sim = Sim {
         program: Arc::clone(&program),
-        selector,
         net,
         comm_engines: cfg.comm_engines,
         execute_bodies: cfg.execute_bodies,

@@ -593,6 +593,43 @@ pub(crate) mod testutil {
             self.cost
         }
     }
+
+    /// An inert class for ready-queue tests: task `p` has priority
+    /// `table[p[0]]`, 0 when `p[0]` is not in the table.
+    pub struct Prioritized(pub HashMap<i32, i32>);
+
+    impl TaskClass for Prioritized {
+        fn name(&self) -> &str {
+            "prioritized"
+        }
+        fn param_box(&self) -> [u32; 4] {
+            [1, 1, 1, 1]
+        }
+        fn node_of(&self, _p: Params) -> NodeId {
+            0
+        }
+        fn activation_count(&self, _p: Params) -> usize {
+            0
+        }
+        fn num_output_flows(&self, _p: Params) -> usize {
+            0
+        }
+        fn outputs(&self, _p: Params, _out: &mut Vec<OutputDep>) {}
+        fn execute(&self, _p: Params, _inputs: &mut [Option<FlowData>], _out: &mut Vec<FlowData>) {}
+        fn cost(&self, _p: Params) -> f64 {
+            0.0
+        }
+        fn priority(&self, p: Params) -> i32 {
+            self.0.get(&p[0]).copied().unwrap_or(0)
+        }
+    }
+
+    /// A one-class graph of [`Prioritized`] over `(p[0], priority)` pairs.
+    pub fn prioritized(table: &[(i32, i32)]) -> Arc<TaskGraph> {
+        let mut g = TaskGraph::new();
+        g.add_class(Arc::new(Prioritized(table.iter().copied().collect())));
+        Arc::new(g)
+    }
 }
 
 #[cfg(test)]

@@ -45,28 +45,40 @@ fn all_five_paths_agree() {
     assert_eq!(max_abs_diff(&c.store.unwrap().gather(), &reference), 0.0);
 }
 
+/// Every scheme × engine × policy cell computes the reference field
+/// bit for bit; the `Priority` runs drive the mutex-guarded priority
+/// lanes of the threaded engine.
 #[test]
 fn scheduler_policies_do_not_change_numerics() {
     use runtime::SchedulerPolicy;
     let cfg = scrambled_config(16, 4, 6, ProcessGrid::new(2, 2), 2, 5);
     let reference = jacobi_reference(&cfg.problem, 6);
-    for policy in [
-        SchedulerPolicy::Fifo,
-        SchedulerPolicy::Lifo,
-        SchedulerPolicy::Priority,
-    ] {
-        let c = build_ca(&cfg, true);
-        run(
-            &c.program,
-            &RunConfig::simulated(MachineProfile::nacl(), 4)
-                .with_bodies()
-                .with_scheduler(policy),
-        );
-        assert_eq!(
-            max_abs_diff(&c.store.unwrap().gather(), &reference),
-            0.0,
-            "{policy:?}"
-        );
+    let engines = [
+        RunConfig::simulated(MachineProfile::nacl(), 4).with_bodies(),
+        RunConfig::shared_memory(3),
+        RunConfig::multi_process(4, 2),
+    ];
+    for scheme in ["base", "ca"] {
+        for engine in &engines {
+            for policy in [
+                SchedulerPolicy::Fifo,
+                SchedulerPolicy::Lifo,
+                SchedulerPolicy::Priority,
+            ] {
+                let b = match scheme {
+                    "base" => build_base(&cfg, true),
+                    _ => build_ca(&cfg, true),
+                };
+                run(&b.program, &engine.clone().with_scheduler(policy));
+                assert_eq!(
+                    max_abs_diff(&b.store.unwrap().gather(), &reference),
+                    0.0,
+                    "{scheme} on {:?} ({} nodes) under {policy:?}",
+                    engine.mode,
+                    engine.nodes
+                );
+            }
+        }
     }
 }
 

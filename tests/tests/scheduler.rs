@@ -1,59 +1,140 @@
-//! The pluggable scheduler API across crates: portfolio determinism on
-//! the simulated executor, FIFO-by-seq tie-breaking for every policy, and
-//! cross-executor agreement on dispatch order under a fixed scheduler.
+//! The three scheduling policies across crates: completion within the
+//! static bound on every scheme, determinism on the simulated executor,
+//! FIFO-by-seq tie-breaking for every policy, and cross-executor
+//! agreement on dispatch order under a fixed policy.
 
-use ca_stencil::build_ca;
+use analyze::AnalyzeConfig;
+use ca_stencil::{build_base, build_base_dtd, build_ca, build_pa2, Problem, StencilConfig};
 use integration::scrambled_config;
 use machine::MachineProfile;
 use netsim::ProcessGrid;
 use runtime::ready_queue::ReadyQueue;
 use runtime::{
-    run, DtdBuilder, FlowData, OutputDep, Params, Program, ReadyTask, RunConfig, SchedContext,
-    SchedulerHandle, SelectMode, TaskClass, TaskGraph, TaskKey,
+    run, DtdBuilder, FlowData, OutputDep, Params, Program, ReadyTask, RunConfig, SchedulerPolicy,
+    TaskClass, TaskGraph, TaskKey,
 };
 use std::sync::Arc;
 
+const POLICIES: [SchedulerPolicy; 3] = [
+    SchedulerPolicy::Fifo,
+    SchedulerPolicy::Lifo,
+    SchedulerPolicy::Priority,
+];
+
+/// The four schemes (base, CA, PA2, DTD) at n = 256, tile 32, 6
+/// iterations, s = 3 and r = 0.4 on a 2 × 2 NaCL grid.
+fn small_sweep() -> (MachineProfile, [(&'static str, Program); 4]) {
+    let profile = MachineProfile::nacl();
+    let cfg = StencilConfig::new(Problem::laplace(256), 32, 6, ProcessGrid::new(2, 2))
+        .with_steps(3)
+        .with_ratio(0.4)
+        .with_profile(profile.clone());
+    let schemes = [
+        ("base", build_base(&cfg, false).program),
+        ("ca", build_ca(&cfg, false).program),
+        ("pa2", build_pa2(&cfg, false).program),
+        ("dtd", build_base_dtd(&cfg)),
+    ];
+    (profile, schemes)
+}
+
+/// Every policy runs every scheme of the small sweep to completion, and no
+/// simulated makespan beats `analyze`'s static lower bound: a policy that
+/// deadlocked, dropped work or mis-charged time would fail one of the two.
+#[test]
+fn every_policy_completes_every_scheme_within_the_static_bound() {
+    let (profile, schemes) = small_sweep();
+    let lanes = profile.compute_threads();
+    for (scheme, program) in &schemes {
+        let analysis = analyze::analyze_program(program, &AnalyzeConfig::new().with_lanes(lanes));
+        let bound = analysis.path.expect("acyclic").makespan_lower_bound;
+        for policy in POLICIES {
+            let report = run(
+                program,
+                &RunConfig::simulated(profile.clone(), 4).with_scheduler(policy),
+            );
+            assert_eq!(
+                report.tasks_executed, program.total_tasks,
+                "{scheme}/{policy:?}: deadlock or dropped work"
+            );
+            assert!(
+                report.makespan >= bound * (1.0 - 1e-9),
+                "{scheme}/{policy:?}: makespan {} s beats the static bound {bound} s",
+                report.makespan
+            );
+        }
+    }
+}
+
+/// Every cell of the small sweep is a pure function of its inputs: the same
+/// scheme under the same policy gives a bit-identical makespan and span
+/// trace when simulated twice.
+#[test]
+fn simulated_cells_are_deterministic_per_scheduler() {
+    let (profile, schemes) = small_sweep();
+    for (scheme, program) in &schemes {
+        for policy in POLICIES {
+            let sim = || {
+                run(
+                    program,
+                    &RunConfig::simulated(profile.clone(), 4)
+                        .with_scheduler(policy)
+                        .with_trace(),
+                )
+            };
+            let (a, b) = (sim(), sim());
+            assert_eq!(
+                a.makespan.to_bits(),
+                b.makespan.to_bits(),
+                "{scheme}/{policy:?}: {} vs {}",
+                a.makespan,
+                b.makespan
+            );
+            let (ta, tb) = (a.trace.unwrap(), b.trace.unwrap());
+            assert_eq!(ta.spans, tb.spans, "{scheme}/{policy:?}: traces diverge");
+        }
+    }
+}
+
 /// Same policy + same config ⇒ bit-identical simulated reports: makespan,
-/// counters, and the full span trace, for every portfolio scheduler.
+/// counters, and the full span trace, for every policy.
 #[test]
 fn every_portfolio_scheduler_is_deterministic_in_simulation() {
     let cfg = scrambled_config(16, 4, 6, ProcessGrid::new(2, 2), 2, 5);
     let program = build_ca(&cfg, false).program;
-    for sched in SchedulerHandle::portfolio() {
+    for policy in POLICIES {
         let sim = || {
             run(
                 &program,
                 &RunConfig::simulated(MachineProfile::nacl(), 4)
-                    .with_scheduler(sched.clone())
+                    .with_scheduler(policy)
                     .with_trace(),
             )
         };
         let (a, b) = (sim(), sim());
-        assert_eq!(a.scheduler, sched.name());
-        assert_eq!(b.scheduler, sched.name());
+        assert_eq!(a.scheduler, policy.name());
+        assert_eq!(b.scheduler, policy.name());
         assert_eq!(
             a.makespan.to_bits(),
             b.makespan.to_bits(),
-            "{}: {} vs {}",
-            sched.name(),
+            "{policy:?}: {} vs {}",
             a.makespan,
             b.makespan
         );
-        assert_eq!(a.tasks_executed, b.tasks_executed, "{}", sched.name());
+        assert_eq!(a.tasks_executed, b.tasks_executed, "{policy:?}");
         assert_eq!(
             a.counter(obs::names::MESSAGES_SENT),
             b.counter(obs::names::MESSAGES_SENT),
-            "{}",
-            sched.name()
+            "{policy:?}"
         );
         let (ta, tb) = (a.trace.unwrap(), b.trace.unwrap());
-        assert_eq!(ta.spans, tb.spans, "{}: traces diverge", sched.name());
+        assert_eq!(ta.spans, tb.spans, "{policy:?}: traces diverge");
     }
 }
 
-/// Six independent equal-cost tasks: every rank-mode policy ranks them
-/// identically, so the ready queue must fall back to FIFO-by-seq; only
-/// LIFO (whose contract *is* reversal) pops in reverse.
+/// Six independent equal-cost tasks of equal priority: the priority
+/// policy must fall back to FIFO-by-seq, like FIFO itself; only LIFO
+/// (whose contract *is* reversal) pops in reverse.
 #[test]
 fn equal_ranks_resolve_fifo_by_seq_for_every_policy() {
     let mut b = DtdBuilder::new();
@@ -62,15 +143,8 @@ fn equal_ranks_resolve_fifo_by_seq_for_every_policy() {
     }
     let program = b.build();
     let keys: Vec<TaskKey> = (0..6).map(|i| TaskKey::new(0, [i, 0, 0, 0])).collect();
-    for sched in SchedulerHandle::portfolio() {
-        let selector = sched.instance(&SchedContext {
-            program: &program,
-            profile: None,
-            nodes: 1,
-            lanes: 1,
-        });
-        let lifo = selector.mode() == SelectMode::Lifo;
-        let mut q = ReadyQueue::new(selector);
+    for policy in POLICIES {
+        let mut q = ReadyQueue::new(policy, Arc::clone(&program.graph));
         for &key in &keys {
             q.push(Box::new(ReadyTask {
                 key,
@@ -78,25 +152,25 @@ fn equal_ranks_resolve_fifo_by_seq_for_every_policy() {
             }));
         }
         let popped: Vec<TaskKey> = std::iter::from_fn(|| q.pop()).map(|t| t.key).collect();
-        let expected: Vec<TaskKey> = if lifo {
+        let expected: Vec<TaskKey> = if policy == SchedulerPolicy::Lifo {
             keys.iter().rev().copied().collect()
         } else {
             keys.clone()
         };
-        assert_eq!(popped, expected, "{}", sched.name());
+        assert_eq!(popped, expected, "{policy:?}");
     }
 }
 
-/// One root fanning out to five children with distinct costs, one worker
-/// lane: the ready-queue order fully determines execution order, so a
-/// fixed scheduler must produce the same task-start sequence on the
-/// simulated and shared-memory executors (timestamps differ — virtual vs
-/// wall clock — but the order may not).
+/// One root fanning out to five children, one worker lane: the
+/// ready-queue order fully determines execution order, so a fixed policy
+/// must produce the same task-start sequence on the simulated and
+/// shared-memory executors (timestamps differ — virtual vs wall clock —
+/// but the order may not).
 #[test]
 fn fixed_scheduler_orders_dispatch_identically_across_executors() {
-    // Children 1..=5 cost 1, 5, 3, 2, 4 ms: insertion order differs from
-    // rank order, so FIFO and HEFT must disagree with each other while
-    // each agrees with itself across executors.
+    // The root releases children 1..=5 in insertion order, so FIFO and
+    // LIFO must disagree with each other while each agrees with itself
+    // across executors.
     let build = || {
         let mut b = DtdBuilder::new();
         let root = b.insert(0, 1e-4, &[]);
@@ -111,25 +185,19 @@ fn fixed_scheduler_orders_dispatch_identically_across_executors() {
     // localhost(2, ..) reserves one core for comm, leaving 1 worker lane —
     // matching shared_memory(1)'s single worker.
     let profile = MachineProfile::localhost(2, 40e9, 10e9);
-    for (sched, expected) in [
-        (
-            SchedulerHandle::by_name("fifo").unwrap(),
-            vec![0, 1, 2, 3, 4, 5],
-        ),
-        // HEFT rank of a leaf is its own cost: descending-cost order.
-        (
-            SchedulerHandle::by_name("heft").unwrap(),
-            vec![0, 2, 5, 3, 4, 1],
-        ),
+    for (policy, expected) in [
+        (SchedulerPolicy::Fifo, vec![0, 1, 2, 3, 4, 5]),
+        // Newest release first: the children in reverse.
+        (SchedulerPolicy::Lifo, vec![0, 5, 4, 3, 2, 1]),
     ] {
         for cfg in [
             RunConfig::simulated(profile.clone(), 1),
             RunConfig::shared_memory(1),
         ] {
             let program: Program = build();
-            let report = run(&program, &cfg.with_scheduler(sched.clone()).with_trace());
+            let report = run(&program, &cfg.with_scheduler(policy).with_trace());
             let order = start_order(&report.trace.unwrap(), &ids);
-            assert_eq!(order, expected, "{} on {:?}", sched.name(), report.mode);
+            assert_eq!(order, expected, "{policy:?} on {:?}", report.mode);
         }
     }
 }
@@ -157,13 +225,12 @@ fn stealing_dispatch_preserves_layer_sets_across_executors() {
         .collect();
     // localhost(5, ..) reserves one core for comm, leaving 4 worker lanes.
     let profile = MachineProfile::localhost(WORKERS as u32 + 1, 40e9, 10e9);
-    let sched = SchedulerHandle::by_name("fifo").unwrap();
     for cfg in [
         RunConfig::simulated(profile.clone(), 1),
         RunConfig::shared_memory(WORKERS),
     ] {
         let program: Program = build();
-        let report = run(&program, &cfg.with_scheduler(sched.clone()).with_trace());
+        let report = run(&program, &cfg.with_trace());
         let order = start_order(&report.trace.unwrap(), &ids);
         assert_eq!(order.len(), WORKERS * LAYERS, "{:?}", report.mode);
         for layer in 0..LAYERS {
