@@ -22,14 +22,14 @@ step cargo test --workspace -q
 
 # Sanitizers. The loom model tests exercise the runtime's concurrent
 # structures (ready queue, work-stealing deque, parking handshake, and
-# the dense activation table's racing deliveries into one entry) and the
-# telemetry SPSC span ring under the loom scheduler when the real crate
-# is vendored; under the stub they still run as plain threaded tests,
-# which is why the table also has a std-thread stress test
+# the dense activation table's racing deliveries into one entry) under
+# the loom scheduler when the real crate is vendored; under the stub they
+# still run as plain threaded tests, which is why the table also has a
+# std-thread stress test
 # (pending::tests::racing_deliveries_fire_every_consumer_exactly_once).
 # Miri is optional tooling: warn-skip when absent.
 loom_test() {
-    RUSTFLAGS="--cfg loom" cargo test -q -p runtime -p obs --lib loom_model
+    RUSTFLAGS="--cfg loom" cargo test -q -p runtime --lib loom_model
 }
 step loom_test
 
@@ -107,9 +107,9 @@ lint_mutation_gate() {
 }
 step lint_mutation_gate
 
-# Telemetry smoke: one frame of the reference workload with streaming
+# Telemetry smoke: one frame of the reference workload with live
 # telemetry on; exits nonzero if the tracer overruns its 2 % self-overhead
-# budget, drops spans, or publishes no live samples.
+# budget or publishes no live samples.
 step ./target/release/stencil-top --once
 
 # Figure-10 determinism gate: the figure comes from virtual-time runs, so

@@ -426,7 +426,6 @@ mod tests {
                 s.overhead
             );
             assert!(!s.samples.is_empty(), "{}: no live samples", s.name);
-            assert_eq!(s.diagnosis.dropped_events, 0, "{}", s.name);
         }
     }
 

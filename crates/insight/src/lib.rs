@@ -132,10 +132,6 @@ pub struct RunDiagnosis {
     pub critical_path: Option<RealizedPath>,
     /// Duration digests per kind across nodes, ordered by kind.
     pub per_kind: Vec<KindSummary>,
-    /// Spans the tracer dropped on ring overflow instead of recording.
-    /// Any nonzero value means the trace under-reports busy time and
-    /// every conclusion below is a lower bound on activity.
-    pub dropped_events: u64,
 }
 
 impl RunDiagnosis {
@@ -175,12 +171,6 @@ impl RunDiagnosis {
             "spans joined to task graph: {} ({} unmatched)\n",
             self.joined_spans, self.unmatched_spans
         ));
-        if self.dropped_events > 0 {
-            out.push_str(&format!(
-                "WARNING: {} spans dropped on tracer ring overflow — busy time is under-reported\n",
-                self.dropped_events
-            ));
-        }
         out.push_str("per-kind durations (all nodes):\n");
         for k in &self.per_kind {
             let s = &k.summary;
@@ -253,6 +243,5 @@ pub fn diagnose(trace: &Trace, dag: &UnfoldedDag, lanes: u32) -> RunDiagnosis {
         totals,
         critical_path,
         per_kind,
-        dropped_events: trace.dropped,
     }
 }

@@ -144,7 +144,6 @@ mod tests {
             pending_tasks: 0,
             inflight_msgs: 0,
             inflight_bytes: 0,
-            dropped_events: 0,
             steals: 0,
             steal_fails: fails,
             overflow_pushes: 0,

@@ -124,27 +124,6 @@ fn single_task_trace_has_no_gaps_and_a_one_task_path() {
 }
 
 #[test]
-fn dropped_spans_surface_in_diagnosis_and_report() {
-    let dag = pair_dag(1);
-    let clean = Trace {
-        spans: vec![span(0, 0, key(0).instance_id(), 0, 100)],
-        ..Trace::default()
-    };
-    let d = diagnose(&clean, &dag, 1);
-    assert_eq!(d.dropped_events, 0);
-    assert!(!d.render().contains("WARNING"));
-
-    let truncated = Trace {
-        dropped: 7,
-        ..clean
-    };
-    let d = diagnose(&truncated, &dag, 1);
-    assert_eq!(d.dropped_events, 7);
-    let report = d.render();
-    assert!(report.contains("WARNING: 7 spans dropped"), "{report}");
-}
-
-#[test]
 fn cross_node_producer_makes_the_gap_comm_wait() {
     let dag = pair_dag(1);
     // a on node 0 finishes at 1000; b on node 1 only starts at 3000 —

@@ -61,12 +61,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
         ("traceEvents".into(), Value::Array(events)),
         ("displayTimeUnit".into(), Value::Str("ns".into())),
         ("kinds".into(), Value::Object(kinds)),
-        ("droppedSpans".into(), Value::Num(Number::U(trace.dropped))),
         ("msgSpans".into(), Value::Array(msgs)),
-        (
-            "droppedMsgs".into(),
-            Value::Num(Number::U(trace.dropped_msgs)),
-        ),
     ]);
     serde_json::to_string(&doc).expect("chrome trace serialization")
 }
@@ -166,11 +161,13 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Parse Chrome trace JSON (as produced by [`to_chrome_json`], or the
-/// bare `[...]` event-array form) back into a [`Trace`].
+/// bare `[...]` event-array form) back into a [`Trace`]. Top-level keys
+/// it does not read — such as the `droppedSpans`/`droppedMsgs` counts
+/// older exports carried — are ignored.
 pub fn from_chrome_json(text: &str) -> Result<Trace, ParseError> {
     let doc: Value = serde_json::from_str(text).map_err(|e| ParseError(e.to_string()))?;
-    let (events, kinds, dropped, msgs, dropped_msgs) = match &doc {
-        Value::Array(events) => (events.as_slice(), BTreeMap::new(), 0, Vec::new(), 0),
+    let (events, kinds, msgs) = match &doc {
+        Value::Array(events) => (events.as_slice(), BTreeMap::new(), Vec::new()),
         Value::Object(_) => {
             let events = doc
                 .field("traceEvents")
@@ -188,15 +185,13 @@ pub fn from_chrome_json(text: &str) -> Result<Trace, ParseError> {
                     kinds.insert(kind, name.to_string());
                 }
             }
-            let dropped = doc.field("droppedSpans").as_u64().unwrap_or(0);
             let mut msgs = Vec::new();
             if let Some(entries) = doc.field("msgSpans").as_array() {
                 for m in entries {
                     msgs.push(parse_msg(m)?);
                 }
             }
-            let dropped_msgs = doc.field("droppedMsgs").as_u64().unwrap_or(0);
-            (events, kinds, dropped, msgs, dropped_msgs)
+            (events, kinds, msgs)
         }
         _ => return Err(ParseError("expected object or array at top level".into())),
     };
@@ -226,8 +221,7 @@ pub fn from_chrome_json(text: &str) -> Result<Trace, ParseError> {
         spans,
         msgs,
         kinds,
-        dropped,
-        dropped_msgs,
+        dropped: 0,
     })
 }
 
@@ -298,11 +292,12 @@ mod tests {
         rec.register_kind(0, "interior");
         rec.register_kind(1, "boundary");
         rec.register_kind(crate::KIND_COMM, "comm");
-        let l = rec.local();
+        let mut l = rec.local();
         l.task(0, 0, 0, 0, 1_000);
         l.task(0, 1, 1, 500, 2_500);
         l.comm(1, 4, 100, 900);
         l.task(1, 0, 0, u64::MAX / 2, u64::MAX / 2 + 10); // big ns values survive
+        drop(l);
         rec.drain()
     }
 
@@ -313,7 +308,14 @@ mod tests {
         let back = from_chrome_json(&text).unwrap();
         assert_eq!(back.spans, t.spans);
         assert_eq!(back.kinds, t.kinds);
-        assert_eq!(back.dropped, t.dropped);
+    }
+
+    #[test]
+    fn old_exports_with_drop_counts_still_parse() {
+        let text = r#"{"traceEvents":[{"name":"x","ph":"X","ts":1.0,"dur":2.0,"pid":0,"tid":0}],
+            "kinds":{"0":"x"},"droppedSpans":0,"msgSpans":[],"droppedMsgs":0}"#;
+        let t = from_chrome_json(text).unwrap();
+        assert_eq!((t.len(), t.spans[0].end_ns, t.dropped), (1, 3_000, 0));
     }
 
     #[test]
@@ -351,9 +353,10 @@ mod tests {
         // No register_kind calls at all: the comm lane must still export
         // as "comm", not "kind1000", and the name must survive parsing.
         let rec = Recorder::new();
-        let l = rec.local();
+        let mut l = rec.local();
         l.task(0, 0, 0, 0, 10);
         l.comm(0, 2, 10, 20);
+        drop(l);
         let t = rec.drain();
         assert!(t.kinds.is_empty());
 
@@ -374,9 +377,10 @@ mod tests {
     #[test]
     fn task_instance_ids_round_trip() {
         let rec = Recorder::new();
-        let l = rec.local();
+        let mut l = rec.local();
         l.task_instance(0, 1, 0, 0xdead_beef, 0, 100);
         l.task(0, 0, 0, 0, 50);
+        drop(l);
         let t = rec.drain();
         let back = from_chrome_json(&to_chrome_json(&t)).unwrap();
         assert_eq!(back.spans, t.spans);
@@ -389,12 +393,12 @@ mod tests {
     fn msg_spans_round_trip_with_flow_arrows() {
         let rec = Recorder::new();
         rec.register_kind(0, "interior");
-        let l = rec.local();
+        let mut l = rec.local();
         l.task(0, 0, 0, 0, 100);
         l.comm(0, 2, 100, 150); // comm lane 2 on node 0
         l.comm(1, 2, 160, 200);
-        let m = rec.msg_local();
-        m.record(crate::MsgSpan {
+        drop(l);
+        rec.msg_local().record(crate::MsgSpan {
             src: 0,
             dst: 1,
             kind: 0,
@@ -414,7 +418,6 @@ mod tests {
 
         let back = from_chrome_json(&text).unwrap();
         assert_eq!(back.msgs, t.msgs, "msg spans survive the round trip");
-        assert_eq!(back.dropped_msgs, t.dropped_msgs);
         assert_eq!(back.spans, t.spans, "flow events do not pollute spans");
     }
 

@@ -26,8 +26,8 @@ use std::collections::BTreeMap;
 
 /// One traced cross-node message: who sent what to whom, and when it was
 /// enqueued, injected, and delivered (nanoseconds on the executor's
-/// clock). `Copy`, so it rides the same lock-free SPSC rings as
-/// [`crate::SpanRecord`].
+/// clock). Recorded through a [`crate::MsgRecorder`], the message
+/// counterpart of [`crate::SpanRecord`]'s recording handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MsgSpan {
     /// Sender node rank.
@@ -98,19 +98,12 @@ pub struct CommMatrix {
     pub peers: BTreeMap<(u32, u32), PeerFlow>,
     /// Message and byte totals per producing-task kind.
     pub by_kind: BTreeMap<u32, (u64, u64)>,
-    /// Messages dropped by full msg rings — when nonzero the matrix is a
-    /// lower bound, not an exact account.
-    pub dropped: u64,
 }
 
 impl CommMatrix {
-    /// Fold a slice of message spans (plus the drop counter from the same
-    /// recorder) into a matrix.
-    pub fn from_msgs(msgs: &[MsgSpan], dropped: u64) -> Self {
-        let mut m = CommMatrix {
-            dropped,
-            ..CommMatrix::default()
-        };
+    /// Fold a slice of message spans into a matrix.
+    pub fn from_msgs(msgs: &[MsgSpan]) -> Self {
+        let mut m = CommMatrix::default();
         for s in msgs {
             let flow = m.peers.entry((s.src, s.dst)).or_default();
             flow.messages += 1;
@@ -126,7 +119,7 @@ impl CommMatrix {
 
     /// Fold a drained trace's message spans into a matrix.
     pub fn from_trace(trace: &crate::Trace) -> Self {
-        CommMatrix::from_msgs(&trace.msgs, trace.dropped_msgs)
+        CommMatrix::from_msgs(&trace.msgs)
     }
 
     /// Total messages across all peers.
@@ -179,17 +172,9 @@ impl CommMatrix {
         }
         let _ = writeln!(
             out,
-            "total: {} msgs, {} bytes{}",
+            "total: {} msgs, {} bytes",
             self.total_messages(),
-            self.total_bytes(),
-            if self.dropped > 0 {
-                format!(
-                    " ({} msg spans DROPPED — totals are a lower bound)",
-                    self.dropped
-                )
-            } else {
-                String::new()
-            }
+            self.total_bytes()
         );
         out
     }
@@ -218,7 +203,7 @@ mod tests {
             msg(0, 1, 200, 5, 20, 140),
             msg(1, 0, 50, 0, 0, 30),
         ];
-        let m = CommMatrix::from_msgs(&msgs, 0);
+        let m = CommMatrix::from_msgs(&msgs);
         assert_eq!(m.peers.len(), 2);
         assert_eq!(m.total_messages(), 3);
         assert_eq!(m.total_bytes(), 350);
@@ -236,14 +221,13 @@ mod tests {
 
     #[test]
     fn empty_matrix_and_render() {
-        let m = CommMatrix::from_msgs(&[], 0);
+        let m = CommMatrix::from_msgs(&[]);
         assert!(m.is_empty());
         assert_eq!(m.total_bytes(), 0);
         assert!(m.worst_latency_peer().is_none());
-        let m = CommMatrix::from_msgs(&[msg(0, 1, 8, 0, 1, 2)], 3);
+        let m = CommMatrix::from_msgs(&[msg(0, 1, 8, 0, 1, 2)]);
         let table = m.render();
-        assert!(table.contains("total: 1 msgs, 8 bytes"));
-        assert!(table.contains("DROPPED"), "{table}");
+        assert!(table.contains("total: 1 msgs, 8 bytes"), "{table}");
     }
 
     #[test]

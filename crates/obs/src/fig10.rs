@@ -158,7 +158,7 @@ mod tests {
         rec.register_kind(0, "interior");
         rec.register_kind(1, "boundary");
         rec.register_kind(KIND_COMM, "comm");
-        let l = rec.local();
+        let mut l = rec.local();
         // node 0: lane 0 busy [0, 10ms) kind 0, lane 1 busy [0, 5ms) kind 1
         l.task(0, 0, 0, 0, 10_000_000);
         l.task(0, 1, 1, 0, 5_000_000);
@@ -166,6 +166,7 @@ mod tests {
         l.comm(0, 2, 2_000_000, 8_000_000);
         // node 1: one short interior task
         l.task(1, 0, 0, 0, 1_000_000);
+        drop(l);
         rec.drain()
     }
 
@@ -213,9 +214,10 @@ mod tests {
     #[test]
     fn median_of_even_count_interpolates() {
         let rec = Recorder::new();
-        let l = rec.local();
+        let mut l = rec.local();
         l.task(0, 0, 5, 0, 10);
         l.task(0, 0, 5, 20, 50);
+        drop(l);
         let p = analyze_node(&rec.drain(), 0, 1, 50);
         assert_eq!(p.kinds[0].count, 2);
         assert!((p.kinds[0].median_ns - 20.0).abs() < 1e-12);
@@ -225,11 +227,12 @@ mod tests {
     #[test]
     fn spans_crossing_horizon_are_clamped() {
         let rec = Recorder::new();
-        let l = rec.local();
+        let mut l = rec.local();
         // Fully inside, straddling, and fully beyond the 100ns horizon.
         l.task(0, 0, 0, 0, 50);
         l.task(0, 0, 0, 80, 150);
         l.task(0, 0, 0, 200, 300);
+        drop(l);
         let p = analyze_node(&rec.drain(), 0, 1, 100);
         assert_eq!(p.busy_ns, 50 + 20);
         assert!(p.occupancy <= 1.0, "occ = {}", p.occupancy);
@@ -240,9 +243,10 @@ mod tests {
     #[test]
     fn trace_occupancy_is_the_digest_occupancy() {
         let rec = Recorder::new();
-        let l = rec.local();
+        let mut l = rec.local();
         l.task(0, 0, 0, 0, 50);
         l.task(0, 0, 0, 80, 150); // crosses the 100 ns horizon
+        drop(l);
         let t = rec.drain();
         let occ = t.occupancy(0, 1, 100);
         assert!((occ - 0.7).abs() < 1e-12, "occ = {occ}");
@@ -253,11 +257,12 @@ mod tests {
     fn median_matches_full_sort_on_larger_samples() {
         for n in 1..=9u64 {
             let rec = Recorder::new();
-            let l = rec.local();
+            let mut l = rec.local();
             // Durations n, n-1, ..., 1 recorded in descending order.
             for i in 0..n {
                 l.task(0, 0, 7, 1000 * i, 1000 * i + (n - i));
             }
+            drop(l);
             let p = analyze_node(&rec.drain(), 0, 1, 10_000);
             let mut sorted: Vec<u64> = (1..=n).collect();
             sorted.sort_unstable();

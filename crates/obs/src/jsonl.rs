@@ -33,12 +33,10 @@ pub fn render_with_scheduler(
     if let Some(t) = trace {
         header.push(("spans".into(), Value::Num(Number::U(t.len() as u64))));
         header.push(("horizon_ns".into(), Value::Num(Number::U(t.horizon_ns()))));
-        header.push(("dropped_spans".into(), Value::Num(Number::U(t.dropped))));
         header.push((
             "msg_spans".into(),
             Value::Num(Number::U(t.msgs.len() as u64)),
         ));
-        header.push(("dropped_msgs".into(), Value::Num(Number::U(t.dropped_msgs))));
     }
     push_line(&mut out, Value::Object(header));
 
@@ -63,35 +61,6 @@ pub fn render_with_scheduler(
                     ("latency_p99_ns".into(), Value::Num(Number::U(lat.p99_ns))),
                     ("queue_mean_ns".into(), Value::Num(Number::F(q.mean_ns))),
                     ("queue_p99_ns".into(), Value::Num(Number::U(q.p99_ns))),
-                ]),
-            );
-        }
-        if t.dropped_msgs > 0 {
-            push_line(
-                &mut out,
-                Value::Object(vec![
-                    ("record".into(), Value::Str("counter".into())),
-                    ("run".into(), Value::Str(run.into())),
-                    ("name".into(), Value::Str("dropped_msgs".into())),
-                    ("value".into(), Value::Num(Number::U(t.dropped_msgs))),
-                ]),
-            );
-        }
-    }
-
-    // Dropped spans get an explicit counter line (not just the header
-    // field) whenever a ring overflowed, so truncation is visible to the
-    // same tooling that reads the metric counters and can't masquerade as
-    // idle time downstream.
-    if let Some(t) = trace {
-        if t.dropped > 0 {
-            push_line(
-                &mut out,
-                Value::Object(vec![
-                    ("record".into(), Value::Str("counter".into())),
-                    ("run".into(), Value::Str(run.into())),
-                    ("name".into(), Value::Str("dropped_events".into())),
-                    ("value".into(), Value::Num(Number::U(t.dropped))),
                 ]),
             );
         }
@@ -248,35 +217,12 @@ mod tests {
     }
 
     #[test]
-    fn dropped_spans_surface_as_counter_line() {
-        let m = Metrics::new();
-        let rec = Recorder::with_capacity(2);
-        let l = rec.local();
-        for i in 0..6u64 {
-            l.task(0, 0, 0, i, i + 1);
-        }
-        let trace = rec.drain();
-        assert!(trace.dropped > 0, "overflow expected");
-        let text = render("r", &m.snapshot(), Some(&trace));
-        assert!(text.contains("\"dropped_events\""));
-        let parsed = parse(&text).unwrap();
-        assert_eq!(parsed[0].1.counter("dropped_events"), trace.dropped);
-
-        // A complete trace emits no such counter line.
-        let rec = Recorder::new();
-        rec.local().task(0, 0, 0, 0, 1);
-        let text = render("r", &m.snapshot(), Some(&rec.drain()));
-        assert!(!text.contains("\"dropped_events\""));
-    }
-
-    #[test]
     fn comm_matrix_lines_export_and_parse_tolerantly() {
         let m = Metrics::new();
         m.counter("x").add(1);
         let rec = Recorder::new();
         rec.local().task(0, 0, 0, 0, 10);
-        let ml = rec.msg_local();
-        ml.record(crate::MsgSpan {
+        rec.msg_local().record(crate::MsgSpan {
             src: 0,
             dst: 1,
             kind: 0,
@@ -293,8 +239,6 @@ mod tests {
         // Snapshot-oriented parsing skips comm lines instead of erroring.
         let parsed = parse(&text).unwrap();
         assert_eq!(parsed[0].1.counter("x"), 1);
-        // No drops → no dropped_msgs counter line.
-        assert!(!text.contains("dropped_msgs\",\"value\""));
     }
 
     #[test]

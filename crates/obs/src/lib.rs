@@ -3,18 +3,16 @@
 //! Both engines (the threaded engine and the discrete-event simulator)
 //! describe what happened during a run in the same terms:
 //!
-//! * [`Recorder`] — a streaming span recorder: each thread writes into a
-//!   private lock-free SPSC ring ([`ring`]) that a collector empties into
-//!   a shared store *while the run executes*. Producers stamp spans with
-//!   `u64` nanosecond timestamps from whatever clock they live on —
-//!   [`WallClock`] for the real executors, virtual time for the simulator
-//!   — so analysis code downstream cannot tell the difference. A full
-//!   ring drops (and counts) rather than blocking, and the tracer's own
-//!   cost is measured ([`TracerOverhead`]).
+//! * [`Recorder`] — a lossless span recorder: each thread appends to a
+//!   private buffer and hands it to the recorder when it is done.
+//!   Producers stamp spans with `u64` nanosecond timestamps from whatever
+//!   clock they live on — [`WallClock`] for the real executors, virtual
+//!   time for the simulator — so analysis code downstream cannot tell the
+//!   difference. The tracer's own cost is measured ([`TracerOverhead`]).
 //! * [`Live`] — a board of periodic [`LiveSample`] gauges (per-worker
-//!   occupancy over a sliding window, queue depths, network in-flight)
-//!   the executors publish at a configurable cadence, observable mid-run
-//!   by `stencil-top`.
+//!   occupancy over a sliding window, read from per-lane [`BusyClock`]s,
+//!   queue depths, network in-flight) the executors publish at a
+//!   configurable cadence, observable mid-run by `stencil-top`.
 //! * [`Metrics`] — a registry of named atomic counters and gauges
 //!   (messages sent, bytes moved, redundant communication-avoiding flops,
 //!   queue depths, …) snapshotted at the end of a run.
@@ -38,19 +36,16 @@ pub mod comm;
 pub mod fig10;
 pub mod hist;
 pub mod jsonl;
-#[cfg(all(test, loom))]
-mod loom_model;
-pub mod ring;
 pub mod sample;
 
 pub use comm::{CommMatrix, MsgSpan, PeerFlow};
 pub use hist::{DurationSummary, LogHistogram};
 pub use metrics::{names, Counter, ExpectedCounters, Gauge, GaugeValue, Metrics, MetricsSnapshot};
 pub use recorder::{
-    per_event_cost_ns, LocalRecorder, MsgRecorder, Recorder, SpanRecord, Trace, TracerOverhead,
-    WallClock,
+    per_event_cost_ns, LocalRecorder, MsgRecorder, RecordBuffer, Recorder, SpanRecord, Trace,
+    TracerOverhead, WallClock,
 };
-pub use sample::{lane_busy_in_window, Live, LiveSample};
+pub use sample::{window_busy, BusyClock, Live, LiveSample};
 
 /// Span kind tag for communication activity, matching the simulator's
 /// convention (task-class kinds are small integers; 1000 is the comm lane).

@@ -1,32 +1,24 @@
-//! Span recording: per-thread lock-free ring buffers of timestamped
-//! activity spans, streamed into a collector store and drained into an
-//! analyzable [`Trace`].
+//! Span recording: per-thread buffers of timestamped activity spans,
+//! handed to the shared recorder when their thread is done and drained
+//! into an analyzable [`Trace`].
 //!
-//! # Streaming architecture
+//! # Buffers
 //!
-//! Every recording thread ([`LocalRecorder`]) owns the producer half of a
-//! bounded SPSC ring ([`crate::ring`]); the shared [`Recorder`] keeps the
-//! consumer halves plus a central **store** of already-collected spans.
-//! Recording is wait-free: a full ring drops the span and counts it
-//! instead of blocking the worker. Collection ([`Recorder::collect`], or
-//! the periodic samplers the executors run) moves ring contents into the
-//! store while producers keep recording, which is what makes live
-//! telemetry possible — the store can be observed mid-run, not only after
-//! the run returns.
+//! Every recording thread owns a [`LocalRecorder`] (spans) and, on a
+//! comm lane, a [`MsgRecorder`] (message spans). Each appends to its own
+//! plain `Vec`: recording takes no lock, no atomic read-modify-write and
+//! never drops a record. When a handle drops it moves its whole buffer
+//! into the recorder's store, one lock per thread rather than per span.
+//! Live samples read per-lane [`crate::BusyClock`]s, not spans.
 //!
 //! # The quiesce contract
 //!
-//! [`Recorder::drain`] promises a *complete* trace, so it must only be
-//! called once every producer has quiesced (worker threads joined, the
-//! simulator dropped its handle). Collection itself is safe concurrently
-//! with live producers — the SPSC protocol guarantees that — but a drain
-//! racing a producer would silently miss the spans still being written.
-//! `drain` therefore carries a debug assertion that no producer is
-//! mid-record; executors uphold the contract by draining only after
-//! joining their worker scope. Use [`Recorder::with_collected`] for live
-//! (possibly incomplete) views during a run.
+//! [`Recorder::drain`] returns only what dropped handles handed over, so
+//! it must be called once every handle is gone (worker threads joined,
+//! the simulator dropped). Debug builds assert that no handle is still
+//! alive; executors uphold the contract by draining only after joining
+//! their worker scope.
 
-use crate::ring::{self, RingConsumer, RingProducer};
 use crate::MsgSpan;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -104,8 +96,8 @@ impl Default for WallClock {
 /// per process), and the lane time the total is compared against.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct TracerOverhead {
-    /// Record attempts over the run (dropped events included — their cost
-    /// is paid regardless).
+    /// Records handed over by the run's recording handles (spans and
+    /// message spans).
     pub events: u64,
     /// Calibrated cost of one record on this machine, nanoseconds.
     pub per_event_ns: f64,
@@ -139,211 +131,137 @@ impl TracerOverhead {
 }
 
 /// Calibrate the per-event record cost once per process: time a burst of
-/// records into a scratch ring. The result feeds every
-/// [`TracerOverhead`] this process reports.
+/// records into a fresh handle of a scratch recorder, buffer growth
+/// included. The result feeds every [`TracerOverhead`] this process
+/// reports.
 pub fn per_event_cost_ns() -> f64 {
     static COST: OnceLock<f64> = OnceLock::new();
     *COST.get_or_init(|| {
-        let (producer, _consumer) = ring::spsc(1 << 13);
         let n = 4096u64;
+        let mut local = Recorder::new().local();
         let start = Instant::now();
         for i in 0..n {
-            producer.push(SpanRecord {
-                node: 0,
-                lane: 0,
-                kind: 0,
-                start_ns: i,
-                end_ns: i + 1,
-                task: SpanRecord::NO_TASK,
-            });
+            local.task(0, 0, 0, i, i + 1);
         }
         let elapsed = start.elapsed().as_nanos() as f64;
+        std::hint::black_box(&local.records);
         (elapsed / n as f64).max(1.0)
     })
 }
 
-/// The lanes of one record type: the consumer half of every registered
-/// ring, plus the store that collection moves their records into.
-struct Lanes<T> {
-    /// Consumer halves, in registration order.
-    rings: Mutex<Vec<RingConsumer<T>>>,
-    /// Records already moved out of the rings. Grows monotonically;
-    /// `drain` is a sorted view over it, so draining twice yields the
-    /// same records.
-    store: Mutex<Vec<T>>,
+/// One record type's store: the buffers dropped handles handed over, and
+/// how many handles are still recording.
+struct Chunks<T> {
+    handed: Vec<Vec<T>>,
+    live: usize,
 }
 
-impl<T: Copy> Lanes<T> {
-    fn new() -> Self {
-        Lanes {
-            rings: Mutex::new(Vec::new()),
-            store: Mutex::new(Vec::new()),
+impl<T> Default for Chunks<T> {
+    fn default() -> Self {
+        Chunks {
+            handed: Vec::new(),
+            live: 0,
         }
-    }
-
-    fn rings(&self) -> MutexGuard<'_, Vec<RingConsumer<T>>> {
-        self.rings.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn store(&self) -> MutexGuard<'_, Vec<T>> {
-        self.store.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Register one more lane and return its producer half.
-    fn register(&self, capacity: usize) -> RingProducer<T> {
-        let (producer, consumer) = ring::spsc(capacity);
-        self.rings().push(consumer);
-        producer
-    }
-
-    /// Move everything visible in the rings into the store.
-    fn collect(&self) {
-        let mut rings = self.rings();
-        let mut store = self.store();
-        for ring in rings.iter_mut() {
-            ring.drain_into(&mut store);
-        }
-    }
-
-    /// Drop count of each lane, in registration order.
-    fn dropped_per_lane(&self) -> Vec<u64> {
-        self.rings().iter().map(|r| r.dropped()).collect()
-    }
-
-    /// Push attempts over all lanes, dropped ones included.
-    fn attempts(&self) -> u64 {
-        self.rings().iter().map(|r| r.attempts()).sum()
-    }
-
-    /// The store sorted by `key`. Debug builds first assert that no
-    /// producer is mid-record (the quiesce contract of [`Recorder::drain`]).
-    fn sorted<K: Ord>(&self, what: &str, key: impl FnMut(&T) -> K) -> Vec<T> {
-        for (i, ring) in self.rings().iter().enumerate() {
-            debug_assert!(
-                !ring.producer_recording(),
-                "Recorder::drain while {what} lane {i}'s producer is mid-record: \
-                 the quiesce contract requires all workers joined before drain"
-            );
-        }
-        let mut records = self.store().clone();
-        records.sort_by_key(key);
-        records
     }
 }
 
-struct Shared {
-    spans: Lanes<SpanRecord>,
-    msgs: Lanes<MsgSpan>,
-    kinds: Mutex<BTreeMap<u32, String>>,
-    capacity: usize,
+type Store<T> = Arc<Mutex<Chunks<T>>>;
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Records handed over so far.
+fn handed_len<T>(store: &Store<T>) -> u64 {
+    lock(store).handed.iter().map(|c| c.len() as u64).sum()
+}
+
+/// Every handed-over record, sorted by `key`. Debug builds first assert
+/// the quiesce contract of [`Recorder::drain`].
+fn sorted<T: Copy, K: Ord>(store: &Store<T>, what: &str, key: impl FnMut(&T) -> K) -> Vec<T> {
+    let chunks = lock(store);
+    debug_assert!(
+        chunks.live == 0,
+        "Recorder::drain while {} {what} handle(s) still record: \
+         the quiesce contract requires every handle dropped before drain",
+        chunks.live
+    );
+    let mut records = chunks.handed.concat();
+    records.sort_by_key(key);
+    records
+}
+
+/// A per-thread recording handle: appends to a private `Vec` and hands
+/// the whole buffer to its [`Recorder`]'s store when dropped.
+pub struct RecordBuffer<T> {
+    records: Vec<T>,
+    store: Store<T>,
+}
+
+/// Per-thread span-recording handle ([`Recorder::local`]).
+pub type LocalRecorder = RecordBuffer<SpanRecord>;
+
+/// Per-thread message-recording handle ([`Recorder::msg_local`]).
+pub type MsgRecorder = RecordBuffer<MsgSpan>;
+
+impl<T> RecordBuffer<T> {
+    fn open(store: &Store<T>) -> Self {
+        lock(store).live += 1;
+        RecordBuffer {
+            records: Vec::new(),
+            store: Arc::clone(store),
+        }
+    }
+}
+
+impl<T> Drop for RecordBuffer<T> {
+    fn drop(&mut self) {
+        let mut chunks = lock(&self.store);
+        chunks.live -= 1;
+        if !self.records.is_empty() {
+            chunks.handed.push(std::mem::take(&mut self.records));
+        }
+    }
 }
 
 /// Span recorder shared by all threads of a run. Clone it freely; all
-/// clones feed the same store.
-///
-/// Each recording thread obtains its own [`LocalRecorder`] via
-/// [`Recorder::local`], writing into a private lock-free SPSC ring — the
-/// hot path takes no lock and never blocks; cross-thread coordination
-/// happens only at registration and collection time.
-#[derive(Clone)]
+/// clones share one store, fed by the per-thread handles
+/// [`Recorder::local`] and [`Recorder::msg_local`] hand out.
+#[derive(Clone, Default)]
 pub struct Recorder {
-    shared: Arc<Shared>,
+    spans: Store<SpanRecord>,
+    msgs: Store<MsgSpan>,
+    kinds: Arc<Mutex<BTreeMap<u32, String>>>,
 }
 
 impl Recorder {
-    /// Default per-thread capacity: 64 Ki spans (~2.6 MB/thread). The
-    /// collector drains lanes continuously, so only spans in flight
-    /// between two collections must fit — far fewer than this for every
-    /// workload in the workspace. Kept modest so eagerly allocating one
-    /// ring per worker does not delay thread start-up.
-    pub const DEFAULT_CAPACITY: usize = 1 << 16;
-
-    /// Recorder with the default per-thread ring capacity.
+    /// An empty recorder.
     pub fn new() -> Self {
-        Recorder::with_capacity(Self::DEFAULT_CAPACITY)
+        Self::default()
     }
 
-    /// Recorder whose per-thread rings hold at most `capacity` in-flight
-    /// spans (rounded up to a power of two). A span pushed into a full
-    /// ring is dropped and counted, never blocked on.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Recorder {
-            shared: Arc::new(Shared {
-                spans: Lanes::new(),
-                msgs: Lanes::new(),
-                kinds: Mutex::new(BTreeMap::new()),
-                capacity: capacity.max(1),
-            }),
-        }
-    }
-
-    /// Obtain a per-thread recording handle (one producer lane).
+    /// Obtain a per-thread span-recording handle.
     pub fn local(&self) -> LocalRecorder {
-        LocalRecorder {
-            producer: self.shared.spans.register(self.shared.capacity),
-        }
+        RecordBuffer::open(&self.spans)
     }
 
-    /// Obtain a per-thread message-recording handle (one msg-span lane on
-    /// its own SPSC ring, same capacity and drop-newest policy as the
-    /// span lanes).
+    /// Obtain a per-thread message-recording handle.
     pub fn msg_local(&self) -> MsgRecorder {
-        MsgRecorder {
-            producer: self.shared.msgs.register(self.shared.capacity),
-        }
+        RecordBuffer::open(&self.msgs)
     }
 
     /// Associate a human-readable name with a kind tag (idempotent).
     pub fn register_kind(&self, kind: u32, name: &str) {
-        self.shared
-            .kinds
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        lock(&self.kinds)
             .entry(kind)
             .or_insert_with(|| name.to_string());
     }
 
-    /// Move everything currently visible in the lane rings into the
-    /// store. Safe to call while producers are live (the collector thread
-    /// does, at its cadence); spans still being written simply show up at
-    /// the next collection.
-    pub fn collect(&self) {
-        self.shared.spans.collect();
-        self.shared.msgs.collect();
-    }
-
-    /// Collect, then run `f` over the store — the live view the samplers
-    /// use mid-run. The store is unsorted and may be incomplete (spans
-    /// mid-record appear at a later collection).
-    pub fn with_collected<R>(&self, f: impl FnOnce(&[SpanRecord]) -> R) -> R {
-        self.collect();
-        f(&self.shared.spans.store())
-    }
-
-    /// Spans dropped so far because a lane ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.shared.spans.dropped_per_lane().iter().sum()
-    }
-
-    /// Message spans dropped so far because a msg-lane ring was full.
-    pub fn dropped_msgs(&self) -> u64 {
-        self.shared.msgs.dropped_per_lane().iter().sum()
-    }
-
-    /// Per-lane drop counts — span lanes first, then msg lanes, in
-    /// registration order. The overflow-accounting tests reconcile the
-    /// trace against these.
-    pub fn dropped_per_lane(&self) -> Vec<u64> {
-        let mut out = self.shared.spans.dropped_per_lane();
-        out.extend(self.shared.msgs.dropped_per_lane());
-        out
-    }
-
-    /// Record attempts so far across all lanes (dropped events included,
-    /// message spans included — their push cost is paid like any other
-    /// event, so the overhead model must count them).
+    /// Records handed over so far by dropped handles, message spans
+    /// included — their push costs the same as any other event, so the
+    /// overhead model counts them.
     pub fn events_recorded(&self) -> u64 {
-        self.shared.spans.attempts() + self.shared.msgs.attempts()
+        handed_len(&self.spans) + handed_len(&self.msgs)
     }
 
     /// The tracer's measured self-overhead against `lane_time_ns` of
@@ -359,64 +277,44 @@ impl Recorder {
         }
     }
 
-    /// Collect every span recorded so far into a [`Trace`], sorted by
-    /// start time (ties by node, lane). The store is retained, so
-    /// draining twice yields the same spans.
+    /// Every span handed over so far as a [`Trace`], sorted by start time
+    /// (ties by node, lane). The store is retained, so draining twice
+    /// yields the same spans.
     ///
     /// # Quiesce contract
     ///
-    /// A complete trace requires every producer to have quiesced (threads
-    /// joined / handles dropped) — this is asserted in debug builds. For
-    /// a live mid-run view use [`Recorder::with_collected`] instead.
+    /// A complete trace requires every handle to have been dropped
+    /// (threads joined); debug builds assert it.
     pub fn drain(&self) -> Trace {
-        self.collect();
-        let shared = &self.shared;
         Trace {
-            spans: shared
-                .spans
-                .sorted("span", |s| (s.start_ns, s.node, s.lane, s.end_ns)),
-            msgs: shared.msgs.sorted("msg", |m| {
+            spans: sorted(&self.spans, "span", |s| {
+                (s.start_ns, s.node, s.lane, s.end_ns)
+            }),
+            msgs: sorted(&self.msgs, "msg", |m| {
                 (m.enqueue_ns, m.src, m.dst, m.inject_ns, m.deliver_ns)
             }),
-            kinds: shared
-                .kinds
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone(),
-            dropped: self.dropped(),
-            dropped_msgs: self.dropped_msgs(),
+            kinds: lock(&self.kinds).clone(),
+            dropped: 0,
         }
     }
 }
 
-impl Default for Recorder {
-    fn default() -> Self {
-        Recorder::new()
-    }
-}
-
-/// Per-thread handle writing spans into a private lock-free ring.
-pub struct LocalRecorder {
-    producer: RingProducer<SpanRecord>,
-}
-
 impl LocalRecorder {
-    /// Record one span. On a full ring the span is dropped and counted
-    /// (never blocks). `end_ns` must not precede `start_ns`.
-    pub fn record(&self, span: SpanRecord) {
+    /// Record one span. `end_ns` must not precede `start_ns`.
+    pub fn record(&mut self, span: SpanRecord) {
         debug_assert!(span.end_ns >= span.start_ns, "span ends before it starts");
-        self.producer.push(span);
+        self.records.push(span);
     }
 
     /// Record a task-execution span with no task identity.
-    pub fn task(&self, node: u32, lane: u32, kind: u32, start_ns: u64, end_ns: u64) {
+    pub fn task(&mut self, node: u32, lane: u32, kind: u32, start_ns: u64, end_ns: u64) {
         self.task_instance(node, lane, kind, SpanRecord::NO_TASK, start_ns, end_ns);
     }
 
     /// Record a task-execution span stamped with a task-instance id, so
     /// downstream analysis can join the span to the unfolded task graph.
     pub fn task_instance(
-        &self,
+        &mut self,
         node: u32,
         lane: u32,
         kind: u32,
@@ -435,7 +333,7 @@ impl LocalRecorder {
     }
 
     /// Record a communication span on `node`'s comm lane.
-    pub fn comm(&self, node: u32, lane: u32, start_ns: u64, end_ns: u64) {
+    pub fn comm(&mut self, node: u32, lane: u32, start_ns: u64, end_ns: u64) {
         self.record(SpanRecord {
             node,
             lane,
@@ -447,16 +345,9 @@ impl LocalRecorder {
     }
 }
 
-/// Per-thread handle writing message spans into a private lock-free
-/// ring, symmetric to [`LocalRecorder`] for spans.
-pub struct MsgRecorder {
-    producer: RingProducer<MsgSpan>,
-}
-
 impl MsgRecorder {
-    /// Record one cross-node message. On a full ring the span is dropped
-    /// and counted (never blocks).
-    pub fn record(&self, msg: MsgSpan) {
+    /// Record one cross-node message.
+    pub fn record(&mut self, msg: MsgSpan) {
         debug_assert!(
             msg.deliver_ns >= msg.inject_ns && msg.inject_ns >= msg.enqueue_ns,
             "msg timestamps out of order: enqueue {} inject {} deliver {}",
@@ -464,7 +355,7 @@ impl MsgRecorder {
             msg.inject_ns,
             msg.deliver_ns
         );
-        self.producer.push(msg);
+        self.records.push(msg);
     }
 }
 
@@ -479,10 +370,10 @@ pub struct Trace {
     pub msgs: Vec<MsgSpan>,
     /// Kind tag → human-readable name, for exporters.
     pub kinds: BTreeMap<u32, String>,
-    /// Spans dropped by full lane rings (0 means the trace is complete).
+    /// Spans lost by the tracer: always 0, since recording buffers are
+    /// lossless. The field stays because the benchmark harness reads it
+    /// for its `obs.dropped_spans` metric.
     pub dropped: u64,
-    /// Message spans dropped by full msg-lane rings.
-    pub dropped_msgs: u64,
 }
 
 impl Trace {
@@ -597,10 +488,11 @@ mod tests {
     #[test]
     fn task_instance_ids_survive_drain() {
         let rec = Recorder::new();
-        let l = rec.local();
+        let mut l = rec.local();
         l.task_instance(0, 0, 1, 42, 0, 10);
         l.task(0, 0, 1, 10, 20);
         l.comm(0, 2, 0, 5);
+        drop(l);
         let t = rec.drain();
         let ids: Vec<Option<u64>> = t.spans.iter().map(|s| s.task_instance()).collect();
         assert!(ids.contains(&Some(42)));
@@ -610,11 +502,12 @@ mod tests {
     #[test]
     fn record_and_drain_sorted() {
         let rec = Recorder::new();
-        let a = rec.local();
-        let b = rec.local();
+        let mut a = rec.local();
+        let mut b = rec.local();
         a.task(0, 0, 1, 50, 60);
         b.task(0, 1, 1, 0, 10);
         a.task(1, 0, 2, 20, 40);
+        drop((a, b));
         let t = rec.drain();
         assert_eq!(t.len(), 3);
         assert_eq!(t.spans[0].start_ns, 0);
@@ -625,37 +518,40 @@ mod tests {
     #[test]
     fn drain_twice_yields_same_spans() {
         let rec = Recorder::new();
-        let l = rec.local();
+        let mut l = rec.local();
         l.task(0, 0, 1, 0, 10);
         l.task(0, 0, 1, 10, 20);
+        drop(l);
         let first = rec.drain();
         let second = rec.drain();
         assert_eq!(first.spans, second.spans);
-        // spans recorded after a drain show up in the next one
-        l.task(0, 0, 1, 20, 30);
+        // spans a later handle hands over show up in the next drain
+        rec.local().task(0, 0, 1, 20, 30);
         assert_eq!(rec.drain().len(), 3);
     }
 
     #[test]
-    fn full_ring_drops_and_counts_without_blocking() {
-        let rec = Recorder::with_capacity(4);
-        let l = rec.local();
-        for i in 0..10u64 {
+    fn a_long_lane_keeps_every_span() {
+        // Far past the 64 Ki records a bounded per-lane buffer would hold.
+        let rec = Recorder::new();
+        let mut l = rec.local();
+        let n = 100_000u64;
+        for i in 0..n {
             l.task(0, 0, 0, i, i + 1);
         }
-        let t = rec.drain();
-        // Overflow drops the *newest* spans (the push fails; nothing is
-        // evicted) — the survivors are the oldest four.
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.dropped, 6);
-        assert_eq!(t.spans[0].start_ns, 0);
-        assert_eq!(rec.events_recorded(), 10);
-        // Continuous collection empties the ring, so a collected recorder
-        // keeps accepting spans past its in-flight capacity.
-        rec.collect();
-        l.task(0, 0, 0, 100, 101);
-        let t = rec.drain();
-        assert_eq!(t.len(), 5);
+        drop(l);
+        assert_eq!(rec.drain().len() as u64, n);
+        assert_eq!(rec.events_recorded(), n);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "quiesce contract")]
+    fn drain_with_a_live_handle_breaks_the_quiesce_contract() {
+        let rec = Recorder::new();
+        let mut l = rec.local();
+        l.task(0, 0, 1, 0, 10);
+        rec.drain();
     }
 
     #[test]
@@ -663,7 +559,7 @@ mod tests {
         let rec = Recorder::new();
         std::thread::scope(|s| {
             for node in 0..4u32 {
-                let local = rec.local();
+                let mut local = rec.local();
                 s.spawn(move || {
                     for i in 0..1000u64 {
                         local.task(node, 0, 1, i * 2, i * 2 + 1);
@@ -676,38 +572,13 @@ mod tests {
     }
 
     #[test]
-    fn live_collection_while_producers_run() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let rec = Recorder::with_capacity(64);
-        let done = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let local = rec.local();
-            let done = &done;
-            s.spawn(move || {
-                for i in 0..10_000u64 {
-                    local.task(0, 0, 1, i, i + 1);
-                }
-                done.store(true, Ordering::Release);
-            });
-            // Collect continuously while the producer runs: the live view
-            // is coherent mid-run, and every span ends up either in the
-            // store or in the drop counter — never silently lost.
-            while !done.load(Ordering::Acquire) {
-                rec.collect();
-                std::thread::yield_now();
-            }
-        });
-        let t = rec.drain();
-        assert_eq!(t.len() as u64 + t.dropped, 10_000, "no span lost");
-    }
-
-    #[test]
     fn overhead_reports_calibrated_cost() {
         let rec = Recorder::new();
-        let l = rec.local();
+        let mut l = rec.local();
         for i in 0..100u64 {
             l.task(0, 0, 0, i, i + 1);
         }
+        drop(l);
         let oh = rec.overhead(1_000_000_000);
         assert_eq!(oh.events, 100);
         assert!(oh.per_event_ns >= 1.0);
@@ -748,9 +619,10 @@ mod tests {
         rec.register_kind(0, "interior");
         rec.register_kind(crate::KIND_COMM, "comm");
         rec.register_kind(0, "renamed-too-late"); // idempotent: first wins
-        let l = rec.local();
+        let mut l = rec.local();
         l.task(0, 0, 0, 0, 1);
         l.comm(0, 2, 1, 2);
+        drop(l);
         let t = rec.drain();
         assert_eq!(t.kinds.get(&0).map(String::as_str), Some("interior"));
         assert_eq!(t.count_by_kind().get(&crate::KIND_COMM), Some(&1));
@@ -761,7 +633,7 @@ mod tests {
     #[test]
     fn msg_lanes_drain_into_trace() {
         let rec = Recorder::new();
-        let m = rec.msg_local();
+        let mut m = rec.msg_local();
         m.record(MsgSpan {
             src: 1,
             dst: 0,
@@ -780,51 +652,15 @@ mod tests {
             inject_ns: 5,
             deliver_ns: 50,
         });
+        drop(m);
         let t = rec.drain();
         assert_eq!(t.msgs.len(), 2);
         assert_eq!(t.msgs[0].enqueue_ns, 0, "sorted by enqueue time");
-        assert_eq!(t.dropped_msgs, 0);
         // Msg pushes count toward the overhead model's event total.
         assert_eq!(rec.events_recorded(), 2);
         let matrix = t.comm_matrix();
         assert_eq!(matrix.total_messages(), 2);
         assert_eq!(matrix.total_bytes(), 192);
-    }
-
-    #[test]
-    fn msg_ring_overflow_reconciles_per_lane() {
-        let rec = Recorder::with_capacity(4);
-        let l = rec.local();
-        let m = rec.msg_local();
-        for i in 0..10u64 {
-            l.task(0, 0, 0, i, i + 1);
-            m.record(MsgSpan {
-                src: 0,
-                dst: 1,
-                kind: 0,
-                bytes: 8,
-                enqueue_ns: i,
-                inject_ns: i,
-                deliver_ns: i + 1,
-            });
-        }
-        let t = rec.drain();
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.msgs.len(), 4);
-        assert_eq!(t.dropped, 6);
-        assert_eq!(t.dropped_msgs, 6);
-        let per_lane = rec.dropped_per_lane();
-        assert_eq!(per_lane, vec![6, 6]);
-        assert_eq!(
-            per_lane.iter().sum::<u64>(),
-            t.dropped + t.dropped_msgs,
-            "per-lane drops reconcile with trace totals"
-        );
-        assert_eq!(rec.events_recorded(), 20);
-        // The matrix over the surviving spans is an exact account of what
-        // was kept, flagged as a lower bound by the drop counter.
-        let matrix = t.comm_matrix();
-        assert_eq!(matrix.total_messages() + matrix.dropped, 10);
     }
 
     #[test]

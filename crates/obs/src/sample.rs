@@ -7,15 +7,19 @@
 //! network in-flight gauges — and publishes it to a [`Live`] board the
 //! caller can observe concurrently (the `stencil-top` view or a test).
 //!
+//! Busy fractions come from one [`BusyClock`] per lane, not from spans:
+//! a window's busy time is the difference of two clock readings, so a
+//! sample costs O(lanes) and a task that straddles a tick is split
+//! exactly between the two windows.
+//!
 //! Samples are append-only and cheap (a short `Vec<f64>` per tick), so
 //! the board doubles as the run's sample history: window-averaging the
 //! history reproduces the post-hoc Figure-10 occupancy (see
 //! [`Live::mean_occupancy`] and the cross-executor agreement test in
 //! `tests/`).
 
-use crate::SpanRecord;
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One sampler tick for one node: gauges over the window
 /// `[t_ns - window_ns, t_ns]`.
@@ -37,8 +41,6 @@ pub struct LiveSample {
     pub inflight_msgs: u64,
     /// Network bytes in flight at sample time.
     pub inflight_bytes: u64,
-    /// Cumulative spans dropped by full telemetry rings so far.
-    pub dropped_events: u64,
     /// Cumulative tasks this node's workers obtained by stealing from a
     /// peer's deque (work-stealing engines only; 0 in the simulator).
     #[serde(default)]
@@ -65,16 +67,12 @@ impl LiveSample {
     }
 }
 
-struct LiveInner {
-    samples: Mutex<Vec<LiveSample>>,
-}
-
 /// Shared live-telemetry board: samplers publish, observers read, both
 /// concurrently. Cloning is cheap (`Arc` inside) and all clones see the
 /// same board.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Live {
-    inner: Arc<LiveInner>,
+    samples: Arc<Mutex<Vec<LiveSample>>>,
 }
 
 impl std::fmt::Debug for Live {
@@ -83,38 +81,24 @@ impl std::fmt::Debug for Live {
     }
 }
 
-impl Default for Live {
-    fn default() -> Self {
-        Live::new()
-    }
-}
-
 impl Live {
     /// Empty board.
     pub fn new() -> Self {
-        Live {
-            inner: Arc::new(LiveInner {
-                samples: Mutex::new(Vec::new()),
-            }),
-        }
+        Self::default()
+    }
+
+    fn samples(&self) -> MutexGuard<'_, Vec<LiveSample>> {
+        self.samples.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Append one sample (called by the executors' samplers).
     pub fn publish(&self, sample: LiveSample) {
-        self.inner
-            .samples
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(sample);
+        self.samples().push(sample);
     }
 
     /// Number of samples published so far.
     pub fn len(&self) -> usize {
-        self.inner
-            .samples
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
+        self.samples().len()
     }
 
     /// True when nothing has been published yet.
@@ -124,9 +108,8 @@ impl Live {
 
     /// The most recent sample per node, sorted by node rank.
     pub fn latest_all(&self) -> Vec<LiveSample> {
-        let samples = self.inner.samples.lock().unwrap_or_else(|e| e.into_inner());
         let mut latest: std::collections::BTreeMap<u32, LiveSample> = Default::default();
-        for s in samples.iter() {
+        for s in self.samples().iter() {
             latest.insert(s.node, s.clone());
         }
         latest.into_values().collect()
@@ -134,11 +117,7 @@ impl Live {
 
     /// Full sample history in publication order.
     pub fn history(&self) -> Vec<LiveSample> {
-        self.inner
-            .samples
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        self.samples().clone()
     }
 
     /// Window-averaged occupancy of `node` over the whole history: each
@@ -146,10 +125,9 @@ impl Live {
     /// windows tile the run (as the simulator's sampler guarantees) this
     /// equals the post-hoc Figure-10 occupancy exactly.
     pub fn mean_occupancy(&self, node: u32) -> f64 {
-        let samples = self.inner.samples.lock().unwrap_or_else(|e| e.into_inner());
         let mut weighted = 0.0;
         let mut total = 0.0;
-        for s in samples.iter().filter(|s| s.node == node) {
+        for s in self.samples().iter().filter(|s| s.node == node) {
             weighted += s.occupancy() * s.window_ns as f64;
             total += s.window_ns as f64;
         }
@@ -161,50 +139,88 @@ impl Live {
     }
 }
 
-/// Per-lane busy time of `node`'s first `lanes` worker lanes within the
-/// window `[w0, w1)`, from already-collected spans: the overlap of each
-/// span with the window, summed per lane, as a fraction of the window.
-/// Lanes at or above `lanes` (the comm lane) are excluded. Returns one
-/// fraction per lane; all zeros when the window is empty.
-pub fn lane_busy_in_window(
-    spans: &[SpanRecord],
-    node: u32,
-    lanes: u32,
-    w0: u64,
-    w1: u64,
+/// One lane's busy clock: `B(t)` is the busy time the lane finished
+/// before `t` plus the elapsed part of the task it is running at `t`, in
+/// nanoseconds on the engine's clock. A window's busy time is
+/// `B(w1) − B(w0)`.
+///
+/// The whole state is one `u64` word ([`BusyClock::to_bits`]): the
+/// finished busy time while idle, and `RUNNING | (start − finished)` while
+/// a task runs, from which `B(t) = t − (start − finished)`. So the lane
+/// that owns the clock publishes every transition with one plain store,
+/// and a sampler on another thread always reads a consistent state.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BusyClock(u64);
+
+impl BusyClock {
+    const RUNNING: u64 = 1 << 63;
+
+    fn running(&self) -> bool {
+        self.0 & Self::RUNNING != 0
+    }
+
+    /// A task starts at `t_ns`.
+    pub fn start(&mut self, t_ns: u64) {
+        debug_assert!(!self.running(), "busy clock started twice");
+        debug_assert!(t_ns >= self.0, "lane busier than its clock");
+        self.0 = Self::RUNNING | t_ns.saturating_sub(self.0);
+    }
+
+    /// The running task ends at `t_ns`.
+    pub fn stop(&mut self, t_ns: u64) {
+        debug_assert!(self.running(), "busy clock stopped while idle");
+        self.0 = self.read(t_ns);
+    }
+
+    /// `B(t_ns)`: busy nanoseconds up to `t_ns`.
+    pub fn read(&self, t_ns: u64) -> u64 {
+        if self.running() {
+            t_ns.saturating_sub(self.0 & !Self::RUNNING)
+        } else {
+            self.0
+        }
+    }
+
+    /// The clock as one word, for publishing through an atomic.
+    pub fn to_bits(self) -> u64 {
+        self.0
+    }
+
+    /// The clock [`BusyClock::to_bits`] published.
+    pub fn from_bits(bits: u64) -> Self {
+        BusyClock(bits)
+    }
+}
+
+/// Busy fraction of each lane over a window of `window_ns > 0`, from each
+/// lane's busy-clock reading at the window's end. `last` holds the
+/// readings at the window's start and advances to the new ones.
+///
+/// Each reading is clamped into `[last, last + window_ns]`. A clock read
+/// from another thread can run a little ahead while its lane publishes a
+/// stop, or behind while it publishes a start; the clamp keeps every
+/// fraction in `[0, 1]` and carries the difference into the next window,
+/// so the windows still sum to the lane's busy time. Exact readings (the
+/// simulator's) never touch the clamp.
+pub fn window_busy(
+    last: &mut [u64],
+    readings: impl IntoIterator<Item = u64>,
+    window_ns: u64,
 ) -> Vec<f64> {
-    let mut busy_ns = vec![0u64; lanes as usize];
-    if w1 <= w0 {
-        return vec![0.0; lanes as usize];
-    }
-    for s in spans {
-        if s.node != node || s.lane >= lanes {
-            continue;
-        }
-        let lo = s.start_ns.max(w0);
-        let hi = s.end_ns.min(w1);
-        if hi > lo {
-            busy_ns[s.lane as usize] += hi - lo;
-        }
-    }
-    let window = (w1 - w0) as f64;
-    busy_ns.into_iter().map(|b| b as f64 / window).collect()
+    last.iter_mut()
+        .zip(readings)
+        .map(|(last, b)| {
+            let b = b.clamp(*last, *last + window_ns);
+            let busy = b - *last;
+            *last = b;
+            busy as f64 / window_ns as f64
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn span(node: u32, lane: u32, start: u64, end: u64) -> SpanRecord {
-        SpanRecord {
-            node,
-            lane,
-            kind: 0,
-            start_ns: start,
-            end_ns: end,
-            task: SpanRecord::NO_TASK,
-        }
-    }
 
     fn sample(node: u32, t: u64, window: u64, busy: Vec<f64>) -> LiveSample {
         LiveSample {
@@ -216,7 +232,6 @@ mod tests {
             pending_tasks: 0,
             inflight_msgs: 0,
             inflight_bytes: 0,
-            dropped_events: 0,
             steals: 0,
             steal_fails: 0,
             overflow_pushes: 0,
@@ -224,20 +239,33 @@ mod tests {
     }
 
     #[test]
-    fn window_busy_clips_spans_to_window() {
-        let spans = vec![
-            span(0, 0, 0, 100),  // covers the whole window
-            span(0, 1, 40, 60),  // 20ns inside
-            span(0, 1, 90, 200), // 10ns inside
-            span(1, 0, 0, 100),  // wrong node
-            span(0, 5, 0, 100),  // comm lane, excluded
-        ];
-        let busy = lane_busy_in_window(&spans, 0, 2, 0, 100);
-        assert_eq!(busy.len(), 2);
-        assert!((busy[0] - 1.0).abs() < 1e-12);
-        assert!((busy[1] - 0.3).abs() < 1e-12);
-        // Empty and inverted windows degrade to zeros.
-        assert_eq!(lane_busy_in_window(&spans, 0, 2, 50, 50), vec![0.0, 0.0]);
+    fn busy_clock_splits_a_straddling_span_between_windows() {
+        // One lane: a span [30, 160) straddles the tick at 100, then a
+        // span [170, 180) lies inside the second window.
+        let mut clock = BusyClock::default();
+        let mut last = vec![0u64];
+        clock.start(30);
+        assert_eq!(clock.read(30), 0);
+        let w1 = window_busy(&mut last, [clock.read(100)], 100);
+        assert_eq!(w1, vec![0.7], "the 70 ns before the tick");
+        clock.stop(160);
+        clock.start(170);
+        clock.stop(180);
+        assert!(!clock.running());
+        let w2 = window_busy(&mut last, [clock.read(200)], 100);
+        assert_eq!(w2, vec![0.7], "the other 60 ns of the span, plus 10");
+        // The two windows sum to the spans exactly.
+        assert_eq!(last, vec![140]);
+        assert_eq!(BusyClock::from_bits(clock.to_bits()), clock);
+    }
+
+    #[test]
+    fn window_busy_clamps_racing_readings_into_the_window() {
+        let mut last = vec![50u64, 50];
+        // Lane 0 read ahead of its window, lane 1 behind its last reading.
+        let busy = window_busy(&mut last, [500, 40], 100);
+        assert_eq!(busy, vec![1.0, 0.0]);
+        assert_eq!(last, vec![150, 50], "the excess carries forward");
     }
 
     #[test]

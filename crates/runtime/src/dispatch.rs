@@ -38,7 +38,9 @@
 //!
 //! Every lane keeps three cumulative counters — `steals`,
 //! `steal_fails`, `overflow_pushes` — surfaced per node in
-//! [`obs::LiveSample`] and as end-of-run metrics.
+//! [`obs::LiveSample`] and as end-of-run metrics, and a busy clock
+//! ([`obs::BusyClock`]) the live sampler reads for the lane's busy
+//! fraction.
 
 use crate::deque::{Steal, StealDeque};
 use crate::pending::{Delivery, DeliveryBatch, PendingTable, ReadyTask};
@@ -50,7 +52,7 @@ use loom::sync::{
     atomic::{fence, AtomicUsize},
     Condvar, Mutex as GateMutex,
 };
-use obs::{names, LocalRecorder, Metrics, WallClock};
+use obs::{names, BusyClock, LocalRecorder, Metrics, WallClock};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -67,9 +69,11 @@ use std::time::Duration;
 /// a correctness bound.
 pub(crate) const LOCAL_QUEUE_CAP: usize = 256;
 
-/// Cumulative per-lane dispatch counters (relaxed atomics: telemetry,
-/// not synchronization).
+/// Cumulative per-lane dispatch counters and the lane's busy clock
+/// (relaxed atomics: telemetry, not synchronization). Only the lane's
+/// own worker writes them, so they get a cache line of their own.
 #[derive(Default)]
+#[repr(align(64))]
 pub(crate) struct LaneStats {
     /// Tasks this lane obtained from another lane's queue.
     pub steals: AtomicU64,
@@ -80,6 +84,9 @@ pub(crate) struct LaneStats {
     /// Local pushes that found the deque full and spilled to the
     /// injector.
     pub overflow_pushes: AtomicU64,
+    /// The lane's [`BusyClock`] as bits: one plain store per transition,
+    /// since the worker is its only writer.
+    pub busy: AtomicU64,
 }
 
 /// Totals of the per-lane counters, for samplers and end-of-run metrics.
@@ -377,6 +384,21 @@ impl NodeQueues {
         self.lanes[lane].queue.len() + self.injector_len.load(Ordering::Relaxed)
     }
 
+    /// Publish `lane`'s busy clock for the sampler.
+    fn publish_busy(&self, lane: usize, clock: BusyClock) {
+        self.lanes[lane]
+            .stats
+            .busy
+            .store(clock.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Each lane's busy clock as last published.
+    pub(crate) fn busy_clocks(&self) -> impl Iterator<Item = BusyClock> + '_ {
+        self.lanes
+            .iter()
+            .map(|l| BusyClock::from_bits(l.stats.busy.load(Ordering::Relaxed)))
+    }
+
     /// Cumulative steal/overflow counters summed over this node's lanes.
     pub(crate) fn totals(&self) -> StealTotals {
         let mut t = StealTotals::default();
@@ -421,9 +443,12 @@ impl<'p> RunShared<'p> {
 }
 
 /// What one worker counted, added to the run's [`Metrics`] once, when the
-/// worker exits — the per-task path touches no shared instrument.
+/// worker exits — the per-task path touches no shared instrument but its
+/// own lane's busy clock.
 #[derive(Default)]
 struct Tally {
+    /// This lane's busy clock, published at every start and stop.
+    busy: BusyClock,
     tasks: u64,
     /// Flows this worker delivered into the activation table.
     activations: u64,
@@ -464,12 +489,12 @@ struct Scratch {
     batch: DeliveryBatch,
 }
 
-/// Identity of one worker thread and the handles it records through.
-pub(crate) struct WorkerId<'a> {
+/// Identity of one worker thread and the handle it records through.
+pub(crate) struct WorkerId {
     pub(crate) node: u32,
     pub(crate) lane: u32,
     pub(crate) steal_seed: u64,
-    pub(crate) local: &'a LocalRecorder,
+    pub(crate) local: LocalRecorder,
 }
 
 /// Runs its closure when dropped during a panic, and never otherwise.
@@ -500,7 +525,7 @@ impl<F: FnMut()> Drop for OnUnwind<F> {
 pub(crate) fn worker(
     run: &RunShared<'_>,
     node: &NodeQueues,
-    id: WorkerId<'_>,
+    mut id: WorkerId,
     mut ship: impl FnMut(Delivery, u32) -> Option<Delivery>,
     shutdown: impl Fn(),
 ) {
@@ -516,7 +541,15 @@ pub(crate) fn worker(
     while !run.done.load(Ordering::Acquire) {
         if let Some(task) = node.next_task(id.lane as usize, &mut rng) {
             idle_rounds = 0;
-            if complete(run, node, &id, task, &mut scratch, &mut tally, &mut ship) {
+            if complete(
+                run,
+                node,
+                &mut id,
+                task,
+                &mut scratch,
+                &mut tally,
+                &mut ship,
+            ) {
                 run.finished_ns.store(run.clock.now_ns(), Ordering::Release);
                 run.done.store(true, Ordering::Release);
                 shutdown();
@@ -553,7 +586,7 @@ pub(crate) fn worker(
 fn complete(
     run: &RunShared<'_>,
     node: &NodeQueues,
-    id: &WorkerId<'_>,
+    id: &mut WorkerId,
     mut task: Box<ReadyTask>,
     scratch: &mut Scratch,
     tally: &mut Tally,
@@ -563,16 +596,16 @@ fn complete(
     let key = task.key;
     let class = graph.class(key.class);
     let kind = graph.kind_of(key);
+    let lane = id.lane as usize;
     let start_ns = run.clock.now_ns();
+    tally.busy.start(start_ns);
+    node.publish_busy(lane, tally.busy);
     class.execute(key.params, &mut task.inputs, &mut scratch.flows);
-    id.local.task_instance(
-        id.node,
-        id.lane,
-        kind,
-        key.instance_id(),
-        start_ns,
-        run.clock.now_ns(),
-    );
+    let end_ns = run.clock.now_ns();
+    tally.busy.stop(end_ns);
+    node.publish_busy(lane, tally.busy);
+    id.local
+        .task_instance(id.node, id.lane, kind, key.instance_id(), start_ns, end_ns);
     // The body is done with its inputs: retire the box now, so the first
     // pending entry this completion creates can already reuse it.
     scratch.batch.recycle(task);
@@ -609,7 +642,6 @@ fn complete(
     // Drop the producer's references first, so each payload's last owner
     // is its consumer and the buffer is recycled where it is consumed.
     scratch.flows.clear();
-    let lane = id.lane as usize;
     run.pending
         .deliver_batch(graph, &mut scratch.batch, |t| node.push_local(lane, t));
     tally.tasks += 1;

@@ -19,12 +19,13 @@
 //! ```
 //!
 //! Both engines feed the same observability layer (the `obs` crate):
-//! every run records task/communication spans into a low-overhead
-//! per-thread ring recorder and counts runtime events in a metric
-//! registry, so a [`RunReport`] always carries per-node occupancy and a
+//! every run records task/communication spans into lossless per-thread
+//! buffers and counts runtime events in a metric registry, so a
+//! [`RunReport`] always carries per-node occupancy and a
 //! [`MetricsSnapshot`], and — when [`RunConfig::with_trace`] is set — the
 //! full span [`Trace`] ready for Chrome/Perfetto export via
-//! `obs::chrome::to_chrome_json`.
+//! `obs::chrome::to_chrome_json`. Live samples read per-lane busy clocks
+//! (`obs::BusyClock`), not spans.
 
 use crate::scheduler::SchedulerPolicy;
 use crate::task::Program;
@@ -83,11 +84,6 @@ pub struct RunConfig {
     /// victim sequence run over run — the "seed-stable" half of the
     /// determinism contract in `docs/EXECUTOR.md`.
     pub steal_seed: u64,
-    /// Per-lane tracer ring capacity in records; `None` uses the
-    /// recorder's default. Small capacities force ring overflow, which
-    /// the observability tests use to prove dropped-event accounting
-    /// reconciles (see [`RunConfig::with_ring_capacity`]).
-    pub ring_capacity: Option<usize>,
 }
 
 impl RunConfig {
@@ -115,7 +111,6 @@ impl RunConfig {
             sample_period_ns: None,
             live: None,
             steal_seed: Self::DEFAULT_STEAL_SEED,
-            ring_capacity: None,
         }
     }
 
@@ -135,7 +130,6 @@ impl RunConfig {
             sample_period_ns: None,
             live: None,
             steal_seed: Self::DEFAULT_STEAL_SEED,
-            ring_capacity: None,
         }
     }
 
@@ -196,15 +190,6 @@ impl RunConfig {
     /// explicit period: 10 ms on the engine's clock.
     pub const DEFAULT_SAMPLE_PERIOD_NS: u64 = 10_000_000;
 
-    /// Bound every tracer lane (span and message rings alike) to
-    /// `capacity` records. Overflowing lanes drop the newest records and
-    /// count them, so a deliberately tiny capacity lets tests prove the
-    /// dropped-event reconciliation instead of assuming rings never fill.
-    pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
-        self.ring_capacity = Some(capacity);
-        self
-    }
-
     /// Enable live sampling at `period_ns` on the engine's clock
     /// (wall-clock nanoseconds for the real engines, virtual nanoseconds
     /// for the simulator). Samples land in [`RunReport::samples`].
@@ -241,10 +226,7 @@ impl RunConfig {
 
     /// Build the run's recorder with the configured kind names registered.
     pub(crate) fn recorder(&self) -> Recorder {
-        let rec = match self.ring_capacity {
-            Some(cap) => Recorder::with_capacity(cap),
-            None => Recorder::new(),
-        };
+        let rec = Recorder::new();
         rec.register_kind(obs::KIND_COMM, "comm");
         for (kind, name) in &self.kind_names {
             rec.register_kind(*kind, name);
@@ -302,7 +284,7 @@ pub struct RunReport {
     /// Live samples collected during the run, when sampling was enabled
     /// (see [`RunConfig::with_sampling`]); empty otherwise.
     pub samples: Vec<LiveSample>,
-    /// The tracer's measured self-overhead over this run: record attempts
+    /// The tracer's measured self-overhead over this run: records
     /// times the calibrated per-event cost, against total worker-lane
     /// time. The budget is [`TracerOverhead::BUDGET_FRACTION`].
     pub overhead: TracerOverhead,

@@ -40,7 +40,7 @@ use crate::exec::{assemble_report, ExecMode, ModeExt, RunConfig, RunReport};
 use crate::pending::{Delivery, PendingTable, SpareTasks};
 use crate::task::{FlowData, Program, TaskKey};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use obs::{lane_busy_in_window, names, Live, LiveSample, LocalRecorder, Recorder};
+use obs::{names, window_busy, Live, LiveSample, LocalRecorder, MsgRecorder};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
@@ -127,8 +127,8 @@ impl<'p> Cluster<'p> {
 fn comm_thread(
     cluster: &Cluster<'_>,
     node: usize,
-    local: &LocalRecorder,
-    msg_local: &obs::MsgRecorder,
+    mut local: LocalRecorder,
+    mut msg_local: MsgRecorder,
 ) {
     let run = &cluster.run;
     let _abort = OnUnwind(|| {
@@ -189,17 +189,20 @@ fn comm_thread(
 }
 
 /// Periodic live sampler for the cluster: one [`LiveSample`] per node per
-/// tick, until the run is over. Per-node occupancy comes from the
-/// collected span store; queue depths are probed from the node's queues
-/// (its comm queue length doubles as "messages in flight" — a flow queued
-/// at the destination's comm thread is the wire here), and the node's
+/// tick, until the run is over. Lane busy fractions come from the lanes'
+/// busy clocks; queue depths are probed from the node's queues (its comm
+/// queue length doubles as "messages in flight" — a flow queued at the
+/// destination's comm thread is the wire here), and the node's
 /// cumulative steal/overflow counters ride along.
-fn sampler(cluster: &Cluster<'_>, recorder: &Recorder, live: &Live, period_ns: u64) {
+fn sampler(cluster: &Cluster<'_>, live: &Live, period_ns: u64) {
     let period = Duration::from_nanos(period_ns.max(1));
     let slice = period.min(Duration::from_millis(5));
-    let lanes = cluster.workers_per_node as u32;
     let run = &cluster.run;
-    let mut w0 = run.clock.now_ns();
+    // The windows tile the run from its clock's origin, where every busy
+    // clock reads 0, so a run that ends before this thread gets going
+    // still lands in the tail window.
+    let mut w0 = 0;
+    let mut last_busy = vec![vec![0u64; cluster.workers_per_node]; cluster.nodes.len()];
     let mut elapsed = Duration::ZERO;
     while !run.done.load(Ordering::Acquire) {
         std::thread::sleep(slice);
@@ -209,52 +212,48 @@ fn sampler(cluster: &Cluster<'_>, recorder: &Recorder, live: &Live, period_ns: u
         }
         elapsed = Duration::ZERO;
         let w1 = run.clock.now_ns();
-        publish_samples(cluster, recorder, live, lanes, w0, w1);
+        publish_samples(cluster, live, &mut last_busy, w0, w1);
         w0 = w1;
     }
     // Tail window up to completion.
-    publish_samples(cluster, recorder, live, lanes, w0, run.clock.now_ns());
+    publish_samples(cluster, live, &mut last_busy, w0, run.clock.now_ns());
 }
 
 fn publish_samples(
     cluster: &Cluster<'_>,
-    recorder: &Recorder,
     live: &Live,
-    lanes: u32,
+    last_busy: &mut [Vec<u64>],
     w0: u64,
     w1: u64,
 ) {
     if w1 <= w0 {
         return;
     }
-    let dropped_events = recorder.dropped();
     let mut pending = vec![0; cluster.nodes.len()];
     for key in cluster.run.pending.waiting(&cluster.run.program.graph) {
         pending[cluster.node_of(key)] += 1;
     }
-    recorder.with_collected(|spans| {
-        for (n, node) in cluster.nodes.iter().enumerate() {
-            let StealTotals {
-                steals,
-                steal_fails,
-                overflow_pushes,
-            } = node.totals();
-            live.publish(LiveSample {
-                t_ns: w1,
-                window_ns: w1 - w0,
-                node: n as u32,
-                lane_busy: lane_busy_in_window(spans, n as u32, lanes, w0, w1),
-                ready_depth: node.len(),
-                pending_tasks: pending[n],
-                inflight_msgs: cluster.inboxes.get(n).map_or(0, |i| i.rx.len() as u64),
-                inflight_bytes: 0,
-                dropped_events,
-                steals,
-                steal_fails,
-                overflow_pushes,
-            });
-        }
-    });
+    for (n, node) in cluster.nodes.iter().enumerate() {
+        let StealTotals {
+            steals,
+            steal_fails,
+            overflow_pushes,
+        } = node.totals();
+        let readings = node.busy_clocks().map(|c| c.read(w1));
+        live.publish(LiveSample {
+            t_ns: w1,
+            window_ns: w1 - w0,
+            node: n as u32,
+            lane_busy: window_busy(&mut last_busy[n], readings, w1 - w0),
+            ready_depth: node.len(),
+            pending_tasks: pending[n],
+            inflight_msgs: cluster.inboxes.get(n).map_or(0, |i| i.rx.len() as u64),
+            inflight_bytes: 0,
+            steals,
+            steal_fails,
+            overflow_pushes,
+        });
+    }
 }
 
 /// Run `program` under `cfg` on real threads (entered through
@@ -309,7 +308,7 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
                         node: node as u32,
                         lane: lane as u32,
                         steal_seed,
-                        local: &local,
+                        local,
                     };
                     worker(
                         &cluster.run,
@@ -325,12 +324,11 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
             let cluster = &cluster;
             let local = recorder.local();
             let msg_local = recorder.msg_local();
-            s.spawn(move |_| comm_thread(cluster, node, &local, &msg_local));
+            s.spawn(move |_| comm_thread(cluster, node, local, msg_local));
         }
         if let (Some(live), Some(period)) = (live.clone(), cfg.sample_period()) {
             let cluster = &cluster;
-            let recorder = recorder.clone();
-            s.spawn(move |_| sampler(cluster, &recorder, &live, period));
+            s.spawn(move |_| sampler(cluster, &live, period));
         }
     })
     .expect("worker panicked");

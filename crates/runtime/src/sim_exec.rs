@@ -29,7 +29,8 @@ use desim::{Engine, Model, Scheduler, TimeWeighted, VirtualDuration, VirtualTime
 use machine::MachineProfile;
 use netsim::{InFlight, NetworkModel};
 use obs::{
-    lane_busy_in_window, names, Counter, Gauge, Live, LiveSample, LocalRecorder, Metrics, Recorder,
+    names, window_busy, BusyClock, Counter, Gauge, Live, LiveSample, LocalRecorder, Metrics,
+    Recorder,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -123,6 +124,9 @@ struct NodeState {
     dispatch_scheduled: bool,
     /// The task on each worker lane, by lane.
     running: Vec<Option<Running>>,
+    /// Each worker lane's busy clock, and its reading at the last sample.
+    busy: Vec<BusyClock>,
+    sampled_busy: Vec<u64>,
     comm_queue: VecDeque<CommJob>,
     comm_active: usize,
     comm_busy: TimeWeighted,
@@ -192,32 +196,13 @@ struct Sim {
     local: LocalRecorder,
     msg_local: obs::MsgRecorder,
     metrics: SimMetrics,
-    recorder: Recorder,
     inflight: InFlight,
     live: Option<Live>,
     sample_period: Option<VirtualDuration>,
     last_sample: VirtualTime,
-    records_since_collect: usize,
 }
 
 impl Sim {
-    /// The whole simulation records through a single producer lane, so
-    /// a large run (every node's spans funnel through it) would fill
-    /// the lane's bounded ring long before the final drain. Moving
-    /// spans into the collector store this often keeps the ring far
-    /// from its drop-on-overflow path at any workload size.
-    const COLLECT_EVERY: usize = 8192;
-
-    /// Note one recorded span; periodically empty the producer lane
-    /// into the collector store.
-    fn note_recorded(&mut self) {
-        self.records_since_collect += 1;
-        if self.records_since_collect >= Self::COLLECT_EVERY {
-            self.records_since_collect = 0;
-            self.recorder.collect();
-        }
-    }
-
     fn node_of(&self, key: TaskKey) -> u32 {
         let n = self.program.graph.class(key.class).node_of(key.params);
         assert!(
@@ -255,6 +240,7 @@ impl Sim {
                 start: now,
                 task: ready,
             });
+            st.busy[lane as usize].start(now.as_nanos());
             let done = Ev::TaskDone { node, lane };
             sched.schedule_in(VirtualDuration::from_secs_f64(cost), done);
         }
@@ -354,9 +340,11 @@ impl Sim {
     }
 
     fn finish_task(&mut self, node: u32, lane: u32, now: VirtualTime, sched: &mut Scheduler<Ev>) {
-        let run = self.nodes[node as usize].running[lane as usize]
+        let st = &mut self.nodes[node as usize];
+        let run = st.running[lane as usize]
             .take()
             .unwrap_or_else(|| panic!("lane {lane} of node {node} finished but ran no task"));
+        st.busy[lane as usize].stop(now.as_nanos());
         let key = run.task.key;
         // Keep the program alive independently of `self` so the class
         // reference does not pin the whole struct borrow.
@@ -372,7 +360,6 @@ impl Sim {
             run.start.as_nanos(),
             now.as_nanos(),
         );
-        self.note_recorded();
         self.metrics.task_done(class.redundant_flops(key.params));
         // Produce outputs: real bodies or size-only placeholders.
         let mut task = run.task;
@@ -429,11 +416,11 @@ impl Sim {
     }
 
     /// Publish one [`LiveSample`] per node for the window
-    /// `[last_sample, now]`. Busy time is exact: the overlap of every
-    /// *finished* span with the window (from the collected store) plus
-    /// the elapsed part of every still-running task — so the
-    /// window-averaged live occupancy matches the post-hoc Fig-10 number
-    /// to the nanosecond when the windows tile the run.
+    /// `[last_sample, now]`. Busy time is exact: each lane's busy-clock
+    /// difference over the window, the elapsed part of a still-running
+    /// task included — so the window-averaged live occupancy matches the
+    /// post-hoc Fig-10 number to the nanosecond when the windows tile the
+    /// run.
     fn take_sample(&mut self, now: VirtualTime) {
         let Some(live) = &self.live else { return };
         let w0 = self.last_sample.as_nanos();
@@ -441,43 +428,26 @@ impl Sim {
         if w1 <= w0 {
             return;
         }
-        let lanes = self.lanes_per_node;
-        let window = (w1 - w0) as f64;
         let (inflight_msgs, inflight_bytes) = self.inflight.snapshot();
-        let dropped_events = self.recorder.dropped();
         let pending_tasks = self.pending.len();
-        let nodes = &self.nodes;
-        self.recorder.with_collected(|spans| {
-            for (n, st) in nodes.iter().enumerate() {
-                let mut busy = lane_busy_in_window(spans, n as u32, lanes, w0, w1);
-                // Running tasks have no span yet; count their elapsed
-                // overlap with the window (disjoint from any finished
-                // span on the same lane, so busy stays <= 1).
-                for (lane, r) in st.running.iter().enumerate() {
-                    let Some(r) = r else { continue };
-                    let lo = r.start.as_nanos().max(w0);
-                    if w1 > lo {
-                        busy[lane] += (w1 - lo) as f64 / window;
-                    }
-                }
-                live.publish(LiveSample {
-                    t_ns: w1,
-                    window_ns: w1 - w0,
-                    node: n as u32,
-                    lane_busy: busy,
-                    ready_depth: st.ready.len(),
-                    pending_tasks,
-                    inflight_msgs,
-                    inflight_bytes,
-                    dropped_events,
-                    // The simulator's central per-node queue never
-                    // steals or spills.
-                    steals: 0,
-                    steal_fails: 0,
-                    overflow_pushes: 0,
-                });
-            }
-        });
+        for (n, st) in self.nodes.iter_mut().enumerate() {
+            let readings = st.busy.iter().map(|c| c.read(w1));
+            live.publish(LiveSample {
+                t_ns: w1,
+                window_ns: w1 - w0,
+                node: n as u32,
+                lane_busy: window_busy(&mut st.sampled_busy, readings, w1 - w0),
+                ready_depth: st.ready.len(),
+                pending_tasks,
+                inflight_msgs,
+                inflight_bytes,
+                // The simulator's central per-node queue never steals or
+                // spills.
+                steals: 0,
+                steal_fails: 0,
+                overflow_pushes: 0,
+            });
+        }
         self.last_sample = now;
     }
 }
@@ -515,7 +485,6 @@ impl Model for Sim {
                     started.as_nanos(),
                     now.as_nanos(),
                 );
-                self.note_recorded();
                 // Receive processing done: the payload is now visible to
                 // the consumer — stamp and record the message span.
                 // Recording only reads virtual time, so traced and
@@ -523,7 +492,6 @@ impl Model for Sim {
                 if let Some(mut msg) = msg {
                     msg.deliver_ns = now.as_nanos();
                     self.msg_local.record(msg);
-                    self.note_recorded();
                 }
                 if let Some((consumer, slot, data)) = deliver {
                     self.deliver(consumer, slot, data, sched);
@@ -602,6 +570,8 @@ fn simulate(
             ready: ReadyQueue::new(cfg.scheduler, Arc::clone(&program.graph)),
             dispatch_scheduled: false,
             running: (0..lanes).map(|_| None).collect(),
+            busy: vec![BusyClock::default(); lanes as usize],
+            sampled_busy: vec![0; lanes as usize],
             comm_queue: VecDeque::new(),
             comm_active: 0,
             comm_busy: TimeWeighted::new(),
@@ -634,12 +604,10 @@ fn simulate(
         local: recorder.local(),
         msg_local: recorder.msg_local(),
         metrics: SimMetrics::new(metrics),
-        recorder: recorder.clone(),
         inflight: InFlight::new(),
         live,
         sample_period: sample_period_ns.map(|ns| VirtualDuration::from_nanos(ns.max(1))),
         last_sample: VirtualTime::ZERO,
-        records_since_collect: 0,
     };
 
     let mut engine = Engine::new(sim);

@@ -1,14 +1,15 @@
 //! The observability layer end to end: the Chrome `trace_event` export
-//! round-trips losslessly, its numbers agree with `obs::fig10`,
-//! and the three executors produce the same `obs` counters and task
-//! spans for an identical base-stencil run.
+//! round-trips losslessly, its numbers agree with `obs::fig10`, the
+//! three executors produce the same `obs` counters and task spans for an
+//! identical base-stencil run, and long real runs keep every span and
+//! message.
 
 use ca_stencil::{build_base, kind_names, Problem, StencilConfig};
 use machine::MachineProfile;
 use netsim::ProcessGrid;
 use obs::fig10;
 use obs::KIND_COMM;
-use runtime::{run, RunConfig, RunReport};
+use runtime::{run, DtdBuilder, RunConfig, RunReport};
 
 fn cfg() -> StencilConfig {
     // 4×4 tiles on a 2×2 grid, 3 iterations: 16 × (3 + init) = 64 tasks
@@ -125,7 +126,6 @@ fn comm_matrix_matches_static_edge_accounting_for_every_scheme() {
         let expected = analyze::peer_matrix(&dag);
         let report = run(&program, &sim_config());
         let trace = report.trace.as_ref().expect("trace requested");
-        assert_eq!(trace.dropped_msgs, 0, "{name}: lossy msg trace");
         let observed = trace.comm_matrix();
         analyze::verify_comm_matrix(&expected, &observed).unwrap_or_else(|e| panic!("{name}: {e}"));
         // and both agree with the simulator's own network accounting
@@ -136,53 +136,60 @@ fn comm_matrix_matches_static_edge_accounting_for_every_scheme() {
     }
 }
 
-/// Overflow accounting: a deliberately tiny tracer ring must *count*
-/// everything it cannot keep. Against a complete reference run of the
-/// same deterministic program, recorded + dropped reconciles exactly for
-/// both span lanes and message lanes, occupancy under-reports (never
-/// over-reports), and the exact-identity comm check refuses the lossy
-/// trace instead of passing it by luck.
+/// The exact comm-matrix identity refuses an incomplete trace: remove a
+/// single message span from a complete simulated trace and the check
+/// fails, naming the peer pair that lost it.
 #[test]
-fn tiny_ring_drops_are_counted_and_reconcile_exactly() {
+fn incomplete_msg_trace_fails_the_comm_matrix_identity() {
     let program = build_base(&cfg(), false).program;
-    let complete = run(&program, &sim_config());
-    let lossy = run(&program, &sim_config().with_ring_capacity(4));
-    let complete_bytes = complete.remote_bytes();
-    let full = complete.trace.expect("trace requested");
-    let thin = lossy.trace.expect("trace requested");
-    assert_eq!(full.dropped, 0);
-    assert!(thin.dropped > 0, "capacity 4 must overflow span lanes");
-    assert!(thin.dropped_msgs > 0, "capacity 4 must overflow msg lanes");
-
-    // Attempts are identical (deterministic run), so kept + dropped on
-    // the lossy side must equal the complete side's record counts.
-    assert_eq!(
-        thin.spans.len() as u64 + thin.dropped,
-        full.spans.len() as u64
-    );
-    assert_eq!(
-        thin.msgs.len() as u64 + thin.dropped_msgs,
-        full.msgs.len() as u64
-    );
-    // The comm matrix surfaces its own incompleteness.
-    assert_eq!(thin.comm_matrix().dropped, thin.dropped_msgs);
-    let thin_bytes: u64 = thin.comm_matrix().peers.values().map(|p| p.bytes).sum();
-    assert!(thin_bytes < complete_bytes);
-
-    // Fig-10 style totals only lose time, never invent it.
-    let lanes = MachineProfile::nacl().compute_threads();
-    let horizon = full.horizon_ns();
-    for node in full.nodes() {
-        assert!(
-            thin.occupancy(node, lanes, horizon) <= full.occupancy(node, lanes, horizon) + 1e-12,
-            "node {node} over-reports occupancy from a lossy trace"
-        );
-    }
-
-    // And the exact-identity gate refuses a lower-bound matrix.
     let dag = analyze::unfold(&program, &analyze::AnalyzeConfig::new());
     let expected = analyze::peer_matrix(&dag);
-    let err = analyze::verify_comm_matrix(&expected, &thin.comm_matrix())
-        .expect_err("a lossy matrix must not pass the exact-byte identity");
-    assert!(err.contains("dropped"), "{err}");
+    let mut trace = run(&program, &sim_config()).trace.expect("trace requested");
+    analyze::verify_comm_matrix(&expected, &trace.comm_matrix()).expect("complete trace");
+
+    let lost = trace.msgs.remove(trace.msgs.len() / 2);
+    let err = analyze::verify_comm_matrix(&expected, &trace.comm_matrix())
+        .expect_err("a trace missing one message must fail the exact identity");
+    let pair = format!("{}->{}", lost.src, lost.dst);
+    assert!(err.contains(&pair), "{err} does not name {pair}");
+}
+
+/// A real run longer than any bounded per-lane buffer keeps every span:
+/// one worker runs a 100 000-task chain with no sampler, and the report's
+/// occupancy is computed from the complete trace.
+#[test]
+fn long_real_runs_keep_every_span() {
+    let n = 100_000;
+    let mut b = DtdBuilder::new();
+    let mut prev = b.insert(0, 0.0, &[]);
+    for _ in 1..n {
+        prev = b.insert(0, 0.0, &[prev]);
+    }
+    let report = run(&b.build(), &RunConfig::shared_memory(1).with_trace());
+    let trace = report.trace.as_ref().expect("trace requested");
+    assert_eq!(trace.task_spans().count(), n);
+    assert_eq!(trace.dropped, 0);
+    let horizon = (report.makespan * 1e9).round() as u64;
+    assert_eq!(report.node_occupancy[0], trace.occupancy(0, 1, horizon));
+}
+
+/// A chain that alternates between two nodes sends 70 000 messages each
+/// way through real comm threads; the trace keeps every one of them and
+/// matches the static comm matrix exactly.
+#[test]
+fn long_cross_node_chains_keep_every_message() {
+    let hops_each_way = 70_000;
+    let mut b = DtdBuilder::new();
+    let mut prev = b.insert(0, 0.0, &[]);
+    for i in 1..=2 * hops_each_way {
+        prev = b.insert(i % 2, 0.0, &[prev]);
+    }
+    let program = b.build();
+    let report = run(&program, &RunConfig::multi_process(2, 1).with_trace());
+    let trace = report.trace.as_ref().expect("trace requested");
+    assert_eq!(report.remote_messages(), 2 * hops_each_way as u64);
+    assert_eq!(trace.msgs.len() as u64, report.remote_messages());
+    let dag = analyze::unfold(&program, &analyze::AnalyzeConfig::new());
+    analyze::verify_comm_matrix(&analyze::peer_matrix(&dag), &trace.comm_matrix())
+        .expect("every message traced");
 }
