@@ -53,6 +53,16 @@ step ./target/release/stencil-doctor --check
 # nanoseconds; the makespans must match BENCH_whatif.json within 2 %.
 step ./target/release/stencil-whatif --check
 
+# Transcript gate: docs/OBSERVABILITY.md §6 quotes stencil-whatif's
+# output, which is in virtual time and so byte-stable; the quoted block
+# (the lines after its `$ cargo run ...` line) must equal a fresh run.
+transcript_gate() {
+    local cmd='$ cargo run --release -p bench --bin stencil-whatif'
+    diff <(awk -v cmd="$cmd" '$0 == cmd { on = 1; next } on && /^```/ { exit } on' \
+        docs/OBSERVABILITY.md) <(./target/release/stencil-whatif)
+}
+step transcript_gate
+
 # Communication-observatory gate: the per-peer comm matrix built from
 # traced message spans must carry exactly the per-edge message and byte
 # counts `analyze` derives statically, for every scheme (base/ca/pa2/dtd).

@@ -2,7 +2,7 @@
 //! to the human-readable table, for downstream plotting, and every run's
 //! `obs` metric snapshot as JSON-lines for diffing across runs.
 //!
-//! The JSONL side works like a default metric registry: experiment
+//! The JSONL side is a per-process metric log: experiment
 //! modules call [`record`] (or [`record_scalars`]) as they execute, and
 //! the figure binary flushes everything with [`write_metrics`] at the
 //! end. The log is thread-local — each binary is single-threaded at the
@@ -56,11 +56,8 @@ pub fn record(run: &str, report: &runtime::RunReport) {
 /// executor (roofline analysis, STREAM, NetPIPE): each `(name, value)`
 /// becomes an `obs` counter under the label `run`.
 pub fn record_scalars(run: &str, values: &[(&str, u64)]) {
-    let metrics = obs::Metrics::new();
-    for (name, value) in values {
-        metrics.counter(name).add(*value);
-    }
-    let text = obs::jsonl::render(run, &metrics.snapshot(), None);
+    let snapshot = obs::MetricsSnapshot::from_counters(values.iter().copied());
+    let text = obs::jsonl::render(run, &snapshot, None);
     METRICS_LOG.with(|log| log.borrow_mut().push_str(&text));
 }
 

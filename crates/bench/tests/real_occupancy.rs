@@ -11,7 +11,7 @@ use bench::exp_doctor::{probe_occupancy_above, OCCUPANCY_PROBE_ATTEMPTS};
 
 /// A real shared-memory run of the base scheme (kernel bodies on) keeps
 /// its lanes busier than either simulated reference baseline, and its
-/// steal counters reach the metric registry. Best-of-N: wall-clock
+/// steal counters reach the metric snapshot. Best-of-N: wall-clock
 /// occupancy is load-noisy.
 #[test]
 fn real_run_occupancy_beats_the_simulated_baselines() {

@@ -337,7 +337,7 @@ mod tests {
             &RunConfig::simulated(machine::MachineProfile::nacl(), 1),
         );
         assert_eq!(r.remote_messages(), 0);
-        assert!(r.local_flows().unwrap() > 0);
+        assert!(r.counter("activations") > 0, "every flow stays local");
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! * [`time`] — integral nanosecond [`VirtualTime`]/[`VirtualDuration`], so
 //!   simulations are bit-reproducible;
 //! * [`engine`] — a typed event loop ([`Engine`], [`Model`], [`Scheduler`])
-//!   with stable FIFO ordering of simultaneous events;
-//! * [`stats`] — [`TimeWeighted`], the time-weighted mean behind the
-//!   simulator's utilization figures.
+//!   with stable FIFO ordering of simultaneous events.
 //!
 //! The engine is callback-free and coroutine-free: a model is a state
 //! machine over its own event enum. This keeps the hot loop allocation-light
@@ -40,9 +38,7 @@
 #![deny(missing_docs)]
 
 pub mod engine;
-pub mod stats;
 pub mod time;
 
 pub use engine::{Engine, Model, Scheduler};
-pub use stats::TimeWeighted;
 pub use time::{VirtualDuration, VirtualTime};

@@ -16,7 +16,6 @@
 #![deny(missing_docs)]
 
 pub mod collective;
-pub mod inflight;
 pub mod model;
 pub mod netpipe;
 pub mod topology;
@@ -26,7 +25,6 @@ pub mod topology;
 pub use desim;
 
 pub use collective::CollectiveModel;
-pub use inflight::InFlight;
 pub use model::NetworkModel;
 pub use netpipe::{netpipe_sweep, ping_pong, NetPipePoint};
 pub use topology::{NodeId, ProcessGrid};

@@ -168,23 +168,24 @@ pub fn parse(text: &str) -> Result<Vec<(String, MetricsSnapshot)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{names, Metrics, Recorder};
+    use crate::{names, GaugeValue, MetricsSnapshot, Recorder};
 
     #[test]
     fn render_then_parse_round_trips() {
-        let m = Metrics::new();
-        m.counter(names::MESSAGES_SENT).add(12);
-        m.counter(names::BYTES_SENT).add(4096);
-        m.counter(names::STEALS).add(9);
-        m.counter(names::STEAL_FAILS).add(2);
-        m.counter(names::OVERFLOW_PUSHES).add(1);
-        m.gauge(names::QUEUE_DEPTH).add(5);
-        m.gauge(names::QUEUE_DEPTH).add(-2);
+        let mut snap = MetricsSnapshot::from_counters([
+            (names::MESSAGES_SENT, 12),
+            (names::BYTES_SENT, 4096),
+            (names::STEALS, 9),
+            (names::STEAL_FAILS, 2),
+            (names::OVERFLOW_PUSHES, 1),
+        ]);
+        let depth = GaugeValue { current: 3, max: 5 };
+        snap.gauges.insert(names::QUEUE_DEPTH.to_string(), depth);
         let rec = Recorder::new();
         rec.local().task(0, 0, 0, 0, 10);
         let trace = rec.drain();
 
-        let text = render("base_4x4", &m.snapshot(), Some(&trace));
+        let text = render("base_4x4", &snap, Some(&trace));
         assert!(text.lines().count() >= 4);
         assert!(text.lines().all(|l| l.starts_with('{')));
 
@@ -203,12 +204,9 @@ mod tests {
 
     #[test]
     fn multiple_runs_keep_order_and_separation() {
-        let m1 = Metrics::new();
-        m1.counter("x").add(1);
-        let m2 = Metrics::new();
-        m2.counter("x").add(2);
-        let mut text = render("b", &m1.snapshot(), None);
-        text.push_str(&render("a", &m2.snapshot(), None));
+        let x = |value| MetricsSnapshot::from_counters([("x", value)]);
+        let mut text = render("b", &x(1), None);
+        text.push_str(&render("a", &x(2), None));
         let parsed = parse(&text).unwrap();
         assert_eq!(parsed[0].0, "b");
         assert_eq!(parsed[1].0, "a");
@@ -218,8 +216,6 @@ mod tests {
 
     #[test]
     fn comm_matrix_lines_export_and_parse_tolerantly() {
-        let m = Metrics::new();
-        m.counter("x").add(1);
         let rec = Recorder::new();
         rec.local().task(0, 0, 0, 0, 10);
         rec.msg_local().record(crate::MsgSpan {
@@ -232,7 +228,8 @@ mod tests {
             deliver_ns: 100,
         });
         let trace = rec.drain();
-        let text = render("r", &m.snapshot(), Some(&trace));
+        let snap = MetricsSnapshot::from_counters([("x", 1)]);
+        let text = render("r", &snap, Some(&trace));
         assert!(text.contains("\"record\":\"comm\""), "{text}");
         assert!(text.contains("\"bytes\":256"), "{text}");
         assert!(text.contains("\"msg_spans\":1"), "{text}");
@@ -243,16 +240,15 @@ mod tests {
 
     #[test]
     fn scheduler_header_survives_round_trip() {
-        let m = Metrics::new();
-        m.counter("x").add(7);
-        let text = render_with_scheduler("r", Some("lifo"), &m.snapshot(), None);
+        let snap = MetricsSnapshot::from_counters([("x", 7)]);
+        let text = render_with_scheduler("r", Some("lifo"), &snap, None);
         let header = text.lines().next().unwrap();
         assert!(header.contains("\"scheduler\":\"lifo\""), "{header}");
         // Old readers ignore the extra header field.
         let parsed = parse(&text).unwrap();
         assert_eq!(parsed[0].1.counter("x"), 7);
         // And render() itself never emits one.
-        let plain = render("r", &m.snapshot(), None);
+        let plain = render("r", &snap, None);
         assert!(!plain.contains("scheduler"));
     }
 

@@ -13,9 +13,9 @@
 //!   occupancy over a sliding window, read from per-lane [`BusyClock`]s,
 //!   queue depths, network in-flight) the executors publish at a
 //!   configurable cadence, observable mid-run by `stencil-top`.
-//! * [`Metrics`] — a registry of named atomic counters and gauges
-//!   (messages sent, bytes moved, redundant communication-avoiding flops,
-//!   queue depths, …) snapshotted at the end of a run.
+//! * [`MetricsSnapshot`] — a run's counters and gauges (messages sent,
+//!   bytes moved, redundant communication-avoiding flops, queue depths,
+//!   …) under the standard [`names`], built once at the end of a run.
 //! * Exporters — [`chrome`] renders a drained [`Trace`] as Chrome
 //!   `trace_event` JSON (loadable in Perfetto / `chrome://tracing`) and
 //!   parses it back; [`jsonl`] renders metric snapshots as JSON-lines for
@@ -40,12 +40,12 @@ pub mod sample;
 
 pub use comm::{CommMatrix, MsgSpan, PeerFlow};
 pub use hist::{DurationSummary, LogHistogram};
-pub use metrics::{names, Counter, ExpectedCounters, Gauge, GaugeValue, Metrics, MetricsSnapshot};
+pub use metrics::{names, ExpectedCounters, GaugeValue, MetricsSnapshot};
 pub use recorder::{
     per_event_cost_ns, LocalRecorder, MsgRecorder, RecordBuffer, Recorder, SpanRecord, Trace,
     TracerOverhead, WallClock,
 };
-pub use sample::{window_busy, BusyClock, Live, LiveSample};
+pub use sample::{occupancy, window_busy, BusyClock, Live, LiveSample};
 
 /// Span kind tag for communication activity, matching the simulator's
 /// convention (task-class kinds are small integers; 1000 is the comm lane).

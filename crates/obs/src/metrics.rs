@@ -1,10 +1,10 @@
-//! Counter/gauge registry: named atomic instruments shared across the
-//! threads of a run, snapshotted once at the end.
+//! A run's counters and gauges: the snapshot every report carries, its
+//! standard key names, and the statically predicted values it is checked
+//! against. The engines count in plain integers and build the snapshot
+//! once, at the end of the run.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Canonical instrument names, so the three executors and the bench
 /// harness agree on spelling.
@@ -32,62 +32,8 @@ pub mod names {
     pub const QUEUE_DEPTH: &str = "queue_depth";
 }
 
-/// A monotonically increasing atomic counter.
-#[derive(Clone)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-struct GaugeInner {
-    current: AtomicI64,
-    max: AtomicI64,
-}
-
-/// An atomic gauge tracking a current value and its high-water mark.
-#[derive(Clone)]
-pub struct Gauge(Arc<GaugeInner>);
-
-impl Gauge {
-    /// Move the gauge by `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        let now = self.0.current.fetch_add(delta, Ordering::Relaxed) + delta;
-        self.0.max.fetch_max(now, Ordering::Relaxed);
-    }
-
-    /// Set the gauge to `value`.
-    pub fn set(&self, value: i64) {
-        self.0.current.store(value, Ordering::Relaxed);
-        self.0.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.current.load(Ordering::Relaxed)
-    }
-
-    /// Highest value ever set or reached.
-    pub fn max(&self) -> i64 {
-        self.0.max.load(Ordering::Relaxed)
-    }
-}
-
 /// Snapshot of one gauge: current value and high-water mark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GaugeValue {
     /// Value at snapshot time.
     pub current: i64,
@@ -95,7 +41,7 @@ pub struct GaugeValue {
     pub max: i64,
 }
 
-/// Immutable snapshot of every instrument in a [`Metrics`] registry.
+/// Immutable snapshot of a run's counters and gauges.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Counter name → value.
@@ -105,6 +51,17 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// A snapshot of just these counters, with no gauges.
+    pub fn from_counters<'a>(counters: impl IntoIterator<Item = (&'a str, u64)>) -> Self {
+        MetricsSnapshot {
+            counters: counters
+                .into_iter()
+                .map(|(name, value)| (name.to_string(), value))
+                .collect(),
+            gauges: BTreeMap::new(),
+        }
+    }
+
     /// Value of a counter, zero when absent.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -159,142 +116,14 @@ impl ExpectedCounters {
     }
 }
 
-struct Registry {
-    counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
-}
-
-/// A registry of named instruments. Clone it freely — all clones share
-/// the same instruments, and `counter`/`gauge` return cheap handles that
-/// threads keep and bump without touching the registry again.
-#[derive(Clone)]
-pub struct Metrics {
-    registry: Arc<Registry>,
-}
-
-impl Metrics {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Metrics {
-            registry: Arc::new(Registry {
-                counters: Mutex::new(BTreeMap::new()),
-                gauges: Mutex::new(BTreeMap::new()),
-            }),
-        }
-    }
-
-    /// Get or create the counter named `name`.
-    pub fn counter(&self, name: &str) -> Counter {
-        self.registry
-            .counters
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(name.to_string())
-            .or_insert_with(|| Counter(Arc::new(AtomicU64::new(0))))
-            .clone()
-    }
-
-    /// Get or create the gauge named `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.registry
-            .gauges
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(name.to_string())
-            .or_insert_with(|| {
-                Gauge(Arc::new(GaugeInner {
-                    current: AtomicI64::new(0),
-                    max: AtomicI64::new(0),
-                }))
-            })
-            .clone()
-    }
-
-    /// Snapshot every instrument registered so far.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
-            .registry
-            .counters
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(name, c)| (name.clone(), c.get()))
-            .collect();
-        let gauges = self
-            .registry
-            .gauges
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(name, g)| {
-                (
-                    name.clone(),
-                    GaugeValue {
-                        current: g.get(),
-                        max: g.max(),
-                    },
-                )
-            })
-            .collect();
-        MetricsSnapshot { counters, gauges }
-    }
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_across_clones() {
-        let m = Metrics::new();
-        let a = m.counter(names::MESSAGES_SENT);
-        let b = m.clone().counter(names::MESSAGES_SENT);
-        a.inc();
-        b.add(4);
-        assert_eq!(m.snapshot().counter(names::MESSAGES_SENT), 5);
-        assert_eq!(m.snapshot().counter("never_touched"), 0);
-    }
-
-    #[test]
-    fn gauge_tracks_high_water_mark() {
-        let m = Metrics::new();
-        let g = m.gauge(names::QUEUE_DEPTH);
-        g.add(3);
-        g.add(4);
-        g.add(-6);
-        let snap = m.snapshot();
-        assert_eq!(snap.gauges[names::QUEUE_DEPTH].current, 1);
-        assert_eq!(snap.gauge_max(names::QUEUE_DEPTH), 7);
-    }
-
-    #[test]
-    fn concurrent_bumps_are_not_lost() {
-        let m = Metrics::new();
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let c = m.counter("hits");
-                s.spawn(move || {
-                    for _ in 0..10_000 {
-                        c.inc();
-                    }
-                });
-            }
-        });
-        assert_eq!(m.snapshot().counter("hits"), 80_000);
-    }
-
-    #[test]
     fn verify_reports_only_mismatches() {
-        let m = Metrics::new();
-        m.counter(names::TASKS_EXECUTED).add(8);
-        m.counter(names::MESSAGES_SENT).add(3);
-        let snap = m.snapshot();
+        let snap =
+            MetricsSnapshot::from_counters([(names::TASKS_EXECUTED, 8), (names::MESSAGES_SENT, 3)]);
         let ok = ExpectedCounters::new()
             .expect(names::TASKS_EXECUTED, 8)
             .expect(names::MESSAGES_SENT, 3);
@@ -309,10 +138,12 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_through_json() {
-        let m = Metrics::new();
-        m.counter(names::BYTES_SENT).add(u64::MAX - 7);
-        m.gauge(names::QUEUE_DEPTH).set(-3);
-        let snap = m.snapshot();
+        let mut snap = MetricsSnapshot::from_counters([(names::BYTES_SENT, u64::MAX - 7)]);
+        let depth = GaugeValue {
+            current: -3,
+            max: 0,
+        };
+        snap.gauges.insert(names::QUEUE_DEPTH.to_string(), depth);
         let text = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&text).unwrap();
         assert_eq!(back, snap);

@@ -437,11 +437,7 @@ impl Trace {
     /// `[0, horizon_ns]` — the paper's "CPU occupancy", from
     /// [`Trace::busy_ns`], so never above 1.
     pub fn occupancy(&self, node: u32, lanes: u32, horizon_ns: u64) -> f64 {
-        let denom = horizon_ns as f64 * lanes as f64;
-        if denom == 0.0 {
-            return 0.0;
-        }
-        self.busy_ns(node, lanes, horizon_ns) as f64 / denom
+        crate::occupancy(self.busy_ns(node, lanes, horizon_ns), lanes, horizon_ns)
     }
 
     /// Idle gaps between consecutive spans on one `(node, lane)` pair over

@@ -192,6 +192,19 @@ impl BusyClock {
     }
 }
 
+/// Busy fraction of `lanes` lanes that were busy `busy_ns` in total over
+/// `[0, horizon_ns]` — the paper's "CPU occupancy". The report reads it
+/// from the lanes' busy clocks and [`crate::Trace::occupancy`] from the
+/// spans; both go through here, so they agree to the bit. Zero when the
+/// horizon or the lane count is zero.
+pub fn occupancy(busy_ns: u64, lanes: u32, horizon_ns: u64) -> f64 {
+    let denom = horizon_ns as f64 * lanes as f64;
+    if denom == 0.0 {
+        return 0.0;
+    }
+    busy_ns as f64 / denom
+}
+
 /// Busy fraction of each lane over a window of `window_ns > 0`, from each
 /// lane's busy-clock reading at the window's end. `last` holds the
 /// readings at the window's start and advances to the new ones.

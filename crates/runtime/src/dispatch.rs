@@ -43,6 +43,7 @@
 //! fraction.
 
 use crate::deque::{Steal, StealDeque};
+use crate::exec::RunCounts;
 use crate::pending::{Delivery, DeliveryBatch, PendingTable, ReadyTask};
 use crate::ready_queue::ReadyQueue;
 use crate::scheduler::SchedulerPolicy;
@@ -52,7 +53,7 @@ use loom::sync::{
     atomic::{fence, AtomicUsize},
     Condvar, Mutex as GateMutex,
 };
-use obs::{names, BusyClock, LocalRecorder, Metrics, WallClock};
+use obs::{BusyClock, LocalRecorder, WallClock};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -97,15 +98,11 @@ pub(crate) struct StealTotals {
     pub overflow_pushes: u64,
 }
 
-impl StealTotals {
-    /// Add the totals to the run's `steals` / `steal_fails` /
-    /// `overflow_pushes` counters.
-    pub(crate) fn publish(&self, metrics: &Metrics) {
-        metrics.counter(names::STEALS).add(self.steals);
-        metrics.counter(names::STEAL_FAILS).add(self.steal_fails);
-        metrics
-            .counter(names::OVERFLOW_PUSHES)
-            .add(self.overflow_pushes);
+impl std::ops::AddAssign for StealTotals {
+    fn add_assign(&mut self, other: Self) {
+        self.steals += other.steals;
+        self.steal_fails += other.steal_fails;
+        self.overflow_pushes += other.overflow_pushes;
     }
 }
 
@@ -424,7 +421,6 @@ pub(crate) struct RunShared<'p> {
     pub(crate) done: AtomicBool,
     /// `clock` reading when the last task completed: the run's horizon.
     pub(crate) finished_ns: AtomicU64,
-    pub(crate) metrics: Metrics,
     pub(crate) clock: WallClock,
 }
 
@@ -436,48 +432,8 @@ impl<'p> RunShared<'p> {
             completed: AtomicU64::new(0),
             done: AtomicBool::new(false),
             finished_ns: AtomicU64::new(0),
-            metrics: Metrics::new(),
             clock: WallClock::start(),
         }
-    }
-}
-
-/// What one worker counted, added to the run's [`Metrics`] once, when the
-/// worker exits — the per-task path touches no shared instrument but its
-/// own lane's busy clock.
-#[derive(Default)]
-struct Tally {
-    /// This lane's busy clock, published at every start and stop.
-    busy: BusyClock,
-    tasks: u64,
-    /// Flows this worker delivered into the activation table.
-    activations: u64,
-    redundant_flops: u64,
-    messages: u64,
-    bytes: u64,
-    depth_max: usize,
-    depth_last: usize,
-}
-
-impl Tally {
-    /// Instruments are created only for what was counted, so a run's
-    /// snapshot has the same keys as when every event bumped its counter
-    /// directly.
-    fn publish(&self, metrics: &Metrics) {
-        metrics.counter(names::TASKS_EXECUTED).add(self.tasks);
-        metrics.counter(names::ACTIVATIONS).add(self.activations);
-        if self.redundant_flops > 0 {
-            metrics
-                .counter(names::REDUNDANT_FLOPS)
-                .add(self.redundant_flops);
-        }
-        if self.messages > 0 {
-            metrics.counter(names::MESSAGES_SENT).add(self.messages);
-            metrics.counter(names::BYTES_SENT).add(self.bytes);
-        }
-        let depth = metrics.gauge(names::QUEUE_DEPTH);
-        depth.set(self.depth_max as i64);
-        depth.set(self.depth_last as i64);
     }
 }
 
@@ -489,12 +445,15 @@ struct Scratch {
     batch: DeliveryBatch,
 }
 
-/// Identity of one worker thread and the handle it records through.
+/// Identity of one worker thread, its lane's busy clock (published at
+/// every start and stop) and, on a traced run, the handle it records
+/// through.
 pub(crate) struct WorkerId {
     pub(crate) node: u32,
     pub(crate) lane: u32,
     pub(crate) steal_seed: u64,
-    pub(crate) local: LocalRecorder,
+    pub(crate) busy: BusyClock,
+    pub(crate) local: Option<LocalRecorder>,
 }
 
 /// Runs its closure when dropped during a panic, and never otherwise.
@@ -509,7 +468,9 @@ impl<F: FnMut()> Drop for OnUnwind<F> {
 }
 
 /// The worker loop of the threaded engine: pop (own queue → injector →
-/// steal), complete, park when dry, until the run is over.
+/// steal), complete, park when dry, until the run is over. Returns what
+/// the worker counted; the per-task path touches no shared counter but
+/// its own lane's busy clock.
 ///
 /// `ship` is the one placement-specific branch: it is offered every output
 /// flow together with the producing task's kind, and either returns it
@@ -528,14 +489,14 @@ pub(crate) fn worker(
     mut id: WorkerId,
     mut ship: impl FnMut(Delivery, u32) -> Option<Delivery>,
     shutdown: impl Fn(),
-) {
+) -> RunCounts {
     let _abort = OnUnwind(|| {
         run.done.store(true, Ordering::Release);
         shutdown();
     });
     let mut rng = WorkerRng::new(id.steal_seed, id.lane as u64);
     let mut scratch = Scratch::default();
-    let mut tally = Tally::default();
+    let mut counts = RunCounts::default();
     let mut idle_rounds = 0u32;
     let mut last_seen = run.completed.load(Ordering::Acquire);
     while !run.done.load(Ordering::Acquire) {
@@ -547,7 +508,7 @@ pub(crate) fn worker(
                 &mut id,
                 task,
                 &mut scratch,
-                &mut tally,
+                &mut counts,
                 &mut ship,
             ) {
                 run.finished_ns.store(run.clock.now_ns(), Ordering::Release);
@@ -577,7 +538,7 @@ pub(crate) fn worker(
             );
         }
     }
-    tally.publish(&run.metrics);
+    counts
 }
 
 /// Execute one ready task, record its span, route its output flows
@@ -589,7 +550,7 @@ fn complete(
     id: &mut WorkerId,
     mut task: Box<ReadyTask>,
     scratch: &mut Scratch,
-    tally: &mut Tally,
+    counts: &mut RunCounts,
     ship: &mut impl FnMut(Delivery, u32) -> Option<Delivery>,
 ) -> bool {
     let graph = &run.program.graph;
@@ -598,14 +559,15 @@ fn complete(
     let kind = graph.kind_of(key);
     let lane = id.lane as usize;
     let start_ns = run.clock.now_ns();
-    tally.busy.start(start_ns);
-    node.publish_busy(lane, tally.busy);
+    id.busy.start(start_ns);
+    node.publish_busy(lane, id.busy);
     class.execute(key.params, &mut task.inputs, &mut scratch.flows);
     let end_ns = run.clock.now_ns();
-    tally.busy.stop(end_ns);
-    node.publish_busy(lane, tally.busy);
-    id.local
-        .task_instance(id.node, id.lane, kind, key.instance_id(), start_ns, end_ns);
+    id.busy.stop(end_ns);
+    node.publish_busy(lane, id.busy);
+    if let Some(local) = &mut id.local {
+        local.task_instance(id.node, id.lane, kind, key.instance_id(), start_ns, end_ns);
+    }
     // The body is done with its inputs: retire the box now, so the first
     // pending entry this completion creates can already reuse it.
     scratch.batch.recycle(task);
@@ -631,11 +593,11 @@ fn complete(
         match ship(delivery, kind) {
             Some(local) => {
                 scratch.batch.push(local);
-                tally.activations += 1;
+                counts.activations += 1;
             }
             None => {
-                tally.messages += 1;
-                tally.bytes += bytes;
+                counts.messages += 1;
+                counts.bytes += bytes;
             }
         }
     }
@@ -644,10 +606,9 @@ fn complete(
     scratch.flows.clear();
     run.pending
         .deliver_batch(graph, &mut scratch.batch, |t| node.push_local(lane, t));
-    tally.tasks += 1;
-    tally.redundant_flops += class.redundant_flops(key.params);
-    tally.depth_last = node.depth(lane);
-    tally.depth_max = tally.depth_max.max(tally.depth_last);
+    counts.tasks += 1;
+    counts.redundant_flops += class.redundant_flops(key.params);
+    counts.queue_depth(node.depth(lane));
     run.completed.fetch_add(1, Ordering::AcqRel) + 1 == run.program.total_tasks
 }
 

@@ -18,19 +18,20 @@
 //! );
 //! ```
 //!
-//! Both engines feed the same observability layer (the `obs` crate):
-//! every run records task/communication spans into lossless per-thread
-//! buffers and counts runtime events in a metric registry, so a
-//! [`RunReport`] always carries per-node occupancy and a
-//! [`MetricsSnapshot`], and — when [`RunConfig::with_trace`] is set — the
-//! full span [`Trace`] ready for Chrome/Perfetto export via
-//! `obs::chrome::to_chrome_json`. Live samples read per-lane busy clocks
-//! (`obs::BusyClock`), not spans.
+//! Both engines feed the same observability layer (the `obs` crate).
+//! Every [`RunReport`] carries per-node occupancy, read from the worker
+//! lanes' busy clocks (`obs::BusyClock`), and a [`MetricsSnapshot`] built
+//! from the plain counts the engine kept. Task, communication and message
+//! spans are recorded only when [`RunConfig::with_trace`] is set; the
+//! report then carries the full span [`Trace`], ready for
+//! Chrome/Perfetto export via `obs::chrome::to_chrome_json`. Live samples
+//! read the same busy clocks, not spans.
 
+use crate::dispatch::StealTotals;
 use crate::scheduler::SchedulerPolicy;
 use crate::task::Program;
 use machine::MachineProfile;
-use obs::{Live, LiveSample, Metrics, MetricsSnapshot, Recorder, Trace, TracerOverhead};
+use obs::{names, GaugeValue, Live, LiveSample, MetricsSnapshot, Recorder, Trace, TracerOverhead};
 
 /// Which engine executes the program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,27 +236,79 @@ impl RunConfig {
     }
 }
 
-/// Mode-specific extension of a [`RunReport`].
-#[derive(Debug, Clone)]
-pub enum ModeExt {
-    /// Threaded-run extras.
-    MultiProcess {
-        /// Flows that crossed between nodes (through the comm threads).
-        cross_node_flows: u64,
-        /// Total flows delivered between tasks.
-        flows_delivered: u64,
-    },
-    /// Simulator extras.
-    Simulated {
-        /// Messages that crossed the network.
-        remote_messages: u64,
-        /// Bytes that crossed the network.
-        remote_bytes: u64,
-        /// Flows delivered node-locally.
-        local_flows: u64,
-        /// Per-node communication-engine utilization over the makespan.
-        comm_utilization: Vec<f64>,
-    },
+/// What an engine counted over one run, in plain integers. The simulator
+/// counts into one; each threaded worker counts into its own, and the
+/// engine merges them once every thread has joined. [`assemble_report`]
+/// turns the total into the report's [`MetricsSnapshot`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RunCounts {
+    pub(crate) tasks: u64,
+    /// Flows delivered into the activation table, local or remote.
+    pub(crate) activations: u64,
+    pub(crate) redundant_flops: u64,
+    /// Messages and payload bytes sent between nodes.
+    pub(crate) messages: u64,
+    pub(crate) bytes: u64,
+    /// The ready-queue depth last seen, and the highest.
+    pub(crate) depth: GaugeValue,
+    /// Work-stealing totals; the threaded engine always has them, the
+    /// simulator's central queues never do.
+    pub(crate) steals: Option<StealTotals>,
+}
+
+impl RunCounts {
+    /// A ready queue was seen `depth` deep.
+    pub(crate) fn queue_depth(&mut self, depth: usize) {
+        let depth = depth as i64;
+        self.depth = GaugeValue {
+            current: depth,
+            max: self.depth.max.max(depth),
+        };
+    }
+
+    /// Add another thread's counts; its last depth becomes the current one.
+    pub(crate) fn merge(&mut self, other: &RunCounts) {
+        self.tasks += other.tasks;
+        self.activations += other.activations;
+        self.redundant_flops += other.redundant_flops;
+        self.messages += other.messages;
+        self.bytes += other.bytes;
+        self.depth = GaugeValue {
+            current: other.depth.current,
+            max: self.depth.max.max(other.depth.max),
+        };
+    }
+
+    /// The snapshot's key set: tasks, activations and the queue-depth
+    /// gauge always; redundant flops and the sent pair only when nonzero;
+    /// the steal trio on the work-stealing engine.
+    fn snapshot(&self) -> MetricsSnapshot {
+        let mut counters = vec![
+            (names::TASKS_EXECUTED, self.tasks),
+            (names::ACTIVATIONS, self.activations),
+        ];
+        if self.redundant_flops > 0 {
+            counters.push((names::REDUNDANT_FLOPS, self.redundant_flops));
+        }
+        if self.messages > 0 {
+            counters.extend([
+                (names::MESSAGES_SENT, self.messages),
+                (names::BYTES_SENT, self.bytes),
+            ]);
+        }
+        if let Some(s) = self.steals {
+            counters.extend([
+                (names::STEALS, s.steals),
+                (names::STEAL_FAILS, s.steal_fails),
+                (names::OVERFLOW_PUSHES, s.overflow_pushes),
+            ]);
+        }
+        let mut snapshot = MetricsSnapshot::from_counters(counters);
+        snapshot
+            .gauges
+            .insert(names::QUEUE_DEPTH.to_string(), self.depth);
+        snapshot
+    }
 }
 
 /// Outcome of a run, identical in shape for every engine.
@@ -274,8 +327,10 @@ pub struct RunReport {
     /// for the simulator. Occupancy and the tracer's lane time are
     /// measured over this same horizon.
     pub makespan: f64,
-    /// Per-node worker-lane occupancy in `[0, 1]` over the makespan,
-    /// computed from the recorded spans (the paper's "CPU occupancy").
+    /// Per-node worker-lane occupancy in `[0, 1]` over the makespan (the
+    /// paper's "CPU occupancy"): the node's lanes' busy-clock readings at
+    /// the horizon over `horizon × lanes`. Bit-equal to
+    /// `obs::Trace::occupancy` of the run's trace.
     pub node_occupancy: Vec<f64>,
     /// Counter/gauge snapshot (see `obs::names` for the standard keys).
     pub metrics: MetricsSnapshot,
@@ -286,10 +341,12 @@ pub struct RunReport {
     pub samples: Vec<LiveSample>,
     /// The tracer's measured self-overhead over this run: records
     /// times the calibrated per-event cost, against total worker-lane
-    /// time. The budget is [`TracerOverhead::BUDGET_FRACTION`].
+    /// time. An untraced run records nothing, so its `events` is 0. The
+    /// budget is [`TracerOverhead::BUDGET_FRACTION`].
     pub overhead: TracerOverhead,
-    /// Mode-specific extras.
-    pub ext: ModeExt,
+    /// Per-node communication-engine utilization over the makespan
+    /// (simulator only; empty for the threaded engine).
+    pub comm_utilization: Vec<f64>,
 }
 
 impl RunReport {
@@ -298,95 +355,52 @@ impl RunReport {
         self.metrics.counter(name)
     }
 
-    /// Flows delivered between tasks, when the mode tracks them
-    /// (threaded runs only).
-    pub fn flows_delivered(&self) -> Option<u64> {
-        match self.ext {
-            ModeExt::MultiProcess {
-                flows_delivered, ..
-            } => Some(flows_delivered),
-            _ => None,
-        }
-    }
-
     /// Messages that crossed between nodes: network messages for the
     /// simulator, comm-thread flows for a threaded run (0 on one node).
     pub fn remote_messages(&self) -> u64 {
-        match self.ext {
-            ModeExt::MultiProcess {
-                cross_node_flows, ..
-            } => cross_node_flows,
-            ModeExt::Simulated {
-                remote_messages, ..
-            } => remote_messages,
-        }
+        self.counter(names::MESSAGES_SENT)
     }
 
-    /// Bytes that crossed between nodes (simulator's network bytes; the
-    /// metric counter for the other modes).
+    /// Payload bytes that crossed between nodes.
     pub fn remote_bytes(&self) -> u64 {
-        match self.ext {
-            ModeExt::Simulated { remote_bytes, .. } => remote_bytes,
-            _ => self.metrics.counter(obs::names::BYTES_SENT),
-        }
-    }
-
-    /// Flows delivered node-locally (simulator only).
-    pub fn local_flows(&self) -> Option<u64> {
-        match self.ext {
-            ModeExt::Simulated { local_flows, .. } => Some(local_flows),
-            _ => None,
-        }
-    }
-
-    /// Per-node communication-engine utilization over the makespan
-    /// (simulator only; empty for the real engines).
-    pub fn comm_utilization(&self) -> &[f64] {
-        match &self.ext {
-            ModeExt::Simulated {
-                comm_utilization, ..
-            } => comm_utilization,
-            _ => &[],
-        }
+        self.counter(names::BYTES_SENT)
     }
 }
 
-/// Assemble the uniform part of a [`RunReport`] from a finished run's
-/// recorder and metrics. `horizon_ns` is the makespan on the engine's
-/// clock; occupancy counts `lanes` worker lanes per node over it.
-/// One parameter per report ingredient — both engines hold these as
-/// locals, so a params struct would only move the arity around.
+/// Assemble a [`RunReport`] from a finished run. `horizon_ns` is the
+/// makespan on the engine's clock; `node_busy` holds each node's busy
+/// time over it, summed over its `lanes` worker lanes. One parameter per
+/// report ingredient — both engines hold these as locals, so a params
+/// struct would only move the arity around.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble_report(
     cfg: &RunConfig,
-    mode: ExecMode,
     horizon_ns: u64,
     lanes: u32,
-    tasks_executed: u64,
+    node_busy: &[u64],
+    counts: &RunCounts,
     recorder: &Recorder,
-    metrics: &Metrics,
     samples: Vec<LiveSample>,
-    ext: ModeExt,
+    comm_utilization: Vec<f64>,
 ) -> RunReport {
     // Overhead is accounted before drain() so the drain itself (an
     // analysis step, not instrumentation) stays out of the figure.
     let lane_time_ns = horizon_ns * lanes as u64 * cfg.nodes as u64;
     let overhead = recorder.overhead(lane_time_ns);
-    let trace = recorder.drain();
-    let node_occupancy = (0..cfg.nodes)
-        .map(|n| trace.occupancy(n, lanes, horizon_ns))
-        .collect();
     RunReport {
-        mode,
+        mode: cfg.mode,
         scheduler: cfg.scheduler.name().to_string(),
-        tasks_executed,
+        tasks_executed: counts.tasks,
         makespan: horizon_ns as f64 * 1e-9,
-        node_occupancy,
-        metrics: metrics.snapshot(),
-        trace: cfg.capture_trace.then_some(trace),
+        node_occupancy: node_busy
+            .iter()
+            .map(|&busy| obs::occupancy(busy, lanes, horizon_ns))
+            .collect(),
+        metrics: counts.snapshot(),
+        trace: cfg.capture_trace.then(|| recorder.drain()),
         samples,
         overhead,
-        ext,
+        comm_utilization,
     }
 }
 
@@ -403,7 +417,6 @@ pub fn run(program: &Program, cfg: &RunConfig) -> RunReport {
 mod tests {
     use super::*;
     use crate::dtd::DtdBuilder;
-    use obs::names;
 
     fn diamond(nodes: u32) -> Program {
         let mut b = DtdBuilder::new();
@@ -445,12 +458,8 @@ mod tests {
         let sent = r.counter(names::MESSAGES_SENT);
         assert!(sent >= 6, "cross flows: {sent}");
         assert!(r.counter(names::BYTES_SENT) >= sent);
-        match r.ext {
-            ModeExt::MultiProcess {
-                cross_node_flows, ..
-            } => assert_eq!(cross_node_flows, sent),
-            ref other => panic!("wrong ext {other:?}"),
-        }
+        assert_eq!(r.remote_messages(), sent);
+        assert!(r.comm_utilization.is_empty());
     }
 
     #[test]
@@ -461,12 +470,8 @@ mod tests {
         );
         // 1e-5 cost, depth-3 diamond: exactly 3e-5 of virtual time.
         assert!((r.makespan - 3e-5).abs() < 1e-12, "{}", r.makespan);
-        match r.ext {
-            ModeExt::Simulated {
-                remote_messages, ..
-            } => assert_eq!(remote_messages, 0),
-            ref other => panic!("wrong ext {other:?}"),
-        }
+        assert_eq!(r.remote_messages(), 0);
+        assert_eq!(r.comm_utilization, [0.0]);
     }
 
     #[test]
@@ -480,14 +485,44 @@ mod tests {
             let mode = cfg.mode;
             let r = run(&p, &cfg.with_sampling(1_000_000));
             assert!(!r.samples.is_empty(), "{mode:?} published no samples");
-            assert!(r.overhead.events > 0, "{mode:?} overhead not measured");
-            assert!(r.overhead.per_event_ns > 0.0);
             assert!(r.samples.iter().all(|s| s.window_ns > 0));
+            // Samples read busy clocks: an untraced run records nothing.
+            assert_eq!(r.overhead.events, 0, "{mode:?} recorded untraced");
+            assert!(r.overhead.per_event_ns > 0.0);
         }
-        // Sampling off: no samples, but overhead is still accounted.
-        let r = run(&p, &RunConfig::shared_memory(2));
+        // Traced with sampling off: no samples, every record accounted.
+        let r = run(&p, &RunConfig::shared_memory(2).with_trace());
         assert!(r.samples.is_empty());
-        assert!(r.overhead.events > 0);
+        assert_eq!(r.overhead.events, 8, "one span per task");
+    }
+
+    #[test]
+    fn run_counts_merge_adds_counts_and_keeps_the_deepest_queue() {
+        let mut total = RunCounts::default();
+        for (tasks, deepest, last) in [(3, 7, 2), (5, 4, 1)] {
+            let mut worker = RunCounts {
+                tasks,
+                messages: 1,
+                bytes: 8,
+                ..RunCounts::default()
+            };
+            worker.queue_depth(deepest);
+            worker.queue_depth(last);
+            total.merge(&worker);
+        }
+        assert_eq!((total.tasks, total.messages, total.bytes), (8, 2, 16));
+        assert_eq!(total.depth, GaugeValue { current: 1, max: 7 });
+    }
+
+    #[test]
+    fn run_counts_track_the_queue_depth_high_water_mark() {
+        let mut counts = RunCounts::default();
+        for depth in [3, 7, 1] {
+            counts.queue_depth(depth);
+        }
+        let snap = counts.snapshot();
+        assert_eq!(snap.gauges[names::QUEUE_DEPTH].current, 1);
+        assert_eq!(snap.gauge_max(names::QUEUE_DEPTH), 7);
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod unfold;
 
 pub use deque::{Steal, StealDeque};
 pub use dtd::{DtdBuilder, DtdRegions, DtdTaskId};
-pub use exec::{run, ExecMode, ModeExt, RunConfig, RunReport};
+pub use exec::{run, ExecMode, RunConfig, RunReport};
 pub use pending::{Delivery, DeliveryBatch, PendingTable, ReadyTask, SpareTasks};
 pub use scheduler::SchedulerPolicy;
 pub use task::{

@@ -30,17 +30,18 @@
 //! (`Cluster::ship`). Steal/steal-fail/overflow counts are kept per node
 //! and surfaced in the node's live samples and the run's metric snapshot.
 //!
-//! Task executions are recorded as spans (worker index = lane within the
-//! node); the comm thread records its delivery processing on the node's
-//! comm lane (lane = `threads_per_node`), mirroring the simulator's trace
-//! layout.
+//! On a traced run, task executions are recorded as spans (worker index =
+//! lane within the node); the comm thread records its delivery processing
+//! on the node's comm lane (lane = `threads_per_node`), mirroring the
+//! simulator's trace layout. Each worker and comm thread counts into its
+//! own plain tally, merged once every thread has joined.
 
 use crate::dispatch::{worker, NodeQueues, OnUnwind, RunShared, StealTotals, WorkerId};
-use crate::exec::{assemble_report, ExecMode, ModeExt, RunConfig, RunReport};
+use crate::exec::{assemble_report, RunConfig, RunCounts, RunReport};
 use crate::pending::{Delivery, PendingTable, SpareTasks};
 use crate::task::{FlowData, Program, TaskKey};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use obs::{names, window_busy, Live, LiveSample, LocalRecorder, MsgRecorder};
+use obs::{window_busy, BusyClock, Live, LiveSample, LocalRecorder, MsgRecorder};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
@@ -124,12 +125,14 @@ impl<'p> Cluster<'p> {
     }
 }
 
+/// Deliver `node`'s incoming flows until shutdown; returns how many it
+/// delivered. `recorders` are the span and message handles of a traced
+/// run.
 fn comm_thread(
     cluster: &Cluster<'_>,
     node: usize,
-    mut local: LocalRecorder,
-    mut msg_local: MsgRecorder,
-) {
+    mut recorders: Option<(LocalRecorder, MsgRecorder)>,
+) -> u64 {
     let run = &cluster.run;
     let _abort = OnUnwind(|| {
         run.done.store(true, Ordering::Release);
@@ -165,17 +168,19 @@ fn comm_thread(
                     queues.push_external(t);
                 }
                 activations += 1;
-                let end_ns = run.clock.now_ns();
-                local.comm(node as u32, comm_lane, start_ns, end_ns);
-                msg_local.record(obs::MsgSpan {
-                    src,
-                    dst: node as u32,
-                    kind,
-                    bytes,
-                    enqueue_ns,
-                    inject_ns: start_ns.max(enqueue_ns),
-                    deliver_ns: end_ns.max(enqueue_ns),
-                });
+                if let Some((local, msg_local)) = &mut recorders {
+                    let end_ns = run.clock.now_ns();
+                    local.comm(node as u32, comm_lane, start_ns, end_ns);
+                    msg_local.record(obs::MsgSpan {
+                        src,
+                        dst: node as u32,
+                        kind,
+                        bytes,
+                        enqueue_ns,
+                        inject_ns: start_ns.max(enqueue_ns),
+                        deliver_ns: end_ns.max(enqueue_ns),
+                    });
+                }
             }
             Ok(CommItem::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
             Err(RecvTimeoutError::Timeout) => {
@@ -185,7 +190,7 @@ fn comm_thread(
             }
         }
     }
-    run.metrics.counter(names::ACTIVATIONS).add(activations);
+    activations
 }
 
 /// Periodic live sampler for the cluster: one [`LiveSample`] per node per
@@ -294,37 +299,41 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
     }
 
     let live = cfg.live_board();
+    let traced = cfg.capture_trace;
+    // Each thread fills its own slot: one tally per worker, in (node,
+    // lane) order, and one delivery count per comm thread.
+    let mut tallies = vec![RunCounts::default(); nodes as usize * threads_per_node];
+    let mut delivered = vec![0; cluster.inboxes.len()];
     crossbeam::thread::scope(|s| {
-        for node in 0..nodes as usize {
-            for lane in 0..threads_per_node {
-                let cluster = &cluster;
-                let local = recorder.local();
-                // Decorrelate lanes across nodes: each (node, lane) pair
-                // gets its own deterministic victim sequence (node 0 uses
-                // the configured seed as is).
-                let steal_seed = cfg.steal_seed ^ (node as u64).wrapping_mul(0xA076_1D64_78BD_642F);
-                s.spawn(move |_| {
-                    let id = WorkerId {
-                        node: node as u32,
-                        lane: lane as u32,
-                        steal_seed,
-                        local,
-                    };
-                    worker(
-                        &cluster.run,
-                        &cluster.nodes[node],
-                        id,
-                        |flow, kind| cluster.ship(node, flow, kind),
-                        || cluster.shutdown_all(),
-                    );
-                });
-            }
-        }
-        for node in 0..cluster.inboxes.len() {
+        for (i, tally) in tallies.iter_mut().enumerate() {
+            let (node, lane) = (i / threads_per_node, i % threads_per_node);
             let cluster = &cluster;
-            let local = recorder.local();
-            let msg_local = recorder.msg_local();
-            s.spawn(move |_| comm_thread(cluster, node, local, msg_local));
+            let local = traced.then(|| recorder.local());
+            // Decorrelate lanes across nodes: each (node, lane) pair
+            // gets its own deterministic victim sequence (node 0 uses
+            // the configured seed as is).
+            let steal_seed = cfg.steal_seed ^ (node as u64).wrapping_mul(0xA076_1D64_78BD_642F);
+            s.spawn(move |_| {
+                let id = WorkerId {
+                    node: node as u32,
+                    lane: lane as u32,
+                    steal_seed,
+                    busy: BusyClock::default(),
+                    local,
+                };
+                *tally = worker(
+                    &cluster.run,
+                    &cluster.nodes[node],
+                    id,
+                    |flow, kind| cluster.ship(node, flow, kind),
+                    || cluster.shutdown_all(),
+                );
+            });
+        }
+        for (node, count) in delivered.iter_mut().enumerate() {
+            let cluster = &cluster;
+            let recorders = traced.then(|| (recorder.local(), recorder.msg_local()));
+            s.spawn(move |_| *count = comm_thread(cluster, node, recorders));
         }
         if let (Some(live), Some(period)) = (live.clone(), cfg.sample_period()) {
             let cluster = &cluster;
@@ -349,28 +358,33 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
         "run finished with {} tasks still pending",
         run.pending.len()
     );
+    let mut steals = StealTotals::default();
     for n in &cluster.nodes {
-        n.totals().publish(&run.metrics);
+        steals += n.totals();
     }
-    // Every thread added its own deliveries; every cross-node flow was
-    // counted as one sent message.
-    let snapshot = run.metrics.snapshot();
-    let flows_delivered = snapshot.counter(names::ACTIVATIONS);
-    let cross_node_flows = snapshot.counter(names::MESSAGES_SENT);
+    let mut counts = RunCounts {
+        activations: delivered.iter().sum(),
+        steals: Some(steals),
+        ..RunCounts::default()
+    };
+    for tally in &tallies {
+        counts.merge(tally);
+    }
+    let node_busy: Vec<u64> = cluster
+        .nodes
+        .iter()
+        .map(|n| n.busy_clocks().map(|c| c.read(horizon_ns)).sum())
+        .collect();
 
     assemble_report(
         cfg,
-        ExecMode::MultiProcess,
         horizon_ns,
         threads_per_node as u32,
-        completed,
+        &node_busy,
+        &counts,
         &recorder,
-        &run.metrics,
         live.map(|l| l.history()).unwrap_or_default(),
-        ModeExt::MultiProcess {
-            cross_node_flows,
-            flows_delivered,
-        },
+        Vec::new(),
     )
 }
 
@@ -383,15 +397,6 @@ mod tests {
     use crate::task::TaskGraph;
     use std::collections::HashMap as Map;
     use std::sync::Arc;
-
-    fn cross_flows(r: &RunReport) -> u64 {
-        match r.ext {
-            ModeExt::MultiProcess {
-                cross_node_flows, ..
-            } => cross_node_flows,
-            _ => panic!("wrong ext"),
-        }
-    }
 
     fn chain_program(n: i32) -> Program {
         // 0 -> 1 -> 2 -> ... -> n-1
@@ -451,7 +456,6 @@ mod tests {
         let p = chain_program(50);
         let r = run(&p, &RunConfig::shared_memory(1));
         assert_eq!(r.tasks_executed, 50);
-        assert_eq!(r.flows_delivered(), Some(49));
         assert_eq!(r.counter(obs::names::ACTIVATIONS), 49);
     }
 
@@ -467,7 +471,7 @@ mod tests {
         let p = fan_program(64);
         let r = run(&p, &RunConfig::shared_memory(4));
         assert_eq!(r.tasks_executed, 66);
-        assert_eq!(r.flows_delivered(), Some(128));
+        assert_eq!(r.counter(obs::names::ACTIVATIONS), 128);
     }
 
     #[test]
@@ -533,9 +537,8 @@ mod tests {
         let r = run(&p, &RunConfig::multi_process(4, 2));
         assert_eq!(r.tasks_executed, 40);
         // node changes 3 out of every 4 hops
-        assert!(cross_flows(&r) >= 29, "{}", cross_flows(&r));
-        assert_eq!(r.counter(obs::names::MESSAGES_SENT), cross_flows(&r));
-        assert_eq!(r.flows_delivered(), Some(39));
+        assert!(r.remote_messages() >= 29, "{}", r.remote_messages());
+        assert_eq!(r.counter(obs::names::ACTIVATIONS), 39);
     }
 
     #[test]
@@ -548,7 +551,7 @@ mod tests {
         let p = b.build();
         let r = run(&p, &RunConfig::multi_process(1, 3));
         assert_eq!(r.tasks_executed, 11);
-        assert_eq!(cross_flows(&r), 0);
+        assert_eq!(r.remote_messages(), 0);
         assert_eq!(r.counter(obs::names::BYTES_SENT), 0);
     }
 
@@ -564,8 +567,8 @@ mod tests {
         let p = b.build();
         let r = run(&p, &RunConfig::multi_process(1, 2).with_trace());
         assert_eq!(r.tasks_executed, 12);
-        assert_eq!(r.flows_delivered(), Some(11));
-        assert_eq!(cross_flows(&r), 0);
+        assert_eq!(r.counter(obs::names::ACTIVATIONS), 11);
+        assert_eq!(r.remote_messages(), 0);
         let trace = r.trace.unwrap();
         assert_eq!(trace.nodes(), vec![0]);
         assert!(trace.msgs.is_empty());
@@ -612,7 +615,7 @@ mod tests {
         let _sink = b.insert(0, 0.0, &mids);
         let p = b.build();
         let r = run(&p, &RunConfig::multi_process(2, 2).with_trace());
-        let cross = cross_flows(&r);
+        let cross = r.remote_messages();
         let bytes_sent = r.counter(obs::names::BYTES_SENT);
         let trace = r.trace.unwrap();
         // Every cross-node flow became exactly one message span.

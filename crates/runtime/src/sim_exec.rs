@@ -17,21 +17,20 @@
 //! * **dataflow scheduling** — a task fires the instant its last input
 //!   arrives; there are no barriers between iterations.
 //!
-//! Spans and metrics flow through the same `obs` recorder the real
+//! On a traced run, spans flow through the same `obs` recorder the real
 //! executors use — virtual nanoseconds go straight in as span timestamps,
 //! so the observability pipeline is identical under wall and virtual time.
+//! Counts, lane busy clocks and the comm engines' busy time are plain
+//! integers in the model, whether traced or not.
 
-use crate::exec::{assemble_report, ExecMode, ModeExt, RunConfig, RunReport};
+use crate::exec::{assemble_report, RunConfig, RunCounts, RunReport};
 use crate::pending::{PendingTable, ReadyTask, SpareTasks};
 use crate::ready_queue::ReadyQueue;
 use crate::task::{FlowData, OutputDep, Program, TaskKey};
-use desim::{Engine, Model, Scheduler, TimeWeighted, VirtualDuration, VirtualTime};
+use desim::{Engine, Model, Scheduler, VirtualDuration, VirtualTime};
 use machine::MachineProfile;
-use netsim::{InFlight, NetworkModel};
-use obs::{
-    names, window_busy, BusyClock, Counter, Gauge, Live, LiveSample, LocalRecorder, Metrics,
-    Recorder,
-};
+use netsim::NetworkModel;
+use obs::{window_busy, BusyClock, Live, LiveSample, LocalRecorder, MsgRecorder, Recorder};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -71,51 +70,6 @@ struct Running {
     task: Box<ReadyTask>,
 }
 
-/// The run's instruments, looked up once and held (a by-name lookup takes
-/// the registry mutex and allocates the key). Counters that a run may
-/// never bump are created on first use, so a snapshot holds exactly the
-/// keys it would with per-event lookups.
-struct SimMetrics {
-    registry: Metrics,
-    tasks_executed: Counter,
-    queue_depth: Gauge,
-    redundant_flops: Option<Counter>,
-    /// `MESSAGES_SENT` and `BYTES_SENT`.
-    sent: Option<(Counter, Counter)>,
-}
-
-impl SimMetrics {
-    fn new(registry: &Metrics) -> Self {
-        SimMetrics {
-            registry: registry.clone(),
-            tasks_executed: registry.counter(names::TASKS_EXECUTED),
-            queue_depth: registry.gauge(names::QUEUE_DEPTH),
-            redundant_flops: None,
-            sent: None,
-        }
-    }
-
-    fn task_done(&mut self, redundant_flops: u64) {
-        self.tasks_executed.inc();
-        if redundant_flops > 0 {
-            self.redundant_flops
-                .get_or_insert_with(|| self.registry.counter(names::REDUNDANT_FLOPS))
-                .add(redundant_flops);
-        }
-    }
-
-    fn message_sent(&mut self, bytes: u64) {
-        let (messages, total_bytes) = self.sent.get_or_insert_with(|| {
-            (
-                self.registry.counter(names::MESSAGES_SENT),
-                self.registry.counter(names::BYTES_SENT),
-            )
-        });
-        messages.inc();
-        total_bytes.add(bytes);
-    }
-}
-
 struct NodeState {
     free_lanes: Vec<u32>,
     ready: ReadyQueue,
@@ -129,7 +83,8 @@ struct NodeState {
     sampled_busy: Vec<u64>,
     comm_queue: VecDeque<CommJob>,
     comm_active: usize,
-    comm_busy: TimeWeighted,
+    /// Comm-engine busy nanoseconds, summed over the node's engines.
+    comm_busy: u64,
 }
 
 enum Ev {
@@ -182,21 +137,17 @@ struct Sim {
     pending: PendingTable,
     /// Boxes of finished tasks, reused for the next pending entries.
     spares: SpareTasks,
-    /// Flows delivered into `pending`.
-    activations: u64,
     /// Scratch for the finishing task's output declarations and flows.
     deps: Vec<OutputDep>,
     flows: Vec<FlowData>,
     nodes: Vec<NodeState>,
-    completed: u64,
+    counts: RunCounts,
     last_task_done: VirtualTime,
-    remote_messages: u64,
-    remote_bytes: u64,
-    local_flows: u64,
-    local: LocalRecorder,
-    msg_local: obs::MsgRecorder,
-    metrics: SimMetrics,
-    inflight: InFlight,
+    /// Messages and bytes on the wire: sent, not yet arrived.
+    inflight_msgs: u64,
+    inflight_bytes: u64,
+    /// The span and message handles of a traced run.
+    recorders: Option<(LocalRecorder, MsgRecorder)>,
     live: Option<Live>,
     sample_period: Option<VirtualDuration>,
     last_sample: VirtualTime,
@@ -254,7 +205,7 @@ impl Sim {
         sched: &mut Scheduler<Ev>,
     ) {
         let graph = &self.program.graph;
-        self.activations += 1;
+        self.counts.activations += 1;
         if let Some(ready) = self
             .pending
             .deliver(graph, consumer, slot, data, &mut self.spares)
@@ -271,7 +222,6 @@ impl Sim {
                 return;
             }
             let job = st.comm_queue.pop_front().expect("nonempty");
-            st.comm_busy.record(now, st.comm_active as f64);
             st.comm_active += 1;
             match job {
                 CommJob::Send {
@@ -285,10 +235,10 @@ impl Sim {
                     // starts once the comm thread has prepared the message
                     let busy = self.net.send_busy(data.bytes);
                     let arrival = self.net.arrival(data.bytes);
-                    self.remote_messages += 1;
-                    self.remote_bytes += data.bytes as u64;
-                    self.inflight.send(data.bytes as u64);
-                    self.metrics.message_sent(data.bytes as u64);
+                    self.counts.messages += 1;
+                    self.counts.bytes += data.bytes as u64;
+                    self.inflight_msgs += 1;
+                    self.inflight_bytes += data.bytes as u64;
                     // The message span rides along with the payload; the
                     // receive-side CommDone stamps the delivery time.
                     let msg = obs::MsgSpan {
@@ -352,15 +302,12 @@ impl Sim {
         let class = program.graph.class(key.class);
 
         let kind = self.program.graph.kind_of(key);
-        self.local.task_instance(
-            node,
-            lane,
-            kind,
-            key.instance_id(),
-            run.start.as_nanos(),
-            now.as_nanos(),
-        );
-        self.metrics.task_done(class.redundant_flops(key.params));
+        if let Some((local, _)) = &mut self.recorders {
+            let (start, end) = (run.start.as_nanos(), now.as_nanos());
+            local.task_instance(node, lane, kind, key.instance_id(), start, end);
+        }
+        self.counts.tasks += 1;
+        self.counts.redundant_flops += class.redundant_flops(key.params);
         // Produce outputs: real bodies or size-only placeholders.
         let mut task = run.task;
         let mut flows = std::mem::take(&mut self.flows);
@@ -388,7 +335,6 @@ impl Sim {
             };
             let dst = self.node_of(dep.consumer);
             if dst == node {
-                self.local_flows += 1;
                 self.deliver(dep.consumer, dep.slot, data, sched);
             } else {
                 self.nodes[node as usize]
@@ -410,7 +356,6 @@ impl Sim {
         // Free the lane so the dispatcher can reuse it.
         self.nodes[node as usize].free_lanes.push(lane);
 
-        self.completed += 1;
         self.last_task_done = now;
         self.dispatch(node, now, sched);
     }
@@ -428,8 +373,10 @@ impl Sim {
         if w1 <= w0 {
             return;
         }
-        let (inflight_msgs, inflight_bytes) = self.inflight.snapshot();
-        let pending_tasks = self.pending.len();
+        let mut pending = vec![0; self.nodes.len()];
+        for key in self.pending.waiting(&self.program.graph) {
+            pending[self.node_of(key) as usize] += 1;
+        }
         for (n, st) in self.nodes.iter_mut().enumerate() {
             let readings = st.busy.iter().map(|c| c.read(w1));
             live.publish(LiveSample {
@@ -438,9 +385,9 @@ impl Sim {
                 node: n as u32,
                 lane_busy: window_busy(&mut st.sampled_busy, readings, w1 - w0),
                 ready_depth: st.ready.len(),
-                pending_tasks,
-                inflight_msgs,
-                inflight_bytes,
+                pending_tasks: pending[n],
+                inflight_msgs: self.inflight_msgs,
+                inflight_bytes: self.inflight_bytes,
                 // The simulator's central per-node queue never steals or
                 // spills.
                 steals: 0,
@@ -459,10 +406,9 @@ impl Model for Sim {
         match ev {
             Ev::Ready(ready) => {
                 let node = self.node_of(ready.key);
-                self.nodes[node as usize].ready.push(ready);
-                self.metrics
-                    .queue_depth
-                    .set(self.nodes[node as usize].ready.len() as i64);
+                let ready_queue = &mut self.nodes[node as usize].ready;
+                ready_queue.push(ready);
+                self.counts.queue_depth(ready_queue.len());
                 self.request_dispatch(node, sched);
             }
             Ev::Dispatch { node } => {
@@ -476,22 +422,20 @@ impl Model for Sim {
                 deliver,
                 msg,
             } => {
+                let (start, end) = (started.as_nanos(), now.as_nanos());
                 let st = &mut self.nodes[node as usize];
-                st.comm_busy.record(now, st.comm_active as f64);
+                st.comm_busy += end - start;
                 st.comm_active -= 1;
-                self.local.comm(
-                    node,
-                    self.lanes_per_node,
-                    started.as_nanos(),
-                    now.as_nanos(),
-                );
                 // Receive processing done: the payload is now visible to
                 // the consumer — stamp and record the message span.
                 // Recording only reads virtual time, so traced and
                 // untraced runs stay bit-identical.
-                if let Some(mut msg) = msg {
-                    msg.deliver_ns = now.as_nanos();
-                    self.msg_local.record(msg);
+                if let Some((local, msg_local)) = &mut self.recorders {
+                    local.comm(node, self.lanes_per_node, start, end);
+                    if let Some(mut msg) = msg {
+                        msg.deliver_ns = end;
+                        msg_local.record(msg);
+                    }
                 }
                 if let Some((consumer, slot, data)) = deliver {
                     self.deliver(consumer, slot, data, sched);
@@ -504,7 +448,8 @@ impl Model for Sim {
                 data,
                 msg,
             } => {
-                self.inflight.arrive(data.bytes as u64);
+                self.inflight_msgs -= 1;
+                self.inflight_bytes -= data.bytes as u64;
                 let dst = self.node_of(consumer);
                 self.nodes[dst as usize]
                     .comm_queue
@@ -520,7 +465,7 @@ impl Model for Sim {
                 // Stop ticking once the run is over; the tail window up
                 // to the makespan is covered by the final sample
                 // `simulate` takes after the event loop drains.
-                if self.completed < self.program.total_tasks {
+                if self.counts.tasks < self.program.total_tasks {
                     self.take_sample(now);
                     if let Some(period) = self.sample_period {
                         sched.schedule_in(period, Ev::Sample);
@@ -531,15 +476,12 @@ impl Model for Sim {
     }
 }
 
-/// Everything a finished simulation yields, before either report shape is
-/// assembled.
+/// Everything a finished simulation yields for its report.
 struct SimOutcome {
     makespan: VirtualTime,
-    tasks_executed: u64,
-    remote_messages: u64,
-    remote_bytes: u64,
-    local_flows: u64,
-    activations: u64,
+    counts: RunCounts,
+    /// Per node, its lanes' busy time up to the makespan.
+    node_busy: Vec<u64>,
     comm_utilization: Vec<f64>,
 }
 
@@ -554,7 +496,6 @@ fn simulate(
     cfg: &RunConfig,
     profile: &MachineProfile,
     recorder: &Recorder,
-    metrics: &Metrics,
     live: Option<Live>,
 ) -> SimOutcome {
     assert!(cfg.nodes >= 1, "need at least one node");
@@ -574,7 +515,7 @@ fn simulate(
             sampled_busy: vec![0; lanes as usize],
             comm_queue: VecDeque::new(),
             comm_active: 0,
-            comm_busy: TimeWeighted::new(),
+            comm_busy: 0,
         })
         .collect();
 
@@ -592,19 +533,16 @@ fn simulate(
         lanes_per_node: lanes,
         pending: PendingTable::new(&program.graph),
         spares: SpareTasks::new(),
-        activations: 0,
         deps: Vec::new(),
         flows: Vec::new(),
         nodes,
-        completed: 0,
+        counts: RunCounts::default(),
         last_task_done: VirtualTime::ZERO,
-        remote_messages: 0,
-        remote_bytes: 0,
-        local_flows: 0,
-        local: recorder.local(),
-        msg_local: recorder.msg_local(),
-        metrics: SimMetrics::new(metrics),
-        inflight: InFlight::new(),
+        inflight_msgs: 0,
+        inflight_bytes: 0,
+        recorders: cfg
+            .capture_trace
+            .then(|| (recorder.local(), recorder.msg_local())),
         live,
         sample_period: sample_period_ns.map(|ns| VirtualDuration::from_nanos(ns.max(1))),
         last_sample: VirtualTime::ZERO,
@@ -621,34 +559,35 @@ fn simulate(
     engine.run();
 
     let mut sim = engine.into_model();
-    if sim.completed != program.total_tasks {
+    if sim.counts.tasks != program.total_tasks {
         panic!(
             "simulated run deadlocked: {}/{} tasks done, {} pending (first stuck: {:?})",
-            sim.completed,
+            sim.counts.tasks,
             program.total_tasks,
             sim.pending.len(),
             sim.pending.waiting(&program.graph).next()
         );
     }
 
-    let makespan_t = sim.last_task_done;
+    let makespan = sim.last_task_done;
     // Final sample: cover the tail window up to the makespan so the
     // sample windows tile the run exactly.
-    sim.take_sample(makespan_t);
-    let comm_utilization = sim
-        .nodes
-        .iter()
-        .map(|n| n.comm_busy.mean_until(makespan_t, n.comm_active as f64) / cfg.comm_engines as f64)
-        .collect();
-
+    sim.take_sample(makespan);
+    let horizon_ns = makespan.as_nanos();
     SimOutcome {
-        makespan: makespan_t,
-        tasks_executed: sim.completed,
-        remote_messages: sim.remote_messages,
-        remote_bytes: sim.remote_bytes,
-        local_flows: sim.local_flows,
-        activations: sim.activations,
-        comm_utilization,
+        makespan,
+        counts: sim.counts,
+        node_busy: sim
+            .nodes
+            .iter()
+            .map(|n| n.busy.iter().map(|c| c.read(horizon_ns)).sum())
+            .collect(),
+        // The comm engines' busy fraction, by the lanes' formula.
+        comm_utilization: sim
+            .nodes
+            .iter()
+            .map(|n| obs::occupancy(n.comm_busy, cfg.comm_engines as u32, horizon_ns))
+            .collect(),
     }
 }
 
@@ -659,29 +598,18 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
         .profile
         .as_ref()
         .expect("simulated mode requires a machine profile");
-    let lanes = profile.compute_threads();
     let recorder = cfg.recorder();
-    let metrics = Metrics::new();
     let live = cfg.live_board();
-    let outcome = simulate(program, cfg, profile, &recorder, &metrics, live.clone());
-    metrics.counter(names::ACTIVATIONS).add(outcome.activations);
-    let samples = live.map(|l| l.history()).unwrap_or_default();
-
+    let outcome = simulate(program, cfg, profile, &recorder, live.clone());
     assemble_report(
         cfg,
-        ExecMode::Simulated,
         outcome.makespan.as_nanos(),
-        lanes,
-        outcome.tasks_executed,
+        profile.compute_threads(),
+        &outcome.node_busy,
+        &outcome.counts,
         &recorder,
-        &metrics,
-        samples,
-        ModeExt::Simulated {
-            remote_messages: outcome.remote_messages,
-            remote_bytes: outcome.remote_bytes,
-            local_flows: outcome.local_flows,
-            comm_utilization: outcome.comm_utilization,
-        },
+        live.map(|l| l.history()).unwrap_or_default(),
+        outcome.comm_utilization,
     )
 }
 
@@ -733,16 +661,11 @@ mod tests {
         RunConfig::simulated(MachineProfile::nacl(), nodes)
     }
 
-    fn sim_ext(r: &RunReport) -> (u64, u64, u64) {
-        match &r.ext {
-            ModeExt::Simulated {
-                remote_messages,
-                remote_bytes,
-                local_flows,
-                ..
-            } => (*remote_messages, *remote_bytes, *local_flows),
-            _ => panic!("wrong ext"),
-        }
+    /// Messages and bytes sent, and flows delivered node-locally.
+    fn traffic(r: &RunReport) -> (u64, u64, u64) {
+        let messages = r.remote_messages();
+        let local = r.counter(obs::names::ACTIVATIONS) - messages;
+        (messages, r.remote_bytes(), local)
     }
 
     #[test]
@@ -751,7 +674,7 @@ mod tests {
         let r = run(&p, &cfg(1));
         assert!((r.makespan - 1e-3).abs() < 1e-9, "makespan {}", r.makespan);
         assert_eq!(r.tasks_executed, 1);
-        assert_eq!(sim_ext(&r).0, 0);
+        assert_eq!(traffic(&r).0, 0);
     }
 
     #[test]
@@ -793,7 +716,7 @@ mod tests {
             "makespan {} vs expected {expected}",
             r.makespan
         );
-        let (messages, bytes, local) = sim_ext(&r);
+        let (messages, bytes, local) = traffic(&r);
         assert_eq!(messages, 1);
         assert_eq!(bytes, 8);
         assert_eq!(local, 0);
@@ -806,7 +729,7 @@ mod tests {
         let p = program(&[(0, 1, 0)], &[(1, 1)], &[], &[0], 2, 1e-3, 8);
         let r = run(&p, &cfg(1));
         assert!((r.makespan - 2e-3).abs() < 1e-8);
-        let (messages, _, local) = sim_ext(&r);
+        let (messages, _, local) = traffic(&r);
         assert_eq!(local, 1);
         assert_eq!(messages, 0);
     }
@@ -862,7 +785,7 @@ mod tests {
         let busy = 3.0 * (c + net.sender_occupancy(mib8));
         assert!(net.sender_occupancy(mib8) > 2e-3, "sends overlap");
         let expected = busy / (3.0 * r.makespan);
-        let got = r.comm_utilization()[0];
+        let got = r.comm_utilization[0];
         // Virtual time rounds every duration to the nanosecond.
         assert!(
             (got - expected).abs() < 1e-6,
@@ -885,7 +808,7 @@ mod tests {
         );
         let r = run(&p, &cfg(2).with_bodies());
         assert_eq!(r.tasks_executed, 3);
-        assert_eq!(sim_ext(&r).0, 2);
+        assert_eq!(traffic(&r).0, 2);
     }
 
     #[test]
@@ -1039,8 +962,9 @@ mod tests {
             live.mean_occupancy(0),
             r.node_occupancy[0]
         );
-        assert!(r.overhead.events > 0);
-        assert!(r.overhead.per_event_ns > 0.0);
+        // Both read the busy clocks: the untraced run recorded nothing.
+        assert_eq!(r.overhead.events, 0);
+        assert!(r.trace.is_none());
     }
 
     #[test]
@@ -1063,6 +987,31 @@ mod tests {
         // In-flight drains to zero by the final sample.
         let last = r.samples.last().unwrap();
         assert_eq!(last.inflight_msgs, 0);
+    }
+
+    #[test]
+    fn samples_attribute_waiting_tasks_to_their_node() {
+        // Task 2 on node 1 needs a local input from task 0 and a remote
+        // one from task 1 on node 0: while the message is on its way,
+        // node 1 has one waiting task and node 0 has none.
+        let p = program(
+            &[(0, 2, 0), (1, 2, 1)],
+            &[(2, 2)],
+            &[(0, 1), (2, 1)],
+            &[0, 1],
+            3,
+            1e-3,
+            8,
+        );
+        let r = run(&p, &cfg(2).with_sampling(10_000));
+        let waiting = |node| {
+            r.samples
+                .iter()
+                .filter(move |s| s.node == node)
+                .map(|s| s.pending_tasks)
+        };
+        assert!(waiting(1).any(|n| n == 1), "no sample saw the waiting task");
+        assert!(waiting(0).all(|n| n == 0), "node 0 has no waiting task");
     }
 
     #[test]

@@ -20,7 +20,7 @@ fn repeated_simulations_are_identical() {
             r.makespan,
             r.remote_messages(),
             r.remote_bytes(),
-            r.local_flows(),
+            r.counter(obs::names::ACTIVATIONS),
             r.trace.unwrap().len(),
         )
     };

@@ -95,9 +95,8 @@ fn comm_thread_utilization_drops_with_ca() {
         &RunConfig::simulated(cfg.profile.clone(), 16),
     );
     let base_comm: f64 =
-        base.comm_utilization().iter().sum::<f64>() / base.comm_utilization().len() as f64;
-    let ca_comm: f64 =
-        ca.comm_utilization().iter().sum::<f64>() / ca.comm_utilization().len() as f64;
+        base.comm_utilization.iter().sum::<f64>() / base.comm_utilization.len() as f64;
+    let ca_comm: f64 = ca.comm_utilization.iter().sum::<f64>() / ca.comm_utilization.len() as f64;
     assert!(
         ca_comm < base_comm,
         "comm utilization: CA {ca_comm} vs base {base_comm}"
