@@ -37,6 +37,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod comm;
 pub mod dataflow;

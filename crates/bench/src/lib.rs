@@ -30,6 +30,7 @@
 //! defaults match the paper's parameters.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod exp_ablations;
 pub mod exp_doctor;

@@ -48,6 +48,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod base;
 pub mod ca;

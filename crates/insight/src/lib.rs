@@ -36,6 +36,7 @@
 //!   simulator re-run, to the nanosecond.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod advisor;
 pub mod baseline;

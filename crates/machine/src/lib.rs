@@ -18,6 +18,7 @@
 //!   (64-bit index traffic, one rank per core).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod profile;
 pub mod roofline;

@@ -14,6 +14,7 @@
 //!   Krylov-solver workloads the paper motivates.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod collective;
 pub mod model;

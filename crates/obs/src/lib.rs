@@ -27,6 +27,7 @@
 //! the wiring.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod metrics;
 mod recorder;

@@ -21,6 +21,7 @@
 //! expression, so agreement is ~1e-14, not bitwise — same as real PETSc).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cg;
 pub mod csr;

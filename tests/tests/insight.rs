@@ -10,7 +10,7 @@ use insight::GapCause;
 use machine::MachineProfile;
 use netsim::ProcessGrid;
 use runtime::{run, FlowData, OutputDep, Params, Program, RunConfig, TaskClass, TaskKey};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 #[test]
@@ -71,7 +71,11 @@ fn stencil_diagnosis_joins_every_span_and_respects_the_bound() {
 /// `fork` = R → {A, B}; B → {C, E}; A → C. Everything on node 0. B is an
 /// order of magnitude slower than A, so the lane that finished A idles
 /// ~16 ms waiting for B — a dependency wait, never comm (single node).
-struct Fork;
+/// C and E meet at a two-party barrier, so each of the two lanes runs one
+/// of them however late the idle lane wakes.
+struct Fork {
+    meet: Barrier,
+}
 
 const R: i32 = 0;
 const A: i32 = 1;
@@ -126,6 +130,9 @@ impl TaskClass for Fork {
         }
     }
     fn execute(&self, p: Params, _inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
+        if matches!(p[0], C | E) {
+            self.meet.wait();
+        }
         std::thread::sleep(Duration::from_millis(millis(p[0])));
         out.resize(self.num_output_flows(p), FlowData::sized(8));
     }
@@ -136,7 +143,9 @@ impl TaskClass for Fork {
 
 fn fork_program() -> Program {
     let mut g = runtime::TaskGraph::new();
-    g.add_class(Arc::new(Fork));
+    g.add_class(Arc::new(Fork {
+        meet: Barrier::new(2),
+    }));
     Program {
         graph: Arc::new(g),
         roots: vec![TaskKey::new(0, [R, 0, 0, 0])],
@@ -150,9 +159,11 @@ fn executors_agree_the_long_gap_is_dependency_wait() {
     let dag = analyze::unfold(&fork_program(), &acfg);
     assert!(analyze::analyze_dag(&dag, &acfg).is_clean());
 
-    // Wall-clock engine: two worker threads, real sleeps.
+    // Wall-clock engine: two worker threads, real sleeps; C and E meet at
+    // the barrier, one on each lane.
     let shared = run(&fork_program(), &RunConfig::shared_memory(2).with_trace());
-    // Virtual-time engine: the cost model mirrors the sleeps.
+    // Virtual-time engine: the cost model mirrors the sleeps (it runs no
+    // bodies, so no barrier).
     let sim = run(
         &fork_program(),
         &RunConfig::simulated(MachineProfile::nacl(), 1).with_trace(),
