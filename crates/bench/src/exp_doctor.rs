@@ -255,7 +255,7 @@ pub struct RealOccupancy {
     pub steals: u64,
     /// Full steal sweeps that found no work anywhere.
     pub steal_fails: u64,
-    /// Local-deque overflows spilled to the shared injector queue.
+    /// Local-deque overflows spilled to the lane's inbox.
     pub overflow_pushes: u64,
     /// Idle-time split from the run's live samples: truly-no-work vs
     /// ready-work-undelivered.

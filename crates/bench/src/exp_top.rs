@@ -30,7 +30,7 @@ pub fn render_frame(latest: &[LiveSample], overhead: Option<&TracerOverhead>) ->
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:>4} {:>7}  {:<BAR$} {:>6} {:>8} {:>9} {:>12} {:>7} {:>7} {:>7}",
+        "{:>4} {:>7}  {:<BAR$} {:>6} {:>8} {:>9} {:>12} {:>7} {:>7} {:>7} {:>7}",
         "node",
         "occup",
         "lanes",
@@ -40,7 +40,8 @@ pub fn render_frame(latest: &[LiveSample], overhead: Option<&TracerOverhead>) ->
         "net bytes",
         "steals",
         "sfails",
-        "spills"
+        "spills",
+        "home"
     );
     for s in latest {
         let occ = s.occupancy();
@@ -48,7 +49,7 @@ pub fn render_frame(latest: &[LiveSample], overhead: Option<&TracerOverhead>) ->
         let bar: String = "#".repeat(filled) + &".".repeat(BAR - filled);
         let _ = writeln!(
             out,
-            "{:>4} {:>6.1}%  {bar} {:>6} {:>8} {:>9} {:>12} {:>7} {:>7} {:>7}",
+            "{:>4} {:>6.1}%  {bar} {:>6} {:>8} {:>9} {:>12} {:>7} {:>7} {:>7} {:>7}",
             s.node,
             100.0 * occ,
             s.ready_depth,
@@ -58,6 +59,7 @@ pub fn render_frame(latest: &[LiveSample], overhead: Option<&TracerOverhead>) ->
             s.steals,
             s.steal_fails,
             s.overflow_pushes,
+            s.home_hits,
         );
     }
     if latest.is_empty() {
@@ -155,6 +157,7 @@ mod tests {
             steals: 12,
             steal_fails: 3,
             overflow_pushes: 1,
+            home_hits: 40,
         }
     }
 
@@ -177,7 +180,7 @@ mod tests {
         assert!(lines[2].contains("50.0%"), "{frame}");
         assert!(lines[3].contains("budget 2 %"), "{frame}");
         // The steal columns render the sample's counters in order.
-        assert!(lines[1].contains("12       3       1"), "{frame}");
+        assert!(lines[1].contains("12       3       1      40"), "{frame}");
 
         let empty = render_frame(&[], None);
         assert!(empty.contains("no samples yet"));

@@ -96,6 +96,9 @@ impl TaskClass for ScaledKind {
     fn node_of(&self, p: Params) -> netsim::NodeId {
         self.class().node_of(p)
     }
+    fn home(&self, p: Params, lanes: usize) -> Option<usize> {
+        self.class().home(p, lanes)
+    }
     fn activation_count(&self, p: Params) -> usize {
         self.class().activation_count(p)
     }

@@ -79,6 +79,11 @@ impl TaskClass for BaseStencil {
         self.geo.node_of_tile(tx, ty)
     }
 
+    fn home(&self, p: Params, lanes: usize) -> Option<usize> {
+        let (tx, ty, _) = Self::decode(p);
+        Some(self.geo.home_lane(tx, ty, lanes))
+    }
+
     fn activation_count(&self, p: Params) -> usize {
         let (tx, ty, t) = Self::decode(p);
         if t == 0 {

@@ -164,6 +164,17 @@ impl StencilGeometry {
             .rank_of((ty / self.block_y) as u32, (tx / self.block_x) as u32)
     }
 
+    /// The worker lane, of `lanes` on its node, that owns tile `(tx, ty)`:
+    /// the tile's row-major index inside its node's block, block-mapped
+    /// onto the lanes. Each lane owns a contiguous band of the block's
+    /// rows, and a block with fewer tile rows than lanes still spreads
+    /// its tiles over them (the stencil schemes'
+    /// [`runtime::TaskClass::home`]).
+    pub fn home_lane(&self, tx: usize, ty: usize, lanes: usize) -> usize {
+        let local = (ty % self.block_y) * self.block_x + tx % self.block_x;
+        local * lanes / (self.block_x * self.block_y)
+    }
+
     /// The side neighbour of `(tx, ty)`, or `None` at the domain edge.
     pub fn neighbor(&self, tx: usize, ty: usize, side: Side) -> Option<(usize, usize)> {
         let (dx, dy) = side.delta();
@@ -309,6 +320,38 @@ mod tests {
         assert_eq!(g.node_of_tile(4, 0), 1);
         assert_eq!(g.node_of_tile(0, 4), 2);
         assert_eq!(g.node_of_tile(7, 7), 3);
+    }
+
+    #[test]
+    fn home_lanes_band_each_block_and_balance_small_ones() {
+        let g = geo();
+        // 4×4 tiles per node over 2 lanes: rows 0–1 on lane 0, 2–3 on
+        // lane 1, the same inside every node's block.
+        for (tx, ty, lane) in [
+            (0, 0, 0),
+            (3, 1, 0),
+            (0, 2, 1),
+            (3, 3, 1),
+            (4, 0, 0),
+            (7, 7, 1),
+        ] {
+            assert_eq!(g.home_lane(tx, ty, 2), lane, "({tx}, {ty})");
+        }
+        // Two tile rows, four lanes: each tile gets a lane of its own.
+        let small = StencilGeometry::new(32, 16, ProcessGrid::new(1, 1));
+        let lanes: Vec<usize> = [(0, 0), (1, 0), (0, 1), (1, 1)]
+            .iter()
+            .map(|&(tx, ty)| small.home_lane(tx, ty, 4))
+            .collect();
+        assert_eq!(lanes, [0, 1, 2, 3]);
+        // The lanes' shares of a block differ by at most one tile.
+        let mut per_lane = [0; 3];
+        for ty in 0..4 {
+            for tx in 0..4 {
+                per_lane[geo().home_lane(tx, ty, 3)] += 1;
+            }
+        }
+        assert_eq!(per_lane, [6, 5, 5]);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! (ramp-up, drain, dependency chains elsewhere), or the scheduler may
 //! have had ready tasks it failed to hand out fast enough (dispatch
 //! lag). The work-stealing executors expose exactly the signal needed
-//! to tell these apart: every full steal sweep that finds every peer
-//! deque *and* the overflow injector empty bumps the node's cumulative
+//! to tell these apart: every full steal sweep that finds every deque
+//! *and* every lane's inbox empty bumps the node's cumulative
 //! `steal_fails` counter ([`obs::LiveSample::steal_fails`]).
 //!
 //! [`split_starvation`] walks a run's sample history window by window
@@ -147,6 +147,7 @@ mod tests {
             steals: 0,
             steal_fails: fails,
             overflow_pushes: 0,
+            home_hits: 0,
         }
     }
 

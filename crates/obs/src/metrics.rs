@@ -17,15 +17,18 @@ pub mod names {
     pub const BYTES_SENT: &str = "bytes_sent";
     /// Counter: redundant flops performed by communication-avoiding tasks.
     pub const REDUNDANT_FLOPS: &str = "redundant_flops";
-    /// Counter: tasks executed by a worker other than the one that
-    /// activated them (work stealing / shared-queue migration).
+    /// Counter: tasks a worker took from another lane's deque or inbox
+    /// (work stealing).
     pub const STEALS: &str = "steals";
-    /// Counter: full steal sweeps (own deque + injector + every victim)
+    /// Counter: full steal sweeps (own deque + own inbox + every victim)
     /// that found no work — the "no work anywhere" starvation signal.
     pub const STEAL_FAILS: &str = "steal_fails";
     /// Counter: local-deque pushes that found the ring full and spilled
-    /// the task to the shared injector queue.
+    /// the task to the lane's inbox.
     pub const OVERFLOW_PUSHES: &str = "overflow_pushes";
+    /// Counter: tasks that ran on their home lane (the worker that owns
+    /// their data, `runtime::TaskClass::home`).
+    pub const HOME_HITS: &str = "home_hits";
     /// Counter: task activations delivered through the pending table.
     pub const ACTIVATIONS: &str = "activations";
     /// Gauge: ready-queue depth (its max is the high-water mark).

@@ -49,10 +49,13 @@ pub struct LiveSample {
     /// "truly starved" signal `insight` splits starvation on.
     #[serde(default)]
     pub steal_fails: u64,
-    /// Cumulative local-deque overflows spilled to the shared injector
-    /// queue.
+    /// Cumulative local-deque overflows spilled to the lane's inbox.
     #[serde(default)]
     pub overflow_pushes: u64,
+    /// Cumulative tasks this node's workers ran on their home lane
+    /// (work-stealing engines only; 0 in the simulator).
+    #[serde(default)]
+    pub home_hits: u64,
 }
 
 impl LiveSample {
@@ -248,6 +251,7 @@ mod tests {
             steals: 0,
             steal_fails: 0,
             overflow_pushes: 0,
+            home_hits: 0,
         }
     }
 

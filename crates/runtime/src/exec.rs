@@ -281,7 +281,7 @@ impl RunCounts {
 
     /// The snapshot's key set: tasks, activations and the queue-depth
     /// gauge always; redundant flops and the sent pair only when nonzero;
-    /// the steal trio on the work-stealing engine.
+    /// the steal counters and home hits on the work-stealing engine.
     fn snapshot(&self) -> MetricsSnapshot {
         let mut counters = vec![
             (names::TASKS_EXECUTED, self.tasks),
@@ -301,6 +301,7 @@ impl RunCounts {
                 (names::STEALS, s.steals),
                 (names::STEAL_FAILS, s.steal_fails),
                 (names::OVERFLOW_PUSHES, s.overflow_pushes),
+                (names::HOME_HITS, s.home_hits),
             ]);
         }
         let mut snapshot = MetricsSnapshot::from_counters(counters);

@@ -16,8 +16,9 @@
 //!   buffers, so a steady-state halo exchange allocates nothing;
 //! * [`deque`] — the bounded Chase–Lev work-stealing deque
 //!   ([`StealDeque`]) each threaded-engine worker owns; the dispatch loop
-//!   built on it (local pop → injector → seeded steal sweep) is
-//!   documented in `docs/EXECUTOR.md`;
+//!   built on it (own deque → own inbox → seeded steal sweep, with every
+//!   task queued on its home lane, [`TaskClass::home`]) is documented in
+//!   `docs/EXECUTOR.md`;
 //! * [`unfold`] — static enumeration of the whole DAG as data
 //!   ([`UnfoldedDag`]), the substrate of the `analyze` crate's passes and
 //!   the graph the `insight` crate joins dynamic spans against;

@@ -16,10 +16,11 @@
 //!   side.
 //! * [`Parker`]'s sleeper-gated notify loses no wake-up: one push racing
 //!   one park always ends with the consumer holding the task, without
-//!   waiting out its timeout.
+//!   waiting out its timeout — also when the push is a cross-lane release
+//!   into the parking lane's inbox ([`NodeQueues`]).
 
 use crate::deque::{Steal, StealDeque};
-use crate::dispatch::Parker;
+use crate::dispatch::{NodeQueues, Parker, WorkerRng};
 use crate::pending::{PendingTable, ReadyTask, SpareTasks};
 use crate::ready_queue::ReadyQueue;
 use crate::scheduler::SchedulerPolicy;
@@ -210,5 +211,45 @@ fn one_push_racing_one_park_loses_no_wakeup() {
 
         assert_eq!(consumer.join().unwrap(), 7);
         assert!(start.elapsed() < TIMEOUT, "the park slept through a push");
+    });
+}
+
+#[test]
+fn cross_lane_push_racing_the_home_lanes_park_loses_no_wakeup() {
+    // Lane 0 releases a task whose home is lane 1: it lands in lane 1's
+    // inbox, not in a queue lane 0 owns. Lane 1, with nothing queued,
+    // parks whenever its sweep comes up empty. The park's re-check must
+    // count the inbox, and the push must see the sleeper, or lane 1 sits
+    // out its whole timeout.
+    loom::model(|| {
+        const TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
+        let queues = Arc::new(NodeQueues::new(SchedulerPolicy::Fifo, &prioritized(&[]), 2));
+        let start = std::time::Instant::now();
+
+        let home = {
+            let queues = Arc::clone(&queues);
+            thread::spawn(move || {
+                let mut rng = WorkerRng::new(1, 1);
+                loop {
+                    if let Some(t) = queues.next_task(1, &mut rng) {
+                        return t.key.params[0];
+                    }
+                    queues.park(TIMEOUT, || false);
+                }
+            })
+        };
+
+        // `testutil::Prioritized` homes task `[_, h, ..]` on lane `h - 1`.
+        queues.push_released(
+            0,
+            Box::new(ReadyTask {
+                key: TaskKey::new(0, [7, 2, 0, 0]),
+                inputs: Vec::new(),
+            }),
+        );
+
+        assert_eq!(home.join().unwrap(), 7);
+        assert!(start.elapsed() < TIMEOUT, "the park slept through a push");
+        assert_eq!(queues.totals().steals, 0, "the task was lane 1's own");
     });
 }

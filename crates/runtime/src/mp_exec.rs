@@ -18,17 +18,20 @@
 //! engine measures wall-clock time but applies no performance model.
 //!
 //! Within a node, dispatch is the work-stealing substrate of
-//! `crate::dispatch`: per-worker Chase–Lev deques, the node's
-//! [`crate::ready_queue::ReadyQueue`] demoted to injector duty (roots,
-//! comm-thread deliveries, deque overflow) and a seeded steal sweep before
-//! parking. Activation counting goes through the run's one dense
+//! `crate::dispatch`: per-worker Chase–Lev deques, a per-worker inbox (a
+//! [`crate::ready_queue::ReadyQueue`] behind a lock) for everything other
+//! threads hand that worker, and a seeded steal sweep before parking. A
+//! released task, a root and a comm-thread delivery all go to the task's
+//! home lane ([`crate::TaskClass::home`]), so a tile stays with one
+//! worker. Activation counting goes through the run's one dense
 //! [`crate::pending::PendingTable`], which every node's workers and comm
 //! thread share: a task's entry is found by its slot, so a delivery costs
 //! a claim on one entry, no hash and no lock shared with other tasks. The
 //! worker loop and the task-completion routine live in
 //! `crate::dispatch::worker`; this module only adds the cross-node branch
-//! (`Cluster::ship`). Steal/steal-fail/overflow counts are kept per node
-//! and surfaced in the node's live samples and the run's metric snapshot.
+//! (`Cluster::ship`). Steal/steal-fail/overflow/home-hit counts are kept
+//! per node and surfaced in the node's live samples and the run's metric
+//! snapshot.
 //!
 //! On a traced run, task executions are recorded as spans (worker index =
 //! lane within the node); the comm thread records its delivery processing
@@ -63,7 +66,7 @@ enum CommItem {
 }
 
 /// One node's comm-thread channel.
-struct Inbox {
+struct CommChannel {
     tx: Sender<CommItem>,
     rx: Receiver<CommItem>,
 }
@@ -71,9 +74,9 @@ struct Inbox {
 struct Cluster<'p> {
     run: RunShared<'p>,
     nodes: Vec<NodeQueues>,
-    /// One inbox per node; empty on a one-node run, which has no
+    /// One comm channel per node; empty on a one-node run, which has no
     /// cross-node flow to carry.
-    inboxes: Vec<Inbox>,
+    channels: Vec<CommChannel>,
     workers_per_node: usize,
 }
 
@@ -99,7 +102,7 @@ impl<'p> Cluster<'p> {
         if dst == node {
             return Some(flow);
         }
-        self.inboxes[dst]
+        self.channels[dst]
             .tx
             .send(CommItem::Flow {
                 consumer: flow.consumer,
@@ -119,8 +122,8 @@ impl<'p> Cluster<'p> {
         for n in &self.nodes {
             n.wake_all();
         }
-        for inbox in &self.inboxes {
-            let _ = inbox.tx.send(CommItem::Shutdown);
+        for channel in &self.channels {
+            let _ = channel.tx.send(CommItem::Shutdown);
         }
     }
 }
@@ -138,7 +141,7 @@ fn comm_thread(
         run.done.store(true, Ordering::Release);
         cluster.shutdown_all();
     });
-    let rx = &cluster.inboxes[node].rx;
+    let rx = &cluster.channels[node].rx;
     let comm_lane = cluster.workers_per_node as u32;
     let queues = &cluster.nodes[node];
     // This thread only delivers, so it never has a retired task to reuse.
@@ -198,7 +201,7 @@ fn comm_thread(
 /// busy clocks; queue depths are probed from the node's queues (its comm
 /// queue length doubles as "messages in flight" — a flow queued at the
 /// destination's comm thread is the wire here), and the node's
-/// cumulative steal/overflow counters ride along.
+/// cumulative steal/overflow/home-hit counters ride along.
 fn sampler(cluster: &Cluster<'_>, live: &Live, period_ns: u64) {
     let period = Duration::from_nanos(period_ns.max(1));
     let slice = period.min(Duration::from_millis(5));
@@ -243,6 +246,7 @@ fn publish_samples(
             steals,
             steal_fails,
             overflow_pushes,
+            home_hits,
         } = node.totals();
         let readings = node.busy_clocks().map(|c| c.read(w1));
         live.publish(LiveSample {
@@ -252,11 +256,12 @@ fn publish_samples(
             lane_busy: window_busy(&mut last_busy[n], readings, w1 - w0),
             ready_depth: node.len(),
             pending_tasks: pending[n],
-            inflight_msgs: cluster.inboxes.get(n).map_or(0, |i| i.rx.len() as u64),
+            inflight_msgs: cluster.channels.get(n).map_or(0, |i| i.rx.len() as u64),
             inflight_bytes: 0,
             steals,
             steal_fails,
             overflow_pushes,
+            home_hits,
         });
     }
 }
@@ -281,21 +286,24 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
         nodes: (0..nodes)
             .map(|_| NodeQueues::new(cfg.scheduler, &program.graph, threads_per_node))
             .collect(),
-        inboxes: match nodes {
+        channels: match nodes {
             1 => Vec::new(),
             _ => (0..nodes)
                 .map(|_| {
                     let (tx, rx) = unbounded();
-                    Inbox { tx, rx }
+                    CommChannel { tx, rx }
                 })
                 .collect(),
         },
         workers_per_node: threads_per_node,
     };
 
-    for &root in &program.roots {
-        let node = cluster.node_of(root);
-        cluster.nodes[node].push_external(PendingTable::root(&program.graph, root));
+    for (node, queues) in cluster.nodes.iter().enumerate() {
+        let roots = program
+            .roots
+            .iter()
+            .filter(|&&r| cluster.node_of(r) == node);
+        queues.seed(roots.map(|&r| PendingTable::root(&program.graph, r)));
     }
 
     let live = cfg.live_board();
@@ -303,7 +311,7 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
     // Each thread fills its own slot: one tally per worker, in (node,
     // lane) order, and one delivery count per comm thread.
     let mut tallies = vec![RunCounts::default(); nodes as usize * threads_per_node];
-    let mut delivered = vec![0; cluster.inboxes.len()];
+    let mut delivered = vec![0; cluster.channels.len()];
     crossbeam::thread::scope(|s| {
         for (i, tally) in tallies.iter_mut().enumerate() {
             let (node, lane) = (i / threads_per_node, i % threads_per_node);

@@ -9,13 +9,16 @@
 //! executors no longer funnel every dispatch through one
 //! `Mutex<ReadyQueue>`. The queue survives in two narrower roles:
 //!
-//! * the shared **injector** — externally-released tasks (program
-//!   roots, arrivals from the comm thread) and local-deque overflow
-//!   spill land here, drained by any worker between deque polls;
+//! * the per-lane **inbox** — everything another thread hands a lane
+//!   (a release homed on it, a program root, an arrival from the comm
+//!   thread) and the lane's own local-deque overflow land here, drained
+//!   by the owner after its deque and by thieves after the victim's
+//!   deque;
 //! * the **per-lane priority queue** — priority selection needs a
 //!   global best-first view a lock-free deque cannot give, so
-//!   `Priority` lanes each hold a small mutex-guarded `ReadyQueue` that
-//!   thieves lock to steal the victim's highest-priority task.
+//!   `Priority` lanes each hold a small mutex-guarded `ReadyQueue`,
+//!   which is also their inbox, that thieves lock to steal the victim's
+//!   highest-priority task.
 //!
 //! The simulator still uses one central `ReadyQueue` per node, which is
 //! what keeps its dispatch order — and `BENCH_stencil.json` —

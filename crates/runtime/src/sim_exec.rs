@@ -393,6 +393,7 @@ impl Sim {
                 steals: 0,
                 steal_fails: 0,
                 overflow_pushes: 0,
+                home_hits: 0,
             });
         }
         self.last_sample = now;

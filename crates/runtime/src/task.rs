@@ -288,6 +288,17 @@ pub trait TaskClass: Send + Sync {
     /// The node that executes task `p` (owner-computes placement).
     fn node_of(&self, p: Params) -> NodeId;
 
+    /// The worker lane, of the `lanes` on task `p`'s node, that owns the
+    /// task's data — PaRSEC's JDF affinity clause (`: descA(m, x)`). The
+    /// threaded engine queues a released task on its home lane, so a
+    /// tile's iterates stay with one core; the answer must be below
+    /// `lanes`. `None` (the default) leaves the task on the lane that
+    /// released it. The simulator ignores it.
+    fn home(&self, p: Params, lanes: usize) -> Option<usize> {
+        let _ = (p, lanes);
+        None
+    }
+
     /// Number of dataflow inputs task `p` waits for before it may fire.
     /// Must equal the number of `OutputDep`s across all predecessors that
     /// name this task as consumer ([`crate::unfold`] checks this).
@@ -595,7 +606,8 @@ pub(crate) mod testutil {
     }
 
     /// An inert class for ready-queue tests: task `p` has priority
-    /// `table[p[0]]`, 0 when `p[0]` is not in the table.
+    /// `table[p[0]]`, 0 when `p[0]` is not in the table, and home lane
+    /// `p[1] - 1`, none when `p[1]` is 0.
     pub struct Prioritized(pub HashMap<i32, i32>);
 
     impl TaskClass for Prioritized {
@@ -607,6 +619,9 @@ pub(crate) mod testutil {
         }
         fn node_of(&self, _p: Params) -> NodeId {
             0
+        }
+        fn home(&self, p: Params, _lanes: usize) -> Option<usize> {
+            usize::try_from(p[1] - 1).ok()
         }
         fn activation_count(&self, _p: Params) -> usize {
             0

@@ -163,3 +163,48 @@ fn machine_profile_does_not_change_numerics() {
         assert_eq!(max_abs_diff(&c.store.unwrap().gather(), &reference), 0.0);
     }
 }
+
+/// Home-lane dispatch (`TaskClass::home`) queues every stencil task on the
+/// worker that owns its tile; it may move work between cores, never a
+/// bit. Every scheme × policy × worker count runs, on a 12 × 12-tile
+/// grid, on a grid with fewer tile rows than lanes (2 × 2 tiles on up to
+/// 4 workers) and on a program placed for a 2 × 2 node grid but run on
+/// one node. Base and CA carry data and match the reference bit for bit;
+/// PA2, a performance skeleton without data, must run exactly its
+/// unfolded DAG.
+#[test]
+fn home_lane_dispatch_keeps_every_scheme_bitwise() {
+    use runtime::SchedulerPolicy;
+    for (n, tile, grid) in [
+        (48, 4, ProcessGrid::new(1, 1)),
+        (32, 16, ProcessGrid::new(1, 1)),
+        (32, 4, ProcessGrid::new(2, 2)),
+    ] {
+        let cfg = scrambled_config(n, tile, 5, grid, 2, 23);
+        let reference = jacobi_reference(&cfg.problem, 5);
+        let pa2 = build_pa2(&cfg, false).program;
+        let dag = UnfoldedDag::enumerate(&pa2);
+        for workers in [2, 3, 4] {
+            for policy in [
+                SchedulerPolicy::Fifo,
+                SchedulerPolicy::Lifo,
+                SchedulerPolicy::Priority,
+            ] {
+                let rc = RunConfig::shared_memory(workers).with_scheduler(policy);
+                let cell = format!("n = {n}, tile {tile}, {workers} workers, {policy:?}");
+                for (scheme, build) in [("base", build_base as fn(_, _) -> _), ("ca", build_ca)] {
+                    let b = build(&cfg, true);
+                    run(&b.program, &rc);
+                    let field = b.store.unwrap().gather();
+                    assert_eq!(max_abs_diff(&field, &reference), 0.0, "{scheme}, {cell}");
+                }
+                let r = run(&pa2, &rc);
+                assert_eq!(
+                    (r.tasks_executed, r.counter(obs::names::ACTIVATIONS)),
+                    (dag.len() as u64, dag.edges.len() as u64),
+                    "pa2, {cell}"
+                );
+            }
+        }
+    }
+}

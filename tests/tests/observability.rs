@@ -280,7 +280,7 @@ fn metric_snapshots_keep_their_keys_and_values_on_every_engine() {
             }
             let mut want: Vec<&str> = pinned.iter().map(|&(k, _)| k).collect();
             if threaded {
-                want.extend([STEALS, STEAL_FAILS, OVERFLOW_PUSHES]);
+                want.extend([STEALS, STEAL_FAILS, OVERFLOW_PUSHES, HOME_HITS]);
             }
             want.sort_unstable();
             let keys: Vec<&str> = snap.counters.keys().map(String::as_str).collect();

@@ -289,10 +289,11 @@ impl TaskClass for NappingRoot {
 
 /// A fan wider than the local-deque capacity on the real executor: the
 /// root's release wakes the parked workers while it fills its own deque
-/// and then overflows into the shared injector, so the woken workers
-/// steal from the owner and drain the injector. Every task still runs
-/// exactly once, and steals are actually observed (retried a few times —
-/// steal timing depends on the OS scheduler).
+/// and then overflows into its own lane's inbox (DTD tasks have no home,
+/// so every release stays on the releasing lane), and the woken workers
+/// can only steal — from the owner's deque, then from its inbox. Every
+/// task still runs exactly once, and steals are actually observed
+/// (retried a few times — steal timing depends on the OS scheduler).
 #[test]
 fn steal_heavy_fan_runs_every_task_exactly_once() {
     const WIDTH: usize = 2048;
@@ -335,6 +336,29 @@ fn steal_heavy_fan_runs_every_task_exactly_once() {
         eprintln!("attempt {attempt}: no steals observed, retrying");
     }
     panic!("no run out of 25 ever recorded a steal");
+}
+
+/// Home hits count the tasks that ran on their home lane: on one worker
+/// every stencil task runs at home, on several almost every one does
+/// (the rest were stolen), and a DTD task has no home to hit.
+#[test]
+fn home_hits_count_tasks_run_on_their_home_lane() {
+    let cfg = scrambled_config(64, 8, 4, ProcessGrid::new(1, 1), 2, 3);
+    let hits = |program: &Program, workers: usize| {
+        let r = run(program, &RunConfig::shared_memory(workers));
+        (r.counter(obs::names::HOME_HITS), r.tasks_executed)
+    };
+    for program in [build_base(&cfg, true).program, build_ca(&cfg, true).program] {
+        let (one, tasks) = hits(&program, 1);
+        assert_eq!(one, tasks, "one worker runs every task at home");
+        let (two, tasks) = hits(&program, 2);
+        assert!(two <= tasks && two > 0, "{two} of {tasks} at home");
+    }
+    assert_eq!(
+        hits(&build_base_dtd(&cfg), 2).0,
+        0,
+        "DTD tasks have no home"
+    );
 }
 
 /// Task ids in start order: stable sort by start time, so spans sharing a
