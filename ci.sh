@@ -53,15 +53,30 @@ step ./target/release/stencil-doctor --check
 # nanoseconds; the makespans must match BENCH_whatif.json within 2 %.
 step ./target/release/stencil-whatif --check
 
-# Transcript gate: docs/OBSERVABILITY.md §6 quotes stencil-whatif's
-# output, which is in virtual time and so byte-stable; the quoted block
-# (the lines after its `$ cargo run ...` line) must equal a fresh run.
+# Transcript gates: the docs quote the output of virtual-time binaries,
+# which is byte-stable. Each entry is a (doc, command line) pair; the
+# block quoted after that `$ ...` line, up to the closing fence, must
+# equal a fresh run of the release binary with the line's environment
+# assignments, in a temp directory (binaries write their JSON artifacts
+# into the working directory).
+transcripts=(
+    docs/OBSERVABILITY.md '$ cargo run --release -p bench --bin stencil-whatif'
+    EXPERIMENTS.md '$ REPRO_FAST=1 cargo run --release -p bench --bin pa_variants'
+)
 transcript_gate() {
-    local cmd='$ cargo run --release -p bench --bin stencil-whatif'
-    diff <(awk -v cmd="$cmd" '$0 == cmd { on = 1; next } on && /^```/ { exit } on' \
-        docs/OBSERVABILITY.md) <(./target/release/stencil-whatif)
+    local doc=$1 cmd=$2 bin=${2##*--bin } root=$PWD vars dir status=0
+    vars=${cmd#\$ }
+    vars=${vars%%cargo run*}
+    dir=$(mktemp -d) || return 1
+    # shellcheck disable=SC2086 # $vars splits into its assignments
+    diff <(awk -v cmd="$cmd" '$0 == cmd { on = 1; next } on && /^```/ { exit } on' "$doc") \
+        <(cd "$dir" && env $vars "$root/target/release/$bin") || status=1
+    rm -rf "$dir"
+    return "$status"
 }
-step transcript_gate
+for ((i = 0; i < ${#transcripts[@]}; i += 2)); do
+    step transcript_gate "${transcripts[i]}" "${transcripts[i + 1]}"
+done
 
 # Communication-observatory gate: the per-peer comm matrix built from
 # traced message spans must carry exactly the per-edge message and byte

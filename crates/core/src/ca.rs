@@ -1,43 +1,121 @@
-//! The communication-avoiding stencil (paper Section IV-B2): Demmel et
-//! al.'s PA1 scheme applied at node boundaries, on top of the dataflow
-//! runtime.
+//! The stencil task class (paper Section IV-B): one task per tile per
+//! iteration, in three [`Scheme`]s of one parameterized class — the way
+//! PaRSEC writes such a family as one task class with guarded flows.
+//! The schemes differ in which flows are *deep* and in how a
+//! node-boundary tile spends the iterations between exchanges.
 //!
-//! Node-boundary tiles keep a ghost ring `s` layers deep. Every `s`
-//! iterations they receive `s`-deep edge strips from all four neighbours
-//! **and** `s × s` corner blocks from the four diagonal neighbours ("we
-//! need to buffer additional data from the four corner neighbors"); in the
-//! `s − 1` iterations in between they fire on the self-flow alone,
-//! redundantly recomputing their shrinking halo instead of communicating.
-//! Interior tiles behave exactly as in the base scheme.
+//! **The deep-edge rule.** A flow from tile `a` to tile `b` is deep when
+//! `Stencil::deep` says so. A deep edge carries an `s`-deep edge strip
+//! (or, across a diagonal, an `s × s` corner block) and only from
+//! exchange producers, iterations `t` with `t mod s = 0`; every other
+//! edge carries a one-layer strip every iteration. The producer's flows
+//! (`Stencil::for_each_out`) and the consumer's activation count
+//! (counting the same edges from the other end) both derive from it.
 //!
-//! With phase `k = (t − 1) mod s` counted from the exchange iteration, a
-//! boundary tile's current iterate is valid `s − k` layers beyond the tile
-//! on every side that has a neighbour, it updates `s − 1 − k` layers, and
-//! after `s` phases the ring is empty and refilled — the classic PA1
-//! trapezoid, expressed as per-side extents (domain sides never extend:
-//! the static Dirichlet ring is always valid at depth 1).
+//! * [`Scheme::Base`] (Section IV-B1): no edge is deep. Every tile
+//!   exchanges a one-layer strip with every side neighbour every
+//!   iteration; tiles on the node-block perimeter generate one message per
+//!   remote side per iteration.
+//! * [`Scheme::Ca`] — Demmel et al.'s PA1 applied at node boundaries
+//!   (Section IV-B2): an edge is deep when its consumer keeps a deep ghost
+//!   ring, i.e. is a node-boundary tile. Every `s` iterations such a tile
+//!   receives `s`-deep edge strips from all four neighbours **and** `s × s`
+//!   corner blocks from the four diagonal neighbours ("we need to buffer
+//!   additional data from the four corner neighbors"); in the `s − 1`
+//!   iterations in between it fires on the self-flow alone, redundantly
+//!   recomputing its shrinking halo instead of communicating. Interior
+//!   tiles behave exactly as in the base scheme. With phase
+//!   `k = (t − 1) mod s` counted from the exchange iteration, a boundary
+//!   tile's current iterate is valid `s − k` layers beyond the tile on
+//!   every side that has a neighbour, it updates `s − 1 − k` layers, and
+//!   after `s` phases the ring is empty and refilled — the classic PA1
+//!   trapezoid, expressed as per-side extents (domain sides never extend:
+//!   the static Dirichlet ring is always valid at depth 1).
+//! * [`Scheme::Pa2`] — the second algorithm of Demmel et al., which the
+//!   paper describes but does not implement ("PA1 is the naive version
+//!   while PA2 will minimize the redundant work but might limit the amount
+//!   of overlap between computation and communication"; "Our
+//!   implementation follows the PA1 algorithm"): an edge is deep when it
+//!   crosses nodes. PA2 is a *performance skeleton*, so the PA1-vs-PA2
+//!   trade-off can be measured on the simulated clusters:
+//!   * remote message cadence and sizes are **identical** to PA1 (one
+//!     `s`-deep surface bundle per remote side pair plus corner blocks per
+//!     cycle — in PA2 the bundle carries the neighbour's *computed* edge
+//!     layers of the cycle's iterates instead of raw ghost data);
+//!   * **no redundant flops**: boundary tiles defer the edge bands that
+//!     depend on not-yet-received remote surfaces (the band grows one cell
+//!     per phase) and recompute nothing;
+//!   * the deferred work lands as a **catch-up bulge** in the
+//!     exchange-phase task, serialized behind the message — exactly the
+//!     reduced overlap the paper warns about;
+//!   * local-facing sides still exchange one-layer strips every
+//!     iteration, so only remote sides participate in deferral.
+//!
+//!   The skeleton carries no payloads (building with `carry_data` is
+//!   rejected): PA2's deferred-band numerics would require per-iterate
+//!   ghost history, which the paper's argument does not need.
+//!
+//! A tile's ghost-ring depth (`Scheme::ring_depth`) is `s` on
+//! node-boundary tiles under CA and PA2 and 1 everywhere else ("this
+//! version will use slightly more memory", Section IV-B2).
 
 use crate::config::{StencilBuild, StencilConfig};
 use crate::flows::{
-    cross_rects, slot_of_corner, slot_of_side, stencil_box, OutFlow, OutFlows, KIND_BOUNDARY,
-    KIND_INIT, KIND_INTERIOR, NUM_SLOTS_CA, SLOT_SELF,
+    cross_rects, slot_of_corner, slot_of_side, OutFlow, KIND_BOUNDARY, KIND_INIT, KIND_INTERIOR,
+    NUM_SLOTS_BASE, NUM_SLOTS_CA, SLOT_SELF,
 };
 use crate::geometry::{Corner, Side, StencilGeometry};
 use crate::problem::Operator;
 use crate::store::TileStore;
-use crate::tile::Extents;
+use crate::tile::{Extents, TileBuf};
 use machine::StencilCostModel;
 use netsim::NodeId;
 use runtime::{
     FlowData, OutputDep, Params, Program, ReadRegion, Rect, TaskClass, TaskGraph, TaskKey,
     WriteRegion,
 };
+use serde::Serialize;
 use std::sync::Arc;
 
+/// The builders register exactly one class per program, so consumer keys
+/// always reference class 0.
 const CLASS: u16 = 0;
 
-/// Task class of the CA scheme.
-pub struct CaStencil {
+/// Which stencil scheme a program runs (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum Scheme {
+    /// One-layer exchange every iteration.
+    Base,
+    /// PA1 communication avoidance with the configuration's step size.
+    Ca,
+    /// The PA2 performance skeleton: PA1's traffic, no redundant flops,
+    /// no data.
+    Pa2,
+}
+
+impl Scheme {
+    /// Ghost-ring depth of tile `(tx, ty)`: `steps` on node-boundary tiles
+    /// under CA and PA2, 1 everywhere else. It sizes a data-carrying
+    /// build's tile store, is what a store handed to `build_*_on` must
+    /// provide, and is the depth of the pinned Dirichlet frame.
+    pub(crate) fn ring_depth(
+        self,
+        geo: &StencilGeometry,
+        steps: usize,
+        tx: usize,
+        ty: usize,
+    ) -> usize {
+        if self != Scheme::Base && geo.is_node_boundary(tx, ty) {
+            steps
+        } else {
+            1
+        }
+    }
+}
+
+/// The task class of every stencil scheme.
+struct Stencil {
+    scheme: Scheme,
     geo: StencilGeometry,
     store: Option<Arc<TileStore>>,
     model: StencilCostModel,
@@ -50,17 +128,55 @@ pub struct CaStencil {
     shrunk: bool,
 }
 
-impl CaStencil {
+impl Stencil {
+    fn new(
+        cfg: &StencilConfig,
+        scheme: Scheme,
+        store: Option<Arc<TileStore>>,
+        shrunk: bool,
+    ) -> Self {
+        let mut model = StencilCostModel::for_profile(&cfg.profile);
+        if cfg.problem.op.is_variable() {
+            model = model.with_variable_coefficients();
+        }
+        Stencil {
+            scheme,
+            geo: cfg.geometry(),
+            store,
+            model,
+            op: cfg.problem.op.clone(),
+            iterations: cfg.iterations,
+            steps: cfg.steps,
+            ratio: cfg.ratio,
+            shrunk,
+        }
+    }
+
     fn decode(p: Params) -> (usize, usize, u32) {
         (p[0] as usize, p[1] as usize, p[2] as u32)
     }
 
-    fn key(tx: usize, ty: usize, t: u32) -> TaskKey {
+    fn key((tx, ty): (usize, usize), t: u32) -> TaskKey {
         TaskKey::new(CLASS, [tx as i32, ty as i32, t as i32, 0])
     }
 
     fn is_boundary(&self, tx: usize, ty: usize) -> bool {
         self.geo.is_node_boundary(tx, ty)
+    }
+
+    fn is_remote(&self, (ax, ay): (usize, usize), (bx, by): (usize, usize)) -> bool {
+        self.geo.node_of_tile(ax, ay) != self.geo.node_of_tile(bx, by)
+    }
+
+    /// The deep-edge rule: whether the flow from tile `a` to its side or
+    /// diagonal neighbour `b` carries an `s`-deep strip or corner block,
+    /// sent by exchange producers only (see the module docs).
+    fn deep(&self, a: (usize, usize), b: (usize, usize)) -> bool {
+        match self.scheme {
+            Scheme::Base => false,
+            Scheme::Ca => self.is_boundary(b.0, b.1),
+            Scheme::Pa2 => self.is_remote(a, b),
+        }
     }
 
     /// Phase within the CA cycle for an iteration `t ≥ 1`: 0 on exchange
@@ -76,9 +192,75 @@ impl CaStencil {
         (t as usize).is_multiple_of(self.steps)
     }
 
-    /// Update-region extents of a boundary tile at iteration `t`:
+    /// The output flows of task `p`, in flow-index order, with their
+    /// consumers and consumer slots: the single source of truth behind
+    /// `outputs` (with each flow's size), `execute` and
+    /// `num_output_flows`. One allocation-free visitor, so the answers
+    /// cannot disagree.
+    fn for_each_out(&self, p: Params, mut visit: impl FnMut(OutFlow, TaskKey, usize)) {
+        let (tx, ty, t) = Self::decode(p);
+        if t >= self.iterations {
+            return;
+        }
+        visit(OutFlow::SelfFlow, Self::key((tx, ty), t + 1), SLOT_SELF);
+        let exchange = self.feeds_exchange(t);
+        for side in Side::ALL {
+            if let Some(b) = self.geo.neighbor(tx, ty, side) {
+                let depth = if !self.deep((tx, ty), b) {
+                    1
+                } else if exchange {
+                    self.steps
+                } else {
+                    continue;
+                };
+                let slot = slot_of_side(side.opposite());
+                visit(OutFlow::Strip { side, depth }, Self::key(b, t + 1), slot);
+            }
+        }
+        if exchange {
+            for corner in Corner::ALL {
+                if let Some(d) = self.geo.diagonal(tx, ty, corner) {
+                    if self.deep((tx, ty), d) {
+                        visit(
+                            OutFlow::Block {
+                                corner,
+                                depth: self.steps,
+                            },
+                            Self::key(d, t + 1),
+                            slot_of_corner(corner.opposite()),
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Output flow `flow` of task `p`, if it has that many.
+    fn nth_out(&self, p: Params, flow: usize) -> Option<(OutFlow, TaskKey, usize)> {
+        let (mut at, mut found) = (0, None);
+        self.for_each_out(p, |of, consumer, slot| {
+            if at == flow {
+                found = Some((of, consumer, slot));
+            }
+            at += 1;
+        });
+        found
+    }
+
+    /// Cells carried by all output flows of task `p` together.
+    fn out_cells(&self, p: Params) -> usize {
+        let mut cells = 0;
+        self.for_each_out(p, |of, _, _| cells += of.bytes(self.geo.tile) / 8);
+        cells
+    }
+
+    /// Update-region extents of a CA boundary tile at iteration `t ≥ 1`:
     /// `s − 1 − k` on sides with a neighbour, 0 towards the domain edge.
+    /// Zero for every other tile and scheme.
     fn extents(&self, tx: usize, ty: usize, t: u32) -> Extents {
+        if self.scheme != Scheme::Ca || !self.is_boundary(tx, ty) {
+            return Extents::ZERO;
+        }
         let e = self.steps - 1 - self.phase(t);
         let on = |side| {
             if self.geo.neighbor(tx, ty, side).is_some() {
@@ -95,26 +277,85 @@ impl CaStencil {
         }
     }
 
-    /// The rectangle task `(tx, ty, t)` updates: the tile, extended by
-    /// the current extents into the private ghost ring for boundary
-    /// tiles. Shared by `write_region` and `read_region`.
+    /// Redundant halo points a CA boundary tile updates at iteration `t`:
+    /// the extended region beyond the tile.
+    fn halo_points(&self, tx: usize, ty: usize, t: u32) -> f64 {
+        let tile = self.geo.tile;
+        (self.extents(tx, ty, t).region_points(tile) - tile * tile) as f64
+    }
+
+    /// Whether the side neighbour of `(tx, ty)` on `side` is on another
+    /// node: the sides along which PA2 defers.
+    fn remote_side(&self, tx: usize, ty: usize, side: Side) -> bool {
+        self.geo
+            .neighbor(tx, ty, side)
+            .is_some_and(|b| self.is_remote((tx, ty), b))
+    }
+
+    /// Cells of tile `(tx, ty)` PA2 defers at phase `k`: the bands of
+    /// width `k` along each remote side (clipped union over the
+    /// rectangle).
+    fn deferred_cells(&self, tx: usize, ty: usize, k: usize) -> usize {
+        let tile = self.geo.tile;
+        let band = |side| if self.remote_side(tx, ty, side) { k } else { 0 };
+        let inner_w = tile.saturating_sub(band(Side::West) + band(Side::East));
+        let inner_h = tile.saturating_sub(band(Side::North) + band(Side::South));
+        tile * tile - inner_w * inner_h
+    }
+
+    /// Cells a PA2 boundary tile computes at iteration `t ≥ 1` beyond or
+    /// instead of its full tile: at the exchange phase the catch-up of
+    /// every band deferred in the previous cycle (phases 1..s-1), in a
+    /// quiet phase the tile minus its deferred band.
+    fn pa2_cells(&self, tx: usize, ty: usize, t: u32) -> usize {
+        match self.phase(t) {
+            0 => (1..self.steps)
+                .map(|kk| self.deferred_cells(tx, ty, kk))
+                .sum(),
+            k => self.geo.tile * self.geo.tile - self.deferred_cells(tx, ty, k),
+        }
+    }
+
+    /// The rectangle task `(tx, ty, t)` updates, `t ≥ 1`. Base and CA:
+    /// the tile, extended by the CA extents into a boundary tile's
+    /// private ghost ring. PA2: interior tiles update the tile; a boundary
+    /// tile's quiet phase `k` updates the tile *shrunk* by `k` along each
+    /// remote side (the deferred band), and its exchange phase catches up
+    /// through the remote surfaces — modeled as the tile *extended* by
+    /// `s − 1` along remote sides, the deepest layer the catch-up
+    /// consults. Drives the read/write region declarations.
     fn update_rect(&self, tx: usize, ty: usize, t: u32) -> Rect {
-        let mut rect = self.geo.tile_rect(tx, ty);
-        if self.is_boundary(tx, ty) {
+        let rect = self.geo.tile_rect(tx, ty);
+        if self.scheme != Scheme::Pa2 {
             let ext = self.extents(tx, ty, t);
-            rect = Rect::new(
+            return Rect::new(
                 rect.row - ext.north as i64,
                 rect.col - ext.west as i64,
                 rect.rows + (ext.north + ext.south) as u32,
                 rect.cols + (ext.west + ext.east) as u32,
             );
         }
-        rect
+        if !self.is_boundary(tx, ty) {
+            return rect;
+        }
+        let remote = |side| i64::from(self.remote_side(tx, ty, side));
+        let (n, s) = (remote(Side::North), remote(Side::South));
+        let (w, e) = (remote(Side::West), remote(Side::East));
+        let grow = match self.phase(t) {
+            0 => self.steps as i64 - 1,
+            k => -(k as i64),
+        };
+        Rect::new(
+            rect.row - n * grow,
+            rect.col - w * grow,
+            (rect.rows as i64 + (n + s) * grow) as u32,
+            (rect.cols as i64 + (w + e) * grow) as u32,
+        )
     }
 
     /// Apply one Jacobi step on a tile with the given update extents,
     /// dispatching on the operator kind.
-    fn apply(&self, buf: &mut crate::tile::TileBuf, tx: usize, ty: usize, ext: Extents) {
+    fn apply(&self, buf: &mut TileBuf, tx: usize, ty: usize, ext: Extents) {
         match &self.op {
             Operator::Constant(w) => buf.jacobi_step(w, ext),
             Operator::Variable(f) => {
@@ -124,64 +365,26 @@ impl CaStencil {
     }
 }
 
-impl OutFlows for CaStencil {
-    /// The output flows of task `p`, in flow-index order, with their
-    /// consumers.
-    fn for_each_out(&self, p: Params, mut visit: impl FnMut(OutFlow, TaskKey, usize)) {
-        let (tx, ty, t) = Self::decode(p);
-        if t >= self.iterations {
-            return;
-        }
-        visit(OutFlow::SelfFlow, Self::key(tx, ty, t + 1), SLOT_SELF);
-        let deep = self.feeds_exchange(t);
-        for side in Side::ALL {
-            if let Some((nx, ny)) = self.geo.neighbor(tx, ty, side) {
-                if self.is_boundary(nx, ny) {
-                    if deep {
-                        visit(
-                            OutFlow::Strip {
-                                side,
-                                depth: self.steps,
-                            },
-                            Self::key(nx, ny, t + 1),
-                            slot_of_side(side.opposite()),
-                        );
-                    }
-                } else {
-                    visit(
-                        OutFlow::Strip { side, depth: 1 },
-                        Self::key(nx, ny, t + 1),
-                        slot_of_side(side.opposite()),
-                    );
-                }
-            }
-        }
-        if deep {
-            for corner in Corner::ALL {
-                if let Some((dx, dy)) = self.geo.diagonal(tx, ty, corner) {
-                    if self.is_boundary(dx, dy) {
-                        visit(
-                            OutFlow::Block {
-                                corner,
-                                depth: self.steps,
-                            },
-                            Self::key(dx, dy, t + 1),
-                            slot_of_corner(corner.opposite()),
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl TaskClass for CaStencil {
+impl TaskClass for Stencil {
     fn name(&self) -> &str {
-        "ca-stencil"
+        match self.scheme {
+            Scheme::Base => "base-stencil",
+            Scheme::Ca => "ca-stencil",
+            Scheme::Pa2 => "pa2-stencil",
+        }
     }
 
+    /// One task per tile per iterate `t = 0 ..= iterations`, so the box's
+    /// volume is the program's task count and the runtime's slot space
+    /// has no holes.
     fn param_box(&self) -> [u32; 4] {
-        stencil_box(&self.geo, self.iterations)
+        let geo = &self.geo;
+        [
+            geo.tiles_x as u32,
+            geo.tiles_y as u32,
+            self.iterations + 1,
+            1,
+        ]
     }
 
     fn node_of(&self, p: Params) -> NodeId {
@@ -194,62 +397,91 @@ impl TaskClass for CaStencil {
         Some(self.geo.home_lane(tx, ty, lanes))
     }
 
+    /// The edges of `for_each_out` counted from the consumer's end: the
+    /// self-flow, every side edge that is not deep, and the deep side and
+    /// corner edges when the producers fed an exchange.
     fn activation_count(&self, p: Params) -> usize {
         let (tx, ty, t) = Self::decode(p);
         if t == 0 {
-            0
-        } else if !self.is_boundary(tx, ty) {
-            1 + self.geo.num_side_neighbors(tx, ty)
-        } else if self.phase(t) == 0 {
-            1 + self.geo.num_side_neighbors(tx, ty) + self.geo.num_diag_neighbors(tx, ty)
-        } else {
-            1 // self-flow only: the communication-avoided iterations
+            return 0;
         }
+        let exchange = self.feeds_exchange(t - 1);
+        let sides = Side::ALL
+            .iter()
+            .filter_map(|&side| self.geo.neighbor(tx, ty, side))
+            .filter(|&b| exchange || !self.deep(b, (tx, ty)))
+            .count();
+        let corners = if exchange {
+            Corner::ALL
+                .iter()
+                .filter_map(|&corner| self.geo.diagonal(tx, ty, corner))
+                .filter(|&d| self.deep(d, (tx, ty)))
+                .count()
+        } else {
+            0
+        };
+        1 + sides + corners
     }
 
     fn num_input_slots(&self, _p: Params) -> usize {
-        NUM_SLOTS_CA
+        match self.scheme {
+            Scheme::Base => NUM_SLOTS_BASE,
+            Scheme::Ca | Scheme::Pa2 => NUM_SLOTS_CA,
+        }
     }
 
     fn num_output_flows(&self, p: Params) -> usize {
-        self.count_out(p)
+        let mut flows = 0;
+        self.for_each_out(p, |_, _, _| flows += 1);
+        flows
     }
 
     fn outputs(&self, p: Params, out: &mut Vec<OutputDep>) {
-        self.push_deps(p, self.geo.tile, out);
+        let mut flow = 0;
+        self.for_each_out(p, |of, consumer, slot| {
+            out.push(OutputDep {
+                flow,
+                consumer,
+                slot,
+                bytes: of.bytes(self.geo.tile),
+            });
+            flow += 1;
+        });
     }
 
     fn execute(&self, p: Params, inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
-        let store = self
-            .store
-            .as_ref()
-            .expect("CA stencil built without data cannot execute bodies");
+        if self.scheme == Scheme::Pa2 {
+            // performance skeleton: sized flows only (see module docs)
+            let tile = self.geo.tile;
+            self.for_each_out(p, |of, _, _| out.push(FlowData::sized(of.bytes(tile))));
+            return;
+        }
+        let Some(store) = &self.store else {
+            panic!("{} built without data cannot execute bodies", self.name());
+        };
         let (tx, ty, t) = Self::decode(p);
         let mut buf = store.lock(tx, ty);
         if t > 0 {
-            if !self.is_boundary(tx, ty) {
-                for side in Side::ALL {
-                    if let Some(flow) = inputs[slot_of_side(side)].take() {
-                        buf.write_strip(side, 1, flow.expect_values());
-                    }
+            for side in Side::ALL {
+                if let Some(flow) = inputs[slot_of_side(side)].take() {
+                    let b = self.geo.neighbor(tx, ty, side).expect("strip from no tile");
+                    let depth = if self.deep(b, (tx, ty)) {
+                        self.steps
+                    } else {
+                        1
+                    };
+                    buf.write_strip(side, depth, flow.expect_values());
                 }
-                self.apply(&mut buf, tx, ty, Extents::ZERO);
-            } else {
-                if self.phase(t) == 0 {
-                    for side in Side::ALL {
-                        if let Some(flow) = inputs[slot_of_side(side)].take() {
-                            buf.write_strip(side, self.steps, flow.expect_values());
-                        }
-                    }
-                    for corner in Corner::ALL {
-                        if let Some(flow) = inputs[slot_of_corner(corner)].take() {
-                            buf.write_corner(corner, self.steps, flow.expect_values());
-                        }
-                    }
-                }
-                let ext = self.extents(tx, ty, t);
-                self.apply(&mut buf, tx, ty, ext);
             }
+            for corner in Corner::ALL {
+                if let Some(flow) = inputs
+                    .get_mut(slot_of_corner(corner))
+                    .and_then(Option::take)
+                {
+                    buf.write_corner(corner, self.steps, flow.expect_values());
+                }
+            }
+            self.apply(&mut buf, tx, ty, self.extents(tx, ty, t));
         }
         self.for_each_out(p, |of, _, _| out.push(of.extract(&buf)));
     }
@@ -258,16 +490,32 @@ impl TaskClass for CaStencil {
         let (tx, ty, t) = Self::decode(p);
         let tile = self.geo.tile;
         if t == 0 {
-            return self.model.ghost_copy_time(self.out_cells(p, tile));
+            // iterate-0 emission: strip copies only
+            return self.model.ghost_copy_time(match self.scheme {
+                Scheme::Base => 4 * tile,
+                Scheme::Ca | Scheme::Pa2 => self.out_cells(p),
+            });
         }
-        let base = self.model.task_time(tile, tile, self.ratio);
-        if !self.is_boundary(tx, ty) {
-            return base;
+        let full = self.model.task_time(tile, tile, self.ratio);
+        if self.scheme == Scheme::Base || !self.is_boundary(tx, ty) {
+            return full;
         }
-        // Redundant halo work: the extended region beyond the tile, at the
-        // same per-point cost (and the same ratio scaling) as the kernel.
-        let ext = self.extents(tx, ty, t);
-        let halo_points = (ext.region_points(tile) - tile * tile) as f64;
+        if self.scheme == Scheme::Pa2 {
+            let r2 = self.ratio * self.ratio;
+            let cells = self.pa2_cells(tx, ty, t) as f64 * r2;
+            return if self.phase(t) == 0 {
+                // exchange phase: this iteration's full tile, plus the
+                // catch-up serialized behind the surface message
+                full + self.model.region_time(cells, tile, tile)
+            } else {
+                // quiet phase: the deferred band is *not* computed now
+                self.model.task_overhead + self.model.region_time(cells, tile, tile)
+            };
+        }
+        // CA's redundant halo work: the extended region beyond the tile,
+        // at the same per-point cost (and the same ratio scaling) as the
+        // kernel.
+        let halo_points = self.halo_points(tx, ty, t);
         let halo = self
             .model
             .region_time(halo_points * self.ratio * self.ratio, tile, tile);
@@ -290,7 +538,7 @@ impl TaskClass for CaStencil {
         } else {
             0.0
         };
-        base + halo + copies
+        full + halo + copies
     }
 
     fn priority(&self, p: Params) -> i32 {
@@ -312,17 +560,25 @@ impl TaskClass for CaStencil {
 
     fn write_region(&self, p: Params) -> Option<WriteRegion> {
         let (tx, ty, t) = Self::decode(p);
-        // The iterate-0 emission certifies the store's initial fill of
-        // the tile rectangle — never the ghost ring, so ghost validity
-        // must be proven from deliveries (see base.rs for the rationale).
+        // The iterate-0 emission "writes" the tile interior in the sense
+        // the dataflow pass needs: it certifies the store's initial fill
+        // of exactly the tile rectangle as valid. Deliberately NOT the
+        // ghost ring — ghost validity must come from deliveries (or the
+        // pinned Dirichlet frame), so a shrunken halo declaration shows
+        // up as an uncovered read instead of hiding behind init.
         //
-        // Boundary tiles at t > 0 also update their halo: the written
+        // CA boundary tiles at t > 0 also update their halo: the written
         // rectangle extends beyond the tile by the current extents. Those
         // global coordinates overlap the neighbours' rectangles, but the
         // space is the tile's private buffer — the recompute writes its
         // own ghost ring, never the neighbour's cells — so no race is
         // declared.
-        let rect = if t == 0 {
+        //
+        // PA2 defers instead of recomputing: writes never leave the tile.
+        // Quiet phases honestly declare only the band they update (the
+        // tile minus the deferred bands); exchange phases write the full
+        // tile (current iterate plus the caught-up bands).
+        let rect = if t == 0 || (self.scheme == Scheme::Pa2 && self.phase(t) == 0) {
             self.geo.tile_rect(tx, ty)
         } else {
             self.update_rect(tx, ty, t)
@@ -344,13 +600,11 @@ impl TaskClass for CaStencil {
 
     fn pinned_region(&self, p: Params) -> Option<ReadRegion> {
         let (tx, ty, _) = Self::decode(p);
-        // The Dirichlet frame is pre-filled through the whole ghost ring:
-        // `steps` deep on boundary tiles, 1 on interior ones.
-        let depth = if self.is_boundary(tx, ty) {
-            self.steps
-        } else {
-            1
-        };
+        // The Dirichlet frame is pre-filled through the whole ghost ring.
+        // PA2 has no ring, but its boundary tiles' exchange reads reach
+        // `s − 1` cells past the tile along remote sides, so where such a
+        // side meets the domain edge the frame must be that wide too.
+        let depth = self.scheme.ring_depth(&self.geo, self.steps, tx, ty);
         let rects = self.geo.dirichlet_rects(tx, ty, depth);
         (!rects.is_empty()).then(|| ReadRegion {
             space: self.geo.tile_space(tx, ty),
@@ -382,33 +636,116 @@ impl TaskClass for CaStencil {
     }
 
     fn flops(&self, p: Params) -> f64 {
-        let (_, _, t) = Self::decode(p);
+        let (tx, ty, t) = Self::decode(p);
         if t == 0 {
-            0.0
+            return 0.0;
+        }
+        // CA counts useful work only: its halo recompute is in
+        // `redundant_flops`.
+        let full = self
+            .model
+            .task_flops(self.geo.tile, self.geo.tile, self.ratio);
+        if self.scheme != Scheme::Pa2 || !self.is_boundary(tx, ty) {
+            return full;
+        }
+        // PA2 mirrors `cost`'s cell accounting at 9 flops per updated
+        // point: quiet phases compute fewer cells, exchange phases catch
+        // up, and the cycle total equals the nominal work — PA2's defining
+        // property (no redundant flops, hence no `redundant_flops`).
+        let cells = self.pa2_cells(tx, ty, t) as f64 * (self.ratio * self.ratio) * 9.0;
+        if self.phase(t) == 0 {
+            full + cells
         } else {
-            // useful work only; the halo recompute is in `redundant_flops`
-            self.model
-                .task_flops(self.geo.tile, self.geo.tile, self.ratio)
+            cells
         }
     }
 
     fn redundant_flops(&self, p: Params) -> u64 {
         let (tx, ty, t) = Self::decode(p);
-        if t == 0 || !self.is_boundary(tx, ty) {
+        if self.scheme != Scheme::Ca || t == 0 || !self.is_boundary(tx, ty) {
             return 0;
         }
-        let tile = self.geo.tile;
-        let ext = self.extents(tx, ty, t);
-        let halo_points = (ext.region_points(tile) - tile * tile) as f64;
         // 9 flops per updated point, scaled by the kernel ratio like the
         // useful work (see machine::StencilCostModel::task_flops)
-        (halo_points * self.ratio * self.ratio * 9.0).round() as u64
+        (self.halo_points(tx, ty, t) * self.ratio * self.ratio * 9.0).round() as u64
     }
 }
 
+/// A data-carrying build's tile store: every tile's ghost ring as deep as
+/// the scheme's `Scheme::ring_depth`.
+pub(crate) fn new_store(cfg: &StencilConfig, scheme: Scheme) -> Arc<TileStore> {
+    let geo = cfg.geometry();
+    Arc::new(TileStore::new(&cfg.problem, geo.clone(), |tx, ty| {
+        scheme.ring_depth(&geo, cfg.steps, tx, ty)
+    }))
+}
+
+fn build(
+    cfg: &StencilConfig,
+    scheme: Scheme,
+    store: Option<Arc<TileStore>>,
+    shrunk: bool,
+) -> StencilBuild {
+    let class = Stencil::new(cfg, scheme, store.clone(), shrunk);
+    let geo = class.geo.clone();
+    let mut graph = TaskGraph::new();
+    let id = graph.add_class(Arc::new(class));
+    assert_eq!(id, CLASS, "a stencil program has exactly one class");
+    let roots = (0..geo.tiles_y)
+        .flat_map(|ty| (0..geo.tiles_x).map(move |tx| Stencil::key((tx, ty), 0)))
+        .collect();
+    let total_tasks = geo.num_tiles() as u64 * (cfg.iterations as u64 + 1);
+    StencilBuild {
+        program: Program {
+            graph: Arc::new(graph),
+            roots,
+            total_tasks,
+        },
+        store,
+        geo,
+    }
+}
+
+/// Build `scheme`'s program *over an existing store*, continuing from
+/// whatever iterate the store currently holds (the iterate-0 emission
+/// tasks read the store's current state). Every tile's ghost ring must
+/// be at least as deep as `Scheme::ring_depth`.
+pub(crate) fn build_on(cfg: &StencilConfig, scheme: Scheme, store: Arc<TileStore>) -> StencilBuild {
+    let geo = cfg.geometry();
+    assert_eq!(
+        store.geometry().num_tiles(),
+        geo.num_tiles(),
+        "store was built for a different tiling"
+    );
+    for ty in 0..geo.tiles_y {
+        for tx in 0..geo.tiles_x {
+            let depth = scheme.ring_depth(&geo, cfg.steps, tx, ty);
+            assert!(
+                store.lock(tx, ty).ghost() >= depth,
+                "tile ({tx},{ty}) has ghost < its ring depth {depth}"
+            );
+        }
+    }
+    build(cfg, scheme, Some(store), false)
+}
+
+/// Build the base-scheme program. With `carry_data`, a [`TileStore`] is
+/// initialized from the problem and task bodies perform the real Jacobi
+/// updates; without, the program is performance-only.
+pub fn build_base(cfg: &StencilConfig, carry_data: bool) -> StencilBuild {
+    let store = carry_data.then(|| new_store(cfg, Scheme::Base));
+    build(cfg, Scheme::Base, store, false)
+}
+
+/// Build the base-scheme program over an existing store, continuing from
+/// the iterate it holds. Used for chunked solves with convergence checks
+/// between chunks.
+pub fn build_base_on(cfg: &StencilConfig, store: Arc<TileStore>) -> StencilBuild {
+    build_on(cfg, Scheme::Base, store)
+}
+
 /// Build the CA-scheme program. Boundary tiles get `s`-deep ghost rings;
-/// interior tiles stay at depth 1 ("this version will use slightly more
-/// memory", Section IV-B2).
+/// interior tiles stay at depth 1.
 pub fn build_ca(cfg: &StencilConfig, carry_data: bool) -> StencilBuild {
     assert!(
         cfg.steps >= 1 && cfg.steps <= cfg.tile,
@@ -416,19 +753,8 @@ pub fn build_ca(cfg: &StencilConfig, carry_data: bool) -> StencilBuild {
         cfg.steps,
         cfg.tile
     );
-    let geo = cfg.geometry();
-    let steps = cfg.steps;
-    let store = carry_data.then(|| {
-        let geo2 = geo.clone();
-        Arc::new(TileStore::new(&cfg.problem, geo.clone(), |tx, ty| {
-            if geo2.is_node_boundary(tx, ty) {
-                steps
-            } else {
-                1
-            }
-        }))
-    });
-    build_ca_inner(cfg, geo, store, false)
+    let store = carry_data.then(|| new_store(cfg, Scheme::Ca));
+    build(cfg, Scheme::Ca, store, false)
 }
 
 /// Build a CA program whose *declared* dataflow is deliberately wrong:
@@ -444,75 +770,34 @@ pub fn build_ca_shrunk(cfg: &StencilConfig) -> StencilBuild {
         cfg.steps > 1,
         "the shrunk-halo mutation needs a deep ghost (steps > 1)"
     );
-    build_ca_inner(cfg, cfg.geometry(), None, true)
+    build(cfg, Scheme::Ca, None, true)
 }
 
 /// Build the CA-scheme program over an existing store (continuation; see
-/// [`crate::base::build_base_on`]). Boundary tiles in the store must have
-/// ghost rings at least `steps` deep.
+/// [`build_base_on`]). Boundary tiles in the store must have ghost rings
+/// at least `steps` deep.
 pub fn build_ca_on(cfg: &StencilConfig, store: Arc<TileStore>) -> StencilBuild {
-    let geo = cfg.geometry();
-    assert_eq!(
-        store.geometry().num_tiles(),
-        geo.num_tiles(),
-        "store was built for a different tiling"
-    );
-    for ty in 0..geo.tiles_y {
-        for tx in 0..geo.tiles_x {
-            if geo.is_node_boundary(tx, ty) {
-                assert!(
-                    store.lock(tx, ty).ghost() >= cfg.steps,
-                    "boundary tile ({tx},{ty}) has ghost < steps"
-                );
-            }
-        }
-    }
-    build_ca_inner(cfg, geo, Some(store), false)
+    build_on(cfg, Scheme::Ca, store)
 }
 
-fn build_ca_inner(
-    cfg: &StencilConfig,
-    geo: StencilGeometry,
-    store: Option<Arc<TileStore>>,
-    shrunk: bool,
-) -> StencilBuild {
-    let steps = cfg.steps;
-    let mut model = StencilCostModel::for_profile(&cfg.profile);
-    if cfg.problem.op.is_variable() {
-        model = model.with_variable_coefficients();
-    }
-    let class = CaStencil {
-        geo: geo.clone(),
-        store: store.clone(),
-        model,
-        op: cfg.problem.op.clone(),
-        iterations: cfg.iterations,
-        steps,
-        ratio: cfg.ratio,
-        shrunk,
-    };
-    let mut graph = TaskGraph::new();
-    let id = graph.add_class(Arc::new(class));
-    assert_eq!(id, CLASS, "CA program must have exactly one class");
-    let roots = (0..geo.tiles_y)
-        .flat_map(|ty| (0..geo.tiles_x).map(move |tx| CaStencil::key(tx, ty, 0)))
-        .collect();
-    let total_tasks = geo.num_tiles() as u64 * (cfg.iterations as u64 + 1);
-    StencilBuild {
-        program: Program {
-            graph: Arc::new(graph),
-            roots,
-            total_tasks,
-        },
-        store,
-        geo,
-    }
+/// Build the PA2 performance skeleton. `carry_data` must be false.
+pub fn build_pa2(cfg: &StencilConfig, carry_data: bool) -> StencilBuild {
+    assert!(
+        !carry_data,
+        "PA2 is a performance skeleton; it cannot carry data (see module docs)"
+    );
+    assert!(
+        cfg.steps >= 1 && cfg.steps <= cfg.tile / 2,
+        "PA2 step size {} must be in [1, tile/2 = {}] (deferred bands meet otherwise)",
+        cfg.steps,
+        cfg.tile / 2
+    );
+    build(cfg, Scheme::Pa2, None, false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::base::build_base;
     use crate::problem::Problem;
     use crate::reference::{jacobi_reference, max_abs_diff};
     use machine::MachineProfile;
@@ -685,5 +970,185 @@ mod tests {
         );
         let got = b.store.unwrap().gather();
         assert_eq!(max_abs_diff(&got, &jacobi_reference(&c.problem, 6)), 0.0);
+    }
+
+    /// The tests of the base scheme.
+    mod base {
+        use super::*;
+
+        fn cfg(n: usize, tile: usize, iters: u32, grid: ProcessGrid) -> StencilConfig {
+            StencilConfig::new(Problem::scrambled(n, 77), tile, iters, grid)
+        }
+
+        #[test]
+        fn graph_is_analysis_clean() {
+            let c = cfg(12, 4, 3, ProcessGrid::new(1, 1));
+            let b = build_base(&c, false);
+            analyze::assert_clean(&b.program);
+            let c = cfg(16, 4, 2, ProcessGrid::new(2, 2));
+            let b = build_base(&c, false);
+            let a = analyze::assert_clean(&b.program);
+            // 16 tiles × (2 iters + init), no redundant work in the base scheme
+            assert_eq!(a.tasks, 16 * 3);
+            assert_eq!(a.flops.redundant, 0);
+        }
+
+        #[test]
+        fn real_executor_matches_reference_bitwise() {
+            let c = cfg(12, 4, 5, ProcessGrid::new(1, 1));
+            let b = build_base(&c, true);
+            run(&b.program, &RunConfig::shared_memory(4));
+            let got = b.store.unwrap().gather();
+            let want = jacobi_reference(&c.problem, 5);
+            assert_eq!(max_abs_diff(&got, &want), 0.0);
+        }
+
+        #[test]
+        fn simulated_executor_matches_reference_bitwise() {
+            let c = cfg(16, 4, 4, ProcessGrid::new(2, 2));
+            let b = build_base(&c, true);
+            let r = run(
+                &b.program,
+                &RunConfig::simulated(machine::MachineProfile::nacl(), 4).with_bodies(),
+            );
+            assert_eq!(r.tasks_executed, 16 * 5);
+            let got = b.store.unwrap().gather();
+            let want = jacobi_reference(&c.problem, 4);
+            assert_eq!(max_abs_diff(&got, &want), 0.0);
+        }
+
+        #[test]
+        fn remote_message_count_matches_block_perimeter() {
+            // 4×4 tiles over 2×2 nodes: each node block is 2×2 tiles; remote
+            // side pairs: along each of the 4 internal block edges, 2 tile
+            // pairs; each pair exchanges 2 strips (one each way) per
+            // iteration; producers run at t = 0..iters.
+            let iters = 3;
+            let c = cfg(16, 4, iters, ProcessGrid::new(2, 2));
+            let b = build_base(&c, false);
+            let r = run(
+                &b.program,
+                &RunConfig::simulated(machine::MachineProfile::nacl(), 4),
+            );
+            let per_iter = 4 * 2 * 2;
+            assert_eq!(r.remote_messages(), (per_iter * iters) as u64);
+            // each strip is tile × 8 bytes
+            assert_eq!(r.remote_bytes(), r.remote_messages() * (4 * 8));
+        }
+
+        #[test]
+        fn single_node_run_has_no_messages() {
+            let c = cfg(12, 4, 3, ProcessGrid::new(1, 1));
+            let b = build_base(&c, false);
+            let r = run(
+                &b.program,
+                &RunConfig::simulated(machine::MachineProfile::nacl(), 1),
+            );
+            assert_eq!(r.remote_messages(), 0);
+            assert!(r.counter("activations") > 0, "every flow stays local");
+        }
+
+        #[test]
+        fn boundary_kind_tags_follow_geometry() {
+            let c = cfg(32, 4, 1, ProcessGrid::new(2, 2));
+            let b = build_base(&c, false);
+            let class = b.program.graph.class(0);
+            // 8×8 tiles, 4×4 per node: (3,1) touches node 1; (1,1) is interior
+            assert_eq!(class.kind([3, 1, 1, 0]), KIND_BOUNDARY);
+            assert_eq!(class.kind([1, 1, 1, 0]), KIND_INTERIOR);
+            assert_eq!(class.kind([3, 1, 0, 0]), KIND_INIT);
+            // a 1×1 node grid has no boundary tiles
+            let c1 = cfg(16, 4, 1, ProcessGrid::new(1, 1));
+            let b1 = build_base(&c1, false);
+            assert_eq!(b1.program.graph.class(0).kind([0, 0, 1, 0]), KIND_INTERIOR);
+        }
+    }
+
+    /// The tests of the PA2 skeleton.
+    mod pa2 {
+        use super::*;
+
+        fn cfg(n: usize, tile: usize, iters: u32, steps: usize) -> StencilConfig {
+            StencilConfig::new(Problem::laplace(n), tile, iters, ProcessGrid::new(2, 2))
+                .with_steps(steps)
+        }
+
+        #[test]
+        fn graphs_analyze_clean_across_step_sizes() {
+            for steps in [1usize, 2, 3] {
+                let c = cfg(48, 8, 7, steps);
+                let a = analyze::assert_clean(&build_pa2(&c, false).program);
+                assert_eq!(a.flops.redundant, 0, "PA2 never recomputes");
+            }
+        }
+
+        #[test]
+        fn remote_traffic_identical_to_pa1() {
+            let c = cfg(64, 8, 12, 4);
+            let pa1 = run(
+                &build_ca(&c, false).program,
+                &RunConfig::simulated(MachineProfile::nacl(), 4),
+            );
+            let pa2 = run(
+                &build_pa2(&c, false).program,
+                &RunConfig::simulated(MachineProfile::nacl(), 4),
+            );
+            assert_eq!(pa1.remote_messages(), pa2.remote_messages());
+            assert_eq!(pa1.remote_bytes(), pa2.remote_bytes());
+        }
+
+        #[test]
+        fn pa2_does_less_total_work_than_pa1() {
+            // total busy time = Σ occupancy × lanes × makespan per node
+            let c = cfg(64, 8, 12, 4);
+            let lanes = MachineProfile::nacl().compute_threads() as f64;
+            let work = |r: &runtime::RunReport| -> f64 {
+                r.node_occupancy
+                    .iter()
+                    .map(|o| o * lanes * r.makespan)
+                    .sum()
+            };
+            let pa1 = run(
+                &build_ca(&c, false).program,
+                &RunConfig::simulated(MachineProfile::nacl(), 4),
+            );
+            let pa2 = run(
+                &build_pa2(&c, false).program,
+                &RunConfig::simulated(MachineProfile::nacl(), 4),
+            );
+            assert!(
+                work(&pa2) < work(&pa1),
+                "PA2 work {} vs PA1 {}",
+                work(&pa2),
+                work(&pa1)
+            );
+        }
+
+        #[test]
+        fn deferred_band_geometry() {
+            let c = cfg(64, 8, 2, 4);
+            let class = Stencil::new(&c, Scheme::Pa2, None, false);
+            // tile (3,1): east side remote only => band = k * tile
+            assert_eq!(class.deferred_cells(3, 1, 0), 0);
+            assert_eq!(class.deferred_cells(3, 1, 2), 2 * 8);
+            // tile (3,3): east and south remote => L-shaped band
+            assert_eq!(class.deferred_cells(3, 3, 2), 64 - 6 * 6);
+            // interior tile: nothing deferred
+            assert_eq!(class.deferred_cells(1, 1, 3), 0);
+        }
+
+        #[test]
+        #[should_panic(expected = "performance skeleton")]
+        fn carrying_data_rejected() {
+            let c = cfg(48, 8, 2, 2);
+            let _ = build_pa2(&c, true);
+        }
+
+        #[test]
+        #[should_panic(expected = "tile/2")]
+        fn oversized_steps_rejected() {
+            let c = cfg(48, 8, 2, 5);
+            let _ = build_pa2(&c, false);
+        }
     }
 }

@@ -3,109 +3,66 @@
 //!
 //! The paper's background (Section III-B) presents PaRSEC's two DSLs: the
 //! PTG ("concise, parameterized, task-graph description") used by
-//! [`crate::base`]/[`crate::ca`], and DTD, "an API that allows for
-//! sequential task insertion into the runtime". This module inserts the
-//! same base-scheme DAG task by task, demonstrating that both front-ends
-//! drive the identical dataflow — the simulated executions produce the
-//! same remote-message counts and (up to the coarser per-task byte
-//! accounting) the same makespans.
+//! [`crate::ca`], and DTD, "an API that allows for sequential task
+//! insertion into the runtime". This module inserts the same base-scheme
+//! DAG task by task, demonstrating that both front-ends drive the
+//! identical dataflow — the simulated executions produce the same
+//! remote-message counts and (up to the coarser per-task byte accounting)
+//! the same makespans. Every task's node, cost, kind and regions, and
+//! every dependency with the region it delivers, are read off the base
+//! scheme's task class, so the two cannot drift apart.
 
+use crate::ca::build_base;
 use crate::config::StencilConfig;
-use crate::flows::{cross_rects, OutFlow, KIND_BOUNDARY, KIND_INIT, KIND_INTERIOR};
-use crate::geometry::Side;
-use machine::StencilCostModel;
-use runtime::{DtdBuilder, DtdRegions, Program, ReadRegion, WriteRegion};
+use runtime::{DtdBuilder, DtdRegions, OutputDep, Program, ReadRegion};
 
-/// Build the base-scheme program by sequential task insertion.
-/// Performance-only: DTD tasks carry sized flows, not tile data.
+/// Build the base-scheme program by sequential task insertion, iteration
+/// by iteration in row-major tile order. Performance-only: DTD tasks
+/// carry sized flows, not tile data.
 pub fn build_base_dtd(cfg: &StencilConfig) -> Program {
-    let geo = cfg.geometry();
-    let model = StencilCostModel::for_profile(&cfg.profile);
+    let base = build_base(cfg, false);
+    let class = base.program.graph.class(0);
+    let geo = &base.geo;
+    let at = |tx: i32, ty: i32| ty as usize * geo.tiles_x + tx as usize;
     let mut b = DtdBuilder::new();
-    // id of the task for (tx, ty) at the previous iteration
-    let mut prev: Vec<usize> = Vec::with_capacity(geo.num_tiles());
-    let at = |tx: usize, ty: usize| ty * geo.tiles_x + tx;
-
-    // iterate-0 emission tasks (the roots); their write declaration
-    // certifies the initial fill of exactly the tile rectangle.
-    for ty in 0..geo.tiles_y {
-        for tx in 0..geo.tiles_x {
-            let id = b.insert_with_regions(
-                geo.node_of_tile(tx, ty),
-                model.ghost_copy_time(4 * geo.tile),
-                KIND_INIT,
-                geo.tile * 8,
-                &[],
-                DtdRegions {
-                    write: Some(WriteRegion {
-                        space: geo.tile_space(tx, ty),
-                        rect: geo.tile_rect(tx, ty),
-                    }),
-                    ..DtdRegions::default()
-                },
-            );
-            prev.push(id);
-        }
-    }
-
-    for _t in 1..=cfg.iterations {
-        let mut current = prev.clone();
-        for ty in 0..geo.tiles_y {
-            for tx in 0..geo.tiles_x {
-                // dependencies: own previous task plus the four previous
-                // neighbour tasks — exactly the PTG version's self flow
-                // and strips. `delivered_in` mirrors that ordering: the
-                // self flow carries no data; each neighbour dep delivers
-                // the depth-1 strip read off the producer's facing side.
-                let space = geo.tile_space(tx, ty);
-                let mut deps = vec![prev[at(tx, ty)]];
-                let mut delivered_in = vec![None];
-                for side in Side::ALL {
-                    if let Some((nx, ny)) = geo.neighbor(tx, ty, side) {
-                        deps.push(prev[at(nx, ny)]);
-                        let strip = OutFlow::Strip {
-                            side: side.opposite(),
-                            depth: 1,
-                        };
-                        delivered_in.push(
-                            strip
-                                .region(geo.tile_origin(nx, ny), geo.tile)
-                                .map(|r| ReadRegion::single(space, r)),
-                        );
-                    }
-                }
-                let kind = if geo.is_node_boundary(tx, ty) {
-                    KIND_BOUNDARY
-                } else {
-                    KIND_INTERIOR
-                };
-                let tile_rect = geo.tile_rect(tx, ty);
-                let pinned = geo.dirichlet_rects(tx, ty, 1);
-                current[at(tx, ty)] = b.insert_with_regions(
-                    geo.node_of_tile(tx, ty),
-                    model.task_time(geo.tile, geo.tile, cfg.ratio),
-                    kind,
+    // per tile of the iterate being inserted: its inputs so far, as
+    // (input slot, producer's DTD id, region the flow delivers)
+    type Input = (usize, usize, Option<ReadRegion>);
+    let mut inputs: Vec<Vec<Input>> = vec![Vec::new(); geo.num_tiles()];
+    let mut outs: Vec<OutputDep> = Vec::new();
+    for t in 0..=cfg.iterations as i32 {
+        let mut next: Vec<Vec<Input>> = vec![Vec::new(); geo.num_tiles()];
+        for ty in 0..geo.tiles_y as i32 {
+            for tx in 0..geo.tiles_x as i32 {
+                let p = [tx, ty, t, 0];
+                // DTD dependencies in slot order: the self flow, then the
+                // neighbours' strips North, South, West, East
+                let mut ins = std::mem::take(&mut inputs[at(tx, ty)]);
+                ins.sort_unstable_by_key(|&(slot, ..)| slot);
+                let deps: Vec<usize> = ins.iter().map(|&(_, id, _)| id).collect();
+                let id = b.insert_with_regions(
+                    class.node_of(p),
+                    class.cost(p),
+                    class.kind(p),
                     geo.tile * 8,
                     &deps,
                     DtdRegions {
-                        write: Some(WriteRegion {
-                            space,
-                            rect: tile_rect,
-                        }),
-                        read: Some(ReadRegion {
-                            space,
-                            rects: cross_rects(tile_rect).to_vec(),
-                        }),
-                        pinned: (!pinned.is_empty()).then_some(ReadRegion {
-                            space,
-                            rects: pinned,
-                        }),
-                        delivered_in,
+                        write: class.write_region(p),
+                        read: class.read_region(p),
+                        pinned: class.pinned_region(p),
+                        delivered_in: ins.into_iter().map(|(.., region)| region).collect(),
                     },
                 );
+                outs.clear();
+                class.outputs(p, &mut outs);
+                for o in &outs {
+                    let (cx, cy) = (o.consumer.params[0], o.consumer.params[1]);
+                    let region = class.delivered_region(p, o.flow);
+                    next[at(cx, cy)].push((o.slot, id, region));
+                }
             }
         }
-        prev = current;
+        inputs = next;
     }
     b.build()
 }
@@ -113,7 +70,6 @@ pub fn build_base_dtd(cfg: &StencilConfig) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::base::build_base;
     use crate::problem::Problem;
     use machine::MachineProfile;
     use netsim::ProcessGrid;

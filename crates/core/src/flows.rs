@@ -1,4 +1,4 @@
-//! Flow and slot conventions shared by the base and CA task classes.
+//! Flow and slot conventions of the stencil task class (all three schemes).
 //!
 //! Every stencil task `(tx, ty, t)` has up to nine input slots:
 //!
@@ -6,11 +6,11 @@
 //! |------|---------|
 //! | 0    | self-flow from `(tx, ty, t-1)` (serializes the tile, carries no data) |
 //! | 1–4  | edge strips from the North/South/West/East neighbours |
-//! | 5–8  | corner blocks from the NW/NE/SW/SE diagonal neighbours (CA only) |
+//! | 5–8  | corner blocks from the NW/NE/SW/SE diagonal neighbours (CA and PA2) |
 
-use crate::geometry::{Corner, Side, StencilGeometry};
+use crate::geometry::{Corner, Side};
 use crate::tile::TileBuf;
-use runtime::{FlowData, OutputDep, Params, Rect, TaskKey};
+use runtime::{FlowData, Rect};
 
 /// Input slot of the self-flow.
 pub const SLOT_SELF: usize = 0;
@@ -43,13 +43,6 @@ pub fn slot_of_side(side: Side) -> usize {
 /// Input slot receiving the block that fills the ghost corner at `corner`.
 pub fn slot_of_corner(corner: Corner) -> usize {
     5 + corner as usize
-}
-
-/// The parameter box of every stencil scheme's task class: one task per
-/// tile per iterate `t = 0 ..= iterations`, so the box's volume is the
-/// program's task count and the runtime's slot space has no holes.
-pub(crate) fn stencil_box(geo: &StencilGeometry, iterations: u32) -> [u32; 4] {
-    [geo.tiles_x as u32, geo.tiles_y as u32, iterations + 1, 1]
 }
 
 /// Input slots of a base-scheme task (self + 4 strips).
@@ -134,58 +127,6 @@ impl OutFlow {
                 })
             }
         }
-    }
-}
-
-/// The output-flow enumeration of a stencil task class. A class supplies
-/// one allocation-free visitor; everything the runtime asks about a
-/// task's outputs — how many, who consumes them and how big
-/// ([`OutputDep::bytes`]), what the body emits — derives from it, so the
-/// answers cannot disagree.
-pub(crate) trait OutFlows {
-    /// Visit `(flow, consumer, consumer slot)` for every output flow of
-    /// task `p`, in flow-index order.
-    fn for_each_out(&self, p: Params, visit: impl FnMut(OutFlow, TaskKey, usize));
-
-    /// Number of output flows of task `p`.
-    fn count_out(&self, p: Params) -> usize {
-        let mut flows = 0;
-        self.for_each_out(p, |_, _, _| flows += 1);
-        flows
-    }
-
-    /// Output flow `flow` of task `p`, if it has that many.
-    fn nth_out(&self, p: Params, flow: usize) -> Option<(OutFlow, TaskKey, usize)> {
-        let (mut at, mut found) = (0, None);
-        self.for_each_out(p, |of, consumer, slot| {
-            if at == flow {
-                found = Some((of, consumer, slot));
-            }
-            at += 1;
-        });
-        found
-    }
-
-    /// Push one [`OutputDep`] per output flow of task `p`, sized for
-    /// `tile × tile` tiles.
-    fn push_deps(&self, p: Params, tile: usize, out: &mut Vec<OutputDep>) {
-        let mut flow = 0;
-        self.for_each_out(p, |of, consumer, slot| {
-            out.push(OutputDep {
-                flow,
-                consumer,
-                slot,
-                bytes: of.bytes(tile),
-            });
-            flow += 1;
-        });
-    }
-
-    /// Cells carried by all output flows of task `p` together.
-    fn out_cells(&self, p: Params, tile: usize) -> usize {
-        let mut cells = 0;
-        self.for_each_out(p, |of, _, _| cells += of.bytes(tile) / 8);
-        cells
     }
 }
 

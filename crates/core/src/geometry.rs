@@ -196,12 +196,15 @@ impl StencilGeometry {
 
     /// True when `(tx, ty)` has at least one side neighbour on another node
     /// — the paper's *boundary tile*, which the CA scheme treats specially.
+    /// Under the 2D block distribution that is a tile on its block's edge
+    /// that does not face the domain edge; the stencil class asks this for
+    /// every edge it unfolds, so it is computed in closed form.
     pub fn is_node_boundary(&self, tx: usize, ty: usize) -> bool {
-        let me = self.node_of_tile(tx, ty);
-        Side::ALL.iter().any(|&s| {
-            self.neighbor(tx, ty, s)
-                .is_some_and(|(nx, ny)| self.node_of_tile(nx, ny) != me)
-        })
+        assert!(tx < self.tiles_x && ty < self.tiles_y, "tile out of range");
+        let on_edge = |t: usize, block: usize, tiles: usize| {
+            (t.is_multiple_of(block) && t > 0) || (t % block == block - 1 && t + 1 < tiles)
+        };
+        on_edge(tx, self.block_x, self.tiles_x) || on_edge(ty, self.block_y, self.tiles_y)
     }
 
     /// Number of existing side neighbours (2 at grid corners, 3 on grid
@@ -388,6 +391,27 @@ mod tests {
         assert!(!g.is_node_boundary(0, 0)); // domain corner, all local
         assert!(!g.is_node_boundary(1, 1)); // block interior
         assert!(g.is_node_boundary(4, 0)); // west edge of node 1
+    }
+
+    #[test]
+    fn node_boundary_is_a_side_neighbour_on_another_node() {
+        for (n, grid) in [
+            (24, (1, 1)),
+            (24, (2, 2)),
+            (24, (3, 2)),
+            (24, (1, 6)),
+            (32, (2, 4)),
+        ] {
+            let g = StencilGeometry::new(n, 4, ProcessGrid::new(grid.0, grid.1));
+            for (tx, ty) in (0..g.tiles_y).flat_map(|ty| (0..g.tiles_x).map(move |tx| (tx, ty))) {
+                let me = g.node_of_tile(tx, ty);
+                let remote = Side::ALL.iter().any(|&s| {
+                    g.neighbor(tx, ty, s)
+                        .is_some_and(|(nx, ny)| g.node_of_tile(nx, ny) != me)
+                });
+                assert_eq!(g.is_node_boundary(tx, ty), remote, "{grid:?} ({tx},{ty})");
+            }
+        }
     }
 
     #[test]

@@ -1,27 +1,32 @@
 //! # ca-stencil — communication-avoiding 2D stencils over a dataflow runtime
 //!
 //! The paper's primary contribution, reimplemented on this repository's
-//! PaRSEC-like [`runtime`]: the 2D five-point Jacobi iteration in two
-//! flavours —
+//! PaRSEC-like [`runtime`]: the 2D five-point Jacobi iteration as one
+//! stencil task class in three [`Scheme`]s ([`ca`]). The schemes differ
+//! only in which flows carry an `s`-deep strip (the deep-edge rule) and in
+//! how a node-boundary tile spends the iterations between exchanges —
 //!
-//! * [`base`] — one task per tile per iteration, one-layer ghost exchange
-//!   with every neighbour every iteration (Section IV-B1);
-//! * [`ca`] — the PA1 communication-avoiding variant: node-boundary tiles
+//! * base — one task per tile per iteration, one-layer ghost exchange
+//!   with every neighbour every iteration (Section IV-B1; no edge is
+//!   deep);
+//! * CA — the PA1 communication-avoiding variant: node-boundary tiles
 //!   keep `s`-deep ghost rings (plus corner blocks), communicate every `s`
 //!   iterations and redundantly recompute the shrinking halo in between
-//!   (Section IV-B2);
-//! * [`pa2`] — a performance skeleton of Demmel's PA2 (no redundant
+//!   (Section IV-B2; an edge into a boundary tile is deep);
+//! * PA2 — a performance skeleton of Demmel's PA2 (no redundant
 //!   flops, reduced overlap), which the paper describes but does not
-//!   implement — included here as an ablation.
+//!   implement — included here as an ablation (an edge between nodes is
+//!   deep).
 //!
-//! Supporting modules: [`geometry`] (tiling and 2D block distribution),
+//! Supporting modules: [`dtd_front`] (the base scheme inserted task by
+//! task), [`solver`] (chunked solves), [`geometry`] (tiling and 2D block distribution),
 //! [`tile`] (double-buffered tiles, ghost strips/corners, the 9-flop
 //! generalized Jacobi kernel), [`store`] (per-tile data), [`problem`]
 //! (Laplace instances and test fields), [`mod@reference`] (sequential ground
 //! truth), [`flows`] (slot conventions), [`config`] (run configuration),
 //! [`metrics`] (analytic message/flop accounting).
 //!
-//! Both schemes reproduce the sequential reference **bit for bit** — the
+//! Base and CA reproduce the sequential reference **bit for bit** — the
 //! update expression is evaluated in the same order everywhere, so even
 //! floating-point rounding agrees; the test suites assert exact equality.
 //!
@@ -50,29 +55,27 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod base;
 pub mod ca;
 pub mod config;
 pub mod dtd_front;
 pub mod flows;
 pub mod geometry;
 pub mod metrics;
-pub mod pa2;
 pub mod problem;
 pub mod reference;
 pub mod solver;
 pub mod store;
 pub mod tile;
 
-pub use base::{build_base, build_base_on};
-pub use ca::{build_ca, build_ca_on, build_ca_shrunk};
+pub use ca::{
+    build_base, build_base_on, build_ca, build_ca_on, build_ca_shrunk, build_pa2, Scheme,
+};
 pub use config::{StencilBuild, StencilConfig};
 pub use dtd_front::build_base_dtd;
 pub use flows::{kind_names, KIND_BOUNDARY, KIND_INIT, KIND_INTERIOR};
 pub use geometry::{Corner, Side, StencilGeometry};
-pub use pa2::build_pa2;
 pub use problem::{CoefFn, Operator, Problem, ValueFn};
 pub use reference::{jacobi_reference, laplace_residual, max_abs_diff};
-pub use solver::{JacobiSolver, Scheme, SolveReport};
+pub use solver::{JacobiSolver, SolveReport};
 pub use store::TileStore;
 pub use tile::{Extents, TileBuf, Weights};

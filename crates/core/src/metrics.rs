@@ -129,8 +129,7 @@ pub fn predict_ca_redundant_flops(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::base::build_base;
-    use crate::ca::build_ca;
+    use crate::ca::{build_base, build_ca};
     use crate::config::StencilConfig;
     use crate::problem::Problem;
     use machine::MachineProfile;

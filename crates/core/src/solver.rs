@@ -10,23 +10,12 @@
 //! implies: amortize the global check over many communication-avoided
 //! sweeps.
 
-use crate::base::build_base_on;
-use crate::ca::build_ca_on;
+use crate::ca::{build_on, new_store, Scheme};
 use crate::config::StencilConfig;
 use crate::reference::max_abs_diff;
-use crate::store::TileStore;
 use runtime::{run, RunConfig};
 use serde::Serialize;
 use std::sync::Arc;
-
-/// Which scheme advances the field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum Scheme {
-    /// One-layer exchange every iteration.
-    Base,
-    /// PA1 communication avoidance with the configuration's step size.
-    Ca,
-}
 
 /// Outcome of a chunked solve.
 #[derive(Debug, Clone, Serialize)]
@@ -48,7 +37,7 @@ pub struct JacobiSolver {
     /// Problem and scheme parameters (`iterations` is ignored; the solver
     /// sets it per chunk).
     pub cfg: StencilConfig,
-    /// Scheme to run.
+    /// Scheme to run: base or CA (PA2 carries no data to solve with).
     pub scheme: Scheme,
     /// Iterations per chunk between convergence checks.
     pub check_every: u32,
@@ -78,22 +67,11 @@ impl JacobiSolver {
             "need at least one iteration per chunk"
         );
         assert!(tol >= 0.0, "tolerance must be non-negative");
-        let geo = self.cfg.geometry();
-        let steps = self.cfg.steps;
-        let store = Arc::new(TileStore::new(
-            &self.cfg.problem,
-            geo.clone(),
-            |tx, ty| match self.scheme {
-                Scheme::Base => 1,
-                Scheme::Ca => {
-                    if geo.is_node_boundary(tx, ty) {
-                        steps
-                    } else {
-                        1
-                    }
-                }
-            },
-        ));
+        assert!(
+            self.scheme != Scheme::Pa2,
+            "PA2 is a data-less performance skeleton; the solver needs a scheme that carries data"
+        );
+        let store = new_store(&self.cfg, self.scheme);
 
         let mut report = SolveReport {
             iterations_run: 0,
@@ -106,10 +84,7 @@ impl JacobiSolver {
             let chunk = self.check_every.min(max_iters - report.iterations_run);
             let mut cfg = self.cfg.clone();
             cfg.iterations = chunk;
-            let build = match self.scheme {
-                Scheme::Base => build_base_on(&cfg, Arc::clone(&store)),
-                Scheme::Ca => build_ca_on(&cfg, Arc::clone(&store)),
-            };
+            let build = build_on(&cfg, self.scheme, Arc::clone(&store));
             let r = run(&build.program, &RunConfig::shared_memory(self.threads));
             report.wall_time += r.makespan;
             report.iterations_run += chunk;
@@ -175,6 +150,14 @@ mod tests {
         let (fa, _) = a.solve(0.0, 10);
         let (fb, _) = b.solve(0.0, 10);
         assert_eq!(max_abs_diff(&fa, &fb), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "data-less performance skeleton")]
+    fn pa2_is_rejected_up_front() {
+        let mut solver = JacobiSolver::new(cfg());
+        solver.scheme = Scheme::Pa2;
+        let _ = solver.solve(0.0, 4);
     }
 
     #[test]
