@@ -91,8 +91,9 @@ step comm_matrix_identity_gate
 # most 2 (one node) / 3 (two nodes) heap allocations per extra task for
 # every scheme — the hot path recycles payloads, task boxes and
 # scratch instead of allocating (docs/EXECUTOR.md) — and the static
-# unfolder's peak heap must stay within 400 B per task for the base and
-# CA schemes at the tooling_lint_doctor size (runtime::unfold).
+# unfolder's peak heap must stay within 240 B per task for the base and
+# CA schemes at the tooling_lint_doctor and sim_nacl16 sizes
+# (runtime::unfold).
 allocation_ledger_gate() {
     cargo test --release -q -p integration --test alloc_steady_state &&
         cargo test --release -q -p integration --test alloc_unfold

@@ -57,8 +57,8 @@ pub struct PeerComm {
 pub fn peer_matrix(dag: &UnfoldedDag) -> BTreeMap<(u32, u32), PeerComm> {
     let mut peers: BTreeMap<(u32, u32), PeerComm> = BTreeMap::new();
     for e in &dag.edges {
-        let src = dag.node_of(e.producer);
-        let dst = dag.node_of(e.consumer);
+        let src = dag.node_of(e.producer as usize);
+        let dst = dag.node_of(e.consumer as usize);
         if src != dst {
             let p = peers.entry((src, dst)).or_default();
             p.messages += 1;
@@ -104,7 +104,7 @@ pub fn verify_comm_matrix(
 pub(crate) fn account_comm(dag: &UnfoldedDag) -> CommStats {
     let mut stats = CommStats::default();
     for e in &dag.edges {
-        if dag.node_of(e.producer) == dag.node_of(e.consumer) {
+        if dag.node_of(e.producer as usize) == dag.node_of(e.consumer as usize) {
             stats.local_messages += 1;
             stats.local_bytes += e.bytes as u64;
         } else {

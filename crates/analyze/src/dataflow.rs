@@ -48,7 +48,7 @@
 use crate::diag::Diagnostic;
 use crate::rectset::RectSet;
 use crate::task_name;
-use runtime::{ReadRegion, UnfoldedDag};
+use runtime::{InEdges, ReadRegion, UnfoldedDag};
 use std::collections::HashMap;
 
 /// How much of the DAG the rectangle sweep covers.
@@ -162,7 +162,7 @@ struct Pass<'a> {
     layer_tasks: Vec<Vec<usize>>,
     infos: Vec<TaskInfo>,
     /// In-edge indices (into `dag.edges`) per consumer.
-    in_edges: Vec<Vec<u32>>,
+    in_edges: InEdges,
     /// Delivered region per edge, parallel to `dag.edges`.
     delivered: Vec<Option<ReadRegion>>,
     /// Union of every declared read footprint, per space.
@@ -179,12 +179,11 @@ impl<'a> Pass<'a> {
     fn new(dag: &'a UnfoldedDag, topo: &[usize]) -> Self {
         // Longest-path depth from the roots; every edge strictly
         // increases it, so a layer sweep respects all dependences.
-        let adj = dag.out_adjacency();
         let mut layer = vec![0usize; dag.len()];
         for &i in topo {
-            for &ei in &adj[i] {
-                let e = &dag.edges[ei as usize];
-                layer[e.consumer] = layer[e.consumer].max(layer[i] + 1);
+            for e in dag.out_edges(i) {
+                let c = e.consumer as usize;
+                layer[c] = layer[c].max(layer[i] + 1);
             }
         }
         let depth = layer.iter().max().map_or(0, |&m| m + 1);
@@ -207,17 +206,15 @@ impl<'a> Pass<'a> {
             })
             .collect();
 
-        let mut in_edges = vec![Vec::new(); dag.len()];
-        let mut delivered = Vec::with_capacity(dag.edges.len());
-        for (ei, e) in dag.edges.iter().enumerate() {
-            in_edges[e.consumer].push(ei as u32);
-            let key = dag.tasks[e.producer];
-            delivered.push(
-                dag.graph
-                    .class(key.class)
-                    .delivered_region(key.params, e.flow),
-            );
-        }
+        let delivered = dag
+            .edges
+            .iter()
+            .map(|e| {
+                let key = dag.tasks[e.producer as usize];
+                let class = dag.graph.class(key.class);
+                class.delivered_region(key.params, e.flow.into())
+            })
+            .collect();
 
         let mut space_reads: HashMap<u64, RectSet> = HashMap::new();
         for info in &infos {
@@ -233,7 +230,7 @@ impl<'a> Pass<'a> {
             dag,
             layer,
             infos,
-            in_edges,
+            in_edges: dag.in_edges(),
             delivered,
             space_reads,
             state: HashMap::new(),
@@ -254,7 +251,9 @@ impl<'a> Pass<'a> {
     fn sweep_layer(&mut self, l: usize) {
         let tasks = std::mem::take(&mut self.layer_tasks[l]);
         for &i in &tasks {
-            let deliveries: Vec<u32> = self.in_edges[i]
+            let deliveries: Vec<u32> = self
+                .in_edges
+                .of(i)
                 .iter()
                 .copied()
                 .filter(|&ei| self.delivered[ei as usize].is_some())
@@ -327,7 +326,9 @@ impl<'a> Pass<'a> {
                     let ld = &mut self.layer_dead[l];
                     ld.bytes += bytes;
                     ld.edges += 1;
-                    if self.dag.node_of(e.producer) != self.dag.node_of(e.consumer) {
+                    if self.dag.node_of(e.producer as usize)
+                        != self.dag.node_of(e.consumer as usize)
+                    {
                         ld.cross += bytes;
                     }
                 }
@@ -378,19 +379,22 @@ impl<'a> Pass<'a> {
         }
         hash_region(&mut h, &info.read);
         hash_region(&mut h, &info.pinned);
-        let mut edge_hashes: Vec<u64> = self.in_edges[i]
+        let mut edge_hashes: Vec<u64> = self
+            .in_edges
+            .of(i)
             .iter()
             .map(|&ei| {
                 let e = &self.dag.edges[ei as usize];
-                let pk = self.dag.tasks[e.producer];
+                let p = e.producer as usize;
+                let pk = self.dag.tasks[p];
                 let mut eh = Fnv::new();
-                eh.u64((self.layer[i] - self.layer[e.producer]) as u64);
+                eh.u64((self.layer[i] - self.layer[p]) as u64);
                 eh.u64(pk.class as u64);
-                eh.u64(self.infos[e.producer].kind as u64);
+                eh.u64(self.infos[p].kind as u64);
                 eh.u64(e.slot as u64);
                 eh.u64(e.bytes as u64);
                 eh.u64(u64::from(
-                    self.dag.node_of(e.producer) != self.dag.node_of(e.consumer),
+                    self.dag.node_of(p) != self.dag.node_of(e.consumer as usize),
                 ));
                 hash_region(&mut eh, &self.delivered[ei as usize]);
                 eh.finish()

@@ -21,13 +21,12 @@ const MAX_STARTS: usize = 16;
 pub(crate) fn find_cycle(dag: &UnfoldedDag) -> Vec<String> {
     // Re-run Kahn to identify the core: tasks never drained.
     let mut indeg = dag.in_degrees();
-    let adj = dag.out_adjacency();
     let mut queue: VecDeque<usize> = (0..dag.len()).filter(|&i| indeg[i] == 0).collect();
     let mut drained = vec![false; dag.len()];
     while let Some(i) = queue.pop_front() {
         drained[i] = true;
-        for &ei in &adj[i] {
-            let c = dag.edges[ei as usize].consumer;
+        for e in dag.out_edges(i) {
+            let c = e.consumer as usize;
             indeg[c] -= 1;
             if indeg[c] == 0 {
                 queue.push_back(c);
@@ -38,7 +37,7 @@ pub(crate) fn find_cycle(dag: &UnfoldedDag) -> Vec<String> {
 
     let mut best: Option<Vec<usize>> = None;
     for &start in core.iter().take(MAX_STARTS) {
-        if let Some(cycle) = shortest_cycle_through(dag, &adj, &core, start) {
+        if let Some(cycle) = shortest_cycle_through(dag, &core, start) {
             if best.as_ref().is_none_or(|b| cycle.len() < b.len()) {
                 best = Some(cycle);
             }
@@ -54,15 +53,14 @@ pub(crate) fn find_cycle(dag: &UnfoldedDag) -> Vec<String> {
 /// `start` yields a shortest cycle through it.
 fn shortest_cycle_through(
     dag: &UnfoldedDag,
-    adj: &[Vec<u32>],
     core: &HashSet<usize>,
     start: usize,
 ) -> Option<Vec<usize>> {
     let mut parent: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
     let mut queue = VecDeque::from([start]);
     while let Some(i) = queue.pop_front() {
-        for &ei in &adj[i] {
-            let c = dag.edges[ei as usize].consumer;
+        for e in dag.out_edges(i) {
+            let c = e.consumer as usize;
             if c == start {
                 // unwind: start -> ... -> i, cycle closes i -> start
                 let mut path = vec![i];

@@ -27,7 +27,6 @@ pub struct PathStats {
 
 /// Longest-path DP over a topological order (`topo` must order `dag`).
 pub(crate) fn critical_path(dag: &UnfoldedDag, topo: &[usize], lanes: u32) -> PathStats {
-    let adj = dag.out_adjacency();
     // dist[i] accumulates max-over-predecessors before i is visited, so a
     // single forward sweep adding the task's own cost suffices.
     let mut dist = vec![0.0f64; dag.len()];
@@ -42,8 +41,8 @@ pub(crate) fn critical_path(dag: &UnfoldedDag, topo: &[usize], lanes: u32) -> Pa
         node_work[node] += cost;
         dist[i] += cost;
         critical = critical.max(dist[i]);
-        for &ei in &adj[i] {
-            let c = dag.edges[ei as usize].consumer;
+        for e in dag.out_edges(i) {
+            let c = e.consumer as usize;
             if dist[i] > dist[c] {
                 dist[c] = dist[i];
             }

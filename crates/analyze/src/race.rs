@@ -88,7 +88,6 @@ pub(crate) fn find_races(dag: &UnfoldedDag, topo: &[usize]) -> Vec<Diagnostic> {
 /// generation-stamped visited set and a stack reused across searches.
 struct WindowSearch<'a> {
     dag: &'a UnfoldedDag,
-    adj: Vec<Vec<u32>>,
     rank: Vec<usize>,
     stamp: Vec<u32>,
     generation: u32,
@@ -99,7 +98,6 @@ impl<'a> WindowSearch<'a> {
     fn new(dag: &'a UnfoldedDag, rank: Vec<usize>) -> Self {
         WindowSearch {
             dag,
-            adj: dag.out_adjacency(),
             stamp: vec![0; rank.len()],
             rank,
             generation: 0,
@@ -116,8 +114,8 @@ impl<'a> WindowSearch<'a> {
         self.stack.clear();
         self.stack.push(from);
         while let Some(i) = self.stack.pop() {
-            for &ei in &self.adj[i] {
-                let c = self.dag.edges[ei as usize].consumer;
+            for e in self.dag.out_edges(i) {
+                let c = e.consumer as usize;
                 if self.rank[c] > max_rank || self.stamp[c] == self.generation {
                     continue;
                 }

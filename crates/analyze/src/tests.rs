@@ -241,7 +241,6 @@ fn oracle_races(dag: &UnfoldedDag, topo: &[usize]) -> Vec<Diagnostic> {
             groups.entry(w.space).or_default().push((i, w.rect));
         }
     }
-    let adj = dag.out_adjacency();
     let mut races = Vec::new();
     for (space, mut members) in groups {
         members.sort_by_key(|&(i, _)| rank[i]);
@@ -249,8 +248,8 @@ fn oracle_races(dag: &UnfoldedDag, topo: &[usize]) -> Vec<Diagnostic> {
             let mut reach = std::collections::HashSet::from([a]);
             let mut stack = vec![a];
             while let Some(i) = stack.pop() {
-                for &ei in &adj[i] {
-                    let c = dag.edges[ei as usize].consumer;
+                for e in dag.out_edges(i) {
+                    let c = e.consumer as usize;
                     if reach.insert(c) {
                         stack.push(c);
                     }

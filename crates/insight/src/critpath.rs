@@ -61,9 +61,9 @@ pub(crate) fn extract(trace: &Trace, join: &Join, _horizon_ns: u64) -> Option<Re
     loop {
         chain.push(cur);
         guard -= 1;
-        let next = join.preds[cur]
-            .iter()
-            .filter_map(|&p| join.span_of_task[p].map(|si| (p, trace.spans[si].end_ns)))
+        let next = join
+            .preds(cur)
+            .filter_map(|p| join.span_of_task[p].map(|si| (p, trace.spans[si].end_ns)))
             .max_by_key(|&(_, end)| end)
             .map(|(p, _)| p);
         match next {

@@ -205,7 +205,7 @@ fn attribute(
 ) -> GapCause {
     let mut latest: Option<&SpanRecord> = None;
     let mut any_remote = false;
-    for &p in &join.preds[ti] {
+    for p in join.preds(ti) {
         any_remote |= dag.node_of(p) != node;
         if let Some(si) = join.span_of_task[p] {
             let s = &trace.spans[si];

@@ -56,20 +56,32 @@ pub use starvation::{split_starvation, StarvationSplit};
 pub use whatif::{Perturbation, Prediction, RankedScenario, WhatIf};
 
 use obs::{DurationSummary, LogHistogram, Trace};
-use runtime::UnfoldedDag;
+use runtime::{InEdges, UnfoldedDag};
 use std::collections::{BTreeMap, HashMap};
 
 /// Internal join of a trace onto an unfolded DAG: `span_of_task[i]` is the
 /// index into `trace.spans` of the span recorded for DAG task `i`, and
-/// `preds[i]` lists `i`'s predecessor task indices.
-pub(crate) struct Join {
+/// `in_edges` is the DAG's in-edge index (see [`Join::preds`]).
+pub(crate) struct Join<'a> {
+    dag: &'a UnfoldedDag,
     pub span_of_task: Vec<Option<usize>>,
-    pub preds: Vec<Vec<usize>>,
+    pub in_edges: InEdges,
     pub joined_spans: usize,
     pub unmatched_task_spans: usize,
 }
 
-pub(crate) fn join(trace: &Trace, dag: &UnfoldedDag) -> Join {
+impl Join<'_> {
+    /// Task `i`'s predecessor task indices, in edge order.
+    pub fn preds(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let edges = &self.dag.edges;
+        self.in_edges
+            .of(i)
+            .iter()
+            .map(|&ei| edges[ei as usize].producer as usize)
+    }
+}
+
+pub(crate) fn join<'a>(trace: &Trace, dag: &'a UnfoldedDag) -> Join<'a> {
     let id_index: HashMap<u64, usize> = dag
         .tasks
         .iter()
@@ -91,13 +103,10 @@ pub(crate) fn join(trace: &Trace, dag: &UnfoldedDag) -> Join {
             None => unmatched += 1,
         }
     }
-    let mut preds = vec![Vec::new(); dag.len()];
-    for e in &dag.edges {
-        preds[e.consumer].push(e.producer);
-    }
     Join {
+        dag,
         span_of_task,
-        preds,
+        in_edges: dag.in_edges(),
         joined_spans: joined,
         unmatched_task_spans: unmatched,
     }

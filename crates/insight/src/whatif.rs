@@ -95,25 +95,25 @@ pub struct RankedScenario {
 }
 
 /// Replay context built once per (trace, DAG, machine) triple.
-pub struct WhatIf {
+pub struct WhatIf<'a> {
+    /// The DAG replayed; each finished task releases its out-edges.
+    dag: &'a UnfoldedDag,
     /// Realized service time per task, seconds.
     durations_s: Vec<f64>,
     kinds: Vec<u32>,
     node_of: Vec<u32>,
-    /// Out-edges per task: `(consumer, bytes)`.
-    succs: Vec<Vec<(usize, usize)>>,
     indeg: Vec<usize>,
     nodes: u32,
     lanes: u32,
     net: NetworkModel,
 }
 
-impl WhatIf {
+impl<'a> WhatIf<'a> {
     /// Build the replay context: realized durations joined from `trace`
     /// (tasks without a recorded span fall back to their static class
     /// cost), communication parameters from `profile`, topology from the
     /// DAG's node mapping. `nodes` is the run's node count.
-    pub fn new(trace: &Trace, dag: &UnfoldedDag, profile: &MachineProfile, nodes: u32) -> Self {
+    pub fn new(trace: &Trace, dag: &'a UnfoldedDag, profile: &MachineProfile, nodes: u32) -> Self {
         let join = crate::join(trace, dag);
         let mut durations_s = Vec::with_capacity(dag.len());
         let mut kinds = Vec::with_capacity(dag.len());
@@ -128,18 +128,12 @@ impl WhatIf {
             kinds.push(dag.graph.kind_of(key));
             node_of.push(dag.node_of(ti));
         }
-        let mut succs = vec![Vec::new(); dag.len()];
-        let mut indeg = vec![0usize; dag.len()];
-        for e in &dag.edges {
-            succs[e.producer].push((e.consumer, e.bytes));
-            indeg[e.consumer] += 1;
-        }
         WhatIf {
+            dag,
             durations_s,
             kinds,
             node_of,
-            succs,
-            indeg,
+            indeg: (0..dag.len()).map(|t| join.in_edges.of(t).len()).collect(),
             nodes,
             lanes: profile.compute_threads(),
             net: NetworkModel::from_profile(profile),
@@ -290,7 +284,7 @@ enum CommJob {
 /// `lanes` worker lanes behind a FIFO ready queue and one comm engine
 /// behind a FIFO job queue — the simulator's resources.
 struct Replay<'a> {
-    ctx: &'a WhatIf,
+    ctx: &'a WhatIf<'a>,
     /// Perturbed service time per task.
     dur: Vec<VirtualDuration>,
     /// Each node's perturbed message-cost model.
@@ -375,7 +369,8 @@ impl Model for Replay<'_> {
                 self.makespan = now;
                 let n = ctx.node_of[t] as usize;
                 self.free_lanes[n] += 1;
-                for &(c, bytes) in &ctx.succs[t] {
+                for e in ctx.dag.out_edges(t) {
+                    let (c, bytes) = (e.consumer as usize, e.bytes as usize);
                     let dst = ctx.node_of[c] as usize;
                     if dst == n {
                         self.satisfy(c, sched);

@@ -76,4 +76,4 @@ pub use task::{
     ClassId, FlowData, OutputDep, Params, Program, ReadRegion, Rect, TaskClass, TaskGraph, TaskKey,
     WriteRegion,
 };
-pub use unfold::{assert_consistent, EdgeRef, StructuralFault, UnfoldedDag};
+pub use unfold::{assert_consistent, EdgeRef, InEdges, StructuralFault, UnfoldedDag};

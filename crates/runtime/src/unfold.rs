@@ -12,13 +12,19 @@
 //! [`TaskGraph::slot`]: a transient `u32` per slot holds each discovered
 //! task's index, and only keys outside their class's parameter box (which
 //! only faulty programs produce) go to a side map. Edge sizes come with
-//! the declarations ([`crate::OutputDep::bytes`]) and repeated input slots
-//! are found by a counting sort of the in-edges by consumer, so no hash
-//! table is touched per task or per edge. The peak heap, counting both
-//! blocks of every reallocation, is about 350 B per task at the
-//! `tooling_lint_doctor` size (`tests/tests/alloc_unfold.rs` holds it
-//! under 400), 490 at `sim_nacl16`'s and 410 at the 100-sweep Figure 8
-//! size, mostly the edge list grown by doubling.
+//! the declarations ([`crate::OutputDep::bytes`]), so no hash table is
+//! touched per task or per edge.
+//!
+//! The DAG is stored in compressed-sparse-row form: one flat list of
+//! 16-byte [`EdgeRef`]s, grouped by producer (the walk visits producers
+//! in task order), and one `u32` offset per task into it, so
+//! [`UnfoldedDag::out_edges`] is a slice. In-edges are a counting sort of
+//! that list by consumer ([`UnfoldedDag::in_edges`]), built on demand and
+//! never stored; it also finds repeated input slots. The peak heap,
+//! counting both blocks of every reallocation, is about 150–170 B per
+//! task at the `tooling_lint_doctor` size and 215 at `sim_nacl16`'s
+//! (`tests/tests/alloc_unfold.rs` holds both under 240), and 180 at the
+//! 100-sweep Figure 8 size, mostly the edge list grown by doubling.
 //!
 //! This module is the substrate of the `analyze` crate's passes (cycle
 //! detection, write races, communication volume, critical path) and the
@@ -36,22 +42,25 @@ use std::sync::Arc;
 /// class from exhausting memory.
 pub const DEFAULT_TASK_LIMIT: usize = 8_000_000;
 
-/// One producer→consumer dependence in the unfolded DAG. Indices refer to
-/// [`UnfoldedDag::tasks`].
+/// One producer→consumer dependence in the unfolded DAG, in 16 bytes.
+/// Indices refer to [`UnfoldedDag::tasks`]; [`UnfoldedDag::enumerate`]
+/// panics on a value too wide for its field rather than truncate it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeRef {
     /// Index of the producing task.
-    pub producer: usize,
+    pub producer: u32,
     /// Index of the consuming task.
-    pub consumer: usize,
+    pub consumer: u32,
     /// The producer's output flow feeding this edge.
-    pub flow: usize,
+    pub flow: u16,
     /// The consumer's input slot receiving it.
-    pub slot: usize,
+    pub slot: u16,
     /// Wire size of the flow ([`crate::task::OutputDep::bytes`]; 0 when
     /// the flow is out of range).
-    pub bytes: usize,
+    pub bytes: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<EdgeRef>() == 16);
 
 /// A structural inconsistency discovered while unfolding the DAG: the
 /// same invariants the old `validate` pass checked, kept as data so the
@@ -168,10 +177,40 @@ pub struct UnfoldedDag {
     pub tasks: Vec<TaskKey>,
     /// Indices of the program's root tasks within [`UnfoldedDag::tasks`].
     pub roots: Vec<usize>,
-    /// Every producer→consumer edge.
+    /// Every producer→consumer edge, grouped by producer in task order
+    /// (see [`UnfoldedDag::out_edges`]).
     pub edges: Vec<EdgeRef>,
     /// Structural inconsistencies found (empty = consistent).
     pub faults: Vec<StructuralFault>,
+    /// `out_start[i]..out_start[i + 1]` is task `i`'s group in `edges`.
+    out_start: Vec<u32>,
+}
+
+/// The in-edges of every task, grouped by consumer: a counting sort of
+/// [`UnfoldedDag::edges`], built on demand by [`UnfoldedDag::in_edges`]
+/// and never stored in the DAG.
+pub struct InEdges {
+    /// `start[c]..start[c + 1]` is consumer `c`'s group in `edges`.
+    start: Vec<u32>,
+    /// Indices into [`UnfoldedDag::edges`], each group in edge order.
+    edges: Vec<u32>,
+}
+
+impl InEdges {
+    /// Indices into [`UnfoldedDag::edges`] of the edges into task `c`, in
+    /// edge order.
+    pub fn of(&self, c: usize) -> &[u32] {
+        &self.edges[self.start[c] as usize..self.start[c + 1] as usize]
+    }
+}
+
+/// `value` narrowed to an edge field's width `T`; a wider value panics,
+/// naming the task it belongs to.
+fn narrow<T: TryFrom<usize>>(value: usize, what: &str, task: TaskKey) -> T {
+    T::try_from(value).unwrap_or_else(|_| {
+        let width = std::any::type_name::<T>();
+        panic!("{task:?}: {what} {value} exceeds {width}::MAX")
+    })
 }
 
 /// The tasks discovered so far and the transient index that finds them:
@@ -183,28 +222,28 @@ struct Discovered<'g> {
     limit: usize,
     tasks: Vec<TaskKey>,
     by_slot: Vec<u32>,
-    outside: HashMap<TaskKey, usize>,
+    outside: HashMap<TaskKey, u32>,
 }
 
 impl Discovered<'_> {
     /// Index of `key`, discovering it if new; `None` when it is new but
     /// the limit is reached.
-    fn discover(&mut self, key: TaskKey) -> Option<usize> {
+    fn discover(&mut self, key: TaskKey) -> Option<u32> {
         let slot = self.graph.try_slot(key).map(|slot| slot as usize);
         let known = match slot {
-            Some(slot) => (self.by_slot[slot] as usize).checked_sub(1),
+            Some(slot) => self.by_slot[slot].checked_sub(1),
             None => self.outside.get(&key).copied(),
         };
         if known.is_some() || self.tasks.len() >= self.limit {
             return known;
         }
-        let i = self.tasks.len();
+        let count: u32 = narrow(self.tasks.len() + 1, "task count", key);
         self.tasks.push(key);
         match slot {
-            Some(slot) => self.by_slot[slot] = u32::try_from(i + 1).expect("over u32::MAX tasks"),
-            None => _ = self.outside.insert(key, i),
+            Some(slot) => self.by_slot[slot] = count,
+            None => _ = self.outside.insert(key, count - 1),
         }
-        Some(i)
+        Some(count - 1)
     }
 }
 
@@ -216,6 +255,12 @@ impl UnfoldedDag {
 
     /// Enumerate `program`, stopping (with a
     /// [`StructuralFault::Truncated`]) after discovering `limit` tasks.
+    ///
+    /// # Panics
+    ///
+    /// On a flow or slot index over `u16::MAX`, a flow over `u32::MAX`
+    /// bytes, or more than `u32::MAX` tasks or edges: the message names
+    /// the task and the value.
     pub fn enumerate_with_limit(program: &Program, limit: usize) -> Self {
         let graph = Arc::clone(&program.graph);
         let mut found = Discovered {
@@ -226,22 +271,25 @@ impl UnfoldedDag {
             outside: HashMap::new(),
         };
         let mut edges: Vec<EdgeRef> = Vec::new();
+        let mut out_start = vec![0u32];
         let mut faults: Vec<StructuralFault> = Vec::new();
         let mut truncated = false;
 
         let mut roots = Vec::with_capacity(program.roots.len());
         for &root in &program.roots {
             match found.discover(root) {
-                Some(i) => roots.push(i),
+                Some(i) => roots.push(i as usize),
                 None => truncated = true,
             }
         }
 
         // Tasks are appended in discovery order, so visiting them by index
-        // is the breadth-first walk.
+        // is the breadth-first walk, and `edges` comes out grouped by
+        // producer in task order.
         let mut deps = Vec::new();
         let mut pi = 0;
         while let Some(&key) = found.tasks.get(pi) {
+            let producer = narrow(pi, "task index", key);
             let class = graph.class(key.class);
             let flows = class.num_output_flows(key.params);
             class.outputs(key.params, &mut deps);
@@ -262,28 +310,39 @@ impl UnfoldedDag {
                         slots,
                     });
                 }
+                let flow = narrow(dep.flow, "flow index", key);
+                let slot = narrow(dep.slot, "input slot", dep.consumer);
+                let bytes = if dep.flow < flows {
+                    narrow(dep.bytes, "flow bytes", key)
+                } else {
+                    0
+                };
                 // A consumer the limit turns away stays undiscovered (the
                 // task list only grows), so its edge is dropped for good.
                 match found.discover(dep.consumer) {
                     Some(consumer) => edges.push(EdgeRef {
-                        producer: pi,
+                        producer,
                         consumer,
-                        flow: dep.flow,
-                        slot: dep.slot,
-                        bytes: if dep.flow < flows { dep.bytes } else { 0 },
+                        flow,
+                        slot,
+                        bytes,
                     }),
                     None => truncated = true,
                 }
             }
+            out_start.push(narrow(edges.len(), "edge count", key));
             pi += 1;
         }
 
         let Discovered { tasks, outside, .. } = found;
-        let mut outside: Vec<usize> = outside.into_values().collect();
+        let mut outside: Vec<u32> = outside.into_values().collect();
         outside.sort_unstable();
-        faults.extend(outside.into_iter().map(|i| StructuralFault::OutsideBox {
-            key: tasks[i],
-            bound: graph.class(tasks[i].class).param_box(),
+        faults.extend(outside.into_iter().map(|i| {
+            let key = tasks[i as usize];
+            StructuralFault::OutsideBox {
+                key,
+                bound: graph.class(key.class).param_box(),
+            }
         }));
         let mut dag = UnfoldedDag {
             graph,
@@ -291,6 +350,7 @@ impl UnfoldedDag {
             roots,
             edges,
             faults,
+            out_start,
         };
         if truncated {
             dag.faults.push(StructuralFault::Truncated { limit });
@@ -309,19 +369,14 @@ impl UnfoldedDag {
     }
 
     /// Cross-check every task's declared activation count against its
-    /// in-edges, then report input slots fed more than once. A counting
-    /// sort over the in-degrees groups the in-edges' slots by consumer, so
-    /// each consumer's handful of slots is checked on its own.
+    /// in-edges, then report input slots fed more than once. The in-edge
+    /// index groups the edges by consumer, so each consumer's handful of
+    /// slots is checked on its own.
     fn check_inputs(&mut self) {
-        // `start[c + 1]` counts consumer c's in-edges, then becomes a
-        // prefix sum: c's group begins at `start[c]`.
-        let mut start = vec![0usize; self.len() + 1];
-        for e in &self.edges {
-            start[e.consumer + 1] += 1;
-        }
-        for (i, &task) in self.tasks.iter().enumerate() {
+        let inputs = self.in_edges();
+        for (c, &task) in self.tasks.iter().enumerate() {
             let declared = self.graph.class(task.class).activation_count(task.params);
-            let actual = start[i + 1];
+            let actual = inputs.of(c).len();
             if declared != actual {
                 let fault = StructuralFault::IndegreeMismatch {
                     task,
@@ -330,22 +385,17 @@ impl UnfoldedDag {
                 };
                 self.faults.push(fault);
             }
-            start[i + 1] += start[i];
         }
-        // Placing a slot advances its consumer's cursor: afterwards
-        // `start[c]` is where c's group ends and c + 1's begins.
-        let mut slots = vec![0usize; self.edges.len()];
-        for e in &self.edges {
-            slots[start[e.consumer]] = e.slot;
-            start[e.consumer] += 1;
-        }
-        let mut begin = 0;
-        for (&task, &end) in self.tasks.iter().zip(&start) {
-            let group = &mut slots[begin..end];
-            begin = end;
-            group.sort_unstable();
-            let repeats = group.chunk_by(|a, b| a == b).filter(|run| run.len() > 1);
-            let faults = repeats.map(|run| StructuralFault::SlotCollision { task, slot: run[0] });
+        let mut slots: Vec<u16> = Vec::new();
+        for (c, &task) in self.tasks.iter().enumerate() {
+            slots.clear();
+            slots.extend(inputs.of(c).iter().map(|&ei| self.edges[ei as usize].slot));
+            slots.sort_unstable();
+            let repeats = slots.chunk_by(|a, b| a == b).filter(|run| run.len() > 1);
+            let faults = repeats.map(|run| StructuralFault::SlotCollision {
+                task,
+                slot: run[0].into(),
+            });
             self.faults.extend(faults);
         }
     }
@@ -377,37 +427,55 @@ impl UnfoldedDag {
         self.graph.class(key.class).cost(key.params)
     }
 
+    /// Task `i`'s out-edges, in the order its class declared them: a
+    /// slice of [`UnfoldedDag::edges`].
+    pub fn out_edges(&self, i: usize) -> &[EdgeRef] {
+        &self.edges[self.out_start[i] as usize..self.out_start[i + 1] as usize]
+    }
+
     /// Per-task in-degrees (counted from the enumerated edges, not the
     /// declarations).
-    pub fn in_degrees(&self) -> Vec<usize> {
-        let mut indeg = vec![0usize; self.tasks.len()];
+    pub fn in_degrees(&self) -> Vec<u32> {
+        let mut indeg = vec![0u32; self.len()];
         for e in &self.edges {
-            indeg[e.consumer] += 1;
+            indeg[e.consumer as usize] += 1;
         }
         indeg
     }
 
-    /// Successor adjacency: for each task, the indices of its out-edges in
-    /// [`UnfoldedDag::edges`].
-    pub fn out_adjacency(&self) -> Vec<Vec<u32>> {
-        let mut adj = vec![Vec::new(); self.tasks.len()];
-        for (ei, e) in self.edges.iter().enumerate() {
-            adj[e.producer].push(ei as u32);
+    /// Every task's in-edges: a counting sort of the edges by consumer,
+    /// stable, so each group keeps edge order.
+    pub fn in_edges(&self) -> InEdges {
+        // `start[c]` is where consumer c's group begins.
+        let mut start = Vec::with_capacity(self.len() + 1);
+        start.push(0u32);
+        start.extend(self.in_degrees().iter().scan(0, |end, &d| {
+            *end += d;
+            Some(*end)
+        }));
+        // Placing an edge advances its consumer's cursor: afterwards
+        // `start[c]` is where c's group ends and c + 1's begins.
+        let mut edges = vec![0u32; self.edges.len()];
+        for (ei, e) in (0u32..).zip(&self.edges) {
+            let at = &mut start[e.consumer as usize];
+            edges[*at as usize] = ei;
+            *at += 1;
         }
-        adj
+        start.rotate_right(1);
+        start[0] = 0;
+        InEdges { start, edges }
     }
 
     /// A topological order of the tasks (Kahn), or `None` when the
     /// enumerated edges contain a cycle.
     pub fn topo_order(&self) -> Option<Vec<usize>> {
         let mut indeg = self.in_degrees();
-        let adj = self.out_adjacency();
         let mut order = Vec::with_capacity(self.len());
         let mut queue: VecDeque<usize> = (0..self.len()).filter(|&i| indeg[i] == 0).collect();
         while let Some(i) = queue.pop_front() {
             order.push(i);
-            for &ei in &adj[i] {
-                let c = self.edges[ei as usize].consumer;
+            for e in self.out_edges(i) {
+                let c = e.consumer as usize;
                 indeg[c] -= 1;
                 if indeg[c] == 0 {
                     queue.push_back(c);
@@ -447,6 +515,17 @@ mod tests {
         roots: &[i32],
         total: u64,
     ) -> Program {
+        program_with_bytes(edges, indeg, roots, total, 8)
+    }
+
+    /// [`program`] with `bytes` on every flow.
+    fn program_with_bytes(
+        edges: &[(i32, i32, usize)],
+        indeg: &[(i32, usize)],
+        roots: &[i32],
+        total: u64,
+        bytes: usize,
+    ) -> Program {
         let mut edge_map: Map<i32, Vec<(i32, usize)>> = Map::new();
         for &(from, to, slot) in edges {
             edge_map.entry(from).or_default().push((to, slot));
@@ -459,7 +538,7 @@ mod tests {
             indeg: indeg.iter().copied().collect(),
             node: Map::new(),
             cost: 1.0,
-            bytes: 8,
+            bytes,
         }));
         Program {
             graph: Arc::new(g),
@@ -576,7 +655,24 @@ mod tests {
         assert_eq!(dag.cost_of(0), 1.0);
         assert_eq!(dag.node_of(0), 0);
         assert_eq!(dag.in_degrees(), vec![0, 1]);
-        assert_eq!(dag.out_adjacency()[0].len(), 1);
+        assert_eq!(dag.out_edges(0), &dag.edges[..1]);
+        assert_eq!(dag.in_edges().of(1), &[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow index 65536 exceeds u16::MAX")]
+    fn a_flow_index_past_u16_panics() {
+        // Task 0 feeds tasks 1..=65537 on flows 0..=65536.
+        let flows = i32::from(u16::MAX) + 2;
+        let edges: Vec<(i32, i32, usize)> = (1..=flows).map(|c| (0, c, 0)).collect();
+        UnfoldedDag::enumerate(&program(&edges, &[], &[0], flows as u64 + 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "flow bytes 4294967296 exceeds u32::MAX")]
+    fn a_flow_past_u32_bytes_panics() {
+        let bytes = u32::MAX as usize + 1;
+        UnfoldedDag::enumerate(&program_with_bytes(&[(0, 1, 0)], &[(1, 1)], &[0], 2, bytes));
     }
 
     #[test]
@@ -594,15 +690,31 @@ mod tests {
         UnfoldedDag::enumerate(&p);
     }
 
+    /// What [`oracle`] finds: an [`UnfoldedDag`]'s data without its index.
+    struct Oracle {
+        tasks: Vec<TaskKey>,
+        roots: Vec<usize>,
+        edges: Vec<EdgeRef>,
+        faults: Vec<StructuralFault>,
+    }
+
     /// The hash-indexed enumeration this module used before tasks were
     /// found by slot, kept as the reference the dense index must match.
-    fn oracle(program: &Program, limit: usize) -> UnfoldedDag {
+    fn oracle(program: &Program, limit: usize) -> Oracle {
         let graph = Arc::clone(&program.graph);
         let mut tasks: Vec<TaskKey> = Vec::new();
         let mut index: Map<TaskKey, usize> = Map::new();
         let mut edges: Vec<EdgeRef> = Vec::new();
         let mut faults: Vec<StructuralFault> = Vec::new();
         let mut staged: Vec<(usize, TaskKey, usize, usize, usize)> = Vec::new();
+        let edge =
+            |producer: usize, consumer: usize, flow: usize, slot: usize, bytes: usize| EdgeRef {
+                producer: producer as u32,
+                consumer: consumer as u32,
+                flow: flow as u16,
+                slot: slot as u16,
+                bytes: bytes as u32,
+            };
         let mut queue: VecDeque<usize> = VecDeque::new();
         let mut truncated = false;
         let discover = |key: TaskKey,
@@ -655,13 +767,7 @@ mod tests {
                 }
                 let bytes = if dep.flow < flows { dep.bytes } else { 0 };
                 match discover(dep.consumer, &mut tasks, &mut index, &mut queue) {
-                    Some(ci) => edges.push(EdgeRef {
-                        producer: pi,
-                        consumer: ci,
-                        flow: dep.flow,
-                        slot: dep.slot,
-                        bytes,
-                    }),
+                    Some(ci) => edges.push(edge(pi, ci, dep.flow, dep.slot, bytes)),
                     None => {
                         truncated = true;
                         staged.push((pi, dep.consumer, dep.flow, dep.slot, bytes));
@@ -671,13 +777,7 @@ mod tests {
         }
         for (pi, consumer, flow, slot, bytes) in staged {
             if let Some(&ci) = index.get(&consumer) {
-                edges.push(EdgeRef {
-                    producer: pi,
-                    consumer: ci,
-                    flow,
-                    slot,
-                    bytes,
-                });
+                edges.push(edge(pi, ci, flow, slot, bytes));
             }
         }
         faults.extend(
@@ -695,8 +795,10 @@ mod tests {
             let mut indeg = vec![0usize; tasks.len()];
             let mut slot_seen: Map<(usize, usize), usize> = Map::new();
             for e in &edges {
-                indeg[e.consumer] += 1;
-                *slot_seen.entry((e.consumer, e.slot)).or_default() += 1;
+                indeg[e.consumer as usize] += 1;
+                *slot_seen
+                    .entry((e.consumer as usize, e.slot as usize))
+                    .or_default() += 1;
             }
             for (i, &key) in tasks.iter().enumerate() {
                 let declared = graph.class(key.class).activation_count(key.params);
@@ -727,8 +829,7 @@ mod tests {
                 });
             }
         }
-        UnfoldedDag {
-            graph,
+        Oracle {
             tasks,
             roots,
             edges,
@@ -813,6 +914,22 @@ mod tests {
             assert_eq!(got.roots, want.roots);
             assert_eq!(got.edges, want.edges);
             assert_eq!(got.faults, want.faults);
+            assert!(got.edges.is_sorted_by_key(|e| e.producer));
+            let mut into: Vec<Vec<u32>> = vec![Vec::new(); got.len()];
+            for (i, e) in want.edges.iter().enumerate() {
+                into[e.consumer as usize].push(i as u32);
+            }
+            let in_edges = got.in_edges();
+            for (i, into) in into.iter().enumerate() {
+                let from: Vec<EdgeRef> = want
+                    .edges
+                    .iter()
+                    .filter(|e| e.producer as usize == i)
+                    .copied()
+                    .collect();
+                assert_eq!(got.out_edges(i), from);
+                assert_eq!(in_edges.of(i), into);
+            }
             for f in &got.faults {
                 let kind = match f {
                     StructuralFault::SlotOutOfRange { .. } => "slot out of range",

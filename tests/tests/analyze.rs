@@ -503,15 +503,14 @@ fn oracle_races(dag: &UnfoldedDag) -> Vec<Diagnostic> {
         let class = dag.graph.class(key.class).name();
         format!("{class}({},{},{},{})", p[0], p[1], p[2], p[3])
     };
-    let adj = dag.out_adjacency();
     let mut races = Vec::new();
     for (space, members) in writer_chains(dag) {
         for (ai, &(a, ra)) in members.iter().enumerate() {
             let mut reach = HashSet::from([a]);
             let mut stack = vec![a];
             while let Some(i) = stack.pop() {
-                for &ei in &adj[i] {
-                    let c = dag.edges[ei as usize].consumer;
+                for e in dag.out_edges(i) {
+                    let c = e.consumer as usize;
                     if reach.insert(c) {
                         stack.push(c);
                     }
@@ -545,8 +544,11 @@ fn aliased_ca_spaces_race_exactly_as_the_oracle_says() {
         let a = analyze::analyze_dag(&dag, &AnalyzeConfig::new());
         assert!(a.is_clean(), "{name}: {}", a.report());
         assert!(oracle_races(&dag).is_empty(), "{name}");
-        let edges: HashSet<(usize, usize)> =
-            dag.edges.iter().map(|e| (e.producer, e.consumer)).collect();
+        let edges: HashSet<(usize, usize)> = dag
+            .edges
+            .iter()
+            .map(|e| (e.producer as usize, e.consumer as usize))
+            .collect();
         for (space, members) in writer_chains(&dag) {
             for link in members.windows(2) {
                 assert!(
