@@ -351,6 +351,49 @@ fn steady_state_matches_full_unfold() {
     }
 }
 
+/// The tooling-size CA program (`tooling_lint_doctor`: n 6912, tile 288,
+/// 20 sweeps, 4 × 4 nodes, s = 5): both dataflow modes and the
+/// shrunk-halo mutant report exactly these figures. Any change to the
+/// rectangle algebra or the sweep must keep them, witness included.
+#[test]
+fn tooling_size_dataflow_reports_are_pinned() {
+    let c = cfg(6912, 288, 5, 4, 20);
+    let program = build_ca(&c, false).program;
+    let lint = |mode| AnalyzeConfig::new().without_races().with_dataflow(mode);
+    let ss = analyze_program(&program, &lint(DataflowMode::SteadyState));
+    assert!(ss.is_clean(), "{}", ss.report());
+    let d = ss.dataflow.unwrap();
+    assert_eq!(
+        (d.layers, d.analyzed_tasks, d.checked_reads, d.uncovered),
+        (21, 4032, 3456, 0)
+    );
+    assert_eq!((d.period, d.prologue), (Some(5), 2));
+    let dead = (d.dead_bytes, d.dead_cross_bytes, d.dead_edges);
+    assert_eq!(dead, (30720, 16512, 3840));
+
+    let full = analyze_program(&program, &lint(DataflowMode::Full));
+    assert!(full.is_clean(), "{}", full.report());
+    let f = full.dataflow.unwrap();
+    assert_eq!((f.analyzed_tasks, f.checked_reads), (12096, 11520));
+    assert_eq!((f.dead_bytes, f.dead_cross_bytes, f.dead_edges), dead);
+
+    let mutant = analyze_program(
+        &build_ca_shrunk(&c).program,
+        &lint(DataflowMode::SteadyState),
+    );
+    assert_eq!(mutant.dataflow.unwrap().uncovered, 492);
+    assert_eq!(
+        mutant.diagnostics[0],
+        Diagnostic::UncoveredRead {
+            task: "ca-stencil(5,1,1,0)".into(),
+            kind: 1,
+            space: 29,
+            cells: 288,
+            witness: Rect::new(283, 1440, 1, 288),
+        }
+    );
+}
+
 /// CA's dead wire traffic, cross-checked three ways: the analyzer's
 /// dead-byte total equals the closed-form geometric count (one far cell
 /// of 8 bytes per corner block — the cell outside the 5-point cross of
@@ -626,4 +669,194 @@ proptest! {
         }
         prop_assert!(set.same_cells(&reversed));
     }
+}
+
+/// Any rect of the oracle's window, zero-area ones included.
+fn arb_any_rect() -> impl Strategy<Value = Rect> {
+    (-8i64..24, -8i64..24, 0u32..12, 0u32..12).prop_map(|(r, c, h, w)| Rect::new(r, c, h, w))
+}
+
+/// First row and column of the oracle's window; `arb_any_rect` stays
+/// inside `[ORACLE_LO, ORACLE_LO + ORACLE_SIDE)` on both axes.
+const ORACLE_LO: i64 = -16;
+const ORACLE_SIDE: usize = 64;
+
+/// A cell bitmap: the oracle the rectangle algebra is checked against.
+#[derive(Clone, PartialEq)]
+struct Cells(Vec<bool>);
+
+impl Cells {
+    fn empty() -> Self {
+        Cells(vec![false; ORACLE_SIDE * ORACLE_SIDE])
+    }
+
+    fn indices(r: Rect) -> impl Iterator<Item = usize> {
+        let at = |v: i64| (v - ORACLE_LO) as usize;
+        (r.row..r.row + r.rows as i64).flat_map(move |y| {
+            (r.col..r.col + r.cols as i64).map(move |x| at(y) * ORACLE_SIDE + at(x))
+        })
+    }
+
+    fn set(&mut self, r: Rect, on: bool) {
+        for i in Self::indices(r) {
+            self.0[i] = on;
+        }
+    }
+
+    fn covers(&self, r: Rect) -> bool {
+        Self::indices(r).all(|i| self.0[i])
+    }
+
+    fn count(&self) -> u64 {
+        self.0.iter().filter(|&&on| on).count() as u64
+    }
+
+    /// The cells of `set`'s fragments, or an error naming a fragment that
+    /// is empty or overlaps an earlier one.
+    fn of(set: &RectSet) -> Result<Cells, String> {
+        let mut cells = Cells::empty();
+        for &r in set.rects() {
+            if r.area() == 0 {
+                return Err(format!("empty fragment {r:?}"));
+            }
+            for i in Self::indices(r) {
+                if std::mem::replace(&mut cells.0[i], true) {
+                    return Err(format!("fragment {r:?} overlaps an earlier one"));
+                }
+            }
+        }
+        Ok(cells)
+    }
+
+    /// The same cells as one-row runs: a decomposition unlike any the
+    /// algebra builds, for `same_cells`.
+    fn row_runs(&self) -> RectSet {
+        let mut runs = Vec::new();
+        for y in 0..ORACLE_SIDE {
+            let row = &self.0[y * ORACLE_SIDE..(y + 1) * ORACLE_SIDE];
+            let mut x = 0;
+            while x < ORACLE_SIDE {
+                let len = row[x..].iter().take_while(|&&on| on).count();
+                if len > 0 {
+                    let at = |v: usize| v as i64 + ORACLE_LO;
+                    runs.push(Rect::new(at(y), at(x), 1, len as u32));
+                }
+                x += len.max(1);
+            }
+        }
+        RectSet::from_rects(runs)
+    }
+}
+
+/// One step of a random `RectSet` script.
+#[derive(Debug)]
+enum Op {
+    Insert(Rect),
+    SubtractRect(Rect),
+    Subtract(Vec<Rect>),
+    Union(Vec<Rect>),
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    let rects = proptest::collection::vec(arb_any_rect(), 0..4);
+    (0u8..4, arb_any_rect(), rects).prop_map(|(code, r, rs)| match code {
+        0 => Op::Insert(r),
+        1 => Op::SubtractRect(r),
+        2 => Op::Subtract(rs),
+        _ => Op::Union(rs),
+    })
+}
+
+proptest! {
+    /// Every operation agrees with a cell bitmap: after each step the
+    /// fragments are non-empty and pairwise disjoint and hold exactly the
+    /// oracle's cells, and `area`, `is_empty`, `covers`, `same_cells` and
+    /// `largest` answer as the bitmap does.
+    #[test]
+    fn rectset_agrees_with_a_cell_bitmap(
+        ops in proptest::collection::vec(arb_op(), 1..12),
+        probe in arb_any_rect(),
+    ) {
+        let mut set = RectSet::new();
+        let mut oracle = Cells::empty();
+        for (step, op) in ops.iter().enumerate() {
+            let before = (set.clone(), oracle.clone());
+            match op {
+                Op::Insert(r) => {
+                    set.insert(*r);
+                    oracle.set(*r, true);
+                }
+                Op::SubtractRect(r) => {
+                    set.subtract_rect(r);
+                    oracle.set(*r, false);
+                }
+                Op::Subtract(rs) => {
+                    set.subtract(&RectSet::from_rects(rs.iter().copied()));
+                    rs.iter().for_each(|&r| oracle.set(r, false));
+                }
+                Op::Union(rs) => {
+                    set.union_with(&RectSet::from_rects(rs.iter().copied()));
+                    rs.iter().for_each(|&r| oracle.set(r, true));
+                }
+            }
+            let cells = Cells::of(&set).map_err(|e| format!("step {step} {op:?}: {e}"))?;
+            prop_assert!(cells == oracle, "step {step} {op:?}: cells differ from the oracle");
+            prop_assert_eq!(set.area(), oracle.count(), "step {step}");
+            prop_assert_eq!(set.is_empty(), oracle.count() == 0, "step {step}");
+            for q in [probe, before.0.largest().unwrap_or(probe)] {
+                prop_assert_eq!(set.covers(&q), oracle.covers(q), "step {step} covers {q:?}");
+            }
+            prop_assert!(set.same_cells(&oracle.row_runs()), "step {step}");
+            // one column over: the same area, never the same cells
+            let shifted = set.rects().iter().map(|r| Rect::new(r.row, r.col + 1, r.rows, r.cols));
+            let shifted = RectSet::from_rects(shifted);
+            prop_assert_eq!(set.same_cells(&shifted), set.is_empty(), "step {step}");
+            prop_assert_eq!(set.same_cells(&before.0), oracle == before.1, "step {step}");
+            match set.largest() {
+                None => prop_assert!(set.is_empty(), "step {step}"),
+                Some(w) => {
+                    prop_assert!(set.rects().contains(&w), "step {step}: {w:?}");
+                    let max = set.rects().iter().map(Rect::area).max();
+                    prop_assert_eq!(Some(w.area()), max, "step {step}");
+                }
+            }
+        }
+    }
+}
+
+/// One fixed script with its exact fragment list: the guillotine split
+/// order (bands above and below, then left and right remnants, each
+/// existing fragment in turn) decides which fragment `largest` reports as
+/// an uncovered-read witness, so the order is pinned, not only the cells.
+#[test]
+fn rectset_fragment_order_is_pinned() {
+    let r = Rect::new;
+    let mut s = RectSet::new();
+    s.insert(r(0, 0, 10, 10));
+    s.insert(r(5, 5, 10, 10));
+    s.subtract_rect(&r(2, 2, 3, 3));
+    s.insert(r(-3, -3, 4, 20));
+    s.insert(r(7, 7, 0, 4));
+    s.subtract(&RectSet::from_rects([r(8, -5, 2, 30), r(-4, 12, 24, 1)]));
+    s.union_with(&RectSet::from_rects([r(3, 3, 1, 1), r(12, -2, 3, 6)]));
+    s.subtract_rect(&r(6, 6, 0, 0));
+    let expected = [
+        r(0, 0, 2, 10),
+        r(5, 0, 3, 10),
+        r(2, 0, 3, 2),
+        r(2, 5, 3, 5),
+        r(10, 5, 5, 7),
+        r(10, 13, 5, 2),
+        r(5, 10, 3, 2),
+        r(5, 13, 3, 2),
+        r(-3, -3, 3, 15),
+        r(-3, 13, 3, 4),
+        r(0, -3, 1, 3),
+        r(0, 10, 1, 2),
+        r(0, 13, 1, 4),
+        r(3, 3, 1, 1),
+        r(12, -2, 3, 6),
+    ];
+    assert_eq!(s.rects(), &expected);
+    assert_eq!(s.largest(), Some(r(-3, -3, 3, 15)));
 }
