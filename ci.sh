@@ -90,13 +90,16 @@ step comm_matrix_identity_gate
 # Allocation-ledger gate: the threaded engine's steady state must stay at
 # most 2 (one node) / 3 (two nodes) heap allocations per extra task for
 # every scheme — the hot path recycles payloads, task boxes and
-# scratch instead of allocating (docs/EXECUTOR.md) — and the static
+# scratch instead of allocating (docs/EXECUTOR.md) — the static
 # unfolder's peak heap must stay within 240 B per task for the base and
 # CA schemes at the tooling_lint_doctor and sim_nacl16 sizes
-# (runtime::unfold).
+# (runtime::unfold), and the steady-state region-dataflow analysis of
+# the tooling_lint_doctor CA DAG must stay within 4.47 heap allocations
+# per task: its sweep allocates nothing (analyze::dataflow).
 allocation_ledger_gate() {
     cargo test --release -q -p integration --test alloc_steady_state &&
-        cargo test --release -q -p integration --test alloc_unfold
+        cargo test --release -q -p integration --test alloc_unfold &&
+        cargo test --release -q -p integration --test alloc_dataflow
 }
 step allocation_ledger_gate
 

@@ -44,11 +44,23 @@
 //! verdict and dead-byte total provably repeats the congruent swept
 //! layer, and the expensive rectangle sweep cost drops from O(layers) to
 //! O(prologue + period).
+//!
+//! **Cost.** The sweep allocates nothing per task. `Pass::new` maps each
+//! distinct space id to a dense index once and copies every task's and
+//! edge's footprints into one flat rectangle array, so the running state,
+//! the per-space read unions and the certificate snapshots are vectors
+//! indexed by space, and the sweep's `valid`, `uncovered` and `dead` sets
+//! are scratch [`RectSet`]s refilled with `clone_from`/`clear`. The
+//! rectangle algebra splits in place and keeps fragment order, so the
+//! witnesses are the ones a fresh set would give. Fingerprints use a word
+//! hash — one multiply per `u64`, fixed seed, no per-process key — so they
+//! stay deterministic across runs and platforms; the edge hashes of each
+//! task are sorted in one reused buffer.
 
 use crate::diag::Diagnostic;
 use crate::rectset::RectSet;
 use crate::task_name;
-use runtime::{InEdges, ReadRegion, UnfoldedDag};
+use runtime::{InEdges, ReadRegion, Rect, UnfoldedDag};
 use std::collections::HashMap;
 
 /// How much of the DAG the rectangle sweep covers.
@@ -96,54 +108,55 @@ pub struct DataflowReport {
     pub dead_edges: usize,
 }
 
-/// 64-bit FNV-1a. Deterministic across runs and platforms, unlike
-/// `DefaultHasher` — layer fingerprints must be reproducible.
-struct Fnv(u64);
+/// Word-at-a-time hash: one multiply per `u64` and a final avalanche.
+/// Deterministic across runs and platforms, unlike `DefaultHasher` —
+/// layer fingerprints must be reproducible.
+struct WordHash(u64);
 
-impl Fnv {
+impl WordHash {
     fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
+        WordHash(0x243f_6a88_85a3_08d3)
     }
     fn u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
-    fn i64(&mut self, v: i64) {
-        self.write(&v.to_le_bytes());
+    fn rect(&mut self, r: &Rect) {
+        self.u64(r.row as u64);
+        self.u64(r.col as u64);
+        self.u64(r.rows as u64);
+        self.u64(r.cols as u64);
     }
     fn finish(&self) -> u64 {
-        self.0
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^ (h >> 33)
     }
 }
 
-fn hash_region(h: &mut Fnv, region: &Option<ReadRegion>) {
-    match region {
-        None => h.u64(0),
-        Some(r) => {
-            h.u64(1);
-            h.u64(r.space);
-            h.u64(r.rects.len() as u64);
-            for rect in &r.rects {
-                h.i64(rect.row);
-                h.i64(rect.col);
-                h.u64(rect.rows as u64);
-                h.u64(rect.cols as u64);
-            }
-        }
+/// A read, pinned or delivered footprint: a dense space index and the
+/// range of its rectangles in [`Pass::rects`].
+#[derive(Debug, Clone, Copy)]
+struct Footprint {
+    space: u32,
+    start: u32,
+    end: u32,
+}
+
+impl Footprint {
+    fn of(self, rects: &[Rect]) -> &[Rect] {
+        &rects[self.start as usize..self.end as usize]
     }
 }
 
 /// Footprints of one task instance, fetched once.
 struct TaskInfo {
-    write: Option<runtime::WriteRegion>,
-    read: Option<ReadRegion>,
-    pinned: Option<ReadRegion>,
+    /// Dense space and written rectangle.
+    write: Option<(u32, Rect)>,
+    read: Option<Footprint>,
+    pinned: Option<Footprint>,
     kind: u32,
+    node: u32,
 }
 
 /// Per-layer dead-transfer totals, the unit of steady-state
@@ -156,23 +169,76 @@ struct LayerDead {
     edges: usize,
 }
 
+/// Buffers the sweep refills for every task instead of allocating.
+#[derive(Default)]
+struct Scratch {
+    /// The task's in-edges that deliver a region, with that region.
+    deliveries: Vec<(u32, Footprint)>,
+    valid: RectSet,
+    uncovered: RectSet,
+    dead: RectSet,
+}
+
 struct Pass<'a> {
     dag: &'a UnfoldedDag,
     layer: Vec<usize>,
-    layer_tasks: Vec<Vec<usize>>,
+    /// Task indices grouped by layer, ascending within one;
+    /// `layer_start[l]..layer_start[l + 1]` is layer `l`.
+    order: Vec<u32>,
+    layer_start: Vec<u32>,
     infos: Vec<TaskInfo>,
     /// In-edge indices (into `dag.edges`) per consumer.
     in_edges: InEdges,
     /// Delivered region per edge, parallel to `dag.edges`.
-    delivered: Vec<Option<ReadRegion>>,
-    /// Union of every declared read footprint, per space.
-    space_reads: HashMap<u64, RectSet>,
+    delivered: Vec<Option<Footprint>>,
+    /// Every footprint's rectangles, back to back.
+    rects: Vec<Rect>,
+    /// Space id per dense space index.
+    spaces: Vec<u64>,
+    /// Union of every declared read footprint, per space; `None` for a
+    /// space nothing declares a read in.
+    space_reads: Vec<Option<RectSet>>,
     /// Accumulated valid cells per space (the sweep's running state).
-    state: HashMap<u64, RectSet>,
+    state: Vec<RectSet>,
+    scratch: Scratch,
     diagnostics: Vec<Diagnostic>,
     layer_dead: Vec<LayerDead>,
     analyzed: usize,
     checked_reads: usize,
+}
+
+/// Dense space indices and the flat rectangle array `Pass::new` fills.
+#[derive(Default)]
+struct Interner {
+    dense: HashMap<u64, u32>,
+    spaces: Vec<u64>,
+    rects: Vec<Rect>,
+}
+
+/// `len` as a `u32` index; the pass indexes tasks, edges, spaces and
+/// rectangles with `u32`, as the unfolded DAG does.
+fn index(len: usize) -> u32 {
+    u32::try_from(len).expect("dataflow tables are indexed by u32")
+}
+
+impl Interner {
+    fn space(&mut self, space: u64) -> u32 {
+        *self.dense.entry(space).or_insert_with(|| {
+            self.spaces.push(space);
+            index(self.spaces.len() - 1)
+        })
+    }
+
+    fn footprint(&mut self, region: Option<ReadRegion>) -> Option<Footprint> {
+        let region = region?;
+        let start = index(self.rects.len());
+        self.rects.extend_from_slice(&region.rects);
+        Some(Footprint {
+            space: self.space(region.space),
+            start,
+            end: index(self.rects.len()),
+        })
+    }
 }
 
 impl<'a> Pass<'a> {
@@ -187,21 +253,35 @@ impl<'a> Pass<'a> {
             }
         }
         let depth = layer.iter().max().map_or(0, |&m| m + 1);
-        let mut layer_tasks = vec![Vec::new(); depth];
-        for i in 0..dag.len() {
-            layer_tasks[layer[i]].push(i);
+        // Counting sort by layer, stable in task index.
+        let mut layer_start = vec![0u32; depth + 1];
+        for &l in &layer {
+            layer_start[l + 1] += 1;
+        }
+        for l in 0..depth {
+            layer_start[l + 1] += layer_start[l];
+        }
+        let mut next = layer_start.clone();
+        let mut order = vec![0u32; dag.len()];
+        for (i, &l) in layer.iter().enumerate() {
+            order[next[l] as usize] = i as u32;
+            next[l] += 1;
         }
 
+        let mut intern = Interner::default();
         let infos: Vec<TaskInfo> = dag
             .tasks
             .iter()
             .map(|key| {
                 let class = dag.graph.class(key.class);
                 TaskInfo {
-                    write: class.write_region(key.params),
-                    read: class.read_region(key.params),
-                    pinned: class.pinned_region(key.params),
+                    write: class
+                        .write_region(key.params)
+                        .map(|w| (intern.space(w.space), w.rect)),
+                    read: intern.footprint(class.read_region(key.params)),
+                    pinned: intern.footprint(class.pinned_region(key.params)),
                     kind: class.kind(key.params),
+                    node: class.node_of(key.params),
                 }
             })
             .collect();
@@ -212,84 +292,97 @@ impl<'a> Pass<'a> {
             .map(|e| {
                 let key = dag.tasks[e.producer as usize];
                 let class = dag.graph.class(key.class);
-                class.delivered_region(key.params, e.flow.into())
+                intern.footprint(class.delivered_region(key.params, e.flow.into()))
             })
             .collect();
 
-        let mut space_reads: HashMap<u64, RectSet> = HashMap::new();
-        for info in &infos {
-            if let Some(r) = &info.read {
-                let set = space_reads.entry(r.space).or_default();
-                for &rect in &r.rects {
-                    set.insert(rect);
-                }
+        let Interner { spaces, rects, .. } = intern;
+        let mut space_reads: Vec<Option<RectSet>> = vec![None; spaces.len()];
+        for read in infos.iter().filter_map(|info| info.read) {
+            let set = space_reads[read.space as usize].get_or_insert_with(RectSet::new);
+            for &rect in read.of(&rects) {
+                set.insert(rect);
             }
         }
 
         Pass {
             dag,
             layer,
+            order,
+            layer_start,
             infos,
             in_edges: dag.in_edges(),
             delivered,
+            state: vec![RectSet::new(); spaces.len()],
+            rects,
+            spaces,
             space_reads,
-            state: HashMap::new(),
+            scratch: Scratch::default(),
             diagnostics: Vec::new(),
             layer_dead: vec![LayerDead::default(); depth],
             analyzed: 0,
             checked_reads: 0,
-            layer_tasks,
         }
     }
 
     fn depth(&self) -> usize {
-        self.layer_tasks.len()
+        self.layer_dead.len()
+    }
+
+    /// Layer `l`'s range in `order`.
+    fn layer_span(&self, l: usize) -> std::ops::Range<usize> {
+        self.layer_start[l] as usize..self.layer_start[l + 1] as usize
     }
 
     /// Rectangle-sweep one layer: coverage checks, state accumulation,
     /// and dead-transfer accounting for the edges arriving here.
     fn sweep_layer(&mut self, l: usize) {
-        let tasks = std::mem::take(&mut self.layer_tasks[l]);
-        for &i in &tasks {
-            let deliveries: Vec<u32> = self
-                .in_edges
-                .of(i)
-                .iter()
-                .copied()
-                .filter(|&ei| self.delivered[ei as usize].is_some())
-                .collect();
+        let span = self.layer_span(l);
+        let rects = &self.rects;
+        let s = &mut self.scratch;
+        for &i in &self.order[span] {
+            let i = i as usize;
+            s.deliveries.clear();
+            s.deliveries.extend(
+                self.in_edges
+                    .of(i)
+                    .iter()
+                    .filter_map(|&ei| Some((ei, self.delivered[ei as usize]?))),
+            );
             let info = &self.infos[i];
-            if info.read.is_none() && info.write.is_none() && deliveries.is_empty() {
+            if info.read.is_none() && info.write.is_none() && s.deliveries.is_empty() {
                 continue; // no region facts: exempt from the pass
             }
             self.analyzed += 1;
 
-            if let Some(read) = &info.read {
+            if let Some(read) = info.read {
                 self.checked_reads += 1;
-                let mut valid = self.state.get(&read.space).cloned().unwrap_or_default();
-                if let Some(p) = &info.pinned {
+                s.valid.clone_from(&self.state[read.space as usize]);
+                if let Some(p) = info.pinned {
                     if p.space == read.space {
-                        for &r in &p.rects {
-                            valid.insert(r);
+                        for &r in p.of(rects) {
+                            s.valid.insert(r);
                         }
                     }
                 }
-                for &ei in &deliveries {
-                    let d = self.delivered[ei as usize].as_ref().unwrap();
+                for &(_, d) in &s.deliveries {
                     if d.space == read.space {
-                        for &r in &d.rects {
-                            valid.insert(r);
+                        for &r in d.of(rects) {
+                            s.valid.insert(r);
                         }
                     }
                 }
-                let mut uncovered = RectSet::from_rects(read.rects.iter().copied());
-                uncovered.subtract(&valid);
-                if let Some(witness) = uncovered.largest() {
+                s.uncovered.clear();
+                for &r in read.of(rects) {
+                    s.uncovered.insert(r);
+                }
+                s.uncovered.subtract(&s.valid);
+                if let Some(witness) = s.uncovered.largest() {
                     self.diagnostics.push(Diagnostic::UncoveredRead {
                         task: task_name(self.dag, i),
                         kind: info.kind,
-                        space: read.space,
-                        cells: uncovered.area(),
+                        space: self.spaces[read.space as usize],
+                        cells: s.uncovered.area(),
                         witness,
                     });
                 }
@@ -297,44 +390,42 @@ impl<'a> Pass<'a> {
 
             // Accumulate: delivered cells and the task's own write become
             // valid for everything later in this space's chain.
-            for &ei in &deliveries {
-                let d = self.delivered[ei as usize].clone().unwrap();
-                let set = self.state.entry(d.space).or_default();
-                for rect in d.rects {
-                    set.insert(rect);
+            for &(_, d) in &s.deliveries {
+                let set = &mut self.state[d.space as usize];
+                for &r in d.of(rects) {
+                    set.insert(r);
                 }
             }
-            if let Some(w) = &self.infos[i].write {
-                self.state.entry(w.space).or_default().insert(w.rect);
+            if let Some((space, rect)) = info.write {
+                self.state[space as usize].insert(rect);
             }
 
             // Dead transfers on the in-edges, attributed to this layer.
-            for &ei in &deliveries {
-                let d = self.delivered[ei as usize].as_ref().unwrap();
-                let Some(reads) = self.space_reads.get(&d.space) else {
+            for &(ei, d) in &s.deliveries {
+                let Some(reads) = &self.space_reads[d.space as usize] else {
                     continue; // space declares no reads at all: unknown
                 };
-                let mut dead = RectSet::from_rects(d.rects.iter().copied());
-                let delivered_area = dead.area();
+                s.dead.clear();
+                for &r in d.of(rects) {
+                    s.dead.insert(r);
+                }
+                let delivered_area = s.dead.area();
                 if delivered_area == 0 {
                     continue;
                 }
-                dead.subtract(reads);
-                if !dead.is_empty() {
+                s.dead.subtract(reads);
+                if !s.dead.is_empty() {
                     let e = &self.dag.edges[ei as usize];
-                    let bytes = e.bytes as u64 * dead.area() / delivered_area;
+                    let bytes = e.bytes as u64 * s.dead.area() / delivered_area;
                     let ld = &mut self.layer_dead[l];
                     ld.bytes += bytes;
                     ld.edges += 1;
-                    if self.dag.node_of(e.producer as usize)
-                        != self.dag.node_of(e.consumer as usize)
-                    {
+                    if self.infos[e.producer as usize].node != info.node {
                         ld.cross += bytes;
                     }
                 }
             }
         }
-        self.layer_tasks[l] = tasks;
     }
 
     /// Deterministic per-layer structure fingerprint. In-structure only:
@@ -343,16 +434,18 @@ impl<'a> Pass<'a> {
     /// the last layers of the DAG fingerprint identically to mid-stream
     /// ones and no epilogue special-case is needed.
     fn fingerprints(&self) -> Vec<u64> {
+        let mut task_hashes = Vec::new();
+        let mut edge_hashes = Vec::new();
         (0..self.depth())
             .map(|l| {
-                let mut task_hashes: Vec<u64> = self.layer_tasks[l]
-                    .iter()
-                    .map(|&i| self.task_fingerprint(i))
-                    .collect();
+                task_hashes.clear();
+                for &i in &self.order[self.layer_span(l)] {
+                    task_hashes.push(self.task_fingerprint(i as usize, &mut edge_hashes));
+                }
                 task_hashes.sort_unstable();
-                let mut h = Fnv::new();
+                let mut h = WordHash::new();
                 h.u64(task_hashes.len() as u64);
-                for th in task_hashes {
+                for &th in &task_hashes {
                     h.u64(th);
                 }
                 h.finish()
@@ -360,66 +453,63 @@ impl<'a> Pass<'a> {
             .collect()
     }
 
-    fn task_fingerprint(&self, i: usize) -> u64 {
+    fn hash_footprint(&self, h: &mut WordHash, region: Option<Footprint>) {
+        match region {
+            None => h.u64(0),
+            Some(f) => {
+                h.u64(1);
+                h.u64(f.space as u64);
+                h.u64((f.end - f.start) as u64);
+                for rect in f.of(&self.rects) {
+                    h.rect(rect);
+                }
+            }
+        }
+    }
+
+    /// Task `i`'s fingerprint; `edge_hashes` is scratch.
+    fn task_fingerprint(&self, i: usize, edge_hashes: &mut Vec<u64>) -> u64 {
         let key = self.dag.tasks[i];
         let info = &self.infos[i];
-        let mut h = Fnv::new();
+        let mut h = WordHash::new();
         h.u64(key.class as u64);
         h.u64(info.kind as u64);
         match &info.write {
             None => h.u64(0),
-            Some(w) => {
+            Some((space, rect)) => {
                 h.u64(1);
-                h.u64(w.space);
-                h.i64(w.rect.row);
-                h.i64(w.rect.col);
-                h.u64(w.rect.rows as u64);
-                h.u64(w.rect.cols as u64);
+                h.u64(*space as u64);
+                h.rect(rect);
             }
         }
-        hash_region(&mut h, &info.read);
-        hash_region(&mut h, &info.pinned);
-        let mut edge_hashes: Vec<u64> = self
-            .in_edges
-            .of(i)
-            .iter()
-            .map(|&ei| {
-                let e = &self.dag.edges[ei as usize];
-                let p = e.producer as usize;
-                let pk = self.dag.tasks[p];
-                let mut eh = Fnv::new();
-                eh.u64((self.layer[i] - self.layer[p]) as u64);
-                eh.u64(pk.class as u64);
-                eh.u64(self.infos[p].kind as u64);
-                eh.u64(e.slot as u64);
-                eh.u64(e.bytes as u64);
-                eh.u64(u64::from(
-                    self.dag.node_of(p) != self.dag.node_of(e.consumer as usize),
-                ));
-                hash_region(&mut eh, &self.delivered[ei as usize]);
-                eh.finish()
-            })
-            .collect();
+        self.hash_footprint(&mut h, info.read);
+        self.hash_footprint(&mut h, info.pinned);
+        edge_hashes.clear();
+        for &ei in self.in_edges.of(i) {
+            let e = &self.dag.edges[ei as usize];
+            let p = e.producer as usize;
+            let mut eh = WordHash::new();
+            eh.u64((self.layer[i] - self.layer[p]) as u64);
+            eh.u64(self.dag.tasks[p].class as u64);
+            eh.u64(self.infos[p].kind as u64);
+            eh.u64(e.slot as u64);
+            eh.u64(e.bytes as u64);
+            eh.u64(u64::from(self.infos[p].node != info.node));
+            self.hash_footprint(&mut eh, self.delivered[ei as usize]);
+            edge_hashes.push(eh.finish());
+        }
         edge_hashes.sort_unstable();
         h.u64(edge_hashes.len() as u64);
-        for eh in edge_hashes {
+        for &eh in edge_hashes.iter() {
             h.u64(eh);
         }
         h.finish()
     }
-
-    fn state_snapshot(&self) -> HashMap<u64, RectSet> {
-        self.state.clone()
-    }
 }
 
-fn states_equal(a: &HashMap<u64, RectSet>, b: &HashMap<u64, RectSet>) -> bool {
-    let empty = RectSet::new();
-    a.keys().chain(b.keys()).all(|k| {
-        a.get(k)
-            .unwrap_or(&empty)
-            .same_cells(b.get(k).unwrap_or(&empty))
-    })
+/// True when two per-space states hold the same cells in every space.
+fn states_equal(a: &[RectSet], b: &[RectSet]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.same_cells(y))
 }
 
 /// Smallest `(prologue, period)` such that every layer fingerprint from
@@ -484,11 +574,10 @@ pub(crate) fn run(
             let m = depth - 1;
             let mut a = a0;
             sweep_until(&mut pass, a, &mut swept);
-            let mut entry = pass.state_snapshot();
+            let mut entry = pass.state.clone();
             while a + p <= m + 1 {
                 sweep_until(&mut pass, a + p, &mut swept);
-                let now = pass.state_snapshot();
-                if states_equal(&entry, &now) {
+                if states_equal(&entry, &pass.state) {
                     // Certified: layers >= a+p repeat the congruent layer
                     // in [a, a+p) — extrapolate their dead totals exactly.
                     for l in (a + p)..=m {
@@ -502,7 +591,7 @@ pub(crate) fn run(
                     report.prologue = a;
                     break;
                 }
-                entry = now;
+                entry.clone_from(&pass.state);
                 a += p;
             }
         }
@@ -529,18 +618,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fnv_is_deterministic_and_order_sensitive() {
-        let mut a = Fnv::new();
-        a.u64(1);
-        a.u64(2);
-        let mut b = Fnv::new();
-        b.u64(1);
-        b.u64(2);
-        assert_eq!(a.finish(), b.finish());
-        let mut c = Fnv::new();
-        c.u64(2);
-        c.u64(1);
-        assert_ne!(a.finish(), c.finish());
+    fn word_hash_is_deterministic_and_order_sensitive() {
+        let hash = |words: &[u64]| {
+            let mut h = WordHash::new();
+            words.iter().for_each(|&w| h.u64(w));
+            h.finish()
+        };
+        assert_eq!(hash(&[1, 2]), hash(&[1, 2]));
+        assert_ne!(hash(&[1, 2]), hash(&[2, 1]));
+        assert_ne!(hash(&[0]), hash(&[0, 0]));
+        // pinned: the fingerprints must not change from run to run or
+        // from platform to platform
+        assert_eq!(hash(&[1, 2]), 0xff90_5c0f_d8b4_3a86);
     }
 
     #[test]

@@ -9,6 +9,15 @@
 //! below the intersection at full width, plus the left/right remnants of
 //! the middle band).
 //!
+//! Splitting works in place, in the set's own vector: the pieces of every
+//! fragment from the first one cut onward are appended behind the stored
+//! ones, and the consumed range is drained, so fragments keep the order a
+//! fresh collect would give them and a set that is only read or refilled
+//! (`clone_from`, [`RectSet::clear`]) allocates nothing once its vector
+//! has grown. [`RectSet::covers`] and [`RectSet::same_cells`] compare
+//! areas of intersections, which is exact because fragments are disjoint,
+//! and build no probe set.
+//!
 //! All operations are exact; none of them normalizes adjacent fragments
 //! back into bigger rectangles, so two sets covering the same cells may
 //! differ representationally — use [`RectSet::same_cells`] for semantic
@@ -17,15 +26,32 @@
 use runtime::Rect;
 
 /// A set of cells represented as pairwise-disjoint rectangles.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct RectSet {
     rects: Vec<Rect>,
 }
 
-/// Pieces of `a` not covered by `b` — at most four rectangles.
-fn rect_subtract(a: Rect, b: Rect) -> Vec<Rect> {
+impl Clone for RectSet {
+    fn clone(&self) -> Self {
+        RectSet {
+            rects: self.rects.clone(),
+        }
+    }
+
+    /// Reuses `self`'s vector: the dataflow pass refills its scratch sets
+    /// this way without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.rects.clone_from(&source.rects);
+    }
+}
+
+/// Appends the pieces of `a` not covered by `b` to `out` — at most four.
+fn rect_subtract(a: Rect, b: Rect, out: &mut Vec<Rect>) {
     if !a.intersects(&b) {
-        return if a.area() == 0 { Vec::new() } else { vec![a] };
+        if a.area() != 0 {
+            out.push(a);
+        }
+        return;
     }
     let a_r1 = a.row + a.rows as i64;
     let a_c1 = a.col + a.cols as i64;
@@ -34,7 +60,6 @@ fn rect_subtract(a: Rect, b: Rect) -> Vec<Rect> {
     let ir1 = a_r1.min(b.row + b.rows as i64);
     let ic0 = a.col.max(b.col);
     let ic1 = a_c1.min(b.col + b.cols as i64);
-    let mut out = Vec::with_capacity(4);
     if ir0 > a.row {
         out.push(Rect::new(a.row, a.col, (ir0 - a.row) as u32, a.cols));
     }
@@ -48,7 +73,30 @@ fn rect_subtract(a: Rect, b: Rect) -> Vec<Rect> {
     if a_c1 > ic1 {
         out.push(Rect::new(ir0, ic1, mid_rows, (a_c1 - ic1) as u32));
     }
-    out
+}
+
+/// Cells `a` and `b` share.
+fn overlap_area(a: &Rect, b: &Rect) -> u64 {
+    let rows = (a.row + a.rows as i64).min(b.row + b.rows as i64) - a.row.max(b.row);
+    let cols = (a.col + a.cols as i64).min(b.col + b.cols as i64) - a.col.max(b.col);
+    if rows <= 0 || cols <= 0 {
+        0
+    } else {
+        rows as u64 * cols as u64
+    }
+}
+
+/// Replaces each of `rects[from..]` by its pieces outside `cut`, in order.
+/// Every fragment is non-empty, so one `cut` misses is its own piece.
+fn cut_tail(rects: &mut Vec<Rect>, from: usize, cut: Rect) {
+    let end = rects.len();
+    let Some(first) = (from..end).find(|&k| rects[k].intersects(&cut)) else {
+        return;
+    };
+    for k in first..end {
+        rect_subtract(rects[k], cut, rects);
+    }
+    rects.drain(first..end);
 }
 
 impl RectSet {
@@ -79,17 +127,17 @@ impl RectSet {
         if r.area() == 0 {
             return;
         }
-        let mut fresh = vec![r];
-        for have in &self.rects {
-            if fresh.is_empty() {
+        // The fresh pieces live behind the stored fragments, cut by each
+        // stored one in turn.
+        let stored = self.rects.len();
+        self.rects.push(r);
+        for k in 0..stored {
+            if self.rects.len() == stored {
                 return;
             }
-            fresh = fresh
-                .into_iter()
-                .flat_map(|piece| rect_subtract(piece, *have))
-                .collect();
+            let have = self.rects[k];
+            cut_tail(&mut self.rects, stored, have);
         }
-        self.rects.extend(fresh);
     }
 
     /// Add every cell of `other`.
@@ -101,14 +149,9 @@ impl RectSet {
 
     /// Remove the cells of `r`.
     pub fn subtract_rect(&mut self, r: &Rect) {
-        if r.area() == 0 {
-            return;
+        if r.area() != 0 {
+            cut_tail(&mut self.rects, 0, *r);
         }
-        self.rects = self
-            .rects
-            .drain(..)
-            .flat_map(|have| rect_subtract(have, *r))
-            .collect();
     }
 
     /// Remove every cell of `other`.
@@ -125,6 +168,11 @@ impl RectSet {
         out
     }
 
+    /// Remove every cell, keeping the vector's capacity.
+    pub fn clear(&mut self) {
+        self.rects.clear();
+    }
+
     /// Number of cells covered. Exact because fragments are disjoint.
     pub fn area(&self) -> u64 {
         self.rects.iter().map(Rect::area).sum()
@@ -135,11 +183,10 @@ impl RectSet {
         self.rects.is_empty()
     }
 
-    /// True when every cell of `r` is in the set.
+    /// True when every cell of `r` is in the set: the fragments' overlaps
+    /// with `r` add up to its area.
     pub fn covers(&self, r: &Rect) -> bool {
-        let mut probe = RectSet::from_rect(*r);
-        probe.subtract(self);
-        probe.is_empty()
+        self.rects.iter().map(|f| overlap_area(f, r)).sum::<u64>() == r.area()
     }
 
     /// The largest-area stored fragment — the witness rectangle reported
@@ -149,9 +196,9 @@ impl RectSet {
     }
 
     /// Semantic equality: both sets cover exactly the same cells, however
-    /// they are fragmented.
+    /// they are fragmented. Equal areas and `self ⊆ other` suffice.
     pub fn same_cells(&self, other: &RectSet) -> bool {
-        self.difference(other).is_empty() && other.difference(self).is_empty()
+        self.area() == other.area() && self.rects.iter().all(|f| other.covers(f))
     }
 
     /// The stored disjoint fragments (representation-dependent order).
