@@ -53,24 +53,28 @@ step ./target/release/stencil-doctor --check
 # nanoseconds; the makespans must match BENCH_whatif.json within 2 %.
 step ./target/release/stencil-whatif --check
 
-# Transcript gates: the docs quote the output of virtual-time binaries,
-# which is byte-stable. Each entry is a (doc, command line) pair; the
-# block quoted after that `$ ...` line, up to the closing fence, must
-# equal a fresh run of the release binary with the line's environment
-# assignments, in a temp directory (binaries write their JSON artifacts
-# into the working directory).
+# Transcript gates: the docs quote the output of virtual-time binaries
+# and of the static analyzer, which are byte-stable. Each entry is a
+# (doc, command line) pair; the block quoted after that `$ ...` line, up
+# to the closing fence, must equal a fresh run of the release binary with
+# the line's environment assignments and the arguments after its `--`,
+# in a temp directory (binaries write their JSON artifacts into the
+# working directory).
 transcripts=(
     docs/OBSERVABILITY.md '$ cargo run --release -p bench --bin stencil-whatif'
     EXPERIMENTS.md '$ REPRO_FAST=1 cargo run --release -p bench --bin pa_variants'
+    README.md '$ cargo run --release -p bench --bin stencil-lint -- --n 256 --tile 32 --iters 20 --steps 8 --grid 2 --dataflow --steady-state'
 )
 transcript_gate() {
-    local doc=$1 cmd=$2 bin=${2##*--bin } root=$PWD vars dir status=0
+    local doc=$1 cmd=$2 run=${2##*--bin } root=$PWD vars bin args= dir status=0
+    bin=${run%% *}
+    [[ $run == *" -- "* ]] && args=${run#* -- }
     vars=${cmd#\$ }
     vars=${vars%%cargo run*}
     dir=$(mktemp -d) || return 1
-    # shellcheck disable=SC2086 # $vars splits into its assignments
+    # shellcheck disable=SC2086 # $vars splits into its assignments, $args into arguments
     diff <(awk -v cmd="$cmd" '$0 == cmd { on = 1; next } on && /^```/ { exit } on' "$doc") \
-        <(cd "$dir" && env $vars "$root/target/release/$bin") || status=1
+        <(cd "$dir" && env $vars "$root/target/release/$bin" $args) || status=1
     rm -rf "$dir"
     return "$status"
 }
