@@ -1,12 +1,10 @@
 //! Region-dataflow analysis: halo-coverage proofs, dead-transfer
 //! detection, and steady-state (periodic) verification.
 //!
-//! The pass interprets the footprint declarations of
-//! [`runtime::TaskClass`] — [`write_region`](runtime::TaskClass::write_region),
-//! [`read_region`](runtime::TaskClass::read_region),
-//! [`delivered_region`](runtime::TaskClass::delivered_region),
-//! [`pinned_region`](runtime::TaskClass::pinned_region) — over the
-//! unfolded DAG with the exact rectangle algebra of [`crate::rectset`].
+//! The pass interprets the tasks' [`runtime::Footprint`] declarations —
+//! write, read, pinned and per-flow delivered regions, from the table
+//! `analyze_dag` collects once — over the unfolded DAG with the exact
+//! rectangle algebra of [`crate::rectset`].
 //!
 //! **Coverage proof.** Tasks are swept in *layer* order (longest-path
 //! depth from the roots). Per address space the pass accumulates the set
@@ -45,23 +43,23 @@
 //! layer, and the expensive rectangle sweep cost drops from O(layers) to
 //! O(prologue + period).
 //!
-//! **Cost.** The sweep allocates nothing per task. `Pass::new` maps each
-//! distinct space id to a dense index once and copies every task's and
-//! edge's footprints into one flat rectangle array, so the running state,
-//! the per-space read unions and the certificate snapshots are vectors
-//! indexed by space, and the sweep's `valid`, `uncovered` and `dead` sets
-//! are scratch [`RectSet`]s refilled with `clone_from`/`clear`. The
-//! rectangle algebra splits in place and keeps fragment order, so the
-//! witnesses are the ones a fresh set would give. Fingerprints use a word
-//! hash — one multiply per `u64`, fixed seed, no per-process key — so they
-//! stay deterministic across runs and platforms; the edge hashes of each
-//! task are sorted in one reused buffer.
+//! **Cost.** The sweep allocates nothing per task. The footprint table
+//! holds every region in one flat rectangle array with dense space
+//! indices, so the running state, the per-space read unions and the
+//! certificate snapshots are vectors indexed by space, and the sweep's
+//! `valid`, `uncovered` and `dead` sets are scratch [`RectSet`]s
+//! refilled with `clone_from`/`clear`. The rectangle algebra splits in
+//! place and keeps fragment order, so the witnesses are the ones a fresh
+//! set would give. Fingerprints use a word hash — one multiply per `u64`,
+//! fixed seed, no per-process key — so they stay deterministic across
+//! runs and platforms; the edge hashes of each task are sorted in one
+//! reused buffer.
 
 use crate::diag::Diagnostic;
+use crate::footprint::{Footprints, Region};
 use crate::rectset::RectSet;
 use crate::task_name;
-use runtime::{InEdges, ReadRegion, Rect, UnfoldedDag};
-use std::collections::HashMap;
+use runtime::{InEdges, Rect, UnfoldedDag};
 
 /// How much of the DAG the rectangle sweep covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,31 +132,6 @@ impl WordHash {
     }
 }
 
-/// A read, pinned or delivered footprint: a dense space index and the
-/// range of its rectangles in [`Pass::rects`].
-#[derive(Debug, Clone, Copy)]
-struct Footprint {
-    space: u32,
-    start: u32,
-    end: u32,
-}
-
-impl Footprint {
-    fn of(self, rects: &[Rect]) -> &[Rect] {
-        &rects[self.start as usize..self.end as usize]
-    }
-}
-
-/// Footprints of one task instance, fetched once.
-struct TaskInfo {
-    /// Dense space and written rectangle.
-    write: Option<(u32, Rect)>,
-    read: Option<Footprint>,
-    pinned: Option<Footprint>,
-    kind: u32,
-    node: u32,
-}
-
 /// Per-layer dead-transfer totals, the unit of steady-state
 /// extrapolation (an edge is attributed to its *consumer's* layer so the
 /// totals are in-structure, like the fingerprints).
@@ -173,7 +146,7 @@ struct LayerDead {
 #[derive(Default)]
 struct Scratch {
     /// The task's in-edges that deliver a region, with that region.
-    deliveries: Vec<(u32, Footprint)>,
+    deliveries: Vec<(u32, Region)>,
     valid: RectSet,
     uncovered: RectSet,
     dead: RectSet,
@@ -181,20 +154,17 @@ struct Scratch {
 
 struct Pass<'a> {
     dag: &'a UnfoldedDag,
+    fps: &'a Footprints,
     layer: Vec<usize>,
     /// Task indices grouped by layer, ascending within one;
     /// `layer_start[l]..layer_start[l + 1]` is layer `l`.
     order: Vec<u32>,
     layer_start: Vec<u32>,
-    infos: Vec<TaskInfo>,
+    /// Trace kind and node per task.
+    kinds: Vec<u32>,
+    nodes: Vec<u32>,
     /// In-edge indices (into `dag.edges`) per consumer.
     in_edges: InEdges,
-    /// Delivered region per edge, parallel to `dag.edges`.
-    delivered: Vec<Option<Footprint>>,
-    /// Every footprint's rectangles, back to back.
-    rects: Vec<Rect>,
-    /// Space id per dense space index.
-    spaces: Vec<u64>,
     /// Union of every declared read footprint, per space; `None` for a
     /// space nothing declares a read in.
     space_reads: Vec<Option<RectSet>>,
@@ -207,42 +177,8 @@ struct Pass<'a> {
     checked_reads: usize,
 }
 
-/// Dense space indices and the flat rectangle array `Pass::new` fills.
-#[derive(Default)]
-struct Interner {
-    dense: HashMap<u64, u32>,
-    spaces: Vec<u64>,
-    rects: Vec<Rect>,
-}
-
-/// `len` as a `u32` index; the pass indexes tasks, edges, spaces and
-/// rectangles with `u32`, as the unfolded DAG does.
-fn index(len: usize) -> u32 {
-    u32::try_from(len).expect("dataflow tables are indexed by u32")
-}
-
-impl Interner {
-    fn space(&mut self, space: u64) -> u32 {
-        *self.dense.entry(space).or_insert_with(|| {
-            self.spaces.push(space);
-            index(self.spaces.len() - 1)
-        })
-    }
-
-    fn footprint(&mut self, region: Option<ReadRegion>) -> Option<Footprint> {
-        let region = region?;
-        let start = index(self.rects.len());
-        self.rects.extend_from_slice(&region.rects);
-        Some(Footprint {
-            space: self.space(region.space),
-            start,
-            end: index(self.rects.len()),
-        })
-    }
-}
-
 impl<'a> Pass<'a> {
-    fn new(dag: &'a UnfoldedDag, topo: &[usize]) -> Self {
+    fn new(dag: &'a UnfoldedDag, fps: &'a Footprints, topo: &[usize]) -> Self {
         // Longest-path depth from the roots; every edge strictly
         // increases it, so a layer sweep respects all dependences.
         let mut layer = vec![0usize; dag.len()];
@@ -268,54 +204,34 @@ impl<'a> Pass<'a> {
             next[l] += 1;
         }
 
-        let mut intern = Interner::default();
-        let infos: Vec<TaskInfo> = dag
+        let (kinds, nodes) = dag
             .tasks
             .iter()
             .map(|key| {
                 let class = dag.graph.class(key.class);
-                TaskInfo {
-                    write: class
-                        .write_region(key.params)
-                        .map(|w| (intern.space(w.space), w.rect)),
-                    read: intern.footprint(class.read_region(key.params)),
-                    pinned: intern.footprint(class.pinned_region(key.params)),
-                    kind: class.kind(key.params),
-                    node: class.node_of(key.params),
-                }
+                (class.kind(key.params), class.node_of(key.params))
             })
-            .collect();
+            .unzip();
 
-        let delivered = dag
-            .edges
-            .iter()
-            .map(|e| {
-                let key = dag.tasks[e.producer as usize];
-                let class = dag.graph.class(key.class);
-                intern.footprint(class.delivered_region(key.params, e.flow.into()))
-            })
-            .collect();
-
-        let Interner { spaces, rects, .. } = intern;
-        let mut space_reads: Vec<Option<RectSet>> = vec![None; spaces.len()];
-        for read in infos.iter().filter_map(|info| info.read) {
+        let spaces = fps.spaces.len();
+        let mut space_reads: Vec<Option<RectSet>> = vec![None; spaces];
+        for read in fps.tasks.iter().filter_map(|t| t.read) {
             let set = space_reads[read.space as usize].get_or_insert_with(RectSet::new);
-            for &rect in read.of(&rects) {
+            for &rect in read.of(&fps.rects) {
                 set.insert(rect);
             }
         }
 
         Pass {
             dag,
+            fps,
             layer,
             order,
             layer_start,
-            infos,
+            kinds,
+            nodes,
             in_edges: dag.in_edges(),
-            delivered,
-            state: vec![RectSet::new(); spaces.len()],
-            rects,
-            spaces,
+            state: vec![RectSet::new(); spaces],
             space_reads,
             scratch: Scratch::default(),
             diagnostics: Vec::new(),
@@ -338,7 +254,7 @@ impl<'a> Pass<'a> {
     /// and dead-transfer accounting for the edges arriving here.
     fn sweep_layer(&mut self, l: usize) {
         let span = self.layer_span(l);
-        let rects = &self.rects;
+        let rects = &self.fps.rects;
         let s = &mut self.scratch;
         for &i in &self.order[span] {
             let i = i as usize;
@@ -347,9 +263,9 @@ impl<'a> Pass<'a> {
                 self.in_edges
                     .of(i)
                     .iter()
-                    .filter_map(|&ei| Some((ei, self.delivered[ei as usize]?))),
+                    .filter_map(|&ei| Some((ei, self.fps.delivered[ei as usize]?))),
             );
-            let info = &self.infos[i];
+            let info = &self.fps.tasks[i];
             if info.read.is_none() && info.write.is_none() && s.deliveries.is_empty() {
                 continue; // no region facts: exempt from the pass
             }
@@ -380,8 +296,8 @@ impl<'a> Pass<'a> {
                 if let Some(witness) = s.uncovered.largest() {
                     self.diagnostics.push(Diagnostic::UncoveredRead {
                         task: task_name(self.dag, i),
-                        kind: info.kind,
-                        space: self.spaces[read.space as usize],
+                        kind: self.kinds[i],
+                        space: self.fps.spaces[read.space as usize],
                         cells: s.uncovered.area(),
                         witness,
                     });
@@ -420,7 +336,7 @@ impl<'a> Pass<'a> {
                     let ld = &mut self.layer_dead[l];
                     ld.bytes += bytes;
                     ld.edges += 1;
-                    if self.infos[e.producer as usize].node != info.node {
+                    if self.nodes[e.producer as usize] != self.nodes[i] {
                         ld.cross += bytes;
                     }
                 }
@@ -453,14 +369,15 @@ impl<'a> Pass<'a> {
             .collect()
     }
 
-    fn hash_footprint(&self, h: &mut WordHash, region: Option<Footprint>) {
+    fn hash_region(&self, h: &mut WordHash, region: Option<Region>) {
         match region {
             None => h.u64(0),
-            Some(f) => {
+            Some(r) => {
                 h.u64(1);
-                h.u64(f.space as u64);
-                h.u64((f.end - f.start) as u64);
-                for rect in f.of(&self.rects) {
+                h.u64(r.space as u64);
+                let rects = r.of(&self.fps.rects);
+                h.u64(rects.len() as u64);
+                for rect in rects {
                     h.rect(rect);
                 }
             }
@@ -470,10 +387,10 @@ impl<'a> Pass<'a> {
     /// Task `i`'s fingerprint; `edge_hashes` is scratch.
     fn task_fingerprint(&self, i: usize, edge_hashes: &mut Vec<u64>) -> u64 {
         let key = self.dag.tasks[i];
-        let info = &self.infos[i];
+        let info = &self.fps.tasks[i];
         let mut h = WordHash::new();
         h.u64(key.class as u64);
-        h.u64(info.kind as u64);
+        h.u64(self.kinds[i] as u64);
         match &info.write {
             None => h.u64(0),
             Some((space, rect)) => {
@@ -482,8 +399,8 @@ impl<'a> Pass<'a> {
                 h.rect(rect);
             }
         }
-        self.hash_footprint(&mut h, info.read);
-        self.hash_footprint(&mut h, info.pinned);
+        self.hash_region(&mut h, info.read);
+        self.hash_region(&mut h, info.pinned);
         edge_hashes.clear();
         for &ei in self.in_edges.of(i) {
             let e = &self.dag.edges[ei as usize];
@@ -491,11 +408,11 @@ impl<'a> Pass<'a> {
             let mut eh = WordHash::new();
             eh.u64((self.layer[i] - self.layer[p]) as u64);
             eh.u64(self.dag.tasks[p].class as u64);
-            eh.u64(self.infos[p].kind as u64);
+            eh.u64(self.kinds[p] as u64);
             eh.u64(e.slot as u64);
             eh.u64(e.bytes as u64);
-            eh.u64(u64::from(self.infos[p].node != info.node));
-            self.hash_footprint(&mut eh, self.delivered[ei as usize]);
+            eh.u64(u64::from(self.nodes[p] != self.nodes[i]));
+            self.hash_region(&mut eh, self.fps.delivered[ei as usize]);
             edge_hashes.push(eh.finish());
         }
         edge_hashes.sort_unstable();
@@ -540,10 +457,11 @@ fn detect_period(fps: &[u64]) -> Option<(usize, usize)> {
 /// uncovered-read diagnostics and the report.
 pub(crate) fn run(
     dag: &UnfoldedDag,
+    fps: &Footprints,
     topo: &[usize],
     mode: DataflowMode,
 ) -> (Vec<Diagnostic>, DataflowReport) {
-    let mut pass = Pass::new(dag, topo);
+    let mut pass = Pass::new(dag, fps, topo);
     let depth = pass.depth();
     let mut report = DataflowReport {
         mode,

@@ -12,8 +12,9 @@
 //!   never fire; [`Diagnostic::Deadlock`] carries a shortest cycle as a
 //!   witness.
 //! * **Write-race freedom** — two DAG-unordered tasks writing
-//!   intersecting rectangles of one address space
-//!   ([`runtime::WriteRegion`]) make the final state schedule-dependent;
+//!   intersecting rectangles of one address space (declared by
+//!   [`runtime::TaskClass::footprint`]) make the final state
+//!   schedule-dependent;
 //!   [`Diagnostic::WriteRace`] names the pair. Each space's writers are
 //!   certified link by link along their topological chain — O(N + E)
 //!   overall when every link is a direct edge, as each stencil tile's
@@ -43,6 +44,7 @@ mod comm;
 pub mod dataflow;
 mod deadlock;
 mod diag;
+mod footprint;
 mod path;
 mod race;
 pub mod rectset;
@@ -209,15 +211,17 @@ pub fn analyze_dag(dag: &UnfoldedDag, config: &AnalyzeConfig) -> Analysis {
             cycle: deadlock::find_cycle(dag),
         });
     }
-    if config.races {
-        if let Some(topo) = &topo {
-            diagnostics.extend(race::find_races(dag, topo));
-        }
-    }
+    // The race and dataflow passes read one table, so each task's
+    // footprint is declared at most once per analysis.
     let mut dataflow_report = None;
-    if let Some(mode) = config.dataflow {
-        if let Some(topo) = &topo {
-            let (dx, report) = dataflow::run(dag, topo, mode);
+    let wants_footprints = config.races || config.dataflow.is_some();
+    if let Some(topo) = topo.as_ref().filter(|_| wants_footprints) {
+        let fps = footprint::Footprints::collect(dag);
+        if config.races {
+            diagnostics.extend(race::find_races(dag, &fps, topo));
+        }
+        if let Some(mode) = config.dataflow {
+            let (dx, report) = dataflow::run(dag, &fps, topo, mode);
             diagnostics.extend(dx);
             dataflow_report = Some(report);
         }

@@ -1,12 +1,12 @@
 //! Static write-race detection over declared write regions.
 //!
 //! Two tasks race when they write intersecting rectangles of the same
-//! address space ([`runtime::WriteRegion`]) and the DAG contains a path
-//! between them in neither direction. Tasks are grouped by space —
-//! distinct spaces never alias — and within a group sorted by a fixed
-//! topological rank, so for any candidate pair the earlier task is the
-//! only possible ancestor, and every path between them stays inside the
-//! rank window `rank(first) ..= rank(second)`.
+//! address space (the write of a [`runtime::Footprint`]) and the DAG
+//! contains a path between them in neither direction. Tasks are grouped
+//! by space — distinct spaces never alias — and within a group sorted by
+//! a fixed topological rank, so for any candidate pair the earlier task
+//! is the only possible ancestor, and every path between them stays
+//! inside the rank window `rank(first) ..= rank(second)`.
 //!
 //! * **Link certificate.** Each consecutive pair of a group's writers
 //!   `(m[k−1], m[k])` is checked by one search from `m[k−1]` that never
@@ -25,12 +25,13 @@
 //!   those candidates — never more work than one full forward search per
 //!   writer, on any DAG.
 
-use crate::{diag::Diagnostic, task_name};
+use crate::{diag::Diagnostic, footprint::Footprints, task_name};
 use runtime::{Rect, UnfoldedDag};
 use std::collections::BTreeMap;
 
-/// Find all write races. `topo` must be a topological order of `dag`.
-pub(crate) fn find_races(dag: &UnfoldedDag, topo: &[usize]) -> Vec<Diagnostic> {
+/// Find all write races among the writes `fps` declares. `topo` must be
+/// a topological order of `dag`.
+pub(crate) fn find_races(dag: &UnfoldedDag, fps: &Footprints, topo: &[usize]) -> Vec<Diagnostic> {
     let mut rank = vec![0usize; dag.len()];
     for (r, &i) in topo.iter().enumerate() {
         rank[i] = r;
@@ -38,9 +39,10 @@ pub(crate) fn find_races(dag: &UnfoldedDag, topo: &[usize]) -> Vec<Diagnostic> {
 
     // Group writers by space; BTreeMap for deterministic report order.
     let mut groups: BTreeMap<u64, Vec<(usize, Rect)>> = BTreeMap::new();
-    for (i, &key) in dag.tasks.iter().enumerate() {
-        if let Some(w) = dag.graph.class(key.class).write_region(key.params) {
-            groups.entry(w.space).or_default().push((i, w.rect));
+    for (i, task) in fps.tasks.iter().enumerate() {
+        if let Some((space, rect)) = task.write {
+            let space = fps.spaces[space as usize];
+            groups.entry(space).or_default().push((i, rect));
         }
     }
 

@@ -4,7 +4,7 @@
 
 use super::*;
 use runtime::{
-    FlowData, OutputDep, Params, Rect, TaskClass, TaskGraph, TaskKey, UnfoldedDag, WriteRegion,
+    FlowData, Footprint, OutputDep, Params, Rect, TaskClass, TaskGraph, TaskKey, UnfoldedDag,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,7 +19,8 @@ struct TestDag {
     edges: HashMap<i32, Vec<(i32, usize)>>,
     indeg: HashMap<i32, usize>,
     node: HashMap<i32, u32>,
-    writes: HashMap<i32, WriteRegion>,
+    /// Written (space, rectangle) per task.
+    writes: HashMap<i32, (u64, Rect)>,
     redundant: HashMap<i32, u64>,
     cost: f64,
     bytes: usize,
@@ -73,8 +74,10 @@ impl TaskClass for TestDag {
     fn cost(&self, _p: Params) -> f64 {
         self.cost
     }
-    fn write_region(&self, p: Params) -> Option<WriteRegion> {
-        self.writes.get(&p[0]).copied()
+    fn footprint(&self, p: Params, fp: &mut Footprint) {
+        if let Some(&(space, rect)) = self.writes.get(&p[0]) {
+            fp.set_write(space, rect);
+        }
     }
     fn redundant_flops(&self, p: Params) -> u64 {
         *self.redundant.get(&p[0]).unwrap_or(&0)
@@ -157,20 +160,8 @@ fn wrong_activation_count_fires_structural() {
 fn overlapping_unordered_writes_race() {
     // fork: 1 and 2 both write space 5, overlapping rects, no path between
     let mut dag = TestDag::new(&[(0, 1, 0), (0, 2, 0)]);
-    dag.writes.insert(
-        1,
-        WriteRegion {
-            space: 5,
-            rect: Rect::new(0, 0, 4, 4),
-        },
-    );
-    dag.writes.insert(
-        2,
-        WriteRegion {
-            space: 5,
-            rect: Rect::new(2, 2, 4, 4),
-        },
-    );
+    dag.writes.insert(1, (5, Rect::new(0, 0, 4, 4)));
+    dag.writes.insert(2, (5, Rect::new(2, 2, 4, 4)));
     let p = program_of(dag, &[0], 3);
     let a = analyze_program(&p, &AnalyzeConfig::new());
     match &a.diagnostics[..] {
@@ -193,20 +184,8 @@ fn overlapping_unordered_writes_race() {
 fn ordered_overlapping_writes_do_not_race() {
     // chain: same overlapping writes as above, but 1 -> 2 orders them
     let mut dag = TestDag::new(&[(0, 1, 0), (1, 2, 0)]);
-    dag.writes.insert(
-        1,
-        WriteRegion {
-            space: 5,
-            rect: Rect::new(0, 0, 4, 4),
-        },
-    );
-    dag.writes.insert(
-        2,
-        WriteRegion {
-            space: 5,
-            rect: Rect::new(2, 2, 4, 4),
-        },
-    );
+    dag.writes.insert(1, (5, Rect::new(0, 0, 4, 4)));
+    dag.writes.insert(2, (5, Rect::new(2, 2, 4, 4)));
     assert_clean(&program_of(dag, &[0], 3));
 }
 
@@ -216,13 +195,7 @@ fn distinct_spaces_do_not_race() {
     // the CA halo-recompute pattern (private ghost rings)
     let mut dag = TestDag::new(&[(0, 1, 0), (0, 2, 0)]);
     for (task, space) in [(1, 5), (2, 6)] {
-        dag.writes.insert(
-            task,
-            WriteRegion {
-                space,
-                rect: Rect::new(0, 0, 4, 4),
-            },
-        );
+        dag.writes.insert(task, (space, Rect::new(0, 0, 4, 4)));
     }
     assert_clean(&program_of(dag, &[0], 3));
 }
@@ -236,9 +209,12 @@ fn oracle_races(dag: &UnfoldedDag, topo: &[usize]) -> Vec<Diagnostic> {
         rank[i] = r;
     }
     let mut groups: std::collections::BTreeMap<u64, Vec<(usize, Rect)>> = Default::default();
+    let mut fp = Footprint::default();
     for (i, &key) in dag.tasks.iter().enumerate() {
-        if let Some(w) = dag.graph.class(key.class).write_region(key.params) {
-            groups.entry(w.space).or_default().push((i, w.rect));
+        fp.clear();
+        dag.graph.class(key.class).footprint(key.params, &mut fp);
+        if let Some((space, rect)) = fp.write() {
+            groups.entry(space).or_default().push((i, rect));
         }
     }
     let mut races = Vec::new();
@@ -275,7 +251,8 @@ fn races_match_oracle(p: &Program) -> Vec<Diagnostic> {
     let dag = unfold(p, &AnalyzeConfig::new());
     assert!(dag.is_consistent(), "{:?}", dag.faults);
     let topo = dag.topo_order().expect("acyclic");
-    let races = race::find_races(&dag, &topo);
+    let fps = footprint::Footprints::collect(&dag);
+    let races = race::find_races(&dag, &fps, &topo);
     assert_eq!(races, oracle_races(&dag, &topo));
     races
 }
@@ -283,7 +260,7 @@ fn races_match_oracle(p: &Program) -> Vec<Diagnostic> {
 /// Declare `(task, space, rect)` writes on `dag`.
 fn with_writes(mut dag: TestDag, writes: &[(i32, u64, Rect)]) -> TestDag {
     for &(task, space, rect) in writes {
-        dag.writes.insert(task, WriteRegion { space, rect });
+        dag.writes.insert(task, (space, rect));
     }
     dag
 }
@@ -321,13 +298,7 @@ fn race_pass_matches_all_pairs_oracle_on_random_dags() {
                     1 + next(3) as u32,
                     1 + next(3) as u32,
                 );
-                dag.writes.insert(
-                    task,
-                    WriteRegion {
-                        space: next(spaces),
-                        rect,
-                    },
-                );
+                dag.writes.insert(task, (next(spaces), rect));
             }
         }
         let roots: Vec<i32> = (0..n).filter(|&t| indeg[t as usize] == 0).collect();

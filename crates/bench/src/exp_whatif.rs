@@ -22,8 +22,8 @@ use insight::{Band, Baseline, Perturbation, Prediction, WhatIf};
 use machine::MachineProfile;
 use netsim::ProcessGrid;
 use runtime::{
-    ClassId, FlowData, OutputDep, Params, Program, ReadRegion, RunConfig, TaskClass, TaskGraph,
-    WriteRegion,
+    ClassId, FlowData, Footprint, OutputDep, Params, Program, RunConfig, TaskClass, TaskGraph,
+    TaskKey,
 };
 use std::sync::Arc;
 
@@ -115,14 +115,9 @@ impl TaskClass for ScaledKind {
         self.class().execute(p, inputs, out)
     }
     fn cost(&self, p: Params) -> f64 {
-        let c = self.class();
-        // Resolve the effective trace kind the way TaskGraph::kind_of
-        // does: a class that leaves kind() at the MAX sentinel is tagged
-        // by its class id.
-        let k = c.kind(p);
-        let k = if k == u32::MAX { self.id as u32 } else { k };
+        let k = self.inner.kind_of(TaskKey::new(self.id, p));
         let f = if k == self.kind { self.factor } else { 1.0 };
-        c.cost(p) * f
+        self.class().cost(p) * f
     }
     fn kind(&self, p: Params) -> u32 {
         self.class().kind(p)
@@ -130,17 +125,8 @@ impl TaskClass for ScaledKind {
     fn priority(&self, p: Params) -> i32 {
         self.class().priority(p)
     }
-    fn write_region(&self, p: Params) -> Option<WriteRegion> {
-        self.class().write_region(p)
-    }
-    fn read_region(&self, p: Params) -> Option<ReadRegion> {
-        self.class().read_region(p)
-    }
-    fn delivered_region(&self, p: Params, flow: usize) -> Option<ReadRegion> {
-        self.class().delivered_region(p, flow)
-    }
-    fn pinned_region(&self, p: Params) -> Option<ReadRegion> {
-        self.class().pinned_region(p)
+    fn footprint(&self, p: Params, fp: &mut Footprint) {
+        self.class().footprint(p, fp)
     }
     fn flops(&self, p: Params) -> f64 {
         self.class().flops(p)

@@ -71,8 +71,7 @@ use crate::tile::{Extents, TileBuf};
 use machine::StencilCostModel;
 use netsim::NodeId;
 use runtime::{
-    FlowData, OutputDep, Params, Program, ReadRegion, Rect, TaskClass, TaskGraph, TaskKey,
-    WriteRegion,
+    FlowData, Footprint, OutputDep, Params, Program, Rect, TaskClass, TaskGraph, TaskKey,
 };
 use serde::Serialize;
 use std::sync::Arc;
@@ -235,18 +234,6 @@ impl Stencil {
         }
     }
 
-    /// Output flow `flow` of task `p`, if it has that many.
-    fn nth_out(&self, p: Params, flow: usize) -> Option<(OutFlow, TaskKey, usize)> {
-        let (mut at, mut found) = (0, None);
-        self.for_each_out(p, |of, consumer, slot| {
-            if at == flow {
-                found = Some((of, consumer, slot));
-            }
-            at += 1;
-        });
-        found
-    }
-
     /// Cells carried by all output flows of task `p` together.
     fn out_cells(&self, p: Params) -> usize {
         let mut cells = 0;
@@ -323,7 +310,7 @@ impl Stencil {
     /// remote side (the deferred band), and its exchange phase catches up
     /// through the remote surfaces — modeled as the tile *extended* by
     /// `s − 1` along remote sides, the deepest layer the catch-up
-    /// consults. Drives the read/write region declarations.
+    /// consults. Drives the read and write declarations.
     fn update_rect(&self, tx: usize, ty: usize, t: u32) -> Rect {
         let rect = self.geo.tile_rect(tx, ty);
         if self.scheme != Scheme::Pa2 {
@@ -558,14 +545,17 @@ impl TaskClass for Stencil {
         }
     }
 
-    fn write_region(&self, p: Params) -> Option<WriteRegion> {
+    fn footprint(&self, p: Params, fp: &mut Footprint) {
         let (tx, ty, t) = Self::decode(p);
+        let space = self.geo.tile_space(tx, ty);
+        let tile = self.geo.tile_rect(tx, ty);
         // The iterate-0 emission "writes" the tile interior in the sense
         // the dataflow pass needs: it certifies the store's initial fill
         // of exactly the tile rectangle as valid. Deliberately NOT the
         // ghost ring — ghost validity must come from deliveries (or the
         // pinned Dirichlet frame), so a shrunken halo declaration shows
-        // up as an uncovered read instead of hiding behind init.
+        // up as an uncovered read instead of hiding behind init. It reads
+        // only the initial state it certifies itself, so declares no read.
         //
         // CA boundary tiles at t > 0 also update their halo: the written
         // rectangle extends beyond the tile by the current extents. Those
@@ -578,61 +568,40 @@ impl TaskClass for Stencil {
         // Quiet phases honestly declare only the band they update (the
         // tile minus the deferred bands); exchange phases write the full
         // tile (current iterate plus the caught-up bands).
-        let rect = if t == 0 || (self.scheme == Scheme::Pa2 && self.phase(t) == 0) {
-            self.geo.tile_rect(tx, ty)
+        if t == 0 {
+            fp.set_write(space, tile);
         } else {
-            self.update_rect(tx, ty, t)
-        };
-        Some(WriteRegion {
-            space: self.geo.tile_space(tx, ty),
-            rect,
-        })
-    }
-
-    fn read_region(&self, p: Params) -> Option<ReadRegion> {
-        let (tx, ty, t) = Self::decode(p);
-        // t = 0 reads only the initial state it certifies itself: exempt.
-        (t > 0).then(|| ReadRegion {
-            space: self.geo.tile_space(tx, ty),
-            rects: cross_rects(self.update_rect(tx, ty, t)).to_vec(),
-        })
-    }
-
-    fn pinned_region(&self, p: Params) -> Option<ReadRegion> {
-        let (tx, ty, _) = Self::decode(p);
+            let update = self.update_rect(tx, ty, t);
+            let pa2_exchange = self.scheme == Scheme::Pa2 && self.phase(t) == 0;
+            fp.set_write(space, if pa2_exchange { tile } else { update });
+            fp.set_read(space, cross_rects(update));
+        }
         // The Dirichlet frame is pre-filled through the whole ghost ring.
         // PA2 has no ring, but its boundary tiles' exchange reads reach
         // `s − 1` cells past the tile along remote sides, so where such a
         // side meets the domain edge the frame must be that wide too.
         let depth = self.scheme.ring_depth(&self.geo, self.steps, tx, ty);
-        let rects = self.geo.dirichlet_rects(tx, ty, depth);
-        (!rects.is_empty()).then(|| ReadRegion {
-            space: self.geo.tile_space(tx, ty),
-            rects,
-        })
-    }
-
-    fn delivered_region(&self, p: Params, flow: usize) -> Option<ReadRegion> {
-        let (tx, ty, _) = Self::decode(p);
-        let (of, consumer, _) = self.nth_out(p, flow)?;
-        let mut rect = of.region(self.geo.tile_origin(tx, ty), self.geo.tile)?;
-        if self.shrunk && self.steps > 1 {
-            if let OutFlow::Strip {
-                side: Side::South,
-                depth,
-            } = of
-            {
-                if depth == self.steps {
+        fp.set_pinned(space, self.geo.dirichlet_rects(tx, ty, depth));
+        // Each strip or corner block fills its cells of the consumer's
+        // ghost ring; the self-flow delivers nothing.
+        let origin = self.geo.tile_origin(tx, ty);
+        let mut flow = 0;
+        self.for_each_out(p, |of, consumer, _| {
+            if let Some(mut rect) = of.region(origin, self.geo.tile) {
+                let deep_south = matches!(of, OutFlow::Strip { side: Side::South, depth }
+                    if depth == self.steps);
+                if self.shrunk && self.steps > 1 && deep_south {
                     // Fault injection: claim one layer less than the wire
                     // carries — the consumer's deepest north-ghost row
                     // (`rect.row`) goes undeclared, which the coverage
                     // proof must expose as an uncovered read.
                     rect = Rect::new(rect.row + 1, rect.col, rect.rows - 1, rect.cols);
                 }
+                let (cx, cy) = (consumer.params[0] as usize, consumer.params[1] as usize);
+                fp.set_delivered(flow, self.geo.tile_space(cx, cy), [rect]);
             }
-        }
-        let (cx, cy) = (consumer.params[0] as usize, consumer.params[1] as usize);
-        Some(ReadRegion::single(self.geo.tile_space(cx, cy), rect))
+            flow += 1;
+        });
     }
 
     fn flops(&self, p: Params) -> f64 {
@@ -760,7 +729,7 @@ pub fn build_ca(cfg: &StencilConfig, carry_data: bool) -> StencilBuild {
 /// Build a CA program whose *declared* dataflow is deliberately wrong:
 /// deep South strips claim one ghost layer less than the wire actually
 /// carries (the graph, messages, and execution are untouched — only the
-/// [`runtime::TaskClass::delivered_region`] declaration shrinks). The
+/// delivered region [`runtime::TaskClass::footprint`] declares shrinks). The
 /// `analyze` crate's halo-coverage proof must reject this program with an
 /// uncovered-read witness naming the missing row; it exists as the
 /// mutation fixture for that check (`stencil-lint --mutate-ca`). Requires

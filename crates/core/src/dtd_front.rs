@@ -8,13 +8,13 @@
 //! DAG task by task, demonstrating that both front-ends drive the
 //! identical dataflow — the simulated executions produce the same
 //! remote-message counts and (up to the coarser per-task byte accounting)
-//! the same makespans. Every task's node, cost, kind and regions, and
+//! the same makespans. Every task's node, cost, kind and footprint, and
 //! every dependency with the region it delivers, are read off the base
 //! scheme's task class, so the two cannot drift apart.
 
 use crate::ca::build_base;
 use crate::config::StencilConfig;
-use runtime::{DtdBuilder, DtdRegions, OutputDep, Program, ReadRegion};
+use runtime::{DtdBuilder, Footprint, OutputDep, Program, Rect};
 
 /// Build the base-scheme program by sequential task insertion, iteration
 /// by iteration in row-major tile order. Performance-only: DTD tasks
@@ -27,8 +27,9 @@ pub fn build_base_dtd(cfg: &StencilConfig) -> Program {
     let mut b = DtdBuilder::new();
     // per tile of the iterate being inserted: its inputs so far, as
     // (input slot, producer's DTD id, region the flow delivers)
-    type Input = (usize, usize, Option<ReadRegion>);
+    type Input = (usize, usize, Option<(u64, Vec<Rect>)>);
     let mut inputs: Vec<Vec<Input>> = vec![Vec::new(); geo.num_tiles()];
+    let (mut fp, mut declared) = (Footprint::default(), Footprint::default());
     let mut outs: Vec<OutputDep> = Vec::new();
     for t in 0..=cfg.iterations as i32 {
         let mut next: Vec<Vec<Input>> = vec![Vec::new(); geo.num_tiles()];
@@ -40,24 +41,30 @@ pub fn build_base_dtd(cfg: &StencilConfig) -> Program {
                 let mut ins = std::mem::take(&mut inputs[at(tx, ty)]);
                 ins.sort_unstable_by_key(|&(slot, ..)| slot);
                 let deps: Vec<usize> = ins.iter().map(|&(_, id, _)| id).collect();
+                fp.clear();
+                class.footprint(p, &mut fp);
+                // DTD declares each in-flow's delivered region on the
+                // consumer's side, by dependency position
+                declared.clone_from(&fp);
+                declared.clear_delivered();
+                for (k, (.., region)) in ins.iter().enumerate() {
+                    if let Some((space, rects)) = region {
+                        declared.set_delivered(k, *space, rects.iter().copied());
+                    }
+                }
                 let id = b.insert_with_regions(
                     class.node_of(p),
                     class.cost(p),
                     class.kind(p),
                     geo.tile * 8,
                     &deps,
-                    DtdRegions {
-                        write: class.write_region(p),
-                        read: class.read_region(p),
-                        pinned: class.pinned_region(p),
-                        delivered_in: ins.into_iter().map(|(.., region)| region).collect(),
-                    },
+                    &declared,
                 );
                 outs.clear();
                 class.outputs(p, &mut outs);
                 for o in &outs {
                     let (cx, cy) = (o.consumer.params[0], o.consumer.params[1]);
-                    let region = class.delivered_region(p, o.flow);
+                    let region = fp.delivered(o.flow).map(|(space, r)| (space, r.to_vec()));
                     next[at(cx, cy)].push((o.slot, id, region));
                 }
             }

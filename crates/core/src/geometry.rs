@@ -239,7 +239,7 @@ impl StencilGeometry {
     }
 
     /// The rectangle of global grid cells tile `(tx, ty)` covers, for
-    /// static write-region declarations.
+    /// static write declarations.
     pub fn tile_rect(&self, tx: usize, ty: usize) -> Rect {
         let (row, col) = self.tile_origin(tx, ty);
         Rect::new(row, col, self.tile as u32, self.tile as u32)
@@ -251,33 +251,32 @@ impl StencilGeometry {
     /// holding the time-invariant boundary condition. These cells are
     /// never written by any task — the tile store pre-fills them once —
     /// so the dataflow pass treats them as *pinned* (always-valid) via
-    /// [`runtime::TaskClass::pinned_region`]. Bands extend `depth` past
+    /// [`runtime::Footprint::set_pinned`]. Bands extend `depth` past
     /// the tile's corners so diagonal ghost corners at the domain edge
     /// are covered too; overlap at corners is fine, the analyzer unions.
-    /// Empty for tiles nowhere near the domain edge.
-    pub fn dirichlet_rects(&self, tx: usize, ty: usize, depth: usize) -> Vec<Rect> {
+    /// Nothing for tiles nowhere near the domain edge.
+    pub fn dirichlet_rects(
+        &self,
+        tx: usize,
+        ty: usize,
+        depth: usize,
+    ) -> impl Iterator<Item = Rect> {
         let (top, left) = self.tile_origin(tx, ty);
         let t = self.tile as i64;
         let d = depth as i64;
-        let wide = (self.tile + 2 * depth) as u32;
-        let mut rects = Vec::new();
-        if ty == 0 {
-            rects.push(Rect::new(top - d, left - d, depth as u32, wide));
-        }
-        if ty == self.tiles_y - 1 {
-            rects.push(Rect::new(top + t, left - d, depth as u32, wide));
-        }
-        if tx == 0 {
-            rects.push(Rect::new(top - d, left - d, wide, depth as u32));
-        }
-        if tx == self.tiles_x - 1 {
-            rects.push(Rect::new(top - d, left + t, wide, depth as u32));
-        }
-        rects
+        let (deep, wide) = (depth as u32, (self.tile + 2 * depth) as u32);
+        [
+            (ty == 0).then(|| Rect::new(top - d, left - d, deep, wide)),
+            (ty == self.tiles_y - 1).then(|| Rect::new(top + t, left - d, deep, wide)),
+            (tx == 0).then(|| Rect::new(top - d, left - d, wide, deep)),
+            (tx == self.tiles_x - 1).then(|| Rect::new(top - d, left + t, wide, deep)),
+        ]
+        .into_iter()
+        .flatten()
     }
 
     /// Stable scalar id of tile `(tx, ty)`'s private buffer, used as the
-    /// [`runtime::WriteRegion`] address space: every tile owns its own
+    /// [`runtime::Footprint`] address space: every tile owns its own
     /// buffer (including its ghost ring), so writes in different spaces
     /// never alias even when their global rectangles overlap.
     pub fn tile_space(&self, tx: usize, ty: usize) -> u64 {

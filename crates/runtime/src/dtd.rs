@@ -6,37 +6,12 @@
 //! DAG by construction. `build()` produces a [`Program`] runnable on either
 //! executor.
 
-use crate::task::{
-    FlowData, OutputDep, Params, Program, ReadRegion, TaskClass, TaskGraph, TaskKey, WriteRegion,
-};
+use crate::task::{FlowData, Footprint, OutputDep, Params, Program, TaskClass, TaskGraph, TaskKey};
 use netsim::NodeId;
 use std::sync::Arc;
 
 /// Identifier returned by [`DtdBuilder::insert`].
 pub type DtdTaskId = usize;
-
-/// Memory-footprint declarations of one DTD task, for the static
-/// region-dataflow passes. DTD tasks have no parameter structure the
-/// analyzer could derive regions from, so the front-end states them at
-/// insertion time ([`DtdBuilder::insert_with_regions`]); every field
-/// defaults to "undeclared", which exempts the task (or edge) from the
-/// corresponding check exactly like the [`TaskClass`] method defaults.
-#[derive(Debug, Clone, Default)]
-pub struct DtdRegions {
-    /// What the task writes ([`TaskClass::write_region`]).
-    pub write: Option<WriteRegion>,
-    /// What the task reads before writing ([`TaskClass::read_region`]).
-    pub read: Option<ReadRegion>,
-    /// Time-invariant cells of the task's space
-    /// ([`TaskClass::pinned_region`]).
-    pub pinned: Option<ReadRegion>,
-    /// Per-dependency delivered regions, parallel to the `deps` slice of
-    /// the insertion call: `delivered_in[slot]` is the region of **this**
-    /// task's space that the flow arriving from `deps[slot]` makes valid
-    /// ([`TaskClass::delivered_region`] is answered by looking this up on
-    /// the consumer side). Shorter vectors are padded with `None`.
-    pub delivered_in: Vec<Option<ReadRegion>>,
-}
 
 #[derive(Debug, Clone)]
 struct DtdTask {
@@ -45,7 +20,9 @@ struct DtdTask {
     kind: u32,
     output_bytes: usize,
     deps: Vec<DtdTaskId>,
-    regions: DtdRegions,
+    /// The declared footprint, with each output flow's delivered region
+    /// moved here from the consumer that declared it.
+    footprint: Footprint,
     /// (successor, slot-in-successor), filled as successors are inserted.
     successors: Vec<(DtdTaskId, usize)>,
 }
@@ -79,12 +56,17 @@ impl DtdBuilder {
         output_bytes: usize,
         deps: &[DtdTaskId],
     ) -> DtdTaskId {
-        self.insert_with_regions(node, cost, kind, output_bytes, deps, DtdRegions::default())
+        self.insert_with_regions(node, cost, kind, output_bytes, deps, &Footprint::default())
     }
 
     /// Like [`insert_full`](Self::insert_full), additionally declaring the
-    /// task's memory footprint for the `analyze` crate's region-dataflow
-    /// passes. `regions.delivered_in` is indexed by position in `deps`.
+    /// task's memory footprint for the `analyze` crate's static passes.
+    /// A DTD task does not know its consumers when it is inserted, so
+    /// delivered regions are declared on the consumer's side:
+    /// `footprint.delivered(k)` is the region of **this** task's space
+    /// that the flow arriving from `deps[k]` makes valid. The program
+    /// answers [`TaskClass::footprint`] on the producer's side, like any
+    /// other class.
     pub fn insert_with_regions(
         &mut self,
         node: NodeId,
@@ -92,7 +74,7 @@ impl DtdBuilder {
         kind: u32,
         output_bytes: usize,
         deps: &[DtdTaskId],
-        regions: DtdRegions,
+        footprint: &Footprint,
     ) -> DtdTaskId {
         let id = self.tasks.len();
         for (slot, &d) in deps.iter().enumerate() {
@@ -100,15 +82,25 @@ impl DtdBuilder {
                 d < id,
                 "task {id} depends on {d}, which has not been inserted yet"
             );
-            self.tasks[d].successors.push((id, slot));
+            // This task is `d`'s next successor, fed by `d`'s next flow.
+            let producer = &mut self.tasks[d];
+            if let Some((space, rects)) = footprint.delivered(slot) {
+                let flow = producer.successors.len();
+                producer
+                    .footprint
+                    .set_delivered(flow, space, rects.iter().copied());
+            }
+            producer.successors.push((id, slot));
         }
+        let mut own = footprint.clone();
+        own.clear_delivered();
         self.tasks.push(DtdTask {
             node,
             cost,
             kind,
             output_bytes,
             deps: deps.to_vec(),
-            regions,
+            footprint: own,
             successors: Vec::new(),
         });
         id
@@ -197,20 +189,8 @@ impl TaskClass for DtdClass {
     fn kind(&self, p: Params) -> u32 {
         self.task(p).kind
     }
-    fn write_region(&self, p: Params) -> Option<WriteRegion> {
-        self.task(p).regions.write
-    }
-    fn read_region(&self, p: Params) -> Option<ReadRegion> {
-        self.task(p).regions.read.clone()
-    }
-    fn pinned_region(&self, p: Params) -> Option<ReadRegion> {
-        self.task(p).regions.pinned.clone()
-    }
-    fn delivered_region(&self, p: Params, flow: usize) -> Option<ReadRegion> {
-        // Flow `flow` feeds successors[flow] at some slot; the consumer
-        // declared what that payload makes valid in its own space.
-        let (succ, slot) = *self.task(p).successors.get(flow)?;
-        self.tasks[succ].regions.delivered_in.get(slot)?.clone()
+    fn footprint(&self, p: Params, fp: &mut Footprint) {
+        fp.clone_from(&self.task(p).footprint);
     }
 }
 

@@ -68,12 +68,11 @@ pub mod task;
 pub mod unfold;
 
 pub use deque::{Steal, StealDeque};
-pub use dtd::{DtdBuilder, DtdRegions, DtdTaskId};
+pub use dtd::{DtdBuilder, DtdTaskId};
 pub use exec::{run, ExecMode, RunConfig, RunReport};
 pub use pending::{Delivery, DeliveryBatch, PendingTable, ReadyTask, SpareTasks};
 pub use scheduler::SchedulerPolicy;
 pub use task::{
-    ClassId, FlowData, OutputDep, Params, Program, ReadRegion, Rect, TaskClass, TaskGraph, TaskKey,
-    WriteRegion,
+    ClassId, FlowData, Footprint, OutputDep, Params, Program, Rect, TaskClass, TaskGraph, TaskKey,
 };
 pub use unfold::{assert_consistent, EdgeRef, InEdges, StructuralFault, UnfoldedDag};

@@ -164,7 +164,7 @@ impl fmt::Debug for FlowData {
 /// An axis-aligned rectangle of grid cells, `rows × cols` starting at
 /// `(row, col)`. Coordinates are whatever global frame the application
 /// chooses (the stencil uses global grid coordinates); the analyzer only
-/// intersects rectangles within one [`WriteRegion::space`].
+/// intersects rectangles within one address space (see [`Footprint`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rect {
     /// First row covered.
@@ -206,55 +206,123 @@ impl Rect {
     }
 }
 
-/// The memory region a task writes, for static write-race analysis: a
-/// rectangle within a named address space. Two tasks race when they share
-/// a `space`, their rectangles intersect, and the DAG orders them neither
-/// way. Distinct spaces never alias — the stencil uses one space per tile
-/// buffer, so a boundary tile's redundant halo update (which writes its
-/// own private ghost ring, not the neighbour's cells) does not race with
-/// the neighbour's update of the same global coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WriteRegion {
-    /// The address space (e.g. a tile-buffer id) the rectangle lives in.
-    pub space: u64,
-    /// The written rectangle.
-    pub rect: Rect,
+/// The memory footprint of one task, for the static write-race and
+/// region-dataflow analyses. Each region is a list of rectangles (they may
+/// overlap; the analyzer unions them) in one named address space, e.g. a
+/// tile-buffer id. Distinct spaces never alias, so a boundary tile's
+/// redundant halo update, which writes its own ghost ring, does not race
+/// with the neighbour's update of the same global coordinates. All
+/// rectangles sit back to back in one vector: [`TaskClass::footprint`]
+/// fills a caller-owned scratch, cleared between tasks, so declaring
+/// allocates nothing once it has grown. A `set_*` call replaces an
+/// earlier one for the same region; an empty list declares nothing, and
+/// an undeclared region exempts the task (or flow) from its check.
+#[derive(Debug, Clone, Default)]
+pub struct Footprint {
+    write: Option<(u64, Rect)>,
+    read: Option<Span>,
+    pinned: Option<Span>,
+    /// Per output flow, in flow order; flows past the end declare nothing.
+    delivered: Vec<Option<Span>>,
+    rects: Vec<Rect>,
 }
 
-/// A set of cells a task *reads* (or a flow *delivers*), for static
-/// region-dataflow analysis: one or more rectangles within a named address
-/// space, the read-side counterpart of [`WriteRegion`]. A read footprint
-/// is usually not one rectangle — a 5-point stencil reads a cross-shaped
-/// neighbourhood — so this carries a list; the analyzer unions them.
-///
-/// Three [`TaskClass`] methods speak this vocabulary:
-/// [`TaskClass::read_region`] (what the body consumes before writing),
-/// [`TaskClass::delivered_region`] (which cells of the *consumer's* space
-/// an output flow's payload makes valid), and
-/// [`TaskClass::pinned_region`] (time-invariant cells such as a Dirichlet
-/// boundary ring that are valid at every iteration without being
-/// rewritten).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReadRegion {
-    /// The address space (e.g. a tile-buffer id) the rectangles live in.
-    pub space: u64,
-    /// The covered rectangles; may overlap, the analyzer unions them.
-    pub rects: Vec<Rect>,
+/// A region of a [`Footprint`]: its space and its range of `rects`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    space: u64,
+    start: u32,
+    end: u32,
 }
 
-impl ReadRegion {
-    /// A region of one rectangle.
-    pub fn single(space: u64, rect: Rect) -> Self {
-        ReadRegion {
-            space,
-            rects: vec![rect],
-        }
+impl Footprint {
+    /// Forget every declaration, keeping the vectors' capacity.
+    pub fn clear(&mut self) {
+        self.write = None;
+        self.read = None;
+        self.pinned = None;
+        self.delivered.clear();
+        self.rects.clear();
     }
 
-    /// Total cells covered, counting overlaps once is the analyzer's job;
-    /// this is the naive per-rect sum (an upper bound).
-    pub fn area_upper_bound(&self) -> u64 {
-        self.rects.iter().map(Rect::area).sum()
+    /// Forget the delivered declarations only.
+    pub fn clear_delivered(&mut self) {
+        self.delivered.clear();
+    }
+
+    /// Declare the rectangle the task writes. Two tasks race when they
+    /// share a space, their rectangles intersect, and the DAG orders them
+    /// neither way.
+    pub fn set_write(&mut self, space: u64, rect: Rect) {
+        self.write = Some((space, rect));
+    }
+
+    /// Declare the cells the task reads before (or while) writing. They
+    /// must be covered — by a same-space predecessor's write, an
+    /// in-edge's delivered region, or the task's own pinned cells —
+    /// before the task can honestly run.
+    pub fn set_read(&mut self, space: u64, rects: impl IntoIterator<Item = Rect>) {
+        self.read = self.span(space, rects);
+    }
+
+    /// Declare cells of the task's space that hold *time-invariant*
+    /// values — a Dirichlet boundary ring, immutable coefficients — and
+    /// are therefore valid for every read without ever being rewritten.
+    pub fn set_pinned(&mut self, space: u64, rects: impl IntoIterator<Item = Rect>) {
+        self.pinned = self.span(space, rects);
+    }
+
+    /// Declare the cells of the **consumer's** `space` that the payload
+    /// of output flow `flow` makes valid on arrival (e.g. the ghost strip
+    /// a halo message fills). The area should match the flow's
+    /// [`OutputDep::bytes`]: the analyzer pro-rates dead bytes over it.
+    pub fn set_delivered(
+        &mut self,
+        flow: usize,
+        space: u64,
+        rects: impl IntoIterator<Item = Rect>,
+    ) {
+        let span = self.span(space, rects);
+        if flow >= self.delivered.len() {
+            self.delivered.resize(flow + 1, None);
+        }
+        self.delivered[flow] = span;
+    }
+
+    /// The written space and rectangle.
+    pub fn write(&self) -> Option<(u64, Rect)> {
+        self.write
+    }
+
+    /// The read space and rectangles.
+    pub fn read(&self) -> Option<(u64, &[Rect])> {
+        self.region(self.read)
+    }
+
+    /// The pinned space and rectangles.
+    pub fn pinned(&self) -> Option<(u64, &[Rect])> {
+        self.region(self.pinned)
+    }
+
+    /// The consumer's space and the rectangles output flow `flow`
+    /// delivers there.
+    pub fn delivered(&self, flow: usize) -> Option<(u64, &[Rect])> {
+        self.region(self.delivered.get(flow).copied().flatten())
+    }
+
+    fn span(&mut self, space: u64, rects: impl IntoIterator<Item = Rect>) -> Option<Span> {
+        let start = self.rects.len();
+        self.rects.extend(rects);
+        let index = |len: usize| u32::try_from(len).expect("footprint rects are indexed by u32");
+        (self.rects.len() > start).then(|| Span {
+            space,
+            start: index(start),
+            end: index(self.rects.len()),
+        })
+    }
+
+    fn region(&self, span: Option<Span>) -> Option<(u64, &[Rect])> {
+        span.map(|s| (s.space, &self.rects[s.start as usize..s.end as usize]))
     }
 }
 
@@ -345,44 +413,11 @@ pub trait TaskClass: Send + Sync {
         0
     }
 
-    /// The region task `p` writes, for static write-race analysis; `None`
-    /// (the default) means "writes nothing shared" and exempts the task
-    /// from the race check.
-    fn write_region(&self, p: Params) -> Option<WriteRegion> {
-        let _ = p;
-        None
-    }
-
-    /// The region task `p` *reads* before (or while) writing, for the
-    /// static halo-coverage proof; `None` (the default) exempts the task.
-    /// Declared reads must be covered — by a same-space predecessor's
-    /// [`TaskClass::write_region`], an in-edge's
-    /// [`TaskClass::delivered_region`], or the task's own
-    /// [`TaskClass::pinned_region`] — before the task can honestly run.
-    fn read_region(&self, p: Params) -> Option<ReadRegion> {
-        let _ = p;
-        None
-    }
-
-    /// The cells of the **consumer's** address space that the payload of
-    /// output flow `flow` of task `p` makes valid on arrival (e.g. the
-    /// ghost strip a halo message fills). `None` (the default) exempts the
-    /// edge from both the coverage contribution and the dead-transfer
-    /// check. The declared area should match the flow's
-    /// [`OutputDep::bytes`] — the analyzer pro-rates wasted bytes over the
-    /// declared cells.
-    fn delivered_region(&self, p: Params, flow: usize) -> Option<ReadRegion> {
-        let _ = (p, flow);
-        None
-    }
-
-    /// Cells of task `p`'s space that hold *time-invariant* values — a
-    /// Dirichlet boundary ring, immutable coefficients — and are therefore
-    /// valid for every read without ever being rewritten. `None` (the
-    /// default) declares no such cells.
-    fn pinned_region(&self, p: Params) -> Option<ReadRegion> {
-        let _ = p;
-        None
+    /// Declare task `p`'s memory footprint into `fp`: the caller's
+    /// scratch, empty on entry. The default declares nothing, which
+    /// exempts the task from the write-race and region-dataflow passes.
+    fn footprint(&self, p: Params, fp: &mut Footprint) {
+        let _ = (p, fp);
     }
 
     /// Useful floating-point operations task `p` performs (static
@@ -665,17 +700,34 @@ mod tests {
     }
 
     #[test]
-    fn read_region_single_and_area() {
-        let r = ReadRegion::single(3, Rect::new(0, 0, 4, 5));
-        assert_eq!(r.space, 3);
-        assert_eq!(r.rects.len(), 1);
-        assert_eq!(r.area_upper_bound(), 20);
-        let two = ReadRegion {
-            space: 3,
-            rects: vec![Rect::new(0, 0, 4, 5), Rect::new(0, 0, 4, 5)],
-        };
-        // naive sum counts overlap twice: an upper bound by contract
-        assert_eq!(two.area_upper_bound(), 40);
+    fn footprint_keeps_its_regions_apart() {
+        let (a, b) = (Rect::new(0, 0, 4, 5), Rect::new(1, 2, 3, 4));
+        let mut fp = Footprint::default();
+        fp.set_write(9, a);
+        fp.set_read(3, [a, b]);
+        fp.set_delivered(2, 7, [b]);
+        fp.set_pinned(3, []);
+        assert_eq!(fp.write(), Some((9, a)));
+        assert_eq!(fp.read(), Some((3, &[a, b][..])));
+        assert_eq!(fp.pinned(), None, "an empty list declares nothing");
+        assert_eq!(
+            fp.delivered(0),
+            None,
+            "flows before a declared one are padded"
+        );
+        assert_eq!(fp.delivered(2), Some((7, &[b][..])));
+        assert_eq!(fp.delivered(3), None);
+        fp.set_read(4, [b]);
+        assert_eq!(fp.read(), Some((4, &[b][..])), "a second call replaces");
+        fp.clear();
+        assert_empty(&fp);
+    }
+
+    fn assert_empty(fp: &Footprint) {
+        assert_eq!(fp.write(), None);
+        assert_eq!(fp.read(), None);
+        assert_eq!(fp.pinned(), None);
+        assert_eq!(fp.delivered(0), None);
     }
 
     /// An edgeless [`testutil::ExplicitDag`] named `name` over `bound`.
@@ -692,11 +744,10 @@ mod tests {
     }
 
     #[test]
-    fn region_methods_default_to_none() {
-        let c = boxed("a", [1, 1, 1, 1]);
-        assert!(c.read_region([0; 4]).is_none());
-        assert!(c.delivered_region([0; 4], 0).is_none());
-        assert!(c.pinned_region([0; 4]).is_none());
+    fn footprint_defaults_to_empty() {
+        let mut fp = Footprint::default();
+        boxed("a", [1, 1, 1, 1]).footprint([0; 4], &mut fp);
+        assert_empty(&fp);
     }
 
     #[test]

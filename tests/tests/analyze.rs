@@ -14,10 +14,11 @@ use netsim::ProcessGrid;
 use obs::names;
 use proptest::prelude::*;
 use runtime::{
-    run, ClassId, FlowData, OutputDep, Params, Program, Rect, RunConfig, StructuralFault,
-    TaskClass, TaskGraph, UnfoldedDag, WriteRegion,
+    run, ClassId, FlowData, Footprint, OutputDep, Params, Program, Rect, RunConfig,
+    StructuralFault, TaskClass, TaskGraph, UnfoldedDag,
 };
 use std::collections::{BTreeMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -453,21 +454,24 @@ fn ca_dead_transfers_match_geometry_and_dynamic_counters() {
 // Write races at scheme scale
 // ---------------------------------------------------------------------
 
-/// Delegates to one class of a real program but reports every write in
-/// one shared space: the aliasing CA's private ghost rings rule out, so
+/// Delegates to one class of a real program and counts its footprint
+/// declarations. With `shared_space` it reports every write in one
+/// shared space: the aliasing CA's private ghost rings rule out, so
 /// neighbouring tiles' overlapping halo recomputes become races.
-struct SharedSpace {
+struct Wrapped {
     inner: Arc<TaskGraph>,
     id: ClassId,
+    shared_space: bool,
+    footprints: Arc<AtomicUsize>,
 }
 
-impl SharedSpace {
+impl Wrapped {
     fn class(&self) -> &dyn TaskClass {
         self.inner.class(self.id)
     }
 }
 
-impl TaskClass for SharedSpace {
+impl TaskClass for Wrapped {
     fn name(&self) -> &str {
         self.class().name()
     }
@@ -495,26 +499,54 @@ impl TaskClass for SharedSpace {
     fn cost(&self, p: Params) -> f64 {
         self.class().cost(p)
     }
-    fn write_region(&self, p: Params) -> Option<WriteRegion> {
-        self.class()
-            .write_region(p)
-            .map(|w| WriteRegion { space: 0, ..w })
+    fn footprint(&self, p: Params, fp: &mut Footprint) {
+        self.footprints.fetch_add(1, Ordering::Relaxed);
+        self.class().footprint(p, fp);
+        if let Some((_, rect)) = fp.write().filter(|_| self.shared_space) {
+            fp.set_write(0, rect);
+        }
     }
 }
 
-fn shared_space(program: &Program) -> Program {
+/// `program` with every class [`Wrapped`], and the shared count of its
+/// footprint declarations.
+fn wrapped(program: &Program, shared_space: bool) -> (Program, Arc<AtomicUsize>) {
+    let footprints = Arc::new(AtomicUsize::new(0));
     let mut graph = TaskGraph::new();
     for id in 0..program.graph.num_classes() {
-        graph.add_class(Arc::new(SharedSpace {
+        graph.add_class(Arc::new(Wrapped {
             inner: Arc::clone(&program.graph),
             id: id as ClassId,
+            shared_space,
+            footprints: Arc::clone(&footprints),
         }));
     }
-    Program {
+    let program = Program {
         graph: Arc::new(graph),
         roots: program.roots.clone(),
         total_tasks: program.total_tasks,
-    }
+    };
+    (program, footprints)
+}
+
+/// With the race and dataflow passes both on, `analyze_dag` declares
+/// every task's footprint exactly once: the passes share one table.
+#[test]
+fn footprints_are_declared_once_per_task() {
+    let c = cfg(6912, 288, 5, 4, 20);
+    let (program, footprints) = wrapped(&build_ca(&c, false).program, false);
+    let both = AnalyzeConfig::new().with_dataflow(DataflowMode::SteadyState);
+    let dag = analyze::unfold(&program, &both);
+    assert_eq!(
+        footprints.load(Ordering::Relaxed),
+        0,
+        "unfold declares none"
+    );
+    let a = analyze::analyze_dag(&dag, &both);
+    assert!(a.is_clean(), "{}", a.report());
+    assert_eq!(a.dataflow.and_then(|d| d.period), Some(5));
+    assert_eq!(dag.len(), 12_096);
+    assert_eq!(footprints.load(Ordering::Relaxed), dag.len());
 }
 
 /// Each space's writers with their rects, in topological-rank order.
@@ -525,9 +557,12 @@ fn writer_chains(dag: &UnfoldedDag) -> BTreeMap<u64, Vec<(usize, Rect)>> {
         rank[i] = r;
     }
     let mut groups: BTreeMap<u64, Vec<(usize, Rect)>> = BTreeMap::new();
+    let mut fp = Footprint::default();
     for (i, &key) in dag.tasks.iter().enumerate() {
-        if let Some(w) = dag.graph.class(key.class).write_region(key.params) {
-            groups.entry(w.space).or_default().push((i, w.rect));
+        fp.clear();
+        dag.graph.class(key.class).footprint(key.params, &mut fp);
+        if let Some((space, rect)) = fp.write() {
+            groups.entry(space).or_default().push((i, rect));
         }
     }
     for members in groups.values_mut() {
@@ -601,7 +636,7 @@ fn aliased_ca_spaces_race_exactly_as_the_oracle_says() {
             }
         }
     }
-    let mutant = shared_space(&build_ca(&c, false).program);
+    let (mutant, _) = wrapped(&build_ca(&c, false).program, true);
     let dag = analyze::unfold(&mutant, &AnalyzeConfig::new());
     let races = analyze::analyze_dag(&dag, &AnalyzeConfig::new()).diagnostics;
     assert!(!races.is_empty(), "aliased CA must race");
