@@ -98,8 +98,9 @@ step comm_matrix_identity_gate
 # unfolder's peak heap must stay within 240 B per task for the base and
 # CA schemes at the tooling_lint_doctor and sim_nacl16 sizes
 # (runtime::unfold), and the steady-state region-dataflow analysis of
-# the tooling_lint_doctor CA DAG must stay within 4.47 heap allocations
-# per task: its sweep allocates nothing (analyze::dataflow).
+# the tooling_lint_doctor CA DAG must stay within 0.31 heap allocations
+# per task: footprints are declared into one reused scratch and the
+# sweep allocates nothing (analyze::{footprint, dataflow}).
 allocation_ledger_gate() {
     cargo test --release -q -p integration --test alloc_steady_state &&
         cargo test --release -q -p integration --test alloc_unfold &&
@@ -131,9 +132,15 @@ step ./target/release/stencil-lint --n 128 --tile 32 --iters 9 --steps 4 --grid 
 step ./target/release/stencil-lint --n 6912 --tile 288 --iters 20 --steps 5 --grid 4 \
     --dataflow --steady-state --check
 lint_mutation_gate() {
-    if ./target/release/stencil-lint --n 128 --tile 32 --iters 9 --steps 4 --grid 2 \
-        --mutate-ca --check >/dev/null 2>&1; then
-        echo "mutation NOT caught: shrunk CA halo passed the coverage proof"
+    local out status
+    out=$(./target/release/stencil-lint --n 128 --tile 32 --iters 9 --steps 4 --grid 2 \
+        --mutate-ca --check 2>&1)
+    status=$?
+    # Only a failed proof counts: exit 1 with an uncovered read on the
+    # mutant. A panic (exit 101) or any other failure is not a catch.
+    if [ "$status" -ne 1 ] || ! grep -qF 'ca*: [uncovered-read' <<<"$out"; then
+        echo "mutation NOT caught: want exit 1 and a 'ca*: [uncovered-read' line, got exit $status:"
+        echo "$out"
         return 1
     fi
     echo "mutation caught: shrunk CA halo fails the coverage proof"
