@@ -40,8 +40,6 @@ pub mod exp_fig6;
 pub mod exp_fig7;
 pub mod exp_fig8;
 pub mod exp_fig9;
-pub mod exp_krylov;
-pub mod exp_pa_variants;
 pub mod exp_roofline;
 pub mod exp_table1;
 pub mod exp_top;

@@ -9,7 +9,7 @@
 //! halo in a 20-iteration run reads as one finding, not two hundred.
 
 use analyze::{analyze_program, Analysis, AnalyzeConfig, DataflowMode, Diagnostic};
-use ca_stencil::{build_base, build_base_dtd, build_ca, build_ca_shrunk, build_pa2, StencilConfig};
+use ca_stencil::{build_base, build_base_dtd, build_ca, build_ca_shrunk, StencilConfig};
 use runtime::Program;
 use std::collections::BTreeMap;
 
@@ -57,7 +57,7 @@ pub struct DedupedDiagnostic {
 /// The lint result for one scheme.
 #[derive(Debug)]
 pub struct SchemeLint {
-    /// Scheme name (`base`/`ca`/`pa2`/`dtd`).
+    /// Scheme name (`base`/`ca`/`dtd`, or `ca*` for the mutant).
     pub name: &'static str,
     /// The full static analysis, including the dataflow report when the
     /// pass was enabled.
@@ -111,36 +111,24 @@ pub fn dedup(diags: &[Diagnostic]) -> Vec<DedupedDiagnostic> {
         .collect()
 }
 
-/// Build every scheme that fits the configuration. PA2 needs
-/// `steps <= tile/2` (deferred bands must stay inside the tile); callers
-/// get `(name, program)` pairs plus the list of skipped schemes.
-pub fn build_schemes(
-    cfg: &StencilConfig,
-    opts: &LintOptions,
-) -> (Vec<(&'static str, Program)>, Vec<String>) {
-    let mut skipped = Vec::new();
-    let mut schemes: Vec<(&'static str, Program)> = vec![("base", build_base(cfg, false).program)];
-    if opts.mutate_ca {
-        schemes.push(("ca*", build_ca_shrunk(cfg).program));
+/// Build every scheme's program as `(name, program)` pairs: base, CA
+/// (or its mutant) and the DTD front-end.
+pub fn build_schemes(cfg: &StencilConfig, opts: &LintOptions) -> Vec<(&'static str, Program)> {
+    let ca = if opts.mutate_ca {
+        ("ca*", build_ca_shrunk(cfg).program)
     } else {
-        schemes.push(("ca", build_ca(cfg, false).program));
-    }
-    if cfg.steps <= cfg.tile / 2 {
-        schemes.push(("pa2", build_pa2(cfg, false).program));
-    } else {
-        skipped.push(format!(
-            "pa2 skipped: steps {} > tile/2 = {}",
-            cfg.steps,
-            cfg.tile / 2
-        ));
-    }
-    schemes.push(("dtd", build_base_dtd(cfg)));
-    (schemes, skipped)
+        ("ca", build_ca(cfg, false).program)
+    };
+    vec![
+        ("base", build_base(cfg, false).program),
+        ca,
+        ("dtd", build_base_dtd(cfg)),
+    ]
 }
 
 /// Run the analyzer over every scheme and dedup the diagnostics.
-pub fn lint_schemes(cfg: &StencilConfig, opts: &LintOptions) -> (Vec<SchemeLint>, Vec<String>) {
-    let (schemes, skipped) = build_schemes(cfg, opts);
+pub fn lint_schemes(cfg: &StencilConfig, opts: &LintOptions) -> Vec<SchemeLint> {
+    let schemes = build_schemes(cfg, opts);
     let mut acfg = AnalyzeConfig::new().with_lanes(opts.lanes);
     if opts.dataflow {
         acfg = acfg.with_dataflow(if opts.steady_state {
@@ -149,7 +137,7 @@ pub fn lint_schemes(cfg: &StencilConfig, opts: &LintOptions) -> (Vec<SchemeLint>
             DataflowMode::Full
         });
     }
-    let lints = schemes
+    schemes
         .into_iter()
         .map(|(name, program)| {
             let analysis = analyze_program(&program, &acfg);
@@ -160,8 +148,7 @@ pub fn lint_schemes(cfg: &StencilConfig, opts: &LintOptions) -> (Vec<SchemeLint>
                 deduped,
             }
         })
-        .collect();
-    (lints, skipped)
+        .collect()
 }
 
 #[cfg(test)]

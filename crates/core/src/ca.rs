@@ -1,10 +1,10 @@
 //! The stencil task class (paper Section IV-B): one task per tile per
-//! iteration, in three [`Scheme`]s of one parameterized class — the way
+//! iteration, in two [`Scheme`]s of one parameterized class — the way
 //! PaRSEC writes such a family as one task class with guarded flows.
 //! The schemes differ in which flows are *deep* and in how a
 //! node-boundary tile spends the iterations between exchanges.
 //!
-//! **The deep-edge rule.** A flow from tile `a` to tile `b` is deep when
+//! **The deep-edge rule.** A flow into tile `b` is deep when
 //! `Stencil::deep` says so. A deep edge carries an `s`-deep edge strip
 //! (or, across a diagonal, an `s × s` corner block) and only from
 //! exchange producers, iterations `t` with `t mod s = 0`; every other
@@ -17,8 +17,9 @@
 //!   iteration; tiles on the node-block perimeter generate one message per
 //!   remote side per iteration.
 //! * [`Scheme::Ca`] — Demmel et al.'s PA1 applied at node boundaries
-//!   (Section IV-B2): an edge is deep when its consumer keeps a deep ghost
-//!   ring, i.e. is a node-boundary tile. Every `s` iterations such a tile
+//!   (Section IV-B2; "Our implementation follows the PA1 algorithm"): an
+//!   edge is deep when its consumer keeps a deep ghost ring, i.e. is a
+//!   node-boundary tile. Every `s` iterations such a tile
 //!   receives `s`-deep edge strips from all four neighbours **and** `s × s`
 //!   corner blocks from the four diagonal neighbours ("we need to buffer
 //!   additional data from the four corner neighbors"); in the `s − 1`
@@ -31,33 +32,10 @@
 //!   after `s` phases the ring is empty and refilled — the classic PA1
 //!   trapezoid, expressed as per-side extents (domain sides never extend:
 //!   the static Dirichlet ring is always valid at depth 1).
-//! * [`Scheme::Pa2`] — the second algorithm of Demmel et al., which the
-//!   paper describes but does not implement ("PA1 is the naive version
-//!   while PA2 will minimize the redundant work but might limit the amount
-//!   of overlap between computation and communication"; "Our
-//!   implementation follows the PA1 algorithm"): an edge is deep when it
-//!   crosses nodes. PA2 is a *performance skeleton*, so the PA1-vs-PA2
-//!   trade-off can be measured on the simulated clusters:
-//!   * remote message cadence and sizes are **identical** to PA1 (one
-//!     `s`-deep surface bundle per remote side pair plus corner blocks per
-//!     cycle — in PA2 the bundle carries the neighbour's *computed* edge
-//!     layers of the cycle's iterates instead of raw ghost data);
-//!   * **no redundant flops**: boundary tiles defer the edge bands that
-//!     depend on not-yet-received remote surfaces (the band grows one cell
-//!     per phase) and recompute nothing;
-//!   * the deferred work lands as a **catch-up bulge** in the
-//!     exchange-phase task, serialized behind the message — exactly the
-//!     reduced overlap the paper warns about;
-//!   * local-facing sides still exchange one-layer strips every
-//!     iteration, so only remote sides participate in deferral.
-//!
-//!   The skeleton carries no payloads (building with `carry_data` is
-//!   rejected): PA2's deferred-band numerics would require per-iterate
-//!   ghost history, which the paper's argument does not need.
 //!
 //! A tile's ghost-ring depth (`Scheme::ring_depth`) is `s` on
-//! node-boundary tiles under CA and PA2 and 1 everywhere else ("this
-//! version will use slightly more memory", Section IV-B2).
+//! node-boundary tiles under CA and 1 everywhere else ("this version will
+//! use slightly more memory", Section IV-B2).
 
 use crate::config::{StencilBuild, StencilConfig};
 use crate::flows::{
@@ -87,14 +65,11 @@ pub enum Scheme {
     Base,
     /// PA1 communication avoidance with the configuration's step size.
     Ca,
-    /// The PA2 performance skeleton: PA1's traffic, no redundant flops,
-    /// no data.
-    Pa2,
 }
 
 impl Scheme {
     /// Ghost-ring depth of tile `(tx, ty)`: `steps` on node-boundary tiles
-    /// under CA and PA2, 1 everywhere else. It sizes a data-carrying
+    /// under CA, 1 everywhere else. It sizes a data-carrying
     /// build's tile store, is what a store handed to `build_*_on` must
     /// provide, and is the depth of the pinned Dirichlet frame.
     pub(crate) fn ring_depth(
@@ -104,7 +79,7 @@ impl Scheme {
         tx: usize,
         ty: usize,
     ) -> usize {
-        if self != Scheme::Base && geo.is_node_boundary(tx, ty) {
+        if self == Scheme::Ca && geo.is_node_boundary(tx, ty) {
             steps
         } else {
             1
@@ -163,19 +138,11 @@ impl Stencil {
         self.geo.is_node_boundary(tx, ty)
     }
 
-    fn is_remote(&self, (ax, ay): (usize, usize), (bx, by): (usize, usize)) -> bool {
-        self.geo.node_of_tile(ax, ay) != self.geo.node_of_tile(bx, by)
-    }
-
-    /// The deep-edge rule: whether the flow from tile `a` to its side or
-    /// diagonal neighbour `b` carries an `s`-deep strip or corner block,
-    /// sent by exchange producers only (see the module docs).
-    fn deep(&self, a: (usize, usize), b: (usize, usize)) -> bool {
-        match self.scheme {
-            Scheme::Base => false,
-            Scheme::Ca => self.is_boundary(b.0, b.1),
-            Scheme::Pa2 => self.is_remote(a, b),
-        }
+    /// The deep-edge rule: whether the flows into tile `(bx, by)` from its
+    /// side and diagonal neighbours carry `s`-deep strips and corner
+    /// blocks, sent by exchange producers only (see the module docs).
+    fn deep(&self, (bx, by): (usize, usize)) -> bool {
+        self.scheme == Scheme::Ca && self.is_boundary(bx, by)
     }
 
     /// Phase within the CA cycle for an iteration `t ≥ 1`: 0 on exchange
@@ -205,7 +172,7 @@ impl Stencil {
         let exchange = self.feeds_exchange(t);
         for side in Side::ALL {
             if let Some(b) = self.geo.neighbor(tx, ty, side) {
-                let depth = if !self.deep((tx, ty), b) {
+                let depth = if !self.deep(b) {
                     1
                 } else if exchange {
                     self.steps
@@ -219,7 +186,7 @@ impl Stencil {
         if exchange {
             for corner in Corner::ALL {
                 if let Some(d) = self.geo.diagonal(tx, ty, corner) {
-                    if self.deep((tx, ty), d) {
+                    if self.deep(d) {
                         visit(
                             OutFlow::Block {
                                 corner,
@@ -271,72 +238,17 @@ impl Stencil {
         (self.extents(tx, ty, t).region_points(tile) - tile * tile) as f64
     }
 
-    /// Whether the side neighbour of `(tx, ty)` on `side` is on another
-    /// node: the sides along which PA2 defers.
-    fn remote_side(&self, tx: usize, ty: usize, side: Side) -> bool {
-        self.geo
-            .neighbor(tx, ty, side)
-            .is_some_and(|b| self.is_remote((tx, ty), b))
-    }
-
-    /// Cells of tile `(tx, ty)` PA2 defers at phase `k`: the bands of
-    /// width `k` along each remote side (clipped union over the
-    /// rectangle).
-    fn deferred_cells(&self, tx: usize, ty: usize, k: usize) -> usize {
-        let tile = self.geo.tile;
-        let band = |side| if self.remote_side(tx, ty, side) { k } else { 0 };
-        let inner_w = tile.saturating_sub(band(Side::West) + band(Side::East));
-        let inner_h = tile.saturating_sub(band(Side::North) + band(Side::South));
-        tile * tile - inner_w * inner_h
-    }
-
-    /// Cells a PA2 boundary tile computes at iteration `t ≥ 1` beyond or
-    /// instead of its full tile: at the exchange phase the catch-up of
-    /// every band deferred in the previous cycle (phases 1..s-1), in a
-    /// quiet phase the tile minus its deferred band.
-    fn pa2_cells(&self, tx: usize, ty: usize, t: u32) -> usize {
-        match self.phase(t) {
-            0 => (1..self.steps)
-                .map(|kk| self.deferred_cells(tx, ty, kk))
-                .sum(),
-            k => self.geo.tile * self.geo.tile - self.deferred_cells(tx, ty, k),
-        }
-    }
-
-    /// The rectangle task `(tx, ty, t)` updates, `t ≥ 1`. Base and CA:
-    /// the tile, extended by the CA extents into a boundary tile's
-    /// private ghost ring. PA2: interior tiles update the tile; a boundary
-    /// tile's quiet phase `k` updates the tile *shrunk* by `k` along each
-    /// remote side (the deferred band), and its exchange phase catches up
-    /// through the remote surfaces — modeled as the tile *extended* by
-    /// `s − 1` along remote sides, the deepest layer the catch-up
-    /// consults. Drives the read and write declarations.
+    /// The rectangle task `(tx, ty, t)` updates, `t ≥ 1`: the tile,
+    /// extended by the CA extents into a boundary tile's private ghost
+    /// ring. Drives the read and write declarations.
     fn update_rect(&self, tx: usize, ty: usize, t: u32) -> Rect {
         let rect = self.geo.tile_rect(tx, ty);
-        if self.scheme != Scheme::Pa2 {
-            let ext = self.extents(tx, ty, t);
-            return Rect::new(
-                rect.row - ext.north as i64,
-                rect.col - ext.west as i64,
-                rect.rows + (ext.north + ext.south) as u32,
-                rect.cols + (ext.west + ext.east) as u32,
-            );
-        }
-        if !self.is_boundary(tx, ty) {
-            return rect;
-        }
-        let remote = |side| i64::from(self.remote_side(tx, ty, side));
-        let (n, s) = (remote(Side::North), remote(Side::South));
-        let (w, e) = (remote(Side::West), remote(Side::East));
-        let grow = match self.phase(t) {
-            0 => self.steps as i64 - 1,
-            k => -(k as i64),
-        };
+        let ext = self.extents(tx, ty, t);
         Rect::new(
-            rect.row - n * grow,
-            rect.col - w * grow,
-            (rect.rows as i64 + (n + s) * grow) as u32,
-            (rect.cols as i64 + (w + e) * grow) as u32,
+            rect.row - ext.north as i64,
+            rect.col - ext.west as i64,
+            rect.rows + (ext.north + ext.south) as u32,
+            rect.cols + (ext.west + ext.east) as u32,
         )
     }
 
@@ -357,7 +269,6 @@ impl TaskClass for Stencil {
         match self.scheme {
             Scheme::Base => "base-stencil",
             Scheme::Ca => "ca-stencil",
-            Scheme::Pa2 => "pa2-stencil",
         }
     }
 
@@ -393,16 +304,19 @@ impl TaskClass for Stencil {
             return 0;
         }
         let exchange = self.feeds_exchange(t - 1);
-        let sides = Side::ALL
-            .iter()
-            .filter_map(|&side| self.geo.neighbor(tx, ty, side))
-            .filter(|&b| exchange || !self.deep(b, (tx, ty)))
-            .count();
-        let corners = if exchange {
+        let deep = self.deep((tx, ty));
+        let sides = if exchange || !deep {
+            Side::ALL
+                .iter()
+                .filter(|&&side| self.geo.neighbor(tx, ty, side).is_some())
+                .count()
+        } else {
+            0
+        };
+        let corners = if exchange && deep {
             Corner::ALL
                 .iter()
-                .filter_map(|&corner| self.geo.diagonal(tx, ty, corner))
-                .filter(|&d| self.deep(d, (tx, ty)))
+                .filter(|&&corner| self.geo.diagonal(tx, ty, corner).is_some())
                 .count()
         } else {
             0
@@ -413,7 +327,7 @@ impl TaskClass for Stencil {
     fn num_input_slots(&self, _p: Params) -> usize {
         match self.scheme {
             Scheme::Base => NUM_SLOTS_BASE,
-            Scheme::Ca | Scheme::Pa2 => NUM_SLOTS_CA,
+            Scheme::Ca => NUM_SLOTS_CA,
         }
     }
 
@@ -437,26 +351,15 @@ impl TaskClass for Stencil {
     }
 
     fn execute(&self, p: Params, inputs: &mut [Option<FlowData>], out: &mut Vec<FlowData>) {
-        if self.scheme == Scheme::Pa2 {
-            // performance skeleton: sized flows only (see module docs)
-            let tile = self.geo.tile;
-            self.for_each_out(p, |of, _, _| out.push(FlowData::sized(of.bytes(tile))));
-            return;
-        }
         let Some(store) = &self.store else {
             panic!("{} built without data cannot execute bodies", self.name());
         };
         let (tx, ty, t) = Self::decode(p);
         let mut buf = store.lock(tx, ty);
         if t > 0 {
+            let depth = if self.deep((tx, ty)) { self.steps } else { 1 };
             for side in Side::ALL {
                 if let Some(flow) = inputs[slot_of_side(side)].take() {
-                    let b = self.geo.neighbor(tx, ty, side).expect("strip from no tile");
-                    let depth = if self.deep(b, (tx, ty)) {
-                        self.steps
-                    } else {
-                        1
-                    };
                     buf.write_strip(side, depth, flow.expect_values());
                 }
             }
@@ -480,24 +383,12 @@ impl TaskClass for Stencil {
             // iterate-0 emission: strip copies only
             return self.model.ghost_copy_time(match self.scheme {
                 Scheme::Base => 4 * tile,
-                Scheme::Ca | Scheme::Pa2 => self.out_cells(p),
+                Scheme::Ca => self.out_cells(p),
             });
         }
         let full = self.model.task_time(tile, tile, self.ratio);
         if self.scheme == Scheme::Base || !self.is_boundary(tx, ty) {
             return full;
-        }
-        if self.scheme == Scheme::Pa2 {
-            let r2 = self.ratio * self.ratio;
-            let cells = self.pa2_cells(tx, ty, t) as f64 * r2;
-            return if self.phase(t) == 0 {
-                // exchange phase: this iteration's full tile, plus the
-                // catch-up serialized behind the surface message
-                full + self.model.region_time(cells, tile, tile)
-            } else {
-                // quiet phase: the deferred band is *not* computed now
-                self.model.task_overhead + self.model.region_time(cells, tile, tile)
-            };
         }
         // CA's redundant halo work: the extended region beyond the tile,
         // at the same per-point cost (and the same ratio scaling) as the
@@ -563,23 +454,14 @@ impl TaskClass for Stencil {
         // space is the tile's private buffer — the recompute writes its
         // own ghost ring, never the neighbour's cells — so no race is
         // declared.
-        //
-        // PA2 defers instead of recomputing: writes never leave the tile.
-        // Quiet phases honestly declare only the band they update (the
-        // tile minus the deferred bands); exchange phases write the full
-        // tile (current iterate plus the caught-up bands).
         if t == 0 {
             fp.set_write(space, tile);
         } else {
             let update = self.update_rect(tx, ty, t);
-            let pa2_exchange = self.scheme == Scheme::Pa2 && self.phase(t) == 0;
-            fp.set_write(space, if pa2_exchange { tile } else { update });
+            fp.set_write(space, update);
             fp.set_read(space, cross_rects(update));
         }
         // The Dirichlet frame is pre-filled through the whole ghost ring.
-        // PA2 has no ring, but its boundary tiles' exchange reads reach
-        // `s − 1` cells past the tile along remote sides, so where such a
-        // side meets the domain edge the frame must be that wide too.
         let depth = self.scheme.ring_depth(&self.geo, self.steps, tx, ty);
         fp.set_pinned(space, self.geo.dirichlet_rects(tx, ty, depth));
         // Each strip or corner block fills its cells of the consumer's
@@ -605,28 +487,13 @@ impl TaskClass for Stencil {
     }
 
     fn flops(&self, p: Params) -> f64 {
-        let (tx, ty, t) = Self::decode(p);
-        if t == 0 {
+        if Self::decode(p).2 == 0 {
             return 0.0;
         }
         // CA counts useful work only: its halo recompute is in
         // `redundant_flops`.
-        let full = self
-            .model
-            .task_flops(self.geo.tile, self.geo.tile, self.ratio);
-        if self.scheme != Scheme::Pa2 || !self.is_boundary(tx, ty) {
-            return full;
-        }
-        // PA2 mirrors `cost`'s cell accounting at 9 flops per updated
-        // point: quiet phases compute fewer cells, exchange phases catch
-        // up, and the cycle total equals the nominal work — PA2's defining
-        // property (no redundant flops, hence no `redundant_flops`).
-        let cells = self.pa2_cells(tx, ty, t) as f64 * (self.ratio * self.ratio) * 9.0;
-        if self.phase(t) == 0 {
-            full + cells
-        } else {
-            cells
-        }
+        self.model
+            .task_flops(self.geo.tile, self.geo.tile, self.ratio)
     }
 
     fn redundant_flops(&self, p: Params) -> u64 {
@@ -747,21 +614,6 @@ pub fn build_ca_shrunk(cfg: &StencilConfig) -> StencilBuild {
 /// at least `steps` deep.
 pub fn build_ca_on(cfg: &StencilConfig, store: Arc<TileStore>) -> StencilBuild {
     build_on(cfg, Scheme::Ca, store)
-}
-
-/// Build the PA2 performance skeleton. `carry_data` must be false.
-pub fn build_pa2(cfg: &StencilConfig, carry_data: bool) -> StencilBuild {
-    assert!(
-        !carry_data,
-        "PA2 is a performance skeleton; it cannot carry data (see module docs)"
-    );
-    assert!(
-        cfg.steps >= 1 && cfg.steps <= cfg.tile / 2,
-        "PA2 step size {} must be in [1, tile/2 = {}] (deferred bands meet otherwise)",
-        cfg.steps,
-        cfg.tile / 2
-    );
-    build(cfg, Scheme::Pa2, None, false)
 }
 
 #[cfg(test)]
@@ -1030,94 +882,6 @@ mod tests {
             let c1 = cfg(16, 4, 1, ProcessGrid::new(1, 1));
             let b1 = build_base(&c1, false);
             assert_eq!(b1.program.graph.class(0).kind([0, 0, 1, 0]), KIND_INTERIOR);
-        }
-    }
-
-    /// The tests of the PA2 skeleton.
-    mod pa2 {
-        use super::*;
-
-        fn cfg(n: usize, tile: usize, iters: u32, steps: usize) -> StencilConfig {
-            StencilConfig::new(Problem::laplace(n), tile, iters, ProcessGrid::new(2, 2))
-                .with_steps(steps)
-        }
-
-        #[test]
-        fn graphs_analyze_clean_across_step_sizes() {
-            for steps in [1usize, 2, 3] {
-                let c = cfg(48, 8, 7, steps);
-                let a = analyze::assert_clean(&build_pa2(&c, false).program);
-                assert_eq!(a.flops.redundant, 0, "PA2 never recomputes");
-            }
-        }
-
-        #[test]
-        fn remote_traffic_identical_to_pa1() {
-            let c = cfg(64, 8, 12, 4);
-            let pa1 = run(
-                &build_ca(&c, false).program,
-                &RunConfig::simulated(MachineProfile::nacl(), 4),
-            );
-            let pa2 = run(
-                &build_pa2(&c, false).program,
-                &RunConfig::simulated(MachineProfile::nacl(), 4),
-            );
-            assert_eq!(pa1.remote_messages(), pa2.remote_messages());
-            assert_eq!(pa1.remote_bytes(), pa2.remote_bytes());
-        }
-
-        #[test]
-        fn pa2_does_less_total_work_than_pa1() {
-            // total busy time = Σ occupancy × lanes × makespan per node
-            let c = cfg(64, 8, 12, 4);
-            let lanes = MachineProfile::nacl().compute_threads() as f64;
-            let work = |r: &runtime::RunReport| -> f64 {
-                r.node_occupancy
-                    .iter()
-                    .map(|o| o * lanes * r.makespan)
-                    .sum()
-            };
-            let pa1 = run(
-                &build_ca(&c, false).program,
-                &RunConfig::simulated(MachineProfile::nacl(), 4),
-            );
-            let pa2 = run(
-                &build_pa2(&c, false).program,
-                &RunConfig::simulated(MachineProfile::nacl(), 4),
-            );
-            assert!(
-                work(&pa2) < work(&pa1),
-                "PA2 work {} vs PA1 {}",
-                work(&pa2),
-                work(&pa1)
-            );
-        }
-
-        #[test]
-        fn deferred_band_geometry() {
-            let c = cfg(64, 8, 2, 4);
-            let class = Stencil::new(&c, Scheme::Pa2, None, false);
-            // tile (3,1): east side remote only => band = k * tile
-            assert_eq!(class.deferred_cells(3, 1, 0), 0);
-            assert_eq!(class.deferred_cells(3, 1, 2), 2 * 8);
-            // tile (3,3): east and south remote => L-shaped band
-            assert_eq!(class.deferred_cells(3, 3, 2), 64 - 6 * 6);
-            // interior tile: nothing deferred
-            assert_eq!(class.deferred_cells(1, 1, 3), 0);
-        }
-
-        #[test]
-        #[should_panic(expected = "performance skeleton")]
-        fn carrying_data_rejected() {
-            let c = cfg(48, 8, 2, 2);
-            let _ = build_pa2(&c, true);
-        }
-
-        #[test]
-        #[should_panic(expected = "tile/2")]
-        fn oversized_steps_rejected() {
-            let c = cfg(48, 8, 2, 5);
-            let _ = build_pa2(&c, false);
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Flow and slot conventions of the stencil task class (all three schemes).
+//! Flow and slot conventions of the stencil task class (both schemes).
 //!
 //! Every stencil task `(tx, ty, t)` has up to nine input slots:
 //!
@@ -6,7 +6,7 @@
 //! |------|---------|
 //! | 0    | self-flow from `(tx, ty, t-1)` (serializes the tile, carries no data) |
 //! | 1–4  | edge strips from the North/South/West/East neighbours |
-//! | 5–8  | corner blocks from the NW/NE/SW/SE diagonal neighbours (CA and PA2) |
+//! | 5–8  | corner blocks from the NW/NE/SW/SE diagonal neighbours (CA only) |
 
 use crate::geometry::{Corner, Side};
 use crate::tile::TileBuf;

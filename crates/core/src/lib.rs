@@ -2,7 +2,7 @@
 //!
 //! The paper's primary contribution, reimplemented on this repository's
 //! PaRSEC-like [`runtime`]: the 2D five-point Jacobi iteration as one
-//! stencil task class in three [`Scheme`]s ([`ca`]). The schemes differ
+//! stencil task class in two [`Scheme`]s ([`ca`]). The schemes differ
 //! only in which flows carry an `s`-deep strip (the deep-edge rule) and in
 //! how a node-boundary tile spends the iterations between exchanges —
 //!
@@ -12,11 +12,7 @@
 //! * CA — the PA1 communication-avoiding variant: node-boundary tiles
 //!   keep `s`-deep ghost rings (plus corner blocks), communicate every `s`
 //!   iterations and redundantly recompute the shrinking halo in between
-//!   (Section IV-B2; an edge into a boundary tile is deep);
-//! * PA2 — a performance skeleton of Demmel's PA2 (no redundant
-//!   flops, reduced overlap), which the paper describes but does not
-//!   implement — included here as an ablation (an edge between nodes is
-//!   deep).
+//!   (Section IV-B2; an edge into a boundary tile is deep).
 //!
 //! Supporting modules: [`dtd_front`] (the base scheme inserted task by
 //! task), [`solver`] (chunked solves), [`geometry`] (tiling and 2D block distribution),
@@ -67,9 +63,7 @@ pub mod solver;
 pub mod store;
 pub mod tile;
 
-pub use ca::{
-    build_base, build_base_on, build_ca, build_ca_on, build_ca_shrunk, build_pa2, Scheme,
-};
+pub use ca::{build_base, build_base_on, build_ca, build_ca_on, build_ca_shrunk, Scheme};
 pub use config::{StencilBuild, StencilConfig};
 pub use dtd_front::build_base_dtd;
 pub use flows::{kind_names, KIND_BOUNDARY, KIND_INIT, KIND_INTERIOR};

@@ -37,7 +37,7 @@ pub struct JacobiSolver {
     /// Problem and scheme parameters (`iterations` is ignored; the solver
     /// sets it per chunk).
     pub cfg: StencilConfig,
-    /// Scheme to run: base or CA (PA2 carries no data to solve with).
+    /// Scheme to run: base or CA.
     pub scheme: Scheme,
     /// Iterations per chunk between convergence checks.
     pub check_every: u32,
@@ -67,10 +67,6 @@ impl JacobiSolver {
             "need at least one iteration per chunk"
         );
         assert!(tol >= 0.0, "tolerance must be non-negative");
-        assert!(
-            self.scheme != Scheme::Pa2,
-            "PA2 is a data-less performance skeleton; the solver needs a scheme that carries data"
-        );
         let store = new_store(&self.cfg, self.scheme);
 
         let mut report = SolveReport {
@@ -150,14 +146,6 @@ mod tests {
         let (fa, _) = a.solve(0.0, 10);
         let (fb, _) = b.solve(0.0, 10);
         assert_eq!(max_abs_diff(&fa, &fb), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "data-less performance skeleton")]
-    fn pa2_is_rejected_up_front() {
-        let mut solver = JacobiSolver::new(cfg());
-        solver.scheme = Scheme::Pa2;
-        let _ = solver.solve(0.0, 4);
     }
 
     #[test]

@@ -241,7 +241,7 @@ mod tests {
         assert!(bad[0].contains("not in current run"), "{bad:?}");
 
         let mut extra = sample();
-        extra.scalars.insert("pa2.makespan_s".into(), 1.0);
+        extra.scalars.insert("dtd.makespan_s".into(), 1.0);
         let bad = b.compare(&extra, band);
         assert_eq!(bad.len(), 1, "{bad:?}");
         assert!(bad[0].contains("absent from baseline"), "{bad:?}");

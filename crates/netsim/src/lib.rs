@@ -9,14 +9,11 @@
 //! * [`topology`] — [`ProcessGrid`]: the square logical node grid the
 //!   paper arranges its runs on, over a full-crossbar fabric;
 //! * [`netpipe`] — the NetPIPE ping-pong benchmark, reproducing the
-//!   bandwidth-vs-message-size curves of the paper's Figure 5;
-//! * [`collective`] — tree and Rabenseifner collective cost models for the
-//!   Krylov-solver workloads the paper motivates.
+//!   bandwidth-vs-message-size curves of the paper's Figure 5.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod collective;
 pub mod model;
 pub mod netpipe;
 pub mod topology;
@@ -25,7 +22,6 @@ pub mod topology;
 /// crate that replays this model's charges runs them on the same queue.
 pub use desim;
 
-pub use collective::CollectiveModel;
 pub use model::NetworkModel;
 pub use netpipe::{netpipe_sweep, ping_pong, NetPipePoint};
 pub use topology::{NodeId, ProcessGrid};

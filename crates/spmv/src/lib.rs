@@ -12,9 +12,7 @@
 //!   with the `VecScatter`-style one-grid-row ghost exchange emulated and
 //!   *checked* (any out-of-halo access panics);
 //! * [`perf`] — the calibrated bulk-synchronous performance model used by
-//!   the Figure 7 strong-scaling comparison;
-//! * [`cg`] — a Conjugate-Gradients solver on the Poisson matrix with the
-//!   reduction-cost model that motivates s-step/pipelined Krylov methods.
+//!   the Figure 7 strong-scaling comparison.
 //!
 //! The numerical result agrees with the stencil reference to rounding
 //! (the CSR accumulation order differs from the stencil kernel's fixed
@@ -23,13 +21,11 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cg;
 pub mod csr;
 pub mod dist;
 pub mod laplacian;
 pub mod perf;
 
-pub use cg::{cg_solve, poisson_matrix, CgCostModel, CgResult};
 pub use csr::Csr;
 pub use dist::{partition, run_distributed, ExchangeStats, RankRange};
 pub use laplacian::{initial_vector, stencil_matrix};

@@ -13,7 +13,7 @@
 //! One `#[test]` only: the counter is process-wide, so nothing else may
 //! run beside it in this binary.
 
-use ca_stencil::{build_base, build_ca, build_pa2};
+use ca_stencil::{build_base, build_ca};
 use integration::scrambled_config;
 use netsim::ProcessGrid;
 use runtime::{run, DtdBuilder, Program, RunConfig};
@@ -82,7 +82,7 @@ fn marginal(build: &dyn Fn(u32) -> Program, cfg: &RunConfig) -> f64 {
 
 #[test]
 fn steady_state_allocations_per_task_stay_within_the_ledger() {
-    // 16 × 16 tiles split over two nodes: the CA and PA2 schemes have
+    // 16 × 16 tiles split over two nodes: the CA scheme has
     // node-boundary tiles, deep strips and corner blocks on both engines.
     let stencil = |iters: u32| scrambled_config(256, 16, iters, ProcessGrid::new(2, 1), 5, 41);
     // A chain that changes node on every hop: the multi-process engine
@@ -95,10 +95,9 @@ fn steady_state_allocations_per_task_stay_within_the_ledger() {
         }
         b.build()
     };
-    let schemes: [(&str, &dyn Fn(u32) -> Program); 4] = [
+    let schemes: [(&str, &dyn Fn(u32) -> Program); 3] = [
         ("base", &|iters| build_base(&stencil(iters), true).program),
         ("ca s=5", &|iters| build_ca(&stencil(iters), true).program),
-        ("pa2", &|iters| build_pa2(&stencil(iters), false).program),
         ("dtd chain", &chain),
     ];
     let engines = [

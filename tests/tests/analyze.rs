@@ -6,8 +6,7 @@
 use analyze::{analyze_program, AnalyzeConfig, DataflowMode, Diagnostic, RectSet};
 use ca_stencil::metrics::predict_ca_redundant_flops;
 use ca_stencil::{
-    build_base, build_base_dtd, build_ca, build_ca_shrunk, build_pa2, Corner, Problem,
-    StencilConfig,
+    build_base, build_base_dtd, build_ca, build_ca_shrunk, Corner, Problem, StencilConfig,
 };
 use machine::MachineProfile;
 use netsim::ProcessGrid;
@@ -48,7 +47,6 @@ fn all_schemes_are_analysis_clean() {
         let schemes: Vec<(&str, Program)> = vec![
             ("base", build_base(&c, false).program),
             ("ca", build_ca(&c, false).program),
-            ("pa2", build_pa2(&c, false).program),
             ("dtd", build_base_dtd(&c)),
         ];
         for (name, program) in schemes {
@@ -189,12 +187,10 @@ fn a_box_one_iterate_short_is_rejected_statically_and_fails_runs_loudly() {
 /// task count, cross-node messages, cross-node bytes, redundant flops.
 #[test]
 fn static_comm_matches_dynamic_counters_exactly() {
-    // tile 8 keeps steps = 3 within PA2's `steps <= tile / 2` precondition
     let c = cfg(32, 8, 3, 2, 6);
     let schemes: Vec<(&str, Program)> = vec![
         ("base", build_base(&c, false).program),
         ("ca", build_ca(&c, false).program),
-        ("pa2", build_pa2(&c, false).program),
         ("dtd", build_base_dtd(&c)),
     ];
     for (name, program) in schemes {
@@ -225,7 +221,6 @@ fn simulated_makespan_never_beats_lower_bound() {
         let schemes: Vec<(&str, Program)> = vec![
             ("base", build_base(&c, false).program),
             ("ca", build_ca(&c, false).program),
-            ("pa2", build_pa2(&c, false).program),
         ];
         for (name, program) in schemes {
             let a = analyze_program(&program, &AnalyzeConfig::new().with_lanes(lanes));
@@ -250,7 +245,6 @@ fn all_schemes(c: &StencilConfig) -> Vec<(&'static str, Program)> {
     vec![
         ("base", build_base(c, false).program),
         ("ca", build_ca(c, false).program),
-        ("pa2", build_pa2(c, false).program),
         ("dtd", build_base_dtd(c)),
     ]
 }
@@ -334,7 +328,7 @@ fn steady_state_matches_full_unfold() {
         assert_eq!(df.dead_cross_bytes, ds.dead_cross_bytes, "{name}");
         assert_eq!(df.uncovered, ds.uncovered, "{name}");
         let period = ds.period.unwrap_or_else(|| panic!("{name}: no period"));
-        // base/dtd repeat every iteration; CA and PA2 every s iterations
+        // base/dtd repeat every iteration; CA every s iterations
         let expected_period = if name == "base" || name == "dtd" {
             1
         } else {

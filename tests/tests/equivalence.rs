@@ -2,7 +2,7 @@
 //! reference, SpMV baseline, base dataflow, CA dataflow, on both executors
 //! — computes the same field.
 
-use ca_stencil::{build_base, build_base_dtd, build_ca, build_pa2, jacobi_reference, max_abs_diff};
+use ca_stencil::{build_base, build_base_dtd, build_ca, jacobi_reference, max_abs_diff};
 use integration::scrambled_config;
 use machine::MachineProfile;
 use netsim::ProcessGrid;
@@ -107,10 +107,9 @@ fn node_count_does_not_change_numerics() {
 /// A one-node threaded run is the shared-memory engine: programs built for
 /// a 2 × 2 process grid run on `multi_process(1, 2)` with every flow kept
 /// in the one address space. Base and CA carry tile data and must match
-/// the reference bit for bit; PA2 and DTD are performance skeletons
-/// without data, so for them (and for base and CA) the task and
-/// activation counts must equal both `shared_memory(2)`'s and the
-/// unfolded DAG's.
+/// the reference bit for bit; DTD is a performance skeleton without
+/// data, so for it (and for base and CA) the task and activation counts
+/// must equal both `shared_memory(2)`'s and the unfolded DAG's.
 #[test]
 fn one_node_runs_are_the_shared_memory_engine() {
     let cfg = scrambled_config(32, 8, 6, ProcessGrid::new(2, 2), 3, 17);
@@ -126,7 +125,6 @@ fn one_node_runs_are_the_shared_memory_engine() {
     for (name, program, store) in [
         ("base", base.program, base.store),
         ("ca", ca.program, ca.store),
-        ("pa2", build_pa2(&cfg, false).program, None),
         ("dtd", build_base_dtd(&cfg), None),
     ] {
         let one_node = counts(&program, &RunConfig::multi_process(1, 2));
@@ -169,9 +167,7 @@ fn machine_profile_does_not_change_numerics() {
 /// bit. Every scheme × policy × worker count runs, on a 12 × 12-tile
 /// grid, on a grid with fewer tile rows than lanes (2 × 2 tiles on up to
 /// 4 workers) and on a program placed for a 2 × 2 node grid but run on
-/// one node. Base and CA carry data and match the reference bit for bit;
-/// PA2, a performance skeleton without data, must run exactly its
-/// unfolded DAG.
+/// one node. Base and CA carry data and match the reference bit for bit.
 #[test]
 fn home_lane_dispatch_keeps_every_scheme_bitwise() {
     use runtime::SchedulerPolicy;
@@ -182,8 +178,6 @@ fn home_lane_dispatch_keeps_every_scheme_bitwise() {
     ] {
         let cfg = scrambled_config(n, tile, 5, grid, 2, 23);
         let reference = jacobi_reference(&cfg.problem, 5);
-        let pa2 = build_pa2(&cfg, false).program;
-        let dag = UnfoldedDag::enumerate(&pa2);
         for workers in [2, 3, 4] {
             for policy in [
                 SchedulerPolicy::Fifo,
@@ -198,12 +192,6 @@ fn home_lane_dispatch_keeps_every_scheme_bitwise() {
                     let field = b.store.unwrap().gather();
                     assert_eq!(max_abs_diff(&field, &reference), 0.0, "{scheme}, {cell}");
                 }
-                let r = run(&pa2, &rc);
-                assert_eq!(
-                    (r.tasks_executed, r.counter(obs::names::ACTIVATIONS)),
-                    (dag.len() as u64, dag.edges.len() as u64),
-                    "pa2, {cell}"
-                );
             }
         }
     }

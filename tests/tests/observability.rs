@@ -119,12 +119,11 @@ fn all_executors_agree_on_base_stencil_spans() {
 /// transfer is missed, invented, or double-counted by the tracer.
 #[test]
 fn comm_matrix_matches_static_edge_accounting_for_every_scheme() {
-    use ca_stencil::{build_base_dtd, build_ca, build_pa2};
+    use ca_stencil::{build_base_dtd, build_ca};
     let scfg = cfg().with_steps(2);
     for (name, program) in [
         ("base", build_base(&scfg, false).program),
         ("ca", build_ca(&scfg, false).program),
-        ("pa2", build_pa2(&scfg, false).program),
         ("dtd", build_base_dtd(&scfg)),
     ] {
         let dag = analyze::unfold(&program, &analyze::AnalyzeConfig::new());

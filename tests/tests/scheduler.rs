@@ -4,7 +4,7 @@
 //! agreement on dispatch order under a fixed policy.
 
 use analyze::AnalyzeConfig;
-use ca_stencil::{build_base, build_base_dtd, build_ca, build_pa2, Problem, StencilConfig};
+use ca_stencil::{build_base, build_base_dtd, build_ca, Problem, StencilConfig};
 use integration::scrambled_config;
 use machine::MachineProfile;
 use netsim::ProcessGrid;
@@ -21,9 +21,9 @@ const POLICIES: [SchedulerPolicy; 3] = [
     SchedulerPolicy::Priority,
 ];
 
-/// The four schemes (base, CA, PA2, DTD) at n = 256, tile 32, 6
+/// The three schemes (base, CA, DTD) at n = 256, tile 32, 6
 /// iterations, s = 3 and r = 0.4 on a 2 × 2 NaCL grid.
-fn small_sweep() -> (MachineProfile, [(&'static str, Program); 4]) {
+fn small_sweep() -> (MachineProfile, [(&'static str, Program); 3]) {
     let profile = MachineProfile::nacl();
     let cfg = StencilConfig::new(Problem::laplace(256), 32, 6, ProcessGrid::new(2, 2))
         .with_steps(3)
@@ -32,7 +32,6 @@ fn small_sweep() -> (MachineProfile, [(&'static str, Program); 4]) {
     let schemes = [
         ("base", build_base(&cfg, false).program),
         ("ca", build_ca(&cfg, false).program),
-        ("pa2", build_pa2(&cfg, false).program),
         ("dtd", build_base_dtd(&cfg)),
     ];
     (profile, schemes)

@@ -1,13 +1,11 @@
 //! Scheme fingerprints: every task of every stencil scheme's unfolded DAG,
 //! folded into one number per configuration, plus the simulated makespan
 //! and traffic of each configuration. The values were recorded from the
-//! hand-written base, CA and PA2 task classes; a refactor of the stencil
+//! hand-written base and CA task classes; a refactor of the stencil
 //! task classes must reproduce them bit for bit. A mismatch prints the
 //! whole table as it is now, for a reviewed update.
 
-use ca_stencil::{
-    build_base, build_base_dtd, build_ca, build_ca_shrunk, build_pa2, Problem, StencilConfig,
-};
+use ca_stencil::{build_base, build_base_dtd, build_ca, build_ca_shrunk, Problem, StencilConfig};
 use machine::MachineProfile;
 use netsim::ProcessGrid;
 use runtime::{run, Footprint, OutputDep, Program, Rect, RunConfig, UnfoldedDag};
@@ -163,9 +161,6 @@ fn measure() -> Vec<Row> {
         for s in [1, 2, 4] {
             programs.push((format!("ca s={s}"), build_ca(&at(s), false).program));
         }
-        for s in [2, 3] {
-            programs.push((format!("pa2 s={s}"), build_pa2(&at(s), false).program));
-        }
         programs.push(("ca-shrunk s=4".into(), build_ca_shrunk(&at(4)).program));
         for (scheme, program) in programs {
             let (ns, msgs, bytes) = simulate(&program, grid);
@@ -182,29 +177,21 @@ const EXPECTED: &[(&str, u64, u64, u64, u64)] = &[
     ("1x1 laplace ca s=1", 0x3e9e720a5a5a818d, 697699, 0, 0),
     ("1x1 laplace ca s=2", 0x3e9e720a5a5a818d, 697699, 0, 0),
     ("1x1 laplace ca s=4", 0x3e9e720a5a5a818d, 697699, 0, 0),
-    ("1x1 laplace pa2 s=2", 0x18b36262bcd3093d, 697699, 0, 0),
-    ("1x1 laplace pa2 s=3", 0x18b36262bcd3093d, 697699, 0, 0),
     ("1x1 laplace ca-shrunk s=4", 0x3e9e720a5a5a818d, 697699, 0, 0),
     ("2x2 laplace base", 0x4accfbcc0042cea1, 3433105, 168, 8064),
     ("2x2 laplace ca s=1", 0xba755c289aa60061, 8536429, 420, 10080),
     ("2x2 laplace ca s=2", 0x3d61831ca2ab1855, 4892391, 240, 13824),
     ("2x2 laplace ca s=4", 0x0e4b6c823a2c3759, 2526000, 120, 18432),
-    ("2x2 laplace pa2 s=2", 0xcb907388715b9557, 4932839, 240, 13824),
-    ("2x2 laplace pa2 s=3", 0xb5243d80949a5567, 3821381, 180, 18144),
     ("2x2 laplace ca-shrunk s=4", 0xb624ec851abf3e2d, 2526000, 120, 18432),
     ("3x2 laplace base", 0x3f6b365eebf1eb51, 4567301, 252, 12096),
     ("3x2 laplace ca s=1", 0x93924e887425d0e5, 11371675, 616, 15008),
     ("3x2 laplace ca s=2", 0x86f0b8989e6fe969, 6512809, 352, 20480),
     ("3x2 laplace ca s=4", 0x1d413a4fefa98345, 3336748, 176, 27136),
-    ("3x2 laplace pa2 s=2", 0x03e9909297243c75, 6511974, 352, 20480),
-    ("3x2 laplace pa2 s=3", 0x7fb1579f28208f4f, 4892701, 264, 26784),
     ("3x2 laplace ca-shrunk s=4", 0xc9277c8a8b54dd01, 3336748, 176, 27136),
     ("2x2 variable r=0.4 base", 0x782c23094c77b48d, 3432969, 168, 8064),
     ("2x2 variable r=0.4 ca s=1", 0x41f2b0534e37bd79, 8536293, 420, 10080),
     ("2x2 variable r=0.4 ca s=2", 0x6b79631bb6747ed1, 4892148, 240, 13824),
     ("2x2 variable r=0.4 ca s=4", 0x75f8534408f0b761, 2524833, 120, 18432),
-    ("2x2 variable r=0.4 pa2 s=2", 0x18b2f5402a07f2ab, 4932133, 240, 13824),
-    ("2x2 variable r=0.4 pa2 s=3", 0x93a835172d49ce01, 3820211, 180, 18144),
     ("2x2 variable r=0.4 ca-shrunk s=4", 0x5f387690a1b11fe1, 2524833, 120, 18432),
 ];
 
