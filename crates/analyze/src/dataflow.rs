@@ -12,15 +12,14 @@
 //! deliveries(i) ∪ pinned(i)`; the check is `read(i) ⊆ valid`, and the
 //! witness on failure is the largest uncovered rectangle. Afterwards
 //! `state[space] ∪= deliveries(i) ∪ write(i)`. Accumulation (rather than
-//! only the immediate predecessor's write) is what lets PA2's exchange
-//! steps legitimately read band cells last refreshed several phases
-//! earlier. The sweep is sound when tasks sharing a space are totally
-//! ordered by the DAG, because then layer order is consistent with every
-//! same-space dependence chain. The write-race pass certifies that
-//! overlapping same-space writers are DAG-ordered; for the four stencil
-//! schemes every space's writer chain is moreover fully linked (each
-//! consecutive pair joined by the tile's self-flow), which is the total
-//! order the sweep relies on.
+//! only the immediate predecessor's write) lets a read rely on cells
+//! last refreshed several steps earlier. The sweep is sound when tasks
+//! sharing a space are totally ordered by the DAG, because then layer
+//! order is consistent with every same-space dependence chain. The
+//! write-race pass certifies that overlapping same-space writers are
+//! DAG-ordered; for the stencil schemes every space's writer chain is
+//! moreover fully linked (each consecutive pair joined by the tile's
+//! self-flow), which is the total order the sweep relies on.
 //!
 //! **Dead transfers.** An edge's delivered region is dead where no read
 //! footprint of the destination space ever touches it ("no downstream
@@ -60,6 +59,7 @@ use crate::footprint::{Footprints, Region};
 use crate::rectset::RectSet;
 use crate::task_name;
 use runtime::{InEdges, Rect, UnfoldedDag};
+use std::hash::Hasher;
 
 /// How much of the DAG the rectangle sweep covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,13 +108,17 @@ pub struct DataflowReport {
 
 /// Word-at-a-time hash: one multiply per `u64` and a final avalanche.
 /// Deterministic across runs and platforms, unlike `DefaultHasher` —
-/// layer fingerprints must be reproducible.
-struct WordHash(u64);
+/// layer fingerprints must be reproducible — and cheap enough to key the
+/// footprint table's space interning.
+pub(crate) struct WordHash(u64);
 
-impl WordHash {
-    fn new() -> Self {
+impl Default for WordHash {
+    fn default() -> Self {
         WordHash(0x243f_6a88_85a3_08d3)
     }
+}
+
+impl WordHash {
     fn u64(&mut self, v: u64) {
         self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
@@ -123,6 +127,19 @@ impl WordHash {
         self.u64(r.col as u64);
         self.u64(r.rows as u64);
         self.u64(r.cols as u64);
+    }
+}
+
+impl Hasher for WordHash {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.u64(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.u64(v);
     }
     fn finish(&self) -> u64 {
         let mut h = self.0;
@@ -359,7 +376,7 @@ impl<'a> Pass<'a> {
                     task_hashes.push(self.task_fingerprint(i as usize, &mut edge_hashes));
                 }
                 task_hashes.sort_unstable();
-                let mut h = WordHash::new();
+                let mut h = WordHash::default();
                 h.u64(task_hashes.len() as u64);
                 for &th in &task_hashes {
                     h.u64(th);
@@ -388,7 +405,7 @@ impl<'a> Pass<'a> {
     fn task_fingerprint(&self, i: usize, edge_hashes: &mut Vec<u64>) -> u64 {
         let key = self.dag.tasks[i];
         let info = &self.fps.tasks[i];
-        let mut h = WordHash::new();
+        let mut h = WordHash::default();
         h.u64(key.class as u64);
         h.u64(self.kinds[i] as u64);
         match &info.write {
@@ -405,7 +422,7 @@ impl<'a> Pass<'a> {
         for &ei in self.in_edges.of(i) {
             let e = &self.dag.edges[ei as usize];
             let p = e.producer as usize;
-            let mut eh = WordHash::new();
+            let mut eh = WordHash::default();
             eh.u64((self.layer[i] - self.layer[p]) as u64);
             eh.u64(self.dag.tasks[p].class as u64);
             eh.u64(self.kinds[p] as u64);
@@ -538,7 +555,7 @@ mod tests {
     #[test]
     fn word_hash_is_deterministic_and_order_sensitive() {
         let hash = |words: &[u64]| {
-            let mut h = WordHash::new();
+            let mut h = WordHash::default();
             words.iter().for_each(|&w| h.u64(w));
             h.finish()
         };

@@ -3,9 +3,13 @@
 //! scratch, copied into one flat table that the write-race and
 //! region-dataflow passes both read. Space ids become dense indices on
 //! the way in, so the dataflow pass keeps its per-space state in vectors.
+//! The race pass reads only the writes, so without the dataflow pass the
+//! table keeps nothing else.
 
+use crate::dataflow::WordHash;
 use runtime::{Footprint, Rect, UnfoldedDag};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// A read, pinned or delivered region: a dense space index and the range
 /// of its rectangles in [`Footprints::rects`].
@@ -34,12 +38,13 @@ pub(crate) struct TaskRegions {
 pub(crate) struct Footprints {
     /// Parallel to `dag.tasks`.
     pub tasks: Vec<TaskRegions>,
-    /// The region each edge's flow delivers, parallel to `dag.edges`.
+    /// The region each edge's flow delivers, parallel to `dag.edges`;
+    /// empty without regions.
     pub delivered: Vec<Option<Region>>,
     pub rects: Vec<Rect>,
     /// Space id per dense space index.
     pub spaces: Vec<u64>,
-    dense: HashMap<u64, u32>,
+    dense: HashMap<u64, u32, BuildHasherDefault<WordHash>>,
 }
 
 /// `len` as a `u32` index, as the unfolded DAG indexes tasks and edges.
@@ -48,18 +53,29 @@ fn index(len: usize) -> u32 {
 }
 
 impl Footprints {
-    pub fn collect(dag: &UnfoldedDag) -> Self {
+    /// Declare every task's footprint. Only with `regions` does the table
+    /// keep the read, pinned and delivered regions besides the writes.
+    pub fn collect(dag: &UnfoldedDag, regions: bool) -> Self {
         let mut table = Footprints {
             tasks: Vec::with_capacity(dag.len()),
-            delivered: Vec::with_capacity(dag.edges.len()),
+            delivered: Vec::with_capacity(if regions { dag.edges.len() } else { 0 }),
             ..Footprints::default()
         };
         let mut fp = Footprint::default();
         for (i, key) in dag.tasks.iter().enumerate() {
             fp.clear();
             dag.graph.class(key.class).footprint(key.params, &mut fp);
+            let write = fp.write().map(|(space, rect)| (table.space(space), rect));
+            if !regions {
+                table.tasks.push(TaskRegions {
+                    write,
+                    read: None,
+                    pinned: None,
+                });
+                continue;
+            }
             let task = TaskRegions {
-                write: fp.write().map(|(space, rect)| (table.space(space), rect)),
+                write,
                 read: table.region(fp.read()),
                 pinned: table.region(fp.pinned()),
             };

@@ -212,11 +212,12 @@ pub fn analyze_dag(dag: &UnfoldedDag, config: &AnalyzeConfig) -> Analysis {
         });
     }
     // The race and dataflow passes read one table, so each task's
-    // footprint is declared at most once per analysis.
+    // footprint is declared at most once per analysis; its read, pinned
+    // and delivered regions are kept only for the dataflow pass.
     let mut dataflow_report = None;
     let wants_footprints = config.races || config.dataflow.is_some();
     if let Some(topo) = topo.as_ref().filter(|_| wants_footprints) {
-        let fps = footprint::Footprints::collect(dag);
+        let fps = footprint::Footprints::collect(dag, config.dataflow.is_some());
         if config.races {
             diagnostics.extend(race::find_races(dag, &fps, topo));
         }

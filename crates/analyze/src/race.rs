@@ -27,7 +27,6 @@
 
 use crate::{diag::Diagnostic, footprint::Footprints, task_name};
 use runtime::{Rect, UnfoldedDag};
-use std::collections::BTreeMap;
 
 /// Find all write races among the writes `fps` declares. `topo` must be
 /// a topological order of `dag`.
@@ -37,21 +36,39 @@ pub(crate) fn find_races(dag: &UnfoldedDag, fps: &Footprints, topo: &[usize]) ->
         rank[i] = r;
     }
 
-    // Group writers by space; BTreeMap for deterministic report order.
-    let mut groups: BTreeMap<u64, Vec<(usize, Rect)>> = BTreeMap::new();
-    for (i, task) in fps.tasks.iter().enumerate() {
-        if let Some((space, rect)) = task.write {
-            let space = fps.spaces[space as usize];
-            groups.entry(space).or_default().push((i, rect));
-        }
+    // Group writers by dense space index (a counting sort into one flat
+    // vector), and visit the groups in space-id order so the report's
+    // order is deterministic.
+    let writes = || {
+        fps.tasks
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| Some((i, t.write?)))
+    };
+    let mut bounds = vec![0usize; fps.spaces.len() + 1];
+    for (_, (space, _)) in writes() {
+        bounds[space as usize + 1] += 1;
     }
+    for k in 1..bounds.len() {
+        bounds[k] += bounds[k - 1];
+    }
+    let mut next = bounds.clone();
+    let mut writers = vec![(0, Rect::new(0, 0, 0, 0)); bounds[fps.spaces.len()]];
+    for (i, (space, rect)) in writes() {
+        writers[next[space as usize]] = (i, rect);
+        next[space as usize] += 1;
+    }
+    let mut order: Vec<usize> = (0..fps.spaces.len()).collect();
+    order.sort_unstable_by_key(|&k| fps.spaces[k]);
 
     let mut search = WindowSearch::new(dag, rank);
     let mut diags = Vec::new();
-    for (space, mut members) in groups {
+    // broken[k]: broken links among (m[0], m[1]) .. (m[k−1], m[k]).
+    let mut broken = Vec::new();
+    for k in order {
+        let (space, members) = (fps.spaces[k], &mut writers[bounds[k]..bounds[k + 1]]);
         members.sort_by_key(|&(i, _)| search.rank[i]);
-        // broken[k]: broken links among (m[0], m[1]) .. (m[k−1], m[k]).
-        let mut broken = Vec::with_capacity(members.len());
+        broken.clear();
         let mut count = 0u32;
         broken.push(count);
         for link in members.windows(2) {

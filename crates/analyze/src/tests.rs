@@ -251,7 +251,7 @@ fn races_match_oracle(p: &Program) -> Vec<Diagnostic> {
     let dag = unfold(p, &AnalyzeConfig::new());
     assert!(dag.is_consistent(), "{:?}", dag.faults);
     let topo = dag.topo_order().expect("acyclic");
-    let fps = footprint::Footprints::collect(&dag);
+    let fps = footprint::Footprints::collect(&dag, false);
     let races = race::find_races(&dag, &fps, &topo);
     assert_eq!(races, oracle_races(&dag, &topo));
     races

@@ -217,7 +217,7 @@ impl Rect {
 /// allocates nothing once it has grown. A `set_*` call replaces an
 /// earlier one for the same region; an empty list declares nothing, and
 /// an undeclared region exempts the task (or flow) from its check.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Footprint {
     write: Option<(u64, Rect)>,
     read: Option<Span>,
@@ -225,6 +225,29 @@ pub struct Footprint {
     /// Per output flow, in flow order; flows past the end declare nothing.
     delivered: Vec<Option<Span>>,
     rects: Vec<Rect>,
+}
+
+impl Clone for Footprint {
+    fn clone(&self) -> Self {
+        Footprint {
+            write: self.write,
+            read: self.read,
+            pinned: self.pinned,
+            delivered: self.delivered.clone(),
+            rects: self.rects.clone(),
+        }
+    }
+
+    /// Copies into both vectors' existing allocations, so a class that
+    /// stores its declarations (the DTD front-end) fills a warmed scratch
+    /// without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.write = source.write;
+        self.read = source.read;
+        self.pinned = source.pinned;
+        self.delivered.clone_from(&source.delivered);
+        self.rects.clone_from(&source.rects);
+    }
 }
 
 /// A region of a [`Footprint`]: its space and its range of `rects`.
@@ -721,6 +744,31 @@ mod tests {
         assert_eq!(fp.read(), Some((4, &[b][..])), "a second call replaces");
         fp.clear();
         assert_empty(&fp);
+    }
+
+    #[test]
+    fn clone_from_into_a_warmed_footprint_keeps_its_allocations() {
+        let r = Rect::new(0, 0, 2, 2);
+        let mut warm = Footprint::default();
+        warm.set_read(1, [r; 8]);
+        warm.set_delivered(5, 2, [r; 8]);
+        let (rects, delivered) = (warm.rects.as_ptr(), warm.delivered.as_ptr());
+        let capacity = (warm.rects.capacity(), warm.delivered.capacity());
+        let mut source = Footprint::default();
+        source.set_write(3, r);
+        source.set_read(3, [r, r]);
+        source.set_delivered(1, 4, [r]);
+        warm.clone_from(&source);
+        assert_eq!(
+            (warm.rects.as_ptr(), warm.delivered.as_ptr()),
+            (rects, delivered)
+        );
+        assert_eq!((warm.rects.capacity(), warm.delivered.capacity()), capacity);
+        assert_eq!(warm.write(), Some((3, r)));
+        assert_eq!(warm.read(), Some((3, &[r, r][..])));
+        assert_eq!(warm.pinned(), None);
+        assert_eq!(warm.delivered(0), None);
+        assert_eq!(warm.delivered(1), Some((4, &[r][..])));
     }
 
     fn assert_empty(fp: &Footprint) {
