@@ -62,7 +62,7 @@ step ./target/release/stencil-whatif --check
 # working directory).
 transcripts=(
     docs/OBSERVABILITY.md '$ cargo run --release -p bench --bin stencil-whatif'
-    EXPERIMENTS.md '$ REPRO_FAST=1 cargo run --release -p bench --bin pa_variants'
+    EXPERIMENTS.md '$ REPRO_FAST=1 cargo run --release -p bench --bin fig8_kernel_ratio'
     README.md '$ cargo run --release -p bench --bin stencil-lint -- --n 256 --tile 32 --iters 20 --steps 8 --grid 2 --dataflow --steady-state'
 )
 transcript_gate() {
@@ -84,7 +84,7 @@ done
 
 # Communication-observatory gate: the per-peer comm matrix built from
 # traced message spans must carry exactly the per-edge message and byte
-# counts `analyze` derives statically, for every scheme (base/ca/pa2/dtd).
+# counts `analyze` derives statically, for every scheme (base/ca/dtd).
 comm_matrix_identity_gate() {
     cargo test --release -q -p integration --test observability \
         comm_matrix_matches_static_edge_accounting
@@ -97,10 +97,12 @@ step comm_matrix_identity_gate
 # scratch instead of allocating (docs/EXECUTOR.md) — the static
 # unfolder's peak heap must stay within 240 B per task for the base and
 # CA schemes at the tooling_lint_doctor and sim_nacl16 sizes
-# (runtime::unfold), and the steady-state region-dataflow analysis of
-# the tooling_lint_doctor CA DAG must stay within 0.31 heap allocations
-# per task: footprints are declared into one reused scratch and the
-# sweep allocates nothing (analyze::{footprint, dataflow}).
+# (runtime::unfold), and at the tooling_lint_doctor size the
+# steady-state region-dataflow analysis of the CA DAG must stay within
+# 0.31 heap allocations per task and the race pass alone within 0.0046
+# on the CA and DTD DAGs: footprints are declared into one reused
+# scratch and neither pass allocates per task (analyze::{footprint,
+# race, dataflow}).
 allocation_ledger_gate() {
     cargo test --release -q -p integration --test alloc_steady_state &&
         cargo test --release -q -p integration --test alloc_unfold &&
@@ -122,7 +124,7 @@ lockfile_unchanged() {
 step lockfile_unchanged
 
 # Region-dataflow gate: the halo-coverage proof and dead-transfer
-# accounting must pass for all four schemes (base/ca/pa2/dtd) in
+# accounting must pass for all three schemes (base/ca/dtd) in
 # steady-state mode, and the deliberately halo-shrunk CA build must make
 # the proof FAIL — a mutation test that the coverage check has teeth.
 step ./target/release/stencil-lint --n 128 --tile 32 --iters 9 --steps 4 --grid 2 \
