@@ -47,10 +47,13 @@ fi
 # tolerance bands.
 step ./target/release/stencil-doctor --check
 
-# Causal-profiler gate: the what-if replay of the traced run must equal
-# that run, and every scenario's prediction (scaled kernel costs, scaled
-# network, slowed injection) must equal its simulator re-run, in integer
-# nanoseconds; the makespans must match BENCH_whatif.json within 2 %.
+# Causal-profiler gate: what-if replays the DAG on the simulator's own
+# model, so the checks are on its inputs. The baseline replay must equal
+# the traced run (realized durations reproduce the class costs), and
+# every scenario's prediction (scaled kernel costs, scaled network,
+# slowed injection) its simulator re-run, in integer nanoseconds
+# (perturbation folding equals the profile change exp_whatif::realize
+# makes); the makespans must match BENCH_whatif.json within 2 %.
 step ./target/release/stencil-whatif --check
 
 # Transcript gates: the docs quote the output of virtual-time binaries
@@ -102,7 +105,9 @@ step comm_matrix_identity_gate
 # 0.31 heap allocations per task and the race pass alone within 0.0046
 # on the CA and DTD DAGs: footprints are declared into one reused
 # scratch and neither pass allocates per task (analyze::{footprint,
-# race, dataflow}).
+# race, dataflow}); a what-if replay of the CA run stays within 0.03
+# per task, as its DAG source allocates per replay only
+# (runtime::replay).
 allocation_ledger_gate() {
     cargo test --release -q -p integration --test alloc_steady_state &&
         cargo test --release -q -p integration --test alloc_unfold &&

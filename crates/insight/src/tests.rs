@@ -414,6 +414,22 @@ mod whatif_replay {
     }
 
     #[test]
+    #[should_panic(
+        expected = "what-if needs a consistent DAG; 1 faults: enumeration truncated at 2 tasks"
+    )]
+    fn a_truncated_dag_is_refused() {
+        // Cut at two of its four tasks, the chain would replay as a
+        // shorter program without complaint.
+        let mut b = runtime::dtd::DtdBuilder::new();
+        let mut prev = b.insert(0, 1e-5, &[]);
+        for _ in 0..3 {
+            prev = b.insert(0, 1e-5, &[prev]);
+        }
+        let dag = UnfoldedDag::enumerate_with_limit(&b.build(), 2);
+        WhatIf::new(&Trace::default(), &dag, &MachineProfile::nacl(), 1);
+    }
+
+    #[test]
     fn rank_orders_scenarios_by_predicted_speedup() {
         let (dag, trace) = local_pair();
         let w = WhatIf::new(&trace, &dag, &MachineProfile::nacl(), 1);

@@ -22,33 +22,34 @@
 //!
 //! The simulator still uses one central `ReadyQueue` per node, which is
 //! what keeps its dispatch order — and `BENCH_stencil.json` —
-//! bit-identical across the overhaul.
+//! bit-identical across the overhaul. Its DAG replay queues bare task
+//! indices in the same queue type.
 
 use crate::pending::ReadyTask;
 use crate::scheduler::SchedulerPolicy;
-use crate::task::TaskGraph;
+use crate::task::{TaskGraph, TaskKey};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-struct Entry {
+struct Entry<T> {
     rank: i32,
     seq: u64,
-    task: Box<ReadyTask>,
+    task: T,
 }
 
-impl PartialEq for Entry {
+impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
         self.rank == other.rank && self.seq == other.seq
     }
 }
-impl Eq for Entry {}
-impl PartialOrd for Entry {
+impl<T> Eq for Entry<T> {}
+impl<T> PartialOrd for Entry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Entry {
+impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // max-heap: higher priority first, FIFO (lower seq) within a level
         self.rank
@@ -57,8 +58,9 @@ impl Ord for Entry {
     }
 }
 
-/// A policy-ordered ready queue of boxed tasks (a [`ReadyTask`] keeps its
-/// box from discovery to reuse, see [`crate::pending`]). Priorities are
+/// A policy-ordered ready queue, by default of boxed tasks (a
+/// [`ReadyTask`] keeps its box from discovery to reuse, see
+/// [`crate::pending`]). Priorities are
 /// read once, at push time — a class's priority is a pure function of
 /// the task's parameters, so the value at pop time is identical, and
 /// `pop` stays O(log n).
@@ -77,15 +79,22 @@ impl Ord for Entry {
 /// assert_eq!(q.pop().unwrap().key.params[0], 0);
 /// assert_eq!(q.len(), 2);
 /// ```
-pub struct ReadyQueue {
+pub struct ReadyQueue<T = Box<ReadyTask>> {
     policy: SchedulerPolicy,
     graph: Arc<TaskGraph>,
-    deque: VecDeque<Box<ReadyTask>>,
-    heap: BinaryHeap<Entry>,
+    deque: VecDeque<T>,
+    heap: BinaryHeap<Entry<T>>,
     seq: u64,
 }
 
 impl ReadyQueue {
+    /// Enqueue a ready task (see [`ReadyQueue::push_by`]).
+    pub fn push(&mut self, task: Box<ReadyTask>) {
+        self.push_by(task, |t| t.key);
+    }
+}
+
+impl<T> ReadyQueue<T> {
     /// Empty queue ordered by `policy`; `Priority` reads each task's
     /// priority from its class in `graph`.
     pub fn new(policy: SchedulerPolicy, graph: Arc<TaskGraph>) -> Self {
@@ -98,15 +107,17 @@ impl ReadyQueue {
         }
     }
 
-    /// Enqueue a ready task. Under `Priority` the task's class priority
-    /// is read here, once, and the push is stamped with a monotone
-    /// sequence number that breaks priority ties FIFO. This pair is what
-    /// makes priority dispatch deterministic for a fixed arrival order.
-    pub fn push(&mut self, task: Box<ReadyTask>) {
+    /// Enqueue a ready task whose key is `key(&task)`. Under `Priority`
+    /// the key's class priority is read here, once, and the push is
+    /// stamped with a monotone sequence number that breaks priority ties
+    /// FIFO. This pair is what makes priority dispatch deterministic for
+    /// a fixed arrival order. The other policies never ask for the key.
+    pub fn push_by(&mut self, task: T, key: impl FnOnce(&T) -> TaskKey) {
         match self.policy {
             SchedulerPolicy::Fifo | SchedulerPolicy::Lifo => self.deque.push_back(task),
             SchedulerPolicy::Priority => {
-                let rank = self.graph.class(task.key.class).priority(task.key.params);
+                let key = key(&task);
+                let rank = self.graph.class(key.class).priority(key.params);
                 let seq = self.seq;
                 self.seq += 1;
                 self.heap.push(Entry { rank, seq, task });
@@ -116,7 +127,7 @@ impl ReadyQueue {
 
     /// Take the next task per the policy: front for FIFO, back for LIFO,
     /// highest priority (lowest seq within a level) for `Priority`.
-    pub fn pop(&mut self) -> Option<Box<ReadyTask>> {
+    pub fn pop(&mut self) -> Option<T> {
         match self.policy {
             SchedulerPolicy::Fifo => self.deque.pop_front(),
             SchedulerPolicy::Lifo => self.deque.pop_back(),

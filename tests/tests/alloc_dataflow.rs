@@ -1,10 +1,10 @@
-//! The allocation ledger of the static analyses.
+//! The allocation ledger of the static analyses and the what-if replay.
 //!
-//! A counting global allocator measures `analyze::analyze_dag` over the
-//! `tooling_lint_doctor` programs: n 6912, tile 288, 20 sweeps, 4 × 4
-//! nodes, s = 5, 12 096 tasks. Divided by the task count, the
-//! allocations must stay within each case's ledger (its measured figure
-//! plus 10 %):
+//! A counting global allocator measures `analyze::analyze_dag` and
+//! `insight::WhatIf::rank` over the `tooling_lint_doctor` programs: n
+//! 6912, tile 288, 20 sweeps, 4 × 4 nodes, s = 5, 12 096 tasks. Divided
+//! by the task count, the allocations must stay within each case's
+//! ledger:
 //!
 //! * the steady-state dataflow pass (races off) on the CA DAG, 43 776
 //!   edges: 0.28 measured. Every task declares its footprint into one
@@ -20,14 +20,21 @@
 //!   each, 0.0041 per task. The table keeps only the writes, the race
 //!   pass groups them in one flat vector, and the DTD class copies each
 //!   stored footprint into the warmed scratch without allocating.
+//! * what-if on the CA run's trace: `rank` over the benchmark's five
+//!   scenarios, six replays through the simulator's model, within 0.03
+//!   allocations per task per replay. Every allocation is per replay
+//!   (tables, queues and the event heap growing); a boxed task per
+//!   ready event would read at least 1.
 //!
 //! One `#[test]` only: the counter is process-wide, so nothing else may
 //! run beside it in this binary.
 
 use analyze::{AnalyzeConfig, DataflowMode};
-use ca_stencil::{build_base_dtd, build_ca, Problem, StencilConfig};
+use ca_stencil::{build_base_dtd, build_ca, Problem, StencilConfig, KIND_BOUNDARY, KIND_INTERIOR};
+use insight::{Perturbation, WhatIf};
+use machine::MachineProfile;
 use netsim::ProcessGrid;
-use runtime::Program;
+use runtime::{Program, RunConfig, UnfoldedDag};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -38,6 +45,8 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 const LEDGER_CA_DATAFLOW: f64 = 0.31;
 const LEDGER_CA_RACES: f64 = 0.0046;
 const LEDGER_DTD_RACES: f64 = 0.0046;
+/// Heap allocations per task per what-if replay.
+const LEDGER_WHATIF_REPLAY: f64 = 0.03;
 
 /// The system allocator, counting every request for new or regrown memory.
 struct Counting;
@@ -103,6 +112,40 @@ fn dataflow_allocations_per_task_stay_within_the_ledger() {
         if per_task > ledger {
             over.push(format!("{case}: {per_task:.3} > ledger {ledger}"));
         }
+    }
+
+    let profile = MachineProfile::nacl();
+    let nodes = cfg.grid.nodes();
+    let run = RunConfig::simulated(profile.clone(), nodes).with_trace();
+    let trace = runtime::run(&ca, &run).trace.expect("traced run");
+    let dag = UnfoldedDag::enumerate(&ca);
+    let whatif = WhatIf::new(&trace, &dag, &profile, nodes);
+    let kernel = |kind| vec![Perturbation::TaskKind { kind, factor: 0.7 }];
+    let link = |bandwidth, latency| vec![Perturbation::Link { bandwidth, latency }];
+    let injection = (0..nodes).map(|node| Perturbation::Injection { node, factor: 0.5 });
+    let scenarios = [
+        ("boundary kernel".to_string(), kernel(KIND_BOUNDARY)),
+        ("interior kernel".to_string(), kernel(KIND_INTERIOR)),
+        ("bandwidth".to_string(), link(2.0, 1.0)),
+        ("latency".to_string(), link(1.0, 0.5)),
+        ("injection".to_string(), injection.collect()),
+    ];
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let ranked = whatif.rank(&scenarios);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(ranked.len(), scenarios.len());
+    // The baseline and one replay per scenario.
+    let replays = scenarios.len() + 1;
+    let per_task = allocations as f64 / replays as f64 / dag.len() as f64;
+    println!(
+        "what-if: {allocations} allocations over {replays} replays of {} tasks: \
+         {per_task:.4} per task per replay",
+        dag.len()
+    );
+    if per_task > LEDGER_WHATIF_REPLAY {
+        over.push(format!(
+            "what-if: {per_task:.4} > ledger {LEDGER_WHATIF_REPLAY}"
+        ));
     }
     assert!(over.is_empty(), "over the allocation ledger: {over:?}");
 }
