@@ -263,10 +263,14 @@ impl UnfoldedDag {
     /// the task and the value.
     pub fn enumerate_with_limit(program: &Program, limit: usize) -> Self {
         let graph = Arc::clone(&program.graph);
+        // Size the task list for the declared total once, not by doubling;
+        // a wrong total only costs a regrowth. The box bounds the hint.
+        let declared = usize::try_from(program.total_tasks).unwrap_or(usize::MAX);
+        let capacity = declared.min(limit).min(graph.num_slots() as usize);
         let mut found = Discovered {
             graph: &graph,
             limit,
-            tasks: Vec::new(),
+            tasks: Vec::with_capacity(capacity),
             by_slot: vec![0; graph.num_slots() as usize],
             outside: HashMap::new(),
         };
